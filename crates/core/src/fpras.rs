@@ -132,28 +132,105 @@ enum SamplerKind<'a> {
 }
 
 impl SamplerKind<'_> {
-    /// Draws one repair into the reused buffer.
+    /// Draws one repair into the reused buffer — restricted to the
+    /// conflicting blocks `blocks` when given (block-based samplers
+    /// only; see [`RepairBuffer`]).
     ///
     /// This is the *only* place the Monte-Carlo loops consume the RNG —
     /// both the single-query and the batched experiment dispatch through
     /// it, which is what makes their outcomes bit-identical under a
-    /// shared seed.
+    /// shared seed.  A restricted draw takes the same single key as the
+    /// full one and agrees with it on every block it covers.
     fn sample_repair_into<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
+        blocks: Option<&[usize]>,
         out: &mut FactSet,
         scratch: &mut WalkScratch,
     ) {
-        match self {
-            SamplerKind::Repairs(sampler) => sampler.sample_into(rng, out),
-            SamplerKind::RepairsSingleton(sampler) => sampler.sample_singleton_into(rng, out),
-            SamplerKind::Sequences(sampler) => sampler.sample_result_into(rng, out),
-            SamplerKind::SequencesSingleton(sampler) => {
+        match (self, blocks) {
+            (SamplerKind::Repairs(sampler), Some(blocks)) => {
+                sampler.sample_blocks_into(rng, blocks, out)
+            }
+            (SamplerKind::Repairs(sampler), None) => sampler.sample_into(rng, out),
+            (SamplerKind::RepairsSingleton(sampler), Some(blocks)) => {
+                sampler.sample_singleton_blocks_into(rng, blocks, out)
+            }
+            (SamplerKind::RepairsSingleton(sampler), None) => {
+                sampler.sample_singleton_into(rng, out)
+            }
+            (SamplerKind::Sequences(sampler), _) => sampler.sample_result_into(rng, out),
+            (SamplerKind::SequencesSingleton(sampler), _) => {
                 sampler.sample_result_singleton_into(rng, out)
             }
-            SamplerKind::Operations(walker) => walker.sample_result_into(rng, out, scratch),
+            (SamplerKind::Operations(walker), _) => walker.sample_result_into(rng, out, scratch),
         }
     }
+}
+
+/// The reused draw state of one experiment: the repair buffer, the walk
+/// scratch, and — for the block-based samplers — the conflicting blocks
+/// its check can see.
+///
+/// Under `M^ur` and `M^{ur,1}` every block's outcome is independent and
+/// keyed by the block (Lemma 5.2), and a compiled check reads only its
+/// witness facts, so a draw restricted to the conflicting blocks meeting
+/// those facts decides every check exactly as the full draw would, at a
+/// cost set by the bank rather than by `|D|`.  The other facts of the
+/// buffer stay as [`RepairSampler::prepare`] left them.  A fallback entry
+/// runs the backtracking evaluator on the whole repair, so a check with
+/// one (`witnesses` is `None`) keeps the full draw, as do the sequence
+/// and walk samplers.
+struct RepairBuffer {
+    repair: FactSet,
+    scratch: WalkScratch,
+    /// The conflicting blocks a draw covers; `None` for full draws.
+    blocks: Option<Vec<usize>>,
+}
+
+impl RepairBuffer {
+    fn new<'w>(
+        estimator: &OcqaEstimator<'_>,
+        witnesses: Option<impl IntoIterator<Item = &'w FactSet>>,
+    ) -> Self {
+        let mut repair = FactSet::empty(estimator.db.len());
+        let blocks = match (&estimator.sampler, witnesses) {
+            (
+                SamplerKind::Repairs(sampler) | SamplerKind::RepairsSingleton(sampler),
+                Some(witnesses),
+            ) => {
+                sampler.prepare(&mut repair);
+                Some(sampler.blocks_meeting(witnesses.into_iter().flat_map(FactSet::iter)))
+            }
+            _ => None,
+        };
+        RepairBuffer {
+            repair,
+            scratch: WalkScratch::new(),
+            blocks,
+        }
+    }
+
+    /// Draws the next repair (see [`SamplerKind::sample_repair_into`]).
+    fn draw<R: Rng + ?Sized>(&mut self, sampler: &SamplerKind<'_>, rng: &mut R) {
+        sampler.sample_repair_into(
+            rng,
+            self.blocks.as_deref(),
+            &mut self.repair,
+            &mut self.scratch,
+        );
+    }
+}
+
+/// The witnesses of every entry of `bank` (lazily: only the block-based
+/// samplers read them), or `None` when an entry is a fallback entry (see
+/// [`RepairBuffer`]).
+fn bank_witnesses(bank: &LineageBank) -> Option<impl Iterator<Item = &FactSet>> {
+    (!bank.has_fallback()).then(|| {
+        (0..bank.len())
+            .filter_map(|entry| bank.witnesses_of(entry))
+            .flatten()
+    })
 }
 
 /// An approximate (FPRAS) solver for `OCQA(Σ, M, Q)` over one database.
@@ -1237,8 +1314,7 @@ struct BatchStoppingExperiment<'e, 'a> {
     bank: &'e LineageBank,
     queries: &'e [BatchQuery<'e>],
     live: BankLiveSet,
-    repair: FactSet,
-    scratch: WalkScratch,
+    buffer: RepairBuffer,
     bank_scratch: BankScratch,
 }
 
@@ -1254,8 +1330,7 @@ impl<'e, 'a> BatchStoppingExperiment<'e, 'a> {
             bank,
             queries,
             live,
-            repair: FactSet::empty(estimator.db.len()),
-            scratch: WalkScratch::new(),
+            buffer: RepairBuffer::new(estimator, bank_witnesses(bank)),
             bank_scratch: BankScratch::new(),
         }
     }
@@ -1263,24 +1338,23 @@ impl<'e, 'a> BatchStoppingExperiment<'e, 'a> {
     /// Draws one shared repair and writes `hits[q]` for every live query
     /// (fallback entries route through the backtracking evaluator).
     fn draw_live<R: Rng + ?Sized>(&mut self, rng: &mut R, hits: &mut [bool]) {
-        self.estimator
-            .sampler
-            .sample_repair_into(rng, &mut self.repair, &mut self.scratch);
+        self.buffer.draw(&self.estimator.sampler, rng);
+        let repair = &self.buffer.repair;
         self.bank
-            .evaluate_live_into(&self.live, &self.repair, &mut self.bank_scratch, hits);
+            .evaluate_live_into(&self.live, repair, &mut self.bank_scratch, hits);
         for &q in self.live.live_queries() {
             let query = &self.queries[q];
             if self.bank.is_fallback(q) {
                 hits[q] = query
                     .evaluator
-                    .has_answer(self.estimator.db, &self.repair, query.candidate)
+                    .has_answer(self.estimator.db, repair, query.candidate)
                     .expect("candidate arity was validated during bank compilation");
             } else {
                 debug_assert_eq!(
                     hits[q],
                     query
                         .evaluator
-                        .has_answer(self.estimator.db, &self.repair, query.candidate)
+                        .has_answer(self.estimator.db, repair, query.candidate)
                         .expect("candidate arity was validated during bank compilation"),
                     "live lineage bank disagrees with the backtracking evaluator on query {q}"
                 );
@@ -1306,8 +1380,7 @@ struct BatchExperiment<'e, 'a> {
     estimator: &'e OcqaEstimator<'a>,
     bank: &'e LineageBank,
     queries: &'e [BatchQuery<'e>],
-    repair: FactSet,
-    scratch: WalkScratch,
+    buffer: RepairBuffer,
     bank_scratch: BankScratch,
     hits: Vec<bool>,
 }
@@ -1322,31 +1395,29 @@ impl<'e, 'a> BatchExperiment<'e, 'a> {
             estimator,
             bank,
             queries,
-            repair: FactSet::empty(estimator.db.len()),
-            scratch: WalkScratch::new(),
+            buffer: RepairBuffer::new(estimator, bank_witnesses(bank)),
             bank_scratch: BankScratch::new(),
             hits: vec![false; queries.len()],
         }
     }
 
     fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R, successes: &mut [u64]) {
-        self.estimator
-            .sampler
-            .sample_repair_into(rng, &mut self.repair, &mut self.scratch);
+        self.buffer.draw(&self.estimator.sampler, rng);
+        let repair = &self.buffer.repair;
         self.bank
-            .evaluate_into(&self.repair, &mut self.bank_scratch, &mut self.hits);
+            .evaluate_into(repair, &mut self.bank_scratch, &mut self.hits);
         for (index, query) in self.queries.iter().enumerate() {
             let hit = if self.bank.is_fallback(index) {
                 query
                     .evaluator
-                    .has_answer(self.estimator.db, &self.repair, query.candidate)
+                    .has_answer(self.estimator.db, repair, query.candidate)
                     .expect("candidate arity was validated during bank compilation")
             } else {
                 debug_assert_eq!(
                     self.hits[index],
                     query
                         .evaluator
-                        .has_answer(self.estimator.db, &self.repair, query.candidate)
+                        .has_answer(self.estimator.db, repair, query.candidate)
                         .expect("candidate arity was validated during bank compilation"),
                     "lineage bank disagrees with the backtracking evaluator on query {index}"
                 );
@@ -1371,8 +1442,7 @@ struct SampleExperiment<'e, 'a> {
     lineage: Option<&'e CompiledLineage>,
     evaluator: &'e QueryEvaluator,
     candidate: &'e [Value],
-    repair: FactSet,
-    scratch: WalkScratch,
+    buffer: RepairBuffer,
 }
 
 impl<'e, 'a> SampleExperiment<'e, 'a> {
@@ -1387,22 +1457,20 @@ impl<'e, 'a> SampleExperiment<'e, 'a> {
             lineage,
             evaluator,
             candidate,
-            repair: FactSet::empty(estimator.db.len()),
-            scratch: WalkScratch::new(),
+            buffer: RepairBuffer::new(estimator, lineage.map(CompiledLineage::witnesses)),
         }
     }
 
     fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        self.estimator
-            .sampler
-            .sample_repair_into(rng, &mut self.repair, &mut self.scratch);
+        self.buffer.draw(&self.estimator.sampler, rng);
+        let repair = &self.buffer.repair;
         match self.lineage {
             Some(lineage) => {
-                let entailed = lineage.entails(&self.repair);
+                let entailed = lineage.entails(repair);
                 debug_assert_eq!(
                     entailed,
                     self.evaluator
-                        .has_answer(self.estimator.db, &self.repair, self.candidate)
+                        .has_answer(self.estimator.db, repair, self.candidate)
                         .expect("candidate arity was validated before sampling"),
                     "compiled lineage disagrees with the backtracking evaluator"
                 );
@@ -1410,7 +1478,7 @@ impl<'e, 'a> SampleExperiment<'e, 'a> {
             }
             None => self
                 .evaluator
-                .has_answer(self.estimator.db, &self.repair, self.candidate)
+                .has_answer(self.estimator.db, repair, self.candidate)
                 .expect("candidate arity was validated before sampling"),
         }
     }
@@ -2095,6 +2163,33 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(enrolled, recompiled, "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn block_samplers_draw_only_the_blocks_a_fallback_free_bank_sees() {
+        let (db, sigma) = figure2();
+        let lookup = parse_query(db.schema(), "Ans(x) :- R('a3', x)").unwrap();
+        let lookup = QueryEvaluator::new(lookup);
+        let b1 = [Value::str("b1")];
+        let queries = [BatchQuery::new(&lookup, &b1)];
+        let starved = RunBudget::unlimited().with_max_compile_steps(1);
+        for spec in all_specs() {
+            let Ok(batch) = BatchEstimator::new(&db, &sigma, spec) else {
+                continue;
+            };
+            let bank = batch.compile_bank(&queries).unwrap();
+            let blocks = RepairBuffer::new(&batch.inner, bank_witnesses(&bank)).blocks;
+            if spec.semantics == UniformSemantics::Repairs {
+                // The witness R(a3, b1) lies in block a3, partition index 2.
+                assert_eq!(blocks, Some(vec![2]), "{}", spec.short_name());
+            } else {
+                assert_eq!(blocks, None, "{}", spec.short_name());
+            }
+            // A fallback entry reads the whole repair: the full draw.
+            let degraded = batch.compile_bank_with_budget(&queries, &starved).unwrap();
+            let buffer = RepairBuffer::new(&batch.inner, bank_witnesses(&degraded));
+            assert_eq!(buffer.blocks, None, "{}", spec.short_name());
         }
     }
 

@@ -8,24 +8,82 @@
 //!   singleton-operation variant, where every block keeps exactly one fact
 //!   (`|B|` outcomes).
 //!
-//! Both samplers run in time linear in `|D|` per sample and are *exactly*
-//! uniform over their respective repair spaces, which is what makes the
-//! Monte-Carlo estimators of Theorems 5.1(2) and E.1(2) correct.
+//! Both samplers are *exactly* uniform over their respective repair
+//! spaces, which is what makes the Monte-Carlo estimators of Theorems
+//! 5.1(2) and E.1(2) correct.
+//!
+//! **Keyed block coordinates.**  Every draw takes exactly one `u64` key
+//! from the caller's RNG, and block `b`'s outcome is a pure function of
+//! `(key, b)`: the SplitMix64 finalizer of `key + (b+1)·φ` (a
+//! counter-based hash, `φ` the golden-ratio increment), mapped into the
+//! block's outcome range with Lemire's exact widening-multiply rejection.
+//! Because the blocks do not share a stream, a draw can be restricted to
+//! any list of blocks ([`RepairSampler::sample_blocks_into`]) and is then
+//! bit-identical, on every block it covers, to the full draw from the
+//! same RNG state.  The full draws are that same routine over every
+//! conflicting block.  A draw's cost is linear in the facts of the drawn
+//! blocks; facts of singleton blocks, which every repair keeps, are
+//! written once per buffer by [`RepairSampler::prepare`].
+//!
+//! This is what lets the estimators draw only the blocks a query bank can
+//! see: a bank's answer depends only on the blocks its witness facts meet
+//! (Lemma 5.2's per-block independence).
 
 use rand::Rng;
 
-use ucqa_db::{BlockPartition, Database, DbError, FactSet, FdSet};
+use ucqa_db::{BlockPartition, Database, DbError, FactId, FactSet, FdSet};
+
+/// The SplitMix64 increment (`2⁶⁴/φ`): block `b` hashes the counter
+/// `key + (b+1)·GOLDEN_GAMMA`.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 output finalizer: a bijection of `u64`, so a uniform
+/// key gives every block an exactly uniform 64-bit word.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Block `block`'s outcome in `0..n` under the draw key `key` (`n ≥ 1`).
+///
+/// Lemire's method: the high word of `x·n` is uniform on `0..n` once the
+/// `2⁶⁴ mod n` low values are rejected.  A rejection (probability below
+/// `n/2⁶⁴`) continues a SplitMix64 stream seeded at the rejected word.
+#[inline]
+fn keyed_outcome(key: u64, block: usize, n: usize) -> usize {
+    let n = n as u64;
+    let mut state = key.wrapping_add((block as u64).wrapping_add(1).wrapping_mul(GOLDEN_GAMMA));
+    loop {
+        let word = mix64(state);
+        let product = u128::from(word) * u128::from(n);
+        let low = product as u64;
+        if low >= n || low >= n.wrapping_neg() % n {
+            return (product >> 64) as usize;
+        }
+        state = word.wrapping_add(GOLDEN_GAMMA);
+    }
+}
 
 /// A reusable uniform sampler over `CORep(D, Σ)` / `CORep¹(D, Σ)` for a
 /// fixed database and set of primary keys.
 ///
-/// The block partition is computed once at construction; each call to
-/// [`RepairSampler::sample`] then only draws one random choice per
-/// conflicting block.
+/// The block partition is computed once at construction; each draw then
+/// only computes one keyed outcome per drawn conflicting block.
 #[derive(Debug, Clone)]
 pub struct RepairSampler {
     partition: BlockPartition,
-    universe: usize,
+    /// Every block's facts, flattened in partition order: block `b` is
+    /// `block_facts[block_starts[b]..block_starts[b + 1]]`.  One
+    /// contiguous array keeps the draw loop off the partition's
+    /// per-block allocations.
+    block_starts: Vec<usize>,
+    block_facts: Vec<FactId>,
+    /// Indices into the partition of the blocks with at least two facts,
+    /// ascending: the blocks a full draw covers.
+    conflicting: Vec<usize>,
+    /// The facts of singleton blocks, which every repair keeps.
+    fixed: FactSet,
 }
 
 impl RepairSampler {
@@ -36,63 +94,158 @@ impl RepairSampler {
     /// primary keys).
     pub fn new(db: &Database, sigma: &FdSet) -> Result<Self, DbError> {
         let partition = BlockPartition::compute(db, sigma)?;
+        let mut block_starts = Vec::with_capacity(partition.len() + 1);
+        let mut block_facts = Vec::with_capacity(db.len());
+        let mut conflicting = Vec::new();
+        let mut fixed = FactSet::empty(db.len());
+        block_starts.push(0);
+        for (index, block) in partition.blocks().iter().enumerate() {
+            match block.facts() {
+                [fact] => {
+                    fixed.insert(*fact);
+                }
+                _ => conflicting.push(index),
+            }
+            block_facts.extend_from_slice(block.facts());
+            block_starts.push(block_facts.len());
+        }
         Ok(RepairSampler {
             partition,
-            universe: db.len(),
+            block_starts,
+            block_facts,
+            conflicting,
+            fixed,
         })
     }
 
     /// Draws a repair uniformly at random from `CORep(D, Σ)`
     /// (Lemma 5.2).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> FactSet {
-        let mut repair = FactSet::empty(self.universe);
+        let mut repair = FactSet::empty(self.fixed.universe());
         self.sample_into(rng, &mut repair);
         repair
     }
 
     /// As [`RepairSampler::sample`], writing the repair into a reused
     /// buffer: the Monte-Carlo hot loop performs no heap allocation.
+    /// Takes one `u64` from `rng`.
     ///
     /// # Panics
     /// Panics if `out`'s universe differs from the sampler's database.
     pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut FactSet) {
-        assert_eq!(out.universe(), self.universe, "buffer universe mismatch");
-        out.clear();
-        for block in self.partition.blocks() {
-            let facts = block.facts();
-            if facts.len() == 1 {
-                // Facts in singleton blocks are never removable.
-                out.insert(facts[0]);
-                continue;
-            }
-            // |B| + 1 outcomes: keep facts[i] for i < |B|, or keep none.
-            let choice = rng.random_range(0..=facts.len());
-            if choice < facts.len() {
-                out.insert(facts[choice]);
-            }
-        }
+        self.prepare(out);
+        self.draw::<false>(rng.next_u64(), &self.conflicting, false, out);
     }
 
     /// Draws a repair uniformly at random from `CORep¹(D, Σ)`
     /// (Lemma E.2): every block keeps exactly one of its facts.
     pub fn sample_singleton<R: Rng + ?Sized>(&self, rng: &mut R) -> FactSet {
-        let mut repair = FactSet::empty(self.universe);
+        let mut repair = FactSet::empty(self.fixed.universe());
         self.sample_singleton_into(rng, &mut repair);
         repair
     }
 
     /// As [`RepairSampler::sample_singleton`], writing into a reused buffer.
+    /// Takes one `u64` from `rng`.
     ///
     /// # Panics
     /// Panics if `out`'s universe differs from the sampler's database.
     pub fn sample_singleton_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut FactSet) {
-        assert_eq!(out.universe(), self.universe, "buffer universe mismatch");
-        out.clear();
-        for block in self.partition.blocks() {
-            let facts = block.facts();
-            let choice = rng.random_range(0..facts.len());
-            out.insert(facts[choice]);
+        self.prepare(out);
+        self.draw::<false>(rng.next_u64(), &self.conflicting, true, out);
+    }
+
+    /// Prepares `out` for restricted draws: every singleton-block fact
+    /// present, every conflicting-block fact absent.
+    ///
+    /// # Panics
+    /// Panics if `out`'s universe differs from the sampler's database.
+    pub fn prepare(&self, out: &mut FactSet) {
+        out.copy_from(&self.fixed);
+    }
+
+    /// As [`RepairSampler::sample_into`], restricted to the partition
+    /// blocks `blocks`: takes one `u64` from `rng` and rewrites only the
+    /// facts of the listed blocks, each to exactly the outcome the full
+    /// draw from the same RNG state gives it.  Every other fact of `out`
+    /// is left as it was, so `out` should come from
+    /// [`RepairSampler::prepare`] (or an earlier draw) for the facts
+    /// outside `blocks` to read as a repair would.  Listed singleton
+    /// blocks are left alone.  Cost is linear in the facts of `blocks`.
+    ///
+    /// # Panics
+    /// Panics if a block index is out of range, or if `out`'s universe is
+    /// smaller than the sampler's database.
+    pub fn sample_blocks_into<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        blocks: &[usize],
+        out: &mut FactSet,
+    ) {
+        self.draw::<true>(rng.next_u64(), blocks, false, out);
+    }
+
+    /// As [`RepairSampler::sample_blocks_into`], for the singleton
+    /// variant of [`RepairSampler::sample_singleton_into`].
+    ///
+    /// # Panics
+    /// As [`RepairSampler::sample_blocks_into`].
+    pub fn sample_singleton_blocks_into<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        blocks: &[usize],
+        out: &mut FactSet,
+    ) {
+        self.draw::<true>(rng.next_u64(), blocks, true, out);
+    }
+
+    /// The one draw routine: writes the keyed outcome of every listed
+    /// conflicting block into `out`.  `REWRITE` first clears the block's
+    /// facts; the full draws skip that, their buffer having just been
+    /// prepared.  `singleton` picks `SampleRep¹`'s `|B|` outcomes over
+    /// `SampleRep`'s `|B| + 1` (the last of which keeps no fact).
+    #[inline]
+    fn draw<const REWRITE: bool>(
+        &self,
+        key: u64,
+        blocks: &[usize],
+        singleton: bool,
+        out: &mut FactSet,
+    ) {
+        for &block in blocks {
+            let facts = &self.block_facts[self.block_starts[block]..self.block_starts[block + 1]];
+            if facts.len() < 2 {
+                continue;
+            }
+            if REWRITE {
+                for &fact in facts {
+                    out.remove(fact);
+                }
+            }
+            // Outcome `|B|` (pair variant only) keeps no fact: it clears
+            // the last fact instead of setting it.  Branch-free, because
+            // the outcome is random and a mispredicted branch would stall
+            // on the hash.
+            let last = facts.len() - 1;
+            let outcome = keyed_outcome(key, block, facts.len() + usize::from(!singleton));
+            out.set(facts[outcome.min(last)], outcome <= last);
         }
+    }
+
+    /// The conflicting blocks (indices into [`RepairSampler::partition`],
+    /// ascending, no repeats) that contain one of `facts` — all a
+    /// restricted draw must cover for a check that reads only `facts`.
+    /// Deleted facts belong to no block and are skipped.
+    pub fn blocks_meeting(&self, facts: impl IntoIterator<Item = FactId>) -> Vec<usize> {
+        let blocks_of = self.partition.blocks();
+        let mut blocks: Vec<usize> = facts
+            .into_iter()
+            .map(|fact| self.partition.block_index_of(fact))
+            .filter(|&block| blocks_of.get(block).is_some_and(|b| b.len() >= 2))
+            .collect();
+        blocks.sort_unstable();
+        blocks.dedup();
+        blocks
     }
 
     /// The block partition backing the sampler.
@@ -105,7 +258,7 @@ impl RepairSampler {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use std::collections::HashMap;
     use ucqa_db::{FunctionalDependency, Schema, Value, ViolationSet};
 
@@ -197,6 +350,66 @@ mod tests {
             sampler.sample_singleton_into(&mut reused_rng, &mut buffer);
             assert_eq!(fresh1, buffer);
         }
+    }
+
+    #[test]
+    fn keyed_outcomes_are_in_range_and_cover_every_outcome() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for n in 1..=7 {
+            let mut seen = vec![0usize; n];
+            for _ in 0..700 {
+                let key = rng.next_u64();
+                for block in 0..4 {
+                    seen[keyed_outcome(key, block, n)] += 1;
+                }
+            }
+            // 2800 draws over n ≤ 7 outcomes: each at 400+ expected hits.
+            assert!(seen.iter().all(|&hits| hits > 250), "n = {n}: {seen:?}");
+        }
+        // The widest range rejects with probability ≈ 1/2 and must still
+        // terminate and stay in range.
+        let n = (1usize << 63) + 1;
+        for key in 0..64 {
+            assert!(keyed_outcome(key, 3, n) < n);
+        }
+    }
+
+    #[test]
+    fn restricted_draws_match_the_full_draw_on_their_blocks() {
+        let (db, sigma) = figure2();
+        let sampler = RepairSampler::new(&db, &sigma).unwrap();
+        // Blocks 0 (a1) and 2 (a3) conflict; block 1 (a2) is a singleton.
+        assert_eq!(
+            sampler.blocks_meeting([FactId::new(5), FactId::new(3), FactId::new(0)]),
+            vec![0, 2]
+        );
+        let mut full_rng = StdRng::seed_from_u64(5);
+        let mut part_rng = StdRng::seed_from_u64(5);
+        let mut full = FactSet::empty(db.len());
+        let mut part = FactSet::empty(db.len());
+        sampler.prepare(&mut part);
+        for _ in 0..200 {
+            sampler.sample_into(&mut full_rng, &mut full);
+            sampler.sample_blocks_into(&mut part_rng, &[2], &mut part);
+            for fact in [4, 5, 3].map(FactId::new) {
+                assert_eq!(full.contains(fact), part.contains(fact));
+            }
+            // Unlisted conflicting blocks stay as prepared.
+            assert!((0..3).all(|i| !part.contains(FactId::new(i))));
+            assert_eq!(full_rng.next_u64(), part_rng.next_u64());
+        }
+    }
+
+    #[test]
+    fn deleted_facts_meet_no_block() {
+        let (mut db, sigma) = figure2();
+        db.delete(FactId::new(5)).unwrap();
+        let sampler = RepairSampler::new(&db, &sigma).unwrap();
+        // Block a3 keeps one live fact, so it no longer conflicts.
+        assert_eq!(
+            sampler.blocks_meeting([FactId::new(5), FactId::new(4), FactId::new(1)]),
+            vec![0]
+        );
     }
 
     #[test]

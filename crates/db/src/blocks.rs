@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use crate::{Database, DbError, FactId, FdSet, RelationId, Value};
+use crate::{Database, DbError, FactId, FdSet, RelationId, Sym, Value};
 
 /// A single block: the facts of one relation sharing the key LHS values.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,48 +80,48 @@ impl BlockPartition {
     /// exposed for algorithms (e.g. workload statistics) that want block
     /// structure w.r.t. one chosen key per relation.
     pub fn compute_unchecked(db: &Database, sigma: &FdSet) -> Self {
-        // Choose one key per relation (the first declared).
-        let mut key_of_relation: HashMap<RelationId, crate::FdId> = HashMap::new();
-        for (fd_id, fd) in sigma.iter() {
-            key_of_relation.entry(fd.relation()).or_insert(fd_id);
+        // Choose one key per relation (the first declared): its LHS
+        // positions, per relation index.
+        let mut key_positions: Vec<Option<Vec<usize>>> = vec![None; db.schema().relation_count()];
+        for (_, fd) in sigma.iter() {
+            if let Some(slot) = key_positions.get_mut(fd.relation().index()) {
+                slot.get_or_insert_with(|| fd.lhs().iter().map(|a| a.index()).collect());
+            }
         }
 
+        // Facts are grouped on their key symbols; values are decoded once
+        // per block, not once per fact.
+        let dict = db.dictionary();
         let mut blocks: Vec<Block> = Vec::new();
         let mut block_of_fact = vec![usize::MAX; db.len()];
-        let mut index: HashMap<(RelationId, Vec<Value>), usize> = HashMap::new();
+        let mut index: HashMap<(RelationId, Vec<Sym>), usize> = HashMap::new();
 
-        for (fact_id, fact) in db.iter() {
-            let relation = fact.relation();
-            let key_values: Vec<Value> = match key_of_relation.get(&relation) {
-                Some(fd_id) => sigma
-                    .fd(*fd_id)
-                    .lhs()
-                    .iter()
-                    .map(|attr| fact.value_at(*attr).clone())
-                    .collect(),
-                // No key over this relation: every fact is its own block;
-                // use the full tuple as the grouping key.
-                None => fact.values().to_vec(),
+        for fact_id in db.fact_ids() {
+            let relation = db.relation_of(fact_id);
+            let key = key_positions[relation.index()].as_deref();
+            // Without a key over the relation, every fact is its own
+            // block, keyed by the full tuple.
+            let mut new_block = || {
+                let key_values = match key {
+                    Some(positions) => positions
+                        .iter()
+                        .map(|&p| dict.decode(db.sym(fact_id, p)).clone())
+                        .collect(),
+                    None => db.fact(fact_id).values().to_vec(),
+                };
+                blocks.push(Block {
+                    relation,
+                    key_values,
+                    facts: Vec::new(),
+                });
+                blocks.len() - 1
             };
-            let block_index = match key_of_relation.get(&relation) {
-                Some(_) => *index
-                    .entry((relation, key_values.clone()))
-                    .or_insert_with(|| {
-                        blocks.push(Block {
-                            relation,
-                            key_values: key_values.clone(),
-                            facts: Vec::new(),
-                        });
-                        blocks.len() - 1
-                    }),
-                None => {
-                    blocks.push(Block {
-                        relation,
-                        key_values: key_values.clone(),
-                        facts: Vec::new(),
-                    });
-                    blocks.len() - 1
+            let block_index = match key {
+                Some(positions) => {
+                    let syms = positions.iter().map(|&p| db.sym(fact_id, p)).collect();
+                    *index.entry((relation, syms)).or_insert_with(new_block)
                 }
+                None => new_block(),
             };
             blocks[block_index].facts.push(fact_id);
             block_of_fact[fact_id.index()] = block_index;

@@ -58,6 +58,12 @@ impl FactSet {
         self.universe
     }
 
+    /// The membership bits, 64 facts per word (fact `i` is bit `i % 64` of
+    /// word `i / 64`); bits past the universe are zero.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Returns `true` iff `fact` is a member.
     pub fn contains(&self, fact: FactId) -> bool {
         let idx = fact.index();
@@ -74,6 +80,17 @@ impl FactSet {
         let newly = *word & mask == 0;
         *word |= mask;
         newly
+    }
+
+    /// Makes `fact` a member iff `member`, without branching on `member`
+    /// (for hot loops where `member` is random).
+    #[inline]
+    pub fn set(&mut self, fact: FactId, member: bool) {
+        let idx = fact.index();
+        assert!(idx < self.universe, "fact id out of range");
+        let word = &mut self.words[idx / 64];
+        let bit = idx % 64;
+        *word = (*word & !(1u64 << bit)) | (u64::from(member) << bit);
     }
 
     /// Removes `fact`; returns `true` if it was present.
@@ -323,6 +340,17 @@ mod tests {
         assert!(b.is_superset_of(&a));
         assert!(!a.contains_all(&b));
         assert!(a.contains_all(&FactSet::empty(100)));
+    }
+
+    #[test]
+    fn set_writes_membership_and_words_expose_it() {
+        let mut s = FactSet::from_iter(100, [FactId::new(3), FactId::new(70)]);
+        s.set(FactId::new(3), false);
+        s.set(FactId::new(65), true);
+        s.set(FactId::new(70), true);
+        s.set(FactId::new(99), false);
+        assert_eq!(s.to_vec(), vec![FactId::new(65), FactId::new(70)]);
+        assert_eq!(s.words(), &[0, (1 << 1) | (1 << 6)]);
     }
 
     #[test]

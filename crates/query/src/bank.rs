@@ -49,7 +49,7 @@ use ucqa_db::{
     ConflictStructure, Database, FactChange, FactId, FactSet, RelationIndex, Sym, Value,
 };
 
-use crate::lineage::DEFAULT_WITNESS_CAP;
+use crate::lineage::{SparseWitnesses, DEFAULT_WITNESS_CAP};
 use crate::plan::{candidate_facts, match_and_bind, unbind, SymAtom, SymTerm};
 use crate::{CompiledLineage, QueryError, QueryEvaluator};
 
@@ -189,6 +189,63 @@ enum BankEntry {
     Fallback,
 }
 
+/// The witness arena of a bank under construction: every distinct
+/// witness stored once, as a bitset and in sparse form, in the order
+/// entries first reference it.
+struct ArenaBuilder {
+    universe: usize,
+    witnesses: Vec<FactSet>,
+    sparse: SparseWitnesses,
+    index: HashMap<Vec<FactId>, usize>,
+}
+
+impl ArenaBuilder {
+    fn new(universe: usize) -> Self {
+        ArenaBuilder {
+            universe,
+            witnesses: Vec::new(),
+            sparse: SparseWitnesses::default(),
+            index: HashMap::new(),
+        }
+    }
+
+    /// The compiled entry whose antichain is `witnesses` (sorted fact-id
+    /// lists), interning each one: a witness shared with an earlier entry
+    /// costs a lookup, not an arena slot.
+    fn entry(&mut self, witnesses: impl IntoIterator<Item = Vec<FactId>>) -> BankEntry {
+        let mut mask = Vec::new();
+        for witness in witnesses {
+            let index = match self.index.get(&witness) {
+                Some(&index) => index,
+                None => {
+                    let index = self.witnesses.len();
+                    self.witnesses
+                        .push(FactSet::from_iter(self.universe, witness.iter().copied()));
+                    self.sparse.push(witness.iter().copied());
+                    self.index.insert(witness, index);
+                    index
+                }
+            };
+            let word = index / 64;
+            if mask.len() <= word {
+                mask.resize(word + 1, 0u64);
+            }
+            mask[word] |= 1u64 << (index % 64);
+        }
+        BankEntry::Compiled { mask }
+    }
+
+    fn finish(self, entries: Vec<BankEntry>, version: u64) -> LineageBank {
+        LineageBank {
+            universe: self.universe,
+            witnesses: self.witnesses,
+            sparse: self.sparse,
+            entries,
+            version,
+        }
+    }
+}
+
 /// Reusable per-draw scratch of [`LineageBank::evaluate_into`]: one bit per
 /// arena witness ("is this witness contained in the current repair?").
 #[derive(Debug, Default, Clone)]
@@ -211,6 +268,8 @@ pub struct LineageBank {
     /// The arena: every *distinct* witness across all compiled entries,
     /// stored once.
     witnesses: Vec<FactSet>,
+    /// The arena by non-zero words: what the per-draw check reads.
+    sparse: SparseWitnesses,
     entries: Vec<BankEntry>,
     /// The database changelog version the bank was compiled (or last
     /// refreshed) against — what [`LineageBank::refresh`] replays from.
@@ -300,44 +359,19 @@ impl LineageBank {
         // Witnesses are kept as sorted fact-id lists until here —
         // sparse-friendly to sort, hash and containment-check — and only
         // the *distinct* arena survivors are materialised as bitsets.
-        let mut witnesses: Vec<FactSet> = Vec::new();
-        let mut arena_index: HashMap<Vec<FactId>, usize> = HashMap::new();
-        let mut entries = Vec::with_capacity(queries.len());
-        for (entry, raw) in raw.into_iter().enumerate() {
-            if overflowed[entry] {
-                entries.push(BankEntry::Fallback);
-                continue;
-            }
-            let mut mask = Vec::new();
-            for witness in minimal_antichain_images(raw) {
-                // Probe before moving: witnesses shared with an earlier
-                // query cost a lookup, not an arena slot.
-                let index = match arena_index.get(&witness) {
-                    Some(&index) => index,
-                    None => {
-                        let index = witnesses.len();
-                        witnesses.push(FactSet::from_iter(universe, witness.iter().copied()));
-                        arena_index.insert(witness, index);
-                        index
-                    }
-                };
-                let word = index / 64;
-                if mask.len() <= word {
-                    mask.resize(word + 1, 0u64);
+        let mut arena = ArenaBuilder::new(universe);
+        let entries = raw
+            .into_iter()
+            .zip(overflowed)
+            .map(|(raw, overflowed)| {
+                if overflowed {
+                    BankEntry::Fallback
+                } else {
+                    arena.entry(minimal_antichain_images(raw))
                 }
-                mask[word] |= 1u64 << (index % 64);
-            }
-            entries.push(BankEntry::Compiled { mask });
-        }
-        Ok((
-            LineageBank {
-                universe,
-                witnesses,
-                entries,
-                version: db.version(),
-            },
-            stats,
-        ))
+            })
+            .collect();
+        Ok((arena.finish(entries, db.version()), stats))
     }
 
     /// As [`LineageBank::compile`], on the **unplanned baseline**: one
@@ -360,41 +394,19 @@ impl LineageBank {
         queries: &[BankQueryRef<'_>],
         cap: usize,
     ) -> Result<Self, QueryError> {
-        let universe = db.len();
-        let mut witnesses: Vec<FactSet> = Vec::new();
-        let mut arena_index: HashMap<FactSet, usize> = HashMap::new();
+        let mut arena = ArenaBuilder::new(db.len());
         let mut entries = Vec::with_capacity(queries.len());
         for &(evaluator, candidate) in queries {
-            match CompiledLineage::compile_unplanned_with_cap(evaluator, db, candidate, cap)? {
-                None => entries.push(BankEntry::Fallback),
-                Some(lineage) => {
-                    let mut mask = Vec::new();
-                    for witness in lineage.witnesses() {
-                        let index = match arena_index.get(witness) {
-                            Some(&index) => index,
-                            None => {
-                                let index = witnesses.len();
-                                arena_index.insert(witness.clone(), index);
-                                witnesses.push(witness.clone());
-                                index
-                            }
-                        };
-                        let word = index / 64;
-                        if mask.len() <= word {
-                            mask.resize(word + 1, 0u64);
-                        }
-                        mask[word] |= 1u64 << (index % 64);
+            entries.push(
+                match CompiledLineage::compile_unplanned_with_cap(evaluator, db, candidate, cap)? {
+                    None => BankEntry::Fallback,
+                    Some(lineage) => {
+                        arena.entry(lineage.witnesses().iter().map(|w| w.iter().collect()))
                     }
-                    entries.push(BankEntry::Compiled { mask });
-                }
-            }
+                },
+            );
         }
-        Ok(LineageBank {
-            universe,
-            witnesses,
-            entries,
-            version: db.version(),
-        })
+        Ok(arena.finish(entries, db.version()))
     }
 
     /// Incrementally refreshes the bank after database mutations, with the
@@ -528,22 +540,19 @@ impl LineageBank {
             }
         }
         let all = db.all_facts();
-        let mut witnesses: Vec<FactSet> = Vec::new();
-        let mut arena_index: HashMap<Vec<FactId>, usize> = HashMap::new();
+        let mut arena = ArenaBuilder::new(universe);
         let mut entries = Vec::with_capacity(self.entries.len());
         for (entry, &(evaluator, candidate)) in queries.iter().enumerate() {
             if self.is_fallback(entry) {
                 entries.push(BankEntry::Fallback);
                 continue;
             }
-            // Survivors first, as sorted id lists (`FactSet::iter` is
-            // ascending); `intersects` scans the common word prefix, so
-            // old smaller-universe witnesses compare fine.
+            // Survivors first, as sorted id lists, read off the sparse
+            // form so the cost follows the witness, not the universe.
             let mut raw: Vec<Vec<FactId>> = Vec::new();
             for index in self.entry_witnesses(entry) {
-                let witness = &self.witnesses[index];
-                if !witness.intersects(&deleted) {
-                    raw.push(witness.iter().collect());
+                if !self.sparse.meets(index, deleted.words()) {
+                    raw.push(self.sparse.facts(index).collect());
                 }
             }
             let mut over_cap = false;
@@ -565,29 +574,9 @@ impl LineageBank {
                 entries.push(BankEntry::Fallback);
                 continue;
             }
-            let mut mask = Vec::new();
-            for witness in minimal_antichain_images(raw) {
-                let index = match arena_index.get(&witness) {
-                    Some(&index) => index,
-                    None => {
-                        let index = witnesses.len();
-                        witnesses.push(FactSet::from_iter(universe, witness.iter().copied()));
-                        arena_index.insert(witness, index);
-                        index
-                    }
-                };
-                let word = index / 64;
-                if mask.len() <= word {
-                    mask.resize(word + 1, 0u64);
-                }
-                mask[word] |= 1u64 << (index % 64);
-            }
-            entries.push(BankEntry::Compiled { mask });
+            entries.push(arena.entry(minimal_antichain_images(raw)));
         }
-        self.universe = universe;
-        self.witnesses = witnesses;
-        self.entries = entries;
-        self.version = db.version();
+        *self = arena.finish(entries, db.version());
         Ok(applied)
     }
 
@@ -598,7 +587,8 @@ impl LineageBank {
     ///
     /// Performs no heap allocation once `scratch` reaches steady-state
     /// capacity.  Each distinct witness is containment-checked exactly
-    /// once, no matter how many queries share it.
+    /// once, no matter how many queries share it, on the few repair words
+    /// it spans rather than on the whole universe.
     ///
     /// # Panics
     /// Panics if `hits.len()` differs from the number of queries.
@@ -608,8 +598,8 @@ impl LineageBank {
         let words = self.witnesses.len().div_ceil(64);
         scratch.contained.clear();
         scratch.contained.resize(words, 0);
-        for (index, witness) in self.witnesses.iter().enumerate() {
-            if repair.contains_all(witness) {
+        for index in 0..self.witnesses.len() {
+            if self.sparse.contained(index, repair.words()) {
                 scratch.contained[index / 64] |= 1u64 << (index % 64);
             }
         }
@@ -726,7 +716,7 @@ impl LineageBank {
             BankEntry::Compiled { .. } => {
                 let mut lists: Vec<Vec<FactId>> = self
                     .entry_witnesses(index)
-                    .map(|w| self.witnesses[w].iter().collect())
+                    .map(|w| self.sparse.facts(w).collect())
                     .collect();
                 lists.sort_unstable();
                 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -808,7 +798,7 @@ impl LineageBank {
         scratch.contained.clear();
         scratch.contained.resize(words, 0);
         for &index in &live.live_witnesses {
-            if repair.contains_all(&self.witnesses[index]) {
+            if self.sparse.contained(index, repair.words()) {
                 scratch.contained[index / 64] |= 1u64 << (index % 64);
             }
         }

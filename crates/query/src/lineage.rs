@@ -38,6 +38,9 @@ pub struct CompiledLineage {
     /// Minimal witness antichain, sorted by ascending popcount (smaller
     /// witnesses are cheaper to check and more likely to be contained).
     witnesses: Vec<FactSet>,
+    /// `witnesses` by their non-zero words: what [`CompiledLineage::entails`]
+    /// reads.
+    sparse: SparseWitnesses,
     universe: usize,
     /// The database changelog version the lineage was compiled (or last
     /// refreshed) against — what [`CompiledLineage::refresh`] replays from.
@@ -170,8 +173,10 @@ impl CompiledLineage {
     /// supersets are absorbed (`w ⊆ w'` makes `w'` redundant — monotone DNF
     /// absorption).
     fn from_witnesses(raw: Vec<FactSet>, universe: usize, version: u64) -> Self {
+        let witnesses = minimal_antichain(raw);
         CompiledLineage {
-            witnesses: minimal_antichain(raw),
+            sparse: SparseWitnesses::of(&witnesses),
+            witnesses,
             universe,
             version,
         }
@@ -271,12 +276,13 @@ impl CompiledLineage {
     /// The per-sample entailment check: `true` iff some witness survives in
     /// `repair`, i.e. `repair ⊨ Q(c̄)`.
     ///
-    /// Performs no heap allocation; cost is at most
-    /// `witness_count × ⌈universe/64⌉` word operations, with early exit.
+    /// Performs no heap allocation; each witness costs one word operation
+    /// per non-zero word it spans (one per fact at most), with early exit
+    /// — independent of the universe size.
     #[inline]
     pub fn entails(&self, repair: &FactSet) -> bool {
         debug_assert_eq!(repair.universe(), self.universe);
-        self.witnesses.iter().any(|w| repair.contains_all(w))
+        (0..self.witnesses.len()).any(|w| self.sparse.contained(w, repair.words()))
     }
 
     /// Number of witnesses in the minimal antichain.
@@ -312,6 +318,88 @@ impl CompiledLineage {
     /// target probability is exactly zero).
     pub fn never_entails(&self) -> bool {
         self.witnesses.is_empty()
+    }
+}
+
+/// Witness bitsets stored by their non-zero words: witness `i` is the
+/// `(word index, mask)` pairs `words[starts[i]..starts[i + 1]]`.
+///
+/// A witness spans a handful of facts but its bitset spans the whole
+/// universe, so the per-draw containment check reads only the few repair
+/// words a witness touches instead of `⌈universe/64⌉` of them.  Built
+/// next to the bitsets at compile and refresh.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct SparseWitnesses {
+    starts: Vec<usize>,
+    words: Vec<(usize, u64)>,
+}
+
+impl Default for SparseWitnesses {
+    fn default() -> Self {
+        SparseWitnesses {
+            starts: vec![0],
+            words: Vec::new(),
+        }
+    }
+}
+
+impl SparseWitnesses {
+    /// The sparse form of `witnesses`, in the same order.
+    pub(crate) fn of(witnesses: &[FactSet]) -> Self {
+        let mut sparse = SparseWitnesses::default();
+        for witness in witnesses {
+            sparse.push(witness.iter());
+        }
+        sparse
+    }
+
+    /// Appends one witness, given by its facts in ascending order.
+    pub(crate) fn push(&mut self, facts: impl IntoIterator<Item = FactId>) {
+        let start = self.words.len();
+        for fact in facts {
+            let (word, bit) = (fact.index() / 64, 1u64 << (fact.index() % 64));
+            match self.words[start..].last_mut() {
+                Some((last, mask)) if *last == word => *mask |= bit,
+                _ => self.words.push((word, bit)),
+            }
+        }
+        self.starts.push(self.words.len());
+    }
+
+    /// The `(word index, mask)` pairs of witness `index`.
+    fn pairs(&self, index: usize) -> &[(usize, u64)] {
+        &self.words[self.starts[index]..self.starts[index + 1]]
+    }
+
+    /// The facts of witness `index`, ascending.
+    pub(crate) fn facts(&self, index: usize) -> impl Iterator<Item = FactId> + '_ {
+        self.pairs(index).iter().flat_map(|&(word, mask)| {
+            let mut bits = mask;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    FactId::new(word * 64 + bit)
+                })
+            })
+        })
+    }
+
+    /// `true` iff witness `index` meets the set whose membership words are
+    /// `other` (facts past `other`'s words are absent from it).
+    pub(crate) fn meets(&self, index: usize, other: &[u64]) -> bool {
+        self.pairs(index)
+            .iter()
+            .any(|&(word, mask)| other.get(word).is_some_and(|bits| bits & mask != 0))
+    }
+
+    /// `true` iff witness `index` ⊆ the set whose membership words are
+    /// `repair` (see [`FactSet::words`]).
+    #[inline]
+    pub(crate) fn contained(&self, index: usize, repair: &[u64]) -> bool {
+        self.pairs(index)
+            .iter()
+            .all(|&(word, mask)| repair[word] & mask == mask)
     }
 }
 

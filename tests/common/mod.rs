@@ -24,6 +24,28 @@ pub fn all_specs() -> [GeneratorSpec; 6] {
     ]
 }
 
+/// `P(X ≥ k)` for `X ~ Binomial(n, p)`.
+///
+/// The statistical tests count, over independent seeds, how often an
+/// estimate misses its guarantee: a guarantee failing with probability at
+/// most `δ` makes the miss count stochastically dominated by
+/// `Binomial(seeds, δ)`, so a count `k` refutes the guarantee at level `α`
+/// iff `binomial_upper_tail(seeds, δ, k) ≤ α` — iff the one-sided
+/// Clopper–Pearson lower confidence bound on the miss rate, at confidence
+/// `1 − α`, exceeds `δ`.
+pub fn binomial_upper_tail(n: u64, p: f64, k: u64) -> f64 {
+    // Term i is C(n, i)·pⁱ·(1−p)ⁿ⁻ⁱ; build it from term i − 1.
+    let mut term = (1.0 - p).powi(n as i32);
+    let mut tail = if k == 0 { term } else { 0.0 };
+    for i in 1..=n {
+        term *= (n - i + 1) as f64 / i as f64 * p / (1.0 - p);
+        if i >= k {
+            tail += term;
+        }
+    }
+    tail
+}
+
 /// Builds a primary-key database (single relation `R(A, B)`, key `A → B`)
 /// from a block-size profile.
 pub fn block_database(profile: &[usize]) -> (Database, FdSet) {

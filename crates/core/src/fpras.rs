@@ -133,22 +133,22 @@ enum SamplerKind<'a> {
 
 impl SamplerKind<'_> {
     /// Draws one repair into the reused buffer — restricted to the
-    /// conflicting blocks `blocks` when given (block-based samplers
-    /// only; see [`RepairBuffer`]).
+    /// `units` (conflicting blocks, or conflict components of the walk)
+    /// when given; see [`RepairBuffer`].
     ///
     /// This is the *only* place the Monte-Carlo loops consume the RNG —
     /// both the single-query and the batched experiment dispatch through
     /// it, which is what makes their outcomes bit-identical under a
     /// shared seed.  A restricted draw takes the same single key as the
-    /// full one and agrees with it on every block it covers.
+    /// full one and agrees with it on every unit it covers.
     fn sample_repair_into<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        blocks: Option<&[usize]>,
+        units: Option<&[usize]>,
         out: &mut FactSet,
         scratch: &mut WalkScratch,
     ) {
-        match (self, blocks) {
+        match (self, units) {
             (SamplerKind::Repairs(sampler), Some(blocks)) => {
                 sampler.sample_blocks_into(rng, blocks, out)
             }
@@ -163,29 +163,36 @@ impl SamplerKind<'_> {
             (SamplerKind::SequencesSingleton(sampler), _) => {
                 sampler.sample_result_singleton_into(rng, out)
             }
-            (SamplerKind::Operations(walker), _) => walker.sample_result_into(rng, out, scratch),
+            (SamplerKind::Operations(walker), Some(components)) => {
+                walker.sample_components_into(rng, components, out, scratch)
+            }
+            (SamplerKind::Operations(walker), None) => walker.sample_result_into(rng, out, scratch),
         }
     }
 }
 
 /// The reused draw state of one experiment: the repair buffer, the walk
-/// scratch, and — for the block-based samplers — the conflicting blocks
-/// its check can see.
+/// scratch, and the units a draw covers — for the block-based samplers
+/// the conflicting blocks its check can see, for the walk the conflict
+/// components.
 ///
 /// Under `M^ur` and `M^{ur,1}` every block's outcome is independent and
-/// keyed by the block (Lemma 5.2), and a compiled check reads only its
-/// witness facts, so a draw restricted to the conflicting blocks meeting
-/// those facts decides every check exactly as the full draw would, at a
-/// cost set by the bank rather than by `|D|`.  The other facts of the
-/// buffer stay as [`RepairSampler::prepare`] left them.  A fallback entry
-/// runs the backtracking evaluator on the whole repair, so a check with
-/// one (`witnesses` is `None`) keeps the full draw, as do the sequence
-/// and walk samplers.
+/// keyed by the block (Lemma 5.2); under `M^uo` and `M^{uo,1}` every
+/// component walks alone on a keyed substream (Lemmas 7.2 / D.7, see
+/// [`crate::sample_operations`]).  A compiled check reads only its
+/// witness facts, so a draw restricted to the blocks or components
+/// meeting those facts decides every check exactly as the full draw
+/// would, at a cost set by the bank rather than by `|D|`.  The other
+/// facts of the buffer stay as prepared: [`RepairSampler::prepare`] for
+/// the blocks, all present for the walk.  A fallback entry runs the
+/// backtracking evaluator on the whole repair, so a check with one
+/// (`witnesses` is `None`) keeps the full draw, as do the sequence
+/// samplers, whose draws are not keyed by component.
 struct RepairBuffer {
     repair: FactSet,
     scratch: WalkScratch,
-    /// The conflicting blocks a draw covers; `None` for full draws.
-    blocks: Option<Vec<usize>>,
+    /// The blocks or components a draw covers; `None` for full draws.
+    units: Option<Vec<usize>>,
 }
 
 impl RepairBuffer {
@@ -194,7 +201,7 @@ impl RepairBuffer {
         witnesses: Option<impl IntoIterator<Item = &'w FactSet>>,
     ) -> Self {
         let mut repair = FactSet::empty(estimator.db.len());
-        let blocks = match (&estimator.sampler, witnesses) {
+        let units = match (&estimator.sampler, witnesses) {
             (
                 SamplerKind::Repairs(sampler) | SamplerKind::RepairsSingleton(sampler),
                 Some(witnesses),
@@ -202,12 +209,16 @@ impl RepairBuffer {
                 sampler.prepare(&mut repair);
                 Some(sampler.blocks_meeting(witnesses.into_iter().flat_map(FactSet::iter)))
             }
+            (SamplerKind::Operations(walker), Some(witnesses)) => {
+                repair.fill();
+                Some(walker.components_meeting(witnesses.into_iter().flat_map(FactSet::iter)))
+            }
             _ => None,
         };
         RepairBuffer {
             repair,
             scratch: WalkScratch::new(),
-            blocks,
+            units,
         }
     }
 
@@ -215,16 +226,16 @@ impl RepairBuffer {
     fn draw<R: Rng + ?Sized>(&mut self, sampler: &SamplerKind<'_>, rng: &mut R) {
         sampler.sample_repair_into(
             rng,
-            self.blocks.as_deref(),
+            self.units.as_deref(),
             &mut self.repair,
             &mut self.scratch,
         );
     }
 }
 
-/// The witnesses of every entry of `bank` (lazily: only the block-based
-/// samplers read them), or `None` when an entry is a fallback entry (see
-/// [`RepairBuffer`]).
+/// The witnesses of every entry of `bank` (lazily: only the block and
+/// component samplers read them), or `None` when an entry is a fallback
+/// entry (see [`RepairBuffer`]).
 fn bank_witnesses(bank: &LineageBank) -> Option<impl Iterator<Item = &FactSet>> {
     (!bank.has_fallback()).then(|| {
         (0..bank.len())
@@ -2167,30 +2178,39 @@ mod tests {
     }
 
     #[test]
-    fn block_samplers_draw_only_the_blocks_a_fallback_free_bank_sees() {
+    fn block_and_walk_samplers_draw_only_the_units_a_fallback_free_bank_sees() {
         let (db, sigma) = figure2();
         let lookup = parse_query(db.schema(), "Ans(x) :- R('a3', x)").unwrap();
         let lookup = QueryEvaluator::new(lookup);
         let b1 = [Value::str("b1")];
         let queries = [BatchQuery::new(&lookup, &b1)];
         let starved = RunBudget::unlimited().with_max_compile_steps(1);
+        let mut covered = 0;
         for spec in all_specs() {
             let Ok(batch) = BatchEstimator::new(&db, &sigma, spec) else {
                 continue;
             };
             let bank = batch.compile_bank(&queries).unwrap();
-            let blocks = RepairBuffer::new(&batch.inner, bank_witnesses(&bank)).blocks;
-            if spec.semantics == UniformSemantics::Repairs {
+            let units = RepairBuffer::new(&batch.inner, bank_witnesses(&bank)).units;
+            match spec.semantics {
                 // The witness R(a3, b1) lies in block a3, partition index 2.
-                assert_eq!(blocks, Some(vec![2]), "{}", spec.short_name());
-            } else {
-                assert_eq!(blocks, None, "{}", spec.short_name());
+                UniformSemantics::Repairs => {
+                    assert_eq!(units, Some(vec![2]), "{}", spec.short_name())
+                }
+                // Its conflict component {R(a3, b1), R(a3, b2)} is the
+                // second by smallest fact id, after the a1 facts.
+                UniformSemantics::Operations => {
+                    assert_eq!(units, Some(vec![1]), "{}", spec.short_name())
+                }
+                UniformSemantics::Sequences => assert_eq!(units, None, "{}", spec.short_name()),
             }
+            covered += usize::from(units.is_some());
             // A fallback entry reads the whole repair: the full draw.
             let degraded = batch.compile_bank_with_budget(&queries, &starved).unwrap();
             let buffer = RepairBuffer::new(&batch.inner, bank_witnesses(&degraded));
-            assert_eq!(buffer.blocks, None, "{}", spec.short_name());
+            assert_eq!(buffer.units, None, "{}", spec.short_name());
         }
+        assert_eq!(covered, 4, "both block and both walk specs restrict");
     }
 
     #[test]

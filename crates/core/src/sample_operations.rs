@@ -9,19 +9,39 @@
 //! primary keys.
 //!
 //! The hot path is backed by the precomputed incremental
-//! [`ConflictIndex`]: `V(D, Σ)` is computed **once** when the sampler is
-//! built, each walk resets a [`LiveOps`] cursor and maintains the justified
-//! operation sets under removals in O(degree) per removed fact, and the
-//! uniform pick over `Ops_s(D, Σ)` is O(1) per step.  The pre-index
-//! behaviour (recomputing the violations from scratch on every step) is
-//! kept as [`OperationWalkSampler::sample_result_rescan_into`], the
-//! baseline of the `e14` bench and of the cross-checking tests.
+//! [`ConflictIndex`]: `V(D, Σ)` and its conflict components are computed
+//! **once** when the sampler is built, each walk resets a [`LiveOps`]
+//! cursor and maintains the justified operation sets under removals in
+//! O(degree) per removed fact, and the uniform pick over `Ops_s(D, Σ)` is
+//! O(1) per step.  The pre-index behaviour (recomputing the violations
+//! from scratch on every step) is kept as
+//! [`OperationWalkSampler::sample_result_rescan_into`], the baseline of
+//! the `e14` bench and of the cross-checking tests.
+//!
+//! **Keyed components.**  Every singleton or pair operation lies inside
+//! one conflict component, so the walk projected onto a component is that
+//! component's own walk, independent of the others: the repair
+//! distribution is the product of the components' repair distributions.
+//! The repair draws therefore take exactly one `u64` key from the
+//! caller's RNG and walk component `c` alone on a SplitMix64 substream
+//! whose state starts at `mix64(key + (c+1)·φ)`.  A draw restricted to a
+//! list of components ([`OperationWalkSampler::sample_components_into`])
+//! is then bit-identical, on every fact of those components, to the full
+//! draw from the same RNG state, and costs O(facts + pairs of the listed
+//! components, plus their walk steps).  The full draw
+//! ([`OperationWalkSampler::sample_result_into`]) is the same routine
+//! over every component after one O(|D|/64) fill.  Only
+//! [`OperationWalkSampler::sample`], which returns a sequence, and the
+//! rescan baseline still walk all components interleaved on the caller's
+//! RNG.
 
 use rand::Rng;
 
 use ucqa_db::{ConflictIndex, Database, FactId, FactSet, FdSet, LiveOps, ViolationSet};
 use ucqa_numeric::LogFloat;
 use ucqa_repair::{operation::justified_operations_from_index, Operation, RepairingSequence};
+
+use crate::random::KeyedStream;
 
 /// Reusable buffers for the allocation-free walk
 /// [`OperationWalkSampler::sample_result_into`].
@@ -65,8 +85,10 @@ pub struct WalkOutcome {
 /// Unlike the primary-key samplers, this one accepts any set of FDs.
 ///
 /// Construction computes `V(D, Σ)` once and builds the incremental
-/// [`ConflictIndex`]; every walk then costs O(|V| + |D|/64) in total
-/// instead of O(|D|) *per step*.  The sampler itself is immutable after
+/// [`ConflictIndex`] with its component partition.  A full repair draw
+/// then costs O(|V| + |D|/64) in total instead of O(|D|) *per step*, and
+/// a draw restricted to some components costs O(their facts + pairs),
+/// independent of `|D|`.  The sampler itself is immutable after
 /// construction (`Sync`), so the parallel estimator shares one instance
 /// across its worker threads; the per-walk mutable state lives in
 /// [`WalkScratch`].
@@ -173,7 +195,17 @@ impl<'a> OperationWalkSampler<'a> {
     }
 
     /// Runs one walk: a sequence drawn according to the leaf distribution
-    /// of the uniform-operations Markov chain.
+    /// of the uniform-operations Markov chain, together with its leaf
+    /// probability `π(s)`.
+    ///
+    /// This walk interleaves all components on the caller's RNG, as the
+    /// chain does.  The per-component walks of the repair draws
+    /// ([`OperationWalkSampler::sample_result_into`]) have the chain's
+    /// *repair* distribution but not its *sequence* distribution (they
+    /// fix an order in which components are repaired), so they cannot
+    /// stand in here.  Its RNG stream therefore differs from the repair
+    /// draws': `sample(rng).result` and `sample_result(rng)` are equally
+    /// distributed, not equal.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> WalkOutcome {
         let mut ops = LiveOps::new();
         ops.reset_full(&self.index);
@@ -193,24 +225,29 @@ impl<'a> OperationWalkSampler<'a> {
         }
     }
 
-    /// Runs one walk and returns only the resulting repair (the common case
-    /// for Monte-Carlo estimation).
+    /// Draws one repair (the common case for Monte-Carlo estimation): as
+    /// [`OperationWalkSampler::sample_result_into`] into a fresh buffer.
+    /// Takes one `u64` from `rng`.
     pub fn sample_result<R: Rng + ?Sized>(&self, rng: &mut R) -> FactSet {
-        self.sample(rng).result
+        let mut repair = FactSet::empty(self.db.len());
+        self.sample_result_into(rng, &mut repair, &mut WalkScratch::new());
+        repair
     }
 
-    /// As [`OperationWalkSampler::sample_result`], writing the repair into a
-    /// reused buffer and reusing `scratch` across walks, so the walk
-    /// performs no heap allocation once the buffers reach steady-state
-    /// capacity.
+    /// Draws one repair into a reused buffer, reusing `scratch` across
+    /// walks, so the draw performs no heap allocation once the buffers
+    /// reach steady-state capacity.  Takes one `u64` from `rng`.
     ///
-    /// Each walk resets the scratch's [`LiveOps`] cursor against the
-    /// precomputed index and maintains it incrementally: a uniform pick
-    /// over the live singleton/pair arrays is O(1), and each removal
+    /// The draw fills `out` once and then walks every conflict component
+    /// on its own keyed substream (see the module docs), exactly as
+    /// [`OperationWalkSampler::sample_components_into`] over all
+    /// components.  Each component walk resets the scratch's [`LiveOps`]
+    /// cursor to the component and maintains it incrementally: a uniform
+    /// pick over the live singleton/pair arrays is O(1), and each removal
     /// updates only the operations touching the removed fact.  The live
-    /// operation sets equal `Ops_s(D, Σ)` at every step (the property the
-    /// cross-checking tests assert), hence the leaf distribution is the
-    /// same as [`OperationWalkSampler::sample`]'s.
+    /// operation sets equal the component's share of `Ops_s(D, Σ)` at
+    /// every step, hence the repair distribution is the same as
+    /// [`OperationWalkSampler::sample`]'s.
     ///
     /// # Panics
     /// Panics if `out`'s universe differs from the sampler's database.
@@ -221,10 +258,73 @@ impl<'a> OperationWalkSampler<'a> {
         scratch: &mut WalkScratch,
     ) {
         assert_eq!(out.universe(), self.db.len(), "buffer universe mismatch");
+        out.fill();
+        let components = 0..self.index.component_count();
+        self.walk_components(rng.next_u64(), components, out, scratch);
+    }
+
+    /// As [`OperationWalkSampler::sample_result_into`], restricted to the
+    /// conflict components `components` (ordinals of
+    /// [`ConflictIndex::component`]): takes one `u64` from `rng` and
+    /// rewrites only the facts of the listed components, each to exactly
+    /// the value the full draw from the same RNG state gives it.  Every
+    /// other fact of `out` is left as it was, so `out` should start full
+    /// (or hold an earlier draw) for the facts outside `components` to
+    /// read as a repair would.  Cost is linear in the facts, pairs and
+    /// walk steps of the listed components.
+    ///
+    /// # Panics
+    /// Panics if a component is out of range, or if `out`'s universe
+    /// differs from the sampler's database.
+    pub fn sample_components_into<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        components: &[usize],
+        out: &mut FactSet,
+        scratch: &mut WalkScratch,
+    ) {
+        assert_eq!(out.universe(), self.db.len(), "buffer universe mismatch");
+        self.walk_components(rng.next_u64(), components.iter().copied(), out, scratch);
+    }
+
+    /// The one repair-draw routine: walks each listed component alone on
+    /// its keyed substream, restoring the component's facts in `out` and
+    /// then removing the facts its walk removes.
+    fn walk_components(
+        &self,
+        key: u64,
+        components: impl IntoIterator<Item = usize>,
+        out: &mut FactSet,
+        scratch: &mut WalkScratch,
+    ) {
         let ops = &mut scratch.ops;
-        ops.reset_full(&self.index);
-        while self.step(rng, ops).is_some() {}
-        out.copy_from(ops.live());
+        for component in components {
+            for &fact in self.index.component(component) {
+                out.insert(fact);
+            }
+            ops.reset_component(&self.index, component);
+            let mut stream = KeyedStream::new(key, component);
+            while let Some((first, second, _)) = self.step(&mut stream, ops) {
+                out.remove(first);
+                if let Some(second) = second {
+                    out.remove(second);
+                }
+            }
+        }
+    }
+
+    /// The conflict components (ascending, no repeats) that contain one
+    /// of `facts` — all a restricted draw must cover for a check that
+    /// reads only `facts`.  Conflict-free and deleted facts belong to no
+    /// component and are skipped.
+    pub fn components_meeting(&self, facts: impl IntoIterator<Item = FactId>) -> Vec<usize> {
+        let mut components: Vec<usize> = facts
+            .into_iter()
+            .filter_map(|fact| self.index.component_of(fact))
+            .collect();
+        components.sort_unstable();
+        components.dedup();
+        components
     }
 
     /// The pre-index walk: recomputes the violation set from scratch on

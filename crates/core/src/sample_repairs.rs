@@ -33,17 +33,7 @@ use rand::Rng;
 
 use ucqa_db::{BlockPartition, Database, DbError, FactId, FactSet, FdSet};
 
-/// The SplitMix64 increment (`2⁶⁴/φ`): block `b` hashes the counter
-/// `key + (b+1)·GOLDEN_GAMMA`.
-const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// The SplitMix64 output finalizer: a bijection of `u64`, so a uniform
-/// key gives every block an exactly uniform 64-bit word.
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use crate::random::{keyed_counter, mix64, GOLDEN_GAMMA};
 
 /// Block `block`'s outcome in `0..n` under the draw key `key` (`n ≥ 1`).
 ///
@@ -53,7 +43,7 @@ fn mix64(mut z: u64) -> u64 {
 #[inline]
 fn keyed_outcome(key: u64, block: usize, n: usize) -> usize {
     let n = n as u64;
-    let mut state = key.wrapping_add((block as u64).wrapping_add(1).wrapping_mul(GOLDEN_GAMMA));
+    let mut state = keyed_counter(key, block);
     loop {
         let word = mix64(state);
         let product = u128::from(word) * u128::from(n);

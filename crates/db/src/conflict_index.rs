@@ -11,13 +11,24 @@
 //!
 //! * [`ConflictIndex`] — the immutable part, built once per `(D, Σ)`:
 //!   the violations, CSR adjacency from each fact to the violations and
-//!   deduplicated conflicting pairs touching it, and the singleton /
-//!   pair operation universe.  Shareable across threads.
+//!   deduplicated conflicting pairs touching it, the singleton / pair
+//!   operation universe, and the **component partition** of the conflict
+//!   graph (CSR `component → facts` and `component → pair ids`, plus
+//!   `component_of(fact)`).  Shareable across threads.
 //! * [`LiveOps`] — the mutable cursor owned by each walk: the live
 //!   sub-database, per-fact live-violation degrees, and the live
 //!   singleton/pair operation sets as dense swap-remove arrays, so a
 //!   uniform pick over `Ops_s(D, Σ)` is O(1) and
 //!   [`LiveOps::remove_fact`] is O(degree of the removed fact).
+//!   [`LiveOps::reset_component`] starts a walk of one component alone,
+//!   in O(component size).
+//!
+//! Every singleton or pair operation lies inside one conflict component,
+//! so the walk projected onto a component is that component's own walk;
+//! the keyed walk of `ucqa_core::sample_operations` walks each component
+//! on its own and can therefore skip the components a query cannot see.
+//! Components are numbered in order of their smallest fact id, so their
+//! ordinals survive any order-preserving renumbering of the fact ids.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -100,6 +111,112 @@ pub struct ConflictIndex {
     /// Facts involved in at least one violation (the singleton-operation
     /// universe), sorted.
     conflicting: Vec<FactId>,
+    /// The connected components of the conflict graph.
+    partition: ComponentPartition,
+}
+
+/// The connected components of a conflict graph as CSR arrays, numbered
+/// in order of their smallest fact id.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ComponentPartition {
+    /// Per fact: its component, or [`NOT_LIVE`] for a fact in no
+    /// violation.
+    of: Vec<u32>,
+    /// CSR offsets into `facts` (length `components + 1`).
+    fact_offsets: Vec<u32>,
+    /// Each component's facts, ascending.
+    facts: Vec<FactId>,
+    /// CSR offsets into `pairs` (length `components + 1`).
+    pair_offsets: Vec<u32>,
+    /// Each component's pair ids, ascending.
+    pairs: Vec<u32>,
+}
+
+impl ComponentPartition {
+    /// Groups the `conflicting` facts (sorted) by reachability over
+    /// `pairs` with one union-find pass.
+    fn compute(universe: usize, conflicting: &[FactId], pairs: &[(FactId, FactId)]) -> Self {
+        // Path halving; linking the larger root under the smaller keeps
+        // every root the smallest fact id of its set, and every parent at
+        // most its child.
+        let mut parent: Vec<u32> = (0..universe as u32).collect();
+        fn find(parent: &mut [u32], mut x: u32) -> u32 {
+            while parent[x as usize] != x {
+                parent[x as usize] = parent[parent[x as usize] as usize];
+                x = parent[x as usize];
+            }
+            x
+        }
+        for &(a, b) in pairs {
+            let (ra, rb) = (
+                find(&mut parent, a.index() as u32),
+                find(&mut parent, b.index() as u32),
+            );
+            if ra != rb {
+                parent[ra.max(rb) as usize] = ra.min(rb);
+            }
+        }
+        // Relabel `parent` into the component map in ascending order: a
+        // fact is either its set's root (a new component) or points to a
+        // smaller member of its set, which already holds its component.
+        let mut of = parent;
+        let mut count = 0;
+        let mut next = 0;
+        for &fact in conflicting {
+            let f = fact.index();
+            of[next..f].fill(NOT_LIVE);
+            next = f + 1;
+            of[f] = if of[f] as usize == f {
+                count += 1;
+                count - 1
+            } else {
+                of[of[f] as usize]
+            };
+        }
+        of[next..].fill(NOT_LIVE);
+        let component = |fact: FactId| of[fact.index()] as usize;
+        let (fact_offsets, facts) = group_by_key(
+            count as usize,
+            FactId::new(0),
+            conflicting.iter().map(|&fact| (component(fact), fact)),
+        );
+        let (pair_offsets, pairs) = group_by_key(
+            count as usize,
+            0,
+            (0..).zip(pairs).map(|(id, &(a, _))| (component(a), id)),
+        );
+        ComponentPartition {
+            of,
+            fact_offsets,
+            facts,
+            pair_offsets,
+            pairs,
+        }
+    }
+}
+
+/// Counting sort into CSR form: the `(key, value)` items grouped by key
+/// in `0..keys`, each group in input order.  Returns the `keys + 1`
+/// offsets and the grouped values.
+fn group_by_key<T: Copy>(
+    keys: usize,
+    zero: T,
+    items: impl Iterator<Item = (usize, T)> + Clone,
+) -> (Vec<u32>, Vec<T>) {
+    let mut offsets = vec![0u32; keys + 1];
+    for (key, _) in items.clone() {
+        offsets[key + 1] += 1;
+    }
+    for key in 0..keys {
+        offsets[key + 1] += offsets[key];
+    }
+    let mut values = vec![zero; offsets[keys] as usize];
+    let mut cursor = offsets.clone();
+    for (key, value) in items {
+        values[cursor[key] as usize] = value;
+        cursor[key] += 1;
+    }
+    (offsets, values)
 }
 
 impl ConflictIndex {
@@ -183,6 +300,7 @@ impl ConflictIndex {
             .filter(|&f| violation_offsets[f + 1] > violation_offsets[f])
             .map(FactId::new)
             .collect();
+        let partition = ComponentPartition::compute(universe, &conflicting, &pairs);
 
         ConflictIndex {
             universe,
@@ -194,6 +312,7 @@ impl ConflictIndex {
             pair_offsets,
             pair_adjacency,
             conflicting,
+            partition,
         }
     }
 
@@ -349,40 +468,47 @@ impl ConflictIndex {
         &self.pair_adjacency[start..end]
     }
 
+    /// The number of connected components of the conflict graph.
+    pub fn component_count(&self) -> usize {
+        self.partition.fact_offsets.len() - 1
+    }
+
+    /// The facts of component `component`, ascending.
+    ///
+    /// # Panics
+    /// Panics if `component` is out of range.
+    pub fn component(&self, component: usize) -> &[FactId] {
+        let offsets = &self.partition.fact_offsets;
+        &self.partition.facts[offsets[component] as usize..offsets[component + 1] as usize]
+    }
+
+    /// The pair ids of component `component`, ascending.
+    fn component_pairs(&self, component: usize) -> &[u32] {
+        let offsets = &self.partition.pair_offsets;
+        &self.partition.pairs[offsets[component] as usize..offsets[component + 1] as usize]
+    }
+
+    /// The component of `fact`, or `None` for a fact in no violation
+    /// (conflict-free or deleted) or outside the universe.
+    pub fn component_of(&self, fact: FactId) -> Option<usize> {
+        self.partition
+            .of
+            .get(fact.index())
+            .filter(|&&c| c != NOT_LIVE)
+            .map(|&c| c as usize)
+    }
+
     /// The connected components of the conflict graph: facts involved in
     /// at least one violation, grouped by reachability over conflicting
     /// pairs.  Each component is sorted ascending; components are sorted
-    /// by their smallest fact id.  Conflict-free facts belong to no
+    /// by their smallest fact id, so component `c` is
+    /// [`ConflictIndex::component`]`(c)`.  Conflict-free facts belong to no
     /// component (they survive every repair and play no role in the
     /// repairing process).
     pub fn components(&self) -> Vec<Vec<FactId>> {
-        // Union-find over the conflicting facts, path-halving.
-        let mut parent: Vec<u32> = (0..self.universe as u32).collect();
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                parent[x as usize] = parent[parent[x as usize] as usize];
-                x = parent[x as usize];
-            }
-            x
-        }
-        for &(a, b) in &self.pairs {
-            let (ra, rb) = (
-                find(&mut parent, a.index() as u32),
-                find(&mut parent, b.index() as u32),
-            );
-            if ra != rb {
-                let (lo, hi) = (ra.min(rb), ra.max(rb));
-                parent[hi as usize] = lo;
-            }
-        }
-        // `conflicting` is sorted, so grouping by root yields components
-        // sorted ascending internally, in order of their smallest id.
-        let mut by_root: std::collections::BTreeMap<u32, Vec<FactId>> = Default::default();
-        for &fact in &self.conflicting {
-            let root = find(&mut parent, fact.index() as u32);
-            by_root.entry(root).or_default().push(fact);
-        }
-        by_root.into_values().collect()
+        (0..self.component_count())
+            .map(|c| self.component(c).to_vec())
+            .collect()
     }
 
     /// The conflict structure of the indexed state: a stable digest of
@@ -426,17 +552,17 @@ impl ConflictStructure {
             })
             .collect();
         let mut global = Fnv::new();
-        let components = index.components();
-        global.mix(components.len() as u64);
-        for component in components {
+        global.mix(index.component_count() as u64);
+        for c in 0..index.component_count() {
+            let component = index.component(c);
             let mut h = Fnv::new();
             h.mix(component.len() as u64);
-            for &fact in &component {
+            for &fact in component {
                 h.mix(fact.index() as u64);
             }
             let digest = h.finish();
             global.mix(digest);
-            for &fact in &component {
+            for &fact in component {
                 digests[fact.index()] = digest;
             }
         }
@@ -494,8 +620,9 @@ impl Fnv {
 /// array read.
 ///
 /// A default-constructed `LiveOps` owns no buffers; the first
-/// [`LiveOps::reset_full`]/[`LiveOps::reset_to`] sizes them, and later
-/// resets reuse the allocations (the walk hot loop is allocation-free).
+/// [`LiveOps::reset_full`], [`LiveOps::reset_component`] or
+/// [`LiveOps::reset_to`] sizes them, and later resets reuse the
+/// allocations (the walk hot loop is allocation-free).
 #[derive(Debug, Clone, Default)]
 pub struct LiveOps {
     /// The live sub-database `D'`.
@@ -561,6 +688,32 @@ impl LiveOps {
         }
         for pair in 0..index.pairs.len() as u32 {
             self.pair_pos[pair as usize] = pair;
+            self.pairs.push(pair);
+        }
+    }
+
+    /// Resets to the start of component `component`'s own walk: every
+    /// fact of the component live, and exactly the component's operations
+    /// available.  O(component facts + component pairs), plus a one-off
+    /// O(|D|) sizing when the buffers first meet `index`'s universe.
+    ///
+    /// Only the component's facts are written to [`LiveOps::live`]; facts
+    /// outside it keep whatever an earlier walk left there, and no
+    /// operation touches them.
+    ///
+    /// # Panics
+    /// Panics if `component` is out of range.
+    pub fn reset_component(&mut self, index: &ConflictIndex, component: usize) {
+        self.clear_stale();
+        self.ensure_capacity(index);
+        for (position, &fact) in index.component(component).iter().enumerate() {
+            self.live.insert(fact);
+            self.degree[fact.index()] = index.degree(fact) as u32;
+            self.single_pos[fact.index()] = position as u32;
+            self.singles.push(fact);
+        }
+        for (position, &pair) in index.component_pairs(component).iter().enumerate() {
+            self.pair_pos[pair as usize] = position as u32;
             self.pairs.push(pair);
         }
     }
@@ -1015,6 +1168,94 @@ mod tests {
         ops.reset_full(&index);
         assert!(ops.is_consistent());
         assert_eq!(ops.live().len(), 2);
+    }
+
+    /// `R(A, B)` with key `A → B` over blocks `1: {f0, f1}`, `2: {f2}`,
+    /// `3: {f3, f4, f5}`: two components and one conflict-free fact.
+    fn two_component_example() -> (Database, FdSet) {
+        let mut schema = Schema::new();
+        schema.add_relation("R", &["A", "B"]).unwrap();
+        let mut db = Database::with_schema(schema);
+        for (a, b) in [(1, 1), (1, 2), (2, 1), (3, 1), (3, 2), (3, 3)] {
+            db.insert_values("R", [Value::int(a), Value::int(b)])
+                .unwrap();
+        }
+        let mut sigma = FdSet::new();
+        sigma.add(FunctionalDependency::from_names(db.schema(), "R", &["A"], &["B"]).unwrap());
+        (db, sigma)
+    }
+
+    #[test]
+    fn component_partition_is_stored_in_order_of_smallest_fact() {
+        let (mut db, sigma) = two_component_example();
+        let mut index = ConflictIndex::build(&db, &sigma);
+        let ids = |ids: &[usize]| ids.iter().map(|&i| FactId::new(i)).collect::<Vec<_>>();
+        assert_eq!(index.component_count(), 2);
+        assert_eq!(index.component(0), ids(&[0, 1]));
+        assert_eq!(index.component(1), ids(&[3, 4, 5]));
+        assert_eq!(index.components(), vec![ids(&[0, 1]), ids(&[3, 4, 5])]);
+        let of: Vec<Option<usize>> = (0..7).map(|f| index.component_of(FactId::new(f))).collect();
+        assert_eq!(
+            of,
+            [Some(0), Some(0), None, Some(1), Some(1), Some(1), None]
+        );
+        for c in 0..index.component_count() {
+            for &pair in index.component_pairs(c) {
+                let (a, b) = index.pairs()[pair as usize];
+                assert_eq!(
+                    (index.component_of(a), index.component_of(b)),
+                    (Some(c), Some(c))
+                );
+            }
+        }
+        assert_eq!(
+            (0..2)
+                .map(|c| index.component_pairs(c).len())
+                .sum::<usize>(),
+            index.pairs().len()
+        );
+
+        // A fact joining block 2 founds a component between the two, which
+        // renumbers block 3's; deleting f0 leaves f1 conflict-free.  The
+        // refreshed partition equals a fresh build's.
+        db.insert_values("R", [Value::int(2), Value::int(9)])
+            .unwrap();
+        db.delete(FactId::new(0)).unwrap();
+        index.refresh(&db, &sigma);
+        assert_eq!(index, ConflictIndex::build(&db, &sigma));
+        assert_eq!(index.components(), vec![ids(&[2, 6]), ids(&[3, 4, 5])]);
+        assert_eq!(index.component_of(FactId::new(0)), None);
+        assert_eq!(index.component_of(FactId::new(1)), None);
+        assert_eq!(index.component_of(FactId::new(6)), Some(0));
+    }
+
+    #[test]
+    fn reset_component_opens_exactly_one_components_operations() {
+        let (db, sigma) = two_component_example();
+        let index = ConflictIndex::build(&db, &sigma);
+        let mut ops = LiveOps::new();
+        for c in [1, 0, 1] {
+            // Abandon the previous component mid-walk before resetting.
+            ops.reset_component(&index, c);
+            let (singles, pairs) = sorted_state(&index, &ops);
+            assert_eq!(singles, index.component(c));
+            let mut expected: Vec<(FactId, FactId)> = index
+                .pairs()
+                .iter()
+                .copied()
+                .filter(|&(a, _)| index.component_of(a) == Some(c))
+                .collect();
+            expected.sort();
+            assert_eq!(pairs, expected);
+            assert!(index.component(c).iter().all(|&f| ops.live().contains(f)));
+            ops.remove_fact(&index, index.component(c)[0]);
+        }
+        // Walking component 1 to the end touches nothing outside it.
+        ops.reset_component(&index, 1);
+        ops.remove_fact(&index, FactId::new(3));
+        ops.remove_fact(&index, FactId::new(4));
+        assert!(ops.is_consistent());
+        assert!(ops.live().contains(FactId::new(5)));
     }
 
     #[test]

@@ -1,0 +1,481 @@
+//! Component-local draws under `M^uo` and `M^{uo,1}` (Lemmas 7.2 and D.7).
+//!
+//! Every singleton or pair operation lies inside one conflict component,
+//! so the uniform-operations walk projected onto a component is that
+//! component's own walk.  The repair draws walk each component on its own
+//! keyed substream, and the estimators draw only the components a bank's
+//! witnesses meet.  That is sound because (1) a restricted draw agrees
+//! with the full draw from the same RNG state on every fact of the
+//! components it covers, taking the same single RNG word, and (2) a
+//! query's answer probability factorizes: it is the same on its
+//! component's sub-database as on the whole database.  These tests check
+//! both, that `ConflictIndex` stores the conflict graph's components,
+//! that the keyed full walk still realises the chain's repair
+//! distribution on a multi-component instance, that `M^us` does *not*
+//! factorize, and that the estimators' restricted path reproduces full
+//! walks exactly, with and without an above-cap fallback entry.
+
+use std::collections::BTreeMap;
+
+use proptest::prelude::*;
+use proptest::TestCaseResult;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
+
+use uocqa::core::exact::ExactSolver;
+use uocqa::core::fpras::{
+    ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode, OcqaEstimator,
+};
+use uocqa::core::sample_operations::{OperationWalkSampler, WalkScratch};
+use uocqa::db::{
+    ConflictGraph, ConflictIndex, Database, FactId, FactSet, FdSet, FunctionalDependency, Schema,
+    Value,
+};
+use uocqa::numeric::Ratio;
+use uocqa::query::parser::parse_query;
+use uocqa::query::{Atom, ConjunctiveQuery, QueryEvaluator, Term};
+use uocqa::repair::GeneratorSpec;
+use uocqa::workload::queries::{block_lookup_query, fact_membership_query_bank};
+use uocqa::workload::{BlockWorkload, MultiFdWorkload, SkewedJoinWorkload, StreamWorkload};
+
+mod common;
+use common::{binomial_upper_tail, block_database, multi_fd_database};
+
+/// The two walk generators.
+const WALK_SPECS: [fn() -> GeneratorSpec; 2] = [GeneratorSpec::uniform_operations, || {
+    GeneratorSpec::uniform_operations().with_singleton_only()
+}];
+
+/// The walk sampler of `spec` over `db`.
+fn walker<'a>(db: &'a Database, sigma: &'a FdSet, singleton: bool) -> OperationWalkSampler<'a> {
+    let sampler = OperationWalkSampler::new(db, sigma);
+    if singleton {
+        sampler.singleton_only()
+    } else {
+        sampler
+    }
+}
+
+/// The next word of a copy of `rng`, without advancing `rng`.
+fn peek(rng: &StdRng) -> u64 {
+    rng.clone().next_u64()
+}
+
+/// Draws `draws` repairs both in full and restricted to the components
+/// `listed`, from equal RNG states, for the pair and the singleton walk.
+/// Checks that the restricted buffer agrees with the full draw on every
+/// fact of the listed components and keeps every other fact present,
+/// that each draw takes exactly one `u64`, and that `sample_result`
+/// returns what `sample_result_into` writes.
+fn check_restricted_against_full(
+    db: &Database,
+    sigma: &FdSet,
+    listed: &[usize],
+    seed: u64,
+    draws: usize,
+) -> TestCaseResult {
+    for singleton in [false, true] {
+        let sampler = walker(db, sigma, singleton);
+        let index = sampler.conflict_index();
+        let mut full_rng = StdRng::seed_from_u64(seed);
+        let mut part_rng = StdRng::seed_from_u64(seed);
+        let mut full = FactSet::empty(db.len());
+        let mut part = FactSet::full(db.len());
+        let (mut full_scratch, mut part_scratch) = (WalkScratch::new(), WalkScratch::new());
+        for draw in 0..draws {
+            let mut after_one_word = full_rng.clone();
+            after_one_word.next_u64();
+            let fresh = sampler.sample_result(&mut full_rng.clone());
+            sampler.sample_result_into(&mut full_rng, &mut full, &mut full_scratch);
+            sampler.sample_components_into(&mut part_rng, listed, &mut part, &mut part_scratch);
+            prop_assert_eq!(&fresh, &full, "sample_result, draw {}", draw);
+            prop_assert_eq!(peek(&full_rng), peek(&after_one_word), "full draw {}", draw);
+            prop_assert_eq!(
+                peek(&part_rng),
+                peek(&after_one_word),
+                "restricted draw {}",
+                draw
+            );
+            for fact in (0..db.len()).map(FactId::new) {
+                let expected = match index.component_of(fact) {
+                    Some(c) if listed.contains(&c) => full.contains(fact),
+                    _ => true,
+                };
+                prop_assert_eq!(
+                    part.contains(fact),
+                    expected,
+                    "singleton {}, draw {}, fact {:?}",
+                    singleton,
+                    draw,
+                    fact
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The stored partition is the conflict graph's non-trivial connected
+/// components, in order of smallest fact id, and `component_of` agrees
+/// with it.
+fn check_partition(db: &Database, sigma: &FdSet) -> TestCaseResult {
+    let index = ConflictIndex::build(db, sigma);
+    let expected: Vec<Vec<FactId>> = ConflictGraph::build(db, sigma)
+        .connected_components()
+        .into_iter()
+        .filter(|component| component.len() > 1)
+        .collect();
+    prop_assert_eq!(&index.components(), &expected);
+    for fact in (0..db.len()).map(FactId::new) {
+        let owner = expected.iter().position(|c| c.contains(&fact));
+        prop_assert_eq!(index.component_of(fact), owner, "fact {:?}", fact);
+    }
+    Ok(())
+}
+
+/// A random subset of `0..count`, in arbitrary order and with repeats.
+fn random_components(count: usize, picks: usize, seed: u64) -> Vec<usize> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..picks).map(|_| rng.random_range(0..count)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random many-component general-FD databases (two non-key FDs per
+    /// relation, one or two relations) and random component subsets.
+    #[test]
+    fn restricted_walks_equal_full_walks_on_every_listed_component(
+        facts in 4usize..80,
+        relations in 1usize..3,
+        spread in 2usize..6,
+        rhs_domain in 2usize..4,
+        data_seed in 0u64..1_000,
+        picks in prop::collection::vec(0usize..64, 0..8),
+        seed in 0u64..1_000,
+    ) {
+        let (db, sigma) =
+            MultiFdWorkload::new(facts, relations, (facts / spread).max(1), rhs_domain, data_seed)
+                .generate();
+        check_partition(&db, &sigma)?;
+        let count = ConflictIndex::build(&db, &sigma).component_count();
+        let listed: Vec<usize> = picks.into_iter().filter(|&c| c < count).collect();
+        check_restricted_against_full(&db, &sigma, &listed, seed, 12)?;
+    }
+
+    /// Factorization (the `M^uo` half): a fact's exact survival
+    /// probability on its conflict component's sub-database equals its
+    /// probability on the whole database, under `M^uo` and `M^{uo,1}`.
+    /// Restricted walks rest on it.
+    #[test]
+    fn component_marginals_factorize_under_uniform_operations(
+        rows in prop::collection::vec((0u8..3, 0u8..3, 0u8..3, 0u8..2), 1..6),
+    ) {
+        let (db, sigma) = multi_fd_database(&rows);
+        for spec in WALK_SPECS.map(|spec| spec()) {
+            for fact in (0..db.len()).map(FactId::new) {
+                let (whole, local) = survival_whole_and_local(&db, &sigma, spec, fact);
+                prop_assert_eq!(
+                    &whole,
+                    &local,
+                    "{}, rows {:?}, fact {:?}",
+                    spec.short_name(),
+                    &rows,
+                    fact
+                );
+            }
+        }
+    }
+}
+
+/// The exact probability that `fact` survives under `spec`, on the whole
+/// database and on the sub-database of `fact`'s conflict component (or of
+/// `fact` alone, if it conflicts with nothing).
+fn survival_whole_and_local(
+    db: &Database,
+    sigma: &FdSet,
+    spec: GeneratorSpec,
+    fact: FactId,
+) -> (Ratio, Ratio) {
+    let index = ConflictIndex::build(db, sigma);
+    let own = match index.component_of(fact) {
+        Some(c) => FactSet::from_iter(db.len(), index.component(c).iter().copied()),
+        None => FactSet::from_iter(db.len(), [fact]),
+    };
+    let own = db.restrict(&own);
+    let member = db.fact(fact);
+    let terms = member.values().iter().cloned().map(Term::Const).collect();
+    let query =
+        ConjunctiveQuery::boolean(db.schema(), vec![Atom::new(member.relation(), terms)]).unwrap();
+    let query = QueryEvaluator::new(query);
+    let whole = ExactSolver::new(db, sigma)
+        .answer_probability(spec, &query, &[])
+        .unwrap();
+    let local = ExactSolver::new(&own, sigma)
+        .answer_probability(spec, &query, &[])
+        .unwrap();
+    (whole, local)
+}
+
+/// `M^us` does not factorize, which is why its draws stay global: with
+/// blocks of 2 and 3 facts, a fact of the 3-block survives 1/4 of the
+/// 3-block's own complete sequences but only 8/33 of the whole
+/// database's, because a sequence's interleavings with the other block
+/// depend on its length.
+#[test]
+fn uniform_sequences_marginals_do_not_factorize() {
+    let (db, sigma) = block_database(&[2, 3]);
+    let fact = FactId::new(2);
+    let (whole, local) =
+        survival_whole_and_local(&db, &sigma, GeneratorSpec::uniform_sequences(), fact);
+    assert_eq!(local, Ratio::from_u64(1, 4));
+    assert_eq!(whole, Ratio::from_u64(8, 33));
+    // The walk generators agree on both databases.
+    for spec in WALK_SPECS.map(|spec| spec()) {
+        let (whole, local) = survival_whole_and_local(&db, &sigma, spec, fact);
+        assert_eq!(whole, local, "{}", spec.short_name());
+    }
+}
+
+/// Restricted walks over the other many-component inputs: a larger
+/// `MultiFdWorkload`, a `SkewedJoinWorkload` (single FD `C → B`), and a
+/// stream window after some ticks, so that tombstoned ids are present.
+#[test]
+fn restricted_walks_equal_full_walks_on_workload_databases() {
+    let mut stream = StreamWorkload::new(60, 12, 12, 0.5, 5);
+    let (mut window, window_sigma) = stream.initial(150);
+    for _ in 0..6 {
+        let (inserts, retracts) = stream.tick(&window);
+        for fact in &retracts {
+            window.retract(fact).unwrap();
+        }
+        for fact in inserts {
+            window.insert(fact).unwrap();
+        }
+    }
+    assert!(
+        window.live_count() < window.len(),
+        "the window holds tombstones"
+    );
+    let inputs = [
+        MultiFdWorkload::new(600, 2, 150, 3, 9).generate(),
+        SkewedJoinWorkload::scaling(400, 3).generate(),
+        (window, window_sigma),
+    ];
+    for (which, (db, sigma)) in inputs.iter().enumerate() {
+        check_partition(db, sigma).unwrap();
+        let count = ConflictIndex::build(db, sigma).component_count();
+        assert!(count >= 10, "input {which} has {count} components");
+        for (picks, seed) in [(1, 1), (count / 4, 2), (count, 3)] {
+            let listed = random_components(count, picks, 40 + seed);
+            check_restricted_against_full(db, sigma, &listed, seed, 20).unwrap();
+        }
+    }
+}
+
+/// The paper's running example (one component) plus a two-fact block in
+/// a component of its own.
+fn two_component_database() -> (Database, FdSet) {
+    let mut schema = Schema::new();
+    schema.add_relation("R", &["A", "B", "C"]).unwrap();
+    let mut db = Database::with_schema(schema);
+    let mut sigma = FdSet::new();
+    for lhs in ["A", "C"] {
+        sigma.add(FunctionalDependency::from_names(db.schema(), "R", &[lhs], &["B"]).unwrap());
+    }
+    for (a, b, c) in [
+        ("a1", "b1", "c1"),
+        ("a1", "b2", "c2"),
+        ("a2", "b1", "c2"),
+        ("a3", "b1", "c3"),
+        ("a3", "b2", "c4"),
+    ] {
+        db.insert_values("R", [Value::str(a), Value::str(b), Value::str(c)])
+            .unwrap();
+    }
+    (db, sigma)
+}
+
+/// The keyed full walk realises the chain's repair distribution on a
+/// two-component instance.  Each repair's count is `Binomial(N, p)`; the
+/// check fails only when a count lies in a tail of probability below
+/// `ALPHA` on either side.
+#[test]
+fn keyed_full_walk_matches_the_exact_semantics_on_two_components() {
+    const SAMPLES: u64 = 3_000;
+    const ALPHA: f64 = 1e-6;
+    let (db, sigma) = two_component_database();
+    assert_eq!(ConflictIndex::build(&db, &sigma).component_count(), 2);
+    for spec in WALK_SPECS.map(|spec| spec()) {
+        let exact: BTreeMap<FactSet, f64> = ExactSolver::new(&db, &sigma)
+            .semantics(spec)
+            .unwrap()
+            .repairs()
+            .iter()
+            .map(|entry| (entry.repair.clone(), entry.probability.to_f64()))
+            .collect();
+        let sampler = walker(&db, &sigma, spec.singleton_only);
+        let mut rng = StdRng::seed_from_u64(17);
+        let (mut repair, mut scratch) = (FactSet::empty(db.len()), WalkScratch::new());
+        let mut counts: BTreeMap<FactSet, u64> = BTreeMap::new();
+        for _ in 0..SAMPLES {
+            sampler.sample_result_into(&mut rng, &mut repair, &mut scratch);
+            *counts.entry(repair.clone()).or_insert(0) += 1;
+        }
+        assert!(
+            counts.keys().all(|r| exact.contains_key(r)),
+            "{}: a sampled repair is not in the semantics",
+            spec.short_name()
+        );
+        for (repair, &p) in &exact {
+            // No underflow in the tail's first term at this sample size.
+            assert!(binomial_upper_tail(SAMPLES, p, 0) > 0.999);
+            let k = counts.get(repair).copied().unwrap_or(0);
+            let upper = binomial_upper_tail(SAMPLES, p, k);
+            let lower = 1.0 - binomial_upper_tail(SAMPLES, p, k + 1);
+            assert!(
+                upper > ALPHA && lower > ALPHA,
+                "{}: repair {repair:?} drawn {k} of {SAMPLES} times, exact {p}",
+                spec.short_name()
+            );
+        }
+    }
+}
+
+/// The success counts of `draws` full walks from `seed`, checked against
+/// every query with the backtracking evaluator: what the estimators
+/// would count if they never restricted a draw.
+fn full_walk_successes(
+    db: &Database,
+    sigma: &FdSet,
+    singleton: bool,
+    queries: &[(QueryEvaluator, Vec<Value>)],
+    seed: u64,
+    draws: u64,
+) -> Vec<u64> {
+    let sampler = walker(db, sigma, singleton);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mut repair, mut scratch) = (FactSet::empty(db.len()), WalkScratch::new());
+    let mut successes = vec![0u64; queries.len()];
+    for _ in 0..draws {
+        sampler.sample_result_into(&mut rng, &mut repair, &mut scratch);
+        for ((evaluator, candidate), count) in queries.iter().zip(&mut successes) {
+            if evaluator.has_answer(db, &repair, candidate).unwrap() {
+                *count += 1;
+            }
+        }
+    }
+    successes
+}
+
+/// Checks that the batched and the per-query estimators count exactly
+/// what full walks count, for the bank of all but the last query and for
+/// the bank with the last query, an above-cap fallback entry, added.
+fn assert_estimators_reproduce_full_walks(
+    db: &Database,
+    sigma: &FdSet,
+    spec: GeneratorSpec,
+    queries: &[(QueryEvaluator, Vec<Value>)],
+) {
+    let draws = 300;
+    let params = ApproximationParams::new(0.1, 0.1)
+        .unwrap()
+        .with_mode(EstimatorMode::FixedSamples(draws));
+    let lookups = queries.len() - 1;
+    let estimator = BatchEstimator::new(db, sigma, spec).unwrap();
+    for seed in [3, 11] {
+        let expected = full_walk_successes(db, sigma, spec.singleton_only, queries, seed, draws);
+        for bank_len in [lookups, lookups + 1] {
+            let bank: Vec<BatchQuery<'_>> = queries[..bank_len]
+                .iter()
+                .map(|(e, c)| BatchQuery::new(e, c))
+                .collect();
+            let compiled = estimator.compile_bank(&bank).unwrap();
+            assert_eq!(compiled.has_fallback(), bank_len > lookups);
+            let batched = estimator
+                .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(seed))
+                .unwrap();
+            let counts: Vec<u64> = batched.iter().map(|e| e.successes).collect();
+            assert_eq!(
+                counts,
+                expected[..bank_len],
+                "{}, seed {seed}, bank of {bank_len}",
+                spec.short_name()
+            );
+        }
+        let single = OcqaEstimator::new(db, sigma, spec).unwrap();
+        for (index, (evaluator, candidate)) in queries.iter().enumerate() {
+            let estimate = single
+                .estimate(
+                    evaluator,
+                    candidate,
+                    params,
+                    &mut StdRng::seed_from_u64(seed),
+                )
+                .unwrap();
+            assert_eq!(
+                estimate.successes,
+                expected[index],
+                "{}, seed {seed}, query {index}",
+                spec.short_name()
+            );
+        }
+    }
+}
+
+/// The estimators' restricted path gives exactly the success counts of
+/// full walks, per query and per bank, with and without an above-cap
+/// fallback entry (which keeps the full walk): over primary keys for both
+/// walk specs, and over general FDs for `M^{uo,1}`.
+#[test]
+fn estimators_reproduce_full_walks_with_and_without_a_fallback_entry() {
+    let (db, sigma) = BlockWorkload::uniform(40, 3, 7).generate();
+    let mut queries: Vec<(QueryEvaluator, Vec<Value>)> = (0..4)
+        .map(|seed| {
+            let (query, candidate) = block_lookup_query(&db, seed).unwrap();
+            (QueryEvaluator::new(query), candidate)
+        })
+        .collect();
+    // 40 · 120 homomorphism images: past the default witness cap.  No
+    // repair keeps two facts of one block, so the query never holds; a
+    // draw that skipped the blocks the lookups miss would leave them
+    // whole and satisfy it on every draw.
+    queries.push((
+        QueryEvaluator::new(
+            parse_query(db.schema(), "Ans() :- R(x, 0), R(x, 1), R(z, w)").unwrap(),
+        ),
+        Vec::new(),
+    ));
+    for spec in WALK_SPECS.map(|spec| spec()) {
+        assert_estimators_reproduce_full_walks(&db, &sigma, spec, &queries);
+    }
+
+    // Eight components, most of them small.
+    let (db, sigma) = MultiFdWorkload::new(200, 2, 60, 3, 4).generate();
+    assert_eq!(ConflictIndex::build(&db, &sigma).component_count(), 8);
+    let mut queries: Vec<(QueryEvaluator, Vec<Value>)> = fact_membership_query_bank(&db, 4, 8)
+        .unwrap()
+        .into_iter()
+        .map(|query| (QueryEvaluator::new(query), Vec::new()))
+        .collect();
+    // A join whose witnesses span many components.
+    queries.push((
+        QueryEvaluator::new(
+            parse_query(db.schema(), "Ans() :- R0(x, y, z, w), R1(x, y, u, v)").unwrap(),
+        ),
+        Vec::new(),
+    ));
+    // 100² images: above the cap.
+    queries.push((
+        QueryEvaluator::new(
+            parse_query(db.schema(), "Ans() :- R0(x, y, z, w), R1(a, b, c, d)").unwrap(),
+        ),
+        Vec::new(),
+    ));
+    assert_estimators_reproduce_full_walks(
+        &db,
+        &sigma,
+        GeneratorSpec::uniform_operations().with_singleton_only(),
+        &queries,
+    );
+}

@@ -35,6 +35,8 @@
 //! rescan baseline still walk all components interleaved on the caller's
 //! RNG.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use rand::Rng;
 
 use ucqa_db::{ConflictIndex, Database, FactId, FactSet, FdSet, LiveOps, ViolationSet};
@@ -163,8 +165,9 @@ impl<'a> OperationWalkSampler<'a> {
     /// the operation set `|Ops_s(D, Σ)|` the pick was uniform over, or
     /// `None` when the live sub-database is already consistent.
     ///
-    /// Every walk variant goes through this helper, so the operation
-    /// universe and the pick are defined in exactly one place.
+    /// Every walk variant goes through this helper, so the pick is
+    /// defined in exactly one place; the operation universe is the
+    /// cursor's, which for a singleton walk holds no pairs.
     fn step<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -174,12 +177,7 @@ impl<'a> OperationWalkSampler<'a> {
         if singles == 0 {
             return None;
         }
-        let pairs = if self.singleton_only {
-            0
-        } else {
-            ops.pair_count()
-        };
-        let count = singles + pairs;
+        let count = singles + ops.pair_count();
         let choice = rng.random_range(0..count);
         let (first, second) = if choice < singles {
             (ops.single(choice), None)
@@ -208,7 +206,7 @@ impl<'a> OperationWalkSampler<'a> {
     /// distributed, not equal.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> WalkOutcome {
         let mut ops = LiveOps::new();
-        ops.reset_full(&self.index);
+        ops.reset_full(&self.index, !self.singleton_only);
         let mut operations = Vec::new();
         let mut probability = LogFloat::one();
         while let Some((first, second, count)) = self.step(rng, &mut ops) {
@@ -302,7 +300,7 @@ impl<'a> OperationWalkSampler<'a> {
             for &fact in self.index.component(component) {
                 out.insert(fact);
             }
-            ops.reset_component(&self.index, component);
+            ops.reset_component(&self.index, component, !self.singleton_only);
             let mut stream = KeyedStream::new(key, component);
             while let Some((first, second, _)) = self.step(&mut stream, ops) {
                 out.remove(first);
@@ -570,43 +568,74 @@ mod tests {
         }
     }
 
+    /// Sorted copies of a cursor's live singleton and pair operations.
+    fn sorted_ops(index: &ConflictIndex, ops: &LiveOps) -> (Vec<FactId>, Vec<(FactId, FactId)>) {
+        let mut singles = ops.live_singles().to_vec();
+        singles.sort();
+        let mut pairs: Vec<_> = ops.live_pairs(index).collect();
+        pairs.sort();
+        (singles, pairs)
+    }
+
     #[test]
     fn incremental_walk_state_matches_recompute_at_every_step() {
-        // Drive the index-backed walk by hand on a general-FD database and
-        // cross-check the live operation sets against a from-scratch
-        // recompute after every removal.
+        // Drive the index-backed walk by hand on a general-FD database,
+        // component by component as the repair draws do, and cross-check
+        // the live operation sets against a from-scratch recompute after
+        // every removal.  Each step moves two cursors in lockstep: `paired`
+        // keeps the pair set, `unpaired` does not (as a singleton walk's).
         let (db, sigma) = ucqa_workload_like_database();
         let sampler = OperationWalkSampler::new(&db, &sigma);
         let index = sampler.conflict_index();
+        // f0 and f1 violate both FDs: the one pair on which counting
+        // conflicting neighbours and counting violations differ.
+        assert!(index.violations().len() > index.pairs().len());
+        assert_eq!(index.degree(FactId::new(0)), 3);
         let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..50 {
-            let mut ops = ucqa_db::LiveOps::new();
-            ops.reset_full(index);
-            let mut subset = db.all_facts();
-            while !ops.is_consistent() {
-                let singles = ops.single_count();
-                let choice = rng.random_range(0..singles + ops.pair_count());
-                if choice < singles {
-                    let f = ops.single(choice);
-                    ops.remove_fact(index, f);
-                    subset.remove(f);
-                } else {
-                    let (f, g) = ops.pair(index, choice - singles);
-                    ops.remove_fact(index, f);
-                    ops.remove_fact(index, g);
-                    subset.remove(f);
-                    subset.remove(g);
+        let (mut paired, mut unpaired) = (LiveOps::new(), LiveOps::new());
+        for singleton_walk in [false, true] {
+            for _ in 0..50 {
+                for component in 0..index.component_count() {
+                    paired.reset_component(index, component, true);
+                    unpaired.reset_component(index, component, false);
+                    let facts = index.component(component);
+                    let mut subset = FactSet::from_iter(db.len(), facts.iter().copied());
+                    while !paired.is_consistent() {
+                        let singles = paired.single_count();
+                        let count = if singleton_walk {
+                            singles
+                        } else {
+                            singles + paired.pair_count()
+                        };
+                        let choice = rng.random_range(0..count);
+                        let removed = if choice < singles {
+                            vec![paired.single(choice)]
+                        } else {
+                            let (f, g) = paired.pair(index, choice - singles);
+                            vec![f, g]
+                        };
+                        for &f in &removed {
+                            paired.remove_fact(index, f);
+                            unpaired.remove_fact(index, f);
+                            subset.remove(f);
+                        }
+                        let violations = ViolationSet::compute(&db, &sigma, &subset);
+                        let (singles, pairs) = sorted_ops(index, &paired);
+                        assert_eq!(singles, violations.conflicting_facts());
+                        assert_eq!(pairs, violations.conflicting_pairs());
+                        // Same singletons in the same order: a singleton
+                        // walk draws the same repair with or without the
+                        // pair set.
+                        assert_eq!(unpaired.live_singles(), paired.live_singles());
+                        assert_eq!(unpaired.pair_count(), 0);
+                        assert!(facts
+                            .iter()
+                            .all(|&f| paired.live().contains(f) == subset.contains(f)));
+                    }
+                    assert!(unpaired.is_consistent());
+                    assert!(ViolationSet::compute(&db, &sigma, &subset).is_empty());
                 }
-                let violations = ViolationSet::compute(&db, &sigma, &subset);
-                let mut singles: Vec<_> = ops.live_singles().to_vec();
-                singles.sort();
-                let mut pairs: Vec<_> = ops.live_pairs(index).collect();
-                pairs.sort();
-                assert_eq!(singles, violations.conflicting_facts());
-                assert_eq!(pairs, violations.conflicting_pairs());
-                assert_eq!(ops.live(), &subset);
             }
-            assert!(ViolationSet::compute(&db, &sigma, &subset).is_empty());
         }
     }
 

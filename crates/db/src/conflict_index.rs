@@ -10,18 +10,23 @@
 //! sets incrementally:
 //!
 //! * [`ConflictIndex`] — the immutable part, built once per `(D, Σ)`:
-//!   the violations, CSR adjacency from each fact to the violations and
-//!   deduplicated conflicting pairs touching it, the singleton / pair
-//!   operation universe, and the **component partition** of the conflict
-//!   graph (CSR `component → facts` and `component → pair ids`, plus
+//!   the violations, the deduplicated conflicting pairs, one CSR
+//!   neighbour list per fact (each entry a conflicting fact and the id of
+//!   their pair), the singleton / pair operation universe, and the
+//!   **component partition** of the conflict graph (CSR
+//!   `component → facts` and `component → pair ids`, plus
 //!   `component_of(fact)`).  Shareable across threads.
 //! * [`LiveOps`] — the mutable cursor owned by each walk: the live
-//!   sub-database, per-fact live-violation degrees, and the live
-//!   singleton/pair operation sets as dense swap-remove arrays, so a
-//!   uniform pick over `Ops_s(D, Σ)` is O(1) and
-//!   [`LiveOps::remove_fact`] is O(degree of the removed fact).
-//!   [`LiveOps::reset_component`] starts a walk of one component alone,
-//!   in O(component size).
+//!   sub-database, per-fact counts of live conflicting neighbours, and the
+//!   live singleton (and, optionally, pair) operation sets as dense
+//!   swap-remove arrays, so a uniform pick over `Ops_s(D, Σ)` is O(1) and
+//!   [`LiveOps::remove_fact`] is one pass over the removed fact's
+//!   neighbours.  [`LiveOps::reset_component`] starts a walk of one
+//!   component alone, in O(component size).
+//!
+//! A live fact is a justified singleton operation iff it has a live
+//! conflicting neighbour, so several FDs violating the same pair count
+//! once: the walk never needs the violations themselves.
 //!
 //! Every singleton or pair operation lies inside one conflict component,
 //! so the walk projected onto a component is that component's own walk;
@@ -95,19 +100,15 @@ pub struct ConflictIndex {
     version: u64,
     /// `V(D, Σ)`, canonically sorted.
     violations: Vec<Violation>,
-    /// CSR offsets into [`ConflictIndex::violation_adjacency`] (length
-    /// `universe + 1`).
-    violation_offsets: Vec<u32>,
-    /// Violation ids touching each fact.
-    violation_adjacency: Vec<u32>,
     /// The deduplicated conflicting pairs (the pair-operation universe),
     /// canonically sorted.
     pairs: Vec<(FactId, FactId)>,
-    /// CSR offsets into [`ConflictIndex::pair_adjacency`] (length
+    /// CSR offsets into [`ConflictIndex::neighbours`] (length
     /// `universe + 1`).
-    pair_offsets: Vec<u32>,
-    /// Pair ids touching each fact.
-    pair_adjacency: Vec<u32>,
+    neighbour_offsets: Vec<u32>,
+    /// Per fact, in pair-id order: each conflicting fact and the id of
+    /// the pair the two form.
+    neighbours: Vec<(FactId, u32)>,
     /// Facts involved in at least one violation (the singleton-operation
     /// universe), sorted.
     conflicting: Vec<FactId>,
@@ -260,44 +261,27 @@ impl ConflictIndex {
         debug_assert!(violations.is_sorted(), "violations must be canonical");
         debug_assert!(pairs.is_sorted(), "pairs must be canonical");
 
-        // CSR adjacency fact → violation ids (two passes: count, fill).
-        let mut violation_offsets = vec![0u32; universe + 1];
-        for v in &violations {
-            violation_offsets[v.first.index() + 1] += 1;
-            violation_offsets[v.second.index() + 1] += 1;
-        }
-        for i in 0..universe {
-            violation_offsets[i + 1] += violation_offsets[i];
-        }
-        let mut violation_adjacency = vec![0u32; violations.len() * 2];
-        let mut cursor = violation_offsets.clone();
-        for (id, v) in violations.iter().enumerate() {
-            for fact in [v.first, v.second] {
-                violation_adjacency[cursor[fact.index()] as usize] = id as u32;
-                cursor[fact.index()] += 1;
-            }
-        }
-
-        // CSR adjacency fact → pair ids.
-        let mut pair_offsets = vec![0u32; universe + 1];
+        // CSR adjacency fact → (neighbour, pair id) (two passes: count,
+        // fill).
+        let mut neighbour_offsets = vec![0u32; universe + 1];
         for &(a, b) in &pairs {
-            pair_offsets[a.index() + 1] += 1;
-            pair_offsets[b.index() + 1] += 1;
+            neighbour_offsets[a.index() + 1] += 1;
+            neighbour_offsets[b.index() + 1] += 1;
         }
         for i in 0..universe {
-            pair_offsets[i + 1] += pair_offsets[i];
+            neighbour_offsets[i + 1] += neighbour_offsets[i];
         }
-        let mut pair_adjacency = vec![0u32; pairs.len() * 2];
-        let mut cursor = pair_offsets.clone();
-        for (id, &(a, b)) in pairs.iter().enumerate() {
-            for fact in [a, b] {
-                pair_adjacency[cursor[fact.index()] as usize] = id as u32;
+        let mut neighbours = vec![(FactId::new(0), 0u32); pairs.len() * 2];
+        let mut cursor = neighbour_offsets.clone();
+        for (id, &(a, b)) in (0..).zip(&pairs) {
+            for (fact, other) in [(a, b), (b, a)] {
+                neighbours[cursor[fact.index()] as usize] = (other, id);
                 cursor[fact.index()] += 1;
             }
         }
 
         let conflicting: Vec<FactId> = (0..universe)
-            .filter(|&f| violation_offsets[f + 1] > violation_offsets[f])
+            .filter(|&f| neighbour_offsets[f + 1] > neighbour_offsets[f])
             .map(FactId::new)
             .collect();
         let partition = ComponentPartition::compute(universe, &conflicting, &pairs);
@@ -306,11 +290,9 @@ impl ConflictIndex {
             universe,
             version,
             violations,
-            violation_offsets,
-            violation_adjacency,
             pairs,
-            pair_offsets,
-            pair_adjacency,
+            neighbour_offsets,
+            neighbours,
             conflicting,
             partition,
         }
@@ -449,23 +431,20 @@ impl ConflictIndex {
         &self.conflicting
     }
 
-    /// The number of violations touching `fact` in the full database.
+    /// The number of facts `fact` conflicts with in the full database —
+    /// its degree in the conflict graph, as
+    /// [`crate::ConflictGraph::degree`].  A pair violating several FDs
+    /// counts once.
     pub fn degree(&self, fact: FactId) -> usize {
-        (self.violation_offsets[fact.index() + 1] - self.violation_offsets[fact.index()]) as usize
+        self.neighbours_of(fact).len()
     }
 
-    /// The violation ids touching `fact`.
-    fn violations_of(&self, fact: FactId) -> &[u32] {
-        let start = self.violation_offsets[fact.index()] as usize;
-        let end = self.violation_offsets[fact.index() + 1] as usize;
-        &self.violation_adjacency[start..end]
-    }
-
-    /// The pair ids touching `fact`.
-    fn pairs_of(&self, fact: FactId) -> &[u32] {
-        let start = self.pair_offsets[fact.index()] as usize;
-        let end = self.pair_offsets[fact.index() + 1] as usize;
-        &self.pair_adjacency[start..end]
+    /// The facts `fact` conflicts with, each with the id of their pair,
+    /// in pair-id order.
+    fn neighbours_of(&self, fact: FactId) -> &[(FactId, u32)] {
+        let start = self.neighbour_offsets[fact.index()] as usize;
+        let end = self.neighbour_offsets[fact.index() + 1] as usize;
+        &self.neighbours[start..end]
     }
 
     /// The number of connected components of the conflict graph.
@@ -613,10 +592,11 @@ impl Fnv {
 /// sub-database plus the live operation sets `Ops_s(D, Σ)`, maintained
 /// incrementally under fact removal.
 ///
-/// The singleton set holds the live facts with at least one live violation;
-/// the pair set holds the pair ids whose two facts are both live.  Both are
-/// dense arrays with positional back-pointers, so membership updates are
-/// O(1) swap-removes and a uniform draw is a single `random_range` plus an
+/// The singleton set holds the live facts with at least one live
+/// conflicting neighbour; the pair set, when the reset asked for pairs,
+/// holds the pair ids whose two facts are both live.  Both are dense
+/// arrays with positional back-pointers, so membership updates are O(1)
+/// swap-removes and a uniform draw is a single `random_range` plus an
 /// array read.
 ///
 /// A default-constructed `LiveOps` owns no buffers; the first
@@ -627,12 +607,16 @@ impl Fnv {
 pub struct LiveOps {
     /// The live sub-database `D'`.
     live: FactSet,
-    /// Per fact: number of live violations touching it.
+    /// Per fact: the number of live facts it conflicts with (zero for a
+    /// removed fact, so `degree[f] != 0` iff `f` is a live singleton).
     degree: Vec<u32>,
     /// Dense array of live singleton operations (facts with `degree > 0`).
     singles: Vec<FactId>,
     /// Per fact: its position in `singles`, or [`NOT_LIVE`].
     single_pos: Vec<u32>,
+    /// Whether the last reset asked for the pair set; without it `pairs`
+    /// stays empty and `pair_pos` is never read or written.
+    track_pairs: bool,
     /// Dense array of live pair operations (pair ids).
     pairs: Vec<u32>,
     /// Per pair id: its position in `pairs`, or [`NOT_LIVE`].
@@ -647,11 +631,13 @@ impl LiveOps {
 
     /// Clears any state left by a previous (possibly abandoned) walk,
     /// restoring the invariant that every `single_pos`/`pair_pos` entry is
-    /// [`NOT_LIVE`] and every degree is zero.  O(current live operations) —
-    /// the positional arrays are only ever written through `singles` /
-    /// `pairs`, so clearing those entries suffices even when the next
-    /// reset targets a **different** [`ConflictIndex`].
-    fn clear_stale(&mut self) {
+    /// [`NOT_LIVE`] and every degree is zero, then sizes the buffers for
+    /// `index` (the pair positions only when `pairs` is set).
+    /// O(current live operations) — the positional arrays are only ever
+    /// written through `singles` / `pairs`, so clearing those entries
+    /// suffices even when the reset targets a **different**
+    /// [`ConflictIndex`].
+    fn prepare(&mut self, index: &ConflictIndex, pairs: bool) {
         for &fact in &self.singles {
             self.single_pos[fact.index()] = NOT_LIVE;
             self.degree[fact.index()] = 0;
@@ -661,41 +647,53 @@ impl LiveOps {
             self.pair_pos[pair as usize] = NOT_LIVE;
         }
         self.pairs.clear();
-    }
-
-    /// Resizes the buffers to match `index` (idempotent).
-    fn ensure_capacity(&mut self, index: &ConflictIndex) {
         if self.live.universe() != index.universe {
             self.live = FactSet::empty(index.universe);
             self.degree = vec![0; index.universe];
             self.single_pos = vec![NOT_LIVE; index.universe];
         }
-        if self.pair_pos.len() != index.pairs.len() {
+        if pairs && self.pair_pos.len() != index.pairs.len() {
             self.pair_pos = vec![NOT_LIVE; index.pairs.len()];
+        }
+        self.track_pairs = pairs;
+    }
+
+    /// Opens `facts` as live singletons at their full-database degrees.
+    fn open_singles(&mut self, index: &ConflictIndex, facts: &[FactId]) {
+        for (position, &fact) in (0..).zip(facts) {
+            self.degree[fact.index()] = index.degree(fact) as u32;
+            self.single_pos[fact.index()] = position;
+            self.singles.push(fact);
         }
     }
 
-    /// Resets to the full database: every fact live, every operation of the
-    /// universe available.  O(conflicting facts + pairs + |D|/64).
-    pub fn reset_full(&mut self, index: &ConflictIndex) {
-        self.clear_stale();
-        self.ensure_capacity(index);
-        self.live.fill();
-        for (position, &fact) in index.conflicting.iter().enumerate() {
-            self.degree[fact.index()] = index.degree(fact) as u32;
-            self.single_pos[fact.index()] = position as u32;
-            self.singles.push(fact);
-        }
-        for pair in 0..index.pairs.len() as u32 {
-            self.pair_pos[pair as usize] = pair;
+    /// Opens the pair ids `pairs` as live pair operations.
+    fn open_pairs(&mut self, pairs: impl IntoIterator<Item = u32>) {
+        for (position, pair) in (0..).zip(pairs) {
+            self.pair_pos[pair as usize] = position;
             self.pairs.push(pair);
         }
     }
 
+    /// Resets to the full database: every fact live, every singleton
+    /// operation of the universe available, and every pair operation too
+    /// when `pairs` is set (a singleton walk passes `false` and keeps no
+    /// pair set).  O(conflicting facts + |D|/64), plus the pairs if kept.
+    pub fn reset_full(&mut self, index: &ConflictIndex, pairs: bool) {
+        self.prepare(index, pairs);
+        self.live.fill();
+        self.open_singles(index, &index.conflicting);
+        if pairs {
+            self.open_pairs(0..index.pairs.len() as u32);
+        }
+    }
+
     /// Resets to the start of component `component`'s own walk: every
-    /// fact of the component live, and exactly the component's operations
-    /// available.  O(component facts + component pairs), plus a one-off
-    /// O(|D|) sizing when the buffers first meet `index`'s universe.
+    /// fact of the component live, and exactly the component's singleton
+    /// operations available, plus its pair operations when `pairs` is set.
+    /// O(component facts), plus the component's pairs if kept, plus a
+    /// one-off O(|D|) sizing when the buffers first meet `index`'s
+    /// universe.
     ///
     /// Only the component's facts are written to [`LiveOps::live`]; facts
     /// outside it keep whatever an earlier walk left there, and no
@@ -703,24 +701,21 @@ impl LiveOps {
     ///
     /// # Panics
     /// Panics if `component` is out of range.
-    pub fn reset_component(&mut self, index: &ConflictIndex, component: usize) {
-        self.clear_stale();
-        self.ensure_capacity(index);
-        for (position, &fact) in index.component(component).iter().enumerate() {
+    pub fn reset_component(&mut self, index: &ConflictIndex, component: usize, pairs: bool) {
+        self.prepare(index, pairs);
+        let facts = index.component(component);
+        for &fact in facts {
             self.live.insert(fact);
-            self.degree[fact.index()] = index.degree(fact) as u32;
-            self.single_pos[fact.index()] = position as u32;
-            self.singles.push(fact);
         }
-        for (position, &pair) in index.component_pairs(component).iter().enumerate() {
-            self.pair_pos[pair as usize] = position as u32;
-            self.pairs.push(pair);
+        self.open_singles(index, facts);
+        if pairs {
+            self.open_pairs(index.component_pairs(component).iter().copied());
         }
     }
 
-    /// Resets to an arbitrary sub-database `subset ⊆ D`.  O(|V(D, Σ)| +
-    /// conflicting facts + pairs); used by the diagnostics APIs, not by the
-    /// walk hot loop.
+    /// Resets to an arbitrary sub-database `subset ⊆ D`, pair set
+    /// included.  O(conflicting facts + pairs + |D|/64); used by the
+    /// diagnostics APIs, not by the walk hot loop.
     ///
     /// # Panics
     /// Panics if `subset`'s universe differs from the index's.
@@ -730,13 +725,14 @@ impl LiveOps {
             index.universe,
             "subset universe mismatch"
         );
-        self.clear_stale();
-        self.ensure_capacity(index);
+        self.prepare(index, true);
         self.live.copy_from(subset);
-        for v in &index.violations {
-            if self.live.contains(v.first) && self.live.contains(v.second) {
-                self.degree[v.first.index()] += 1;
-                self.degree[v.second.index()] += 1;
+        for (pair, &(a, b)) in index.pairs.iter().enumerate() {
+            if self.live.contains(a) && self.live.contains(b) {
+                self.degree[a.index()] += 1;
+                self.degree[b.index()] += 1;
+                self.pair_pos[pair] = self.pairs.len() as u32;
+                self.pairs.push(pair as u32);
             }
         }
         for &fact in &index.conflicting {
@@ -745,17 +741,12 @@ impl LiveOps {
                 self.singles.push(fact);
             }
         }
-        for (pair, &(a, b)) in index.pairs.iter().enumerate() {
-            if self.live.contains(a) && self.live.contains(b) {
-                self.pair_pos[pair] = self.pairs.len() as u32;
-                self.pairs.push(pair as u32);
-            }
-        }
     }
 
-    /// Removes a live fact, updating the live operation sets in O(degree):
-    /// every violation and pair touching the fact dies, and singleton
-    /// neighbours whose last live violation died leave the singleton set.
+    /// Removes a live fact in one pass over its conflicting neighbours:
+    /// each live neighbour loses one live neighbour and leaves the
+    /// singleton set at zero, and each live pair touching the fact dies
+    /// (when pairs are tracked).
     ///
     /// # Panics
     /// Panics if `fact` is not live.
@@ -764,21 +755,20 @@ impl LiveOps {
         assert!(was_live, "removed a fact that is not live");
         self.retire_single(fact);
         self.degree[fact.index()] = 0;
-        for &violation in index.violations_of(fact) {
-            let v = &index.violations[violation as usize];
-            let other = if v.first == fact { v.second } else { v.first };
-            // The violation was live iff the other endpoint still is (the
-            // removed fact was live until this call).
-            if self.live.contains(other) {
-                let degree = &mut self.degree[other.index()];
-                *degree -= 1;
-                if *degree == 0 {
-                    self.retire_single(other);
-                }
+        for &(other, pair) in index.neighbours_of(fact) {
+            // A neighbour with a nonzero count is live, so the pair was
+            // live until this call; a removed neighbour's count is zero.
+            let degree = &mut self.degree[other.index()];
+            if *degree == 0 {
+                continue;
             }
-        }
-        for &pair in index.pairs_of(fact) {
-            self.retire_pair(pair);
+            *degree -= 1;
+            if *degree == 0 {
+                self.retire_single(other);
+            }
+            if self.track_pairs {
+                self.retire_pair(pair);
+            }
         }
     }
 
@@ -820,7 +810,8 @@ impl LiveOps {
         self.singles.len()
     }
 
-    /// Number of live pair operations.
+    /// Number of live pair operations (zero when the last reset kept no
+    /// pair set).
     pub fn pair_count(&self) -> usize {
         self.pairs.len()
     }
@@ -907,7 +898,7 @@ mod tests {
         assert_eq!(index.violations().len(), 2);
         assert_eq!(index.pairs().len(), 2);
         let mut ops = LiveOps::new();
-        ops.reset_full(&index);
+        ops.reset_full(&index, true);
         // Root of Figure 1: -f1, -f2, -f3, -{f1,f2}, -{f2,f3}.
         let (singles, pairs) = sorted_state(&index, &ops);
         assert_eq!(
@@ -930,7 +921,7 @@ mod tests {
         let (db, sigma) = running_example();
         let index = ConflictIndex::build(&db, &sigma);
         let mut ops = LiveOps::new();
-        ops.reset_full(&index);
+        ops.reset_full(&index, true);
         // f2 (id 1) is in both violations; removing it repairs the
         // database in one step.
         ops.remove_fact(&index, FactId::new(1));
@@ -946,7 +937,7 @@ mod tests {
         let (db, sigma) = running_example();
         let index = ConflictIndex::build(&db, &sigma);
         let mut ops = LiveOps::new();
-        ops.reset_full(&index);
+        ops.reset_full(&index, true);
         // Removing f1 kills the φ1 violation {f1, f2}; {f2, f3} survives.
         ops.remove_fact(&index, FactId::new(0));
         assert!(!ops.is_consistent());
@@ -981,19 +972,27 @@ mod tests {
         let (db, sigma) = running_example();
         let index = ConflictIndex::build(&db, &sigma);
         let mut ops = LiveOps::new();
-        // Remove facts one at a time in every order; after each removal the
-        // incremental state must match a from-scratch recompute.
-        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 1, 0], [2, 0, 1]] {
-            ops.reset_full(&index);
-            let mut subset = db.all_facts();
-            for fact in order {
-                ops.remove_fact(&index, FactId::new(fact));
-                subset.remove(FactId::new(fact));
-                let violations = ViolationSet::compute(&db, &sigma, &subset);
-                let (singles, pairs) = sorted_state(&index, &ops);
-                assert_eq!(singles, violations.conflicting_facts(), "order {order:?}");
-                assert_eq!(pairs, violations.conflicting_pairs(), "order {order:?}");
-                assert_eq!(ops.live(), &subset);
+        // Remove facts one at a time in every order, with and without the
+        // pair set (the cursor is reused across modes); after each removal
+        // the incremental state must match a from-scratch recompute.
+        for track_pairs in [true, false, true] {
+            for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 1, 0], [2, 0, 1]] {
+                ops.reset_full(&index, track_pairs);
+                let mut subset = db.all_facts();
+                for fact in order {
+                    ops.remove_fact(&index, FactId::new(fact));
+                    subset.remove(FactId::new(fact));
+                    let violations = ViolationSet::compute(&db, &sigma, &subset);
+                    let (singles, pairs) = sorted_state(&index, &ops);
+                    let context = format!("order {order:?}, pairs {track_pairs}");
+                    assert_eq!(singles, violations.conflicting_facts(), "{context}");
+                    if track_pairs {
+                        assert_eq!(pairs, violations.conflicting_pairs(), "{context}");
+                    } else {
+                        assert_eq!(ops.pair_count(), 0, "{context}");
+                    }
+                    assert_eq!(ops.live(), &subset);
+                }
             }
         }
     }
@@ -1004,7 +1003,7 @@ mod tests {
         let (db, sigma) = running_example();
         let index = ConflictIndex::build(&db, &sigma);
         let mut ops = LiveOps::new();
-        ops.reset_full(&index);
+        ops.reset_full(&index, true);
         ops.remove_fact(&index, FactId::new(0));
         ops.remove_fact(&index, FactId::new(0));
     }
@@ -1025,12 +1024,13 @@ mod tests {
         assert_eq!(index.violations().len(), 2);
         assert_eq!(index.pairs().len(), 1);
         let mut ops = LiveOps::new();
-        ops.reset_full(&index);
+        ops.reset_full(&index, true);
         assert_eq!(ops.single_count(), 2);
         assert_eq!(ops.pair_count(), 1);
-        // Both violations die with one endpoint; the pair dies too, and the
-        // surviving fact must leave the singleton set exactly once (its
-        // degree was 2).
+        // The pair is one conflicting neighbour, not two: both violations
+        // die with one endpoint, the pair dies too, and the surviving fact
+        // leaves the singleton set exactly once.
+        assert_eq!(index.degree(FactId::new(1)), 1);
         ops.remove_fact(&index, FactId::new(0));
         assert!(ops.is_consistent());
         assert_eq!(ops.pair_count(), 0);
@@ -1058,12 +1058,12 @@ mod tests {
         let index_b = ConflictIndex::build(&db_b, &sigma_b);
 
         let mut reused = LiveOps::new();
-        reused.reset_full(&index_a);
+        reused.reset_full(&index_a, true);
         // Abandon mid-walk: f2 still live with stale position/degree.
         reused.remove_fact(&index_a, FactId::new(0));
-        reused.reset_full(&index_b);
+        reused.reset_full(&index_b, true);
         let mut fresh = LiveOps::new();
-        fresh.reset_full(&index_b);
+        fresh.reset_full(&index_b, true);
         let (reused_state, fresh_state) = (
             sorted_state(&index_b, &reused),
             sorted_state(&index_b, &fresh),
@@ -1118,7 +1118,7 @@ mod tests {
 
         // A refreshed index backs walks exactly like a fresh one.
         let mut ops = LiveOps::new();
-        ops.reset_full(&index);
+        ops.reset_full(&index, true);
         assert!(!ops.is_consistent());
     }
 
@@ -1165,7 +1165,7 @@ mod tests {
         assert!(index.violations().is_empty());
         assert!(index.conflicting_facts().is_empty());
         let mut ops = LiveOps::new();
-        ops.reset_full(&index);
+        ops.reset_full(&index, true);
         assert!(ops.is_consistent());
         assert_eq!(ops.live().len(), 2);
     }
@@ -1236,7 +1236,7 @@ mod tests {
         let mut ops = LiveOps::new();
         for c in [1, 0, 1] {
             // Abandon the previous component mid-walk before resetting.
-            ops.reset_component(&index, c);
+            ops.reset_component(&index, c, true);
             let (singles, pairs) = sorted_state(&index, &ops);
             assert_eq!(singles, index.component(c));
             let mut expected: Vec<(FactId, FactId)> = index
@@ -1251,7 +1251,7 @@ mod tests {
             ops.remove_fact(&index, index.component(c)[0]);
         }
         // Walking component 1 to the end touches nothing outside it.
-        ops.reset_component(&index, 1);
+        ops.reset_component(&index, 1, true);
         ops.remove_fact(&index, FactId::new(3));
         ops.remove_fact(&index, FactId::new(4));
         assert!(ops.is_consistent());

@@ -283,7 +283,7 @@ mod tests {
         let (db, sigma) = running_example();
         let index = ConflictIndex::build(&db, &sigma);
         let mut live = LiveOps::new();
-        live.reset_full(&index);
+        live.reset_full(&index, true);
         for singleton_only in [false, true] {
             assert_eq!(
                 justified_operations_from_index(&index, &live, singleton_only),

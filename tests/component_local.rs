@@ -296,50 +296,143 @@ fn two_component_database() -> (Database, FdSet) {
     (db, sigma)
 }
 
-/// The keyed full walk realises the chain's repair distribution on a
-/// two-component instance.  Each repair's count is `Binomial(N, p)`; the
-/// check fails only when a count lies in a tail of probability below
-/// `ALPHA` on either side.
-#[test]
-fn keyed_full_walk_matches_the_exact_semantics_on_two_components() {
+/// Checks that `SAMPLES` keyed full walks of `spec` from `seed` realise
+/// the chain's repair distribution: each repair's count is
+/// `Binomial(SAMPLES, p)`, and the check fails only when a count lies in a
+/// tail of probability below `ALPHA` on either side.
+fn assert_walk_matches_the_exact_semantics(
+    db: &Database,
+    sigma: &FdSet,
+    spec: GeneratorSpec,
+    seed: u64,
+) {
     const SAMPLES: u64 = 3_000;
     const ALPHA: f64 = 1e-6;
+    let exact: BTreeMap<FactSet, f64> = ExactSolver::new(db, sigma)
+        .semantics(spec)
+        .unwrap()
+        .repairs()
+        .iter()
+        .map(|entry| (entry.repair.clone(), entry.probability.to_f64()))
+        .collect();
+    let sampler = walker(db, sigma, spec.singleton_only);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mut repair, mut scratch) = (FactSet::empty(db.len()), WalkScratch::new());
+    let mut counts: BTreeMap<FactSet, u64> = BTreeMap::new();
+    for _ in 0..SAMPLES {
+        sampler.sample_result_into(&mut rng, &mut repair, &mut scratch);
+        *counts.entry(repair.clone()).or_insert(0) += 1;
+    }
+    assert!(
+        counts.keys().all(|r| exact.contains_key(r)),
+        "{}: a sampled repair is not in the semantics",
+        spec.short_name()
+    );
+    for (repair, &p) in &exact {
+        // No underflow in the tail's first term at this sample size.
+        assert!(binomial_upper_tail(SAMPLES, p, 0) > 0.999);
+        let k = counts.get(repair).copied().unwrap_or(0);
+        let upper = binomial_upper_tail(SAMPLES, p, k);
+        let lower = 1.0 - binomial_upper_tail(SAMPLES, p, k + 1);
+        assert!(
+            upper > ALPHA && lower > ALPHA,
+            "{}: repair {repair:?} drawn {k} of {SAMPLES} times, exact {p}",
+            spec.short_name()
+        );
+    }
+}
+
+/// The keyed full walk realises the chain's repair distribution on a
+/// two-component instance.
+#[test]
+fn keyed_full_walk_matches_the_exact_semantics_on_two_components() {
     let (db, sigma) = two_component_database();
     assert_eq!(ConflictIndex::build(&db, &sigma).component_count(), 2);
     for spec in WALK_SPECS.map(|spec| spec()) {
-        let exact: BTreeMap<FactSet, f64> = ExactSolver::new(&db, &sigma)
-            .semantics(spec)
-            .unwrap()
-            .repairs()
-            .iter()
-            .map(|entry| (entry.repair.clone(), entry.probability.to_f64()))
-            .collect();
-        let sampler = walker(&db, &sigma, spec.singleton_only);
-        let mut rng = StdRng::seed_from_u64(17);
-        let (mut repair, mut scratch) = (FactSet::empty(db.len()), WalkScratch::new());
-        let mut counts: BTreeMap<FactSet, u64> = BTreeMap::new();
-        for _ in 0..SAMPLES {
-            sampler.sample_result_into(&mut rng, &mut repair, &mut scratch);
-            *counts.entry(repair.clone()).or_insert(0) += 1;
-        }
-        assert!(
-            counts.keys().all(|r| exact.contains_key(r)),
-            "{}: a sampled repair is not in the semantics",
-            spec.short_name()
-        );
-        for (repair, &p) in &exact {
-            // No underflow in the tail's first term at this sample size.
-            assert!(binomial_upper_tail(SAMPLES, p, 0) > 0.999);
-            let k = counts.get(repair).copied().unwrap_or(0);
-            let upper = binomial_upper_tail(SAMPLES, p, k);
-            let lower = 1.0 - binomial_upper_tail(SAMPLES, p, k + 1);
-            assert!(
-                upper > ALPHA && lower > ALPHA,
-                "{}: repair {repair:?} drawn {k} of {SAMPLES} times, exact {p}",
-                spec.short_name()
-            );
+        assert_walk_matches_the_exact_semantics(&db, &sigma, spec, 17);
+    }
+}
+
+/// The walks count conflicting neighbours, not violations, so a pair
+/// violating two FDs must weigh like any other pair.  Over `R(A, B, C)`
+/// with `A → B` and `C → B`: f0 and f1 violate both FDs, f2 conflicts
+/// with both under `C → B`, and f3 conflicts with f2 under `A → B`; f4
+/// and f5 form a second component, again violating both FDs.
+#[test]
+fn walks_match_the_exact_semantics_with_a_doubly_violated_pair() {
+    let mut schema = Schema::new();
+    schema.add_relation("R", &["A", "B", "C"]).unwrap();
+    let mut db = Database::with_schema(schema);
+    let mut sigma = FdSet::new();
+    for lhs in ["A", "C"] {
+        sigma.add(FunctionalDependency::from_names(db.schema(), "R", &[lhs], &["B"]).unwrap());
+    }
+    for (a, b, c) in [
+        ("a1", "b1", "c1"),
+        ("a1", "b2", "c1"),
+        ("a2", "b3", "c1"),
+        ("a2", "b1", "c2"),
+        ("a3", "b1", "c3"),
+        ("a3", "b2", "c3"),
+    ] {
+        db.insert_values("R", [Value::str(a), Value::str(b), Value::str(c)])
+            .unwrap();
+    }
+    let index = ConflictIndex::build(&db, &sigma);
+    assert_eq!(index.violations().len(), 7);
+    assert_eq!(index.pairs().len(), 5);
+    assert_eq!(index.component_count(), 2);
+    for spec in WALK_SPECS.map(|spec| spec()) {
+        assert_walk_matches_the_exact_semantics(&db, &sigma, spec, 23);
+    }
+}
+
+/// A digest of `draws` keyed repair draws from `seed`: every draw's
+/// surviving fact ids, folded with FNV-1a.
+fn draw_digest(sampler: &OperationWalkSampler<'_>, seed: u64, draws: usize) -> u64 {
+    let mix = |hash: u64, word: u64| (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let universe = sampler.conflict_index().universe();
+    let (mut repair, mut scratch) = (FactSet::empty(universe), WalkScratch::new());
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for _ in 0..draws {
+        sampler.sample_result_into(&mut rng, &mut repair, &mut scratch);
+        hash = mix(hash, repair.len() as u64);
+        for fact in repair.iter() {
+            hash = mix(hash, fact.index() as u64);
         }
     }
+    hash
+}
+
+/// Pins the `M^uo` and `M^{uo,1}` draw streams on a one-FD stream window
+/// with tombstones.  Under a single FD the walks' singleton and pair
+/// retirement orders follow the pair order, so these digests only move
+/// when the walk itself changes.
+#[test]
+fn single_fd_walk_streams_are_pinned() {
+    let mut stream = StreamWorkload::new(20, 6, 6, 0.5, 3);
+    let (mut window, sigma) = stream.initial(60);
+    for _ in 0..4 {
+        let (inserts, retracts) = stream.tick(&window);
+        for fact in &retracts {
+            window.retract(fact).unwrap();
+        }
+        for fact in inserts {
+            window.insert(fact).unwrap();
+        }
+    }
+    assert!(
+        window.live_count() < window.len(),
+        "the window holds tombstones"
+    );
+    let digests =
+        [false, true].map(|singleton| draw_digest(&walker(&window, &sigma, singleton), 7, 200));
+    assert_eq!(
+        digests,
+        [0xe78f_4f0b_fbe4_4bbe, 0x7cf9_4c35_8d5f_975e],
+        "M^uo, M^{{uo,1}} draw digests"
+    );
 }
 
 /// The success counts of `draws` full walks from `seed`, checked against

@@ -639,7 +639,10 @@ proptest! {
         let (db, sigma) = multi_fd_database(&rows);
         let index = ConflictIndex::build(&db, &sigma);
         let mut ops = LiveOps::new();
-        ops.reset_full(&index);
+        ops.reset_full(&index, true);
+        // A singleton walk's cursor: same removals, no pair set.
+        let mut singles_only = LiveOps::new();
+        singles_only.reset_full(&index, false);
         let mut subset = db.all_facts();
         let mut reference = ViolationSet::default();
         let mut recompute_scratch = Vec::new();
@@ -650,11 +653,16 @@ proptest! {
             let pick = rng.random_range(0..remaining.len());
             let fact = remaining.swap_remove(pick);
             ops.remove_fact(&index, fact);
+            singles_only.remove_fact(&index, fact);
             subset.remove(fact);
             reference.recompute(&db, &sigma, &subset, &mut recompute_scratch);
             let mut singles = ops.live_singles().to_vec();
             singles.sort();
-            prop_assert_eq!(singles, reference.conflicting_facts());
+            prop_assert_eq!(&singles, &reference.conflicting_facts());
+            let mut unpaired_singles = singles_only.live_singles().to_vec();
+            unpaired_singles.sort();
+            prop_assert_eq!(unpaired_singles, singles);
+            prop_assert_eq!(singles_only.pair_count(), 0);
             let mut pairs: Vec<(FactId, FactId)> = ops.live_pairs(&index).collect();
             pairs.sort();
             prop_assert_eq!(pairs, reference.conflicting_pairs());

@@ -970,56 +970,3 @@ pub fn e12_scaling() -> Vec<Table> {
 pub fn digits(n: &Natural) -> usize {
     n.to_string().len()
 }
-
-/// Shared timing kernel of the `eNN_report` binaries: runs a ~10% warm-up
-/// pass, then times `iters` runs of `routine`, returning
-/// `(mean ns/iteration, iterations/second)`.
-///
-/// Extracted here so `e13_report`, `e14_report` and `e15_report` measure
-/// identically instead of each carrying its own copy.
-pub fn time_routine(iters: u64, mut routine: impl FnMut()) -> (f64, f64) {
-    for _ in 0..iters.div_ceil(10).max(1) {
-        routine();
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        routine();
-    }
-    let elapsed = start.elapsed();
-    (
-        elapsed.as_nanos() as f64 / iters as f64,
-        iters as f64 / elapsed.as_secs_f64().max(1e-9),
-    )
-}
-
-/// Parses the `[--smoke] [output.json]` CLI convention shared by the
-/// report binaries: `--smoke` selects the tiny CI configuration (nothing
-/// is written to disk), any other argument overrides the output path.
-pub fn report_args(default_output: &str) -> (bool, String) {
-    let mut smoke = false;
-    let mut output = default_output.to_string();
-    for arg in std::env::args().skip(1) {
-        if arg == "--smoke" {
-            smoke = true;
-        } else {
-            output = arg;
-        }
-    }
-    (smoke, output)
-}
-
-/// Emits a report JSON: prints it to stdout, and writes it to `output`
-/// unless `smoke` is set (the CI mode exercises the measurement path
-/// without touching the committed `BENCH_*.json` files).
-///
-/// # Panics
-/// Panics if the output file cannot be written.
-pub fn emit_report(label: &str, smoke: bool, output: &str, json: &str) {
-    println!("{json}");
-    if smoke {
-        eprintln!("[{label}] smoke mode: not writing {output}");
-    } else {
-        std::fs::write(output, json).unwrap_or_else(|e| panic!("write {output}: {e}"));
-        eprintln!("[{label}] wrote {output}");
-    }
-}

@@ -6,6 +6,12 @@
 //! `experiments` binary prints them, and the Criterion benches reuse the
 //! same workloads for timing.
 //!
+//! The performance benchmark of the estimator stack is not here: it is
+//! the standalone `perfbench` package at the repository root (see
+//! `BENCHMARK.json`).  The `BENCH_e13.json` … `BENCH_e22.json` files at
+//! the root are frozen history from report binaries this crate no longer
+//! ships.
+//!
 //! Run everything with
 //!
 //! ```text

@@ -760,8 +760,8 @@ impl<'a> BatchEstimator<'a> {
     /// As [`BatchEstimator::estimate_batch`] (fixed-sample modes only),
     /// driving a bank compiled earlier with
     /// [`BatchEstimator::compile_bank`] — the compile-once / estimate-many
-    /// pattern, and the hook the `e17` bench uses to time compilation and
-    /// estimation separately.
+    /// pattern, which also lets a caller time compilation and estimation
+    /// separately.
     ///
     /// # Panics
     /// Panics if `bank` was not compiled from `queries` (length mismatch).
@@ -1233,21 +1233,6 @@ impl<'a> BatchEstimator<'a> {
             DEFAULT_WITNESS_CAP,
             &budget.compile_budget(),
         )?)
-    }
-
-    /// As [`BatchEstimator::compile_bank`], on the unplanned baseline
-    /// ([`LineageBank::compile_unplanned`]: one naive backtracking
-    /// enumeration per entry).  The resulting bank holds the same witness
-    /// sets, so estimates driven through it are bit-identical — only the
-    /// compile cost differs.  Kept for the `e17` bench and the
-    /// before/after property tests.
-    pub fn compile_bank_unplanned(
-        &self,
-        queries: &[BatchQuery<'_>],
-    ) -> Result<LineageBank, CoreError> {
-        let refs: Vec<(&QueryEvaluator, &[Value])> =
-            queries.iter().map(|q| (q.evaluator, q.candidate)).collect();
-        Ok(LineageBank::compile_unplanned(self.inner.db, &refs)?)
     }
 
     /// Converts a budgeted stopping-batch outcome into the public

@@ -13,8 +13,6 @@
 //! `KeyedStream` below), so a draw restricted to some units agrees with
 //! the full draw on them.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use rand::{Rng, RngCore};
 use ucqa_numeric::Natural;
 

@@ -13,10 +13,7 @@
 //! **once** when the sampler is built, each walk resets a [`LiveOps`]
 //! cursor and maintains the justified operation sets under removals in
 //! O(degree) per removed fact, and the uniform pick over `Ops_s(D, Σ)` is
-//! O(1) per step.  The pre-index behaviour (recomputing the violations
-//! from scratch on every step) is kept as
-//! [`OperationWalkSampler::sample_result_rescan_into`], the baseline of
-//! the `e14` bench and of the cross-checking tests.
+//! O(1) per step.
 //!
 //! **Keyed components.**  Every singleton or pair operation lies inside
 //! one conflict component, so the walk projected onto a component is that
@@ -31,15 +28,12 @@
 //! components, plus their walk steps).  The full draw
 //! ([`OperationWalkSampler::sample_result_into`]) is the same routine
 //! over every component after one O(|D|/64) fill.  Only
-//! [`OperationWalkSampler::sample`], which returns a sequence, and the
-//! rescan baseline still walk all components interleaved on the caller's
-//! RNG.
-
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+//! [`OperationWalkSampler::sample`], which returns a sequence, still
+//! walks all components interleaved on the caller's RNG.
 
 use rand::Rng;
 
-use ucqa_db::{ConflictIndex, Database, FactId, FactSet, FdSet, LiveOps, ViolationSet};
+use ucqa_db::{ConflictIndex, Database, FactId, FactSet, FdSet, LiveOps};
 use ucqa_numeric::LogFloat;
 use ucqa_repair::{operation::justified_operations_from_index, Operation, RepairingSequence};
 
@@ -53,13 +47,9 @@ use crate::random::KeyedStream;
 /// the parallel estimator); each sampling loop owns one scratch.
 #[derive(Debug, Default, Clone)]
 pub struct WalkScratch {
-    /// The incremental live-operations cursor of the index-backed walk.
+    /// The live-operations cursor each component walk resets and
+    /// maintains incrementally.
     ops: LiveOps,
-    /// Buffers of the rescan baseline walk.
-    violations: ViolationSet,
-    live: Vec<FactId>,
-    singles: Vec<FactId>,
-    pairs: Vec<(FactId, FactId)>,
 }
 
 impl WalkScratch {
@@ -97,7 +87,6 @@ pub struct WalkOutcome {
 #[derive(Debug, Clone)]
 pub struct OperationWalkSampler<'a> {
     db: &'a Database,
-    sigma: &'a FdSet,
     index: ConflictIndex,
     singleton_only: bool,
 }
@@ -108,7 +97,6 @@ impl<'a> OperationWalkSampler<'a> {
     pub fn new(db: &'a Database, sigma: &'a FdSet) -> Self {
         OperationWalkSampler {
             db,
-            sigma,
             index: ConflictIndex::build(db, sigma),
             singleton_only: false,
         }
@@ -119,13 +107,14 @@ impl<'a> OperationWalkSampler<'a> {
     /// mutations with [`ConflictIndex::refresh`] — instead of rebuilding
     /// the violations from scratch.  Walks are bit-identical to a sampler
     /// built by [`OperationWalkSampler::new`] under the same seed; only
-    /// the construction cost differs.
+    /// the construction cost differs.  The index holds everything the walk
+    /// reads from the FD set, so the FD set itself is not consulted.
     ///
     /// # Panics
     /// Panics if `index` is stale: its universe must equal `db.len()` and
     /// its changelog version must equal `db.version()` (a freshly built or
     /// just-refreshed index satisfies both).
-    pub fn with_index(db: &'a Database, sigma: &'a FdSet, index: ConflictIndex) -> Self {
+    pub fn with_index(db: &'a Database, _sigma: &'a FdSet, index: ConflictIndex) -> Self {
         assert_eq!(
             index.universe(),
             db.len(),
@@ -138,7 +127,6 @@ impl<'a> OperationWalkSampler<'a> {
         );
         OperationWalkSampler {
             db,
-            sigma,
             index,
             singleton_only: false,
         }
@@ -325,53 +313,6 @@ impl<'a> OperationWalkSampler<'a> {
         components
     }
 
-    /// The pre-index walk: recomputes the violation set from scratch on
-    /// every step (O(|D|) per step, O(|D|²) per walk).
-    ///
-    /// Kept as the measured baseline of the `e14` bench and as an
-    /// independent implementation of the same leaf distribution for the
-    /// cross-checking tests; new code should use
-    /// [`OperationWalkSampler::sample_result_into`].
-    ///
-    /// # Panics
-    /// Panics if `out`'s universe differs from the sampler's database.
-    pub fn sample_result_rescan_into<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        out: &mut FactSet,
-        scratch: &mut WalkScratch,
-    ) {
-        assert_eq!(out.universe(), self.db.len(), "buffer universe mismatch");
-        out.fill();
-        loop {
-            scratch
-                .violations
-                .recompute(self.db, self.sigma, out, &mut scratch.live);
-            if scratch.violations.is_empty() {
-                return;
-            }
-            scratch
-                .violations
-                .conflicting_facts_into(&mut scratch.singles);
-            let pair_count = if self.singleton_only {
-                0
-            } else {
-                scratch
-                    .violations
-                    .conflicting_pairs_into(&mut scratch.pairs);
-                scratch.pairs.len()
-            };
-            let choice = rng.random_range(0..scratch.singles.len() + pair_count);
-            if choice < scratch.singles.len() {
-                out.remove(scratch.singles[choice]);
-            } else {
-                let (f, g) = scratch.pairs[choice - scratch.singles.len()];
-                out.remove(f);
-                out.remove(g);
-            }
-        }
-    }
-
     /// Counts the justified operations available on `subset` — the factor
     /// `|Ops_s(D, Σ)|` of the leaf distribution, exposed for diagnostics
     /// and the lower-bound experiments.
@@ -400,7 +341,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashMap;
-    use ucqa_db::{FunctionalDependency, Schema, Value};
+    use ucqa_db::{FunctionalDependency, Schema, Value, ViolationSet};
     use ucqa_repair::{GeneratorSpec, OperationalSemantics, TreeLimits};
 
     fn running_example() -> (Database, FdSet) {
@@ -513,47 +454,6 @@ mod tests {
         for _ in 0..samples {
             sampler.sample_result_into(&mut rng, &mut repair, &mut scratch);
             assert!(ucqa_db::ViolationSet::compute(&db, &sigma, &repair).is_empty());
-            *counts
-                .entry(repair.iter().map(|f| f.index()).collect())
-                .or_insert(0) += 1;
-        }
-        assert_eq!(counts.len(), exact.len());
-        for (repair, probability) in exact {
-            let observed = counts.get(&repair).copied().unwrap_or(0) as f64 / samples as f64;
-            assert!(
-                (observed - probability).abs() < 0.02,
-                "repair {repair:?}: observed {observed}, exact {probability}"
-            );
-        }
-    }
-
-    #[test]
-    fn rescan_baseline_matches_exact_uniform_operations_semantics() {
-        // The pre-index walk must still realise the same leaf distribution
-        // (it is the measured baseline of the e14 bench).
-        let (db, sigma) = running_example();
-        let chain = GeneratorSpec::uniform_operations()
-            .build_chain(&db, &sigma, TreeLimits::default())
-            .unwrap();
-        let semantics = OperationalSemantics::from_chain(&chain);
-        let exact: HashMap<Vec<usize>, f64> = semantics
-            .repairs()
-            .iter()
-            .map(|entry| {
-                (
-                    entry.repair.iter().map(|f| f.index()).collect(),
-                    entry.probability.to_f64(),
-                )
-            })
-            .collect();
-        let sampler = OperationWalkSampler::new(&db, &sigma);
-        let mut rng = StdRng::seed_from_u64(77);
-        let mut repair = FactSet::empty(db.len());
-        let mut scratch = WalkScratch::new();
-        let samples = 40_000usize;
-        let mut counts: HashMap<Vec<usize>, usize> = HashMap::new();
-        for _ in 0..samples {
-            sampler.sample_result_rescan_into(&mut rng, &mut repair, &mut scratch);
             *counts
                 .entry(repair.iter().map(|f| f.index()).collect())
                 .or_insert(0) += 1;

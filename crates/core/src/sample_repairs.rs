@@ -29,8 +29,6 @@
 //! see: a bank's answer depends only on the blocks its witness facts meet
 //! (Lemma 5.2's per-block independence).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use rand::Rng;
 
 use ucqa_db::{BlockPartition, Database, DbError, FactId, FactSet, FdSet};

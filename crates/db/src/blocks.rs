@@ -6,8 +6,6 @@
 //! Blocks are the combinatorial backbone of the primary-key algorithms
 //! (Lemmas 5.2, 5.3, 6.2, 6.3, C.1, E.2, E.3, E.9, E.10).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use std::collections::HashMap;
 
 use crate::{Database, DbError, FactId, FdSet, RelationId, Sym, Value};

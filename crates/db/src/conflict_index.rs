@@ -35,8 +35,6 @@
 //! Components are numbered in order of their smallest fact id, so their
 //! ordinals survive any order-preserving renumbering of the fact ids.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use crate::{Database, FactChange, FactId, FactSet, FdSet, Violation, ViolationSet};
 
 /// Sentinel marking a fact/pair as absent from its dense live array.

@@ -1,7 +1,5 @@
 //! Databases: dictionary-encoded columnar fact storage with dense ids.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -610,36 +608,6 @@ impl Database {
             .flat_map(|column| column.iter())
             .map(|&sym| self.dict.decode(sym).clone())
             .collect()
-    }
-
-    /// Approximate resident bytes of the fact storage (columns, id maps,
-    /// dedup map, and the dictionary), for per-fact memory reporting.
-    /// Excludes the lazily built [`RelationIndex`]
-    /// (see [`RelationIndex::approx_bytes`]).
-    pub fn approx_fact_bytes(&self) -> usize {
-        let sym = std::mem::size_of::<Sym>();
-        let column_bytes: usize = self
-            .columns
-            .iter()
-            .flat_map(|relation| relation.iter())
-            .map(|column| column.len() * sym)
-            .sum();
-        let per_fact = std::mem::size_of::<RelationId>() // fact_rel
-            + std::mem::size_of::<u32>() // fact_row
-            + std::mem::size_of::<FactId>(); // by_relation entry
-                                             // by_key: key tuple + boxed row + value, with ~1.8x hash slack.
-        let key_bytes: usize = self
-            .by_key
-            .keys()
-            .map(|(_, row)| {
-                (std::mem::size_of::<(RelationId, Box<[Sym]>)>()
-                    + std::mem::size_of::<FactId>()
-                    + row.len() * sym)
-                    * 9
-                    / 5
-            })
-            .sum();
-        column_bytes + self.len() * per_fact + key_bytes + self.dict.approx_bytes()
     }
 
     /// Materializes the sub-database induced by `subset` as a new

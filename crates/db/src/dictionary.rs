@@ -12,8 +12,6 @@
 //! (like [`crate::ConflictIndex`]), cloned copy-on-write only if a
 //! snapshot is still held while new constants arrive.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use std::collections::HashMap;
 use std::fmt;
 
@@ -153,25 +151,6 @@ impl Dictionary {
             .enumerate()
             .map(|(i, v)| (Sym::new(i), v))
     }
-
-    /// Approximate resident bytes of the dictionary (entries plus string
-    /// payloads plus hash-map overhead), for memory reporting.
-    pub fn approx_bytes(&self) -> usize {
-        let payload: usize = self
-            .values
-            .iter()
-            .map(|v| match v {
-                Value::Int(_) => 0,
-                Value::Str(s) => s.len(),
-            })
-            .sum();
-        // One Value in `values`, one Value + Sym entry in `index` (with
-        // ~1.8x open-addressing slack), plus the shared str payload once
-        // (the Arc<str> buffer is shared between the two copies).
-        let value_size = std::mem::size_of::<Value>();
-        let entry = value_size + (value_size + std::mem::size_of::<Sym>()) * 2;
-        self.values.len() * entry + payload
-    }
 }
 
 #[cfg(test)]
@@ -246,14 +225,5 @@ mod tests {
         let a = dict.try_intern(Value::str("a")).unwrap();
         assert_eq!(dict.intern(Value::str("a")), a);
         assert_eq!(dict.len(), 1);
-    }
-
-    #[test]
-    fn approx_bytes_counts_string_payloads() {
-        let mut small = Dictionary::new();
-        small.intern(Value::int(1));
-        let mut big = Dictionary::new();
-        big.intern(Value::str("a-rather-long-constant-name"));
-        assert!(big.approx_bytes() > small.approx_bytes());
     }
 }

@@ -25,8 +25,6 @@
 //! deterministic — the counting-sort fill visits facts in id order, which
 //! also makes the runs valid inputs for [`intersect_postings`].
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use crate::{Database, FactId, RelationId, Sym, Value};
 
 /// The posting lists of one `(relation, position)` pair in CSR form.
@@ -319,19 +317,6 @@ impl RelationIndex {
             columns,
         }
     }
-
-    /// Approximate resident bytes of the index (offset arrays + runs), for
-    /// memory reporting.
-    pub fn approx_bytes(&self) -> usize {
-        self.columns
-            .iter()
-            .flatten()
-            .map(|column| {
-                column.offsets.len() * std::mem::size_of::<u32>()
-                    + column.facts.len() * std::mem::size_of::<FactId>()
-            })
-            .sum()
-    }
 }
 
 /// A compact snapshot of the planner-relevant statistics of a
@@ -498,7 +483,6 @@ mod tests {
         assert_eq!(index.relation_cardinality(s), 1);
         // 3 facts × arity 2 + 1 fact × arity 1.
         assert_eq!(index.posting_entries(), 7);
-        assert!(index.approx_bytes() > 0);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Compact subsets of a database's facts.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
-
 use std::fmt;
 
 use crate::FactId;

@@ -108,8 +108,9 @@ fn scan_fd(
 #[derive(Debug, Clone, Default)]
 pub struct ViolationSet {
     violations: Vec<Violation>,
-    /// Sort-key scratch of [`scan_fd`], reused across recomputes so the
-    /// walk's rescan loop stays allocation-free at steady state.
+    /// Sort-key scratch of [`scan_fd`], reused across recomputes so
+    /// repeated scans (the repairing tree's, one per node) stay
+    /// allocation-free at steady state.
     keyed: Vec<(u64, FactId)>,
 }
 

@@ -3,7 +3,7 @@
 //! The batched FPRAS drivers of `ucqa-core` estimate `k` queries over the
 //! **same** database by sampling each operational repair once and checking
 //! it against every query.  Compiling `k` independent
-//! [`CompiledLineage`]s would re-materialise shared witnesses (identical
+//! [`CompiledLineage`](crate::CompiledLineage)s would re-materialise shared witnesses (identical
 //! queries, overlapping joins) and re-scan them per query;
 //! [`LineageBank`] instead compiles all `(query, candidate)` pairs into
 //! one deduplicated arena of witness bitsets.  Each query keeps a bitmask
@@ -29,9 +29,7 @@
 //! the sequences into a **shared scan trie**, and enumerates the trie
 //! once.  Entries sharing an atom prefix share the partial joins of that
 //! prefix, so a bank of `k` overlapping joins costs ~one indexed
-//! enumeration pass instead of `k`.  The pre-plan behaviour (one naive
-//! backtracking pass per entry) survives as
-//! [`LineageBank::compile_unplanned`], the baseline of the `e17` bench.
+//! enumeration pass instead of `k`.
 //!
 //! The adaptive batched estimators *retire* queries as they converge;
 //! [`BankLiveSet`] tracks the live subset of a bank with a reference
@@ -51,7 +49,7 @@ use ucqa_db::{
 
 use crate::lineage::{SparseWitnesses, DEFAULT_WITNESS_CAP};
 use crate::plan::{candidate_facts, match_and_bind, unbind, SymAtom, SymTerm};
-use crate::{CompiledLineage, QueryError, QueryEvaluator};
+use crate::{QueryError, QueryEvaluator};
 
 /// `a ⊆ b` over sorted, deduplicated fact-id lists (sorted-merge scan).
 fn sorted_subset(a: &[FactId], b: &[FactId]) -> bool {
@@ -164,7 +162,7 @@ impl CompileBudget {
 /// `steps` is the *pass count* of the compile: candidate facts visited by
 /// the scan-trie DFS, including the fill passes of memoized subtrees but
 /// **not** their replays — so it measures how much enumeration work
-/// subtree sharing actually saved (the `e22` bench gates on it).
+/// subtree sharing actually saved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompileStats {
     /// Candidate facts visited by the scan-trie DFS.
@@ -296,8 +294,9 @@ impl LineageBank {
     /// factored into a scan trie, and witnesses for the whole bank are
     /// enumerated in one indexed pass over the trie.  Per entry, the
     /// witness set (and the fallback decision) is identical to a
-    /// standalone [`CompiledLineage::compile_with_cap`] — sharing changes
-    /// the compile cost, never the result.
+    /// standalone
+    /// [`CompiledLineage::compile_with_cap`](crate::CompiledLineage::compile_with_cap)
+    /// — sharing changes the compile cost, never the result.
     pub fn compile_with_cap(
         db: &Database,
         queries: &[BankQueryRef<'_>],
@@ -322,8 +321,8 @@ impl LineageBank {
     }
 
     /// As [`LineageBank::compile_with_budget`], additionally returning the
-    /// [`CompileStats`] of the shared enumeration — the pass count the
-    /// `e22` bench gates subtree sharing on.
+    /// [`CompileStats`] of the shared enumeration — the pass count that
+    /// shows how much work subtree sharing saved.
     pub fn compile_instrumented(
         db: &Database,
         queries: &[BankQueryRef<'_>],
@@ -372,41 +371,6 @@ impl LineageBank {
             })
             .collect();
         Ok((arena.finish(entries, db.version()), stats))
-    }
-
-    /// As [`LineageBank::compile`], on the **unplanned baseline**: one
-    /// naive backtracking enumeration pass per `(query, candidate)` entry
-    /// (via [`CompiledLineage::compile_unplanned`]), no prefix sharing.
-    /// The witness arena holds the same witness sets as the shared
-    /// compile; only the compile cost differs.  This is the pre-refactor
-    /// behaviour, kept as the measured baseline of the `e17` bench and the
-    /// cross-check of the property tests.
-    pub fn compile_unplanned(
-        db: &Database,
-        queries: &[BankQueryRef<'_>],
-    ) -> Result<Self, QueryError> {
-        Self::compile_unplanned_with_cap(db, queries, DEFAULT_WITNESS_CAP)
-    }
-
-    /// As [`LineageBank::compile_unplanned`], with an explicit cap.
-    pub fn compile_unplanned_with_cap(
-        db: &Database,
-        queries: &[BankQueryRef<'_>],
-        cap: usize,
-    ) -> Result<Self, QueryError> {
-        let mut arena = ArenaBuilder::new(db.len());
-        let mut entries = Vec::with_capacity(queries.len());
-        for &(evaluator, candidate) in queries {
-            entries.push(
-                match CompiledLineage::compile_unplanned_with_cap(evaluator, db, candidate, cap)? {
-                    None => BankEntry::Fallback,
-                    Some(lineage) => {
-                        arena.entry(lineage.witnesses().iter().map(|w| w.iter().collect()))
-                    }
-                },
-            );
-        }
-        Ok(arena.finish(entries, db.version()))
     }
 
     /// Incrementally refreshes the bank after database mutations, with the
@@ -1566,6 +1530,7 @@ impl BankLiveSet {
 mod tests {
     use super::*;
     use crate::parser::parse_query;
+    use crate::CompiledLineage;
     use ucqa_db::{ConflictIndex, FactId, FdSet, FunctionalDependency, Schema};
 
     fn blocks_db() -> Database {
@@ -1594,6 +1559,44 @@ mod tests {
                     .filter(move |i| (mask >> i) & 1 == 1)
                     .map(FactId::new),
             )
+        })
+    }
+
+    /// The reference witness set of one bank entry, from the backtracking
+    /// evaluator alone: the images of the homomorphisms answering the
+    /// candidate, duplicates and supersets absorbed, sorted.  `None` (a
+    /// fallback entry) iff more than `cap` homomorphisms answer it.
+    fn reference_witnesses(
+        db: &Database,
+        (evaluator, candidate): BankQueryRef<'_>,
+        cap: usize,
+    ) -> Option<Vec<Vec<FactId>>> {
+        let images: Vec<Vec<FactId>> = evaluator
+            .homomorphisms_unplanned(db, &db.all_facts(), None)
+            .into_iter()
+            .filter(|h| h.answer_tuple(evaluator.query()) == candidate)
+            .map(|h| h.image)
+            .collect();
+        if images.len() > cap {
+            return None;
+        }
+        let mut minimal: Vec<Vec<FactId>> = images
+            .iter()
+            .filter(|w| !images.iter().any(|v| v != *w && sorted_subset(v, w)))
+            .cloned()
+            .collect();
+        minimal.sort();
+        minimal.dedup();
+        Some(minimal)
+    }
+
+    /// Entry `entry`'s witnesses as sorted fact-id lists, in sorted order;
+    /// `None` for a fallback entry.
+    fn canonical(bank: &LineageBank, entry: usize) -> Option<Vec<Vec<FactId>>> {
+        bank.witnesses_of(entry).map(|witnesses| {
+            let mut ids: Vec<Vec<FactId>> = witnesses.iter().map(|w| w.iter().collect()).collect();
+            ids.sort();
+            ids
         })
     }
 
@@ -1896,22 +1899,29 @@ mod tests {
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         for cap in [DEFAULT_WITNESS_CAP, 2] {
             let shared = LineageBank::compile_with_cap(&db, &queries, cap).unwrap();
-            let baseline = LineageBank::compile_unplanned_with_cap(&db, &queries, cap).unwrap();
+            let reference: Vec<Option<Vec<Vec<FactId>>>> = queries
+                .iter()
+                .map(|&query| reference_witnesses(&db, query, cap))
+                .collect();
             let mut scratch = BankScratch::new();
             let mut shared_hits = vec![false; shared.len()];
-            let mut baseline_hits = vec![false; baseline.len()];
-            for i in 0..queries.len() {
-                assert_eq!(shared.is_fallback(i), baseline.is_fallback(i), "entry {i}");
-                assert_eq!(
-                    shared.query_witness_count(i),
-                    baseline.query_witness_count(i),
-                    "entry {i}"
-                );
+            for (i, expected) in reference.iter().enumerate() {
+                assert_eq!(shared.is_fallback(i), expected.is_none(), "entry {i}");
+                assert_eq!(&canonical(&shared, i), expected, "entry {i}");
             }
             for subset in subsets(db.len()) {
                 shared.evaluate_into(&subset, &mut scratch, &mut shared_hits);
-                baseline.evaluate_into(&subset, &mut scratch, &mut baseline_hits);
-                assert_eq!(shared_hits, baseline_hits, "cap {cap}, {subset:?}");
+                // Fallback entries report no hit: the caller routes them
+                // through the evaluator.
+                let reference_hits: Vec<bool> = reference
+                    .iter()
+                    .map(|witnesses| {
+                        witnesses.as_ref().is_some_and(|ws| {
+                            ws.iter().any(|w| w.iter().all(|&f| subset.contains(f)))
+                        })
+                    })
+                    .collect();
+                assert_eq!(shared_hits, reference_hits, "cap {cap}, {subset:?}");
             }
         }
     }
@@ -2331,20 +2341,11 @@ mod tests {
         // Fill pass: 4 S probes + one R('h', ·) walk (3 candidates), not
         // four walks.
         assert_eq!(stats.steps, 4 + 3, "shared fill, no repeated walks");
-        // Bit-identical to the unshared, unplanned baseline.
-        let baseline = LineageBank::compile_unplanned(&db, &queries).unwrap();
-        for entry in 0..queries.len() {
-            let canon = |b: &LineageBank| -> Vec<Vec<FactId>> {
-                let mut w: Vec<Vec<FactId>> = b
-                    .witnesses_of(entry)
-                    .unwrap()
-                    .iter()
-                    .map(|w| w.iter().collect())
-                    .collect();
-                w.sort();
-                w
-            };
-            assert_eq!(canon(&bank), canon(&baseline), "entry {entry}");
+        // Identical to the backtracking reference, entry by entry.
+        for (entry, &query) in queries.iter().enumerate() {
+            let expected = reference_witnesses(&db, query, DEFAULT_WITNESS_CAP);
+            assert!(expected.is_some(), "entry {entry}");
+            assert_eq!(canonical(&bank, entry), expected, "entry {entry}");
         }
     }
 
@@ -2353,7 +2354,8 @@ mod tests {
         // The shared suffix R(x, y) reads x, bound by each query's own S
         // atom — the memo key is the bound symbol, so occurrences binding
         // the same x share one fill while different bindings fill their
-        // own.  Either way the witness sets match the unplanned baseline.
+        // own.  Either way the witness sets match the backtracking
+        // reference.
         let mut schema = Schema::new();
         schema.add_relation("S", &["K", "V"]).unwrap();
         schema.add_relation("R", &["A", "B"]).unwrap();
@@ -2384,19 +2386,10 @@ mod tests {
         .unwrap();
         assert!(stats.shared_subtrees >= 1, "{stats:?}");
         assert_eq!(stats.replays, 3, "one replay per occurrence: {stats:?}");
-        let baseline = LineageBank::compile_unplanned(&db, &queries).unwrap();
-        for entry in 0..queries.len() {
-            let canon = |b: &LineageBank| -> Vec<Vec<FactId>> {
-                let mut w: Vec<Vec<FactId>> = b
-                    .witnesses_of(entry)
-                    .unwrap()
-                    .iter()
-                    .map(|w| w.iter().collect())
-                    .collect();
-                w.sort();
-                w
-            };
-            assert_eq!(canon(&bank), canon(&baseline), "entry {entry}");
+        for (entry, &query) in queries.iter().enumerate() {
+            let expected = reference_witnesses(&db, query, DEFAULT_WITNESS_CAP);
+            assert!(expected.is_some(), "entry {entry}");
+            assert_eq!(canonical(&bank, entry), expected, "entry {entry}");
         }
     }
 
@@ -2415,12 +2408,11 @@ mod tests {
             .collect();
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         let shared = LineageBank::compile_with_cap(&db, &queries, 1).unwrap();
-        let baseline = LineageBank::compile_unplanned_with_cap(&db, &queries, 1).unwrap();
-        for entry in 0..queries.len() {
+        for (entry, &query) in queries.iter().enumerate() {
             assert!(shared.is_fallback(entry), "entry {entry} must overflow");
             assert_eq!(
                 shared.is_fallback(entry),
-                baseline.is_fallback(entry),
+                reference_witnesses(&db, query, 1).is_none(),
                 "entry {entry}"
             );
         }

@@ -17,9 +17,10 @@
 //! only decoded back to [`Value`]s when a full homomorphism is reported.
 //!
 //! The pre-plan behaviour — body order, whole-relation scans — survives as
-//! the `*_unplanned` methods ([`QueryEvaluator::entails_unplanned`],
-//! [`QueryEvaluator::for_each_answer_image_unplanned`], …): the measured
-//! baseline of the `e17` bench and the cross-checking property tests.
+//! the `*_unplanned` methods ([`QueryEvaluator::homomorphisms_unplanned`],
+//! [`QueryEvaluator::entails_unplanned`],
+//! [`QueryEvaluator::has_answer_unplanned`]): the independent reference
+//! the tests compare the planned paths against.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -515,38 +516,6 @@ impl QueryEvaluator {
             &mut bindings,
             &mut image,
             &mut |_, _| true,
-        ))
-    }
-
-    /// As [`QueryEvaluator::for_each_answer_image`], on the unplanned
-    /// baseline — the pre-plan witness enumeration measured by the `e17`
-    /// bench and cross-checked by the property tests.
-    pub fn for_each_answer_image_unplanned<F>(
-        &self,
-        db: &Database,
-        subset: &FactSet,
-        candidate: &[Value],
-        mut visitor: F,
-    ) -> Result<bool, QueryError>
-    where
-        F: FnMut(&[FactId]) -> bool,
-    {
-        let mut bindings: Vec<Option<Sym>> = vec![None; self.slots.len()];
-        if !self.prebind_candidate(db.dictionary(), candidate, &mut bindings)? {
-            return Ok(false);
-        }
-        let Some(encoded) = self.encode_atoms(db) else {
-            return Ok(false);
-        };
-        let mut image = Vec::new();
-        Ok(self.search(
-            db,
-            &encoded,
-            subset,
-            0,
-            &mut bindings,
-            &mut image,
-            &mut |_, image| visitor(image),
         ))
     }
 

@@ -69,9 +69,7 @@ impl CompiledLineage {
     /// database's relation indexes, cost-ordered against the live
     /// statistics when the evaluator was built with
     /// [`QueryEvaluator::with_stats`]); the step order never changes the
-    /// compiled antichain, only the enumeration cost, and the pre-plan
-    /// behaviour survives as
-    /// [`CompiledLineage::compile_unplanned_with_cap`].
+    /// compiled antichain, only the enumeration cost.
     pub fn compile_with_cap(
         evaluator: &QueryEvaluator,
         db: &Database,
@@ -126,44 +124,6 @@ impl CompiledLineage {
             raw.len() > DEFAULT_WITNESS_CAP
         })?;
         if interrupted {
-            return Ok(None);
-        }
-        Ok(Some(Self::from_witnesses(raw, universe, db.version())))
-    }
-
-    /// As [`CompiledLineage::compile`], enumerating witnesses with the
-    /// **unplanned** backtracking baseline (body-order atoms,
-    /// whole-relation scans) — the pre-plan compile path measured by the
-    /// `e17` bench and cross-checked by the property tests.  The witness
-    /// set is identical to the planned compile's.
-    pub fn compile_unplanned(
-        evaluator: &QueryEvaluator,
-        db: &Database,
-        candidate: &[Value],
-    ) -> Result<Option<Self>, QueryError> {
-        Self::compile_unplanned_with_cap(evaluator, db, candidate, DEFAULT_WITNESS_CAP)
-    }
-
-    /// As [`CompiledLineage::compile_unplanned`], with an explicit cap.
-    pub fn compile_unplanned_with_cap(
-        evaluator: &QueryEvaluator,
-        db: &Database,
-        candidate: &[Value],
-        cap: usize,
-    ) -> Result<Option<Self>, QueryError> {
-        let universe = db.len();
-        let all = db.all_facts();
-        let mut raw: Vec<FactSet> = Vec::new();
-        let overflowed =
-            evaluator.for_each_answer_image_unplanned(db, &all, candidate, |image| {
-                let mut witness = FactSet::empty(universe);
-                for &fact in image {
-                    witness.insert(fact);
-                }
-                raw.push(witness);
-                raw.len() > cap
-            })?;
-        if overflowed {
             return Ok(None);
         }
         Ok(Some(Self::from_witnesses(raw, universe, db.version())))

@@ -18,9 +18,7 @@
 //!   cardinality per step, computed from live [`RelationIndex`]
 //!   statistics: the shortest constant-bound posting run, divided by the
 //!   distinct counts of variable-bound positions, falling back to the
-//!   relation cardinality for pure scans.  [`JoinPlan::build_with_stats`]
-//!   is the older middle ground that keeps coverage ordering and only
-//!   breaks ties with statistics.  Bound-late atoms become indexed
+//!   relation cardinality for pure scans.  Bound-late atoms become indexed
 //!   lookups instead of cross products, and [`JoinPlan::explain`] reports
 //!   the chosen order with per-step estimates.
 //! * **Access paths**: execution works on dictionary-encoded [`Sym`]
@@ -153,8 +151,6 @@ struct PlanStep {
 enum PlanMode<'a> {
     /// Bound coverage only; ties keep the body order.
     Structural,
-    /// Bound coverage first; ties broken by [`atom_cost`] estimates.
-    TieBreak(&'a RelationIndex, &'a Dictionary),
     /// Minimal [`step_estimate`] per step; ties broken by coverage, then
     /// body order.
     Costed(&'a RelationIndex, &'a Dictionary),
@@ -184,37 +180,10 @@ impl JoinPlan {
     ///
     /// Coverage ties go to the earliest body atom — a *stable* choice that
     /// keeps queries sharing a written prefix sharing it after planning
-    /// (which is what lets the bank trie factor it).  For
-    /// cardinality-aware tie-breaking see [`JoinPlan::build_with_stats`].
+    /// (which is what lets the bank trie factor it).  For a plan ordered
+    /// by estimated cardinality see [`JoinPlan::build_costed`].
     pub fn build(atoms: &[PlanAtom], slot_count: usize, prebound_slots: &[usize]) -> Self {
         JoinPlan::build_inner(atoms, slot_count, prebound_slots, PlanMode::Structural)
-    }
-
-    /// As [`JoinPlan::build`], but breaks coverage ties with exact
-    /// cardinality statistics from `index` (resolving constants through
-    /// `dict`): among equally-covered atoms, the one whose cheapest
-    /// constant-bound posting run ([`RelationIndex::posting_len`]) is
-    /// shortest wins; atoms without a constant-bound position compare by
-    /// an expected-matches estimate (relation cardinality over the
-    /// per-position distinct count of their variable-bound positions),
-    /// and remaining ties keep the body order.
-    ///
-    /// Statistics describe one concrete database, so plans built this way
-    /// are *per-database*; the default [`JoinPlan::build`] stays purely
-    /// structural (and is what the bank trie's prefix sharing relies on).
-    pub fn build_with_stats(
-        atoms: &[PlanAtom],
-        slot_count: usize,
-        prebound_slots: &[usize],
-        index: &RelationIndex,
-        dict: &Dictionary,
-    ) -> Self {
-        JoinPlan::build_inner(
-            atoms,
-            slot_count,
-            prebound_slots,
-            PlanMode::TieBreak(index, dict),
-        )
     }
 
     /// Plans `atoms` by a real cost model: at each step the planner picks
@@ -272,7 +241,6 @@ impl JoinPlan {
                 let coverage = atoms[atom].bound_positions(&bound).len();
                 let cost = match mode {
                     PlanMode::Structural => 0.0,
-                    PlanMode::TieBreak(index, dict) => atom_cost(&atoms[atom], &bound, index, dict),
                     PlanMode::Costed(index, dict) => {
                         step_estimate(&atoms[atom], &bound, index, dict)
                     }
@@ -280,12 +248,9 @@ impl JoinPlan {
                 let improves = match best {
                     None => true,
                     Some((_, best_coverage, best_cost)) => match mode {
+                        PlanMode::Structural => coverage > best_coverage,
                         PlanMode::Costed(..) => {
                             cost < best_cost || (cost == best_cost && coverage > best_coverage)
-                        }
-                        _ => {
-                            coverage > best_coverage
-                                || (coverage == best_coverage && cost < best_cost)
                         }
                     },
                 };
@@ -305,7 +270,7 @@ impl JoinPlan {
             }
             let estimate = match mode {
                 PlanMode::Structural => None,
-                _ => Some(cost),
+                PlanMode::Costed(..) => Some(cost),
             };
             steps.push(PlanStep {
                 atom,
@@ -668,32 +633,6 @@ fn step_estimate(atom: &PlanAtom, bound: &[bool], index: &RelationIndex, dict: &
     base / distinct_product
 }
 
-/// An expected-matches cost estimate for tie-breaking in
-/// [`JoinPlan::build_with_stats`]: the exact posting length for the best
-/// constant-bound position, else relation cardinality divided by the
-/// largest distinct count among bound positions, else the cardinality.
-fn atom_cost(atom: &PlanAtom, bound: &[bool], index: &RelationIndex, dict: &Dictionary) -> f64 {
-    let cardinality = index.relation_cardinality(atom.relation) as f64;
-    let mut cost = cardinality;
-    for (position, term) in atom.terms.iter().enumerate() {
-        let estimate = match term {
-            PlanTerm::Const(value) => match dict.lookup(value) {
-                Some(sym) => index.posting_len(atom.relation, position, sym) as f64,
-                // Never-interned constant: provably zero matches.
-                None => 0.0,
-            },
-            PlanTerm::Var(slot) if bound[*slot] => {
-                // The bound symbol is only known at run time; assume the
-                // position's average posting length.
-                cardinality / index.distinct_count(atom.relation, position).max(1) as f64
-            }
-            PlanTerm::Var(_) => continue,
-        };
-        cost = cost.min(estimate);
-    }
-    cost
-}
-
 /// Unifies an atom's encoded terms with one stored row against the current
 /// slot bindings.  On success, returns the term positions whose slots were
 /// **newly** bound by this frame as a bitmask (pass it to [`unbind`] on
@@ -701,8 +640,10 @@ fn atom_cost(atom: &PlanAtom, bound: &[bool], index: &RelationIndex, dict: &Dict
 /// `None` is returned.
 ///
 /// This is the one definition of the match-and-bind semantics, shared by
-/// the plan executor, the bank's scan trie, and the unplanned baseline —
-/// so the planned/unplanned witness-set-identity invariant cannot drift.
+/// the plan executor, the bank's scan trie, and the backtracking reference
+/// evaluator the tests compare them against — so the three cannot
+/// disagree on what a single atom matches, only on join order and access
+/// paths.
 /// Every comparison is a `u32` symbol compare against the relation's
 /// columns; the fact is never materialized.  The bitmask limits atoms to
 /// 64 terms, which `QueryEvaluator::new` enforces at construction.

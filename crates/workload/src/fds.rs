@@ -80,11 +80,11 @@ impl FdWorkload {
 /// (`R : A → B` and `R : C → B`, the shape of the paper's running
 /// example), with a unique payload attribute so that no FD is a key.
 ///
-/// This is the scaling workload of the `e14` incremental-conflict-index
-/// bench: at 5 000–50 000 facts the conflict structure stays sparse
-/// (block sizes are governed by `facts / (relations · lhs_domain)`), so
-/// the uniform-operations walk terminates in O(conflicting facts) steps
-/// while a per-step violation rescan still pays O(|D|) each step.
+/// This is the workload behind the benchmark's general-FD `fd_joins`
+/// runs: as it grows the conflict structure stays sparse (block sizes
+/// are governed by `facts / (relations · lhs_domain)`), so the
+/// uniform-operations walk terminates in O(conflicting facts) steps
+/// while a per-step violation rescan would pay O(|D|) each step.
 #[derive(Debug, Clone)]
 pub struct MultiFdWorkload {
     /// Total number of facts to draw (spread uniformly over relations).

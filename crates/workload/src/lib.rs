@@ -34,21 +34,21 @@
 //! |---|---|---|
 //! | [`BlockWorkload`] | primary keys | all three uniform semantics; block-profile counting (Lemmas 5.2/C.1/E.2) |
 //! | [`MultiKeyWorkload`] | keys, not primary | `M^uo` with pair removals (Theorem 7.1(2)) |
-//! | [`FdWorkload`] / [`MultiFdWorkload`] | non-key FDs | `M^{uo,1}` (Theorem 7.5); the conflict-index and batched-estimation scaling benches (e14–e16) |
-//! | [`proposition_d6_database`] | non-key FD, star conflicts | the Proposition D.6 negative result; the skewed-bank retirement study of e16 |
-//! | [`SkewedJoinWorkload`] | non-key FDs, skewed postings | cost-based vs coverage-greedy join planning and subtree-shared bank compilation (e22) |
+//! | [`FdWorkload`] / [`MultiFdWorkload`] | non-key FDs | `M^{uo,1}` (Theorem 7.5); the general-FD benchmark workload (`fd_joins`) and the component-local walk tests |
+//! | [`proposition_d6_database`] | non-key FD, star conflicts | the Proposition D.6 negative result; skewed banks whose cheap queries retire early |
+//! | [`SkewedJoinWorkload`] | non-key FDs, skewed postings | cost-based vs coverage-greedy join planning and subtree-shared bank compilation |
 //! | [`graphs`] | reduction databases | the hardness experiments (E10/E11) |
 //!
 //! [`MultiFdWorkload::scaling`] keeps the conflict degree roughly
 //! size-independent as the fact count grows, so walk cost scales with the
 //! conflict structure rather than quadratically — this is the standard
-//! scaling workload of the `BENCH_e14`–`BENCH_e17` reports.  The
+//! scaling workload of the benchmark's general-FD runs.  The
 //! [`queries`] module provides matched query generators
 //! ([`queries::block_lookup_query`], [`queries::fact_membership_query`],
 //! multi-query banks via [`queries::fact_membership_query_bank`], and
 //! banks of CQs sharing atom prefixes via
 //! [`queries::overlapping_join_bank`] — the shared-trie compilation
-//! workload of e17) whose candidates are guaranteed answers on the full
+//! workload) whose candidates are guaranteed answers on the full
 //! database, so target probabilities are non-zero.
 
 #![forbid(unsafe_code)]

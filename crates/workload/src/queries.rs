@@ -81,8 +81,8 @@ pub fn fact_membership_query_bank(
 /// the same `prefix_depth`-atom prefix and appends one diverging atom, so
 /// the bank is exactly the workload the shared-trie bank compilation
 /// (`ucqa_query::LineageBank::compile`) factors into ~one enumeration
-/// pass.  This is the workload of the `e17` plan-enumeration bench and of
-/// the planner property tests.
+/// pass.  This is the workload of the planner property tests and of the
+/// `join_planning` example.
 ///
 /// Construction (works over any schema whose relations have arity ≥ 2,
 /// e.g. `MultiFdWorkload`'s `R*(A, B, C, P)` or the block schema

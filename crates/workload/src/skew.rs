@@ -9,8 +9,8 @@
 //! remaining facts get globally unique **tail** values (the extreme-Zipf
 //! profile: one heavy head, a tail of singletons).  A lookup on the hot
 //! anchor therefore scans a posting of thousands of facts while a tail
-//! lookup touches exactly one, which is the regime the `e22` planning
-//! bench gates on.
+//! lookup touches exactly one, which is the regime where the two
+//! planners differ.
 //!
 //! Two query generators are matched to the workload:
 //!
@@ -86,7 +86,7 @@ impl SkewedJoinWorkload {
         }
     }
 
-    /// The scaling profile of the `e22` planning bench: two relations,
+    /// The scaling profile of the planning comparison: two relations,
     /// half of each relation's facts on its hot anchor, a join domain
     /// that grows with the fact count (so hot⋈hot match counts — and
     /// with them witness-set sizes — stay well under the compile cap),
@@ -192,7 +192,7 @@ fn hot_join_context(
 /// posting (thousands of facts) and probing R1 per binding — while the
 /// cost-based planner starts from the singleton tail posting and
 /// intersects into the hot side.  Same witness sets, orders-of-magnitude
-/// different enumeration cost: the head-to-head of the `e22` bench.
+/// different enumeration cost.
 ///
 /// The tail anchors are distinct singleton values chosen (by seed) from
 /// R1 facts whose `B` value also occurs among R0's hot facts, so every
@@ -269,7 +269,8 @@ pub fn hot_tail_join_queries(
 /// join.  Because the tail atom shares no variable with the hot atoms,
 /// that two-atom suffix is a closed common subtree, and the bank
 /// compiler's subtree factoring enumerates it once and replays it `k`
-/// times: the workload behind the `e22` pass-count gate.
+/// times: the workload behind the pass-count test of the subtree
+/// sharing.
 ///
 /// The hot join is guaranteed non-empty (the generator's `B` collisions
 /// are checked), so every query is entailed by the full database.
@@ -432,5 +433,52 @@ mod tests {
             }
         }
         assert_eq!(hot_suffix_bank(&db, 6, 3).unwrap(), bank);
+    }
+
+    #[test]
+    fn costed_hot_suffix_bank_compiles_within_1_3x_of_the_prefix_trie() {
+        // Costed plans lead with the distinct tail atom, so the bank loses
+        // its shared written prefix; subtree sharing must enumerate the
+        // common hot suffix once and replay it for every entry, keeping
+        // the pass count close to the structural prefix trie's.
+        use ucqa_query::lineage::DEFAULT_WITNESS_CAP;
+        use ucqa_query::{CompileBudget, CompileStats, LineageBank};
+
+        let (db, _) = workload().generate();
+        let k = 16;
+        let bank = hot_suffix_bank(&db, k, 3).unwrap();
+        let compile = |costed: bool| -> CompileStats {
+            let evaluators: Vec<QueryEvaluator> = bank
+                .iter()
+                .map(|q| {
+                    if costed {
+                        QueryEvaluator::with_stats(q.clone(), &db).unwrap()
+                    } else {
+                        QueryEvaluator::new(q.clone())
+                    }
+                })
+                .collect();
+            let refs: Vec<(&QueryEvaluator, &[Value])> =
+                evaluators.iter().map(|e| (e, &[] as &[Value])).collect();
+            let (compiled, stats) = LineageBank::compile_instrumented(
+                &db,
+                &refs,
+                DEFAULT_WITNESS_CAP,
+                &CompileBudget::unlimited(),
+            )
+            .unwrap();
+            for entry in 0..k {
+                assert!(!compiled.is_fallback(entry), "entry {entry} overflowed");
+            }
+            stats
+        };
+        let structural = compile(false);
+        let costed = compile(true);
+        assert!(costed.shared_subtrees >= 1, "{costed:?}");
+        assert!(costed.replays as usize >= k, "{costed:?}");
+        assert!(
+            costed.steps as f64 <= 1.3 * structural.steps as f64,
+            "costed {costed:?} vs structural {structural:?}"
+        );
     }
 }

@@ -204,6 +204,37 @@ pub fn canonical_witnesses(
     })
 }
 
+/// The reference witness set of `(evaluator, candidate)` over the whole
+/// database, in the format of [`canonical_witnesses`], built from the
+/// backtracking evaluator alone: the images of the homomorphisms whose
+/// answer tuple is `candidate`, with duplicates and supersets absorbed.
+/// `None` (a fallback entry) iff more than `cap` homomorphisms answer
+/// `candidate`.
+pub fn reference_witnesses(
+    evaluator: &QueryEvaluator,
+    db: &Database,
+    candidate: &[Value],
+    cap: usize,
+) -> Option<BTreeSet<Vec<FactId>>> {
+    let images: Vec<Vec<FactId>> = evaluator
+        .homomorphisms_unplanned(db, &db.all_facts(), None)
+        .into_iter()
+        .filter(|h| h.answer_tuple(evaluator.query()) == candidate)
+        .map(|h| h.image)
+        .collect();
+    if images.len() > cap {
+        return None;
+    }
+    let subset = |a: &[FactId], b: &[FactId]| a.iter().all(|f| b.binary_search(f).is_ok());
+    Some(
+        images
+            .iter()
+            .filter(|w| !images.iter().any(|v| v != *w && subset(v, w)))
+            .cloned()
+            .collect(),
+    )
+}
+
 /// Asserts the delta-maintained bank over the windowed database holds,
 /// entry by entry and under the id remap, the same witness sets as the
 /// bank compiled from scratch over the rebuilt window.

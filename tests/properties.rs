@@ -16,7 +16,7 @@ use uocqa::repair::{GeneratorSpec, OperationalSemantics, RepairingTree, TreeLimi
 mod common;
 use common::{
     all_specs, block_database, canonical_witnesses, fd_database, multi_fd_database,
-    parse_membership,
+    parse_membership, reference_witnesses,
 };
 
 proptest! {
@@ -375,7 +375,8 @@ proptest! {
     /// per-query homomorphism sets, compiled-lineage witness antichains,
     /// and whole banks compiled through the shared scan trie (including
     /// overlapping-join banks and over-cap fallback entries) all agree
-    /// with the pre-plan path on every tested subset.
+    /// with the reference witness sets built from the backtracking
+    /// evaluator's homomorphisms, on every tested subset.
     #[test]
     fn planned_enumeration_matches_the_backtracking_baseline(
         rows in prop::collection::vec((0u8..3, 0u8..3, 0u8..3, 0u8..2), 2..10),
@@ -433,8 +434,8 @@ proptest! {
             ));
         }
 
-        // Per-query: planned evaluation and compilation agree with the
-        // unplanned baseline.
+        // Per-query: planned evaluation agrees with the unplanned
+        // baseline, and compilation with the reference built from it.
         for (evaluator, candidate) in &evaluators {
             for subset in &subsets {
                 prop_assert_eq!(
@@ -448,49 +449,65 @@ proptest! {
                 prop_assert_eq!(planned, unplanned);
             }
             let planned = CompiledLineage::compile(evaluator, &db, candidate).unwrap();
-            let unplanned = CompiledLineage::compile_unplanned(evaluator, &db, candidate).unwrap();
+            let reference = reference_witnesses(
+                evaluator,
+                &db,
+                candidate,
+                uocqa::query::lineage::DEFAULT_WITNESS_CAP,
+            );
             let witness_set = |lineage: &CompiledLineage| -> std::collections::BTreeSet<Vec<FactId>> {
                 lineage.witnesses().iter().map(FactSet::to_vec).collect()
             };
-            match (&planned, &unplanned) {
-                (Some(p), Some(u)) => prop_assert_eq!(witness_set(p), witness_set(u)),
-                _ => prop_assert!(planned.is_none() == unplanned.is_none()),
-            }
+            prop_assert_eq!(planned.as_ref().map(witness_set), reference);
         }
 
-        // Whole-bank: the shared scan trie produces the same entries as
-        // one unplanned pass per entry, under the default cap and under a
-        // tiny cap that forces fallbacks.
+        // Whole-bank: the shared scan trie produces the reference entries,
+        // under the default cap and under a tiny cap that forces
+        // fallbacks.
         let refs: Vec<(&QueryEvaluator, &[Value])> =
             evaluators.iter().map(|(e, c)| (e, c.as_slice())).collect();
         for cap in [uocqa::query::lineage::DEFAULT_WITNESS_CAP, 1] {
             let shared = LineageBank::compile_with_cap(&db, &refs, cap).unwrap();
-            let baseline = LineageBank::compile_unplanned_with_cap(&db, &refs, cap).unwrap();
+            let reference: Vec<_> = refs
+                .iter()
+                .map(|&(evaluator, candidate)| reference_witnesses(evaluator, &db, candidate, cap))
+                .collect();
             let mut scratch = uocqa::query::BankScratch::new();
             let mut shared_hits = vec![false; shared.len()];
-            let mut baseline_hits = vec![false; baseline.len()];
-            for i in 0..refs.len() {
-                prop_assert_eq!(shared.is_fallback(i), baseline.is_fallback(i), "cap {}, entry {}", cap, i);
+            for (i, expected) in reference.iter().enumerate() {
+                prop_assert_eq!(shared.is_fallback(i), expected.is_none(), "cap {}, entry {}", cap, i);
                 prop_assert_eq!(
-                    shared.query_witness_count(i),
-                    baseline.query_witness_count(i),
+                    &canonical_witnesses(&shared, i, None),
+                    expected,
                     "cap {}, entry {}", cap, i
                 );
             }
             for subset in &subsets {
                 shared.evaluate_into(subset, &mut scratch, &mut shared_hits);
-                baseline.evaluate_into(subset, &mut scratch, &mut baseline_hits);
-                prop_assert_eq!(&shared_hits, &baseline_hits, "cap {}", cap);
+                // Fallback entries report no hit: the caller routes them
+                // through the evaluator.
+                let reference_hits: Vec<bool> = reference
+                    .iter()
+                    .map(|witnesses| {
+                        witnesses.as_ref().is_some_and(|ws| {
+                            ws.iter().any(|w| w.iter().all(|&f| subset.contains(f)))
+                        })
+                    })
+                    .collect();
+                prop_assert_eq!(&shared_hits, &reference_hits, "cap {}", cap);
             }
         }
     }
 
     /// Batched estimates are **bit-identical before and after the
     /// planning refactor**: under a fixed seed, driving the shared
-    /// sampler loop over the shared-trie-compiled bank returns exactly
-    /// the estimates of the same loop over the unplanned per-entry bank
-    /// (the pre-refactor compile path), across all six generator specs on
-    /// random primary-key databases with overlapping-join banks.
+    /// sampler loop over a bank compiled once with
+    /// `BatchEstimator::compile_bank` returns exactly the estimates of
+    /// `estimate_batch`, which compiles and routes internally, across all
+    /// six generator specs on random primary-key databases with
+    /// overlapping-join banks.  Agreement with the pre-plan compile path
+    /// follows from `planned_enumeration_matches_the_backtracking_baseline`:
+    /// equal witness sets consume a shared RNG stream identically.
     #[test]
     fn batched_estimates_are_bit_identical_before_and_after_planning(
         profile in prop::collection::vec(1usize..4, 1..4),
@@ -516,14 +533,9 @@ proptest! {
         for spec in all_specs() {
             let estimator = BatchEstimator::new(&db, &sigma, spec).unwrap();
             let planned_bank = estimator.compile_bank(&bank).unwrap();
-            let unplanned_bank = estimator.compile_bank_unplanned(&bank).unwrap();
             let planned = estimator
                 .estimate_batch_with_bank(&planned_bank, &bank, params, &mut StdRng::seed_from_u64(seed))
                 .unwrap();
-            let unplanned = estimator
-                .estimate_batch_with_bank(&unplanned_bank, &bank, params, &mut StdRng::seed_from_u64(seed))
-                .unwrap();
-            prop_assert_eq!(&planned, &unplanned, "spec {}", spec.short_name());
             let routed = estimator
                 .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(seed))
                 .unwrap();
@@ -1235,6 +1247,53 @@ proptest! {
                 .estimate_batch_with_bank(&recompiled, &batch, params, &mut StdRng::seed_from_u64(seed))
                 .unwrap();
             prop_assert_eq!(&refreshed, &fresh, "spec {}", spec.short_name());
+        }
+    }
+
+    /// `ConflictIndex::refresh` and `LineageBank::refresh` replay the same
+    /// changelog window: after every mutation round, including an empty
+    /// one, both report the same number of replayed changes — the round's
+    /// inserts plus deletes.
+    #[test]
+    fn conflict_and_bank_refreshes_replay_the_same_changelog_window(
+        profile in prop::collection::vec(1usize..4, 1..4),
+        rounds in prop::collection::vec((0usize..3, 0usize..2), 1..5),
+        seed in 0u64..200,
+    ) {
+        use uocqa::query::{BankQueryRef, LineageBank};
+
+        let (mut db, sigma) = block_database(&profile);
+        let evaluators: Vec<QueryEvaluator> = ["Ans() :- R(0, v)", "Ans() :- R(x, y), R(z, y)"]
+            .iter()
+            .map(|t| QueryEvaluator::new(uocqa::query::parser::parse_query(db.schema(), t).unwrap()))
+            .collect();
+        let bank_refs: Vec<BankQueryRef<'_>> =
+            evaluators.iter().map(|e| (e, &[] as &[Value])).collect();
+        let mut bank = LineageBank::compile(&db, &bank_refs).unwrap();
+        let mut conflict = ConflictIndex::build(&db, &sigma);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut next = 100i64;
+        for (inserts, deletes) in rounds {
+            for _ in 0..inserts {
+                // A fresh value in an existing block: never a duplicate,
+                // and it founds new violations and new witnesses.
+                let block = rng.random_range(0..profile.len() as i64);
+                db.insert_values("R", [Value::int(block), Value::int(next)])
+                    .unwrap();
+                next += 1;
+            }
+            let mut deleted = 0;
+            for _ in 0..deletes {
+                let live: Vec<FactId> = db.fact_ids().collect();
+                if live.len() > 1 {
+                    db.delete(live[rng.random_range(0..live.len())]).unwrap();
+                    deleted += 1;
+                }
+            }
+            let applied = conflict.refresh(&db, &sigma);
+            let bank_applied = bank.refresh(&db, &bank_refs).unwrap();
+            prop_assert_eq!(applied, bank_applied);
+            prop_assert_eq!(applied, inserts + deleted);
         }
     }
 

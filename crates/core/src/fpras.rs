@@ -15,6 +15,8 @@
 //! [`CoreError::Unsupported`] with the relevant theorem cited in the error
 //! message.
 
+use std::sync::Arc;
+
 use rand::Rng;
 
 use ucqa_db::{ConflictIndex, Database, FactSet, FdSet, Value};
@@ -279,7 +281,7 @@ impl<'a> OcqaEstimator<'a> {
         db: &'a Database,
         sigma: &'a FdSet,
         spec: GeneratorSpec,
-        index: ConflictIndex,
+        index: impl Into<Arc<ConflictIndex>>,
     ) -> Result<Self, CoreError> {
         if spec.semantics != UniformSemantics::Operations {
             return Err(CoreError::Unsupported {
@@ -291,14 +293,14 @@ impl<'a> OcqaEstimator<'a> {
                     .to_string(),
             });
         }
-        Self::new_inner(db, sigma, spec, Some(index))
+        Self::new_inner(db, sigma, spec, Some(index.into()))
     }
 
     fn new_inner(
         db: &'a Database,
         sigma: &'a FdSet,
         spec: GeneratorSpec,
-        index: Option<ConflictIndex>,
+        index: Option<Arc<ConflictIndex>>,
     ) -> Result<Self, CoreError> {
         let schema = db.schema();
         let primary_keys = sigma.is_primary_keys(schema);
@@ -665,7 +667,7 @@ impl<'a> BatchEstimator<'a> {
         db: &'a Database,
         sigma: &'a FdSet,
         spec: GeneratorSpec,
-        index: ConflictIndex,
+        index: impl Into<Arc<ConflictIndex>>,
     ) -> Result<Self, CoreError> {
         Ok(BatchEstimator {
             inner: OcqaEstimator::with_conflict_index(db, sigma, spec, index)?,

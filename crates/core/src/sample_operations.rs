@@ -31,6 +31,8 @@
 //! [`OperationWalkSampler::sample`], which returns a sequence, still
 //! walks all components interleaved on the caller's RNG.
 
+use std::sync::Arc;
+
 use rand::Rng;
 
 use ucqa_db::{ConflictIndex, Database, FactId, FactSet, FdSet, LiveOps};
@@ -87,7 +89,7 @@ pub struct WalkOutcome {
 #[derive(Debug, Clone)]
 pub struct OperationWalkSampler<'a> {
     db: &'a Database,
-    index: ConflictIndex,
+    index: Arc<ConflictIndex>,
     singleton_only: bool,
 }
 
@@ -97,7 +99,7 @@ impl<'a> OperationWalkSampler<'a> {
     pub fn new(db: &'a Database, sigma: &'a FdSet) -> Self {
         OperationWalkSampler {
             db,
-            index: ConflictIndex::build(db, sigma),
+            index: Arc::new(ConflictIndex::build(db, sigma)),
             singleton_only: false,
         }
     }
@@ -109,12 +111,19 @@ impl<'a> OperationWalkSampler<'a> {
     /// built by [`OperationWalkSampler::new`] under the same seed; only
     /// the construction cost differs.  The index holds everything the walk
     /// reads from the FD set, so the FD set itself is not consulted.
+    /// The index may be passed owned or as a shared [`Arc`]; a shared
+    /// index is not copied.
     ///
     /// # Panics
     /// Panics if `index` is stale: its universe must equal `db.len()` and
     /// its changelog version must equal `db.version()` (a freshly built or
     /// just-refreshed index satisfies both).
-    pub fn with_index(db: &'a Database, _sigma: &'a FdSet, index: ConflictIndex) -> Self {
+    pub fn with_index(
+        db: &'a Database,
+        _sigma: &'a FdSet,
+        index: impl Into<Arc<ConflictIndex>>,
+    ) -> Self {
+        let index = index.into();
         assert_eq!(
             index.universe(),
             db.len(),
@@ -157,7 +166,7 @@ impl<'a> OperationWalkSampler<'a> {
     /// defined in exactly one place; the operation universe is the
     /// cursor's, which for a singleton walk holds no pairs.
     fn step<R: Rng + ?Sized>(
-        &self,
+        index: &ConflictIndex,
         rng: &mut R,
         ops: &mut LiveOps,
     ) -> Option<(FactId, Option<FactId>, usize)> {
@@ -170,12 +179,12 @@ impl<'a> OperationWalkSampler<'a> {
         let (first, second) = if choice < singles {
             (ops.single(choice), None)
         } else {
-            let (f, g) = ops.pair(&self.index, choice - singles);
+            let (f, g) = ops.pair(index, choice - singles);
             (f, Some(g))
         };
-        ops.remove_fact(&self.index, first);
+        ops.remove_fact(index, first);
         if let Some(second) = second {
-            ops.remove_fact(&self.index, second);
+            ops.remove_fact(index, second);
         }
         Some((first, second, count))
     }
@@ -193,11 +202,12 @@ impl<'a> OperationWalkSampler<'a> {
     /// draws': `sample(rng).result` and `sample_result(rng)` are equally
     /// distributed, not equal.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> WalkOutcome {
+        let index: &ConflictIndex = &self.index;
         let mut ops = LiveOps::new();
-        ops.reset_full(&self.index, !self.singleton_only);
+        ops.reset_full(index, !self.singleton_only);
         let mut operations = Vec::new();
         let mut probability = LogFloat::one();
-        while let Some((first, second, count)) = self.step(rng, &mut ops) {
+        while let Some((first, second, count)) = Self::step(index, rng, &mut ops) {
             probability *= LogFloat::from_value(1.0 / count as f64);
             operations.push(match second {
                 None => Operation::remove_one(first),
@@ -283,14 +293,17 @@ impl<'a> OperationWalkSampler<'a> {
         out: &mut FactSet,
         scratch: &mut WalkScratch,
     ) {
+        // One deref of the shared index for the whole draw, not one per
+        // step.
+        let index: &ConflictIndex = &self.index;
         let ops = &mut scratch.ops;
         for component in components {
-            for &fact in self.index.component(component) {
+            for &fact in index.component(component) {
                 out.insert(fact);
             }
-            ops.reset_component(&self.index, component, !self.singleton_only);
+            ops.reset_component(index, component, !self.singleton_only);
             let mut stream = KeyedStream::new(key, component);
-            while let Some((first, second, _)) = self.step(&mut stream, ops) {
+            while let Some((first, second, _)) = Self::step(index, &mut stream, ops) {
                 out.remove(first);
                 if let Some(second) = second {
                     out.remove(second);

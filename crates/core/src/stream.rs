@@ -51,6 +51,9 @@
 //! for a long-running estimation service: admitting a new query to a
 //! draining bank is the same operation as re-admitting a changed one.
 
+use std::collections::HashSet;
+use std::sync::Arc;
+
 use rand::Rng;
 
 use ucqa_db::{
@@ -136,7 +139,10 @@ pub struct WindowedEstimator {
     sigma: FdSet,
     spec: GeneratorSpec,
     window: WindowSpec,
-    conflict: ConflictIndex,
+    /// Shared with the estimator of each pass, so a pass borrows the
+    /// index instead of copying it; refreshed through [`Arc::make_mut`],
+    /// which copies nothing once the pass's estimator is dropped.
+    conflict: Arc<ConflictIndex>,
     queries: Vec<(QueryEvaluator, Vec<Value>)>,
     bank: LineageBank,
     /// Per-entry fingerprints current with `bank` and `conflict` (see
@@ -221,7 +227,7 @@ impl WindowedEstimator {
         if let WindowSpec::Count(keep) = window {
             db.expire_oldest(keep)?;
         }
-        let conflict = ConflictIndex::build(&db, &sigma);
+        let conflict = Arc::new(ConflictIndex::build(&db, &sigma));
         let refs = Self::query_refs(&queries);
         let bank = LineageBank::compile(&db, &refs)?;
         drop(refs);
@@ -268,7 +274,7 @@ impl WindowedEstimator {
                 &self.db,
                 &self.sigma,
                 self.spec,
-                self.conflict.clone(),
+                Arc::clone(&self.conflict),
             )
         } else {
             BatchEstimator::new(&self.db, &self.sigma, self.spec)
@@ -289,10 +295,13 @@ impl WindowedEstimator {
                     // An explicit retraction may have beaten the window
                     // to this fact.
                     if self.db.is_live(id) {
-                        self.db.delete(id)?;
                         expired.push(id);
                     }
                 }
+                // A fact inserted more than once has more than one
+                // arrival, and several of them can fall due together.
+                distinct_in_order(&mut expired);
+                self.db.delete_all(&expired)?;
                 Ok(expired)
             }
         }
@@ -314,12 +323,15 @@ impl WindowedEstimator {
     /// poisoning the stream.
     pub fn tick(&mut self, inserts: Vec<Fact>, retracts: &[Fact]) -> Result<TickReport, CoreError> {
         self.tick += 1;
-        let mut retracted = 0usize;
-        for fact in retracts {
-            if self.db.retract(fact)?.is_some() {
-                retracted += 1;
-            }
-        }
+        // Retractions resolve to live ids before the insert, so a fact the
+        // tick both retracts and re-inserts is deleted and then re-minted,
+        // and they apply as one storage batch.
+        let mut retracted: Vec<FactId> = retracts
+            .iter()
+            .filter_map(|fact| self.db.fact_id(fact))
+            .collect();
+        distinct_in_order(&mut retracted);
+        self.db.delete_all(&retracted)?;
         let inserted_ids = self.db.extend(inserts)?;
         if matches!(self.window, WindowSpec::Ticks(_)) {
             let tick = self.tick;
@@ -331,7 +343,7 @@ impl WindowedEstimator {
         Ok(TickReport {
             tick: self.tick,
             inserted: inserted_ids.len(),
-            retracted,
+            retracted: retracted.len(),
             expired,
             replayed,
             changed,
@@ -356,7 +368,7 @@ impl WindowedEstimator {
         {
             return Ok((0, vec![false; self.queries.len()]));
         }
-        let conflict_replayed = self.conflict.refresh(&self.db, &self.sigma);
+        let conflict_replayed = Arc::make_mut(&mut self.conflict).refresh(&self.db, &self.sigma);
         let structure: ConflictStructure = self.conflict.structure();
         let refs = Self::query_refs(&self.queries);
         let delta =
@@ -548,6 +560,12 @@ impl WindowedEstimator {
     pub fn has_pending(&self) -> bool {
         self.pending.is_some()
     }
+}
+
+/// Keeps the first occurrence of each id, in order.
+fn distinct_in_order(ids: &mut Vec<FactId>) {
+    let mut seen = HashSet::with_capacity(ids.len());
+    ids.retain(|&id| seen.insert(id));
 }
 
 #[cfg(test)]

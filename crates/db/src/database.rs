@@ -79,17 +79,22 @@ pub struct Database {
     live: Vec<bool>,
     /// Number of live facts (`live` entries that are `true`).
     live_count: usize,
+    /// The lowest id that may be live: every id below it is deleted.
+    /// Ids are never reused and inserts append, so deletes only ever
+    /// advance it; it keeps [`Database::fact_ids`] and
+    /// [`Database::expire_oldest`] from rescanning the stream's history.
+    first_live: usize,
     /// The fact-level mutation log; `version()` is its length.
     log: Vec<FactChange>,
     /// Lazily built `(position, symbol) → fact ids` index backing the
     /// plan-based query evaluator; once built it is *maintained* under
-    /// mutations by fact-level delta application instead of being
-    /// invalidated and rebuilt.
+    /// mutations, one patch per batch, instead of being invalidated and
+    /// rebuilt.
     value_index: OnceLock<Arc<RelationIndex>>,
     /// Number of times the relation index has been (re)built, for
     /// observing cache behaviour under bulk loads.
     index_builds: AtomicU64,
-    /// Number of fact-level deltas applied to the cached relation index
+    /// Number of facts patched into or out of the cached relation index
     /// (diagnostics twin of `index_builds`).
     index_delta_applies: u64,
 }
@@ -111,6 +116,7 @@ impl Clone for Database {
             by_key: self.by_key.clone(),
             live: self.live.clone(),
             live_count: self.live_count,
+            first_live: self.first_live,
             log: self.log.clone(),
             value_index,
             index_builds: AtomicU64::new(self.index_builds.load(Ordering::Relaxed)),
@@ -150,6 +156,7 @@ impl Database {
             by_key: HashMap::new(),
             live: Vec::new(),
             live_count: 0,
+            first_live: 0,
             log: Vec::new(),
             value_index: OnceLock::new(),
             index_builds: AtomicU64::new(0),
@@ -247,9 +254,9 @@ impl Database {
     /// constants of genuinely new facts reach the dictionary: rejected and
     /// duplicate facts cannot grow the symbol table (and therefore cannot
     /// skew `distinct_count`-based planning statistics).  On commit the
-    /// cached [`RelationIndex`] (if built) absorbs the batch by fact-level
-    /// delta application; it is never invalidated.  Returns the id of each
-    /// input fact in order.
+    /// cached [`RelationIndex`] (if built) absorbs the whole batch in one
+    /// patch per touched posting column; it is never invalidated.  Returns
+    /// the id of each input fact in order.
     pub fn extend(
         &mut self,
         facts: impl IntoIterator<Item = Fact>,
@@ -266,7 +273,10 @@ impl Database {
         // New constants are assigned provisional symbols past the current
         // dictionary bound; they become real only if the whole batch
         // validates.
-        let dict = Arc::clone(&self.dict);
+        // A borrow, not a second `Arc` handle: the commit's
+        // `Arc::make_mut` must see the dictionary unshared to append in
+        // place instead of copying it.
+        let dict: &Dictionary = &self.dict;
         let mut staged_values: Vec<Value> = Vec::new();
         let mut staged_index: HashMap<Value, Sym> = HashMap::new();
         let mut slots: Vec<Slot> = Vec::new();
@@ -323,10 +333,13 @@ impl Database {
             if let Some(shared) = self.value_index.get_mut() {
                 let index = Arc::make_mut(shared);
                 index.ensure_sym_bound(self.dict.len());
-                for ((relation, row), &id) in pending.iter().zip(&pending_ids) {
-                    index.apply_insert(*relation, row, id);
-                    self.index_delta_applies += 1;
-                }
+                index.apply_inserts(
+                    pending
+                        .iter()
+                        .zip(&pending_ids)
+                        .map(|((relation, row), &id)| (*relation, &row[..], id)),
+                );
+                self.index_delta_applies += pending.len() as u64;
             }
         }
         Ok(slots
@@ -338,7 +351,8 @@ impl Database {
             .collect())
     }
 
-    /// Deletes the fact with the given id, if it is live.
+    /// Deletes the fact with the given id, if it is live: a batch of one
+    /// for [`Database::delete_all`].
     ///
     /// The id is tombstoned (never reused) and the fact's row is removed
     /// from the symbol columns — later rows of the same relation shift
@@ -348,38 +362,88 @@ impl Database {
     /// the deleted symbol row so delta consumers can replay it.  Returns
     /// [`DbError::NoSuchFact`] for an out-of-range or already-deleted id.
     pub fn delete(&mut self, id: FactId) -> Result<(), DbError> {
-        if !self.is_live(id) {
-            return Err(DbError::NoSuchFact {
-                index: id.index(),
-                universe: self.len(),
+        self.delete_all(&[id])
+    }
+
+    /// Deletes every fact of `ids` as one batch, with
+    /// **validate-then-commit** semantics like [`Database::extend`]: if
+    /// some id is out of range, already deleted or repeated, the call
+    /// returns [`DbError::NoSuchFact`] for the first such id and leaves
+    /// the database — facts, cached index, version, log — exactly as it
+    /// was.
+    ///
+    /// The log gains one [`FactChange::Deleted`] per id, in the order of
+    /// `ids`: the very entries a sequence of [`Database::delete`] calls
+    /// would log.  Storage is patched once for the batch: each touched
+    /// relation's columns, fact list and row map are compacted in one pass
+    /// from its first deleted row, and the cached [`RelationIndex`] (if
+    /// built) rewrites each touched posting column once.
+    pub fn delete_all(&mut self, ids: &[FactId]) -> Result<(), DbError> {
+        // --- Validate: tombstone as we go, so a repeated id fails exactly
+        // as a second `delete` would; undo everything on failure. ---
+        for (checked, &id) in ids.iter().enumerate() {
+            if !self.is_live(id) {
+                for &earlier in &ids[..checked] {
+                    self.live[earlier.index()] = true;
+                }
+                return Err(DbError::NoSuchFact {
+                    index: id.index(),
+                    universe: self.len(),
+                });
+            }
+            self.live[id.index()] = false;
+        }
+        if ids.is_empty() {
+            return Ok(());
+        }
+
+        // --- Commit: log every deletion in order, then compact. ---
+        let first_entry = self.log.len();
+        let mut rows: Vec<(RelationId, usize)> = Vec::with_capacity(ids.len());
+        for &id in ids {
+            let relation = self.fact_rel[id.index()];
+            let row = self.fact_row[id.index()] as usize;
+            let key = (
+                relation,
+                self.columns[relation.index()]
+                    .iter()
+                    .map(|column| column[row])
+                    .collect::<Box<[Sym]>>(),
+            );
+            self.by_key.remove(&key);
+            rows.push((relation, row));
+            self.log.push(FactChange::Deleted {
+                id,
+                relation,
+                row: key.1,
             });
         }
-        let relation = self.fact_rel[id.index()];
-        let row = self.fact_row[id.index()] as usize;
-        let columns = &mut self.columns[relation.index()];
-        let syms: Box<[Sym]> = columns.iter().map(|column| column[row]).collect();
-        for column in columns.iter_mut() {
-            column.remove(row);
+        self.live_count -= ids.len();
+        rows.sort_unstable();
+        for group in rows.chunk_by(|a, b| a.0 == b.0) {
+            let relation = group[0].0.index();
+            let rows: Vec<usize> = group.iter().map(|&(_, row)| row).collect();
+            for column in &mut self.columns[relation] {
+                remove_sorted(column, &rows);
+            }
+            let facts = &mut self.by_relation[relation];
+            remove_sorted(facts, &rows);
+            for (row, &id) in facts.iter().enumerate().skip(rows[0]) {
+                self.fact_row[id.index()] = row as u32;
+            }
         }
-        self.by_relation[relation.index()].remove(row);
-        for index in row..self.by_relation[relation.index()].len() {
-            let later = self.by_relation[relation.index()][index];
-            self.fact_row[later.index()] -= 1;
-        }
-        let key = (relation, syms);
-        self.by_key.remove(&key);
-        let (relation, syms) = key;
-        self.live[id.index()] = false;
-        self.live_count -= 1;
         if let Some(shared) = self.value_index.get_mut() {
-            Arc::make_mut(shared).apply_delete(relation, &syms, id);
-            self.index_delta_applies += 1;
+            Arc::make_mut(shared).apply_deletes(self.log[first_entry..].iter().filter_map(
+                |change| match change {
+                    FactChange::Deleted { id, relation, row } => Some((*relation, &row[..], *id)),
+                    FactChange::Inserted(_) => None,
+                },
+            ));
+            self.index_delta_applies += ids.len() as u64;
         }
-        self.log.push(FactChange::Deleted {
-            id,
-            relation,
-            row: syms,
-        });
+        while self.first_live < self.live.len() && !self.live[self.first_live] {
+            self.first_live += 1;
+        }
         Ok(())
     }
 
@@ -400,15 +464,15 @@ impl Database {
     /// returning the expired ids, oldest first.  "Oldest" is insertion
     /// order — fact ids are assigned monotonically and never reused, so
     /// the lowest live ids are the ones that slid out of a count-bounded
-    /// window.  Each expiry is an ordinary [`Database::delete`]: it
-    /// tombstones the id, patches the cached indexes, and logs a
-    /// [`FactChange::Deleted`] for delta consumers to replay.
+    /// window.  The expiries are one [`Database::delete_all`] batch: it
+    /// tombstones the ids, patches the cached indexes, and logs a
+    /// [`FactChange::Deleted`] per id for delta consumers to replay.  The
+    /// scan starts at the lowest id that may be live, so its cost follows
+    /// the window, not the stream's history.
     pub fn expire_oldest(&mut self, keep: usize) -> Result<Vec<FactId>, DbError> {
         let excess = self.live_count.saturating_sub(keep);
         let victims: Vec<FactId> = self.fact_ids().take(excess).collect();
-        for &id in &victims {
-            self.delete(id)?;
-        }
+        self.delete_all(&victims)?;
         Ok(victims)
     }
 
@@ -533,7 +597,7 @@ impl Database {
 
     /// Iterates over all live fact ids in insertion order.
     pub fn fact_ids(&self) -> impl Iterator<Item = FactId> + '_ {
-        (0..self.len())
+        (self.first_live..self.len())
             .map(FactId::new)
             .filter(move |&id| self.is_live(id))
     }
@@ -549,8 +613,8 @@ impl Database {
     }
 
     /// The `(position, symbol) → fact ids` index of this database, built
-    /// on first use and thereafter *maintained*: inserts and deletes patch
-    /// the cached index with fact-level deltas instead of invalidating it
+    /// on first use and thereafter *maintained*: each insert or delete
+    /// batch patches the cached index once instead of invalidating it
     /// (see [`Database::index_delta_applies`]).
     ///
     /// This is the access-path backbone of the plan-based query evaluator
@@ -577,9 +641,9 @@ impl Database {
         self.index_builds.load(Ordering::Relaxed)
     }
 
-    /// How many fact-level deltas have been applied to the cached relation
-    /// index (zero while no index is cached — an unbuilt index has nothing
-    /// to maintain).
+    /// How many facts have been patched into or out of the cached
+    /// relation index — a batch counts each of its facts (zero while no
+    /// index is cached — an unbuilt index has nothing to maintain).
     pub fn index_delta_applies(&self) -> u64 {
         self.index_delta_applies
     }
@@ -629,6 +693,21 @@ impl Database {
         parts.sort();
         format!("{{{}}}", parts.join(", "))
     }
+}
+
+/// Removes the elements at the ascending, distinct positions `rows` from
+/// `items`, moving the kept runs between them left as whole slices.
+fn remove_sorted<T: Copy>(items: &mut Vec<T>, rows: &[usize]) {
+    let Some(&first) = rows.first() else {
+        return;
+    };
+    let mut write = first;
+    for (n, &row) in rows.iter().enumerate() {
+        let next = rows.get(n + 1).copied().unwrap_or(items.len());
+        items.copy_within(row + 1..next, write);
+        write += next - row - 1;
+    }
+    items.truncate(write);
 }
 
 impl fmt::Debug for Database {
@@ -827,6 +906,176 @@ mod tests {
             snapshot.decode(Sym::new(0)),
             db.dictionary().decode(Sym::new(0))
         );
+    }
+
+    /// Regression: `extend` held a second handle on the dictionary while
+    /// committing, so copy-on-write copied the whole dictionary on every
+    /// batch that interned a constant, snapshot or not.
+    #[test]
+    fn extend_without_a_snapshot_interns_in_place() {
+        let mut db = Database::with_schema(schema_r2());
+        db.insert_values("R", [Value::int(1), Value::int(2)])
+            .unwrap();
+        let before: *const Dictionary = db.dictionary();
+        db.extend((3..40).map(|i| Fact::new(RelationId(0), vec![Value::int(i), Value::int(i)])))
+            .unwrap();
+        assert!(db.dictionary().lookup(&Value::int(39)).is_some());
+        assert!(
+            std::ptr::eq(before, db.dictionary()),
+            "an unshared dictionary must not be copied"
+        );
+    }
+
+    #[test]
+    fn delete_all_logs_what_a_delete_sequence_logs() {
+        let mut schema = schema_r2();
+        schema.add_relation("S", &["A"]).unwrap();
+        let mut batched = Database::with_schema(schema);
+        for i in 0..12 {
+            batched
+                .insert_values("R", [Value::int(i % 3), Value::int(i)])
+                .unwrap();
+            batched.insert_values("S", [Value::int(i % 4)]).unwrap();
+        }
+        batched.relation_index();
+        let mut sequential = batched.clone();
+        let version = batched.version();
+        // Unsorted, across both relations (R holds the even ids below 8
+        // and every id from 8, S the odd ones below 8), including the
+        // newest fact.
+        let victims: Vec<FactId> = [13, 0, 5, 2, 15, 3, 1, 14]
+            .into_iter()
+            .map(FactId::new)
+            .filter(|&id| batched.is_live(id))
+            .collect();
+        batched.delete_all(&victims).unwrap();
+        for &id in &victims {
+            sequential.delete(id).unwrap();
+        }
+        assert_eq!(
+            batched.changes_since(version),
+            sequential.changes_since(version)
+        );
+        assert_eq!(
+            batched.index_delta_applies(),
+            sequential.index_delta_applies()
+        );
+        assert_eq!(*batched.relation_index(), *sequential.relation_index());
+        assert_eq!(*batched.relation_index(), RelationIndex::build(&batched));
+        for relation in batched.schema().relation_ids() {
+            assert_eq!(batched.facts_of(relation), sequential.facts_of(relation));
+            assert_eq!(
+                batched.columns_of(relation),
+                sequential.columns_of(relation)
+            );
+        }
+        for id in batched.fact_ids() {
+            assert_eq!(batched.row_of(id), sequential.row_of(id));
+            assert_eq!(batched.fact(id), sequential.fact(id));
+        }
+        // An empty batch changes nothing.
+        batched.delete_all(&[]).unwrap();
+        assert_eq!(batched.version(), sequential.version());
+    }
+
+    #[test]
+    fn delete_all_with_a_dead_or_repeated_id_changes_nothing() {
+        let mut db = Database::with_schema(schema_r2());
+        let ids: Vec<FactId> = (0..5)
+            .map(|i| {
+                db.insert_values("R", [Value::int(i % 2), Value::int(i)])
+                    .unwrap()
+            })
+            .collect();
+        db.delete(ids[3]).unwrap();
+        db.relation_index();
+        let rel = RelationId(0);
+        let version = db.version();
+        let columns = db.columns_of(rel).to_vec();
+        let index = db.relation_index().clone();
+        let log = db.changes_since(0).to_vec();
+        for batch in [
+            vec![ids[0], ids[3], ids[1]],
+            vec![ids[0], ids[2], ids[0]],
+            vec![ids[4], FactId::new(99)],
+        ] {
+            let culprit = batch
+                .iter()
+                .enumerate()
+                .find(|&(n, &id)| !db.is_live(id) || batch[..n].contains(&id))
+                .map(|(_, id)| id.index());
+            match db.delete_all(&batch) {
+                Err(DbError::NoSuchFact { index, .. }) => assert_eq!(Some(index), culprit),
+                other => panic!("expected NoSuchFact for {batch:?}, got {other:?}"),
+            }
+            assert_eq!(db.version(), version);
+            assert_eq!(db.columns_of(rel), &columns[..]);
+            assert_eq!(*db.relation_index(), index);
+            assert_eq!(db.changes_since(0), &log[..]);
+            assert_eq!(db.live_count(), 4);
+            assert_eq!(
+                db.fact_ids().collect::<Vec<_>>(),
+                [0, 1, 2, 4].map(|i| ids[i])
+            );
+        }
+    }
+
+    #[test]
+    fn live_cursor_matches_a_full_scan_after_random_deletes_and_reinserts() {
+        let scan = |db: &Database| -> Vec<FactId> {
+            (0..db.len())
+                .map(FactId::new)
+                .filter(|&id| db.is_live(id))
+                .collect()
+        };
+        for seed in 1..=24u64 {
+            let mut db = Database::with_schema(schema_r2());
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut next = |bound: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % bound as u64) as usize
+            };
+            for step in 0..200 {
+                let live = scan(&db);
+                match next(8) {
+                    0..=3 => {
+                        let v = next(40) as i64;
+                        db.insert_values("R", [Value::int(v), Value::int(v % 5)])
+                            .unwrap();
+                    }
+                    4 | 5 if !live.is_empty() => {
+                        // One of the oldest live ids, where the cursor sits.
+                        let victim = live[next(live.len().min(4))];
+                        let fact = db.fact(victim);
+                        db.delete(victim).unwrap();
+                        if next(2) == 0 {
+                            db.insert(fact).unwrap();
+                        }
+                    }
+                    6 => {
+                        let victims: Vec<FactId> =
+                            live.iter().copied().filter(|_| next(3) == 0).collect();
+                        db.delete_all(&victims).unwrap();
+                    }
+                    _ => {
+                        let keep = live.len().saturating_sub(next(3));
+                        let expected = live[..live.len() - keep].to_vec();
+                        assert_eq!(
+                            db.expire_oldest(keep).unwrap(),
+                            expected,
+                            "seed {seed} step {step}"
+                        );
+                    }
+                }
+                assert_eq!(
+                    db.fact_ids().collect::<Vec<_>>(),
+                    scan(&db),
+                    "seed {seed} step {step}"
+                );
+            }
+        }
     }
 
     #[test]

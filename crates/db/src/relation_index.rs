@@ -15,12 +15,16 @@
 //!
 //! [`crate::Database::relation_index`] builds the index lazily on first
 //! use and caches it behind an `Arc`; once built, the cache is
-//! *maintained*: database mutations patch it with fact-level deltas
-//! (the crate-private `RelationIndex::apply_insert` /
-//! `RelationIndex::apply_delete`)
-//! instead of invalidating it, and a delta-maintained index is
-//! structurally equal to a fresh [`RelationIndex::build`] (the rebuild is
-//! the property-tested oracle).  Posting runs preserve insertion order of
+//! *maintained*: database mutations patch it instead of invalidating it.
+//! A mutation is a batch — one [`crate::Database::extend`] or
+//! [`crate::Database::delete_all`] — and the crate-private
+//! `RelationIndex::apply_inserts` / `RelationIndex::apply_deletes` rewrite
+//! each touched posting column once per batch: the column's sorted
+//! `(symbol, id)` change points split it into kept runs, which move as
+//! whole slices, and the offsets between two change points shift as one
+//! range by the running insert or delete count.  A delta-maintained index
+//! is structurally equal to a fresh [`RelationIndex::build`] (the rebuild
+//! is the property-tested oracle).  Posting runs preserve insertion order of
 //! the underlying fact ids (ascending), so enumeration orders are
 //! deterministic — the counting-sort fill visits facts in id order, which
 //! also makes the runs valid inputs for [`intersect_postings`].
@@ -50,6 +54,117 @@ impl PostingColumn {
             return &[];
         }
         &self.facts[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Adds `running` to the offsets `from..to`: the range between two
+    /// change points moves by the same delta, so it is shifted as one
+    /// slice.
+    #[inline]
+    fn shift(&mut self, from: usize, to: usize, running: u32, grow: bool) {
+        if running == 0 {
+            return;
+        }
+        let range = &mut self.offsets[from..to];
+        if grow {
+            range.iter_mut().for_each(|offset| *offset += running);
+        } else {
+            range.iter_mut().for_each(|offset| *offset -= running);
+        }
+    }
+
+    /// Appends each `(sym, id)` of `changes` to the run of `sym`, in one
+    /// pass over the column.
+    ///
+    /// `changes` must be sorted, and every id must exceed every id of its
+    /// run.  The kept runs move right as whole slices, back to front, by
+    /// the number of insertions before them; then the offsets shift a
+    /// range at a time by the running insertion count.
+    fn insert_sorted(&mut self, changes: &[(Sym, FactId)]) {
+        let old_len = self.facts.len();
+        self.facts.resize(old_len + changes.len(), FactId::new(0));
+        let mut read_end = old_len;
+        let mut write_end = self.facts.len();
+        for group in changes.chunk_by(|a, b| a.0 == b.0).rev() {
+            let run_end = self.offsets[group[0].0.index() + 1] as usize;
+            debug_assert!(
+                run_end == self.offsets[group[0].0.index()] as usize
+                    || self.facts[run_end - 1] < group[0].1,
+                "inserted fact id must exceed every indexed id of its run"
+            );
+            let kept = read_end - run_end;
+            self.facts.copy_within(run_end..read_end, write_end - kept);
+            write_end -= kept;
+            let fresh = &mut self.facts[write_end - group.len()..write_end];
+            for (slot, &(_, id)) in fresh.iter_mut().zip(group) {
+                *slot = id;
+            }
+            write_end -= group.len();
+            read_end = run_end;
+        }
+        debug_assert_eq!(read_end, write_end);
+        let mut running = 0u32;
+        let mut from = 0usize;
+        for group in changes.chunk_by(|a, b| a.0 == b.0) {
+            let s = group[0].0.index();
+            debug_assert!(
+                s + 1 < self.offsets.len(),
+                "insert without ensure_sym_bound: {} out of range",
+                group[0].0
+            );
+            if self.offsets[s] == self.offsets[s + 1] {
+                self.distinct += 1;
+            }
+            self.shift(from, s + 1, running, true);
+            running += group.len() as u32;
+            from = s + 1;
+        }
+        let end = self.offsets.len();
+        self.shift(from, end, running, true);
+    }
+
+    /// Removes each `(sym, id)` of `changes` from the run of `sym`, in one
+    /// pass over the column.
+    ///
+    /// `changes` must be sorted and free of duplicates.  The kept facts
+    /// between two removed ids move left as whole slices; then the offsets
+    /// shift a range at a time by the running removal count.
+    ///
+    /// # Panics
+    /// Panics if some `id` is not in the run of its `sym`.
+    fn delete_sorted(&mut self, changes: &[(Sym, FactId)]) {
+        let mut read = 0usize;
+        let mut write = 0usize;
+        let mut running = 0u32;
+        let mut from = 0usize;
+        for group in changes.chunk_by(|a, b| a.0 == b.0) {
+            let (sym, s) = (group[0].0, group[0].0.index());
+            let lo = self.offsets[s] as usize;
+            let hi = self.offsets[s + 1] as usize;
+            let mut search = lo;
+            for &(_, id) in group {
+                let at = match self.facts[search..hi].binary_search(&id) {
+                    Ok(at) => search + at,
+                    Err(_) => panic!("delete: {id} is not indexed under {sym}"),
+                };
+                if write != read {
+                    self.facts.copy_within(read..at, write);
+                }
+                write += at - read;
+                read = at + 1;
+                search = at + 1;
+            }
+            if hi - lo == group.len() {
+                self.distinct -= 1;
+            }
+            self.shift(from, s + 1, running, false);
+            running += group.len() as u32;
+            from = s + 1;
+        }
+        let len = self.facts.len();
+        self.facts.copy_within(read..len, write);
+        self.facts.truncate(write + len - read);
+        let end = self.offsets.len();
+        self.shift(from, end, running, false);
     }
 }
 
@@ -216,72 +331,76 @@ impl RelationIndex {
     pub(crate) fn ensure_sym_bound(&mut self, bound: usize) {
         for column in self.columns.iter_mut().flatten() {
             let tail = column.offsets.last().copied().unwrap_or(0);
-            if column.offsets.is_empty() {
-                column.offsets.push(0);
-            }
-            while column.offsets.len() < bound + 1 {
-                column.offsets.push(tail);
+            if column.offsets.len() < bound + 1 {
+                column.offsets.resize(bound + 1, tail);
             }
         }
     }
 
-    /// Applies the insertion of fact `id` with symbols `row` into
-    /// `relation`: appends `id` to the posting run of each
-    /// `(position, symbol)` pair and bumps the relation cardinality.
+    /// Applies a batch of insertions: each `(relation, row, id)` appends
+    /// `id` to the posting run of every `(position, symbol)` pair of `row`
+    /// and bumps the relation cardinality.  Each touched posting column is
+    /// rewritten once for the whole batch (see `PostingColumn::insert_sorted`).
     ///
-    /// `id` must be a *newly assigned* fact id — greater than every id
-    /// already indexed — so appending at the end of each run preserves the
-    /// ascending-run invariant.  Callers must have called
-    /// [`RelationIndex::ensure_sym_bound`] first if the insertion interned
-    /// new constants.
-    pub(crate) fn apply_insert(&mut self, relation: RelationId, row: &[Sym], id: FactId) {
-        self.cardinalities[relation.index()] += 1;
-        for (position, &sym) in row.iter().enumerate() {
-            let column = &mut self.columns[relation.index()][position];
-            let s = sym.index();
-            debug_assert!(
-                s + 1 < column.offsets.len(),
-                "apply_insert without ensure_sym_bound: {sym} out of range"
-            );
-            let end = column.offsets[s + 1] as usize;
-            if column.offsets[s] as usize == end {
-                column.distinct += 1;
-            }
-            debug_assert!(
-                end == 0 || column.facts[end - 1] < id,
-                "inserted fact id must exceed every indexed id of its run"
-            );
-            column.facts.insert(end, id);
-            for offset in &mut column.offsets[s + 1..] {
-                *offset += 1;
-            }
-        }
+    /// Every `id` must be a *newly assigned* fact id — greater than every
+    /// id already indexed — so appending at the end of each run preserves
+    /// the ascending-run invariant.  Callers must have called
+    /// [`RelationIndex::ensure_sym_bound`] first if the batch interned new
+    /// constants.
+    pub(crate) fn apply_inserts<'a>(
+        &mut self,
+        facts: impl IntoIterator<Item = (RelationId, &'a [Sym], FactId)>,
+    ) {
+        self.apply_batch(facts, true);
     }
 
-    /// Applies the deletion of fact `id` (which carried symbols `row` in
-    /// `relation`): removes `id` from the posting run of each
+    /// Applies a batch of deletions: each `(relation, row, id)` removes
+    /// `id` (which carried symbols `row`) from the posting run of every
     /// `(position, symbol)` pair and decrements the relation cardinality.
+    /// Each touched posting column is rewritten once for the whole batch
+    /// (see `PostingColumn::delete_sorted`).  The ids must be distinct.
     ///
     /// # Panics
-    /// Panics if `id` is not indexed under every `(position, symbol)` of
-    /// `row` — the row must be exactly the one the fact was inserted with.
-    pub(crate) fn apply_delete(&mut self, relation: RelationId, row: &[Sym], id: FactId) {
-        self.cardinalities[relation.index()] -= 1;
-        for (position, &sym) in row.iter().enumerate() {
-            let column = &mut self.columns[relation.index()][position];
-            let s = sym.index();
-            let lo = column.offsets[s] as usize;
-            let hi = column.offsets[s + 1] as usize;
-            let at = match column.facts[lo..hi].binary_search(&id) {
-                Ok(at) => lo + at,
-                Err(_) => panic!("apply_delete: {id} is not indexed under {sym}"),
-            };
-            column.facts.remove(at);
-            for offset in &mut column.offsets[s + 1..] {
-                *offset -= 1;
+    /// Panics if some `id` is not indexed under every `(position, symbol)`
+    /// of its `row` — the row must be exactly the one the fact was
+    /// inserted with.
+    pub(crate) fn apply_deletes<'a>(
+        &mut self,
+        facts: impl IntoIterator<Item = (RelationId, &'a [Sym], FactId)>,
+    ) {
+        self.apply_batch(facts, false);
+    }
+
+    /// Groups a batch by relation and hands every column of a touched
+    /// relation its `(symbol, id)` change points, sorted, in one call.
+    fn apply_batch<'a>(
+        &mut self,
+        facts: impl IntoIterator<Item = (RelationId, &'a [Sym], FactId)>,
+        insert: bool,
+    ) {
+        let mut by_relation: Vec<Vec<(&[Sym], FactId)>> = vec![Vec::new(); self.columns.len()];
+        for (relation, row, id) in facts {
+            by_relation[relation.index()].push((row, id));
+        }
+        let mut changes: Vec<(Sym, FactId)> = Vec::new();
+        for (relation, rows) in by_relation.iter().enumerate() {
+            if rows.is_empty() {
+                continue;
             }
-            if column.offsets[s] == column.offsets[s + 1] {
-                column.distinct -= 1;
+            for (position, column) in self.columns[relation].iter_mut().enumerate() {
+                changes.clear();
+                changes.extend(rows.iter().map(|&(row, id)| (row[position], id)));
+                changes.sort_unstable();
+                if insert {
+                    column.insert_sorted(&changes);
+                } else {
+                    column.delete_sorted(&changes);
+                }
+            }
+            if insert {
+                self.cardinalities[relation] += rows.len() as u32;
+            } else {
+                self.cardinalities[relation] -= rows.len() as u32;
             }
         }
     }

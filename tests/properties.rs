@@ -1084,16 +1084,16 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Interleaved `insert` / `delete` / `extend` streams keep the
-    /// delta-maintained structures equal to from-scratch rebuilds after
-    /// **every** step: the in-place patched relation index against
+    /// Interleaved `insert` / `delete` / `extend` / `delete_all` streams
+    /// keep the delta-maintained structures equal to from-scratch rebuilds
+    /// after **every** step: the in-place patched relation index against
     /// `RelationIndex::build`, and the changelog-replayed conflict index
     /// against `ConflictIndex::build` — the update-path oracle of the
     /// delta maintenance layer, on multi-FD cross-relation databases.
     #[test]
     fn delta_maintained_indexes_match_rebuilds_after_every_interleaved_step(
         rows in prop::collection::vec((0u8..3, 0u8..3, 0u8..3, 0u8..2), 1..12),
-        steps in prop::collection::vec((0u8..4, 0u8..3, 0u8..3, 0u8..3), 1..10),
+        steps in prop::collection::vec((0u8..6, 0u8..3, 0u8..3, 0u8..3), 1..10),
         seed in 0u64..1_000,
     ) {
         use uocqa::db::RelationIndex;
@@ -1139,7 +1139,7 @@ proptest! {
                     ];
                     db.extend(batch).unwrap();
                 }
-                _ => {
+                3 => {
                     // Delete-then-reinsert the same fact within one step:
                     // the changelog window sees the id both deleted and
                     // (re-)inserted.
@@ -1150,6 +1150,37 @@ proptest! {
                         db.delete(victim).unwrap();
                         db.insert(fact).unwrap();
                     }
+                }
+                _ => {
+                    // One batched delete across both relations: a random
+                    // subset of the live ids, plus the last fact of a
+                    // posting run (op 4) or every fact of a relation
+                    // (op 5), in shuffled order.  Its changelog must be
+                    // the one the per-fact sequence logs.
+                    let mut victims: Vec<FactId> =
+                        db.fact_ids().filter(|_| rng.random_bool(0.4)).collect();
+                    if op == 4 {
+                        let sym = db.dictionary().lookup(&Value::int(i64::from(a % 3)));
+                        let run = sym.map_or(&[][..], |sym| {
+                            db.relation_index().matches(r, usize::from(b % 3), sym)
+                        });
+                        victims.extend(run.last());
+                    } else {
+                        victims.extend(db.facts_of(if a % 2 == 0 { r } else { s }));
+                    }
+                    victims.sort_unstable();
+                    victims.dedup();
+                    for i in (1..victims.len()).rev() {
+                        victims.swap(i, rng.random_range(0..=i));
+                    }
+                    let version = db.version();
+                    let mut sequential = db.clone();
+                    for &id in &victims {
+                        sequential.delete(id).unwrap();
+                    }
+                    db.delete_all(&victims).unwrap();
+                    prop_assert_eq!(db.changes_since(version), sequential.changes_since(version));
+                    prop_assert_eq!(db.relation_index(), sequential.relation_index());
                 }
             }
             conflict.refresh(&db, &sigma);

@@ -35,7 +35,7 @@
 //! gate on its own; under uniform **sequences** the marginals also
 //! depend on how sequences of *other* components interleave, so any tick
 //! that changes the conflict-component structure anywhere
-//! ([`ConflictStructure::fingerprint`]) re-enrolls the whole bank.
+//! ([`ConflictIndex::structure_fingerprint`]) re-enrolls the whole bank.
 //! Consistent churn — facts that conflict with nothing sliding in and
 //! out — never disturbs reuse under any semantics.
 //!
@@ -56,9 +56,7 @@ use std::sync::Arc;
 
 use rand::Rng;
 
-use ucqa_db::{
-    ConflictIndex, ConflictStructure, Database, Fact, FactId, FdSet, StatsSnapshot, Value,
-};
+use ucqa_db::{ConflictIndex, Database, Fact, FactId, FdSet, StatsSnapshot, Value};
 use ucqa_query::{BankQueryRef, LineageBank, QueryEvaluator};
 use ucqa_repair::{GeneratorSpec, UniformSemantics};
 
@@ -151,8 +149,9 @@ pub struct WindowedEstimator {
     /// computed under no longer exists once a tick has mutated the
     /// database.
     fingerprints: Vec<Option<u64>>,
-    /// The [`ConflictStructure::fingerprint`] current with `conflict` —
-    /// the global freshness gate for uniform-sequences generators.
+    /// The [`ConflictIndex::structure_fingerprint`] current with
+    /// `conflict` — the global freshness gate for uniform-sequences
+    /// generators, and only read under them.
     structure: u64,
     /// The last fully-converged estimation pass over the current (or an
     /// earlier, fingerprint-equivalent) window state.
@@ -231,8 +230,8 @@ impl WindowedEstimator {
         let refs = Self::query_refs(&queries);
         let bank = LineageBank::compile(&db, &refs)?;
         drop(refs);
-        let structure = conflict.structure();
-        let fingerprints = bank.fingerprints(&structure);
+        let fingerprints = bank.fingerprints(&conflict);
+        let structure = conflict.structure_fingerprint();
         let enrolled = vec![true; queries.len()];
         let planning_stats = db.relation_index().stats_snapshot();
         let this = WindowedEstimator {
@@ -244,7 +243,7 @@ impl WindowedEstimator {
             queries,
             bank,
             fingerprints,
-            structure: structure.fingerprint(),
+            structure,
             prior: None,
             pending: None,
             baseline_params: None,
@@ -369,11 +368,10 @@ impl WindowedEstimator {
             return Ok((0, vec![false; self.queries.len()]));
         }
         let conflict_replayed = Arc::make_mut(&mut self.conflict).refresh(&self.db, &self.sigma);
-        let structure: ConflictStructure = self.conflict.structure();
         let refs = Self::query_refs(&self.queries);
         let delta =
             self.bank
-                .refresh_with_delta(&self.db, &refs, &self.fingerprints, &structure)?;
+                .refresh_with_delta(&self.db, &refs, &self.fingerprints, &self.conflict)?;
         drop(refs);
         let mut changed = delta.changed;
         // Uniform-sequences marginals depend on how the repairing
@@ -382,13 +380,14 @@ impl WindowedEstimator {
         // just those whose witness facts touch it.  (Uniform repairs and
         // uniform operations factorize per component, so their per-entry
         // fingerprints already tell the whole story.)
-        if self.spec.semantics == UniformSemantics::Sequences
-            && structure.fingerprint() != self.structure
-        {
-            changed.iter_mut().for_each(|c| *c = true);
+        if self.spec.semantics == UniformSemantics::Sequences {
+            let structure = self.conflict.structure_fingerprint();
+            if structure != self.structure {
+                changed.iter_mut().for_each(|c| *c = true);
+            }
+            self.structure = structure;
         }
         self.fingerprints = delta.fingerprints;
-        self.structure = structure.fingerprint();
         for (flag, &c) in self.enrolled.iter_mut().zip(&changed) {
             *flag |= c;
         }

@@ -9,13 +9,17 @@
 //! **once**, stores per-fact adjacency, and maintains the live operation
 //! sets incrementally:
 //!
-//! * [`ConflictIndex`] — the immutable part, built once per `(D, Σ)`:
-//!   the violations, the deduplicated conflicting pairs, one CSR
-//!   neighbour list per fact (each entry a conflicting fact and the id of
-//!   their pair), the singleton / pair operation universe, and the
-//!   **component partition** of the conflict graph (CSR
-//!   `component → facts` and `component → pair ids`, plus
-//!   `component_of(fact)`).  Shareable across threads.
+//! * [`ConflictIndex`] — the shared part, built once per `(D, Σ)` and
+//!   patched per database delta.  It stores the conflict graph **per
+//!   component**: each component's facts (ascending), its deduplicated
+//!   conflicting pairs (lexicographic), its violations (canonical order)
+//!   and its facts' neighbour runs (ascending neighbour id, each entry a
+//!   conflicting fact and the id of their pair) are contiguous runs of
+//!   four flat arenas, and one per-fact entry holds the fact's component
+//!   slot and its neighbour run.  Components are ranked in order of their
+//!   smallest fact id through a bitset of component minima whose
+//!   word-level popcount prefix gives each minimum its rank.  Shareable
+//!   across threads.
 //! * [`LiveOps`] — the mutable cursor owned by each walk: the live
 //!   sub-database, per-fact counts of live conflicting neighbours, and the
 //!   live singleton (and, optionally, pair) operation sets as dense
@@ -34,296 +38,305 @@
 //! on its own and can therefore skip the components a query cannot see.
 //! Components are numbered in order of their smallest fact id, so their
 //! ordinals survive any order-preserving renumbering of the fact ids.
+//!
+//! **Patching.**  A delta can only change the components it touches:
+//! those holding a deleted fact and those a fresh violation reaches.
+//! [`ConflictIndex::refresh`] re-partitions just their union, appends the
+//! rebuilt components to the arenas and frees the old runs; the arenas
+//! are compacted once their garbage outgrows their live entries.  Each
+//! component keeps a digest of its fact ids, and the structure
+//! fingerprint is the wrapping sum of the digests, so both follow the
+//! delta too.  The global lists [`ConflictIndex::pairs`],
+//! [`ConflictIndex::violations`] and [`ConflictIndex::conflicting_facts`]
+//! are views assembled on first use after a change, for diagnostics and
+//! tests; the walk never reads them.
 
-use crate::{Database, FactChange, FactId, FactSet, FdSet, Violation, ViolationSet};
+use std::ops::Range;
+use std::sync::OnceLock;
 
-/// Sentinel marking a fact/pair as absent from its dense live array.
+use crate::{Database, FactChange, FactId, FactSet, FdId, FdSet, Violation, ViolationSet};
+
+/// Sentinel marking a fact/pair as absent from its dense live array, and
+/// a fact as belonging to no component.
 const NOT_LIVE: u32 = u32::MAX;
 
-/// Merges two sorted, deduplicated, element-disjoint runs into one sorted
-/// list — the linear canonicalisation step of [`ConflictIndex::refresh`].
-/// Equal elements would indicate a broken disjointness invariant; they are
-/// collapsed (and rejected under `debug_assertions`) so the output stays
-/// canonical regardless.
-fn merge_disjoint_sorted<T: Ord + Copy>(a: Vec<T>, b: Vec<T>) -> Vec<T> {
-    debug_assert!(a.is_sorted() && b.is_sorted(), "runs must be sorted");
-    if b.is_empty() {
-        return a;
-    }
-    if a.is_empty() {
-        return b;
-    }
-    let mut merged = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                merged.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                merged.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                debug_assert!(false, "the merged runs must be disjoint");
-                merged.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    merged.extend_from_slice(&a[i..]);
-    merged.extend_from_slice(&b[j..]);
-    merged
+/// Per fact: its component slot and its neighbour run.
+#[derive(Debug, Clone, Copy)]
+struct FactEntry {
+    /// The slot of the fact's component in [`ConflictIndex::slots`], or
+    /// [`NOT_LIVE`] for a fact in no violation (conflict-free or deleted).
+    slot: u32,
+    /// Start of the fact's neighbour run in the neighbour arena.
+    start: u32,
+    /// Length of the run: the fact's degree in the conflict graph.
+    len: u32,
 }
 
-/// The immutable conflict structure of `(D, Σ)`, precomputed once.
+/// The entry of a fact in no component.
+const CONFLICT_FREE: FactEntry = FactEntry {
+    slot: NOT_LIVE,
+    start: 0,
+    len: 0,
+};
+
+/// A run `start..end` of one arena.
+#[derive(Debug, Clone, Copy, Default)]
+struct Run {
+    start: u32,
+    end: u32,
+}
+
+impl Run {
+    /// The run that `len` entries appended to an arena of `at` entries
+    /// occupy.
+    fn appended(at: usize, len: usize) -> Self {
+        Run {
+            start: at as u32,
+            end: (at + len) as u32,
+        }
+    }
+
+    fn range(self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
+
+    fn len(self) -> usize {
+        (self.end - self.start) as usize
+    }
+}
+
+/// One component's runs in the fact, pair and violation arenas, and its
+/// digest.  Its neighbour runs are contiguous too: they start at its
+/// smallest fact's run and hold two entries per pair.  A slot with an
+/// empty fact run is free.
+#[derive(Debug, Clone, Copy, Default)]
+struct Component {
+    facts: Run,
+    pairs: Run,
+    violations: Run,
+    /// FNV-1a over the component's size and its fact ids, ascending.
+    digest: u64,
+}
+
+impl Component {
+    /// The component's entry counts in the four arenas.
+    fn sizes(&self) -> [usize; 4] {
+        [
+            self.facts.len(),
+            self.pairs.len(),
+            self.violations.len(),
+            2 * self.pairs.len(),
+        ]
+    }
+}
+
+/// The four flat arenas every component's runs live in.  A pair's id is
+/// its position in `pairs`.
+#[derive(Debug, Clone, Default)]
+struct Arenas {
+    facts: Vec<FactId>,
+    pairs: Vec<(FactId, FactId)>,
+    violations: Vec<Violation>,
+    /// Each entry a conflicting fact and the id of the pair the two form.
+    neighbours: Vec<(FactId, u32)>,
+}
+
+impl Arenas {
+    /// The arenas' lengths, live runs and garbage together.
+    fn sizes(&self) -> [usize; 4] {
+        [
+            self.facts.len(),
+            self.pairs.len(),
+            self.violations.len(),
+            self.neighbours.len(),
+        ]
+    }
+}
+
+/// The whole-database lists, each assembled from the components on
+/// first use.
+#[derive(Debug, Default)]
+struct Views {
+    violations: OnceLock<Vec<Violation>>,
+    pairs: OnceLock<Vec<(FactId, FactId)>>,
+    /// The arena ids of the pairs, in pair order.
+    pair_ids: OnceLock<Vec<u32>>,
+    conflicting: OnceLock<Vec<FactId>>,
+}
+
+/// The conflict structure of `(D, Σ)`: precomputed once, patched per
+/// delta.
 ///
 /// Holds `V(D, Σ)` plus the adjacency needed to maintain the justified
-/// operation sets of any sub-database reached by removals.  All state that
-/// changes during a walk lives in [`LiveOps`], so one `ConflictIndex` can
-/// back any number of concurrent walks.
+/// operation sets of any sub-database reached by removals, stored per
+/// conflict component (see the module docs).  All state that changes
+/// during a walk lives in [`LiveOps`], so one `ConflictIndex` can back any
+/// number of concurrent walks.
 ///
-/// A [`ConflictIndex::build`]-created index remembers the database
-/// version it describes and can be brought up to date with
-/// [`ConflictIndex::refresh`], which replays the fact-level changelog
-/// instead of recomputing `V(D, Σ)` from scratch; the refreshed index is
-/// structurally equal to a fresh build (the property-tested oracle).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An index remembers the database version it describes and is brought up
+/// to date with [`ConflictIndex::refresh`], which replays the fact-level
+/// changelog instead of recomputing `V(D, Σ)` from scratch; the refreshed
+/// index equals a fresh build (the property-tested oracle).  Equality is
+/// canonical: it compares the universe, the version, the pairs, the
+/// violations, each fact's neighbours and the components in rank order,
+/// never the arena layout.  A clone leaves the whole-database views
+/// behind; it assembles its own on first use.
+#[derive(Debug)]
 pub struct ConflictIndex {
     universe: usize,
     /// The [`Database::version`] this index describes (the changelog
     /// cursor [`ConflictIndex::refresh`] resumes from).
     version: u64,
-    /// `V(D, Σ)`, canonically sorted.
-    violations: Vec<Violation>,
-    /// The deduplicated conflicting pairs (the pair-operation universe),
-    /// canonically sorted.
-    pairs: Vec<(FactId, FactId)>,
-    /// CSR offsets into [`ConflictIndex::neighbours`] (length
-    /// `universe + 1`).
-    neighbour_offsets: Vec<u32>,
-    /// Per fact, in pair-id order: each conflicting fact and the id of
-    /// the pair the two form.
-    neighbours: Vec<(FactId, u32)>,
-    /// Facts involved in at least one violation (the singleton-operation
-    /// universe), sorted.
-    conflicting: Vec<FactId>,
-    /// The connected components of the conflict graph.
-    partition: ComponentPartition,
+    /// Per fact id: its component slot and its neighbour run.
+    facts: Vec<FactEntry>,
+    arenas: Arenas,
+    /// The arena entries the live components hold, per arena.
+    live: [usize; 4],
+    /// The components, by slot; free slots are listed in `free`.
+    slots: Vec<Component>,
+    free: Vec<u32>,
+    /// A bit per fact id, set at each component's smallest fact.
+    minima: Vec<u64>,
+    /// Per word of `minima`: the bits set in the words before it, so the
+    /// rank of a component is one load and one popcount.
+    ranks: Vec<u32>,
+    /// The first word of `ranks` that is out of date.
+    stale_ranks: usize,
+    /// The number of live components.
+    components: usize,
+    /// The wrapping sum of the component digests.
+    fingerprint: u64,
+    views: Views,
+    /// Components stored by [`ConflictIndex::build`] and every
+    /// [`ConflictIndex::refresh`] since.
+    #[cfg(test)]
+    stored: u64,
 }
 
-/// The connected components of a conflict graph as CSR arrays, numbered
-/// in order of their smallest fact id.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ComponentPartition {
-    /// Per fact: its component, or [`NOT_LIVE`] for a fact in no
-    /// violation.
-    of: Vec<u32>,
-    /// CSR offsets into `facts` (length `components + 1`).
-    fact_offsets: Vec<u32>,
-    /// Each component's facts, ascending.
-    facts: Vec<FactId>,
-    /// CSR offsets into `pairs` (length `components + 1`).
-    pair_offsets: Vec<u32>,
-    /// Each component's pair ids, ascending.
-    pairs: Vec<u32>,
-}
-
-impl ComponentPartition {
-    /// Groups the `conflicting` facts (sorted) by reachability over
-    /// `pairs` with one union-find pass.
-    fn compute(universe: usize, conflicting: &[FactId], pairs: &[(FactId, FactId)]) -> Self {
-        // Path halving; linking the larger root under the smaller keeps
-        // every root the smallest fact id of its set, and every parent at
-        // most its child.
-        let mut parent: Vec<u32> = (0..universe as u32).collect();
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                parent[x as usize] = parent[parent[x as usize] as usize];
-                x = parent[x as usize];
-            }
-            x
-        }
-        for &(a, b) in pairs {
-            let (ra, rb) = (
-                find(&mut parent, a.index() as u32),
-                find(&mut parent, b.index() as u32),
-            );
-            if ra != rb {
-                parent[ra.max(rb) as usize] = ra.min(rb);
-            }
-        }
-        // Relabel `parent` into the component map in ascending order: a
-        // fact is either its set's root (a new component) or points to a
-        // smaller member of its set, which already holds its component.
-        let mut of = parent;
-        let mut count = 0;
-        let mut next = 0;
-        for &fact in conflicting {
-            let f = fact.index();
-            of[next..f].fill(NOT_LIVE);
-            next = f + 1;
-            of[f] = if of[f] as usize == f {
-                count += 1;
-                count - 1
-            } else {
-                of[of[f] as usize]
-            };
-        }
-        of[next..].fill(NOT_LIVE);
-        let component = |fact: FactId| of[fact.index()] as usize;
-        let (fact_offsets, facts) = group_by_key(
-            count as usize,
-            FactId::new(0),
-            conflicting.iter().map(|&fact| (component(fact), fact)),
-        );
-        let (pair_offsets, pairs) = group_by_key(
-            count as usize,
-            0,
-            (0..).zip(pairs).map(|(id, &(a, _))| (component(a), id)),
-        );
-        ComponentPartition {
-            of,
-            fact_offsets,
-            facts,
-            pair_offsets,
-            pairs,
-        }
-    }
-}
-
-/// Counting sort into CSR form: the `(key, value)` items grouped by key
-/// in `0..keys`, each group in input order.  Returns the `keys + 1`
-/// offsets and the grouped values.
-fn group_by_key<T: Copy>(
+/// Counting sort onto the end of an arena: appends the values of the
+/// `(key, value)` items to `arena` grouped by key in `0..keys`, each group
+/// in input order, and returns the `keys + 1` arena offsets of the groups.
+fn append_grouped<T: Copy>(
+    arena: &mut Vec<T>,
     keys: usize,
     zero: T,
     items: impl Iterator<Item = (usize, T)> + Clone,
-) -> (Vec<u32>, Vec<T>) {
+) -> Vec<u32> {
     let mut offsets = vec![0u32; keys + 1];
+    offsets[0] = arena.len() as u32;
     for (key, _) in items.clone() {
         offsets[key + 1] += 1;
     }
     for key in 0..keys {
         offsets[key + 1] += offsets[key];
     }
-    let mut values = vec![zero; offsets[keys] as usize];
+    arena.resize(offsets[keys] as usize, zero);
     let mut cursor = offsets.clone();
     for (key, value) in items {
-        values[cursor[key] as usize] = value;
+        arena[cursor[key] as usize] = value;
         cursor[key] += 1;
     }
-    (offsets, values)
+    offsets
+}
+
+/// The digest of a fact in no component: the digest of `[id]`.
+fn singleton_digest(fact: FactId) -> u64 {
+    let mut h = Fnv::new();
+    h.mix(1);
+    h.mix(fact.index() as u64);
+    h.finish()
+}
+
+/// The positions of the bits set in `bits`, the `word`-th word of a
+/// bitset, ascending.
+fn set_bits(word: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if bits == 0 {
+            return None;
+        }
+        let bit = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        Some(word * 64 + bit)
+    })
 }
 
 impl ConflictIndex {
+    /// An index over `universe` facts with no components.
+    fn empty(universe: usize, version: u64) -> Self {
+        ConflictIndex {
+            universe,
+            version,
+            facts: vec![CONFLICT_FREE; universe],
+            arenas: Arenas::default(),
+            live: [0; 4],
+            slots: Vec::new(),
+            free: Vec::new(),
+            minima: vec![0; universe.div_ceil(64)],
+            ranks: Vec::new(),
+            stale_ranks: 0,
+            components: 0,
+            fingerprint: 0,
+            views: Views::default(),
+            #[cfg(test)]
+            stored: 0,
+        }
+    }
+
     /// Builds the index of `db` w.r.t. `sigma`, computing `V(D, Σ)` once.
     pub fn build(db: &Database, sigma: &FdSet) -> Self {
         let violations = ViolationSet::of_database(db, sigma);
-        Self::assemble(db.len(), db.version(), violations.violations().to_vec())
-    }
-
-    /// Builds the index over `universe` facts from a precomputed violation
-    /// set of the **full** database.
-    ///
-    /// The index carries version 0; only [`ConflictIndex::build`]-created
-    /// indexes track the database version for [`ConflictIndex::refresh`].
-    pub fn from_violations(universe: usize, violations: &ViolationSet) -> Self {
-        Self::assemble(universe, 0, violations.violations().to_vec())
-    }
-
-    /// Assembles the CSR structure from a canonically sorted, deduplicated
-    /// violation list — the shared tail of [`ConflictIndex::build`] and
-    /// [`ConflictIndex::refresh`], so a refreshed index is reassembled
-    /// exactly like a fresh one.
-    fn assemble(universe: usize, version: u64, violations: Vec<Violation>) -> Self {
+        let violations = violations.violations();
         // Deduplicated pair universe (several FDs may violate the same
         // pair).
         let mut pairs: Vec<(FactId, FactId)> = violations.iter().map(Violation::pair).collect();
         pairs.sort_unstable();
         pairs.dedup();
-        Self::assemble_with_pairs(universe, version, violations, pairs)
-    }
-
-    /// As [`ConflictIndex::assemble`], with the deduplicated, sorted pair
-    /// universe already computed — [`ConflictIndex::refresh`] obtains it
-    /// by merging sorted runs instead of re-sorting `2|V|` pairs.
-    fn assemble_with_pairs(
-        universe: usize,
-        version: u64,
-        violations: Vec<Violation>,
-        pairs: Vec<(FactId, FactId)>,
-    ) -> Self {
-        debug_assert!(violations.is_sorted(), "violations must be canonical");
-        debug_assert!(pairs.is_sorted(), "pairs must be canonical");
-
-        // CSR adjacency fact → (neighbour, pair id) (two passes: count,
-        // fill).
-        let mut neighbour_offsets = vec![0u32; universe + 1];
+        let mut conflicting = vec![false; db.len()];
         for &(a, b) in &pairs {
-            neighbour_offsets[a.index() + 1] += 1;
-            neighbour_offsets[b.index() + 1] += 1;
+            conflicting[a.index()] = true;
+            conflicting[b.index()] = true;
         }
-        for i in 0..universe {
-            neighbour_offsets[i + 1] += neighbour_offsets[i];
-        }
-        let mut neighbours = vec![(FactId::new(0), 0u32); pairs.len() * 2];
-        let mut cursor = neighbour_offsets.clone();
-        for (id, &(a, b)) in (0..).zip(&pairs) {
-            for (fact, other) in [(a, b), (b, a)] {
-                neighbours[cursor[fact.index()] as usize] = (other, id);
-                cursor[fact.index()] += 1;
-            }
-        }
-
-        let conflicting: Vec<FactId> = (0..universe)
-            .filter(|&f| neighbour_offsets[f + 1] > neighbour_offsets[f])
+        let facts: Vec<FactId> = (0..db.len())
+            .filter(|&f| conflicting[f])
             .map(FactId::new)
             .collect();
-        let partition = ComponentPartition::compute(universe, &conflicting, &pairs);
-
-        ConflictIndex {
-            universe,
-            version,
-            violations,
-            pairs,
-            neighbour_offsets,
-            neighbours,
-            conflicting,
-            partition,
-        }
+        let mut index = ConflictIndex::empty(db.len(), db.version());
+        index.store(&facts, &pairs, violations);
+        index.update_ranks();
+        index
     }
 
-    /// Brings a [`ConflictIndex::build`]-created index up to date with
-    /// `db` by replaying the fact-level changelog since the index's
-    /// version, returning the number of changes applied.
+    /// Brings the index up to date with `db` by replaying the fact-level
+    /// changelog since the index's version, returning the number of
+    /// changes applied.
     ///
     /// Violations are *local*: a violation of the current database either
-    /// survives from the old one (neither endpoint was deleted — an O(|V|)
-    /// filter) or touches a fact inserted since (discovered through the
-    /// maintained [`crate::RelationIndex`]'s posting runs, looking only at
-    /// the blocks of the inserted facts).  Survivors keep the canonical
-    /// order of the old list and a delta violation always touches a fact
-    /// that did not exist at the old version, so the two runs are disjoint
-    /// and a linear merge (no re-sort of `|V|` elements) canonicalises the
-    /// result; the pair universe is maintained the same way.  The CSR
-    /// adjacency is then reassembled, so the result is structurally equal
-    /// to `ConflictIndex::build(db, sigma)` — at a cost proportional to
-    /// the delta plus `|V|`, not to `|D|`.
+    /// survives from the old one (neither endpoint was deleted) or touches
+    /// a fact inserted since (discovered through the maintained
+    /// [`crate::RelationIndex`]'s posting runs, looking only at the blocks
+    /// of the inserted facts).  So only the components holding a deleted
+    /// fact or meeting a fresh violation can change.  Their surviving
+    /// pairs and violations, plus the fresh ones, are re-partitioned on
+    /// their own and stored as new components; every other component keeps
+    /// its runs, its rank order and its digest.  The result equals
+    /// `ConflictIndex::build(db, sigma)`, at a cost proportional to the
+    /// delta plus the facts and pairs of the touched components, plus one
+    /// pass over the words of the component-minima bitset from the lowest
+    /// changed one on — never to `|V|` or `|D|`, except for the amortised
+    /// compaction of the arenas.
     pub fn refresh(&mut self, db: &Database, sigma: &FdSet) -> usize {
         let changes = db.changes_since(self.version);
         if changes.is_empty() {
             return 0;
         }
-        let applied = changes.len();
-        // Partition the delta: tombstoned ids kill old violations;
-        // still-live inserted facts may found new ones.  (A fact inserted
-        // and deleted again within the window is marked deleted and
-        // filtered from `inserted` by the liveness check.)
-        let mut deleted = vec![false; db.len()];
+        self.grow(db.len());
+        // Partition the delta: deleted ids kill their components' old
+        // violations; still-live inserted facts may found new ones.  (A
+        // fact inserted and deleted again within the window is filtered
+        // from `inserted` by the liveness check.)
+        let mut deleted: Vec<FactId> = Vec::new();
         let mut inserted: Vec<FactId> = Vec::new();
+        let mut touched: Vec<u32> = Vec::new();
         for change in changes {
             match change {
                 FactChange::Inserted(id) => {
@@ -331,34 +344,92 @@ impl ConflictIndex {
                         inserted.push(*id);
                     }
                 }
-                FactChange::Deleted { id, .. } => deleted[id.index()] = true,
+                FactChange::Deleted { id, .. } => {
+                    deleted.push(*id);
+                    touched.push(self.facts[id.index()].slot);
+                }
             }
         }
-        // The filter preserves the canonical order of the old list.
-        let survivors: Vec<Violation> = self
-            .violations
+        deleted.sort_unstable();
+        let fresh = Self::probe(db, sigma, &inserted);
+        touched.extend(
+            fresh
+                .iter()
+                .flat_map(|v| [v.first, v.second])
+                .map(|fact| self.facts[fact.index()].slot),
+        );
+        touched.sort_unstable();
+        touched.dedup();
+        if touched.last() == Some(&NOT_LIVE) {
+            touched.pop();
+        }
+
+        // The touched components' surviving pairs and violations, plus
+        // the fresh ones.  A fresh violation involves a fact inserted in
+        // the window, so it is never a survivor.
+        let survives = |fact: FactId| deleted.binary_search(&fact).is_err();
+        let mut pairs: Vec<(FactId, FactId)> = fresh.iter().map(Violation::pair).collect();
+        let mut violations = fresh;
+        for &slot in &touched {
+            let component = self.slots[slot as usize];
+            pairs.extend(
+                self.arenas.pairs[component.pairs.range()]
+                    .iter()
+                    .filter(|&&(a, b)| survives(a) && survives(b)),
+            );
+            violations.extend(
+                self.arenas.violations[component.violations.range()]
+                    .iter()
+                    .filter(|v| survives(v.first) && survives(v.second)),
+            );
+            self.drop_component(slot);
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        violations.sort_unstable();
+        // The touched facts that still conflict: those left on a pair.
+        let mut facts: Vec<FactId> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
+        facts.sort_unstable();
+        facts.dedup();
+        self.store(&facts, &pairs, &violations);
+
+        self.universe = db.len();
+        self.version = db.version();
+        self.update_ranks();
+        self.views = Views::default();
+        if self
+            .arenas
+            .sizes()
             .iter()
-            .filter(|v| !deleted[v.first.index()] && !deleted[v.second.index()])
-            .copied()
-            .collect();
-        // Every violation of the current database that is not a survivor
-        // touches an inserted fact (two live old facts violating an FD
-        // already violated it at the old version).  Probe each inserted
-        // fact's LHS block through the relation index; pairs of two
-        // inserted facts are discovered twice and deduplicated below.
+            .zip(self.live)
+            .any(|(&size, live)| size > 2 * live)
+        {
+            self.compact();
+        }
+        changes.len()
+    }
+
+    /// The violations of the current database that touch a fact of
+    /// `inserted`, sorted and deduplicated: each inserted fact's LHS block
+    /// is probed through the relation index, once per FD of its relation.
+    /// A pair of two inserted facts is discovered from both sides.
+    fn probe(db: &Database, sigma: &FdSet, inserted: &[FactId]) -> Vec<Violation> {
         let mut fresh: Vec<Violation> = Vec::new();
+        if inserted.is_empty() {
+            return fresh;
+        }
         let index = db.relation_index();
-        for &f in &inserted {
-            let relation = db.relation_of(f);
+        for (fd_id, fd) in sigma.iter() {
+            let relation = fd.relation();
             let columns = db.columns_of(relation);
-            let row_f = db.row_of(f);
-            for (fd_id, fd) in sigma.iter() {
-                if fd.relation() != relation {
+            let mut lhs = fd.lhs().iter().map(|a| a.index());
+            let first = lhs.next().expect("FDs have a non-empty LHS");
+            let rest: Vec<usize> = lhs.collect();
+            for &f in inserted {
+                if db.relation_of(f) != relation {
                     continue;
                 }
-                let mut lhs = fd.lhs().iter().map(|a| a.index());
-                let first = lhs.next().expect("FDs have a non-empty LHS");
-                let rest: Vec<usize> = lhs.collect();
+                let row_f = db.row_of(f);
                 for &g in index.matches(relation, first, columns[first][row_f]) {
                     if g == f {
                         continue;
@@ -377,29 +448,318 @@ impl ConflictIndex {
                 }
             }
         }
-        // Only the delta is sorted; the big list is reassembled by a
-        // linear merge.  A fresh violation involves a fact inserted in the
-        // window, and a re-inserted (revived) id is marked `deleted` — its
-        // old violations left `survivors` and are rediscovered fresh — so
-        // the runs never share an element.
         fresh.sort_unstable();
         fresh.dedup();
-        // The pair universe keeps a pair iff both endpoints are live (then
-        // every old violation on it survived) and gains the fresh pairs,
-        // disjoint for the same reason.
-        let surviving_pairs: Vec<(FactId, FactId)> = self
-            .pairs
+        fresh
+    }
+
+    /// Extends the per-fact entries and the minima bitset to `universe`
+    /// facts.
+    fn grow(&mut self, universe: usize) {
+        self.facts.resize(universe, CONFLICT_FREE);
+        let words = universe.div_ceil(64);
+        if words > self.minima.len() {
+            self.stale_ranks = self.stale_ranks.min(self.minima.len());
+            self.minima.resize(words, 0);
+        }
+    }
+
+    /// Sets or clears the minima bit of `fact`.
+    fn mark_minimum(&mut self, fact: FactId, set: bool) {
+        let (word, bit) = (fact.index() / 64, fact.index() % 64);
+        if set {
+            self.minima[word] |= 1 << bit;
+        } else {
+            self.minima[word] &= !(1 << bit);
+        }
+        self.stale_ranks = self.stale_ranks.min(word);
+    }
+
+    /// Recomputes the popcount prefix from the first stale word on.
+    fn update_ranks(&mut self) {
+        let from = self.stale_ranks.min(self.minima.len());
+        self.ranks.resize(self.minima.len(), 0);
+        let mut rank = match from {
+            0 => 0,
+            _ => self.ranks[from - 1] + self.minima[from - 1].count_ones(),
+        };
+        for (slot, &bits) in self.ranks[from..].iter_mut().zip(&self.minima[from..]) {
+            *slot = rank;
+            rank += bits.count_ones();
+        }
+        self.stale_ranks = self.minima.len();
+    }
+
+    /// Partitions `facts` (ascending) by reachability over `pairs`
+    /// (sorted, deduplicated, every endpoint in `facts` and every fact an
+    /// endpoint) and stores each part as a new component, with its share
+    /// of `pairs`, of `violations` (sorted) and its facts' neighbour runs.
+    /// The facts' entries must not belong to a live component.
+    fn store(&mut self, facts: &[FactId], pairs: &[(FactId, FactId)], violations: &[Violation]) {
+        // Union-find over positions in `facts`, which the facts' entries
+        // hold until the parts are written.  Linking the larger root
+        // under the smaller keeps every root the smallest position of its
+        // set and every parent at most its child.
+        for (position, &fact) in (0..).zip(facts) {
+            self.facts[fact.index()].slot = position;
+        }
+        let entries = &self.facts;
+        let position = |fact: FactId| entries[fact.index()].slot as usize;
+        let mut parent: Vec<u32> = (0..facts.len() as u32).collect();
+        fn find(parent: &mut [u32], mut x: u32) -> u32 {
+            while parent[x as usize] != x {
+                parent[x as usize] = parent[parent[x as usize] as usize];
+                x = parent[x as usize];
+            }
+            x
+        }
+        let mut degree = vec![0u32; facts.len()];
+        for &(a, b) in pairs {
+            let (a, b) = (position(a), position(b));
+            degree[a] += 1;
+            degree[b] += 1;
+            let (ra, rb) = (find(&mut parent, a as u32), find(&mut parent, b as u32));
+            if ra != rb {
+                parent[ra.max(rb) as usize] = ra.min(rb);
+            }
+        }
+        // Relabel `parent` into parts in ascending order of their
+        // smallest fact: a position is either its set's root (a new part)
+        // or points to a smaller member of its set, already relabelled.
+        let mut part = parent;
+        let mut parts = 0;
+        for p in 0..part.len() {
+            part[p] = if part[p] as usize == p {
+                parts += 1;
+                parts - 1
+            } else {
+                part[part[p] as usize]
+            };
+        }
+        let parts = parts as usize;
+        let part_of = |fact: FactId| part[position(fact)] as usize;
+        let arenas = &mut self.arenas;
+        let first_fact = arenas.facts.len();
+        let fact_at = append_grouped(
+            &mut arenas.facts,
+            parts,
+            FactId::new(0),
+            (0..).zip(facts).map(|(p, &fact)| (part[p] as usize, fact)),
+        );
+        let pair_at = append_grouped(
+            &mut arenas.pairs,
+            parts,
+            (FactId::new(0), FactId::new(0)),
+            pairs.iter().map(|&pair| (part_of(pair.0), pair)),
+        );
+        let violation_at = append_grouped(
+            &mut arenas.violations,
+            parts,
+            Violation::new(FdId::new(0), FactId::new(0), FactId::new(0)),
+            violations.iter().map(|&v| (part_of(v.first), v)),
+        );
+        let degree: Vec<u32> = arenas.facts[first_fact..]
             .iter()
-            .filter(|(a, b)| !deleted[a.index()] && !deleted[b.index()])
+            .map(|&fact| degree[position(fact)])
+            .collect();
+
+        // Neighbour runs in fact order; filling them in pair order lists
+        // each fact's neighbours by ascending id.
+        let mut cursor = arenas.neighbours.len() as u32;
+        for (position, &fact) in (first_fact..).zip(&arenas.facts[first_fact..]) {
+            let len = degree[position - first_fact];
+            self.facts[fact.index()] = FactEntry {
+                slot: 0,
+                start: cursor,
+                len: 0,
+            };
+            cursor += len;
+        }
+        arenas
+            .neighbours
+            .resize(cursor as usize, (FactId::new(0), 0));
+        for (id, &(a, b)) in (pair_at[0]..).zip(&arenas.pairs[pair_at[0] as usize..]) {
+            for (fact, other) in [(a, b), (b, a)] {
+                let entry = &mut self.facts[fact.index()];
+                arenas.neighbours[(entry.start + entry.len) as usize] = (other, id);
+                entry.len += 1;
+            }
+        }
+
+        for p in 0..parts {
+            let run = |offsets: &[u32]| Run {
+                start: offsets[p],
+                end: offsets[p + 1],
+            };
+            let facts = run(&fact_at);
+            let slot = match self.free.pop() {
+                Some(slot) => slot,
+                None => {
+                    self.slots.push(Component::default());
+                    self.slots.len() as u32 - 1
+                }
+            };
+            let mut digest = Fnv::new();
+            digest.mix(facts.len() as u64);
+            for &fact in &self.arenas.facts[facts.range()] {
+                digest.mix(fact.index() as u64);
+                self.facts[fact.index()].slot = slot;
+            }
+            let component = Component {
+                facts,
+                pairs: run(&pair_at),
+                violations: run(&violation_at),
+                digest: digest.finish(),
+            };
+            self.attach(slot, component);
+        }
+        #[cfg(test)]
+        {
+            self.stored += parts as u64;
+        }
+    }
+
+    /// Enters `component`, whose runs are already in the arenas, at
+    /// `slot`.
+    fn attach(&mut self, slot: u32, component: Component) {
+        self.mark_minimum(self.arenas.facts[component.facts.start as usize], true);
+        for (live, size) in self.live.iter_mut().zip(component.sizes()) {
+            *live += size;
+        }
+        self.fingerprint = self.fingerprint.wrapping_add(component.digest);
+        self.components += 1;
+        self.slots[slot as usize] = component;
+    }
+
+    /// Removes the component at `slot`: its facts leave every component
+    /// and its runs become garbage.
+    fn drop_component(&mut self, slot: u32) {
+        let component = std::mem::take(&mut self.slots[slot as usize]);
+        let facts = &self.arenas.facts[component.facts.range()];
+        for &fact in facts {
+            self.facts[fact.index()] = CONFLICT_FREE;
+        }
+        self.mark_minimum(facts[0], false);
+        for (live, size) in self.live.iter_mut().zip(component.sizes()) {
+            *live -= size;
+        }
+        self.fingerprint = self.fingerprint.wrapping_sub(component.digest);
+        self.components -= 1;
+        self.free.push(slot);
+    }
+
+    /// Copies the live runs into fresh arenas, in rank order, and numbers
+    /// the slots by rank.
+    fn compact(&mut self) {
+        let order: Vec<usize> = self.slots_by_rank().collect();
+        let old = std::mem::take(&mut self.arenas);
+        let old_slots = std::mem::take(&mut self.slots);
+        let [facts, pairs, violations, neighbours] = self.live;
+        self.arenas = Arenas {
+            facts: Vec::with_capacity(facts),
+            pairs: Vec::with_capacity(pairs),
+            violations: Vec::with_capacity(violations),
+            neighbours: Vec::with_capacity(neighbours),
+        };
+        self.slots = Vec::with_capacity(order.len());
+        self.free.clear();
+        let arenas = &mut self.arenas;
+        for (slot, component) in (0..).zip(order.into_iter().map(|s| old_slots[s])) {
+            let moved = Component {
+                facts: Run::appended(arenas.facts.len(), component.facts.len()),
+                pairs: Run::appended(arenas.pairs.len(), component.pairs.len()),
+                violations: Run::appended(arenas.violations.len(), component.violations.len()),
+                digest: component.digest,
+            };
+            let member_facts = &old.facts[component.facts.range()];
+            let neighbours = Run::appended(
+                self.facts[member_facts[0].index()].start as usize,
+                2 * component.pairs.len(),
+            );
+            let shifted = arenas.neighbours.len() as u32;
+            for &fact in member_facts {
+                let entry = &mut self.facts[fact.index()];
+                entry.slot = slot;
+                entry.start = entry.start - neighbours.start + shifted;
+            }
+            arenas.facts.extend_from_slice(member_facts);
+            arenas
+                .pairs
+                .extend_from_slice(&old.pairs[component.pairs.range()]);
+            arenas
+                .violations
+                .extend_from_slice(&old.violations[component.violations.range()]);
+            arenas.neighbours.extend(
+                old.neighbours[neighbours.range()]
+                    .iter()
+                    .map(|&(other, pair)| {
+                        (other, pair - component.pairs.start + moved.pairs.start)
+                    }),
+            );
+            self.slots.push(moved);
+        }
+    }
+
+    /// The slots of the live components, in rank order.
+    fn slots_by_rank(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..)
+            .zip(&self.minima)
+            .flat_map(|(word, &bits)| set_bits(word, bits))
+            .map(|fact| self.facts[fact].slot as usize)
+    }
+
+    /// The rank of the component whose smallest fact is `minimum`.
+    fn rank_of(&self, minimum: FactId) -> usize {
+        let (word, bit) = (minimum.index() / 64, minimum.index() % 64);
+        self.ranks[word] as usize + (self.minima[word] & ((1 << bit) - 1)).count_ones() as usize
+    }
+
+    /// The slot of component `component` (a rank).
+    ///
+    /// # Panics
+    /// Panics if `component` is out of range.
+    fn slot(&self, component: usize) -> usize {
+        assert!(
+            component < self.components,
+            "component {component} out of range ({} components)",
+            self.components
+        );
+        // The last word whose prefix is at most `component` holds its
+        // minimum.
+        let word = self.ranks.partition_point(|&r| r as usize <= component) - 1;
+        let mut bits = self.minima[word];
+        for _ in self.ranks[word] as usize..component {
+            bits &= bits - 1;
+        }
+        self.facts[word * 64 + bits.trailing_zeros() as usize].slot as usize
+    }
+
+    /// The live components, in slot order.
+    fn live_components(&self) -> impl Iterator<Item = &Component> {
+        self.slots.iter().filter(|c| c.facts.len() > 0)
+    }
+
+    /// The concatenated `field` runs of the live components, sorted.
+    fn sorted_runs<T: Copy + Ord>(&self, arena: &[T], field: fn(&Component) -> Run) -> Vec<T> {
+        let mut all: Vec<T> = self
+            .live_components()
+            .flat_map(|c| &arena[field(c).range()])
             .copied()
             .collect();
-        let mut fresh_pairs: Vec<(FactId, FactId)> = fresh.iter().map(Violation::pair).collect();
-        fresh_pairs.sort_unstable();
-        fresh_pairs.dedup();
-        let violations = merge_disjoint_sorted(survivors, fresh);
-        let pairs = merge_disjoint_sorted(surviving_pairs, fresh_pairs);
-        *self = ConflictIndex::assemble_with_pairs(db.len(), db.version(), violations, pairs);
-        applied
+        all.sort_unstable();
+        all
+    }
+
+    /// The arena ids of all pairs, in pair order.
+    fn pair_ids(&self) -> &[u32] {
+        self.views.pair_ids.get_or_init(|| {
+            let mut ids: Vec<u32> = self
+                .live_components()
+                .flat_map(|c| c.pairs.start..c.pairs.end)
+                .collect();
+            ids.sort_unstable_by_key(|&id| self.arenas.pairs[id as usize]);
+            ids
+        })
     }
 
     /// The size of the fact universe.
@@ -407,26 +767,35 @@ impl ConflictIndex {
         self.universe
     }
 
-    /// The [`Database::version`] this index describes (0 for indexes built
-    /// via [`ConflictIndex::from_violations`]).
+    /// The [`Database::version`] this index describes.
     pub fn version(&self) -> u64 {
         self.version
     }
 
-    /// `V(D, Σ)` of the full database, canonically sorted.
+    /// `V(D, Σ)` of the full database, canonically sorted.  Assembled
+    /// from the components on first use after a change.
     pub fn violations(&self) -> &[Violation] {
-        &self.violations
+        self.views
+            .violations
+            .get_or_init(|| self.sorted_runs(&self.arenas.violations, |c| c.violations))
     }
 
-    /// The deduplicated pair-operation universe of the full database.
+    /// The deduplicated pair-operation universe of the full database,
+    /// sorted.  Assembled from the components on first use after a
+    /// change.
     pub fn pairs(&self) -> &[(FactId, FactId)] {
-        &self.pairs
+        self.views
+            .pairs
+            .get_or_init(|| self.sorted_runs(&self.arenas.pairs, |c| c.pairs))
     }
 
     /// The singleton-operation universe of the full database: the facts
-    /// involved in at least one violation, sorted.
+    /// involved in at least one violation, sorted.  Assembled from the
+    /// components on first use after a change.
     pub fn conflicting_facts(&self) -> &[FactId] {
-        &self.conflicting
+        self.views
+            .conflicting
+            .get_or_init(|| self.sorted_runs(&self.arenas.facts, |c| c.facts))
     }
 
     /// The number of facts `fact` conflicts with in the full database —
@@ -434,20 +803,19 @@ impl ConflictIndex {
     /// [`crate::ConflictGraph::degree`].  A pair violating several FDs
     /// counts once.
     pub fn degree(&self, fact: FactId) -> usize {
-        self.neighbours_of(fact).len()
+        self.facts[fact.index()].len as usize
     }
 
     /// The facts `fact` conflicts with, each with the id of their pair,
-    /// in pair-id order.
+    /// by ascending fact id (the pair order).
     fn neighbours_of(&self, fact: FactId) -> &[(FactId, u32)] {
-        let start = self.neighbour_offsets[fact.index()] as usize;
-        let end = self.neighbour_offsets[fact.index() + 1] as usize;
-        &self.neighbours[start..end]
+        let FactEntry { start, len, .. } = self.facts[fact.index()];
+        &self.arenas.neighbours[start as usize..(start + len) as usize]
     }
 
     /// The number of connected components of the conflict graph.
     pub fn component_count(&self) -> usize {
-        self.partition.fact_offsets.len() - 1
+        self.components
     }
 
     /// The facts of component `component`, ascending.
@@ -455,24 +823,18 @@ impl ConflictIndex {
     /// # Panics
     /// Panics if `component` is out of range.
     pub fn component(&self, component: usize) -> &[FactId] {
-        let offsets = &self.partition.fact_offsets;
-        &self.partition.facts[offsets[component] as usize..offsets[component + 1] as usize]
-    }
-
-    /// The pair ids of component `component`, ascending.
-    fn component_pairs(&self, component: usize) -> &[u32] {
-        let offsets = &self.partition.pair_offsets;
-        &self.partition.pairs[offsets[component] as usize..offsets[component + 1] as usize]
+        &self.arenas.facts[self.slots[self.slot(component)].facts.range()]
     }
 
     /// The component of `fact`, or `None` for a fact in no violation
     /// (conflict-free or deleted) or outside the universe.
     pub fn component_of(&self, fact: FactId) -> Option<usize> {
-        self.partition
-            .of
-            .get(fact.index())
-            .filter(|&&c| c != NOT_LIVE)
-            .map(|&c| c as usize)
+        let slot = self.facts.get(fact.index())?.slot;
+        if slot == NOT_LIVE {
+            return None;
+        }
+        let facts = self.slots[slot as usize].facts;
+        Some(self.rank_of(self.arenas.facts[facts.start as usize]))
     }
 
     /// The connected components of the conflict graph: facts involved in
@@ -483,86 +845,95 @@ impl ConflictIndex {
     /// component (they survive every repair and play no role in the
     /// repairing process).
     pub fn components(&self) -> Vec<Vec<FactId>> {
-        (0..self.component_count())
-            .map(|c| self.component(c).to_vec())
+        self.slots_by_rank()
+            .map(|slot| self.arenas.facts[self.slots[slot].facts.range()].to_vec())
             .collect()
     }
 
-    /// The conflict structure of the indexed state: a stable digest of
-    /// each fact's conflict component, plus a fingerprint of the whole
-    /// component list.  See [`ConflictStructure`].
-    pub fn structure(&self) -> ConflictStructure {
-        ConflictStructure::of(self)
-    }
-}
-
-/// A digest view of a [`ConflictIndex`]'s conflict-graph components,
-/// built once per refresh and consumed by lineage fingerprinting.
-///
-/// The repair distribution a fact is subject to is determined by its
-/// conflict component (under uniform repairs and uniform operations the
-/// per-component marginals are independent of the rest of the database;
-/// under uniform sequences they additionally depend on the global
-/// component structure — see [`ConflictStructure::fingerprint`]).  Two
-/// database states assign a fact equal digests iff the fact's component
-/// holds the same fact ids, so an estimate that depends only on a set of
-/// facts and their components can be proven unchanged across a delta by
-/// comparing digests.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConflictStructure {
-    /// Per fact id: a 64-bit FNV-1a digest of the sorted id-list of the
-    /// fact's conflict component, or the digest of `[id]` for a
-    /// conflict-free fact (its "component" is the fact alone).
-    digests: Vec<u64>,
-    /// A digest of the entire component list, in canonical order.
-    fingerprint: u64,
-}
-
-impl ConflictStructure {
-    fn of(index: &ConflictIndex) -> Self {
-        let mut digests: Vec<u64> = (0..index.universe)
-            .map(|id| {
-                let mut h = Fnv::new();
-                h.mix(1);
-                h.mix(id as u64);
-                h.finish()
-            })
-            .collect();
-        let mut global = Fnv::new();
-        global.mix(index.component_count() as u64);
-        for c in 0..index.component_count() {
-            let component = index.component(c);
-            let mut h = Fnv::new();
-            h.mix(component.len() as u64);
-            for &fact in component {
-                h.mix(fact.index() as u64);
-            }
-            let digest = h.finish();
-            global.mix(digest);
-            for &fact in component {
-                digests[fact.index()] = digest;
-            }
-        }
-        ConflictStructure {
-            digests,
-            fingerprint: global.finish(),
+    /// A stable digest of `fact`'s conflict component: the 64-bit FNV-1a
+    /// digest of the component's size and sorted fact ids, or the digest
+    /// of `[fact]` for a fact in no component (its "component" is the fact
+    /// alone).
+    ///
+    /// The repair distribution a fact is subject to is determined by its
+    /// conflict component (under uniform repairs and uniform operations
+    /// the per-component marginals are independent of the rest of the
+    /// database; under uniform sequences they additionally depend on the
+    /// global component structure — see
+    /// [`ConflictIndex::structure_fingerprint`]).  Two database states
+    /// assign a fact equal digests iff the fact's component holds the same
+    /// fact ids, so an estimate that depends only on a set of facts and
+    /// their components can be proven unchanged across a delta by
+    /// comparing digests.  O(1).
+    pub fn component_digest(&self, fact: FactId) -> u64 {
+        match self.facts.get(fact.index()) {
+            Some(entry) if entry.slot != NOT_LIVE => self.slots[entry.slot as usize].digest,
+            _ => singleton_digest(fact),
         }
     }
 
-    /// The component digest of `fact` (the digest of `[fact]` itself if
-    /// it conflicts with nothing).
-    pub fn digest(&self, fact: FactId) -> u64 {
-        self.digests[fact.index()]
-    }
-
-    /// A fingerprint of the whole conflict-component structure: equal
-    /// across two states iff they hold the same components over the same
-    /// fact ids.  Conflict-free facts do not participate, so consistent
-    /// churn leaves the fingerprint intact.
-    pub fn fingerprint(&self) -> u64 {
+    /// A fingerprint of the whole conflict-component structure: the
+    /// wrapping sum of the component digests, so it does not depend on
+    /// the order of the components and a refresh updates it per changed
+    /// component.  Equal across two states that hold the same components
+    /// over the same fact ids.  Conflict-free facts do not participate,
+    /// so consistent churn leaves the fingerprint intact.  O(1).
+    pub fn structure_fingerprint(&self) -> u64 {
         self.fingerprint
     }
 }
+
+impl Clone for ConflictIndex {
+    fn clone(&self) -> Self {
+        ConflictIndex {
+            universe: self.universe,
+            version: self.version,
+            facts: self.facts.clone(),
+            arenas: self.arenas.clone(),
+            live: self.live,
+            slots: self.slots.clone(),
+            free: self.free.clone(),
+            minima: self.minima.clone(),
+            ranks: self.ranks.clone(),
+            stale_ranks: self.stale_ranks,
+            components: self.components,
+            fingerprint: self.fingerprint,
+            views: Views::default(),
+            #[cfg(test)]
+            stored: self.stored,
+        }
+    }
+}
+
+impl PartialEq for ConflictIndex {
+    fn eq(&self, other: &Self) -> bool {
+        // Each neighbour as its fact and the pair its id resolves to.
+        let neighbours = |index: &ConflictIndex, fact: FactId| {
+            index
+                .neighbours_of(fact)
+                .iter()
+                .map(|&(g, pair)| (g, index.arenas.pairs[pair as usize]))
+                .collect::<Vec<_>>()
+        };
+        self.universe == other.universe
+            && self.version == other.version
+            && self.pairs() == other.pairs()
+            && self.violations() == other.violations()
+            && (0..self.universe)
+                .map(FactId::new)
+                .all(|fact| neighbours(self, fact) == neighbours(other, fact))
+            && self.component_count() == other.component_count()
+            && self
+                .slots_by_rank()
+                .zip(other.slots_by_rank())
+                .all(|(a, b)| {
+                    self.arenas.facts[self.slots[a].facts.range()]
+                        == other.arenas.facts[other.slots[b].facts.range()]
+                })
+    }
+}
+
+impl Eq for ConflictIndex {}
 
 /// A minimal incremental FNV-1a hasher over little-endian `u64` words.
 #[derive(Debug, Clone, Copy)]
@@ -650,8 +1021,12 @@ impl LiveOps {
             self.degree = vec![0; index.universe];
             self.single_pos = vec![NOT_LIVE; index.universe];
         }
-        if pairs && self.pair_pos.len() != index.pairs.len() {
-            self.pair_pos = vec![NOT_LIVE; index.pairs.len()];
+        // Pair ids are arena positions.  Every entry outside `pairs` is
+        // NOT_LIVE, so a buffer longer than a (compacted) arena needs no
+        // shrinking.
+        let pair_ids = index.arenas.pairs.len();
+        if pairs && self.pair_pos.len() < pair_ids {
+            self.pair_pos.resize(pair_ids, NOT_LIVE);
         }
         self.track_pairs = pairs;
     }
@@ -674,15 +1049,17 @@ impl LiveOps {
     }
 
     /// Resets to the full database: every fact live, every singleton
-    /// operation of the universe available, and every pair operation too
-    /// when `pairs` is set (a singleton walk passes `false` and keeps no
-    /// pair set).  O(conflicting facts + |D|/64), plus the pairs if kept.
+    /// operation of the universe available in fact order, and every pair
+    /// operation too, in pair order, when `pairs` is set (a singleton walk
+    /// passes `false` and keeps no pair set).  O(conflicting facts +
+    /// |D|/64), plus the pairs if kept, once the index's whole-database
+    /// views exist.
     pub fn reset_full(&mut self, index: &ConflictIndex, pairs: bool) {
         self.prepare(index, pairs);
         self.live.fill();
-        self.open_singles(index, &index.conflicting);
+        self.open_singles(index, index.conflicting_facts());
         if pairs {
-            self.open_pairs(0..index.pairs.len() as u32);
+            self.open_pairs(index.pair_ids().iter().copied());
         }
     }
 
@@ -701,13 +1078,14 @@ impl LiveOps {
     /// Panics if `component` is out of range.
     pub fn reset_component(&mut self, index: &ConflictIndex, component: usize, pairs: bool) {
         self.prepare(index, pairs);
-        let facts = index.component(component);
+        let slot = index.slots[index.slot(component)];
+        let facts = &index.arenas.facts[slot.facts.range()];
         for &fact in facts {
             self.live.insert(fact);
         }
         self.open_singles(index, facts);
         if pairs {
-            self.open_pairs(index.component_pairs(component).iter().copied());
+            self.open_pairs(slot.pairs.start..slot.pairs.end);
         }
     }
 
@@ -725,15 +1103,15 @@ impl LiveOps {
         );
         self.prepare(index, true);
         self.live.copy_from(subset);
-        for (pair, &(a, b)) in index.pairs.iter().enumerate() {
+        for (&(a, b), &pair) in index.pairs().iter().zip(index.pair_ids()) {
             if self.live.contains(a) && self.live.contains(b) {
                 self.degree[a.index()] += 1;
                 self.degree[b.index()] += 1;
-                self.pair_pos[pair] = self.pairs.len() as u32;
-                self.pairs.push(pair as u32);
+                self.pair_pos[pair as usize] = self.pairs.len() as u32;
+                self.pairs.push(pair);
             }
         }
-        for &fact in &index.conflicting {
+        for &fact in index.conflicting_facts() {
             if self.degree[fact.index()] > 0 {
                 self.single_pos[fact.index()] = self.singles.len() as u32;
                 self.singles.push(fact);
@@ -822,7 +1200,7 @@ impl LiveOps {
 
     /// The `i`-th live pair operation.
     pub fn pair(&self, index: &ConflictIndex, i: usize) -> (FactId, FactId) {
-        index.pairs[self.pairs[i] as usize]
+        index.arenas.pairs[self.pairs[i] as usize]
     }
 
     /// The live singleton operations (unsorted).
@@ -835,7 +1213,7 @@ impl LiveOps {
         &'a self,
         index: &'a ConflictIndex,
     ) -> impl Iterator<Item = (FactId, FactId)> + 'a {
-        self.pairs.iter().map(|&p| index.pairs[p as usize])
+        self.pairs.iter().map(|&p| index.arenas.pairs[p as usize])
     }
 
     /// Returns `true` iff the live sub-database is consistent, i.e. no
@@ -851,7 +1229,7 @@ impl LiveOps {
         index: &'a ConflictIndex,
     ) -> impl Iterator<Item = &'a Violation> + 'a {
         index
-            .violations
+            .violations()
             .iter()
             .filter(|v| self.live.contains(v.first) && self.live.contains(v.second))
     }
@@ -1183,6 +1561,13 @@ mod tests {
         (db, sigma)
     }
 
+    impl ConflictIndex {
+        /// The pairs of component `component`, in pair order.
+        fn component_pairs(&self, component: usize) -> &[(FactId, FactId)] {
+            &self.arenas.pairs[self.slots[self.slot(component)].pairs.range()]
+        }
+    }
+
     #[test]
     fn component_partition_is_stored_in_order_of_smallest_fact() {
         let (mut db, sigma) = two_component_example();
@@ -1198,8 +1583,7 @@ mod tests {
             [Some(0), Some(0), None, Some(1), Some(1), Some(1), None]
         );
         for c in 0..index.component_count() {
-            for &pair in index.component_pairs(c) {
-                let (a, b) = index.pairs()[pair as usize];
+            for &(a, b) in index.component_pairs(c) {
                 assert_eq!(
                     (index.component_of(a), index.component_of(b)),
                     (Some(c), Some(c))
@@ -1268,27 +1652,135 @@ mod tests {
 
         // A conflict-free fact joins no component and leaves the
         // structure fingerprint intact, but carries its own digest.
-        let before = index.structure();
+        let digests = |index: &ConflictIndex, facts: usize| -> Vec<u64> {
+            (0..facts)
+                .map(|f| index.component_digest(FactId::new(f)))
+                .collect()
+        };
+        let (before, before_digests) = (index.structure_fingerprint(), digests(&index, 3));
         db.insert_values("R", [Value::str("a9"), Value::str("b9"), Value::str("c9")])
             .unwrap();
         let mut index = index;
         index.refresh(&db, &sigma);
-        let after = index.structure();
+        let (after, after_digests) = (index.structure_fingerprint(), digests(&index, 4));
         assert_eq!(index.components().len(), 1);
-        assert_eq!(before.fingerprint(), after.fingerprint());
-        for f in 0..3 {
-            assert_eq!(before.digest(FactId::new(f)), after.digest(FactId::new(f)));
-        }
+        assert_eq!(before, after);
+        assert_eq!(before_digests, after_digests[..3]);
+        assert_ne!(after_digests[3], after_digests[0]);
 
         // A fact that conflicts with f3 (same C, different B) extends the
         // component: every member's digest and the fingerprint move.
         db.insert_values("R", [Value::str("a2"), Value::str("b7"), Value::str("c2")])
             .unwrap();
         index.refresh(&db, &sigma);
-        let grown = index.structure();
-        assert_ne!(after.fingerprint(), grown.fingerprint());
-        assert_ne!(after.digest(FactId::new(2)), grown.digest(FactId::new(2)));
+        let grown = index.structure_fingerprint();
+        assert_ne!(after, grown);
+        assert_ne!(after_digests[2], index.component_digest(FactId::new(2)));
         // The refreshed structure matches a from-scratch build.
-        assert_eq!(grown, ConflictIndex::build(&db, &sigma).structure());
+        let built = ConflictIndex::build(&db, &sigma);
+        assert_eq!(grown, built.structure_fingerprint());
+        assert_eq!(digests(&index, db.len()), digests(&built, db.len()));
+    }
+
+    /// A seeded SplitMix64 stream for the storage test (the crate has no
+    /// RNG dependency).
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        }
+    }
+
+    /// A primary-key stream through a count window, shaped like the
+    /// workload crate's `StreamWorkload` over `R(K, V)` with `K → V`: each
+    /// tick retracts live facts uniformly, inserts facts with fresh
+    /// values that reuse a live key with probability 3/10, and expires the
+    /// oldest facts down to the window.  After every tick the refreshed
+    /// arenas hold at most twice the live facts, pairs, violations and
+    /// neighbour entries, and a tick whose delta touches no conflicting
+    /// fact stores no component.
+    #[test]
+    fn refresh_storage_stays_within_twice_the_live_index() {
+        const TICKS: usize = 1_200;
+        const WINDOW: usize = 60;
+        let mut schema = Schema::new();
+        schema.add_relation("R", &["K", "V"]).unwrap();
+        let mut db = Database::with_schema(schema);
+        let mut sigma = FdSet::new();
+        sigma.add(FunctionalDependency::from_names(db.schema(), "R", &["K"], &["V"]).unwrap());
+        let mut rng = SplitMix(11);
+        let mut value = 0i64;
+        let mut fresh = |db: &mut Database, key: i64| {
+            value += 1;
+            db.insert_values("R", [Value::int(key), Value::int(value)])
+                .unwrap()
+        };
+        for _ in 0..WINDOW {
+            let key = rng.below(40) as i64;
+            fresh(&mut db, key);
+        }
+        let mut index = ConflictIndex::build(&db, &sigma);
+        let (mut untouched, mut compactions) = (0, 0);
+        for tick in 0..TICKS {
+            let live: Vec<FactId> = db.fact_ids().collect();
+            let mut deleted = Vec::new();
+            for _ in 0..rng.below(3) {
+                let id = live[rng.below(live.len())];
+                if db.is_live(id) {
+                    db.delete(id).unwrap();
+                    deleted.push(id);
+                }
+            }
+            let live: Vec<FactId> = db.fact_ids().collect();
+            let mut inserted = Vec::new();
+            for _ in 0..rng.below(4) {
+                let key = if rng.below(10) < 3 {
+                    let of = live[rng.below(live.len())];
+                    match db.fact(of).values()[0] {
+                        Value::Int(key) => key,
+                        ref other => panic!("unexpected key {other:?}"),
+                    }
+                } else {
+                    rng.below(40) as i64
+                };
+                inserted.push(fresh(&mut db, key));
+            }
+            deleted.extend(db.expire_oldest(WINDOW).unwrap());
+            let touched_before = deleted.iter().any(|&f| index.component_of(f).is_some());
+            let (stored, arena_facts) = (index.stored, index.arenas.facts.len());
+            index.refresh(&db, &sigma);
+            let touched_after = inserted.iter().any(|&f| index.component_of(f).is_some());
+            if !touched_before && !touched_after {
+                untouched += 1;
+                assert_eq!(index.stored, stored, "tick {tick} stored a component");
+            }
+            compactions += usize::from(index.arenas.facts.len() < arena_facts);
+
+            let pairs = index.pairs().len();
+            assert_eq!(
+                index.live,
+                [
+                    index.conflicting_facts().len(),
+                    pairs,
+                    index.violations().len(),
+                    2 * pairs
+                ],
+                "tick {tick}"
+            );
+            for (arena, live) in index.arenas.sizes().into_iter().zip(index.live) {
+                assert!(arena <= 2 * live, "tick {tick}: arena {arena}, live {live}");
+            }
+            if tick % 100 == 0 {
+                assert_eq!(index, ConflictIndex::build(&db, &sigma), "tick {tick}");
+            }
+        }
+        assert_eq!(index, ConflictIndex::build(&db, &sigma));
+        assert!(untouched > TICKS / 10, "{untouched} untouched ticks");
+        assert!(compactions > 0, "the arenas were never compacted");
     }
 }

@@ -76,7 +76,7 @@ pub mod violation;
 
 pub use blocks::{Block, BlockPartition};
 pub use conflict_graph::ConflictGraph;
-pub use conflict_index::{ConflictIndex, ConflictStructure, LiveOps};
+pub use conflict_index::{ConflictIndex, LiveOps};
 pub use database::{Database, FactChange};
 pub use dictionary::{Dictionary, Sym};
 pub use error::DbError;

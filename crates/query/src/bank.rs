@@ -43,9 +43,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use ucqa_db::{
-    ConflictStructure, Database, FactChange, FactId, FactSet, RelationIndex, Sym, Value,
-};
+use ucqa_db::{ConflictIndex, Database, FactChange, FactId, FactSet, RelationIndex, Sym, Value};
 
 use crate::lineage::{SparseWitnesses, DEFAULT_WITNESS_CAP};
 use crate::plan::{candidate_facts, match_and_bind, unbind, SymAtom, SymTerm};
@@ -413,7 +411,7 @@ impl LineageBank {
     /// `before` is the fingerprint vector of the **pre-replay** state —
     /// the caller caches it from compile time or from the previous
     /// refresh, because the conflict structure it was computed under no
-    /// longer exists once the database has moved.  `structure` describes
+    /// longer exists once the database has moved.  `conflict` describes
     /// the **post-replay** conflict state (the caller refreshes its
     /// conflict index first, then the bank).  An entry is flagged changed
     /// iff the fingerprints differ (fallback entries, which have no
@@ -426,7 +424,7 @@ impl LineageBank {
     /// keep their converged estimates verbatim, entries that changed
     /// re-enter the shared stopping loop via [`BankLiveSet::enroll`].
     /// Under uniform-sequences generators the caller must additionally
-    /// compare [`ConflictStructure::fingerprint`]s — see
+    /// compare [`ConflictIndex::structure_fingerprint`]s — see
     /// [`LineageBank::entry_fingerprint`].
     ///
     /// # Panics
@@ -436,7 +434,7 @@ impl LineageBank {
         db: &Database,
         queries: &[BankQueryRef<'_>],
         before: &[Option<u64>],
-        structure: &ConflictStructure,
+        conflict: &ConflictIndex,
     ) -> Result<RefreshDelta, QueryError> {
         assert_eq!(
             before.len(),
@@ -454,7 +452,7 @@ impl LineageBank {
                 fingerprints: before.to_vec(),
             });
         }
-        let fingerprints = self.fingerprints(structure);
+        let fingerprints = self.fingerprints(conflict);
         let changed = fingerprints
             .iter()
             .zip(before)
@@ -650,9 +648,9 @@ impl LineageBank {
     /// context** — a 64-bit FNV-1a hash over the sorted witness id-lists
     /// (witnesses ordered lexicographically, fact ids ascending within
     /// each witness), each fact id paired with the
-    /// [`ConflictStructure::digest`] of its conflict component — or
+    /// [`ConflictIndex::component_digest`] of its conflict component — or
     /// `None` for a fallback entry, which has no witness set to hash.
-    /// `structure` must describe the same database state the bank is
+    /// `conflict` must describe the same database state the bank is
     /// current with.
     ///
     /// Two states assign an entry equal fingerprints iff its witness
@@ -673,8 +671,8 @@ impl LineageBank {
     /// additionally depend on the global component structure (sequence
     /// interleavings weight components against each other), which the
     /// caller must gate separately via
-    /// [`ConflictStructure::fingerprint`].
-    pub fn entry_fingerprint(&self, index: usize, structure: &ConflictStructure) -> Option<u64> {
+    /// [`ConflictIndex::structure_fingerprint`].
+    pub fn entry_fingerprint(&self, index: usize, conflict: &ConflictIndex) -> Option<u64> {
         match &self.entries[index] {
             BankEntry::Fallback => None,
             BankEntry::Compiled { .. } => {
@@ -699,7 +697,7 @@ impl LineageBank {
                     mix(list.len() as u64);
                     for &id in list {
                         mix(id.index() as u64);
-                        mix(structure.digest(id));
+                        mix(conflict.component_digest(id));
                     }
                 }
                 Some(hash)
@@ -707,11 +705,11 @@ impl LineageBank {
         }
     }
 
-    /// The per-entry fingerprints under `structure`, in entry order (see
+    /// The per-entry fingerprints under `conflict`, in entry order (see
     /// [`LineageBank::entry_fingerprint`]).
-    pub fn fingerprints(&self, structure: &ConflictStructure) -> Vec<Option<u64>> {
+    pub fn fingerprints(&self, conflict: &ConflictIndex) -> Vec<Option<u64>> {
         (0..self.entries.len())
-            .map(|i| self.entry_fingerprint(i, structure))
+            .map(|i| self.entry_fingerprint(i, conflict))
             .collect()
     }
 
@@ -2166,15 +2164,15 @@ mod tests {
         );
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         let mut bank = LineageBank::compile(&db, &queries).unwrap();
-        let structure = ConflictIndex::build(&db, &sigma).structure();
-        let before = bank.fingerprints(&structure);
+        let conflict = ConflictIndex::build(&db, &sigma);
+        let before = bank.fingerprints(&conflict);
         // Identical lineage hashes identically within one compilation
         // only when the witness sets coincide; distinct queries differ.
         assert_ne!(before[0], before[1]);
 
         // A current bank reports an empty delta.
         let noop = bank
-            .refresh_with_delta(&db, &queries, &before, &structure)
+            .refresh_with_delta(&db, &queries, &before, &conflict)
             .unwrap();
         assert_eq!(noop.replayed, 0);
         assert!(noop.changed.iter().all(|&c| !c));
@@ -2186,9 +2184,9 @@ mod tests {
         // fingerprints survive even though the arena was rebuilt.
         db.insert_values("R", [Value::int(3), Value::int(8)])
             .unwrap();
-        let structure = ConflictIndex::build(&db, &sigma).structure();
+        let conflict = ConflictIndex::build(&db, &sigma);
         let delta = bank
-            .refresh_with_delta(&db, &queries, &before, &structure)
+            .refresh_with_delta(&db, &queries, &before, &conflict)
             .unwrap();
         assert_eq!(delta.replayed, 1);
         assert_eq!(delta.changed, vec![false, true, false]);
@@ -2202,7 +2200,7 @@ mod tests {
         // the hash covers witness id-sets and their conflict components,
         // never arena layout.
         let fresh = LineageBank::compile(&db, &queries).unwrap();
-        assert_eq!(after, &fresh.fingerprints(&structure));
+        assert_eq!(after, &fresh.fingerprints(&conflict));
         // And `witnesses_of` exposes the id-sets the hash ranges over.
         let ours: Vec<Vec<FactId>> = bank
             .witnesses_of(1)
@@ -2229,20 +2227,20 @@ mod tests {
         let evals = evaluators(&db, &["Ans() :- R(x, y)", "Ans() :- R(1, x)"]);
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         let mut bank = LineageBank::compile_with_cap(&db, &queries, 2).unwrap();
-        let structure = ConflictIndex::build(&db, &sigma).structure();
+        let conflict = ConflictIndex::build(&db, &sigma);
         assert!(bank.is_fallback(0));
-        assert_eq!(bank.entry_fingerprint(0, &structure), None);
+        assert_eq!(bank.entry_fingerprint(0, &conflict), None);
         assert!(bank.witnesses_of(0).is_none());
-        assert!(bank.entry_fingerprint(1, &structure).is_some());
-        let before = bank.fingerprints(&structure);
+        assert!(bank.entry_fingerprint(1, &conflict).is_some());
+        let before = bank.fingerprints(&conflict);
         // Any replay flags the fallback entry — there is no witness set
         // to prove unchanged — while the untouched compiled entry stays
         // fresh.
         db.insert_values("R", [Value::int(5), Value::int(5)])
             .unwrap();
-        let structure = ConflictIndex::build(&db, &sigma).structure();
+        let conflict = ConflictIndex::build(&db, &sigma);
         let delta = bank
-            .refresh_with_delta(&db, &queries, &before, &structure)
+            .refresh_with_delta(&db, &queries, &before, &conflict)
             .unwrap();
         assert_eq!(delta.replayed, 1);
         assert_eq!(delta.changed, vec![true, false]);
@@ -2260,15 +2258,15 @@ mod tests {
         let evals = evaluators(&db, &["Ans() :- R(1, 1)"]);
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         let mut bank = LineageBank::compile(&db, &queries).unwrap();
-        let before = bank.fingerprints(&ConflictIndex::build(&db, &sigma).structure());
+        let before = bank.fingerprints(&ConflictIndex::build(&db, &sigma));
 
         // R(1, 9) matches no query atom — the witness set stays
         // {R(1, 1)} — but joins the witness's conflict block.
         db.insert_values("R", [Value::int(1), Value::int(9)])
             .unwrap();
-        let structure = ConflictIndex::build(&db, &sigma).structure();
+        let conflict = ConflictIndex::build(&db, &sigma);
         let delta = bank
-            .refresh_with_delta(&db, &queries, &before, &structure)
+            .refresh_with_delta(&db, &queries, &before, &conflict)
             .unwrap();
         assert_eq!(delta.changed, vec![true], "conflict growth must re-enroll");
         let witnesses: Vec<Vec<FactId>> = bank
@@ -2283,9 +2281,9 @@ mod tests {
         // the fingerprint survives and the entry stays reusable.
         db.insert_values("R", [Value::int(9), Value::int(9)])
             .unwrap();
-        let structure = ConflictIndex::build(&db, &sigma).structure();
+        let conflict = ConflictIndex::build(&db, &sigma);
         let delta = bank
-            .refresh_with_delta(&db, &queries, &delta.fingerprints, &structure)
+            .refresh_with_delta(&db, &queries, &delta.fingerprints, &conflict)
             .unwrap();
         assert_eq!(delta.changed, vec![false]);
     }

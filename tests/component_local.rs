@@ -28,8 +28,8 @@ use uocqa::core::fpras::{
 };
 use uocqa::core::sample_operations::{OperationWalkSampler, WalkScratch};
 use uocqa::db::{
-    ConflictGraph, ConflictIndex, Database, FactId, FactSet, FdSet, FunctionalDependency, Schema,
-    Value,
+    ConflictGraph, ConflictIndex, Database, Fact, FactId, FactSet, FdSet, FunctionalDependency,
+    Schema, Value,
 };
 use uocqa::numeric::Ratio;
 use uocqa::query::parser::parse_query;
@@ -405,14 +405,32 @@ fn draw_digest(sampler: &OperationWalkSampler<'_>, seed: u64, draws: usize) -> u
     hash
 }
 
+/// The walk sampler of `spec` over `db`, backed by a caller-maintained
+/// conflict index.
+fn indexed_walker<'a>(
+    db: &'a Database,
+    sigma: &'a FdSet,
+    index: &ConflictIndex,
+    singleton: bool,
+) -> OperationWalkSampler<'a> {
+    let sampler = OperationWalkSampler::with_index(db, sigma, index.clone());
+    if singleton {
+        sampler.singleton_only()
+    } else {
+        sampler
+    }
+}
+
 /// Pins the `M^uo` and `M^{uo,1}` draw streams on a one-FD stream window
-/// with tombstones.  Under a single FD the walks' singleton and pair
-/// retirement orders follow the pair order, so these digests only move
-/// when the walk itself changes.
+/// with tombstones, drawn from a freshly built index and from one
+/// refreshed after every tick.  Under a single FD the walks' singleton
+/// and pair retirement orders follow the pair order, so these digests
+/// only move when the walk itself changes.
 #[test]
 fn single_fd_walk_streams_are_pinned() {
     let mut stream = StreamWorkload::new(20, 6, 6, 0.5, 3);
     let (mut window, sigma) = stream.initial(60);
+    let mut refreshed = ConflictIndex::build(&window, &sigma);
     for _ in 0..4 {
         let (inserts, retracts) = stream.tick(&window);
         for fact in &retracts {
@@ -421,18 +439,93 @@ fn single_fd_walk_streams_are_pinned() {
         for fact in inserts {
             window.insert(fact).unwrap();
         }
+        refreshed.refresh(&window, &sigma);
     }
     assert!(
         window.live_count() < window.len(),
         "the window holds tombstones"
     );
+    let pinned = [0xe78f_4f0b_fbe4_4bbe, 0x7cf9_4c35_8d5f_975e];
     let digests =
         [false, true].map(|singleton| draw_digest(&walker(&window, &sigma, singleton), 7, 200));
+    assert_eq!(digests, pinned, "M^uo, M^{{uo,1}} draw digests");
+    let digests = [false, true].map(|singleton| {
+        draw_digest(
+            &indexed_walker(&window, &sigma, &refreshed, singleton),
+            7,
+            200,
+        )
+    });
     assert_eq!(
-        digests,
-        [0xe78f_4f0b_fbe4_4bbe, 0x7cf9_4c35_8d5f_975e],
-        "M^uo, M^{{uo,1}} draw digests"
+        digests, pinned,
+        "M^uo, M^{{uo,1}} draw digests from a refreshed index"
     );
+}
+
+/// A digest of `walks` interleaved walks ([`OperationWalkSampler::sample`])
+/// from `seed`: every walk's operations, leaf probability and surviving
+/// fact ids, folded with FNV-1a.
+fn sequence_digest(sampler: &OperationWalkSampler<'_>, seed: u64, walks: usize) -> u64 {
+    let mix = |hash: u64, word: u64| (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for _ in 0..walks {
+        let outcome = sampler.sample(&mut rng);
+        hash = mix(hash, outcome.sequence.len() as u64);
+        for operation in outcome.sequence.operations() {
+            hash = mix(hash, operation.facts().len() as u64);
+            for fact in operation.facts() {
+                hash = mix(hash, fact.index() as u64);
+            }
+        }
+        hash = mix(hash, outcome.probability.ln().to_bits());
+        hash = mix(hash, outcome.result.len() as u64);
+        for fact in outcome.result.iter() {
+            hash = mix(hash, fact.index() as u64);
+        }
+    }
+    hash
+}
+
+/// A multi-FD, multi-component `MultiFdWorkload` database reached by a
+/// bulk insert, a second bulk insert and a run of deletes, with a
+/// conflict index built before the second insert and refreshed after
+/// the deletes.
+fn refreshed_multi_fd_window() -> (Database, FdSet, ConflictIndex) {
+    let (generated, sigma) = MultiFdWorkload::new(200, 2, 60, 3, 2).generate();
+    let facts: Vec<Fact> = generated.iter().map(|(_, fact)| fact).collect();
+    let mut db = Database::with_schema(generated.schema().clone());
+    db.extend(facts[..120].to_vec()).unwrap();
+    let mut index = ConflictIndex::build(&db, &sigma);
+    db.extend(facts[120..].to_vec()).unwrap();
+    for id in (0..db.len()).step_by(9) {
+        db.delete(FactId::new(id)).unwrap();
+    }
+    index.refresh(&db, &sigma);
+    (db, sigma, index)
+}
+
+/// Pins the interleaved `M^uo` and `M^{uo,1}` walks
+/// ([`OperationWalkSampler::sample`], which opens every component's
+/// operations at once in pair order) on a multi-FD, multi-component
+/// database, drawn from a freshly built and from a refreshed index.
+#[test]
+fn interleaved_walk_streams_are_pinned() {
+    let (db, sigma, refreshed) = refreshed_multi_fd_window();
+    let built = ConflictIndex::build(&db, &sigma);
+    assert!(built.component_count() >= 4);
+    assert!(built.violations().len() > built.pairs().len());
+    assert_eq!(refreshed, built);
+    for (which, index) in [("built", &built), ("refreshed", &refreshed)] {
+        let digests = [false, true].map(|singleton| {
+            sequence_digest(&indexed_walker(&db, &sigma, index, singleton), 5, 60)
+        });
+        assert_eq!(
+            digests,
+            [0xda0e_2e25_ef7c_0640, 0x7a9e_7f0f_b232_4e7b],
+            "M^uo, M^{{uo,1}} sequence digests from the {which} index"
+        );
+    }
 }
 
 /// The success counts of `draws` full walks from `seed`, checked against

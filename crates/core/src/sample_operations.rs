@@ -10,10 +10,33 @@
 //!
 //! The hot path is backed by the precomputed incremental
 //! [`ConflictIndex`]: `V(D, Σ)` and its conflict components are computed
-//! **once** when the sampler is built, each walk resets a [`LiveOps`]
-//! cursor and maintains the justified operation sets under removals in
-//! O(degree) per removed fact, and the uniform pick over `Ops_s(D, Σ)` is
-//! O(1) per step.
+//! **once** when the sampler is built.  The interleaved walk
+//! ([`OperationWalkSampler::sample`]) keeps `Ops_s(D, Σ)` itself in a
+//! [`LiveOps`] cursor, because its leaf probability needs `|Ops_s|` at
+//! every step.
+//!
+//! **Lazy permutation.**  The repair draws need only the result, so they
+//! never maintain `Ops_s`.  A component's walk fills a pool with all of
+//! its operations (its facts ascending, then, under `M^uo`, its pairs in
+//! arena order) and repeatedly swap-removes a uniform pick from the pool,
+//! applying the picked operation only if it is still justified: a
+//! singleton `f` iff `f` is live and has a live neighbour (an early-exit
+//! scan of its neighbour run), a pair iff both its facts are live.  The
+//! walk ends when the pool is empty.  This is the same walk, because
+//! justification is *monotone under removal*: an operation that is not
+//! justified on `D'` is not justified on any `D'' ⊆ D'`.  So an
+//! operation discarded once would stay discarded, every operation still
+//! justified is still in the pool, and the pool's remaining order is
+//! uniform whatever was drawn before; the first justified operation that
+//! order reaches is therefore uniform over `Ops_s`, exactly the chain's
+//! next step.  A draw costs O(component operations + the neighbour scans
+//! of the facts checked): each fact is checked at most once, and only
+//! the survivors' scans run to the end.  No per-fact counter is written.
+//!
+//! On a clique component (a primary-key block, or any key FD) every live
+//! fact stays justified until one is left, so the pool undergoes exactly
+//! the swap-removes of the live-singleton array an eager walk keeps, and
+//! the `M^{uo,1}` draw equals that eager walk's on the same stream.
 //!
 //! **Keyed components.**  Every singleton or pair operation lies inside
 //! one conflict component, so the walk projected onto a component is that
@@ -25,7 +48,7 @@
 //! list of components ([`OperationWalkSampler::sample_components_into`])
 //! is then bit-identical, on every fact of those components, to the full
 //! draw from the same RNG state, and costs O(facts + pairs of the listed
-//! components, plus their walk steps).  The full draw
+//! components, plus their survivors' degrees).  The full draw
 //! ([`OperationWalkSampler::sample_result_into`]) is the same routine
 //! over every component after one O(|D|/64) fill.  Only
 //! [`OperationWalkSampler::sample`], which returns a sequence, still
@@ -49,9 +72,10 @@ use crate::random::KeyedStream;
 /// the parallel estimator); each sampling loop owns one scratch.
 #[derive(Debug, Default, Clone)]
 pub struct WalkScratch {
-    /// The live-operations cursor each component walk resets and
-    /// maintains incrementally.
-    ops: LiveOps,
+    /// The operations of the component being walked that are not yet
+    /// drawn, as positions in its facts and then its pairs; refilled per
+    /// component, so it grows to the largest component's operation count.
+    pool: Vec<u32>,
 }
 
 impl WalkScratch {
@@ -81,11 +105,11 @@ pub struct WalkOutcome {
 /// Construction computes `V(D, Σ)` once and builds the incremental
 /// [`ConflictIndex`] with its component partition.  A full repair draw
 /// then costs O(|V| + |D|/64) in total instead of O(|D|) *per step*, and
-/// a draw restricted to some components costs O(their facts + pairs),
-/// independent of `|D|`.  The sampler itself is immutable after
-/// construction (`Sync`), so the parallel estimator shares one instance
-/// across its worker threads; the per-walk mutable state lives in
-/// [`WalkScratch`].
+/// a draw restricted to some components costs O(their facts + pairs,
+/// plus their survivors' degrees), independent of `|D|`.  The sampler
+/// itself is immutable after construction (`Sync`), so the parallel
+/// estimator shares one instance across its worker threads; the per-walk
+/// mutable state lives in [`WalkScratch`].
 #[derive(Debug, Clone)]
 pub struct OperationWalkSampler<'a> {
     db: &'a Database,
@@ -157,44 +181,15 @@ impl<'a> OperationWalkSampler<'a> {
         &self.index
     }
 
-    /// One step of the walk: a uniform pick over the live operations,
-    /// applied to the cursor.  Returns the removed fact(s) and the size of
-    /// the operation set `|Ops_s(D, Σ)|` the pick was uniform over, or
-    /// `None` when the live sub-database is already consistent.
-    ///
-    /// Every walk variant goes through this helper, so the pick is
-    /// defined in exactly one place; the operation universe is the
-    /// cursor's, which for a singleton walk holds no pairs.
-    fn step<R: Rng + ?Sized>(
-        index: &ConflictIndex,
-        rng: &mut R,
-        ops: &mut LiveOps,
-    ) -> Option<(FactId, Option<FactId>, usize)> {
-        let singles = ops.single_count();
-        if singles == 0 {
-            return None;
-        }
-        let count = singles + ops.pair_count();
-        let choice = rng.random_range(0..count);
-        let (first, second) = if choice < singles {
-            (ops.single(choice), None)
-        } else {
-            let (f, g) = ops.pair(index, choice - singles);
-            (f, Some(g))
-        };
-        ops.remove_fact(index, first);
-        if let Some(second) = second {
-            ops.remove_fact(index, second);
-        }
-        Some((first, second, count))
-    }
-
     /// Runs one walk: a sequence drawn according to the leaf distribution
     /// of the uniform-operations Markov chain, together with its leaf
     /// probability `π(s)`.
     ///
     /// This walk interleaves all components on the caller's RNG, as the
-    /// chain does.  The per-component walks of the repair draws
+    /// chain does, and keeps `Ops_s(D, Σ)` in a [`LiveOps`] cursor: each
+    /// step is a uniform pick over the cursor's live singleton and pair
+    /// arrays (the latter empty for a singleton walk), and `π(s)` gains a
+    /// factor `1/|Ops_s|`.  The per-component walks of the repair draws
     /// ([`OperationWalkSampler::sample_result_into`]) have the chain's
     /// *repair* distribution but not its *sequence* distribution (they
     /// fix an order in which components are repaired), so they cannot
@@ -207,12 +202,21 @@ impl<'a> OperationWalkSampler<'a> {
         ops.reset_full(index, !self.singleton_only);
         let mut operations = Vec::new();
         let mut probability = LogFloat::one();
-        while let Some((first, second, count)) = Self::step(index, rng, &mut ops) {
+        while !ops.is_consistent() {
+            let singles = ops.single_count();
+            let count = singles + ops.pair_count();
+            let choice = rng.random_range(0..count);
             probability *= LogFloat::from_value(1.0 / count as f64);
-            operations.push(match second {
-                None => Operation::remove_one(first),
-                Some(second) => Operation::remove_pair(first, second),
-            });
+            if choice < singles {
+                let fact = ops.single(choice);
+                ops.remove_fact(index, fact);
+                operations.push(Operation::remove_one(fact));
+            } else {
+                let (f, g) = ops.pair(index, choice - singles);
+                ops.remove_fact(index, f);
+                ops.remove_fact(index, g);
+                operations.push(Operation::remove_pair(f, g));
+            }
         }
         WalkOutcome {
             sequence: RepairingSequence::from_operations(operations),
@@ -235,15 +239,16 @@ impl<'a> OperationWalkSampler<'a> {
     /// reach steady-state capacity.  Takes one `u64` from `rng`.
     ///
     /// The draw fills `out` once and then walks every conflict component
-    /// on its own keyed substream (see the module docs), exactly as
+    /// on its own keyed substream, exactly as
     /// [`OperationWalkSampler::sample_components_into`] over all
-    /// components.  Each component walk resets the scratch's [`LiveOps`]
-    /// cursor to the component and maintains it incrementally: a uniform
-    /// pick over the live singleton/pair arrays is O(1), and each removal
-    /// updates only the operations touching the removed fact.  The live
-    /// operation sets equal the component's share of `Ops_s(D, Σ)` at
-    /// every step, hence the repair distribution is the same as
-    /// [`OperationWalkSampler::sample`]'s.
+    /// components.  Each component walk draws the component's operations
+    /// from the scratch's pool in a uniform random order and applies each
+    /// one that is still justified when it comes up (the lazy permutation
+    /// of the module docs): O(component operations + the degrees of the
+    /// facts it checks), with no per-fact state beyond `out`.  The first
+    /// justified operation each pick reaches is uniform over the
+    /// component's share of `Ops_s(D, Σ)`, hence the repair distribution is
+    /// the same as [`OperationWalkSampler::sample`]'s.
     ///
     /// # Panics
     /// Panics if `out`'s universe differs from the sampler's database.
@@ -266,8 +271,9 @@ impl<'a> OperationWalkSampler<'a> {
     /// the value the full draw from the same RNG state gives it.  Every
     /// other fact of `out` is left as it was, so `out` should start full
     /// (or hold an earlier draw) for the facts outside `components` to
-    /// read as a repair would.  Cost is linear in the facts, pairs and
-    /// walk steps of the listed components.
+    /// read as a repair would.  Cost is linear in the facts and pairs of
+    /// the listed components plus the degrees of the facts their walks
+    /// check.
     ///
     /// # Panics
     /// Panics if a component is out of range, or if `out`'s universe
@@ -285,7 +291,10 @@ impl<'a> OperationWalkSampler<'a> {
 
     /// The one repair-draw routine: walks each listed component alone on
     /// its keyed substream, restoring the component's facts in `out` and
-    /// then removing the facts its walk removes.
+    /// then removing the facts its walk removes.  The walk is the lazy
+    /// permutation of the module docs: `out` is the live sub-database, and
+    /// the pool holds the operations not yet drawn, as positions in the
+    /// component's facts and then in its pairs.
     fn walk_components(
         &self,
         key: u64,
@@ -296,17 +305,32 @@ impl<'a> OperationWalkSampler<'a> {
         // One deref of the shared index for the whole draw, not one per
         // step.
         let index: &ConflictIndex = &self.index;
-        let ops = &mut scratch.ops;
+        let pool = &mut scratch.pool;
         for component in components {
-            for &fact in index.component(component) {
+            let facts = index.component(component);
+            let pairs: &[(FactId, FactId)] = if self.singleton_only {
+                &[]
+            } else {
+                index.component_pairs(component)
+            };
+            for &fact in facts {
                 out.insert(fact);
             }
-            ops.reset_component(index, component, !self.singleton_only);
+            pool.clear();
+            pool.extend(0..(facts.len() + pairs.len()) as u32);
             let mut stream = KeyedStream::new(key, component);
-            while let Some((first, second, _)) = Self::step(index, &mut stream, ops) {
-                out.remove(first);
-                if let Some(second) = second {
-                    out.remove(second);
+            while !pool.is_empty() {
+                let op = pool.swap_remove(stream.random_range(0..pool.len())) as usize;
+                if let Some(&fact) = facts.get(op) {
+                    if out.contains(fact) && index.has_live_neighbour(fact, out) {
+                        out.remove(fact);
+                    }
+                } else {
+                    let (f, g) = pairs[op - facts.len()];
+                    if out.contains(f) && out.contains(g) {
+                        out.remove(f);
+                        out.remove(g);
+                    }
                 }
             }
         }
@@ -352,10 +376,11 @@ impl<'a> OperationWalkSampler<'a> {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use std::collections::HashMap;
     use ucqa_db::{FunctionalDependency, Schema, Value, ViolationSet};
     use ucqa_repair::{GeneratorSpec, OperationalSemantics, TreeLimits};
+    use ucqa_workload::BlockWorkload;
 
     fn running_example() -> (Database, FdSet) {
         let mut schema = Schema::new();
@@ -548,6 +573,52 @@ mod tests {
                     assert!(unpaired.is_consistent());
                     assert!(ViolationSet::compute(&db, &sigma, &subset).is_empty());
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn singleton_draws_on_cliques_match_the_eager_walk() {
+        // The eager walk keeps a component's live singletons in a `LiveOps`
+        // cursor and picks uniformly over them until none is left.  On a
+        // clique every live fact stays justified until one is left, so the
+        // lazy pool undergoes the same swap-removes as the cursor's
+        // singleton array, and the two walks on one keyed stream agree on
+        // every fact: primary-key `M^{uo,1}` draws did not move when the
+        // repair draws turned lazy.
+        let (db, sigma) = BlockWorkload {
+            blocks: 60,
+            min_block_size: 1,
+            max_block_size: 8,
+            seed: 5,
+        }
+        .generate();
+        let sampler = OperationWalkSampler::new(&db, &sigma).singleton_only();
+        let index = sampler.conflict_index();
+        assert!(index.component_count() > 40);
+        let mut rng = StdRng::seed_from_u64(8);
+        let (mut repair, mut scratch) = (FactSet::empty(db.len()), WalkScratch::new());
+        let mut ops = LiveOps::new();
+        for _ in 0..50 {
+            let key = rng.clone().next_u64();
+            sampler.sample_result_into(&mut rng, &mut repair, &mut scratch);
+            for component in 0..index.component_count() {
+                let facts = index.component(component);
+                let size = facts.len();
+                assert_eq!(
+                    index.component_pairs(component).len(),
+                    size * (size - 1) / 2
+                );
+                ops.reset_component(index, component, false);
+                let mut stream = KeyedStream::new(key, component);
+                while !ops.is_consistent() {
+                    let fact = ops.single(stream.random_range(0..ops.single_count()));
+                    ops.remove_fact(index, fact);
+                }
+                for &fact in facts {
+                    assert_eq!(repair.contains(fact), ops.live().contains(fact));
+                }
+                assert_eq!(facts.iter().filter(|&&f| repair.contains(f)).count(), 1);
             }
         }
     }

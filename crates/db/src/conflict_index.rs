@@ -20,13 +20,18 @@
 //!   smallest fact id through a bitset of component minima whose
 //!   word-level popcount prefix gives each minimum its rank.  Shareable
 //!   across threads.
-//! * [`LiveOps`] — the mutable cursor owned by each walk: the live
-//!   sub-database, per-fact counts of live conflicting neighbours, and the
-//!   live singleton (and, optionally, pair) operation sets as dense
-//!   swap-remove arrays, so a uniform pick over `Ops_s(D, Σ)` is O(1) and
-//!   [`LiveOps::remove_fact`] is one pass over the removed fact's
-//!   neighbours.  [`LiveOps::reset_component`] starts a walk of one
-//!   component alone, in O(component size).
+//! * [`LiveOps`] — a mutable cursor that keeps `Ops_s(D, Σ)` itself: the
+//!   live sub-database, per-fact counts of live conflicting neighbours,
+//!   and the live singleton (and, optionally, pair) operation sets as
+//!   dense swap-remove arrays, so `|Ops_s(D, Σ)|` is known at every step,
+//!   a uniform pick over it is O(1) and [`LiveOps::remove_fact`] is one
+//!   pass over the removed fact's neighbours.  The interleaved walk,
+//!   whose leaf probability `π(s)` needs `|Ops_s(D, Σ)|`, and the
+//!   diagnostics use it.  The repair draws do not: they visit a
+//!   component's operations in a uniform random order and test each one
+//!   when it comes up, reading only [`ConflictIndex::component`],
+//!   [`ConflictIndex::component_pairs`] and
+//!   [`ConflictIndex::has_live_neighbour`].
 //!
 //! A live fact is a justified singleton operation iff it has a live
 //! conflicting neighbour, so several FDs violating the same pair count
@@ -170,8 +175,9 @@ struct Views {
 /// Holds `V(D, Σ)` plus the adjacency needed to maintain the justified
 /// operation sets of any sub-database reached by removals, stored per
 /// conflict component (see the module docs).  All state that changes
-/// during a walk lives in [`LiveOps`], so one `ConflictIndex` can back any
-/// number of concurrent walks.
+/// during a walk lives outside it, in a [`LiveOps`] cursor or the walk's
+/// own buffers, so one `ConflictIndex` can back any number of concurrent
+/// walks.
 ///
 /// An index remembers the database version it describes and is brought up
 /// to date with [`ConflictIndex::refresh`], which replays the fact-level
@@ -813,6 +819,15 @@ impl ConflictIndex {
         &self.arenas.neighbours[start as usize..(start + len) as usize]
     }
 
+    /// Whether `fact` conflicts with a fact of `live` — for a live fact,
+    /// whether the singleton operation removing it is justified on `live`.
+    /// An early-exit scan of the fact's neighbour run: O(degree) at most.
+    pub fn has_live_neighbour(&self, fact: FactId, live: &FactSet) -> bool {
+        self.neighbours_of(fact)
+            .iter()
+            .any(|&(other, _)| live.contains(other))
+    }
+
     /// The number of connected components of the conflict graph.
     pub fn component_count(&self) -> usize {
         self.components
@@ -824,6 +839,16 @@ impl ConflictIndex {
     /// Panics if `component` is out of range.
     pub fn component(&self, component: usize) -> &[FactId] {
         &self.arenas.facts[self.slots[self.slot(component)].facts.range()]
+    }
+
+    /// The conflicting pairs of component `component`, lexicographic (the
+    /// order of its arena run): the component's share of the
+    /// pair-operation universe.
+    ///
+    /// # Panics
+    /// Panics if `component` is out of range.
+    pub fn component_pairs(&self, component: usize) -> &[(FactId, FactId)] {
+        &self.arenas.pairs[self.slots[self.slot(component)].pairs.range()]
     }
 
     /// The component of `fact`, or `None` for a fact in no violation
@@ -1559,13 +1584,6 @@ mod tests {
         let mut sigma = FdSet::new();
         sigma.add(FunctionalDependency::from_names(db.schema(), "R", &["A"], &["B"]).unwrap());
         (db, sigma)
-    }
-
-    impl ConflictIndex {
-        /// The pairs of component `component`, in pair order.
-        fn component_pairs(&self, component: usize) -> &[(FactId, FactId)] {
-            &self.arenas.pairs[self.slots[self.slot(component)].pairs.range()]
-        }
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! * [`ConflictGraph`] — the conflict graph `CG(D, Σ)` used throughout the
 //!   appendices.
 //! * [`ConflictIndex`] / [`LiveOps`] — the precomputed incremental
-//!   conflict index backing the O(ops)-per-step uniform-operations walk.
+//!   conflict index backing the uniform-operations walk, and the cursor
+//!   that keeps a walk's live operation sets.
 //! * [`RelationIndex`] — per-relation `(position, value) → fact ids`
 //!   indexes, built once per database and shared across threads; the
 //!   access-path backbone of the plan-based query evaluator.
@@ -34,11 +35,14 @@
 //! Violations are *monotone under fact removal*: `V(D', Σ)` is exactly the
 //! subset of `V(D, Σ)` whose two facts both survive in `D'`.  That
 //! invariant is what lets [`ConflictIndex`] precompute the violation and
-//! operation universe once per `(D, Σ)` and [`LiveOps`] maintain the live
-//! operation sets of a uniform-operations walk with O(1) uniform picks and
-//! O(degree) removals, instead of an O(|D|) rescan per step (see the
-//! "Incremental conflict index" section of the README and the property
-//! test cross-checking it against [`ViolationSet`] recomputation).
+//! operation universe once per `(D, Σ)` instead of an O(|D|) rescan per
+//! walk step.  [`LiveOps`] maintains the live operation sets of a walk
+//! with O(1) uniform picks and O(degree) removals; the repair draws of
+//! `ucqa-core` need no such state, because justification is monotone too:
+//! they visit a component's operations in a uniform random order and test
+//! each against the index when it comes up (see the "Incremental conflict
+//! index" section of the README and the property test cross-checking
+//! [`LiveOps`] against [`ViolationSet`] recomputation).
 //!
 //! A minimal end-to-end construction:
 //!

@@ -11,7 +11,9 @@
 //! component's sub-database as on the whole database.  These tests check
 //! both, that `ConflictIndex` stores the conflict graph's components,
 //! that the keyed full walk still realises the chain's repair
-//! distribution on a multi-component instance, that `M^us` does *not*
+//! distribution on a multi-component instance, that the lazy repair draws
+//! realise it on components that are not cliques, in full and restricted
+//! draws, that `M^us` does *not*
 //! factorize, and that the estimators' restricted path reproduces full
 //! walks exactly, with and without an above-cap fallback entry.
 
@@ -34,6 +36,7 @@ use uocqa::db::{
 use uocqa::numeric::Ratio;
 use uocqa::query::parser::parse_query;
 use uocqa::query::{Atom, ConjunctiveQuery, QueryEvaluator, Term};
+use uocqa::repair::operation::justified_operations;
 use uocqa::repair::GeneratorSpec;
 use uocqa::workload::queries::{block_lookup_query, fact_membership_query_bank};
 use uocqa::workload::{BlockWorkload, MultiFdWorkload, SkewedJoinWorkload, StreamWorkload};
@@ -296,31 +299,60 @@ fn two_component_database() -> (Database, FdSet) {
     (db, sigma)
 }
 
-/// Checks that `SAMPLES` keyed full walks of `spec` from `seed` realise
-/// the chain's repair distribution: each repair's count is
-/// `Binomial(SAMPLES, p)`, and the check fails only when a count lies in a
-/// tail of probability below `ALPHA` on either side.
-fn assert_walk_matches_the_exact_semantics(
-    db: &Database,
-    sigma: &FdSet,
-    spec: GeneratorSpec,
-    seed: u64,
-) {
-    const SAMPLES: u64 = 3_000;
-    const ALPHA: f64 = 1e-6;
-    let exact: BTreeMap<FactSet, f64> = ExactSolver::new(db, sigma)
+/// The operational semantics of `spec` over `db`: each repair with its
+/// exact probability, from the solver's chain tree.
+fn tree_repairs(db: &Database, sigma: &FdSet, spec: GeneratorSpec) -> BTreeMap<FactSet, Ratio> {
+    ExactSolver::new(db, sigma)
         .semantics(spec)
         .unwrap()
         .repairs()
         .iter()
-        .map(|entry| (entry.repair.clone(), entry.probability.to_f64()))
-        .collect();
+        .map(|entry| (entry.repair.clone(), entry.probability.clone()))
+        .collect()
+}
+
+/// Checks that `SAMPLES` keyed walks of `spec` from `seed` realise the
+/// chain's repair distribution `semantics`: each repair's count is
+/// `Binomial(SAMPLES, p)`, and the check fails only when a count lies in a
+/// tail of probability below `ALPHA` on either side.  The walks are full
+/// draws, or, given `listed`, draws restricted to those components
+/// ([`OperationWalkSampler::sample_components_into`] on a full buffer),
+/// checked against `semantics` with every fact outside the listed
+/// components present.
+fn assert_walk_matches_the_exact_semantics(
+    db: &Database,
+    sigma: &FdSet,
+    spec: GeneratorSpec,
+    semantics: &BTreeMap<FactSet, Ratio>,
+    listed: Option<&[usize]>,
+    seed: u64,
+) {
+    const SAMPLES: u64 = 3_000;
+    const ALPHA: f64 = 1e-6;
     let sampler = walker(db, sigma, spec.singleton_only);
+    let index = sampler.conflict_index();
+    let untouched: Vec<FactId> = (0..index.component_count())
+        .filter(|c| listed.is_some_and(|listed| !listed.contains(c)))
+        .flat_map(|c| index.component(c).iter().copied())
+        .collect();
+    let mut exact: BTreeMap<FactSet, f64> = BTreeMap::new();
+    for (repair, probability) in semantics {
+        let mut repair = repair.clone();
+        for &fact in &untouched {
+            repair.insert(fact);
+        }
+        *exact.entry(repair).or_insert(0.0) += probability.to_f64();
+    }
     let mut rng = StdRng::seed_from_u64(seed);
-    let (mut repair, mut scratch) = (FactSet::empty(db.len()), WalkScratch::new());
+    let (mut repair, mut scratch) = (FactSet::full(db.len()), WalkScratch::new());
     let mut counts: BTreeMap<FactSet, u64> = BTreeMap::new();
     for _ in 0..SAMPLES {
-        sampler.sample_result_into(&mut rng, &mut repair, &mut scratch);
+        match listed {
+            None => sampler.sample_result_into(&mut rng, &mut repair, &mut scratch),
+            Some(listed) => {
+                sampler.sample_components_into(&mut rng, listed, &mut repair, &mut scratch)
+            }
+        }
         *counts.entry(repair.clone()).or_insert(0) += 1;
     }
     assert!(
@@ -349,7 +381,8 @@ fn keyed_full_walk_matches_the_exact_semantics_on_two_components() {
     let (db, sigma) = two_component_database();
     assert_eq!(ConflictIndex::build(&db, &sigma).component_count(), 2);
     for spec in WALK_SPECS.map(|spec| spec()) {
-        assert_walk_matches_the_exact_semantics(&db, &sigma, spec, 17);
+        let semantics = tree_repairs(&db, &sigma, spec);
+        assert_walk_matches_the_exact_semantics(&db, &sigma, spec, &semantics, None, 17);
     }
 }
 
@@ -383,7 +416,110 @@ fn walks_match_the_exact_semantics_with_a_doubly_violated_pair() {
     assert_eq!(index.pairs().len(), 5);
     assert_eq!(index.component_count(), 2);
     for spec in WALK_SPECS.map(|spec| spec()) {
-        assert_walk_matches_the_exact_semantics(&db, &sigma, spec, 23);
+        let semantics = tree_repairs(&db, &sigma, spec);
+        assert_walk_matches_the_exact_semantics(&db, &sigma, spec, &semantics, None, 23);
+    }
+}
+
+/// Over `R(A, B, C, P)` with `A → B` and `C → B`, ten facts in one
+/// component that is not a clique; f0 and f1 violate both FDs.  The same database
+/// backs the walk sampler's in-crate cross-check of `LiveOps` against a
+/// recompute.
+fn overlapping_fd_database() -> (Database, FdSet) {
+    let mut schema = Schema::new();
+    schema.add_relation("R", &["A", "B", "C", "P"]).unwrap();
+    let mut db = Database::with_schema(schema);
+    for (payload, (a, b, c)) in [
+        (0, 0, 0),
+        (0, 1, 0),
+        (0, 0, 1),
+        (1, 1, 1),
+        (1, 0, 0),
+        (2, 2, 1),
+        (2, 2, 2),
+        (2, 0, 2),
+        (0, 2, 2),
+        (1, 1, 0),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let row = [a, b, c, payload as i64].map(Value::int);
+        db.insert_values("R", row).unwrap();
+    }
+    let mut sigma = FdSet::new();
+    for lhs in ["A", "C"] {
+        sigma.add(FunctionalDependency::from_names(db.schema(), "R", &[lhs], &["B"]).unwrap());
+    }
+    (db, sigma)
+}
+
+/// The repair distribution of the uniform-operations chain, by dynamic
+/// programming over the sub-databases it reaches rather than over its
+/// tree: each reached `D'` passes its probability on to its justified
+/// successors in equal shares, or keeps it as a repair if it has none.
+/// Every step removes a fact, so visiting the sub-databases by falling
+/// size settles each before it is expanded.  Its cost follows the
+/// reachable sub-databases (at most `2^|D|`), the tree's the sequences.
+fn uniform_operations_repairs(
+    db: &Database,
+    sigma: &FdSet,
+    singleton_only: bool,
+) -> BTreeMap<FactSet, Ratio> {
+    let mut by_size: Vec<BTreeMap<FactSet, Ratio>> = vec![BTreeMap::new(); db.len() + 1];
+    by_size[db.len()].insert(db.all_facts(), Ratio::one());
+    let mut repairs = BTreeMap::new();
+    for size in (0..=db.len()).rev() {
+        for (subset, p) in std::mem::take(&mut by_size[size]) {
+            let ops = justified_operations(db, sigma, &subset, singleton_only);
+            if ops.is_empty() {
+                repairs.insert(subset, p);
+                continue;
+            }
+            let share = &p * &Ratio::from_u64(1, ops.len() as u64);
+            for op in &ops {
+                let next = op.applied_to(&subset);
+                *by_size[next.len()].entry(next).or_insert_with(Ratio::zero) += &share;
+            }
+        }
+    }
+    repairs
+}
+
+/// The lazy-permutation repair draws realise the chain's repair
+/// distribution where a walk's operations stop being justified out of
+/// order: on general-FD components that are not cliques, under both walk
+/// specs, in full and restricted to some components.  The one-component
+/// ten-fact database's `M^uo` tree is far past the solver's node cap, so
+/// its semantics come from [`uniform_operations_repairs`], which first
+/// has to equal the tree's on the three-component workload instance.
+#[test]
+fn repair_draws_match_the_exact_semantics_on_non_clique_components() {
+    // Components of 3 facts (a path), 2 and 3 (a triangle).
+    let workload = MultiFdWorkload::new(10, 2, 3, 3, 10).generate();
+    for spec in WALK_SPECS.map(|spec| spec()) {
+        let (db, sigma) = &workload;
+        assert_eq!(
+            uniform_operations_repairs(db, sigma, spec.singleton_only),
+            tree_repairs(db, sigma, spec),
+            "{}",
+            spec.short_name()
+        );
+    }
+    // A restricted draw over the one-component database covers all of it.
+    let inputs = [(overlapping_fd_database(), vec![0]), (workload, vec![0, 2])];
+    for ((db, sigma), listed) in &inputs {
+        let index = ConflictIndex::build(db, sigma);
+        assert!((0..index.component_count()).any(|c| {
+            let size = index.component(c).len();
+            index.component_pairs(c).len() < size * (size - 1) / 2
+        }));
+        for spec in WALK_SPECS.map(|spec| spec()) {
+            let semantics = uniform_operations_repairs(db, sigma, spec.singleton_only);
+            for (draws, seed) in [(None, 29), (Some(&listed[..]), 31)] {
+                assert_walk_matches_the_exact_semantics(db, sigma, spec, &semantics, draws, seed);
+            }
+        }
     }
 }
 
@@ -445,7 +581,7 @@ fn single_fd_walk_streams_are_pinned() {
         window.live_count() < window.len(),
         "the window holds tombstones"
     );
-    let pinned = [0xe78f_4f0b_fbe4_4bbe, 0x7cf9_4c35_8d5f_975e];
+    let pinned = [0x5321_486c_3eec_0be7, 0x7cf9_4c35_8d5f_975e];
     let digests =
         [false, true].map(|singleton| draw_digest(&walker(&window, &sigma, singleton), 7, 200));
     assert_eq!(digests, pinned, "M^uo, M^{{uo,1}} draw digests");
@@ -524,6 +660,27 @@ fn interleaved_walk_streams_are_pinned() {
             digests,
             [0xda0e_2e25_ef7c_0640, 0x7a9e_7f0f_b232_4e7b],
             "M^uo, M^{{uo,1}} sequence digests from the {which} index"
+        );
+    }
+}
+
+/// Pins the `M^uo` and `M^{uo,1}` repair draws
+/// ([`OperationWalkSampler::sample_result_into`], the lazy permutation of
+/// each component's operations) on the multi-FD, multi-component
+/// database, drawn from a freshly built and from a refreshed index.  Its
+/// components are not cliques, so operations stop being justified out of
+/// draw order and the pool's discards shape the stream.
+#[test]
+fn multi_fd_repair_draw_streams_are_pinned() {
+    let (db, sigma, refreshed) = refreshed_multi_fd_window();
+    let built = ConflictIndex::build(&db, &sigma);
+    for (which, index) in [("built", &built), ("refreshed", &refreshed)] {
+        let digests = [false, true]
+            .map(|singleton| draw_digest(&indexed_walker(&db, &sigma, index, singleton), 11, 200));
+        assert_eq!(
+            digests,
+            [0x7a0f_c7e5_b7b0_7458, 0x0346_1ef1_5bb2_42de],
+            "M^uo, M^{{uo,1}} draw digests from the {which} index"
         );
     }
 }

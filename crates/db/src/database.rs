@@ -15,8 +15,10 @@ use crate::{
 /// version cursor, which is what delta consumers ([`crate::ConflictIndex`]
 /// refresh, lineage refresh in `ucqa-query`) replay instead of rescanning
 /// the database.  Deletions carry the relation and symbol row because the
-/// columnar storage physically removes the row — a late reader could not
-/// recover it from the database.
+/// database no longer answers for a deleted fact: [`Database::row_of`] and
+/// [`Database::sym`] take live ids only, and the tombstoned row itself is
+/// reclaimed by the next compaction of its relation — a late reader could
+/// not recover it from the database.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FactChange {
     /// A genuinely new fact was inserted under this id.
@@ -64,13 +66,24 @@ pub struct Database {
     dict: Arc<Dictionary>,
     /// Per relation, per position, per row: the interned symbol.  Rows of
     /// relation `r` align with `by_relation[r]` (insertion order within
-    /// the relation).
+    /// the relation).  A deleted fact's row stays in place, tombstoned,
+    /// until its relation is compacted.
     columns: Vec<Vec<Vec<Sym>>>,
     /// FactId → owning relation.
     fact_rel: Vec<RelationId>,
-    /// FactId → row within its relation's columns.
+    /// FactId → row within its relation's columns; meaningful for live
+    /// ids only (a compaction renumbers the live rows and leaves the dead
+    /// ids' entries stale).
     fact_row: Vec<u32>,
+    /// Per relation, per row: the id of the row's fact, live or
+    /// tombstoned; ascending, since rows are appended in id order and a
+    /// compaction keeps their order.
     by_relation: Vec<Vec<FactId>>,
+    /// Per relation: the number of tombstoned rows.  A delete batch
+    /// compacts a relation once they outnumber its live rows, so the rows
+    /// never exceed twice the live facts and each dead row is moved past
+    /// once.
+    dead_rows: Vec<u32>,
     /// Dedup map from encoded fact to id.
     by_key: HashMap<(RelationId, Box<[Sym]>), FactId>,
     /// FactId → liveness tombstone.  Ids are never reused: a deleted fact
@@ -97,6 +110,9 @@ pub struct Database {
     /// Number of facts patched into or out of the cached relation index
     /// (diagnostics twin of `index_builds`).
     index_delta_applies: u64,
+    /// Relation compactions since the database was created.
+    #[cfg(test)]
+    row_compactions: u64,
 }
 
 impl Clone for Database {
@@ -113,6 +129,7 @@ impl Clone for Database {
             fact_rel: self.fact_rel.clone(),
             fact_row: self.fact_row.clone(),
             by_relation: self.by_relation.clone(),
+            dead_rows: self.dead_rows.clone(),
             by_key: self.by_key.clone(),
             live: self.live.clone(),
             live_count: self.live_count,
@@ -121,6 +138,8 @@ impl Clone for Database {
             value_index,
             index_builds: AtomicU64::new(self.index_builds.load(Ordering::Relaxed)),
             index_delta_applies: self.index_delta_applies,
+            #[cfg(test)]
+            row_compactions: self.row_compactions,
         }
     }
 }
@@ -153,6 +172,7 @@ impl Database {
             fact_rel: Vec::new(),
             fact_row: Vec::new(),
             by_relation: vec![Vec::new(); relations],
+            dead_rows: vec![0; relations],
             by_key: HashMap::new(),
             live: Vec::new(),
             live_count: 0,
@@ -161,6 +181,8 @@ impl Database {
             value_index: OnceLock::new(),
             index_builds: AtomicU64::new(0),
             index_delta_applies: 0,
+            #[cfg(test)]
+            row_compactions: 0,
         }
     }
 
@@ -253,10 +275,13 @@ impl Database {
     /// Constants are interned only when the batch commits, and only the
     /// constants of genuinely new facts reach the dictionary: rejected and
     /// duplicate facts cannot grow the symbol table (and therefore cannot
-    /// skew `distinct_count`-based planning statistics).  On commit the
-    /// cached [`RelationIndex`] (if built) absorbs the whole batch in one
-    /// patch per touched posting column; it is never invalidated.  Returns
-    /// the id of each input fact in order.
+    /// skew `distinct_count`-based planning statistics).  On commit each
+    /// new row is appended to its relation's columns, and the cached
+    /// [`RelationIndex`] (if built) absorbs the whole batch by rewriting
+    /// only the posting runs it touches; it is never invalidated.  Beyond
+    /// staging, a batch costs its own size plus the touched runs'
+    /// lengths, amortised — not the relation's size or the dictionary's.
+    /// Returns the id of each input fact in order.
     pub fn extend(
         &mut self,
         facts: impl IntoIterator<Item = Fact>,
@@ -354,12 +379,11 @@ impl Database {
     /// Deletes the fact with the given id, if it is live: a batch of one
     /// for [`Database::delete_all`].
     ///
-    /// The id is tombstoned (never reused) and the fact's row is removed
-    /// from the symbol columns — later rows of the same relation shift
-    /// down, preserving the ascending-id order of
-    /// [`Database::facts_of`].  The cached [`RelationIndex`] (if built) is
-    /// delta-patched, the version is bumped, and the change is logged with
-    /// the deleted symbol row so delta consumers can replay it.  Returns
+    /// The id is tombstoned (never reused) together with the fact's row,
+    /// which later compaction reclaims (see [`Database::delete_all`]).
+    /// The cached [`RelationIndex`] (if built) is delta-patched, the
+    /// version is bumped, and the change is logged with the deleted symbol
+    /// row so delta consumers can replay it.  Returns
     /// [`DbError::NoSuchFact`] for an out-of-range or already-deleted id.
     pub fn delete(&mut self, id: FactId) -> Result<(), DbError> {
         self.delete_all(&[id])
@@ -374,10 +398,13 @@ impl Database {
     ///
     /// The log gains one [`FactChange::Deleted`] per id, in the order of
     /// `ids`: the very entries a sequence of [`Database::delete`] calls
-    /// would log.  Storage is patched once for the batch: each touched
-    /// relation's columns, fact list and row map are compacted in one pass
-    /// from its first deleted row, and the cached [`RelationIndex`] (if
-    /// built) rewrites each touched posting column once.
+    /// would log.  Each deleted row is tombstoned in place; a relation is
+    /// compacted in one pass, renumbering its live rows, only once its
+    /// dead rows outnumber its live ones, so every dead row is moved past
+    /// once.  The cached [`RelationIndex`] (if built) rewrites only the
+    /// posting runs the batch touches.  A batch therefore costs its size
+    /// plus the touched runs' lengths, amortised — not the relation's
+    /// size or the dictionary's.
     pub fn delete_all(&mut self, ids: &[FactId]) -> Result<(), DbError> {
         // --- Validate: tombstone as we go, so a repeated id fails exactly
         // as a second `delete` would; undo everything on failure. ---
@@ -397,9 +424,10 @@ impl Database {
             return Ok(());
         }
 
-        // --- Commit: log every deletion in order, then compact. ---
+        // --- Commit: log every deletion in order, then compact the
+        // relations whose dead rows now outnumber their live ones. ---
         let first_entry = self.log.len();
-        let mut rows: Vec<(RelationId, usize)> = Vec::with_capacity(ids.len());
+        let mut touched: Vec<usize> = Vec::new();
         for &id in ids {
             let relation = self.fact_rel[id.index()];
             let row = self.fact_row[id.index()] as usize;
@@ -411,7 +439,8 @@ impl Database {
                     .collect::<Box<[Sym]>>(),
             );
             self.by_key.remove(&key);
-            rows.push((relation, row));
+            self.dead_rows[relation.index()] += 1;
+            touched.push(relation.index());
             self.log.push(FactChange::Deleted {
                 id,
                 relation,
@@ -419,17 +448,12 @@ impl Database {
             });
         }
         self.live_count -= ids.len();
-        rows.sort_unstable();
-        for group in rows.chunk_by(|a, b| a.0 == b.0) {
-            let relation = group[0].0.index();
-            let rows: Vec<usize> = group.iter().map(|&(_, row)| row).collect();
-            for column in &mut self.columns[relation] {
-                remove_sorted(column, &rows);
-            }
-            let facts = &mut self.by_relation[relation];
-            remove_sorted(facts, &rows);
-            for (row, &id) in facts.iter().enumerate().skip(rows[0]) {
-                self.fact_row[id.index()] = row as u32;
+        touched.sort_unstable();
+        touched.dedup();
+        for relation in touched {
+            let dead = self.dead_rows[relation] as usize;
+            if dead > self.by_relation[relation].len() - dead {
+                self.compact_rows(relation);
             }
         }
         if let Some(shared) = self.value_index.get_mut() {
@@ -445,6 +469,37 @@ impl Database {
             self.first_live += 1;
         }
         Ok(())
+    }
+
+    /// Drops the tombstoned rows of `relation` in one pass, moving each live
+    /// row down over them and renumbering it.
+    fn compact_rows(&mut self, relation: usize) {
+        let facts = &mut self.by_relation[relation];
+        let columns = &mut self.columns[relation];
+        let mut write = 0usize;
+        for read in 0..facts.len() {
+            let id = facts[read];
+            if !self.live[id.index()] {
+                continue;
+            }
+            if write != read {
+                facts[write] = id;
+                for column in columns.iter_mut() {
+                    column[write] = column[read];
+                }
+            }
+            self.fact_row[id.index()] = write as u32;
+            write += 1;
+        }
+        facts.truncate(write);
+        for column in columns.iter_mut() {
+            column.truncate(write);
+        }
+        self.dead_rows[relation] = 0;
+        #[cfg(test)]
+        {
+            self.row_compactions += 1;
+        }
     }
 
     /// Deletes `fact` by value, returning the id it held, or `None` if the
@@ -467,8 +522,10 @@ impl Database {
     /// window.  The expiries are one [`Database::delete_all`] batch: it
     /// tombstones the ids, patches the cached indexes, and logs a
     /// [`FactChange::Deleted`] per id for delta consumers to replay.  The
-    /// scan starts at the lowest id that may be live, so its cost follows
-    /// the window, not the stream's history.
+    /// scan starts at the lowest id that may be live and the batch
+    /// tombstones rows in place, so the cost follows the expired facts and
+    /// the posting runs they leave, amortised — not the window or the
+    /// stream's history.
     pub fn expire_oldest(&mut self, keep: usize) -> Result<Vec<FactId>, DbError> {
         let excess = self.live_count.saturating_sub(keep);
         let victims: Vec<FactId> = self.fact_ids().take(excess).collect();
@@ -554,28 +611,40 @@ impl Database {
         self.fact_rel[id.index()]
     }
 
-    /// The row of a fact within its relation's columns (aligned with
-    /// [`Database::facts_of`]).
+    /// The row of a live fact within its relation's columns: index
+    /// [`Database::columns_of`] with it.
+    ///
+    /// # Panics
+    /// Debug builds panic if `id` does not name a live fact: a deleted
+    /// fact has no row (its old one may hold another fact after a
+    /// compaction).  Read deleted facts off [`FactChange::Deleted`].
     #[inline]
     pub fn row_of(&self, id: FactId) -> usize {
+        debug_assert!(self.is_live(id), "row_of: fact id {id} is not live");
         self.fact_row[id.index()] as usize
     }
 
-    /// The symbol of a fact at `position`.
+    /// The symbol of a live fact at `position`.
+    ///
+    /// # Panics
+    /// Debug builds panic if `id` does not name a live fact (see
+    /// [`Database::row_of`]).
     #[inline]
     pub fn sym(&self, id: FactId, position: usize) -> Sym {
-        let relation = self.fact_rel[id.index()];
-        self.columns[relation.index()][position][self.fact_row[id.index()] as usize]
+        self.columns[self.fact_rel[id.index()].index()][position][self.row_of(id)]
     }
 
     /// The per-position symbol columns of `relation` (one `Vec<Sym>` per
-    /// position, rows aligned with [`Database::facts_of`]).
+    /// position), indexed by [`Database::row_of`].  They also hold the
+    /// tombstoned rows of deleted facts not yet compacted away, so read
+    /// them through the rows of live facts only.
     #[inline]
     pub fn columns_of(&self, relation: RelationId) -> &[Vec<Sym>] {
         &self.columns[relation.index()]
     }
 
-    /// One symbol column of `relation`.
+    /// One symbol column of `relation`, tombstoned rows included (see
+    /// [`Database::columns_of`]).
     #[inline]
     pub fn column(&self, relation: RelationId, position: usize) -> &[Sym] {
         &self.columns[relation.index()][position]
@@ -607,9 +676,23 @@ impl Database {
         self.fact_ids().map(|id| (id, self.fact(id)))
     }
 
-    /// The ids of the facts over `relation`.
-    pub fn facts_of(&self, relation: RelationId) -> &[FactId] {
+    /// Per row of `relation`'s columns, the id of the row's fact, live or
+    /// tombstoned (ascending).
+    pub(crate) fn row_ids(&self, relation: RelationId) -> &[FactId] {
         &self.by_relation[relation.index()]
+    }
+
+    /// The number of tombstoned rows in `relation`'s columns.
+    pub(crate) fn dead_rows(&self, relation: RelationId) -> usize {
+        self.dead_rows[relation.index()] as usize
+    }
+
+    /// The ids of the live facts over `relation`, ascending.
+    pub fn facts_of(&self, relation: RelationId) -> impl Iterator<Item = FactId> + '_ {
+        self.by_relation[relation.index()]
+            .iter()
+            .copied()
+            .filter(move |&id| self.is_live(id))
     }
 
     /// The `(position, symbol) → fact ids` index of this database, built
@@ -665,12 +748,16 @@ impl Database {
     /// The active domain `dom(D)`: the set of constants occurring in `D`.
     pub fn active_domain(&self) -> BTreeSet<Value> {
         // The dictionary may hold constants interned by a sibling database
-        // sharing it, so walk the columns, not the dictionary.
-        self.columns
-            .iter()
-            .flat_map(|relation| relation.iter())
-            .flat_map(|column| column.iter())
-            .map(|&sym| self.dict.decode(sym).clone())
+        // sharing it, and the columns tombstoned rows, so walk the live
+        // facts' rows.
+        self.fact_ids()
+            .flat_map(|id| {
+                let row = self.row_of(id);
+                self.columns[self.fact_rel[id.index()].index()]
+                    .iter()
+                    .map(move |column| column[row])
+            })
+            .map(|sym| self.dict.decode(sym).clone())
             .collect()
     }
 
@@ -693,21 +780,6 @@ impl Database {
         parts.sort();
         format!("{{{}}}", parts.join(", "))
     }
-}
-
-/// Removes the elements at the ascending, distinct positions `rows` from
-/// `items`, moving the kept runs between them left as whole slices.
-fn remove_sorted<T: Copy>(items: &mut Vec<T>, rows: &[usize]) {
-    let Some(&first) = rows.first() else {
-        return;
-    };
-    let mut write = first;
-    for (n, &row) in rows.iter().enumerate() {
-        let next = rows.get(n + 1).copied().unwrap_or(items.len());
-        items.copy_within(row + 1..next, write);
-        write += next - row - 1;
-    }
-    items.truncate(write);
 }
 
 impl fmt::Debug for Database {
@@ -767,7 +839,7 @@ mod tests {
         assert_ne!(f0, f1);
         assert_eq!(db.fact(f0).values()[1], Value::int(2));
         let rel = db.schema().relation_id("R").unwrap();
-        assert_eq!(db.facts_of(rel), &[f0, f1]);
+        assert_eq!(db.facts_of(rel).collect::<Vec<_>>(), [f0, f1]);
     }
 
     #[test]
@@ -838,6 +910,10 @@ mod tests {
         assert_eq!(dom.len(), 3);
         assert!(dom.contains(&Value::int(1)));
         assert!(dom.contains(&Value::str("b")));
+        // A deleted fact's tombstoned row contributes nothing.
+        let b = Fact::new(RelationId(0), vec![Value::int(1), Value::str("b")]);
+        db.retract(&b).unwrap();
+        assert!(!db.active_domain().contains(&Value::str("b")));
     }
 
     #[test]
@@ -868,7 +944,7 @@ mod tests {
             .insert_values("R", [Value::str("a"), Value::str("c")])
             .unwrap();
         let r = db.schema().relation_id("R").unwrap();
-        assert_eq!(db.facts_of(r), &[f1, f2]);
+        assert_eq!(db.facts_of(r).collect::<Vec<_>>(), [f1, f2]);
         assert_eq!(db.row_of(f1), 0);
         assert_eq!(db.row_of(f2), 1);
         assert_eq!(db.relation_of(f1), r);
@@ -963,7 +1039,7 @@ mod tests {
         assert_eq!(*batched.relation_index(), *sequential.relation_index());
         assert_eq!(*batched.relation_index(), RelationIndex::build(&batched));
         for relation in batched.schema().relation_ids() {
-            assert_eq!(batched.facts_of(relation), sequential.facts_of(relation));
+            assert!(batched.facts_of(relation).eq(sequential.facts_of(relation)));
             assert_eq!(
                 batched.columns_of(relation),
                 sequential.columns_of(relation)
@@ -1200,11 +1276,12 @@ mod tests {
         assert_eq!(db.len(), 3);
         assert_eq!(db.live_count(), 2);
         assert!(!db.is_live(f1));
-        // Columns and row mappings stay aligned after the shift.
-        assert_eq!(db.facts_of(rel), &[f0, f2]);
+        // The deleted row is tombstoned in place: one dead row of three
+        // does not outnumber the live ones, so nothing moves yet.
+        assert_eq!(db.facts_of(rel).collect::<Vec<_>>(), [f0, f2]);
         assert_eq!(db.row_of(f0), 0);
-        assert_eq!(db.row_of(f2), 1);
-        assert_eq!(db.sym(f2, 0), db.column(rel, 0)[1]);
+        assert_eq!(db.row_of(f2), 2);
+        assert_eq!(db.sym(f2, 0), db.column(rel, 0)[db.row_of(f2)]);
         assert_eq!(db.fact(f2).values()[0], Value::int(5));
         // The deleted fact is gone by value and from the live set.
         let gone = Fact::new(rel, vec![Value::int(3), Value::int(4)]);
@@ -1226,6 +1303,180 @@ mod tests {
             .unwrap();
         assert_ne!(f3, f1);
         assert_eq!(db.len(), 4);
+        // Two dead rows of four do not outnumber the live ones; three of
+        // four do, and the relation is compacted in one pass: the live
+        // rows move down, in id order, and the columns stay aligned.
+        db.delete(f0).unwrap();
+        assert_eq!(db.column(rel, 0).len(), 4);
+        db.delete(f3).unwrap();
+        assert_eq!(db.column(rel, 0).len(), 1);
+        assert_eq!(db.row_of(f2), 0);
+        assert_eq!(db.sym(f2, 0), db.column(rel, 0)[0]);
+        assert_eq!(db.fact(f2).values()[0], Value::int(5));
+    }
+
+    /// The posting-run lengths a batch touches: per distinct `(relation,
+    /// position, symbol)` of `rows`, the run's current length.
+    fn touched_run_lengths(db: &Database, rows: &[(RelationId, Box<[Sym]>)]) -> usize {
+        let mut runs: Vec<(RelationId, usize, Sym)> = rows
+            .iter()
+            .flat_map(|(relation, row)| {
+                row.iter()
+                    .enumerate()
+                    .map(move |(position, &sym)| (*relation, position, sym))
+            })
+            .collect();
+        runs.sort_unstable();
+        runs.dedup();
+        let index = db.relation_index();
+        runs.iter()
+            .map(|&(relation, position, sym)| index.posting_len(relation, position, sym))
+            .sum()
+    }
+
+    /// A long count-window stream over `R(K, V)`, generated here in the
+    /// shape of `ucqa_workload::StreamWorkload` (this crate cannot depend
+    /// on the workload crate): each tick retracts one uniform live fact,
+    /// inserts facts that reuse a live key with probability ½ and carry
+    /// fresh values, and expires the oldest facts beyond the window.
+    /// After every one of the ~1 500 batches the storage stays bounded by
+    /// its live content, the maintained index equals a rebuild, the
+    /// maintained planner statistics equal ones recomputed from the runs,
+    /// and a batch that compacts nothing moves no more posting entries
+    /// than its own size plus the runs it touches.  Both compactions
+    /// occur.
+    #[test]
+    fn long_window_stream_keeps_storage_proportional_to_the_live_facts() {
+        const WINDOW: usize = 40;
+        const TICKS: usize = 500;
+        let mut db = Database::with_schema(schema_r2());
+        let rel = RelationId(0);
+        db.relation_index();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut value = 0i64;
+        let mut batches = 0usize;
+        for tick in 0..TICKS {
+            for step in 0..3 {
+                let live: Vec<FactId> = db.fact_ids().collect();
+                let before = (
+                    db.relation_index().compactions(),
+                    db.relation_index().moved_entries(),
+                    db.row_compactions,
+                );
+                // Each batch's own facts as encoded rows, with the posting
+                // runs they touch: read before a deletion, after an
+                // insertion (whose new symbols have no run before).
+                let (delta, touched) = match step {
+                    0 => {
+                        let victims: Vec<FactId> = if live.is_empty() {
+                            Vec::new()
+                        } else {
+                            vec![live[next(live.len())]]
+                        };
+                        let rows: Vec<_> = victims
+                            .iter()
+                            .map(|&id| (rel, (0..2).map(|p| db.sym(id, p)).collect()))
+                            .collect();
+                        let touched = touched_run_lengths(&db, &rows);
+                        db.delete_all(&victims).unwrap();
+                        (rows.len(), touched)
+                    }
+                    1 => {
+                        let facts: Vec<Fact> = (0..4)
+                            .map(|_| {
+                                let key = if !live.is_empty() && next(2) == 0 {
+                                    db.fact(live[next(live.len())]).values()[0].clone()
+                                } else {
+                                    Value::int(next(24) as i64)
+                                };
+                                value += 1;
+                                Fact::new(rel, vec![key, Value::int(1_000 + value)])
+                            })
+                            .collect();
+                        let ids = db.extend(facts).unwrap();
+                        let rows: Vec<_> = ids
+                            .iter()
+                            .map(|&id| (rel, (0..2).map(|p| db.sym(id, p)).collect()))
+                            .collect();
+                        (rows.len(), touched_run_lengths(&db, &rows))
+                    }
+                    _ => {
+                        let excess = db.live_count().saturating_sub(WINDOW);
+                        let rows: Vec<_> = db
+                            .fact_ids()
+                            .take(excess)
+                            .map(|id| (rel, (0..2).map(|p| db.sym(id, p)).collect()))
+                            .collect();
+                        let touched = touched_run_lengths(&db, &rows);
+                        assert_eq!(db.expire_oldest(WINDOW).unwrap().len(), excess);
+                        (rows.len(), touched)
+                    }
+                };
+                batches += 1;
+                let context = format!("tick {tick} step {step}");
+                let index = db.relation_index();
+                let live_rows = db.live_count();
+                let dead_rows = db.dead_rows[rel.index()] as usize;
+                assert_eq!(db.by_relation[rel.index()].len(), live_rows + dead_rows);
+                assert!(
+                    dead_rows <= live_rows.max(1),
+                    "{context}: {dead_rows} dead rows"
+                );
+                assert!(
+                    index.arena_len() <= 2 * index.posting_entries() + 2,
+                    "{context}: arena {} for {} live entries",
+                    index.arena_len(),
+                    index.posting_entries()
+                );
+                assert_eq!(*index, RelationIndex::build(&db), "{context}");
+                assert_eq!(index.stats_snapshot(), index.stats_from_runs(), "{context}");
+                if (index.compactions(), db.row_compactions) == (before.0, before.2) {
+                    let moved = index.moved_entries() - before.1;
+                    assert!(
+                        moved <= (2 * delta + touched) as u64,
+                        "{context}: moved {moved} entries for {delta} facts touching {touched}"
+                    );
+                }
+            }
+        }
+        assert!(batches >= 1_200);
+        assert!(
+            db.relation_index().compactions() > 0,
+            "the arena never compacted"
+        );
+        assert!(db.row_compactions > 0, "no relation was ever compacted");
+    }
+
+    /// `row_of` and `sym` answer for live facts only: a deleted fact's row
+    /// is tombstoned and, after a compaction, holds another fact.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "is not live")]
+    fn row_of_a_deleted_fact_panics_in_debug_builds() {
+        let mut db = Database::with_schema(schema_r2());
+        let id = db
+            .insert_values("R", [Value::int(1), Value::int(2)])
+            .unwrap();
+        db.delete(id).unwrap();
+        db.row_of(id);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "is not live")]
+    fn sym_of_a_deleted_fact_panics_in_debug_builds() {
+        let mut db = Database::with_schema(schema_r2());
+        let id = db
+            .insert_values("R", [Value::int(1), Value::int(2)])
+            .unwrap();
+        db.delete(id).unwrap();
+        db.sym(id, 0);
     }
 
     #[test]

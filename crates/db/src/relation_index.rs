@@ -1,16 +1,16 @@
-//! Per-relation symbol indexes: `(position, symbol) → fact ids` as dense
-//! sorted runs.
+//! Per-relation symbol indexes: `(position, symbol) → fact ids` as
+//! ascending runs of one flat arena.
 //!
 //! The plan-based witness enumeration of `ucqa-query` replaces the naive
 //! "scan the whole relation per atom" join with indexed lookups: an atom
 //! whose term at some position is already bound (a constant, or a variable
 //! bound by an earlier join step) only has to look at the facts carrying
 //! that symbol at that position.  [`RelationIndex`] materialises those
-//! posting lists **once per database** in CSR form — per (relation,
-//! position) one flat `Vec<FactId>` of ascending runs plus an offset array
-//! indexed directly by [`Sym`] — so a probe is two array reads and a
-//! slice, with no `HashMap<Value, _>` on the path.  The index is immutable
-//! afterwards and shared across threads exactly like
+//! posting lists: every `(relation, position, symbol)` posting list is a
+//! run of one flat `Vec<FactId>` arena, and per `(relation, position)` a
+//! run table indexed directly by [`Sym`] says where each run lives — so a
+//! probe is one array read and a slice, with no `HashMap<Value, _>` on
+//! the path.  The index is shared across threads exactly like
 //! [`crate::ConflictIndex`].
 //!
 //! [`crate::Database::relation_index`] builds the index lazily on first
@@ -19,171 +19,155 @@
 //! A mutation is a batch — one [`crate::Database::extend`] or
 //! [`crate::Database::delete_all`] — and the crate-private
 //! `RelationIndex::apply_inserts` / `RelationIndex::apply_deletes` rewrite
-//! each touched posting column once per batch: the column's sorted
-//! `(symbol, id)` change points split it into kept runs, which move as
-//! whole slices, and the offsets between two change points shift as one
-//! range by the running insert or delete count.  A delta-maintained index
-//! is structurally equal to a fresh [`RelationIndex::build`] (the rebuild
-//! is the property-tested oracle).  Posting runs preserve insertion order of
-//! the underlying fact ids (ascending), so enumeration orders are
-//! deterministic — the counting-sort fill visits facts in id order, which
-//! also makes the runs valid inputs for [`intersect_postings`].
+//! only the runs the batch touches.  A deletion closes the gaps inside its
+//! run in place (a deleted prefix, the sliding-window case, just advances
+//! the run's start); an insertion appends to its run in place when the run
+//! ends the arena and otherwise copies the run to the arena's end first.
+//! Either way the slots no run covers any more are garbage, and the arena
+//! is compacted — every run copied, in build order, into a fresh arena —
+//! once its garbage outgrows its live entries.  So a batch costs the delta
+//! plus the lengths of the runs it touches, amortised, never the
+//! dictionary or the relation.  [`RelationIndex::build`] is one
+//! counting-sort pass per column that lays the runs out contiguously, in
+//! symbol order, without slack.
+//!
+//! Each column also keeps a histogram of its run lengths, so the longest
+//! run — the planner's hot-spot statistic — follows every batch and
+//! [`RelationIndex::stats_snapshot`] costs one read per column.
+//!
+//! Equality compares content, never layout: a delta-maintained index
+//! equals a fresh [`RelationIndex::build`] (the rebuild is the
+//! property-tested oracle).  Posting runs hold ascending fact ids, so
+//! enumeration orders are deterministic and the runs are valid inputs for
+//! [`intersect_postings`].
+
+use std::ops::Range;
 
 use crate::{Database, FactId, RelationId, Sym, Value};
 
-/// The posting lists of one `(relation, position)` pair in CSR form.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A run `start..start + len` of the posting arena.
+#[derive(Debug, Clone, Copy, Default)]
+struct Run {
+    start: u32,
+    len: u32,
+}
+
+impl Run {
+    fn range(self) -> Range<usize> {
+        self.start as usize..self.end()
+    }
+
+    fn end(self) -> usize {
+        (self.start + self.len) as usize
+    }
+}
+
+/// The posting runs of one `(relation, position)` pair and the planner
+/// statistics over them.
+#[derive(Debug, Clone)]
 struct PostingColumn {
-    /// `offsets[sym.index()] .. offsets[sym.index() + 1]` delimits the run
-    /// of `facts` carrying `sym`; length `sym_bound + 1`.
-    offsets: Vec<u32>,
-    /// All fact ids of the relation, grouped by symbol, ascending within
-    /// each group.
-    facts: Vec<FactId>,
-    /// Number of distinct symbols with a non-empty run.
+    /// `runs[sym.index()]`: where the ascending ids of the facts carrying
+    /// `sym` lie in the arena; one entry per dictionary symbol.
+    runs: Vec<Run>,
+    /// Number of symbols with a non-empty run.
     distinct: u32,
+    /// `run_lengths[n]`: the number of symbols whose run holds `n` facts
+    /// (`n ≥ 1`; entry 0 stays zero).
+    run_lengths: Vec<u32>,
+    /// The length of the longest run: the largest `n` with
+    /// `run_lengths[n] > 0`, or 0.
+    longest: u32,
 }
 
 impl PostingColumn {
-    #[inline]
-    fn run(&self, sym: Sym) -> &[FactId] {
-        let i = sym.index();
-        if i + 1 >= self.offsets.len() {
-            // A symbol interned after this index was built (or by a
-            // sibling database) matches no indexed fact.
-            return &[];
+    /// The column over `runs`, whose lengths are `lengths`.
+    fn new(runs: Vec<Run>, lengths: &[u32]) -> Self {
+        let longest = lengths.iter().copied().max().unwrap_or(0);
+        let mut run_lengths = vec![0u32; longest as usize + 1];
+        for &len in lengths {
+            run_lengths[len as usize] += 1;
         }
-        &self.facts[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        let distinct = (lengths.len() - run_lengths[0] as usize) as u32;
+        run_lengths[0] = 0;
+        PostingColumn {
+            runs,
+            distinct,
+            run_lengths,
+            longest,
+        }
     }
 
-    /// Adds `running` to the offsets `from..to`: the range between two
-    /// change points moves by the same delta, so it is shifted as one
-    /// slice.
     #[inline]
-    fn shift(&mut self, from: usize, to: usize, running: u32, grow: bool) {
-        if running == 0 {
+    fn run(&self, sym: Sym) -> Run {
+        // A symbol interned after this index was built (or by a sibling
+        // database) matches no indexed fact.
+        self.runs.get(sym.index()).copied().unwrap_or_default()
+    }
+
+    /// Updates the statistics for one run whose length moved from `old` to
+    /// `new`.  The longest run only walks down past lengths no run has any
+    /// more, at most `old - new` steps, so the cost follows the change.
+    fn record_len(&mut self, old: u32, new: u32) {
+        if old == new {
             return;
         }
-        let range = &mut self.offsets[from..to];
-        if grow {
-            range.iter_mut().for_each(|offset| *offset += running);
+        if old > 0 {
+            self.run_lengths[old as usize] -= 1;
         } else {
-            range.iter_mut().for_each(|offset| *offset -= running);
+            self.distinct += 1;
+        }
+        if new > 0 {
+            if self.run_lengths.len() <= new as usize {
+                self.run_lengths.resize(new as usize + 1, 0);
+            }
+            self.run_lengths[new as usize] += 1;
+        } else {
+            self.distinct -= 1;
+        }
+        if new > self.longest {
+            self.longest = new;
+        }
+        while self.longest > 0 && self.run_lengths[self.longest as usize] == 0 {
+            self.longest -= 1;
         }
     }
 
-    /// Appends each `(sym, id)` of `changes` to the run of `sym`, in one
-    /// pass over the column.
-    ///
-    /// `changes` must be sorted, and every id must exceed every id of its
-    /// run.  The kept runs move right as whole slices, back to front, by
-    /// the number of insertions before them; then the offsets shift a
-    /// range at a time by the running insertion count.
-    fn insert_sorted(&mut self, changes: &[(Sym, FactId)]) {
-        let old_len = self.facts.len();
-        self.facts.resize(old_len + changes.len(), FactId::new(0));
-        let mut read_end = old_len;
-        let mut write_end = self.facts.len();
-        for group in changes.chunk_by(|a, b| a.0 == b.0).rev() {
-            let run_end = self.offsets[group[0].0.index() + 1] as usize;
-            debug_assert!(
-                run_end == self.offsets[group[0].0.index()] as usize
-                    || self.facts[run_end - 1] < group[0].1,
-                "inserted fact id must exceed every indexed id of its run"
-            );
-            let kept = read_end - run_end;
-            self.facts.copy_within(run_end..read_end, write_end - kept);
-            write_end -= kept;
-            let fresh = &mut self.facts[write_end - group.len()..write_end];
-            for (slot, &(_, id)) in fresh.iter_mut().zip(group) {
-                *slot = id;
-            }
-            write_end -= group.len();
-            read_end = run_end;
-        }
-        debug_assert_eq!(read_end, write_end);
-        let mut running = 0u32;
-        let mut from = 0usize;
-        for group in changes.chunk_by(|a, b| a.0 == b.0) {
-            let s = group[0].0.index();
-            debug_assert!(
-                s + 1 < self.offsets.len(),
-                "insert without ensure_sym_bound: {} out of range",
-                group[0].0
-            );
-            if self.offsets[s] == self.offsets[s + 1] {
-                self.distinct += 1;
-            }
-            self.shift(from, s + 1, running, true);
-            running += group.len() as u32;
-            from = s + 1;
-        }
-        let end = self.offsets.len();
-        self.shift(from, end, running, true);
-    }
-
-    /// Removes each `(sym, id)` of `changes` from the run of `sym`, in one
-    /// pass over the column.
-    ///
-    /// `changes` must be sorted and free of duplicates.  The kept facts
-    /// between two removed ids move left as whole slices; then the offsets
-    /// shift a range at a time by the running removal count.
-    ///
-    /// # Panics
-    /// Panics if some `id` is not in the run of its `sym`.
-    fn delete_sorted(&mut self, changes: &[(Sym, FactId)]) {
-        let mut read = 0usize;
-        let mut write = 0usize;
-        let mut running = 0u32;
-        let mut from = 0usize;
-        for group in changes.chunk_by(|a, b| a.0 == b.0) {
-            let (sym, s) = (group[0].0, group[0].0.index());
-            let lo = self.offsets[s] as usize;
-            let hi = self.offsets[s + 1] as usize;
-            let mut search = lo;
-            for &(_, id) in group {
-                let at = match self.facts[search..hi].binary_search(&id) {
-                    Ok(at) => search + at,
-                    Err(_) => panic!("delete: {id} is not indexed under {sym}"),
-                };
-                if write != read {
-                    self.facts.copy_within(read..at, write);
-                }
-                write += at - read;
-                read = at + 1;
-                search = at + 1;
-            }
-            if hi - lo == group.len() {
-                self.distinct -= 1;
-            }
-            self.shift(from, s + 1, running, false);
-            running += group.len() as u32;
-            from = s + 1;
-        }
-        let len = self.facts.len();
-        self.facts.copy_within(read..len, write);
-        self.facts.truncate(write + len - read);
-        let end = self.offsets.len();
-        self.shift(from, end, running, false);
+    /// The run-length histogram up to the longest run (the entries past it
+    /// are zero).
+    fn histogram(&self) -> &[u32] {
+        &self.run_lengths[..=self.longest as usize]
     }
 }
 
-/// Immutable per-relation CSR indexes from `(position, symbol)` to the
-/// ids of the facts carrying that symbol at that position.
+/// Per-relation indexes from `(position, symbol)` to the ascending ids of
+/// the facts carrying that symbol at that position.
 ///
-/// Built once per [`Database`] (see [`Database::relation_index`]) and
-/// shared across threads; all lookups return borrowed slices, so the
-/// query-evaluation hot path performs no allocation.  The cardinality
-/// accessors ([`RelationIndex::posting_len`],
-/// [`RelationIndex::distinct_count`],
+/// Built once per [`Database`] (see [`Database::relation_index`]), then
+/// patched per mutation batch, and shared across threads; all lookups
+/// return borrowed slices, so the query-evaluation hot path performs no
+/// allocation.  The cardinality accessors
+/// ([`RelationIndex::posting_len`], [`RelationIndex::distinct_count`],
 /// [`RelationIndex::relation_cardinality`]) expose the exact statistics
-/// the join planner uses for selectivity-based ordering.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// the join planner uses for selectivity-based ordering.  Equality
+/// compares the posting runs and statistics, not the arena layout.
+#[derive(Debug, Clone, Default)]
 pub struct RelationIndex {
-    /// `columns[relation][position]`: symbol → ascending fact-id run.
+    /// `columns[relation][position]`: symbol → run of `arena`.
     columns: Vec<Vec<PostingColumn>>,
     /// Facts per relation (for planner cardinality estimates).
     cardinalities: Vec<u32>,
+    /// Every posting run, back to back; the slots no run covers are
+    /// garbage.
+    arena: Vec<FactId>,
+    /// The number of garbage slots in `arena`.
+    garbage: usize,
+    /// Arena entries written by batches since the build, compactions
+    /// excluded.
+    #[cfg(test)]
+    moved: u64,
+    /// Arena compactions since the build.
+    #[cfg(test)]
+    compactions: u64,
 }
 
 impl RelationIndex {
@@ -191,41 +175,48 @@ impl RelationIndex {
     pub fn build(db: &Database) -> Self {
         let schema = db.schema();
         let sym_bound = db.dictionary().len();
-        let mut columns: Vec<Vec<PostingColumn>> = Vec::with_capacity(schema.relation_count());
-        let mut cardinalities = Vec::with_capacity(schema.relation_count());
+        let mut index = RelationIndex {
+            columns: Vec::with_capacity(schema.relation_count()),
+            cardinalities: Vec::with_capacity(schema.relation_count()),
+            ..RelationIndex::default()
+        };
         for relation in schema.relation_ids() {
-            let ids = db.facts_of(relation);
-            cardinalities.push(ids.len() as u32);
+            let ids = db.row_ids(relation);
+            let dead = db.dead_rows(relation);
+            let live = |row: usize| dead == 0 || db.is_live(ids[row]);
+            index.cardinalities.push((ids.len() - dead) as u32);
             let mut relation_columns = Vec::with_capacity(schema.arity(relation));
             for column in db.columns_of(relation) {
                 // Count, prefix-sum, fill — visiting rows in ascending
                 // fact-id order keeps every run ascending.
-                let mut offsets = vec![0u32; sym_bound + 1];
-                for &sym in column {
-                    offsets[sym.index() + 1] += 1;
-                }
-                let distinct = offsets.iter().filter(|&&n| n > 0).count() as u32;
-                for i in 0..sym_bound {
-                    offsets[i + 1] += offsets[i];
-                }
-                let mut facts = vec![FactId::new(0); column.len()];
-                let mut cursor = offsets.clone();
+                let mut counts = vec![0u32; sym_bound];
                 for (row, &sym) in column.iter().enumerate() {
-                    facts[cursor[sym.index()] as usize] = ids[row];
-                    cursor[sym.index()] += 1;
+                    if live(row) {
+                        counts[sym.index()] += 1;
+                    }
                 }
-                relation_columns.push(PostingColumn {
-                    offsets,
-                    facts,
-                    distinct,
-                });
+                let mut at = index.arena.len() as u32;
+                let mut runs: Vec<Run> = counts
+                    .iter()
+                    .map(|&len| {
+                        let run = Run { start: at, len: 0 };
+                        at += len;
+                        run
+                    })
+                    .collect();
+                index.arena.resize(at as usize, FactId::new(0));
+                for (row, (&sym, &id)) in column.iter().zip(ids).enumerate() {
+                    if live(row) {
+                        let run = &mut runs[sym.index()];
+                        index.arena[run.end()] = id;
+                        run.len += 1;
+                    }
+                }
+                relation_columns.push(PostingColumn::new(runs, &counts));
             }
-            columns.push(relation_columns);
+            index.columns.push(relation_columns);
         }
-        RelationIndex {
-            columns,
-            cardinalities,
-        }
+        index
     }
 
     /// Iterates the non-empty posting runs of `(relation, position)` in
@@ -243,12 +234,11 @@ impl RelationIndex {
         relation: RelationId,
         position: usize,
     ) -> impl Iterator<Item = &[FactId]> + '_ {
-        let column = &self.columns[relation.index()][position];
-        column
-            .offsets
-            .windows(2)
-            .filter(|w| w[0] < w[1])
-            .map(move |w| &column.facts[w[0] as usize..w[1] as usize])
+        self.columns[relation.index()][position]
+            .runs
+            .iter()
+            .filter(|run| run.len > 0)
+            .map(|run| &self.arena[run.range()])
     }
 
     /// The ids of the facts of `relation` whose symbol at `position` equals
@@ -260,7 +250,7 @@ impl RelationIndex {
     /// database.
     #[inline]
     pub fn matches(&self, relation: RelationId, position: usize, sym: Sym) -> &[FactId] {
-        self.columns[relation.index()][position].run(sym)
+        &self.arena[self.columns[relation.index()][position].run(sym).range()]
     }
 
     /// Value-level probe: resolves `value` through `dict` and returns its
@@ -284,7 +274,7 @@ impl RelationIndex {
     /// break atom-order ties.
     #[inline]
     pub fn posting_len(&self, relation: RelationId, position: usize, sym: Sym) -> usize {
-        self.matches(relation, position, sym).len()
+        self.columns[relation.index()][position].run(sym).len as usize
     }
 
     /// Alias of [`RelationIndex::posting_len`] kept for the run-time
@@ -314,33 +304,28 @@ impl RelationIndex {
     /// Total number of posting entries across all relations and positions
     /// (= Σ relation arity × fact count; a size diagnostic).
     pub fn posting_entries(&self) -> usize {
-        self.columns
-            .iter()
-            .flatten()
-            .map(|column| column.facts.len())
-            .sum()
+        self.arena.len() - self.garbage
     }
 
-    /// Extends every column's offset array to cover symbols `< bound`,
-    /// repeating the final offset (new symbols have empty runs).
+    /// Extends every column's run table to cover symbols `< bound` (new
+    /// symbols have empty runs).
     ///
-    /// [`RelationIndex::build`] sizes every offset array to the *global*
-    /// dictionary bound, so a delta-maintained index must grow its arrays
+    /// [`RelationIndex::build`] sizes every run table to the *global*
+    /// dictionary bound, so a delta-maintained index must grow its tables
     /// the same way whenever a mutation interned new constants — otherwise
-    /// it could never be structurally equal to a fresh rebuild.
+    /// it could never equal a fresh rebuild.
     pub(crate) fn ensure_sym_bound(&mut self, bound: usize) {
         for column in self.columns.iter_mut().flatten() {
-            let tail = column.offsets.last().copied().unwrap_or(0);
-            if column.offsets.len() < bound + 1 {
-                column.offsets.resize(bound + 1, tail);
+            if column.runs.len() < bound {
+                column.runs.resize(bound, Run::default());
             }
         }
     }
 
     /// Applies a batch of insertions: each `(relation, row, id)` appends
     /// `id` to the posting run of every `(position, symbol)` pair of `row`
-    /// and bumps the relation cardinality.  Each touched posting column is
-    /// rewritten once for the whole batch (see `PostingColumn::insert_sorted`).
+    /// and bumps the relation cardinality.  Only the touched runs are
+    /// rewritten (see the module docs).
     ///
     /// Every `id` must be a *newly assigned* fact id — greater than every
     /// id already indexed — so appending at the end of each run preserves
@@ -357,8 +342,8 @@ impl RelationIndex {
     /// Applies a batch of deletions: each `(relation, row, id)` removes
     /// `id` (which carried symbols `row`) from the posting run of every
     /// `(position, symbol)` pair and decrements the relation cardinality.
-    /// Each touched posting column is rewritten once for the whole batch
-    /// (see `PostingColumn::delete_sorted`).  The ids must be distinct.
+    /// Only the touched runs are rewritten (see the module docs).  The ids
+    /// must be distinct.
     ///
     /// # Panics
     /// Panics if some `id` is not indexed under every `(position, symbol)`
@@ -371,8 +356,9 @@ impl RelationIndex {
         self.apply_batch(facts, false);
     }
 
-    /// Groups a batch by relation and hands every column of a touched
-    /// relation its `(symbol, id)` change points, sorted, in one call.
+    /// Groups a batch by relation, hands every touched run of every column
+    /// of a touched relation its sorted ids, and compacts the arena if its
+    /// garbage now outgrows its live entries.
     fn apply_batch<'a>(
         &mut self,
         facts: impl IntoIterator<Item = (RelationId, &'a [Sym], FactId)>,
@@ -387,14 +373,16 @@ impl RelationIndex {
             if rows.is_empty() {
                 continue;
             }
-            for (position, column) in self.columns[relation].iter_mut().enumerate() {
+            for position in 0..self.columns[relation].len() {
                 changes.clear();
                 changes.extend(rows.iter().map(|&(row, id)| (row[position], id)));
                 changes.sort_unstable();
-                if insert {
-                    column.insert_sorted(&changes);
-                } else {
-                    column.delete_sorted(&changes);
+                for group in changes.chunk_by(|a, b| a.0 == b.0) {
+                    if insert {
+                        self.append_to_run(relation, position, group);
+                    } else {
+                        self.remove_from_run(relation, position, group);
+                    }
                 }
             }
             if insert {
@@ -402,6 +390,108 @@ impl RelationIndex {
             } else {
                 self.cardinalities[relation] -= rows.len() as u32;
             }
+        }
+        if self.garbage > self.posting_entries() {
+            self.compact();
+        }
+    }
+
+    /// Appends the ascending ids of `group`, which share one symbol, to
+    /// that symbol's run: in place when the run ends the arena, else after
+    /// copying the run to the arena's end, which turns its old slots into
+    /// garbage.
+    fn append_to_run(&mut self, relation: usize, position: usize, group: &[(Sym, FactId)]) {
+        let sym = group[0].0;
+        debug_assert!(
+            sym.index() < self.columns[relation][position].runs.len(),
+            "insert without ensure_sym_bound: {sym} out of range"
+        );
+        let column = &mut self.columns[relation][position];
+        let run = &mut column.runs[sym.index()];
+        debug_assert!(
+            run.len == 0 || self.arena[run.end() - 1] < group[0].1,
+            "inserted fact id must exceed every indexed id of its run"
+        );
+        let old = run.len;
+        if run.end() != self.arena.len() {
+            let start = self.arena.len();
+            self.arena.extend_from_within(run.range());
+            self.garbage += old as usize;
+            run.start = start as u32;
+            #[cfg(test)]
+            {
+                self.moved += u64::from(old);
+            }
+        }
+        self.arena.extend(group.iter().map(|&(_, id)| id));
+        run.len += group.len() as u32;
+        let new = run.len;
+        column.record_len(old, new);
+        #[cfg(test)]
+        {
+            self.moved += group.len() as u64;
+        }
+    }
+
+    /// Removes the ascending ids of `group`, which share one symbol, from
+    /// that symbol's run in place: a removed prefix advances the run's
+    /// start, and the kept ids after any other gap move left to close it.
+    /// The freed slots become garbage.
+    ///
+    /// # Panics
+    /// Panics if some id is not in the run of its symbol.
+    fn remove_from_run(&mut self, relation: usize, position: usize, group: &[(Sym, FactId)]) {
+        let sym = group[0].0;
+        let column = &mut self.columns[relation][position];
+        let run = column.run(sym);
+        let entries = &mut self.arena[run.range()];
+        let prefix = entries
+            .iter()
+            .zip(group)
+            .take_while(|&(&a, &(_, b))| a == b)
+            .count();
+        if prefix < group.len() {
+            let (mut read, mut write) = (prefix, prefix);
+            for &(_, id) in &group[prefix..] {
+                let at = match entries[read..].binary_search(&id) {
+                    Ok(at) => read + at,
+                    Err(_) => panic!("delete: {id} is not indexed under {sym}"),
+                };
+                entries.copy_within(read..at, write);
+                write += at - read;
+                read = at + 1;
+            }
+            entries.copy_within(read.., write);
+            #[cfg(test)]
+            {
+                self.moved += (entries.len() - prefix) as u64;
+            }
+        }
+        let shrunk = Run {
+            start: run.start + prefix as u32,
+            len: run.len - group.len() as u32,
+        };
+        column.runs[sym.index()] = shrunk;
+        column.record_len(run.len, shrunk.len);
+        self.garbage += group.len();
+    }
+
+    /// Copies every run, in build order, into a fresh arena without
+    /// garbage.
+    fn compact(&mut self) {
+        let mut arena = Vec::with_capacity(self.posting_entries());
+        for column in self.columns.iter_mut().flatten() {
+            for run in &mut column.runs {
+                let start = arena.len() as u32;
+                arena.extend_from_slice(&self.arena[run.range()]);
+                run.start = start;
+            }
+        }
+        self.arena = arena;
+        self.garbage = 0;
+        #[cfg(test)]
+        {
+            self.compactions += 1;
         }
     }
 
@@ -411,29 +501,90 @@ impl RelationIndex {
     /// shift moves first).  The snapshot is the input of the drift
     /// heuristic ([`StatsSnapshot::drifted`]) that gates replanning in
     /// the streaming layer: steady-state ticks keep their compiled plans,
-    /// a >2× move in any counter triggers one replan.
+    /// a >2× move in any counter triggers one replan.  Both counters are
+    /// maintained per batch, so a snapshot costs one read per column.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let columns = self
-            .columns
-            .iter()
-            .map(|relation_columns| {
-                relation_columns
-                    .iter()
-                    .map(|column| {
-                        let longest = column
-                            .offsets
-                            .windows(2)
-                            .map(|w| w[1] - w[0])
-                            .max()
-                            .unwrap_or(0);
-                        (column.distinct, longest)
-                    })
-                    .collect()
-            })
-            .collect();
         StatsSnapshot {
             cardinalities: self.cardinalities.clone(),
-            columns,
+            columns: self
+                .columns
+                .iter()
+                .map(|relation_columns| {
+                    relation_columns
+                        .iter()
+                        .map(|column| (column.distinct, column.longest))
+                        .collect()
+                })
+                .collect(),
+        }
+    }
+}
+
+impl PartialEq for RelationIndex {
+    fn eq(&self, other: &Self) -> bool {
+        let same_column = |a: &PostingColumn, b: &PostingColumn| {
+            a.runs.len() == b.runs.len()
+                && a.distinct == b.distinct
+                && a.histogram() == b.histogram()
+                && a.runs
+                    .iter()
+                    .zip(&b.runs)
+                    .all(|(x, y)| self.arena[x.range()] == other.arena[y.range()])
+        };
+        self.cardinalities == other.cardinalities
+            && self.columns.len() == other.columns.len()
+            && self
+                .columns
+                .iter()
+                .zip(&other.columns)
+                .all(|(ours, theirs)| {
+                    ours.len() == theirs.len()
+                        && ours.iter().zip(theirs).all(|(a, b)| same_column(a, b))
+                })
+    }
+}
+
+impl Eq for RelationIndex {}
+
+#[cfg(test)]
+impl RelationIndex {
+    /// The arena's length, live entries and garbage together.
+    pub(crate) fn arena_len(&self) -> usize {
+        self.arena.len()
+    }
+
+    /// Arena entries written by batches since the build, compactions
+    /// excluded.
+    pub(crate) fn moved_entries(&self) -> u64 {
+        self.moved
+    }
+
+    /// Arena compactions since the build.
+    pub(crate) fn compactions(&self) -> u64 {
+        self.compactions
+    }
+
+    /// The planner statistics recomputed from the runs themselves, the
+    /// oracle of the maintained ones.
+    pub(crate) fn stats_from_runs(&self) -> StatsSnapshot {
+        StatsSnapshot {
+            cardinalities: self.cardinalities.clone(),
+            columns: self
+                .columns
+                .iter()
+                .map(|relation_columns| {
+                    relation_columns
+                        .iter()
+                        .map(|column| {
+                            let lengths = column.runs.iter().map(|run| run.len);
+                            (
+                                lengths.clone().filter(|&len| len > 0).count() as u32,
+                                lengths.max().unwrap_or(0),
+                            )
+                        })
+                        .collect()
+                })
+                .collect(),
         }
     }
 }

@@ -174,12 +174,7 @@ impl ViolationSet {
                 }
             } else {
                 live.clear();
-                live.extend(
-                    db.facts_of(fd.relation())
-                        .iter()
-                        .copied()
-                        .filter(|&f| subset.contains(f)),
-                );
+                live.extend(db.facts_of(fd.relation()).filter(|&f| subset.contains(f)));
                 scan_fd(db, fd_id, fd, live, &mut self.keyed, &mut self.violations);
             }
         }

@@ -664,7 +664,7 @@ impl QueryEvaluator {
         }
         let atom = &encoded[atom_index];
         let columns = db.columns_of(atom.relation);
-        for &fact_id in db.facts_of(atom.relation) {
+        for fact_id in db.facts_of(atom.relation) {
             if !subset.contains(fact_id) {
                 continue;
             }

@@ -701,7 +701,9 @@ pub(crate) fn candidate_facts<'c>(
     scratch: &'c mut Vec<FactId>,
 ) -> &'c [FactId] {
     if bound_positions.is_empty() {
-        return db.facts_of(relation);
+        scratch.clear();
+        scratch.extend(db.facts_of(relation));
+        return scratch;
     }
     let mut best: Option<&'c [FactId]> = None;
     let mut second: Option<&'c [FactId]> = None;

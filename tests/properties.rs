@@ -1093,7 +1093,7 @@ proptest! {
     #[test]
     fn delta_maintained_indexes_match_rebuilds_after_every_interleaved_step(
         rows in prop::collection::vec((0u8..3, 0u8..3, 0u8..3, 0u8..2), 1..12),
-        steps in prop::collection::vec((0u8..6, 0u8..3, 0u8..3, 0u8..3), 1..10),
+        steps in prop::collection::vec((0u8..7, 0u8..3, 0u8..3, 0u8..3), 1..10),
         seed in 0u64..1_000,
     ) {
         use uocqa::db::RelationIndex;
@@ -1150,6 +1150,18 @@ proptest! {
                         db.delete(victim).unwrap();
                         db.insert(fact).unwrap();
                     }
+                }
+                6 => {
+                    // Delete all but the oldest fact of one relation, then
+                    // reinsert them: its dead rows outnumber its live ones
+                    // (a relation compaction) and, when the relation holds
+                    // most posting entries, the index's garbage outgrows
+                    // its live entries (an arena compaction).
+                    let relation = if a % 2 == 0 { r } else { s };
+                    let victims: Vec<FactId> = db.facts_of(relation).skip(1).collect();
+                    let facts: Vec<Fact> = victims.iter().map(|&id| db.fact(id)).collect();
+                    db.delete_all(&victims).unwrap();
+                    db.extend(facts).unwrap();
                 }
                 _ => {
                     // One batched delete across both relations: a random

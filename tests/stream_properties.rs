@@ -440,38 +440,77 @@ fn hand_built_ticks_match_scratch_and_the_per_fact_log() {
                 "{context}"
             );
 
-            let (scratch_db, map) = scratch_rebuild(w.db());
-            let scratch_conflict = ConflictIndex::build(&scratch_db, &sigma);
-            assert_conflict_matches_scratch(w.conflict_index(), &scratch_conflict, &map, &context);
-            let scratch_queries = stream_queries(&scratch_db);
-            let scratch_refs: Vec<_> = scratch_queries
-                .iter()
-                .map(|(e, c)| (e, c.as_slice()))
-                .collect();
-            let scratch_bank = LineageBank::compile(&scratch_db, &scratch_refs).unwrap();
-            assert_bank_matches_scratch(w.bank(), &scratch_bank, &map, &context);
-            let params = ApproximationParams::new(0.2, 0.2)
-                .unwrap()
-                .with_mode(EstimatorMode::FixedSamples(24));
-            let live_queries = stream_queries(w.db());
-            let windowed = windowed_batch_estimator(&w, spec)
-                .estimate_batch_with_bank(
-                    w.bank(),
-                    &batch_refs(&live_queries),
-                    params,
-                    &mut StdRng::seed_from_u64(5),
-                )
-                .unwrap();
-            let scratch = BatchEstimator::new(&scratch_db, &sigma, spec)
-                .unwrap()
-                .estimate_batch_with_bank(
-                    &scratch_bank,
-                    &batch_refs(&scratch_queries),
-                    params,
-                    &mut StdRng::seed_from_u64(5),
-                )
-                .unwrap();
-            assert_eq!(windowed, scratch, "estimates diverged: {context}");
+            assert_window_matches_scratch(&w, &sigma, spec, 5, &context);
+        }
+    }
+}
+
+/// Asserts the windowed state equals a scratch rebuild of the live
+/// window: the conflict index and the bank's witnesses under the live-id
+/// remap, and same-seed estimates over both states.
+fn assert_window_matches_scratch(
+    w: &WindowedEstimator,
+    sigma: &FdSet,
+    spec: GeneratorSpec,
+    est_seed: u64,
+    context: &str,
+) {
+    let (scratch_db, map) = scratch_rebuild(w.db());
+    let scratch_conflict = ConflictIndex::build(&scratch_db, sigma);
+    assert_conflict_matches_scratch(w.conflict_index(), &scratch_conflict, &map, context);
+    let scratch_queries = stream_queries(&scratch_db);
+    let scratch_refs: Vec<_> = scratch_queries
+        .iter()
+        .map(|(e, c)| (e, c.as_slice()))
+        .collect();
+    let scratch_bank = LineageBank::compile(&scratch_db, &scratch_refs).unwrap();
+    assert_bank_matches_scratch(w.bank(), &scratch_bank, &map, context);
+    let params = ApproximationParams::new(0.2, 0.2)
+        .unwrap()
+        .with_mode(EstimatorMode::FixedSamples(24));
+    let live_queries = stream_queries(w.db());
+    let windowed = windowed_batch_estimator(w, spec)
+        .estimate_batch_with_bank(
+            w.bank(),
+            &batch_refs(&live_queries),
+            params,
+            &mut StdRng::seed_from_u64(est_seed),
+        )
+        .unwrap();
+    let scratch = BatchEstimator::new(&scratch_db, sigma, spec)
+        .unwrap()
+        .estimate_batch_with_bank(
+            &scratch_bank,
+            &batch_refs(&scratch_queries),
+            params,
+            &mut StdRng::seed_from_u64(est_seed),
+        )
+        .unwrap();
+    assert_eq!(windowed, scratch, "estimates diverged: {context}");
+}
+
+/// A 300-tick stream over a `Count(12)` window, under `M^uo` and `M^ur`:
+/// its expiries and retractions push the relation past its
+/// row-compaction threshold and the relation index past its
+/// arena-compaction threshold every few ticks, and after every tick the
+/// windowed state still matches the scratch rebuild.  The property test
+/// above runs 1–3 ticks and never compacts.
+#[test]
+fn count_window_matches_scratch_across_storage_compactions() {
+    for spec in [
+        GeneratorSpec::uniform_operations(),
+        GeneratorSpec::uniform_repairs(),
+    ] {
+        let mut workload = StreamWorkload::new(4, 3, 1, 0.5, 7);
+        let (db, sigma) = workload.initial(12);
+        let queries = stream_queries(&db);
+        let mut w = WindowedEstimator::new(db, sigma.clone(), spec, WindowSpec::Count(12), queries)
+            .unwrap();
+        for tick in 1..=300u64 {
+            let (inserts, retracts) = workload.tick(w.db());
+            w.tick(inserts, &retracts).unwrap();
+            let context = format!("spec {} tick {tick}", spec.short_name());
+            assert_window_matches_scratch(&w, &sigma, spec, tick, &context);
         }
     }
 }

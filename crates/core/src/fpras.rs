@@ -25,11 +25,11 @@ use ucqa_query::{BankLiveSet, BankScratch, CompiledLineage, LineageBank, QueryEv
 use ucqa_repair::{GeneratorSpec, UniformSemantics};
 
 use crate::bounds;
-use crate::budget::{AchievedBound, EstimateOutcome, QueryOutcome, RunBudget};
+use crate::budget::{AchievedBound, BudgetStatus, EstimateOutcome, QueryOutcome, RunBudget};
 use crate::montecarlo::{
     estimate_fixed, estimate_fixed_batch, estimate_fixed_batch_budgeted, estimate_fixed_budgeted,
-    estimate_stopping_batch, estimate_stopping_batch_budgeted, BudgetedStoppingOutcome,
-    StoppingBatchExperiment, StoppingRuleEstimator, StoppingRuleOutcome,
+    estimate_stopping_batch_budgeted, BudgetedStoppingOutcome, StoppingBatchExperiment,
+    StoppingRuleEstimator, StoppingRuleOutcome,
 };
 use crate::sample_operations::{OperationWalkSampler, WalkScratch};
 use crate::sample_repairs::RepairSampler;
@@ -246,6 +246,49 @@ fn bank_witnesses(bank: &LineageBank) -> Option<impl Iterator<Item = &FactSet>> 
     })
 }
 
+/// The compiled entries of `bank` that have no witness.  `Q(c̄)` then
+/// has no image in `D`, so it has none in any repair either: `P = 0`
+/// exactly, under every generator, and such an entry retires before the
+/// first draw instead of holding a stopping-rule stream open to its
+/// cut-off.
+fn witness_free(bank: &LineageBank) -> impl Iterator<Item = usize> + '_ {
+    (0..bank.len()).filter(|&q| bank.query_witness_count(q) == Some(0))
+}
+
+/// The stopping-rule outcome of an entry that retires before the first
+/// draw because its probability is exactly 0.
+const SETTLED_AT_ZERO: StoppingRuleOutcome = StoppingRuleOutcome {
+    estimate: 0.0,
+    samples: 0,
+    successes: 0,
+    truncated: false,
+};
+
+/// The state a stopping-rule stream over `bank` starts from: `prior`, or
+/// a fresh stream, with every [witness-free](witness_free) entry retired
+/// at [`SETTLED_AT_ZERO`] with status [`BudgetStatus::Converged`].
+fn settle_witness_free(
+    bank: &LineageBank,
+    prior: Option<&BudgetedStoppingOutcome>,
+) -> BudgetedStoppingOutcome {
+    let mut start = prior.cloned().unwrap_or_else(|| BudgetedStoppingOutcome {
+        outcomes: vec![
+            StoppingRuleOutcome {
+                truncated: true,
+                ..SETTLED_AT_ZERO
+            };
+            bank.len()
+        ],
+        statuses: vec![BudgetStatus::BudgetExhausted; bank.len()],
+        total_samples: 0,
+    });
+    for q in witness_free(bank) {
+        start.outcomes[q] = SETTLED_AT_ZERO;
+        start.statuses[q] = BudgetStatus::Converged;
+    }
+    start
+}
+
 /// An approximate (FPRAS) solver for `OCQA(Σ, M, Q)` over one database.
 pub struct OcqaEstimator<'a> {
     db: &'a Database,
@@ -416,7 +459,9 @@ impl<'a> OcqaEstimator<'a> {
     /// "some witness ⊆ repair" check — the loop performs no heap
     /// allocation and no backtracking search.  When the witness count
     /// exceeds [`ucqa_query::lineage::DEFAULT_WITNESS_CAP`], the check
-    /// falls back to the (slot-compiled) backtracking evaluator.
+    /// falls back to the (slot-compiled) backtracking evaluator.  Under
+    /// the stopping rule, a lineage with no witness is answered without
+    /// drawing: the probability is exactly 0 (estimate 0, zero samples).
     pub fn estimate<R: Rng + ?Sized>(
         &self,
         evaluator: &QueryEvaluator,
@@ -432,11 +477,16 @@ impl<'a> OcqaEstimator<'a> {
         let mut sample = SampleExperiment::new(self, lineage.as_ref(), evaluator, candidate);
         let experiment = |rng: &mut R| -> bool { sample.draw(rng) };
 
+        let witness_free = lineage.as_ref().is_some_and(|l| l.witness_count() == 0);
         let estimate = match params.mode {
             EstimatorMode::OptimalStopping { max_samples } => {
-                let outcome = StoppingRuleEstimator::new(params.epsilon, params.delta)
-                    .with_max_samples(max_samples)
-                    .estimate(rng, experiment);
+                let outcome = if witness_free {
+                    SETTLED_AT_ZERO
+                } else {
+                    StoppingRuleEstimator::new(params.epsilon, params.delta)
+                        .with_max_samples(max_samples)
+                        .estimate(rng, experiment)
+                };
                 Estimate {
                     value: outcome.estimate,
                     samples: outcome.samples,
@@ -488,11 +538,16 @@ impl<'a> OcqaEstimator<'a> {
         let mut sample = SampleExperiment::new(self, lineage.as_ref(), evaluator, candidate);
         let experiment = |rng: &mut R| -> bool { sample.draw(rng) };
 
+        let witness_free = lineage.as_ref().is_some_and(|l| l.witness_count() == 0);
         let (outcome, status) = match params.mode {
             EstimatorMode::OptimalStopping { max_samples } => {
-                StoppingRuleEstimator::try_new(params.epsilon, params.delta)?
-                    .with_max_samples(max_samples)
-                    .estimate_budgeted(rng, budget, experiment)
+                let rule = StoppingRuleEstimator::try_new(params.epsilon, params.delta)?
+                    .with_max_samples(max_samples);
+                if witness_free {
+                    (SETTLED_AT_ZERO, BudgetStatus::Converged)
+                } else {
+                    rule.estimate_budgeted(rng, budget, experiment)
+                }
             }
             _ => {
                 let samples = self.fixed_sample_count(evaluator, params)?;
@@ -794,8 +849,11 @@ impl<'a> BatchEstimator<'a> {
     /// per-draw containment scan ([`BankLiveSet`]), so the per-draw cost
     /// shrinks as the bank drains — and the stream stops when the last
     /// query retires or `max_samples` truncates it (reported per query via
-    /// [`Estimate::truncated`]; a zero-probability query truncates at the
-    /// cut-off without stalling the retirement of the others).
+    /// [`Estimate::truncated`]).  A compiled entry with no witness has
+    /// probability exactly 0 and retires before the first draw, with
+    /// estimate 0, zero samples and no truncation; any other
+    /// zero-probability query truncates at the cut-off without stalling
+    /// the retirement of the others.
     ///
     /// Requires [`EstimatorMode::OptimalStopping`].  With `δ/k` per query,
     /// a union bound gives: with probability at least `1 − δ`, **every**
@@ -823,7 +881,14 @@ impl<'a> BatchEstimator<'a> {
         let targets = vec![target; queries.len()];
         let live = BankLiveSet::full(&bank);
         let mut experiment = BatchStoppingExperiment::new(&self.inner, &bank, queries, live);
-        let outcome = estimate_stopping_batch(rng, &targets, max_samples, &mut experiment);
+        let outcome = estimate_stopping_batch_budgeted(
+            rng,
+            &targets,
+            max_samples,
+            &RunBudget::unlimited(),
+            &mut experiment,
+            Some(&settle_witness_free(&bank, None)),
+        );
         Ok(outcome
             .outcomes
             .into_iter()
@@ -990,14 +1055,14 @@ impl<'a> BatchEstimator<'a> {
             .per_query_stopping_rule(params, queries.len())
             .success_target();
         let targets = vec![target; queries.len()];
+        let resume = settle_witness_free(bank, Some(&Self::budgeted_from(prior)));
         let mut live = BankLiveSet::empty(bank);
-        for (query, outcome) in prior.queries.iter().enumerate() {
-            if !outcome.status.is_converged() {
+        for (query, status) in resume.statuses.iter().enumerate() {
+            if !status.is_converged() {
                 live.enroll(bank, query);
             }
         }
         let mut experiment = BatchStoppingExperiment::new(&self.inner, bank, queries, live);
-        let resume = Self::budgeted_from(prior);
         let budgeted = estimate_stopping_batch_budgeted(
             rng,
             &targets,
@@ -1035,7 +1100,7 @@ impl<'a> BatchEstimator<'a> {
             max_samples,
             budget,
             &mut experiment,
-            resume,
+            Some(&settle_witness_free(&bank, resume)),
         );
         Ok(Self::outcome_from(
             budgeted,
@@ -1070,7 +1135,7 @@ impl<'a> BatchEstimator<'a> {
         master_seed: u64,
         round_samples: u64,
     ) -> Result<Vec<Estimate>, CoreError> {
-        use crate::montecarlo::{estimate_stopping_batch_rounds, DEFAULT_SHARD_SIZE};
+        use crate::montecarlo::{estimate_stopping_batch_rounds_budgeted, DEFAULT_SHARD_SIZE};
 
         let max_samples = self.stopping_cut_off(params)?;
         let bank = self.compile_bank(queries)?;
@@ -1078,12 +1143,15 @@ impl<'a> BatchEstimator<'a> {
             .per_query_stopping_rule(params, queries.len())
             .success_target();
         let targets = vec![target; queries.len()];
-        let outcome = estimate_stopping_batch_rounds(
+        let settled: Vec<usize> = witness_free(&bank).collect();
+        let outcome = estimate_stopping_batch_rounds_budgeted(
             master_seed,
             &targets,
             max_samples,
             round_samples,
             DEFAULT_SHARD_SIZE,
+            &RunBudget::unlimited(),
+            &settled,
             |live_queries| {
                 let live = BankLiveSet::restrict(&bank, live_queries);
                 let mut experiment =
@@ -1137,6 +1205,7 @@ impl<'a> BatchEstimator<'a> {
             .per_query_stopping_rule(params, queries.len())
             .success_target();
         let targets = vec![target; queries.len()];
+        let settled: Vec<usize> = witness_free(&bank).collect();
         let budgeted = estimate_stopping_batch_rounds_budgeted(
             master_seed,
             &targets,
@@ -1144,6 +1213,7 @@ impl<'a> BatchEstimator<'a> {
             round_samples,
             DEFAULT_SHARD_SIZE,
             budget,
+            &settled,
             |live_queries| {
                 let live = BankLiveSet::restrict(&bank, live_queries);
                 let mut experiment =
@@ -1797,8 +1867,17 @@ mod tests {
         let lookup = QueryEvaluator::new(lookup);
         let never = parse_query(db.schema(), "Ans() :- R('zz', 'zz')").unwrap();
         let never = QueryEvaluator::new(never);
+        // One witness, but its two facts share the key 'a1': no repair
+        // keeps both, so the probability is 0 without being decided by
+        // the witness count.
+        let clash = parse_query(db.schema(), "Ans() :- R('a1', 'b1'), R('a1', 'b2')").unwrap();
+        let clash = QueryEvaluator::new(clash);
         let b1 = [Value::str("b1")];
-        let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&never, &[])];
+        let queries = [
+            BatchQuery::new(&lookup, &b1),
+            BatchQuery::new(&never, &[]),
+            BatchQuery::new(&clash, &[]),
+        ];
         let params = ApproximationParams::new(0.2, 0.1)
             .unwrap()
             .with_mode(EstimatorMode::OptimalStopping { max_samples: 5_000 });
@@ -1812,10 +1891,125 @@ mod tests {
             "the feasible query retires before the cut-off"
         );
         assert!((estimates[0].value - 0.25).abs() < 0.25 * 0.3);
-        assert!(estimates[1].truncated);
-        assert_eq!(estimates[1].samples, 5_000);
+        // The witness-free query is exactly 0 and draws nothing.
+        assert!(!estimates[1].truncated);
+        assert_eq!(estimates[1].samples, 0);
         assert_eq!(estimates[1].successes, 0);
         assert_eq!(estimates[1].value, 0.0);
+        // The clashing one rides the stream to the cut-off.
+        assert!(estimates[2].truncated);
+        assert_eq!(estimates[2].samples, 5_000);
+        assert_eq!(estimates[2].successes, 0);
+        assert_eq!(estimates[2].value, 0.0);
+    }
+
+    #[test]
+    fn witness_free_entries_settle_at_zero_draws_and_keep_batches_bit_identical() {
+        // A compiled entry with no witness is exactly 0 under every
+        // generator.  It retires before the first draw on every stopping
+        // path, single-query and batched alike, and the batch around it
+        // stays bit-identical to per-query runs.
+        let (db, sigma) = figure2();
+        let lookup = parse_query(db.schema(), "Ans(x) :- R('a1', x)").unwrap();
+        let lookup = QueryEvaluator::new(lookup);
+        let never = parse_query(db.schema(), "Ans() :- R('zz', 'zz')").unwrap();
+        let never = QueryEvaluator::new(never);
+        let member = parse_query(db.schema(), "Ans() :- R('a3', 'b1')").unwrap();
+        let member = QueryEvaluator::new(member);
+        let b1 = [Value::str("b1")];
+        let queries = [
+            BatchQuery::new(&lookup, &b1),
+            BatchQuery::new(&never, &[]),
+            BatchQuery::new(&member, &[]),
+        ];
+        let max_samples = 200_000;
+        let params = ApproximationParams::new(0.25, 0.2)
+            .unwrap()
+            .with_mode(EstimatorMode::OptimalStopping { max_samples });
+        // The per-query runs use the batch's per-query δ/k.
+        let single_params = ApproximationParams::new(0.25, 0.2 / queries.len() as f64)
+            .unwrap()
+            .with_mode(EstimatorMode::OptimalStopping { max_samples });
+        let zero = Estimate {
+            value: 0.0,
+            samples: 0,
+            successes: 0,
+            truncated: false,
+        };
+        for spec in all_specs() {
+            let name = spec.short_name();
+            let batch = BatchEstimator::new(&db, &sigma, spec).unwrap();
+            let bank = batch.compile_bank(&queries).unwrap();
+            assert_eq!(bank.query_witness_count(1), Some(0), "spec {name}");
+            let direct = batch
+                .estimate_stopping_batch(&queries, params, &mut StdRng::seed_from_u64(31))
+                .unwrap();
+            assert_eq!(direct[1], zero, "spec {name}");
+            assert!(direct.iter().all(|e| !e.truncated), "spec {name}");
+            for (i, query) in queries.iter().enumerate() {
+                let single = batch
+                    .estimator()
+                    .estimate(
+                        query.evaluator,
+                        query.candidate,
+                        single_params,
+                        &mut StdRng::seed_from_u64(31),
+                    )
+                    .unwrap();
+                assert_eq!(direct[i], single, "spec {name}, query {i}");
+                let budgeted = batch
+                    .estimator()
+                    .estimate_with_budget(
+                        query.evaluator,
+                        query.candidate,
+                        single_params,
+                        &RunBudget::unlimited(),
+                        &mut StdRng::seed_from_u64(31),
+                    )
+                    .unwrap();
+                assert_eq!(
+                    (budgeted.queries[0].estimate, budgeted.total_draws),
+                    (single.value, single.samples),
+                    "spec {name}, query {i}"
+                );
+                assert!(budgeted.queries[0].status.is_converged());
+            }
+            let budgeted = batch
+                .estimate_stopping_batch_with_budget(
+                    &queries,
+                    params,
+                    &RunBudget::unlimited(),
+                    &mut StdRng::seed_from_u64(31),
+                )
+                .unwrap();
+            assert!(budgeted.converged(), "spec {name}");
+            for (i, outcome) in budgeted.queries.iter().enumerate() {
+                assert_eq!(
+                    (outcome.estimate, outcome.samples, outcome.successes),
+                    (direct[i].value, direct[i].samples, direct[i].successes),
+                    "spec {name}, query {i}"
+                );
+            }
+            // A bank of witness-free entries only draws nothing at all.
+            let alone = batch
+                .estimate_stopping_batch_with_budget(
+                    &queries[1..2],
+                    params,
+                    &RunBudget::unlimited(),
+                    &mut StdRng::seed_from_u64(31),
+                )
+                .unwrap();
+            assert_eq!(alone.total_draws, 0, "spec {name}");
+            assert!(alone.converged(), "spec {name}");
+            #[cfg(feature = "parallel")]
+            {
+                let rounds = batch
+                    .estimate_stopping_batch_rounds(&queries, params, 23, DEFAULT_ROUND_SAMPLES)
+                    .unwrap();
+                assert_eq!(rounds[1], zero, "spec {name}");
+                assert!(rounds.iter().all(|e| !e.truncated), "spec {name}");
+            }
+        }
     }
 
     #[cfg(feature = "parallel")]
@@ -2332,8 +2526,10 @@ mod tests {
         // A draw cap interrupts at a round boundary: a query that cannot
         // converge is cut after the first round instead of running to the
         // `max_samples` cut-off (queries that converged within the round
-        // keep their values — the cap is round-granular).
-        let never = parse_query(db.schema(), "Ans() :- R('zz', 'zz')").unwrap();
+        // keep their values — the cap is round-granular).  The query has
+        // a witness whose two facts share a key, so it is 0 without being
+        // settled before the first round as a witness-free one would be.
+        let never = parse_query(db.schema(), "Ans() :- R('a1', 'b1'), R('a1', 'b2')").unwrap();
         let never = QueryEvaluator::new(never);
         let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&never, &[])];
         let capped = batch

@@ -606,6 +606,7 @@ where
         round_samples,
         shard_size,
         &RunBudget::unlimited(),
+        &[],
         make_experiment,
     );
     StoppingBatchOutcome {
@@ -627,7 +628,14 @@ where
 /// and pre-tripped tokens are; a wall-clock deadline is not, by nature).
 /// Resumption is not offered on this path — mid-round work cannot be
 /// replayed draw-by-draw.
+///
+/// The queries listed in `settled` retire before the first round with
+/// estimate 0, zero samples and status
+/// [`Converged`](BudgetStatus::Converged): the caller knows their
+/// probability is exactly 0, so they neither hold the stream open nor
+/// reach `make_experiment`'s live lists.
 #[cfg(feature = "parallel")]
+#[allow(clippy::too_many_arguments)]
 pub fn estimate_stopping_batch_rounds_budgeted<E, F>(
     master_seed: u64,
     targets: &[u64],
@@ -635,6 +643,7 @@ pub fn estimate_stopping_batch_rounds_budgeted<E, F>(
     round_samples: u64,
     shard_size: u64,
     budget: &RunBudget,
+    settled: &[usize],
     make_experiment: F,
 ) -> BudgetedStoppingOutcome
 where
@@ -655,7 +664,7 @@ where
     ];
     let mut statuses = vec![BudgetStatus::Converged; k];
     let mut successes = vec![0u64; k];
-    let mut live: Vec<usize> = (0..k).collect();
+    let mut live: Vec<usize> = (0..k).filter(|q| !settled.contains(q)).collect();
     let mut drawn = 0u64;
     let mut next_shard = 0u64;
     let mut interrupt = None;
@@ -1485,6 +1494,7 @@ mod tests {
             2_048,
             512,
             &RunBudget::unlimited(),
+            &[],
             experiment,
         );
         assert_eq!(budgeted.outcomes, plain.outcomes);
@@ -1506,6 +1516,7 @@ mod tests {
             256,
             64,
             &budget,
+            &[],
             |_live| |rng: &mut StdRng, hits: &mut [bool]| hits.fill(rng.random_bool(0.5)),
         );
         // A pre-tripped token fires at the first boundary: nothing drawn.
@@ -1519,6 +1530,7 @@ mod tests {
             256,
             64,
             &RunBudget::unlimited().with_max_draws(300),
+            &[],
             |_live| |rng: &mut StdRng, hits: &mut [bool]| hits.fill(rng.random_bool(0.001)),
         );
         // The cap is observed at the next boundary after 300 draws.

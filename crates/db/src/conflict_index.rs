@@ -48,7 +48,10 @@
 //! those holding a deleted fact and those a fresh violation reaches.
 //! [`ConflictIndex::refresh`] re-partitions just their union, appends the
 //! rebuilt components to the arenas and frees the old runs; the arenas
-//! are compacted once their garbage outgrows their live entries.  Each
+//! are compacted once their garbage outgrows their live entries.  A
+//! survivor is recognised by the liveness of its facts, and each rebuilt
+//! component sorts only its own runs, so a refresh builds no set of
+//! deleted ids and never sorts the whole union.  Each
 //! component keeps a digest of its fact ids, and the structure
 //! fingerprint is the wrapping sum of the digests, so both follow the
 //! delta too.  The global lists [`ConflictIndex::pairs`],
@@ -307,7 +310,9 @@ impl ConflictIndex {
             .map(FactId::new)
             .collect();
         let mut index = ConflictIndex::empty(db.len(), db.version());
-        index.store(&facts, &pairs, violations);
+        // `pairs` and `violations` are sorted, so every part's runs are
+        // already in order.
+        index.store(&facts, &pairs, violations, true);
         index.update_ranks();
         index
     }
@@ -325,11 +330,18 @@ impl ConflictIndex {
     /// pairs and violations, plus the fresh ones, are re-partitioned on
     /// their own and stored as new components; every other component keeps
     /// its runs, its rank order and its digest.  The result equals
-    /// `ConflictIndex::build(db, sigma)`, at a cost proportional to the
-    /// delta plus the facts and pairs of the touched components, plus one
-    /// pass over the words of the component-minima bitset from the lowest
-    /// changed one on — never to `|V|` or `|D|`, except for the amortised
-    /// compaction of the arenas.
+    /// `ConflictIndex::build(db, sigma)`.
+    ///
+    /// Ids are never reused, so a survivor is a pair or violation whose
+    /// facts are both [live](Database::is_live): one bit test each, with
+    /// no set of deleted ids to build or search.  Only the fresh pairs
+    /// are sorted as a whole; each new component sorts its own pair and
+    /// violation runs.  The cost is the delta plus the facts and pairs of
+    /// the touched components (times the logarithm of the largest new
+    /// component, for its sorts), plus one pass over the words of the
+    /// component-minima bitset from the lowest changed one on — never
+    /// `|V|` or `|D|`, except for the amortised compaction of the
+    /// arenas.
     pub fn refresh(&mut self, db: &Database, sigma: &FdSet) -> usize {
         let changes = db.changes_since(self.version);
         if changes.is_empty() {
@@ -340,7 +352,6 @@ impl ConflictIndex {
         // violations; still-live inserted facts may found new ones.  (A
         // fact inserted and deleted again within the window is filtered
         // from `inserted` by the liveness check.)
-        let mut deleted: Vec<FactId> = Vec::new();
         let mut inserted: Vec<FactId> = Vec::new();
         let mut touched: Vec<u32> = Vec::new();
         for change in changes {
@@ -351,12 +362,10 @@ impl ConflictIndex {
                     }
                 }
                 FactChange::Deleted { id, .. } => {
-                    deleted.push(*id);
                     touched.push(self.facts[id.index()].slot);
                 }
             }
         }
-        deleted.sort_unstable();
         let fresh = Self::probe(db, sigma, &inserted);
         touched.extend(
             fresh
@@ -371,10 +380,16 @@ impl ConflictIndex {
         }
 
         // The touched components' surviving pairs and violations, plus
-        // the fresh ones.  A fresh violation involves a fact inserted in
-        // the window, so it is never a survivor.
-        let survives = |fact: FactId| deleted.binary_search(&fact).is_err();
+        // the fresh ones.  Ids are never reused, so a fact of the old
+        // index survives iff it is still live.  A fresh violation involves
+        // a fact inserted in the window, so it is never a survivor, and
+        // survivors of distinct components are disjoint: only the fresh
+        // pairs need deduplicating.  `store` sorts each new component's
+        // runs.
+        let survives = |fact: FactId| db.is_live(fact);
         let mut pairs: Vec<(FactId, FactId)> = fresh.iter().map(Violation::pair).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
         let mut violations = fresh;
         for &slot in &touched {
             let component = self.slots[slot as usize];
@@ -390,14 +405,11 @@ impl ConflictIndex {
             );
             self.drop_component(slot);
         }
-        pairs.sort_unstable();
-        pairs.dedup();
-        violations.sort_unstable();
         // The touched facts that still conflict: those left on a pair.
         let mut facts: Vec<FactId> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
         facts.sort_unstable();
         facts.dedup();
-        self.store(&facts, &pairs, &violations);
+        self.store(&facts, &pairs, &violations, false);
 
         self.universe = db.len();
         self.version = db.version();
@@ -497,11 +509,19 @@ impl ConflictIndex {
     }
 
     /// Partitions `facts` (ascending) by reachability over `pairs`
-    /// (sorted, deduplicated, every endpoint in `facts` and every fact an
+    /// (deduplicated, every endpoint in `facts` and every fact an
     /// endpoint) and stores each part as a new component, with its share
-    /// of `pairs`, of `violations` (sorted) and its facts' neighbour runs.
+    /// of `pairs`, of `violations` and its facts' neighbour runs.  Each
+    /// part's pair and violation runs are sorted after grouping, unless
+    /// `sorted` says the inputs already are (grouping keeps their order).
     /// The facts' entries must not belong to a live component.
-    fn store(&mut self, facts: &[FactId], pairs: &[(FactId, FactId)], violations: &[Violation]) {
+    fn store(
+        &mut self,
+        facts: &[FactId],
+        pairs: &[(FactId, FactId)],
+        violations: &[Violation],
+        sorted: bool,
+    ) {
         // Union-find over positions in `facts`, which the facts' entries
         // hold until the parts are written.  Linking the larger root
         // under the smaller keeps every root the smallest position of its
@@ -564,6 +584,13 @@ impl ConflictIndex {
             Violation::new(FdId::new(0), FactId::new(0), FactId::new(0)),
             violations.iter().map(|&v| (part_of(v.first), v)),
         );
+        if !sorted {
+            for p in 0..parts {
+                arenas.pairs[pair_at[p] as usize..pair_at[p + 1] as usize].sort_unstable();
+                arenas.violations[violation_at[p] as usize..violation_at[p + 1] as usize]
+                    .sort_unstable();
+            }
+        }
         let degree: Vec<u32> = arenas.facts[first_fact..]
             .iter()
             .map(|&fact| degree[position(fact)])

@@ -1,5 +1,6 @@
 //! Databases: dictionary-encoded columnar fact storage with dense ids.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,11 +87,13 @@ pub struct Database {
     dead_rows: Vec<u32>,
     /// Dedup map from encoded fact to id.
     by_key: HashMap<(RelationId, Box<[Sym]>), FactId>,
-    /// FactId → liveness tombstone.  Ids are never reused: a deleted fact
-    /// keeps its id forever, so `FactSet`s and changelogs stay valid
-    /// across versions.
-    live: Vec<bool>,
-    /// Number of live facts (`live` entries that are `true`).
+    /// The live facts: one bit per id ever assigned, cleared when the
+    /// fact is deleted.  Ids are never reused: a deleted fact keeps its id
+    /// forever, so `FactSet`s and changelogs stay valid across versions.
+    /// [`Database::is_live`] is a bit test and [`Database::all_facts`] a
+    /// word copy.
+    live: FactSet,
+    /// Number of live facts (members of `live`).
     live_count: usize,
     /// The lowest id that may be live: every id below it is deleted.
     /// Ids are never reused and inserts append, so deletes only ever
@@ -174,7 +177,7 @@ impl Database {
             by_relation: vec![Vec::new(); relations],
             dead_rows: vec![0; relations],
             by_key: HashMap::new(),
-            live: Vec::new(),
+            live: FactSet::empty(0),
             live_count: 0,
             first_live: 0,
             log: Vec::new(),
@@ -242,7 +245,8 @@ impl Database {
         self.fact_rel.push(relation);
         self.fact_row.push(row_index);
         self.by_key.insert((relation, row), id);
-        self.live.push(true);
+        self.live.grow(id.index() + 1);
+        self.live.insert(id);
         self.live_count += 1;
         self.log.push(FactChange::Inserted(id));
         id
@@ -316,38 +320,38 @@ impl Database {
                     if let Some(sym) = dict.lookup(value) {
                         return Ok(sym);
                     }
-                    if let Some(&sym) = staged_index.get(value) {
-                        return Ok(sym);
+                    match staged_index.entry(value.clone()) {
+                        Entry::Occupied(staged) => Ok(*staged.get()),
+                        Entry::Vacant(slot) => {
+                            let index = dict.len() + staged_values.len();
+                            let sym = Sym::try_new(index)
+                                .ok_or(DbError::DictionaryFull { symbols: index })?;
+                            staged_values.push(value.clone());
+                            Ok(*slot.insert(sym))
+                        }
                     }
-                    let index = dict.len() + staged_values.len();
-                    let sym =
-                        Sym::try_new(index).ok_or(DbError::DictionaryFull { symbols: index })?;
-                    staged_values.push(value.clone());
-                    staged_index.insert(value.clone(), sym);
-                    Ok(sym)
                 })
                 .collect::<Result<_, DbError>>()?;
             let key = (fact.relation(), row);
             if let Some(&id) = self.by_key.get(&key) {
                 slots.push(Slot::Existing(id));
-            } else if let Some(&position) = pending_keys.get(&key) {
-                slots.push(Slot::Pending(position));
-            } else {
-                slots.push(Slot::Pending(pending.len()));
-                pending_keys.insert(key.clone(), pending.len());
-                pending.push(key);
+                continue;
+            }
+            match pending_keys.entry(key) {
+                Entry::Occupied(position) => slots.push(Slot::Pending(*position.get())),
+                Entry::Vacant(slot) => {
+                    slots.push(Slot::Pending(pending.len()));
+                    pending.push(slot.key().clone());
+                    slot.insert(pending.len() - 1);
+                }
             }
         }
 
         // --- Commit: the batch is valid; now mutate. ---
         if !staged_values.is_empty() {
-            let dict = Arc::make_mut(&mut self.dict);
-            for value in staged_values {
-                // The staged symbols were assigned densely past the old
-                // bound, so committing in order reproduces them exactly.
-                let sym = dict.try_intern(value)?;
-                debug_assert!(sym.index() < dict.len());
-            }
+            // The staged symbols were assigned densely past the old
+            // bound, so appending them in order reproduces them exactly.
+            Arc::make_mut(&mut self.dict).append_staged(staged_values, staged_index);
         }
         let pending_ids: Vec<FactId> = pending
             .iter()
@@ -411,14 +415,14 @@ impl Database {
         for (checked, &id) in ids.iter().enumerate() {
             if !self.is_live(id) {
                 for &earlier in &ids[..checked] {
-                    self.live[earlier.index()] = true;
+                    self.live.insert(earlier);
                 }
                 return Err(DbError::NoSuchFact {
                     index: id.index(),
                     universe: self.len(),
                 });
             }
-            self.live[id.index()] = false;
+            self.live.remove(id);
         }
         if ids.is_empty() {
             return Ok(());
@@ -465,9 +469,11 @@ impl Database {
             ));
             self.index_delta_applies += ids.len() as u64;
         }
-        while self.first_live < self.live.len() && !self.live[self.first_live] {
-            self.first_live += 1;
-        }
+        self.first_live = self
+            .live
+            .iter_from(self.first_live)
+            .next()
+            .map_or(self.len(), FactId::index);
         Ok(())
     }
 
@@ -479,7 +485,7 @@ impl Database {
         let mut write = 0usize;
         for read in 0..facts.len() {
             let id = facts[read];
-            if !self.live[id.index()] {
+            if !self.live.contains(id) {
                 continue;
             }
             if write != read {
@@ -552,7 +558,7 @@ impl Database {
     /// fact.
     #[inline]
     pub fn is_live(&self, id: FactId) -> bool {
-        self.live.get(id.index()).copied().unwrap_or(false)
+        id.index() < self.live.universe() && self.live.contains(id)
     }
 
     /// The number of live facts (`len()` minus tombstones).
@@ -666,9 +672,7 @@ impl Database {
 
     /// Iterates over all live fact ids in insertion order.
     pub fn fact_ids(&self) -> impl Iterator<Item = FactId> + '_ {
-        (self.first_live..self.len())
-            .map(FactId::new)
-            .filter(move |&id| self.is_live(id))
+        self.live.iter_from(self.first_live)
     }
 
     /// Iterates over `(id, fact)` pairs, decoding each fact.
@@ -731,18 +735,18 @@ impl Database {
         self.index_delta_applies
     }
 
-    /// The live fact set `D` as a [`FactSet`] over this database's id
-    /// space (deleted ids are absent).
+    /// The live fact set `D` as an owned [`FactSet`] over this database's
+    /// id space (deleted ids are absent): a word copy of the maintained
+    /// set [`Database::live_facts`] borrows.
     pub fn all_facts(&self) -> FactSet {
-        let mut set = FactSet::full(self.len());
-        if self.live_count != self.len() {
-            for (index, &alive) in self.live.iter().enumerate() {
-                if !alive {
-                    set.remove(FactId::new(index));
-                }
-            }
-        }
-        set
+        self.live.clone()
+    }
+
+    /// The maintained live fact set `D` over this database's id space
+    /// (deleted ids are absent), borrowed: what [`Database::all_facts`]
+    /// copies.
+    pub fn live_facts(&self) -> &FactSet {
+        &self.live
     }
 
     /// The active domain `dom(D)`: the set of constants occurring in `D`.
@@ -1152,6 +1156,89 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn liveness_bitset_matches_a_bool_model_across_words_and_compactions() {
+        let mut schema = Schema::new();
+        schema.add_relation("R", &["A", "B"]).unwrap();
+        schema.add_relation("S", &["A"]).unwrap();
+        let mut db = Database::with_schema(schema);
+        let mut model: Vec<bool> = Vec::new();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut value = 0i64;
+        let mut compacted = [false; 2];
+        for step in 0..600 {
+            let rows: Vec<usize> = (0..2).map(|r| db.row_ids(RelationId(r)).len()).collect();
+            let live: Vec<FactId> = (0..model.len())
+                .filter(|&i| model[i])
+                .map(FactId::new)
+                .collect();
+            let mut inserts: Vec<Fact> = Vec::new();
+            match next(6) {
+                0..=2 => {
+                    for _ in 0..1 + next(4) {
+                        value += 1;
+                        inserts.push(match next(2) {
+                            0 => Fact::new(RelationId(0), vec![Value::int(value), Value::int(0)]),
+                            _ => Fact::new(RelationId(1), vec![Value::int(value)]),
+                        });
+                    }
+                }
+                3 | 4 => {
+                    let victims: Vec<FactId> =
+                        live.iter().copied().filter(|_| next(2) == 0).collect();
+                    db.delete_all(&victims).unwrap();
+                    for id in victims {
+                        model[id.index()] = false;
+                    }
+                }
+                _ => {
+                    // The ids at and past word boundaries, revived under
+                    // new ids.
+                    let victims: Vec<FactId> = [63, 64, 128]
+                        .into_iter()
+                        .filter(|&i| model.get(i) == Some(&true))
+                        .map(FactId::new)
+                        .collect();
+                    inserts.extend(victims.iter().map(|&id| db.fact(id)));
+                    db.delete_all(&victims).unwrap();
+                    for id in victims {
+                        model[id.index()] = false;
+                    }
+                }
+            }
+            for id in db.extend(inserts).unwrap() {
+                assert_eq!(id.index(), model.len(), "step {step}: a new id");
+                model.push(true);
+            }
+            for (r, &before) in rows.iter().enumerate() {
+                compacted[r] |= db.row_ids(RelationId(r as u32)).len() < before;
+            }
+
+            let expected: Vec<FactId> = (0..model.len())
+                .filter(|&i| model[i])
+                .map(FactId::new)
+                .collect();
+            assert_eq!(db.len(), model.len(), "step {step}");
+            for (i, &alive) in model.iter().enumerate() {
+                assert_eq!(db.is_live(FactId::new(i)), alive, "step {step}, id {i}");
+            }
+            assert!(!db.is_live(FactId::new(model.len())), "step {step}");
+            assert_eq!(db.fact_ids().collect::<Vec<_>>(), expected, "step {step}");
+            let all = db.all_facts();
+            assert_eq!(all.universe(), db.len(), "step {step}");
+            assert_eq!(all.to_vec(), expected, "step {step}");
+            assert_eq!(db.live_count(), expected.len(), "step {step}");
+        }
+        assert!(model.len() > 128 && !model[63] && !model[64] && !model[128]);
+        assert_eq!(compacted, [true, true], "both relations compact their rows");
     }
 
     #[test]

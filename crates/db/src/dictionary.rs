@@ -115,6 +115,19 @@ impl Dictionary {
         Ok(sym)
     }
 
+    /// Appends the values a batch staged past the current bound:
+    /// `values[i]` becomes symbol `len() + i`, and `index` maps each of
+    /// them to that symbol.  The values are new to the dictionary and the
+    /// symbols were range-checked when staged, so each costs one insert
+    /// and no lookup.
+    pub(crate) fn append_staged(&mut self, values: Vec<Value>, index: HashMap<Value, Sym>) {
+        debug_assert!((self.values.len()..)
+            .zip(&values)
+            .all(|(sym, v)| index[v].index() == sym && !self.index.contains_key(v)));
+        self.values.extend(values);
+        self.index.extend(index);
+    }
+
     /// Looks up the symbol of `value` without interning it.
     ///
     /// `None` means the value occurs nowhere in any database built over

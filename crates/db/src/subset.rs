@@ -167,13 +167,6 @@ impl FactSet {
         self.universe = universe;
     }
 
-    /// Returns `true` iff `self ∩ other` is non-empty.  The sets may have
-    /// different universes: ids past the shorter universe are absent from
-    /// it, so only the common word prefix is scanned.
-    pub fn intersects(&self, other: &FactSet) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
-    }
-
     /// In-place intersection: `self ← self ∩ other`.
     pub fn intersect_with(&mut self, other: &FactSet) {
         debug_assert_eq!(self.universe, other.universe);
@@ -222,8 +215,18 @@ impl FactSet {
 
     /// Iterates over members in increasing id order.
     pub fn iter(&self) -> impl Iterator<Item = FactId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, word)| {
-            let mut word = *word;
+        self.iter_from(0)
+    }
+
+    /// Iterates over the members with an id of at least `from`, in
+    /// increasing id order; the words below `from`'s are never read.
+    pub fn iter_from(&self, from: usize) -> impl Iterator<Item = FactId> + '_ {
+        let first = from / 64;
+        // Clears the bits below `from` in its own word.
+        let low = u64::MAX << (from % 64);
+        let words = self.words.get(first..).unwrap_or(&[]);
+        (first..).zip(words).flat_map(move |(wi, &word)| {
+            let mut word = if wi == first { word & low } else { word };
             std::iter::from_fn(move || {
                 if word == 0 {
                     None
@@ -300,6 +303,17 @@ mod tests {
         assert!(a.is_subset_of(&b));
         assert!(a.is_subset_of(&a));
         assert!(!b.is_subset_of(&a));
+    }
+
+    #[test]
+    fn iter_from_skips_the_members_below_its_start() {
+        let members = [0usize, 5, 63, 64, 100, 128, 129];
+        let set = FactSet::from_iter(130, members.iter().map(|&i| FactId::new(i)));
+        for from in [0usize, 1, 5, 6, 63, 64, 65, 127, 128, 129, 130, 200] {
+            let expected: Vec<usize> = members.iter().copied().filter(|&i| i >= from).collect();
+            let got: Vec<usize> = set.iter_from(from).map(FactId::index).collect();
+            assert_eq!(got, expected, "from {from}");
+        }
     }
 
     #[test]

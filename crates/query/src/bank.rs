@@ -467,6 +467,13 @@ impl LineageBank {
 
     /// As [`LineageBank::refresh`], with an explicit per-query witness cap.
     ///
+    /// Survivors are tested against the database's maintained live set
+    /// ([`Database::live_facts`]), one word test per word a witness
+    /// spans: ids are never reused, so a witness whose facts are all live
+    /// lost none of them since the bank's version.  The delta passes read
+    /// the same set, so a refresh builds nothing universe-sized beyond
+    /// the new arena.
+    ///
     /// # Panics
     /// Panics if `queries.len()` differs from the number of bank entries.
     pub fn refresh_with_cap(
@@ -486,22 +493,16 @@ impl LineageBank {
         }
         let applied = changes.len();
         let universe = db.len();
-        let mut deleted = FactSet::empty(universe);
         let mut inserted_by_relation: Vec<Vec<FactId>> =
             vec![Vec::new(); db.schema().relation_count()];
         for change in changes {
-            match change {
-                FactChange::Inserted(id) => {
-                    if db.is_live(*id) {
-                        inserted_by_relation[db.relation_of(*id).index()].push(*id);
-                    }
-                }
-                FactChange::Deleted { id, .. } => {
-                    deleted.insert(*id);
+            if let FactChange::Inserted(id) = change {
+                if db.is_live(*id) {
+                    inserted_by_relation[db.relation_of(*id).index()].push(*id);
                 }
             }
         }
-        let all = db.all_facts();
+        let live = db.live_facts();
         let mut arena = ArenaBuilder::new(universe);
         let mut entries = Vec::with_capacity(self.entries.len());
         for (entry, &(evaluator, candidate)) in queries.iter().enumerate() {
@@ -511,16 +512,18 @@ impl LineageBank {
             }
             // Survivors first, as sorted id lists, read off the sparse
             // form so the cost follows the witness, not the universe.
+            // Ids are never reused, so a witness survives iff all its
+            // facts are still live.
             let mut raw: Vec<Vec<FactId>> = Vec::new();
             for index in self.entry_witnesses(entry) {
-                if !self.sparse.meets(index, deleted.words()) {
+                if self.sparse.contained(index, live.words()) {
                     raw.push(self.sparse.facts(index).collect());
                 }
             }
             let mut over_cap = false;
             evaluator.for_each_delta_answer_image(
                 db,
-                &all,
+                live,
                 candidate,
                 &inserted_by_relation,
                 |image| {

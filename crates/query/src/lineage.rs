@@ -149,7 +149,8 @@ impl CompiledLineage {
     ///
     /// * Witnesses touching a deleted fact are dropped (their absorbed
     ///   supersets contained the same fact, so no absorbed witness can
-    ///   resurface); survivors are grown to the new universe.
+    ///   resurface); survivors, the witnesses whose facts are all still
+    ///   live, are grown to the new universe.
     /// * New witnesses are enumerated by pinned delta passes of the join
     ///   plan ([`QueryEvaluator::for_each_delta_answer_image`]), visiting
     ///   only matches that touch an inserted fact.
@@ -181,40 +182,32 @@ impl CompiledLineage {
         cap: usize,
     ) -> Result<bool, QueryError> {
         let universe = db.len();
-        let mut deleted = FactSet::empty(universe);
         let mut inserted_by_relation: Vec<Vec<FactId>> =
             vec![Vec::new(); db.schema().relation_count()];
         for change in db.changes_since(self.version) {
-            match change {
-                // An inserted-then-deleted fact is skipped here and cannot
-                // appear in old witnesses (its id postdates them), so it
-                // contributes nothing — as it should.
-                FactChange::Inserted(id) => {
-                    if db.is_live(*id) {
-                        inserted_by_relation[db.relation_of(*id).index()].push(*id);
-                    }
-                }
-                FactChange::Deleted { id, .. } => {
-                    deleted.insert(*id);
+            // An inserted-then-deleted fact is skipped here and cannot
+            // appear in old witnesses (its id postdates them), so it
+            // contributes nothing — as it should.
+            if let FactChange::Inserted(id) = change {
+                if db.is_live(*id) {
+                    inserted_by_relation[db.relation_of(*id).index()].push(*id);
                 }
             }
         }
+        let live = db.live_facts();
         let mut raw: Vec<FactSet> = Vec::with_capacity(self.witnesses.len());
         for witness in &self.witnesses {
-            // `intersects` scans the common word prefix, so the old
-            // (smaller-universe) witness compares fine against the new
-            // deleted set.
-            if witness.intersects(&deleted) {
-                continue;
-            }
+            // Ids are never reused, so a witness survives iff its facts
+            // are all still live.
             let mut survivor = witness.clone();
             survivor.grow(universe);
-            raw.push(survivor);
+            if survivor.is_subset_of(live) {
+                raw.push(survivor);
+            }
         }
-        let all = db.all_facts();
         let overflowed = evaluator.for_each_delta_answer_image(
             db,
-            &all,
+            live,
             candidate,
             &inserted_by_relation,
             |image| {
@@ -343,14 +336,6 @@ impl SparseWitnesses {
                 })
             })
         })
-    }
-
-    /// `true` iff witness `index` meets the set whose membership words are
-    /// `other` (facts past `other`'s words are absent from it).
-    pub(crate) fn meets(&self, index: usize, other: &[u64]) -> bool {
-        self.pairs(index)
-            .iter()
-            .any(|&(word, mask)| other.get(word).is_some_and(|bits| bits & mask != 0))
     }
 
     /// `true` iff witness `index` ⊆ the set whose membership words are

@@ -9,8 +9,9 @@
 //! another component's), and reviving a deleted fact's values under a new
 //! id.  After every step the refreshed index must equal the built one
 //! canonically, give every fact id the same component, component digest
-//! and structure fingerprint, and back walks that draw the same repairs
-//! and sequences from the same seed.
+//! and structure fingerprint, keep each component's facts ascending and
+//! its pairs strictly lexicographic (the order the walks read), and back
+//! walks that draw the same repairs and sequences from the same seed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -263,6 +264,21 @@ fn assert_refresh_matches_build(
             built.component_digest(fact),
             "{context}: {fact:?}"
         );
+    }
+    // Canonical `==` compares the global pair list, not the per-component
+    // runs the `M^uo` walk pool reads: check their order directly.
+    for c in 0..refreshed.component_count() {
+        let facts = refreshed.component(c);
+        assert!(
+            facts.windows(2).all(|w| w[0] < w[1]),
+            "{context}: component {c} facts are not ascending: {facts:?}"
+        );
+        let pairs = refreshed.component_pairs(c);
+        assert!(
+            pairs.windows(2).all(|w| w[0] < w[1]),
+            "{context}: component {c} pairs are not strictly lexicographic: {pairs:?}"
+        );
+        assert_eq!(pairs, built.component_pairs(c), "{context}: component {c}");
     }
     let listed: Vec<usize> = (0..built.component_count()).step_by(2).collect();
     let seed = db.version();

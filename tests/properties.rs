@@ -265,9 +265,9 @@ proptest! {
 
     /// Batched-adaptive (stopping-rule) per-query estimates satisfy the
     /// DKLR relative-error bound against the exact solver on random
-    /// multi-FD banks of sizes 1, 2 and 8, and a zero-probability query
-    /// appended to the bank truncates at `max_samples` with zero
-    /// successes without stalling the retirement of the others.
+    /// multi-FD banks of sizes 1, 2 and 8, and a witness-free query
+    /// appended to the bank (probability exactly 0) retires before the
+    /// first draw with zero samples, without changing the others.
     ///
     /// The stopping rule guarantees relative error `ε` with probability
     /// `1 − δ` per query; the test asserts the doubled radius `2ε` so a
@@ -355,10 +355,11 @@ proptest! {
                     prop_assert!(relative_error < 2.0 * epsilon);
                 }
             }
-            // The impossible query rides the stream to the cut-off …
+            // The impossible query has no witness, so it is exactly 0
+            // and draws nothing …
             let never_estimate = estimates[bank_size];
-            prop_assert!(never_estimate.truncated);
-            prop_assert_eq!(never_estimate.samples, max_samples);
+            prop_assert!(!never_estimate.truncated);
+            prop_assert_eq!(never_estimate.samples, 0);
             prop_assert_eq!(never_estimate.successes, 0);
             prop_assert_eq!(never_estimate.value, 0.0);
             // … and `estimate_batch` routes OptimalStopping to the same

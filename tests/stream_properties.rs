@@ -514,3 +514,96 @@ fn count_window_matches_scratch_across_storage_compactions() {
         }
     }
 }
+
+/// A count window slides the queried block 0 out: its entry is left
+/// with no witness, so its probability is exactly 0 under every
+/// generator.  It must settle at zero draws on the tick that empties the
+/// block and stay reused on every later tick, while the other entries
+/// keep their reuse throughout.  (An entry that ran to `max_samples`
+/// instead would also keep the pass from converging, and so redraw on
+/// every later tick.)
+#[test]
+fn an_expired_queried_block_draws_nothing_on_later_ticks() {
+    for spec in [
+        GeneratorSpec::uniform_operations().with_singleton_only(),
+        GeneratorSpec::uniform_operations(),
+        GeneratorSpec::uniform_repairs(),
+    ] {
+        let name = spec.short_name();
+        let (mut db, sigma) = StreamWorkload::new(1, 0, 0, 0.0, 0).initial(0);
+        // Block 0 is the oldest, so a count window expires it first.
+        for (k, v) in [(0, 0), (0, 1), (1, 10), (1, 11), (2, 20)] {
+            db.insert_values("R", [Value::int(k), Value::int(v)])
+                .unwrap();
+        }
+        let queries = stream_queries(&db);
+        let mut w = WindowedEstimator::new(db, sigma, spec, WindowSpec::Count(5), queries).unwrap();
+        let params = ApproximationParams::new(0.25, 0.15).unwrap().with_mode(
+            EstimatorMode::OptimalStopping {
+                max_samples: 400_000,
+            },
+        );
+        let first = w
+            .estimate(
+                params,
+                &RunBudget::unlimited(),
+                &mut StdRng::seed_from_u64(3),
+            )
+            .unwrap();
+        assert!(first.outcome.converged(), "spec {name}");
+        assert!(first.outcome.queries.iter().all(|q| q.estimate > 0.0));
+
+        // Two fresh keys push block 0 out of the window.
+        let report = w
+            .tick(vec![fact(w.db(), 5, 50), fact(w.db(), 6, 60)], &[])
+            .unwrap();
+        assert_eq!(report.expired.len(), 2, "spec {name}");
+        // Entries 0 and 1 query block 0; entry 2 queries block 1.
+        assert_eq!(report.changed, vec![true, true, false], "spec {name}");
+        let emptied = w
+            .estimate(
+                params,
+                &RunBudget::unlimited(),
+                &mut StdRng::seed_from_u64(4),
+            )
+            .unwrap();
+        assert_eq!(
+            emptied.tick_draws, 0,
+            "spec {name}: nothing left to draw for"
+        );
+        assert_eq!(emptied.reused, vec![false, false, true], "spec {name}");
+        assert!(emptied.outcome.converged(), "spec {name}");
+        for q in &emptied.outcome.queries[..2] {
+            assert_eq!((q.estimate, q.samples, q.successes), (0.0, 0, 0));
+        }
+        assert_eq!(
+            emptied.outcome.queries[2], first.outcome.queries[2],
+            "spec {name}"
+        );
+
+        // Later ticks replace a fresh fact without expiring anything: no
+        // entry changes, so every entry is reused at zero draws.
+        for (tick, key) in (7..10).enumerate() {
+            let old = fact(w.db(), key - 2, (key - 2) * 10);
+            let report = w.tick(vec![fact(w.db(), key, key * 10)], &[old]).unwrap();
+            assert!(report.expired.is_empty(), "spec {name} tick {tick}");
+            assert!(
+                report.enrolled.iter().all(|&e| !e),
+                "spec {name} tick {tick}"
+            );
+            let later = w
+                .estimate(
+                    params,
+                    &RunBudget::unlimited(),
+                    &mut StdRng::seed_from_u64(5),
+                )
+                .unwrap();
+            assert_eq!(later.tick_draws, 0, "spec {name} tick {tick}");
+            assert!(later.reused.iter().all(|&r| r), "spec {name} tick {tick}");
+            assert_eq!(
+                later.outcome.queries, emptied.outcome.queries,
+                "spec {name}"
+            );
+        }
+    }
+}

@@ -15,10 +15,10 @@
 //! [`LiveOps`] cursor, because its leaf probability needs `|Ops_s|` at
 //! every step.
 //!
-//! **Lazy permutation.**  The repair draws need only the result, so they
-//! never maintain `Ops_s`.  A component's walk fills a pool with all of
-//! its operations (its facts ascending, then, under `M^uo`, its pairs in
-//! arena order) and repeatedly swap-removes a uniform pick from the pool,
+//! **Lazy permutation.**  The `M^uo` repair draws need only the result,
+//! so they never maintain `Ops_s`.  A component's walk fills a pool with
+//! all of its operations (its facts ascending, then its pairs in arena
+//! order) and repeatedly swap-removes a uniform pick from the pool,
 //! applying the picked operation only if it is still justified: a
 //! singleton `f` iff `f` is live and has a live neighbour (an early-exit
 //! scan of its neighbour run), a pair iff both its facts are live.  The
@@ -33,10 +33,32 @@
 //! of the facts checked): each fact is checked at most once, and only
 //! the survivors' scans run to the end.  No per-fact counter is written.
 //!
-//! On a clique component (a primary-key block, or any key FD) every live
-//! fact stays justified until one is left, so the pool undergoes exactly
-//! the swap-removes of the live-singleton array an eager walk keeps, and
-//! the `M^{uo,1}` draw equals that eager walk's on the same stream.
+//! **Singleton draws are local maxima.**  Under `M^{uo,1}` the pool holds
+//! only the facts, so the lazy permutation is a uniform random order of
+//! the component's facts in which each fact, at its turn, is removed iff
+//! it is still live and has a live neighbour.  Only its own turn can
+//! remove a fact, so every fact is live at its turn.  If a neighbour `g`
+//! of `f` comes after `f`, then `g` is live at `f`'s turn and `f` is
+//! removed.  If every neighbour of `f` comes before `f`, each of them was
+//! removed at its own turn (`f` was live then), so `f` has no live
+//! neighbour at its turn and survives.  An `M^{uo,1}` repair is therefore
+//! exactly the set of facts ordered after all their conflict neighbours:
+//! the local maxima of a uniform random ranking, with no walk at all.
+//! The draw ranks the fact at position `i` of
+//! [`ConflictIndex::component`] with the `i`-th word of the component's
+//! keyed stream (distinct within the component, because `mix64` is a
+//! bijection and the stream's counters are distinct) and keeps a fact iff
+//! its rank exceeds the maximum rank over its whole neighbour run, read
+//! by position through [`ConflictIndex::neighbour_positions`].  That is
+//! one branch-free fold per fact, O(facts + pairs) per component, with
+//! the ranks in a scratch buffer sized to the largest component drawn.
+//! The fold reads every neighbour rather than stopping at the first
+//! larger one, because data-dependent exits mispredict and cost more than
+//! the reads they save.  Ranks are keyed by (component, position), not by
+//! fact id, so an order-preserving renumbering of the fact ids, which
+//! keeps both, leaves every draw unchanged.  On a clique component (a
+//! primary-key block, or any key FD) the draw keeps exactly the
+//! top-ranked fact.
 //!
 //! **Keyed components.**  Every singleton or pair operation lies inside
 //! one conflict component, so the walk projected onto a component is that
@@ -48,15 +70,15 @@
 //! list of components ([`OperationWalkSampler::sample_components_into`])
 //! is then bit-identical, on every fact of those components, to the full
 //! draw from the same RNG state, and costs O(facts + pairs of the listed
-//! components, plus their survivors' degrees).  The full draw
-//! ([`OperationWalkSampler::sample_result_into`]) is the same routine
-//! over every component after one O(|D|/64) fill.  Only
+//! components, plus, under `M^uo`, their survivors' degrees).  The full
+//! draw ([`OperationWalkSampler::sample_result_into`]) is the same
+//! routine over every component after one O(|D|/64) fill.  Only
 //! [`OperationWalkSampler::sample`], which returns a sequence, still
 //! walks all components interleaved on the caller's RNG.
 
 use std::sync::Arc;
 
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 use ucqa_db::{ConflictIndex, Database, FactId, FactSet, FdSet, LiveOps};
 use ucqa_numeric::LogFloat;
@@ -72,10 +94,15 @@ use crate::random::KeyedStream;
 /// the parallel estimator); each sampling loop owns one scratch.
 #[derive(Debug, Default, Clone)]
 pub struct WalkScratch {
-    /// The operations of the component being walked that are not yet
-    /// drawn, as positions in its facts and then its pairs; refilled per
-    /// component, so it grows to the largest component's operation count.
+    /// `M^uo` only: the operations of the component being walked that are
+    /// not yet drawn, as positions in its facts and then its pairs;
+    /// refilled per component, so it grows to the largest component's
+    /// operation count.
     pool: Vec<u32>,
+    /// `M^{uo,1}` only: the ranks of the component being drawn, indexed by
+    /// position in its fact run; refilled per component, so it grows to
+    /// the largest component's fact count.
+    ranks: Vec<u64>,
 }
 
 impl WalkScratch {
@@ -106,10 +133,10 @@ pub struct WalkOutcome {
 /// [`ConflictIndex`] with its component partition.  A full repair draw
 /// then costs O(|V| + |D|/64) in total instead of O(|D|) *per step*, and
 /// a draw restricted to some components costs O(their facts + pairs,
-/// plus their survivors' degrees), independent of `|D|`.  The sampler
-/// itself is immutable after construction (`Sync`), so the parallel
-/// estimator shares one instance across its worker threads; the per-walk
-/// mutable state lives in [`WalkScratch`].
+/// plus, under `M^uo`, their survivors' degrees), independent of `|D|`.
+/// The sampler itself is immutable after construction (`Sync`), so the
+/// parallel estimator shares one instance across its worker threads; the
+/// per-walk mutable state lives in [`WalkScratch`].
 #[derive(Debug, Clone)]
 pub struct OperationWalkSampler<'a> {
     db: &'a Database,
@@ -238,17 +265,18 @@ impl<'a> OperationWalkSampler<'a> {
     /// walks, so the draw performs no heap allocation once the buffers
     /// reach steady-state capacity.  Takes one `u64` from `rng`.
     ///
-    /// The draw fills `out` once and then walks every conflict component
+    /// The draw fills `out` once and then draws every conflict component
     /// on its own keyed substream, exactly as
     /// [`OperationWalkSampler::sample_components_into`] over all
-    /// components.  Each component walk draws the component's operations
-    /// from the scratch's pool in a uniform random order and applies each
-    /// one that is still justified when it comes up (the lazy permutation
-    /// of the module docs): O(component operations + the degrees of the
-    /// facts it checks), with no per-fact state beyond `out`.  The first
-    /// justified operation each pick reaches is uniform over the
-    /// component's share of `Ops_s(D, Σ)`, hence the repair distribution is
-    /// the same as [`OperationWalkSampler::sample`]'s.
+    /// components.  Under `M^uo` each component walk draws the
+    /// component's operations from the scratch's pool in a uniform random
+    /// order and applies each one that is still justified when it comes
+    /// up (the lazy permutation of the module docs): O(component
+    /// operations + the degrees of the facts it checks).  Under
+    /// `M^{uo,1}` the component keeps the local maxima of keyed ranks (the
+    /// module docs prove this is the same law): O(component facts +
+    /// pairs).  Either way the repair distribution is the same as
+    /// [`OperationWalkSampler::sample`]'s.
     ///
     /// # Panics
     /// Panics if `out`'s universe differs from the sampler's database.
@@ -272,8 +300,8 @@ impl<'a> OperationWalkSampler<'a> {
     /// other fact of `out` is left as it was, so `out` should start full
     /// (or hold an earlier draw) for the facts outside `components` to
     /// read as a repair would.  Cost is linear in the facts and pairs of
-    /// the listed components plus the degrees of the facts their walks
-    /// check.
+    /// the listed components, plus, under `M^uo`, the degrees of the facts
+    /// their walks check.
     ///
     /// # Panics
     /// Panics if a component is out of range, or if `out`'s universe
@@ -289,11 +317,12 @@ impl<'a> OperationWalkSampler<'a> {
         self.walk_components(rng.next_u64(), components.iter().copied(), out, scratch);
     }
 
-    /// The one repair-draw routine: walks each listed component alone on
-    /// its keyed substream, restoring the component's facts in `out` and
-    /// then removing the facts its walk removes.  The walk is the lazy
-    /// permutation of the module docs: `out` is the live sub-database, and
-    /// the pool holds the operations not yet drawn, as positions in the
+    /// The one repair-draw routine: draws each listed component alone on
+    /// its keyed substream, rewriting the component's facts in `out`.
+    /// Under `M^{uo,1}` a fact survives iff its rank beats every
+    /// neighbour's; under `M^uo` the component walks the lazy permutation
+    /// of the module docs, with `out` as the live sub-database and the
+    /// pool holding the operations not yet drawn, as positions in the
     /// component's facts and then in its pairs.
     fn walk_components(
         &self,
@@ -305,20 +334,26 @@ impl<'a> OperationWalkSampler<'a> {
         // One deref of the shared index for the whole draw, not one per
         // step.
         let index: &ConflictIndex = &self.index;
-        let pool = &mut scratch.pool;
         for component in components {
             let facts = index.component(component);
-            let pairs: &[(FactId, FactId)] = if self.singleton_only {
-                &[]
-            } else {
-                index.component_pairs(component)
-            };
+            let mut stream = KeyedStream::new(key, component);
+            if self.singleton_only {
+                let ranks = &mut scratch.ranks;
+                ranks.clear();
+                ranks.extend(facts.iter().map(|_| stream.next_u64()));
+                for (&fact, &rank) in facts.iter().zip(ranks.iter()) {
+                    let top = max_rank(ranks, index.neighbour_positions(fact));
+                    out.set(fact, rank > top);
+                }
+                continue;
+            }
+            let pairs = index.component_pairs(component);
             for &fact in facts {
                 out.insert(fact);
             }
+            let pool = &mut scratch.pool;
             pool.clear();
             pool.extend(0..(facts.len() + pairs.len()) as u32);
-            let mut stream = KeyedStream::new(key, component);
             while !pool.is_empty() {
                 let op = pool.swap_remove(stream.random_range(0..pool.len())) as usize;
                 if let Some(&fact) = facts.get(op) {
@@ -370,6 +405,25 @@ impl<'a> OperationWalkSampler<'a> {
         ops.reset_to(&self.index, subset);
         justified_operations_from_index(&self.index, &ops, self.singleton_only)
     }
+}
+
+/// The largest of `ranks` at `positions`, or 0 for none: a full fold with
+/// no early exit.  Four independent running maxima let the loads of
+/// consecutive neighbours overlap instead of waiting on one chain of
+/// comparisons.
+#[inline]
+fn max_rank(ranks: &[u64], positions: &[u32]) -> u64 {
+    let mut top = [0u64; 4];
+    let mut chunks = positions.chunks_exact(4);
+    for chunk in &mut chunks {
+        for (top, &p) in top.iter_mut().zip(chunk) {
+            *top = (*top).max(ranks[p as usize]);
+        }
+    }
+    for &p in chunks.remainder() {
+        top[0] = top[0].max(ranks[p as usize]);
+    }
+    top[0].max(top[1]).max(top[2].max(top[3]))
 }
 
 #[cfg(test)]
@@ -578,14 +632,10 @@ mod tests {
     }
 
     #[test]
-    fn singleton_draws_on_cliques_match_the_eager_walk() {
-        // The eager walk keeps a component's live singletons in a `LiveOps`
-        // cursor and picks uniformly over them until none is left.  On a
-        // clique every live fact stays justified until one is left, so the
-        // lazy pool undergoes the same swap-removes as the cursor's
-        // singleton array, and the two walks on one keyed stream agree on
-        // every fact: primary-key `M^{uo,1}` draws did not move when the
-        // repair draws turned lazy.
+    fn singleton_draws_on_cliques_keep_the_top_ranked_fact() {
+        // On a clique every fact neighbours every other, so the local
+        // maxima are the one fact whose keyed rank is largest: the
+        // position of the largest word of the component's stream.
         let (db, sigma) = BlockWorkload {
             blocks: 60,
             min_block_size: 1,
@@ -598,7 +648,6 @@ mod tests {
         assert!(index.component_count() > 40);
         let mut rng = StdRng::seed_from_u64(8);
         let (mut repair, mut scratch) = (FactSet::empty(db.len()), WalkScratch::new());
-        let mut ops = LiveOps::new();
         for _ in 0..50 {
             let key = rng.clone().next_u64();
             sampler.sample_result_into(&mut rng, &mut repair, &mut scratch);
@@ -609,16 +658,12 @@ mod tests {
                     index.component_pairs(component).len(),
                     size * (size - 1) / 2
                 );
-                ops.reset_component(index, component, false);
                 let mut stream = KeyedStream::new(key, component);
-                while !ops.is_consistent() {
-                    let fact = ops.single(stream.random_range(0..ops.single_count()));
-                    ops.remove_fact(index, fact);
+                let ranks: Vec<u64> = facts.iter().map(|_| stream.next_u64()).collect();
+                let top = (0..size).max_by_key(|&i| ranks[i]).unwrap();
+                for (i, &fact) in facts.iter().enumerate() {
+                    assert_eq!(repair.contains(fact), i == top, "component {component}");
                 }
-                for &fact in facts {
-                    assert_eq!(repair.contains(fact), ops.live().contains(fact));
-                }
-                assert_eq!(facts.iter().filter(|&&f| repair.contains(f)).count(), 1);
             }
         }
     }

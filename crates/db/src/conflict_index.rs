@@ -14,12 +14,13 @@
 //!   component**: each component's facts (ascending), its deduplicated
 //!   conflicting pairs (lexicographic), its violations (canonical order)
 //!   and its facts' neighbour runs (ascending neighbour id, each entry a
-//!   conflicting fact and the id of their pair) are contiguous runs of
-//!   four flat arenas, and one per-fact entry holds the fact's component
-//!   slot and its neighbour run.  Components are ranked in order of their
-//!   smallest fact id through a bitset of component minima whose
-//!   word-level popcount prefix gives each minimum its rank.  Shareable
-//!   across threads.
+//!   conflicting fact and the id of their pair, with the conflicting
+//!   fact's position in the component's fact run beside it) are
+//!   contiguous runs of flat arenas, and one per-fact entry holds the
+//!   fact's component slot and its neighbour run.  Components are ranked
+//!   in order of their smallest fact id through a bitset of component
+//!   minima whose word-level popcount prefix gives each minimum its rank.
+//!   Shareable across threads.
 //! * [`LiveOps`] — a mutable cursor that keeps `Ops_s(D, Σ)` itself: the
 //!   live sub-database, per-fact counts of live conflicting neighbours,
 //!   and the live singleton (and, optionally, pair) operation sets as
@@ -27,11 +28,13 @@
 //!   a uniform pick over it is O(1) and [`LiveOps::remove_fact`] is one
 //!   pass over the removed fact's neighbours.  The interleaved walk,
 //!   whose leaf probability `π(s)` needs `|Ops_s(D, Σ)|`, and the
-//!   diagnostics use it.  The repair draws do not: they visit a
-//!   component's operations in a uniform random order and test each one
-//!   when it comes up, reading only [`ConflictIndex::component`],
-//!   [`ConflictIndex::component_pairs`] and
-//!   [`ConflictIndex::has_live_neighbour`].
+//!   diagnostics use it.  The repair draws do not.  Under `M^uo` they
+//!   visit a component's operations in a uniform random order and test
+//!   each one when it comes up, reading only
+//!   [`ConflictIndex::component`], [`ConflictIndex::component_pairs`]
+//!   and [`ConflictIndex::has_live_neighbour`]; under `M^{uo,1}` they
+//!   compare each fact's rank with its neighbours', read by position
+//!   through [`ConflictIndex::neighbour_positions`].
 //!
 //! A live fact is a justified singleton operation iff it has a live
 //! conflicting neighbour, so several FDs violating the same pair count
@@ -51,7 +54,7 @@
 //! are compacted once their garbage outgrows their live entries.  A
 //! survivor is recognised by the liveness of its facts, and each rebuilt
 //! component sorts only its own runs, so a refresh builds no set of
-//! deleted ids and never sorts the whole union.  Each
+//! deleted ids and never sorts the whole union or its facts.  Each
 //! component keeps a digest of its fact ids, and the structure
 //! fingerprint is the wrapping sum of the digests, so both follow the
 //! delta too.  The global lists [`ConflictIndex::pairs`],
@@ -147,6 +150,9 @@ struct Arenas {
     violations: Vec<Violation>,
     /// Each entry a conflicting fact and the id of the pair the two form.
     neighbours: Vec<(FactId, u32)>,
+    /// Beside each entry of `neighbours`: the conflicting fact's position
+    /// in its component's fact run.
+    positions: Vec<u32>,
 }
 
 impl Arenas {
@@ -300,19 +306,10 @@ impl ConflictIndex {
         let mut pairs: Vec<(FactId, FactId)> = violations.iter().map(Violation::pair).collect();
         pairs.sort_unstable();
         pairs.dedup();
-        let mut conflicting = vec![false; db.len()];
-        for &(a, b) in &pairs {
-            conflicting[a.index()] = true;
-            conflicting[b.index()] = true;
-        }
-        let facts: Vec<FactId> = (0..db.len())
-            .filter(|&f| conflicting[f])
-            .map(FactId::new)
-            .collect();
         let mut index = ConflictIndex::empty(db.len(), db.version());
-        // `pairs` and `violations` are sorted, so every part's runs are
-        // already in order.
-        index.store(&facts, &pairs, violations, true);
+        // `pairs` and `violations` are sorted, so every part's pair and
+        // violation runs are already in order.
+        index.store(&pairs, violations, true);
         index.update_ranks();
         index
     }
@@ -335,13 +332,14 @@ impl ConflictIndex {
     /// Ids are never reused, so a survivor is a pair or violation whose
     /// facts are both [live](Database::is_live): one bit test each, with
     /// no set of deleted ids to build or search.  Only the fresh pairs
-    /// are sorted as a whole; each new component sorts its own pair and
-    /// violation runs.  The cost is the delta plus the facts and pairs of
-    /// the touched components (times the logarithm of the largest new
-    /// component, for its sorts), plus one pass over the words of the
-    /// component-minima bitset from the lowest changed one on — never
-    /// `|V|` or `|D|`, except for the amortised compaction of the
-    /// arenas.
+    /// are sorted as a whole; each new component sorts its own fact, pair
+    /// and violation runs, and its facts are the distinct endpoints of its
+    /// pairs, found without a sort.  The cost is the delta plus the facts
+    /// and pairs of the touched components (times the logarithm of the
+    /// largest new component, for its sorts), plus one pass over the
+    /// words of the component-minima bitset from the lowest changed one
+    /// on — never `|V|` or `|D|`, except for the amortised compaction of
+    /// the arenas.
     pub fn refresh(&mut self, db: &Database, sigma: &FdSet) -> usize {
         let changes = db.changes_since(self.version);
         if changes.is_empty() {
@@ -405,11 +403,7 @@ impl ConflictIndex {
             );
             self.drop_component(slot);
         }
-        // The touched facts that still conflict: those left on a pair.
-        let mut facts: Vec<FactId> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
-        facts.sort_unstable();
-        facts.dedup();
-        self.store(&facts, &pairs, &violations, false);
+        self.store(&pairs, &violations, false);
 
         self.universe = db.len();
         self.version = db.version();
@@ -508,26 +502,29 @@ impl ConflictIndex {
         self.stale_ranks = self.minima.len();
     }
 
-    /// Partitions `facts` (ascending) by reachability over `pairs`
-    /// (deduplicated, every endpoint in `facts` and every fact an
-    /// endpoint) and stores each part as a new component, with its share
-    /// of `pairs`, of `violations` and its facts' neighbour runs.  Each
-    /// part's pair and violation runs are sorted after grouping, unless
-    /// `sorted` says the inputs already are (grouping keeps their order).
-    /// The facts' entries must not belong to a live component.
-    fn store(
-        &mut self,
-        facts: &[FactId],
-        pairs: &[(FactId, FactId)],
-        violations: &[Violation],
-        sorted: bool,
-    ) {
-        // Union-find over positions in `facts`, which the facts' entries
-        // hold until the parts are written.  Linking the larger root
-        // under the smaller keeps every root the smallest position of its
-        // set and every parent at most its child.
-        for (position, &fact) in (0..).zip(facts) {
-            self.facts[fact.index()].slot = position;
+    /// Partitions the endpoints of `pairs` (deduplicated) by reachability
+    /// over `pairs` and stores each part as a new component, with its
+    /// share of `pairs`, of `violations` and its facts' neighbour runs.
+    /// Each part's fact run is sorted after grouping, and so are its pair
+    /// and violation runs unless `sorted` says the inputs already are
+    /// (grouping keeps their order).  The endpoints' entries must not
+    /// belong to a live component.
+    fn store(&mut self, pairs: &[(FactId, FactId)], violations: &[Violation], sorted: bool) {
+        // The distinct endpoints in order of first appearance, and
+        // union-find over their positions, which the facts' entries hold
+        // until the parts are written: an endpoint whose entry already
+        // holds a position is a repeat.  Linking the larger root under
+        // the smaller keeps every root the smallest position of its set
+        // and every parent at most its child.
+        let mut facts: Vec<FactId> = Vec::new();
+        for &(a, b) in pairs {
+            for fact in [a, b] {
+                let entry = &mut self.facts[fact.index()];
+                if entry.slot == NOT_LIVE {
+                    entry.slot = facts.len() as u32;
+                    facts.push(fact);
+                }
+            }
         }
         let entries = &self.facts;
         let position = |fact: FactId| entries[fact.index()].slot as usize;
@@ -550,8 +547,9 @@ impl ConflictIndex {
             }
         }
         // Relabel `parent` into parts in ascending order of their
-        // smallest fact: a position is either its set's root (a new part)
-        // or points to a smaller member of its set, already relabelled.
+        // smallest position: a position is either its set's root (a new
+        // part) or points to a smaller member of its set, already
+        // relabelled.
         let mut part = parent;
         let mut parts = 0;
         for p in 0..part.len() {
@@ -570,7 +568,7 @@ impl ConflictIndex {
             &mut arenas.facts,
             parts,
             FactId::new(0),
-            (0..).zip(facts).map(|(p, &fact)| (part[p] as usize, fact)),
+            (0..).zip(&facts).map(|(p, &fact)| (part[p] as usize, fact)),
         );
         let pair_at = append_grouped(
             &mut arenas.pairs,
@@ -584,6 +582,9 @@ impl ConflictIndex {
             Violation::new(FdId::new(0), FactId::new(0), FactId::new(0)),
             violations.iter().map(|&v| (part_of(v.first), v)),
         );
+        for p in 0..parts {
+            arenas.facts[fact_at[p] as usize..fact_at[p + 1] as usize].sort_unstable();
+        }
         if !sorted {
             for p in 0..parts {
                 arenas.pairs[pair_at[p] as usize..pair_at[p + 1] as usize].sort_unstable();
@@ -597,24 +598,31 @@ impl ConflictIndex {
             .collect();
 
         // Neighbour runs in fact order; filling them in pair order lists
-        // each fact's neighbours by ascending id.
+        // each fact's neighbours by ascending id.  Until the parts are
+        // written, each entry's slot holds the fact's position in its
+        // part, which the neighbour entries record.
         let mut cursor = arenas.neighbours.len() as u32;
-        for (position, &fact) in (first_fact..).zip(&arenas.facts[first_fact..]) {
-            let len = degree[position - first_fact];
-            self.facts[fact.index()] = FactEntry {
-                slot: 0,
-                start: cursor,
-                len: 0,
-            };
-            cursor += len;
+        for part in fact_at.windows(2) {
+            for (local, position) in (0..).zip(part[0] as usize..part[1] as usize) {
+                self.facts[arenas.facts[position].index()] = FactEntry {
+                    slot: local,
+                    start: cursor,
+                    len: 0,
+                };
+                cursor += degree[position - first_fact];
+            }
         }
         arenas
             .neighbours
             .resize(cursor as usize, (FactId::new(0), 0));
+        arenas.positions.resize(cursor as usize, 0);
         for (id, &(a, b)) in (pair_at[0]..).zip(&arenas.pairs[pair_at[0] as usize..]) {
             for (fact, other) in [(a, b), (b, a)] {
+                let position = self.facts[other.index()].slot;
                 let entry = &mut self.facts[fact.index()];
-                arenas.neighbours[(entry.start + entry.len) as usize] = (other, id);
+                let at = (entry.start + entry.len) as usize;
+                arenas.neighbours[at] = (other, id);
+                arenas.positions[at] = position;
                 entry.len += 1;
             }
         }
@@ -693,6 +701,7 @@ impl ConflictIndex {
             pairs: Vec::with_capacity(pairs),
             violations: Vec::with_capacity(violations),
             neighbours: Vec::with_capacity(neighbours),
+            positions: Vec::with_capacity(neighbours),
         };
         self.slots = Vec::with_capacity(order.len());
         self.free.clear();
@@ -729,6 +738,9 @@ impl ConflictIndex {
                         (other, pair - component.pairs.start + moved.pairs.start)
                     }),
             );
+            arenas
+                .positions
+                .extend_from_slice(&old.positions[neighbours.range()]);
             self.slots.push(moved);
         }
     }
@@ -844,6 +856,16 @@ impl ConflictIndex {
     fn neighbours_of(&self, fact: FactId) -> &[(FactId, u32)] {
         let FactEntry { start, len, .. } = self.facts[fact.index()];
         &self.arenas.neighbours[start as usize..(start + len) as usize]
+    }
+
+    /// The positions in their component's fact run
+    /// ([`ConflictIndex::component`]) of the facts `fact` conflicts with,
+    /// in neighbour order: O(1), so a per-component buffer indexed by
+    /// position can be read at a fact's neighbours without a lookup by
+    /// fact id.  Empty for a fact in no component.
+    pub fn neighbour_positions(&self, fact: FactId) -> &[u32] {
+        let FactEntry { start, len, .. } = self.facts[fact.index()];
+        &self.arenas.positions[start as usize..(start + len) as usize]
     }
 
     /// Whether `fact` conflicts with a fact of `live` — for a live fact,

@@ -5,9 +5,12 @@
 
 #![allow(dead_code)]
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use uocqa::db::{ConflictIndex, Database, FactId, FdSet, FunctionalDependency, Schema, Value};
+use uocqa::db::{
+    ConflictIndex, Database, FactId, FactSet, FdSet, FunctionalDependency, Schema, Value,
+};
+use uocqa::numeric::Ratio;
 use uocqa::query::{LineageBank, QueryEvaluator};
 use uocqa::repair::GeneratorSpec;
 
@@ -22,6 +25,65 @@ pub fn all_specs() -> [GeneratorSpec; 6] {
         GeneratorSpec::uniform_operations(),
         GeneratorSpec::uniform_operations().with_singleton_only(),
     ]
+}
+
+/// The `M^{uo,1}` repair distribution of `(db, sigma)` by the
+/// local-maxima law, independent of any walk: order the conflicting facts
+/// uniformly at random, and keep every conflict-free fact and each
+/// conflicting fact that comes after all of its conflict neighbours.
+/// Exact, by enumerating the `n!` orders of the `n` conflicting facts, so
+/// `n` must be small.
+pub fn local_maxima_repairs(db: &Database, sigma: &FdSet) -> BTreeMap<FactSet, Ratio> {
+    let index = ConflictIndex::build(db, sigma);
+    let facts = index.conflicting_facts();
+    let n = facts.len();
+    assert!(n <= 10, "{n} conflicting facts are too many to enumerate");
+    // Each fact's neighbours, as a mask over positions in `facts`.
+    let bit = |f: FactId| 1u32 << facts.binary_search(&f).expect("pair facts conflict");
+    let mut neighbours = vec![0u32; n];
+    for &(a, b) in index.pairs() {
+        neighbours[bit(a).trailing_zeros() as usize] |= bit(b);
+        neighbours[bit(b).trailing_zeros() as usize] |= bit(a);
+    }
+    // Heap's algorithm visits every order of the positions once; count
+    // the orders giving each set of local maxima.
+    let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut maxima = |order: &[usize]| {
+        let (mut before, mut kept) = (0u32, 0u32);
+        for &p in order {
+            if neighbours[p] & !before == 0 {
+                kept |= 1 << p;
+            }
+            before |= 1 << p;
+        }
+        *counts.entry(kept).or_insert(0) += 1;
+    };
+    maxima(&order);
+    let mut c = vec![0usize; n];
+    let mut i = 1;
+    while i < n {
+        if c[i] < i {
+            order.swap(if i % 2 == 0 { 0 } else { c[i] }, i);
+            maxima(&order);
+            c[i] += 1;
+            i = 1;
+        } else {
+            c[i] = 0;
+            i += 1;
+        }
+    }
+    let orders: u64 = (1..=n as u64).product();
+    counts
+        .into_iter()
+        .map(|(kept, count)| {
+            let mut repair = db.all_facts();
+            for (p, &fact) in facts.iter().enumerate() {
+                repair.set(fact, kept >> p & 1 == 1);
+            }
+            (repair, Ratio::from_u64(count, orders))
+        })
+        .collect()
 }
 
 /// `P(X ≥ k)` for `X ~ Binomial(n, p)`.

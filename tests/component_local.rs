@@ -42,7 +42,7 @@ use uocqa::workload::queries::{block_lookup_query, fact_membership_query_bank};
 use uocqa::workload::{BlockWorkload, MultiFdWorkload, SkewedJoinWorkload, StreamWorkload};
 
 mod common;
-use common::{binomial_upper_tail, block_database, multi_fd_database};
+use common::{binomial_upper_tail, block_database, local_maxima_repairs, multi_fd_database};
 
 /// The two walk generators.
 const WALK_SPECS: [fn() -> GeneratorSpec; 2] = [GeneratorSpec::uniform_operations, || {
@@ -486,13 +486,14 @@ fn uniform_operations_repairs(
     repairs
 }
 
-/// The lazy-permutation repair draws realise the chain's repair
-/// distribution where a walk's operations stop being justified out of
-/// order: on general-FD components that are not cliques, under both walk
-/// specs, in full and restricted to some components.  The one-component
-/// ten-fact database's `M^uo` tree is far past the solver's node cap, so
-/// its semantics come from [`uniform_operations_repairs`], which first
-/// has to equal the tree's on the three-component workload instance.
+/// The repair draws (the `M^uo` lazy permutation and the `M^{uo,1}` local
+/// maxima) realise the chain's repair distribution where a walk's
+/// operations stop being justified out of order: on general-FD components
+/// that are not cliques, under both walk specs, in full and restricted to
+/// some components.  The one-component ten-fact database's `M^uo` tree
+/// is far past the solver's node cap, so its semantics come from
+/// [`uniform_operations_repairs`], which first has to equal the tree's on
+/// the three-component workload instance.
 #[test]
 fn repair_draws_match_the_exact_semantics_on_non_clique_components() {
     // Components of 3 facts (a path), 2 and 3 (a triangle).
@@ -521,6 +522,35 @@ fn repair_draws_match_the_exact_semantics_on_non_clique_components() {
             }
         }
     }
+}
+
+/// The local-maxima law of the `M^{uo,1}` draws is the chain's own: on
+/// small general-FD instances it gives every repair exactly the
+/// probability `ExactSolver` computes from the chain's tree.
+#[test]
+fn local_maxima_law_equals_the_exact_singleton_semantics() {
+    let spec = GeneratorSpec::uniform_operations().with_singleton_only();
+    let mut non_cliques = 0;
+    for (facts, lhs, rhs) in [(7, 2, 2), (8, 3, 3), (8, 2, 3)] {
+        for seed in 0..16 {
+            let (db, sigma) = MultiFdWorkload::new(facts, 2, lhs, rhs, seed).generate();
+            let index = ConflictIndex::build(&db, &sigma);
+            non_cliques += (0..index.component_count())
+                .filter(|&c| {
+                    let size = index.component(c).len();
+                    index.component_pairs(c).len() < size * (size - 1) / 2
+                })
+                .count();
+            assert_eq!(
+                local_maxima_repairs(&db, &sigma),
+                tree_repairs(&db, &sigma, spec),
+                "MultiFdWorkload::new({facts}, 2, {lhs}, {rhs}, {seed})"
+            );
+        }
+    }
+    // On a clique the law is trivially the chain's (one uniform
+    // survivor); the instances must also hold components that are not.
+    assert!(non_cliques >= 40, "{non_cliques} non-clique components");
 }
 
 /// A digest of `draws` keyed repair draws from `seed`: every draw's
@@ -581,7 +611,7 @@ fn single_fd_walk_streams_are_pinned() {
         window.live_count() < window.len(),
         "the window holds tombstones"
     );
-    let pinned = [0x5321_486c_3eec_0be7, 0x7cf9_4c35_8d5f_975e];
+    let pinned = [0x5321_486c_3eec_0be7, 0xa931_fcd5_661d_14fd];
     let digests =
         [false, true].map(|singleton| draw_digest(&walker(&window, &sigma, singleton), 7, 200));
     assert_eq!(digests, pinned, "M^uo, M^{{uo,1}} draw digests");
@@ -665,11 +695,13 @@ fn interleaved_walk_streams_are_pinned() {
 }
 
 /// Pins the `M^uo` and `M^{uo,1}` repair draws
-/// ([`OperationWalkSampler::sample_result_into`], the lazy permutation of
-/// each component's operations) on the multi-FD, multi-component
-/// database, drawn from a freshly built and from a refreshed index.  Its
-/// components are not cliques, so operations stop being justified out of
-/// draw order and the pool's discards shape the stream.
+/// ([`OperationWalkSampler::sample_result_into`]: the lazy permutation of
+/// each component's operations, and the local maxima of each component's
+/// keyed ranks) on the multi-FD, multi-component database, drawn from a
+/// freshly built and from a refreshed index.  Its components are not
+/// cliques, so operations stop being justified out of draw order and the
+/// pool's discards shape the `M^uo` stream, while the `M^{uo,1}` stream
+/// reads every fact's neighbour ranks by component position.
 #[test]
 fn multi_fd_repair_draw_streams_are_pinned() {
     let (db, sigma, refreshed) = refreshed_multi_fd_window();
@@ -679,7 +711,7 @@ fn multi_fd_repair_draw_streams_are_pinned() {
             .map(|singleton| draw_digest(&indexed_walker(&db, &sigma, index, singleton), 11, 200));
         assert_eq!(
             digests,
-            [0x7a0f_c7e5_b7b0_7458, 0x0346_1ef1_5bb2_42de],
+            [0x7a0f_c7e5_b7b0_7458, 0x49e9_2188_c353_9a8b],
             "M^uo, M^{{uo,1}} draw digests from the {which} index"
         );
     }

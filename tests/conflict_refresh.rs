@@ -279,6 +279,27 @@ fn assert_refresh_matches_build(
             "{context}: component {c} pairs are not strictly lexicographic: {pairs:?}"
         );
         assert_eq!(pairs, built.component_pairs(c), "{context}: component {c}");
+        // The `M^{uo,1}` draw reads each fact's neighbours as positions in
+        // its component's fact run: they must resolve to the fact's
+        // neighbours, ascending.
+        let mut neighbours = vec![Vec::new(); facts.len()];
+        for &(a, b) in pairs {
+            for (f, g) in [(a, b), (b, a)] {
+                let at = facts
+                    .binary_search(&f)
+                    .expect("pair facts are in the component");
+                neighbours[at].push(g);
+            }
+        }
+        for (&fact, expected) in facts.iter().zip(&mut neighbours) {
+            expected.sort_unstable();
+            let resolved: Vec<FactId> = refreshed
+                .neighbour_positions(fact)
+                .iter()
+                .map(|&p| facts[p as usize])
+                .collect();
+            assert_eq!(&resolved, expected, "{context}: neighbours of {fact:?}");
+        }
     }
     let listed: Vec<usize> = (0..built.component_count()).step_by(2).collect();
     let seed = db.version();

@@ -10,17 +10,18 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use uocqa::core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
+use uocqa::core::sample_operations::OperationWalkSampler;
 use uocqa::core::{
     BudgetStatus, ExactSolver, RunBudget, TickOutcome, WindowSpec, WindowedEstimator,
 };
-use uocqa::db::{ConflictIndex, Database, Fact, FdSet, Value};
+use uocqa::db::{ConflictIndex, Database, Fact, FactId, FdSet, Value};
 use uocqa::query::{LineageBank, QueryEvaluator};
 use uocqa::repair::{GeneratorSpec, UniformSemantics};
 use uocqa::workload::StreamWorkload;
 
 mod common;
 use common::{
-    all_specs, assert_bank_matches_scratch, assert_conflict_matches_scratch, scratch_rebuild,
+    all_specs, assert_bank_matches_scratch, assert_conflict_matches_scratch, remap, scratch_rebuild,
 };
 
 /// The query bank every stream test runs: a membership query and two
@@ -487,18 +488,44 @@ fn assert_window_matches_scratch(
         )
         .unwrap();
     assert_eq!(windowed, scratch, "estimates diverged: {context}");
+    // The walk draws themselves, too: under `M^{uo,1}` a primary-key block
+    // never empties, so the block entries hold in every repair and only
+    // the draws show whether a draw follows the remap.
+    if spec.semantics == UniformSemantics::Operations {
+        let mut windowed =
+            OperationWalkSampler::with_index(w.db(), sigma, w.conflict_index().clone());
+        let mut scratch = OperationWalkSampler::new(&scratch_db, sigma);
+        if spec.singleton_only {
+            (windowed, scratch) = (windowed.singleton_only(), scratch.singleton_only());
+        }
+        let mut rngs = [0, 1].map(|_| StdRng::seed_from_u64(est_seed));
+        for draw in 0..8 {
+            let remapped: Vec<FactId> = windowed
+                .sample_result(&mut rngs[0])
+                .iter()
+                .filter(|&f| w.db().is_live(f))
+                .map(|f| remap(&map, f))
+                .collect();
+            let drawn: Vec<FactId> = scratch.sample_result(&mut rngs[1]).iter().collect();
+            assert_eq!(remapped, drawn, "draw {draw} diverged: {context}");
+        }
+    }
 }
 
-/// A 300-tick stream over a `Count(12)` window, under `M^uo` and `M^ur`:
-/// its expiries and retractions push the relation past its
+/// A 300-tick stream over a `Count(12)` window, under `M^uo`, `M^{uo,1}`
+/// and `M^ur`: its expiries and retractions push the relation past its
 /// row-compaction threshold and the relation index past its
 /// arena-compaction threshold every few ticks, and after every tick the
 /// windowed state still matches the scratch rebuild.  The property test
-/// above runs 1–3 ticks and never compacts.
+/// above runs 1–3 ticks and never compacts.  Same-seed estimates must
+/// agree under the live-id remap, so the `M^{uo,1}` ranks must be keyed
+/// by something the remap keeps (a component and a position in it), not
+/// by fact id.
 #[test]
 fn count_window_matches_scratch_across_storage_compactions() {
     for spec in [
         GeneratorSpec::uniform_operations(),
+        GeneratorSpec::uniform_operations().with_singleton_only(),
         GeneratorSpec::uniform_repairs(),
     ] {
         let mut workload = StreamWorkload::new(4, 3, 1, 0.5, 7);

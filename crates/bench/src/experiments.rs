@@ -8,11 +8,14 @@
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use ucqa_core::counting;
 use ucqa_core::exact::ExactSolver;
 use ucqa_core::fpras::{ApproximationParams, OcqaEstimator};
+use ucqa_core::montecarlo::{
+    estimate_stopping_batch, StoppingBatchExperiment, StoppingRuleEstimator,
+};
 use ucqa_core::sample_operations::OperationWalkSampler;
 use ucqa_core::sample_repairs::RepairSampler;
 use ucqa_core::sample_sequences::SequenceSampler;
@@ -609,6 +612,24 @@ pub fn e08_fpras_fd_singleton() -> Vec<Table> {
     vec![table]
 }
 
+/// The raw uniform-operations walk as a one-query stopping-rule
+/// experiment: does the sampled repair entail the Boolean query?
+struct WalkExperiment<'a> {
+    walk: OperationWalkSampler<'a>,
+    db: &'a Database,
+    evaluator: &'a QueryEvaluator,
+}
+
+impl<R: Rng + ?Sized> StoppingBatchExperiment<R> for WalkExperiment<'_> {
+    fn draw(&mut self, rng: &mut R, hits: &mut [bool]) {
+        let repair = self.walk.sample_result(rng);
+        hits[0] = self
+            .evaluator
+            .has_answer(self.db, &repair, &[])
+            .expect("boolean query");
+    }
+}
+
 /// E9 — Proposition D.6: with pair removals and FDs the target probability
 /// can be exponentially small, so Monte-Carlo sampling breaks down.
 pub fn e09_proposition_d6() -> Vec<Table> {
@@ -649,16 +670,14 @@ pub fn e09_proposition_d6() -> Vec<Table> {
             OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()),
             Err(CoreError::Unsupported { .. })
         );
-        let walk = OperationWalkSampler::new(&db, &sigma);
+        let mut walk = WalkExperiment {
+            walk: OperationWalkSampler::new(&db, &sigma),
+            db: &db,
+            evaluator: &evaluator,
+        };
         let mut rng = StdRng::seed_from_u64(900 + n as u64);
-        let stopping =
-            ucqa_core::montecarlo::StoppingRuleEstimator::new(0.2, 0.1).with_max_samples(200_000);
-        let outcome = stopping.estimate(&mut rng, |rng| {
-            let repair = walk.sample_result(rng);
-            evaluator
-                .has_answer(&db, &repair, &[])
-                .expect("boolean query")
-        });
+        let target = [StoppingRuleEstimator::new(0.2, 0.1).success_target()];
+        let outcome = estimate_stopping_batch(&mut rng, &target, 200_000, &mut walk).outcomes[0];
         let walk_cell = if outcome.truncated {
             format!(
                 "truncated: {} successes in {} samples",

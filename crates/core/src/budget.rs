@@ -17,8 +17,8 @@
 //! ones degrade.
 //!
 //! Budget checks consume **no randomness**: the RNG is touched only by
-//! the shared repair draw, so a run under [`RunBudget::unlimited`] is
-//! bit-identical to the un-budgeted entry points under the same seed, and
+//! the shared repair draw, so a run under [`RunBudget::unlimited`] draws
+//! the same stream as one with a budget that never fires, and
 //! a cancelled run that is *resumed* with the same RNG continues the very
 //! same sample stream (see
 //! [`crate::fpras::BatchEstimator::estimate_stopping_batch_resume`]).
@@ -270,7 +270,7 @@ impl RunBudget {
     }
 
     /// Caps the number of enumeration steps of bank compilation
-    /// ([`crate::fpras::BatchEstimator::compile_bank_with_budget`]):
+    /// ([`crate::fpras::BatchEstimator::compile_bank`]):
     /// a pathological bank degrades to per-draw evaluator fallback
     /// instead of stalling before sampling even starts.
     pub fn with_max_compile_steps(mut self, steps: u64) -> Self {

@@ -365,10 +365,14 @@ mod tests {
                     starved_compile_budget().with_cancel_token(CancelToken::tripped_at_draw(cut));
                 let mut rng = StdRng::seed_from_u64(seed);
                 let partial = batch
-                    .estimate_stopping_batch_with_budget(&queries, params, &budget, &mut rng)
+                    .estimate_batch_with_budget(&queries, params, &budget, &mut rng)
+                    .unwrap();
+                let bank = batch
+                    .compile_bank(&queries, &RunBudget::unlimited())
                     .unwrap();
                 let resumed = batch
                     .estimate_stopping_batch_resume(
+                        &bank,
                         &queries,
                         params,
                         &RunBudget::unlimited(),
@@ -415,7 +419,7 @@ mod tests {
                 .estimate_stopping_batch(&queries, params, &mut StdRng::seed_from_u64(7))
                 .unwrap();
             let budgeted = batch
-                .estimate_stopping_batch_with_budget(
+                .estimate_batch_with_budget(
                     &queries,
                     params,
                     &dormant,

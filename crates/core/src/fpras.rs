@@ -21,20 +21,25 @@ use rand::Rng;
 
 use ucqa_db::{ConflictIndex, Database, FactSet, FdSet, Value};
 use ucqa_query::lineage::DEFAULT_WITNESS_CAP;
-use ucqa_query::{BankLiveSet, BankScratch, CompiledLineage, LineageBank, QueryEvaluator};
+use ucqa_query::{BankLiveSet, BankScratch, LineageBank, QueryEvaluator};
 use ucqa_repair::{GeneratorSpec, UniformSemantics};
 
 use crate::bounds;
 use crate::budget::{AchievedBound, BudgetStatus, EstimateOutcome, QueryOutcome, RunBudget};
 use crate::montecarlo::{
-    estimate_fixed, estimate_fixed_batch, estimate_fixed_batch_budgeted, estimate_fixed_budgeted,
-    estimate_stopping_batch_budgeted, BudgetedStoppingOutcome, StoppingBatchExperiment,
-    StoppingRuleEstimator, StoppingRuleOutcome,
+    estimate_fixed_batch, estimate_stopping_batch_budgeted, BatchOutcome, BudgetedStoppingOutcome,
+    StoppingBatchExperiment, StoppingRuleEstimator, StoppingRuleOutcome,
+};
+#[cfg(feature = "parallel")]
+use crate::montecarlo::{
+    estimate_fixed_batch_parallel, estimate_stopping_batch_rounds, DEFAULT_SHARD_SIZE,
 };
 use crate::sample_operations::{OperationWalkSampler, WalkScratch};
 use crate::sample_repairs::RepairSampler;
 use crate::sample_sequences::SequenceSampler;
 use crate::CoreError;
+#[cfg(feature = "parallel")]
+use rand::rngs::StdRng;
 
 /// How many samples to draw, and under which guarantee.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -139,9 +144,10 @@ impl SamplerKind<'_> {
     /// when given; see [`RepairBuffer`].
     ///
     /// This is the *only* place the Monte-Carlo loops consume the RNG —
-    /// both the single-query and the batched experiment dispatch through
-    /// it, which is what makes their outcomes bit-identical under a
-    /// shared seed.  A restricted draw takes the same single key as the
+    /// the one experiment ([`BankExperiment`]) of every estimator
+    /// dispatches through it, and a single query is a bank of one, which
+    /// is what makes batched and single-query outcomes bit-identical
+    /// under a shared seed.  A restricted draw takes the same single key as the
     /// full one and agrees with it on every unit it covers.
     fn sample_repair_into<R: Rng + ?Sized>(
         &self,
@@ -186,10 +192,10 @@ impl SamplerKind<'_> {
 /// meeting those facts decides every check exactly as the full draw
 /// would, at a cost set by the bank rather than by `|D|`.  The other
 /// facts of the buffer stay as prepared: [`RepairSampler::prepare`] for
-/// the blocks, all present for the walk.  A fallback entry runs the
-/// backtracking evaluator on the whole repair, so a check with one
-/// (`witnesses` is `None`) keeps the full draw, as do the sequence
-/// samplers, whose draws are not keyed by component.
+/// the blocks, the live facts for the walk.  A fallback entry runs the
+/// backtracking evaluator on the whole repair, so a bank with one keeps
+/// the full draw, as do the sequence samplers, whose draws are not keyed
+/// by component.
 struct RepairBuffer {
     repair: FactSet,
     scratch: WalkScratch,
@@ -198,22 +204,26 @@ struct RepairBuffer {
 }
 
 impl RepairBuffer {
-    fn new<'w>(
-        estimator: &OcqaEstimator<'_>,
-        witnesses: Option<impl IntoIterator<Item = &'w FactSet>>,
-    ) -> Self {
+    /// The draw state of an experiment over `bank`.
+    fn new(estimator: &OcqaEstimator<'_>, bank: &LineageBank) -> Self {
         let mut repair = FactSet::empty(estimator.db.len());
-        let units = match (&estimator.sampler, witnesses) {
-            (
-                SamplerKind::Repairs(sampler) | SamplerKind::RepairsSingleton(sampler),
-                Some(witnesses),
-            ) => {
+        // The facts of every witness of the bank; read only when no entry
+        // is a fallback entry.
+        let witness_facts = || {
+            (0..bank.len())
+                .filter_map(|entry| bank.witnesses_of(entry))
+                .flatten()
+                .flat_map(FactSet::iter)
+        };
+        let units = match &estimator.sampler {
+            _ if bank.has_fallback() => None,
+            SamplerKind::Repairs(sampler) | SamplerKind::RepairsSingleton(sampler) => {
                 sampler.prepare(&mut repair);
-                Some(sampler.blocks_meeting(witnesses.into_iter().flat_map(FactSet::iter)))
+                Some(sampler.blocks_meeting(witness_facts()))
             }
-            (SamplerKind::Operations(walker), Some(witnesses)) => {
-                repair.fill();
-                Some(walker.components_meeting(witnesses.into_iter().flat_map(FactSet::iter)))
+            SamplerKind::Operations(walker) => {
+                repair.copy_from(estimator.db.live_facts());
+                Some(walker.components_meeting(witness_facts()))
             }
             _ => None,
         };
@@ -233,17 +243,6 @@ impl RepairBuffer {
             &mut self.scratch,
         );
     }
-}
-
-/// The witnesses of every entry of `bank` (lazily: only the block and
-/// component samplers read them), or `None` when an entry is a fallback
-/// entry (see [`RepairBuffer`]).
-fn bank_witnesses(bank: &LineageBank) -> Option<impl Iterator<Item = &FactSet>> {
-    (!bank.has_fallback()).then(|| {
-        (0..bank.len())
-            .filter_map(|entry| bank.witnesses_of(entry))
-            .flatten()
-    })
 }
 
 /// The compiled entries of `bank` that have no witness.  `Q(c̄)` then
@@ -449,19 +448,9 @@ impl<'a> OcqaEstimator<'a> {
         }
     }
 
-    /// Estimates `P_{M_Σ,Q}(D, c̄)`.
-    ///
-    /// The per-sample Bernoulli experiment is fully compiled before the
-    /// Monte-Carlo loop starts: the query lineage of the candidate is
-    /// compiled into a monotone DNF of witness bitsets
-    /// ([`CompiledLineage`]), the sampled repair is drawn into a reused
-    /// bitset buffer, and entailment becomes a word-level
-    /// "some witness ⊆ repair" check — the loop performs no heap
-    /// allocation and no backtracking search.  When the witness count
-    /// exceeds [`ucqa_query::lineage::DEFAULT_WITNESS_CAP`], the check
-    /// falls back to the (slot-compiled) backtracking evaluator.  Under
-    /// the stopping rule, a lineage with no witness is answered without
-    /// drawing: the probability is exactly 0 (estimate 0, zero samples).
+    /// Estimates `P_{M_Σ,Q}(D, c̄)`:
+    /// [`OcqaEstimator::estimate_with_budget`] under
+    /// [`RunBudget::unlimited`].
     pub fn estimate<R: Rng + ?Sized>(
         &self,
         evaluator: &QueryEvaluator,
@@ -469,53 +458,35 @@ impl<'a> OcqaEstimator<'a> {
         params: ApproximationParams,
         rng: &mut R,
     ) -> Result<Estimate, CoreError> {
-        params.validate()?;
-        // Compilation also validates the candidate arity, before any
-        // sampling happens.
-        let lineage = CompiledLineage::compile(evaluator, self.db, candidate)?;
-
-        let mut sample = SampleExperiment::new(self, lineage.as_ref(), evaluator, candidate);
-        let experiment = |rng: &mut R| -> bool { sample.draw(rng) };
-
-        let witness_free = lineage.as_ref().is_some_and(|l| l.witness_count() == 0);
-        let estimate = match params.mode {
-            EstimatorMode::OptimalStopping { max_samples } => {
-                let outcome = if witness_free {
-                    SETTLED_AT_ZERO
-                } else {
-                    StoppingRuleEstimator::new(params.epsilon, params.delta)
-                        .with_max_samples(max_samples)
-                        .estimate(rng, experiment)
-                };
-                Estimate {
-                    value: outcome.estimate,
-                    samples: outcome.samples,
-                    successes: outcome.successes,
-                    truncated: outcome.truncated,
-                }
-            }
-            _ => {
-                let samples = self.fixed_sample_count(evaluator, params)?;
-                let outcome = estimate_fixed(rng, samples, experiment);
-                Estimate {
-                    value: outcome.estimate,
-                    samples: outcome.samples,
-                    successes: outcome.successes,
-                    truncated: false,
-                }
-            }
-        };
-        Ok(estimate)
+        let unlimited = RunBudget::unlimited();
+        let outcome = self.estimate_with_budget(evaluator, candidate, params, &unlimited, rng)?;
+        Ok(estimate_of(&outcome.queries[0]))
     }
 
-    /// As [`OcqaEstimator::estimate`], under a [`RunBudget`].
+    /// Estimates `P_{M_Σ,Q}(D, c̄)` under a [`RunBudget`].
+    ///
+    /// A single query is a bank of one.  The candidate's lineage compiles
+    /// into a one-entry [`LineageBank`] under the budget's compile-step
+    /// cap (which also validates the candidate arity, before any sampling
+    /// happens): a monotone DNF of witness bitsets, so entailment of a
+    /// sampled repair is a word-level "some witness ⊆ repair" check and
+    /// the loop performs no heap allocation and no backtracking search.
+    /// When the witness count exceeds
+    /// [`ucqa_query::lineage::DEFAULT_WITNESS_CAP`], the check falls back
+    /// to the (slot-compiled) backtracking evaluator.  The bank then runs
+    /// through the same drivers as [`BatchEstimator`]: the stopping rule,
+    /// under which a lineage with no witness is answered without drawing
+    /// (the probability is exactly 0: estimate 0, zero samples), or the
+    /// fixed loop with the mode's sample count
+    /// ([`EstimatorMode::FixedFromLowerBound`] derives it from
+    /// [`OcqaEstimator::theoretical_lower_bound`]).
     ///
     /// The budget is polled between draws and consumes no randomness: an
-    /// unconstrained budget draws the same sample stream as
-    /// [`OcqaEstimator::estimate`] and reports the same counts, with
-    /// status [`Converged`](crate::budget::BudgetStatus::Converged).  An interrupted run returns the
-    /// partial estimate together with the achieved `(ε′, δ)` bound at the
-    /// observed counts (see [`AchievedBound`]).
+    /// unconstrained budget never changes the sample stream and reports
+    /// status [`Converged`](crate::budget::BudgetStatus::Converged).  An
+    /// interrupted run returns the partial estimate together with the
+    /// achieved `(ε′, δ)` bound at the observed counts (see
+    /// [`AchievedBound`]).
     pub fn estimate_with_budget<R: Rng + ?Sized>(
         &self,
         evaluator: &QueryEvaluator,
@@ -525,90 +496,13 @@ impl<'a> OcqaEstimator<'a> {
         rng: &mut R,
     ) -> Result<EstimateOutcome, CoreError> {
         params.validate()?;
-        // Compilation also validates the candidate arity, before any
-        // sampling happens; the budget's compile-step cap (and its cancel
-        // flag) interrupt pathological banks into evaluator fallback.
-        let lineage = CompiledLineage::compile_with_budget(
-            evaluator,
-            self.db,
-            candidate,
-            &budget.compile_budget(),
-        )?;
-
-        let mut sample = SampleExperiment::new(self, lineage.as_ref(), evaluator, candidate);
-        let experiment = |rng: &mut R| -> bool { sample.draw(rng) };
-
-        let witness_free = lineage.as_ref().is_some_and(|l| l.witness_count() == 0);
-        let (outcome, status) = match params.mode {
-            EstimatorMode::OptimalStopping { max_samples } => {
-                let rule = StoppingRuleEstimator::try_new(params.epsilon, params.delta)?
-                    .with_max_samples(max_samples);
-                if witness_free {
-                    (SETTLED_AT_ZERO, BudgetStatus::Converged)
-                } else {
-                    rule.estimate_budgeted(rng, budget, experiment)
-                }
-            }
-            _ => {
-                let samples = self.fixed_sample_count(evaluator, params)?;
-                let (fixed, status) = estimate_fixed_budgeted(rng, samples, budget, experiment);
-                (
-                    StoppingRuleOutcome {
-                        estimate: fixed.estimate,
-                        samples: fixed.samples,
-                        successes: fixed.successes,
-                        truncated: !status.is_converged(),
-                    },
-                    status,
-                )
-            }
+        let queries = [BatchQuery::new(evaluator, candidate)];
+        let bank = self.compile(&queries, budget)?;
+        let samples = match params.mode {
+            EstimatorMode::OptimalStopping { .. } => None,
+            _ => Some(self.fixed_sample_count(Some(evaluator), params)?),
         };
-        Ok(EstimateOutcome {
-            queries: vec![QueryOutcome {
-                estimate: outcome.estimate,
-                samples: outcome.samples,
-                successes: outcome.successes,
-                status,
-                achieved: AchievedBound::at(outcome.samples, outcome.successes, params.delta),
-            }],
-            total_draws: outcome.samples,
-        })
-    }
-
-    /// The sample count of a fixed-sample [`EstimatorMode`]; an error for
-    /// [`EstimatorMode::OptimalStopping`], whose sample count is data
-    /// dependent.
-    fn fixed_sample_count(
-        &self,
-        evaluator: &QueryEvaluator,
-        params: ApproximationParams,
-    ) -> Result<u64, CoreError> {
-        match params.mode {
-            EstimatorMode::FixedSamples(samples) => Ok(samples),
-            EstimatorMode::FixedAdditive => Ok(bounds::samples_for_additive_error(
-                params.epsilon,
-                params.delta,
-            )),
-            EstimatorMode::FixedFromLowerBound => {
-                let bound = self.theoretical_lower_bound(evaluator);
-                bounds::samples_for_relative_error(params.epsilon, params.delta, bound).ok_or_else(
-                    || CoreError::InvalidParameters {
-                        message: "the worst-case lower bound is too small to derive a \
-                                  practical sample count; use the optimal stopping rule \
-                                  (`OcqaEstimator::estimate`, or \
-                                  `BatchEstimator::estimate_stopping_batch` for a whole bank)"
-                            .to_string(),
-                    },
-                )
-            }
-            EstimatorMode::OptimalStopping { .. } => Err(CoreError::InvalidParameters {
-                message: "the optimal stopping rule has no fixed sample count; it is \
-                          sequential and supported by `OcqaEstimator::estimate`, and for \
-                          whole banks by `BatchEstimator::estimate_stopping_batch` and the \
-                          round-based `estimate_stopping_batch_rounds`"
-                    .to_string(),
-            }),
-        }
+        self.run(&bank, &queries, params, samples, budget, rng)
     }
 
     /// Estimates `P_{M_Σ,Q}(D, c̄)` with samples sharded across rayon
@@ -627,24 +521,302 @@ impl<'a> OcqaEstimator<'a> {
         params: ApproximationParams,
         master_seed: u64,
     ) -> Result<Estimate, CoreError> {
-        use crate::montecarlo::{estimate_fixed_parallel, DEFAULT_SHARD_SIZE};
-
         params.validate()?;
-        let samples = self.fixed_sample_count(evaluator, params)?;
-        // Compilation also validates the candidate arity, before any
-        // sampling happens.
-        let lineage = CompiledLineage::compile(evaluator, self.db, candidate)?;
-        let outcome = estimate_fixed_parallel(master_seed, samples, DEFAULT_SHARD_SIZE, || {
-            let mut sample = SampleExperiment::new(self, lineage.as_ref(), evaluator, candidate);
-            move |rng: &mut rand::rngs::StdRng| sample.draw(rng)
-        });
-        Ok(Estimate {
-            value: outcome.estimate,
-            samples: outcome.samples,
-            successes: outcome.successes,
-            truncated: false,
-        })
+        let samples = self.fixed_sample_count(Some(evaluator), params)?;
+        let queries = [BatchQuery::new(evaluator, candidate)];
+        let bank = self.compile(&queries, &RunBudget::unlimited())?;
+        let outcome = self.run_fixed_parallel(&bank, &queries, samples, params.delta, master_seed);
+        Ok(estimate_of(&outcome.queries[0]))
     }
+
+    /// The sample count of a fixed-sample [`EstimatorMode`].
+    /// [`EstimatorMode::FixedFromLowerBound`] derives it from the lower
+    /// bound of one query, so it needs that query's `evaluator`: a bank
+    /// shares one loop across queries whose bounds differ.  An error for
+    /// [`EstimatorMode::OptimalStopping`], whose sample count is data
+    /// dependent.
+    fn fixed_sample_count(
+        &self,
+        evaluator: Option<&QueryEvaluator>,
+        params: ApproximationParams,
+    ) -> Result<u64, CoreError> {
+        let invalid = |message: &str| CoreError::InvalidParameters {
+            message: message.to_string(),
+        };
+        match (params.mode, evaluator) {
+            (EstimatorMode::FixedSamples(samples), _) => Ok(samples),
+            (EstimatorMode::FixedAdditive, _) => Ok(bounds::samples_for_additive_error(
+                params.epsilon,
+                params.delta,
+            )),
+            (EstimatorMode::FixedFromLowerBound, Some(evaluator)) => {
+                let bound = self.theoretical_lower_bound(evaluator);
+                bounds::samples_for_relative_error(params.epsilon, params.delta, bound).ok_or_else(
+                    || {
+                        invalid(
+                            "the worst-case lower bound is too small to derive a practical \
+                             sample count; use the optimal stopping rule",
+                        )
+                    },
+                )
+            }
+            (EstimatorMode::FixedFromLowerBound, None) => Err(invalid(
+                "a bank shares one sample loop across all queries, but FixedFromLowerBound \
+                 would derive a different count per query: use FixedSamples, FixedAdditive \
+                 or OptimalStopping",
+            )),
+            (EstimatorMode::OptimalStopping { .. }, _) => Err(invalid(
+                "the optimal stopping rule has no fixed sample count: it runs through \
+                 `estimate`, `estimate_with_budget` and the `BatchEstimator` stopping paths",
+            )),
+        }
+    }
+
+    /// Compiles `queries` into one [`LineageBank`] under the compile-time
+    /// part of `budget` (see [`BatchEstimator::compile_bank`]).
+    fn compile(
+        &self,
+        queries: &[BatchQuery<'_>],
+        budget: &RunBudget,
+    ) -> Result<LineageBank, CoreError> {
+        let refs: Vec<(&QueryEvaluator, &[Value])> =
+            queries.iter().map(|q| (q.evaluator, q.candidate)).collect();
+        Ok(LineageBank::compile_with_budget(
+            self.db,
+            &refs,
+            DEFAULT_WITNESS_CAP,
+            &budget.compile_budget(),
+        )?)
+    }
+
+    /// The sequential driver of both estimators: a fixed loop of
+    /// `samples` draws, or the stopping rule when `samples` is `None`.
+    fn run<R: Rng + ?Sized>(
+        &self,
+        bank: &LineageBank,
+        queries: &[BatchQuery<'_>],
+        params: ApproximationParams,
+        samples: Option<u64>,
+        budget: &RunBudget,
+        rng: &mut R,
+    ) -> Result<EstimateOutcome, CoreError> {
+        match samples {
+            Some(samples) => Ok(self.run_fixed(bank, queries, samples, params.delta, budget, rng)),
+            None => self.run_stopping(bank, queries, params, budget, None, rng),
+        }
+    }
+
+    /// The fixed-sample driver: `samples` shared draws under `budget`,
+    /// counting the hits of every entry of `bank`.
+    fn run_fixed<R: Rng + ?Sized>(
+        &self,
+        bank: &LineageBank,
+        queries: &[BatchQuery<'_>],
+        samples: u64,
+        delta: f64,
+        budget: &RunBudget,
+        rng: &mut R,
+    ) -> EstimateOutcome {
+        let mut experiment = BankExperiment::new(self, bank, queries, BankLiveSet::full(bank));
+        let (outcome, status) =
+            estimate_fixed_batch(rng, samples, queries.len(), budget, |rng, successes| {
+                experiment.count(rng, successes)
+            });
+        fixed_outcome(&outcome, status, delta)
+    }
+
+    /// The stopping-rule driver: one shared stream over `bank` under the
+    /// Dagum–Karp–Luby–Ross rule with per-entry target `Υ(ε, δ/k)`,
+    /// starting from `prior` (or a fresh stream) with every
+    /// [witness-free](witness_free) entry settled at zero draws.  Only
+    /// the entries not yet converged are live.
+    fn run_stopping<R: Rng + ?Sized>(
+        &self,
+        bank: &LineageBank,
+        queries: &[BatchQuery<'_>],
+        params: ApproximationParams,
+        budget: &RunBudget,
+        prior: Option<&EstimateOutcome>,
+        rng: &mut R,
+    ) -> Result<EstimateOutcome, CoreError> {
+        let max_samples = stopping_cut_off(params)?;
+        let (targets, delta) = stopping_targets(params, queries.len());
+        let start = settle_witness_free(bank, prior.map(budgeted_from).as_ref());
+        let live: Vec<usize> = (0..bank.len())
+            .filter(|&q| !start.statuses[q].is_converged())
+            .collect();
+        let live = BankLiveSet::restrict(bank, &live);
+        let mut experiment = BankExperiment::new(self, bank, queries, live);
+        let outcome = estimate_stopping_batch_budgeted(
+            rng,
+            &targets,
+            max_samples,
+            budget,
+            &mut experiment,
+            Some(&start),
+        );
+        Ok(outcome_from(outcome, delta))
+    }
+
+    /// As [`OcqaEstimator::run_fixed`], sharded across rayon worker
+    /// threads and without a budget.
+    #[cfg(feature = "parallel")]
+    fn run_fixed_parallel(
+        &self,
+        bank: &LineageBank,
+        queries: &[BatchQuery<'_>],
+        samples: u64,
+        delta: f64,
+        master_seed: u64,
+    ) -> EstimateOutcome {
+        let outcome = estimate_fixed_batch_parallel(
+            master_seed,
+            samples,
+            DEFAULT_SHARD_SIZE,
+            queries.len(),
+            || {
+                let mut experiment =
+                    BankExperiment::new(self, bank, queries, BankLiveSet::full(bank));
+                move |rng: &mut StdRng, successes: &mut [u64]| experiment.count(rng, successes)
+            },
+        );
+        fixed_outcome(&outcome, BudgetStatus::Converged, delta)
+    }
+
+    /// As [`OcqaEstimator::run_stopping`] from a fresh stream, in
+    /// rayon-sharded rounds of [`DEFAULT_ROUND_SAMPLES`]: each shard's
+    /// experiment sees only the entries still live at its round.
+    #[cfg(feature = "parallel")]
+    fn run_rounds(
+        &self,
+        bank: &LineageBank,
+        queries: &[BatchQuery<'_>],
+        params: ApproximationParams,
+        master_seed: u64,
+        budget: &RunBudget,
+    ) -> Result<EstimateOutcome, CoreError> {
+        let max_samples = stopping_cut_off(params)?;
+        let (targets, delta) = stopping_targets(params, queries.len());
+        let settled: Vec<usize> = witness_free(bank).collect();
+        let outcome = estimate_stopping_batch_rounds(
+            master_seed,
+            &targets,
+            max_samples,
+            DEFAULT_ROUND_SAMPLES,
+            DEFAULT_SHARD_SIZE,
+            budget,
+            &settled,
+            |live| {
+                let live = BankLiveSet::restrict(bank, live);
+                let mut experiment = BankExperiment::new(self, bank, queries, live);
+                move |rng: &mut StdRng, hits: &mut [bool]| experiment.draw_live(rng, hits)
+            },
+        );
+        Ok(outcome_from(outcome, delta))
+    }
+}
+
+/// The `max_samples` cut-off of a stopping-rule run, or an error when
+/// `params` is not in [`EstimatorMode::OptimalStopping`].
+fn stopping_cut_off(params: ApproximationParams) -> Result<u64, CoreError> {
+    params.validate()?;
+    match params.mode {
+        EstimatorMode::OptimalStopping { max_samples } => Ok(max_samples),
+        other => Err(CoreError::InvalidParameters {
+            message: format!(
+                "the stopping rule requires EstimatorMode::OptimalStopping (got {other:?}); \
+                 use `estimate_batch` for the fixed-sample modes"
+            ),
+        }),
+    }
+}
+
+/// The per-entry success targets of a stopping-rule run over a bank of
+/// `bank_size`, and the per-entry failure probability they are for:
+/// relative error `ε` with failure probability `δ / bank_size`, so a union
+/// bound over the bank restores the overall `(ε, δ)` guarantee.
+fn stopping_targets(params: ApproximationParams, bank_size: usize) -> (Vec<u64>, f64) {
+    let delta = params.delta / bank_size.max(1) as f64;
+    let target = StoppingRuleEstimator::new(params.epsilon, delta).success_target();
+    (vec![target; bank_size], delta)
+}
+
+/// The public [`EstimateOutcome`] of a fixed-sample run: every entry
+/// shares the run's sample count and status, with its achieved
+/// `(ε′, δ)` bound at its observed counts.
+fn fixed_outcome(outcome: &BatchOutcome, status: BudgetStatus, delta: f64) -> EstimateOutcome {
+    let queries = outcome
+        .successes
+        .iter()
+        .zip(outcome.estimates())
+        .map(|(&successes, estimate)| QueryOutcome {
+            estimate,
+            samples: outcome.samples,
+            successes,
+            status,
+            achieved: AchievedBound::at(outcome.samples, successes, delta),
+        })
+        .collect();
+    EstimateOutcome {
+        queries,
+        total_draws: outcome.samples,
+    }
+}
+
+/// Converts a budgeted stopping-batch outcome into the public
+/// [`EstimateOutcome`], attaching each query's achieved `(ε′, δ/k)`
+/// bound at its observed counts.
+fn outcome_from(budgeted: BudgetedStoppingOutcome, per_query_delta: f64) -> EstimateOutcome {
+    let queries = budgeted
+        .outcomes
+        .iter()
+        .zip(&budgeted.statuses)
+        .map(|(o, &status)| QueryOutcome {
+            estimate: o.estimate,
+            samples: o.samples,
+            successes: o.successes,
+            status,
+            achieved: AchievedBound::at(o.samples, o.successes, per_query_delta),
+        })
+        .collect();
+    EstimateOutcome {
+        queries,
+        total_draws: budgeted.total_samples,
+    }
+}
+
+/// Reconstructs the resumable montecarlo-layer outcome from a prior
+/// public [`EstimateOutcome`].
+fn budgeted_from(prior: &EstimateOutcome) -> BudgetedStoppingOutcome {
+    BudgetedStoppingOutcome {
+        outcomes: prior
+            .queries
+            .iter()
+            .map(|q| StoppingRuleOutcome {
+                estimate: q.estimate,
+                samples: q.samples,
+                successes: q.successes,
+                truncated: !q.status.is_converged(),
+            })
+            .collect(),
+        statuses: prior.queries.iter().map(|q| q.status).collect(),
+        total_samples: prior.total_draws,
+    }
+}
+
+/// The [`Estimate`] view of one entry's outcome: truncated iff it did not
+/// converge.
+fn estimate_of(outcome: &QueryOutcome) -> Estimate {
+    Estimate {
+        value: outcome.estimate,
+        samples: outcome.samples,
+        successes: outcome.successes,
+        truncated: !outcome.status.is_converged(),
+    }
+}
+
+fn estimates_of(outcome: &EstimateOutcome) -> Vec<Estimate> {
+    outcome.queries.iter().map(estimate_of).collect()
 }
 
 /// One query of a batched estimation run: an evaluator plus its candidate
@@ -678,29 +850,34 @@ impl<'q> BatchQuery<'q> {
 /// shared scan trie over the per-query join plans, witnesses deduplicated
 /// into one arena, per-query masks — and drives **one** sampling loop;
 /// each sampled repair updates every per-query hit counter in a single
-/// word-level pass.
+/// word-level pass.  A single-query [`OcqaEstimator`] run is the same
+/// loop over a bank of one.
 ///
 /// **Bit-identity guarantee.**  The RNG is consumed by the shared draw
 /// only, never by the per-query checks, so under a fixed seed
 /// [`BatchEstimator::estimate_batch`] returns, for every query, exactly
 /// the `Estimate` that a fresh single-query
-/// [`OcqaEstimator::estimate`] run would return from the same RNG state —
-/// and [`BatchEstimator::estimate_batch_parallel`] is bit-identical to
-/// `k` independent [`OcqaEstimator::estimate_parallel`] runs under the
-/// same master seed, regardless of thread count.
+/// [`OcqaEstimator::estimate`] run would return from the same RNG state
+/// (under the stopping rule, with the bank's per-query `δ/k`) — and
+/// [`BatchEstimator::estimate_batch_parallel`] in a fixed mode is
+/// bit-identical to `k` independent
+/// [`OcqaEstimator::estimate_parallel`] runs under the same master seed,
+/// regardless of thread count.
 ///
-/// Three estimator modes are supported.  The fixed-sample-count modes
+/// Every mode but [`EstimatorMode::FixedFromLowerBound`] is supported (it
+/// would derive a different fixed count per query, defeating the shared
+/// loop).  The fixed-sample-count modes
 /// ([`EstimatorMode::FixedSamples`] and [`EstimatorMode::FixedAdditive`])
 /// share one loop of a fixed length.  The adaptive
-/// [`EstimatorMode::OptimalStopping`] routes through the batched
-/// stopping rule ([`BatchEstimator::estimate_stopping_batch`], or the
-/// round-based [`BatchEstimator::estimate_stopping_batch_rounds`] on the
-/// parallel path): each query tracks its own Dagum–Karp–Luby–Ross success
-/// target `Υ(ε, δ/k)` over the shared repair stream and **retires** as it
-/// converges, shrinking the per-draw work until the last query stops the
-/// stream.  Only [`EstimatorMode::FixedFromLowerBound`] is rejected (it
-/// would derive a different fixed count per query, defeating the shared
-/// loop).
+/// [`EstimatorMode::OptimalStopping`] runs the batched stopping rule: each
+/// query tracks its own Dagum–Karp–Luby–Ross success target `Υ(ε, δ/k)`
+/// over the shared repair stream and **retires** as it converges,
+/// shrinking the per-draw work until the last query stops the stream —
+/// sequentially ([`BatchEstimator::estimate_batch_with_budget`], which an
+/// interrupted run [resumes](BatchEstimator::estimate_stopping_batch_resume)
+/// from), or in rayon-sharded rounds
+/// ([`BatchEstimator::estimate_stopping_batch_rounds_with_budget`]).  The
+/// entry points without a budget run under [`RunBudget::unlimited`].
 pub struct BatchEstimator<'a> {
     inner: OcqaEstimator<'a>,
 }
@@ -740,78 +917,17 @@ impl<'a> BatchEstimator<'a> {
         &self.inner
     }
 
-    /// The shared per-query sample count of a batched run, or an error for
-    /// the modes the batched loop cannot honour.
-    fn batch_sample_count(&self, params: ApproximationParams) -> Result<u64, CoreError> {
-        params.validate()?;
-        match params.mode {
-            EstimatorMode::FixedSamples(samples) => Ok(samples),
-            EstimatorMode::FixedAdditive => Ok(bounds::samples_for_additive_error(
-                params.epsilon,
-                params.delta,
-            )),
-            EstimatorMode::OptimalStopping { .. } | EstimatorMode::FixedFromLowerBound => {
-                Err(CoreError::InvalidParameters {
-                    message: "batched estimation shares one sample loop across all queries: \
-                              use a fixed-sample-count mode (FixedSamples, FixedAdditive), \
-                              or the adaptive OptimalStopping mode via \
-                              `estimate_batch`/`estimate_stopping_batch{,_rounds}` \
-                              (FixedFromLowerBound would derive a different count per query)"
-                        .to_string(),
-                })
-            }
-        }
-    }
-
-    /// The per-query stopping rule of a batched adaptive run over a bank
-    /// of `bank_size`: relative error `ε` with failure probability
-    /// `δ / bank_size`, so a union bound over the bank restores the
-    /// overall `(ε, δ)` guarantee.
-    fn per_query_stopping_rule(
-        &self,
-        params: ApproximationParams,
-        bank_size: usize,
-    ) -> StoppingRuleEstimator {
-        StoppingRuleEstimator::new(params.epsilon, params.delta / bank_size.max(1) as f64)
-    }
-
-    /// The `max_samples` cut-off of an adaptive batched run, or an error
-    /// when `params` is not in [`EstimatorMode::OptimalStopping`].
-    fn stopping_cut_off(&self, params: ApproximationParams) -> Result<u64, CoreError> {
-        params.validate()?;
-        match params.mode {
-            EstimatorMode::OptimalStopping { max_samples } => Ok(max_samples),
-            other => Err(CoreError::InvalidParameters {
-                message: format!(
-                    "the batched stopping rule requires EstimatorMode::OptimalStopping \
-                     (got {other:?}); use `estimate_batch` for the fixed-sample modes"
-                ),
-            }),
-        }
-    }
-
-    /// Estimates `P_{M_Σ,Qᵢ}(D, c̄ᵢ)` for every query of the bank from one
-    /// shared sequence of sampled repairs.
-    ///
-    /// Compiles the [`LineageBank`] (validating every candidate arity)
-    /// before any sampling happens; queries whose witness enumeration
-    /// overflows the cap fall back to the backtracking evaluator per draw
-    /// while the rest stay on the word-level bitset path.
-    ///
-    /// [`EstimatorMode::OptimalStopping`] routes through
-    /// [`BatchEstimator::estimate_stopping_batch`]; the fixed modes share
-    /// one loop of the common length.
+    /// [`BatchEstimator::estimate_batch_with_budget`] under
+    /// [`RunBudget::unlimited`].
     pub fn estimate_batch<R: Rng + ?Sized>(
         &self,
         queries: &[BatchQuery<'_>],
         params: ApproximationParams,
         rng: &mut R,
     ) -> Result<Vec<Estimate>, CoreError> {
-        if matches!(params.mode, EstimatorMode::OptimalStopping { .. }) {
-            return self.estimate_stopping_batch(queries, params, rng);
-        }
-        let bank = self.compile_bank(queries)?;
-        self.estimate_batch_with_bank(&bank, queries, params, rng)
+        let unlimited = RunBudget::unlimited();
+        let outcome = self.estimate_batch_with_budget(queries, params, &unlimited, rng)?;
+        Ok(estimates_of(&outcome))
     }
 
     /// As [`BatchEstimator::estimate_batch`] (fixed-sample modes only),
@@ -820,8 +936,11 @@ impl<'a> BatchEstimator<'a> {
     /// pattern, which also lets a caller time compilation and estimation
     /// separately.
     ///
-    /// # Panics
-    /// Panics if `bank` was not compiled from `queries` (length mismatch).
+    /// # Errors
+    /// [`CoreError::InvalidParameters`] if `bank` was not compiled from
+    /// `queries` (its entry count differs) or is stale with respect to the
+    /// estimator's database, besides the parameter errors of
+    /// [`BatchEstimator::estimate_batch`].
     pub fn estimate_batch_with_bank<R: Rng + ?Sized>(
         &self,
         bank: &LineageBank,
@@ -829,87 +948,67 @@ impl<'a> BatchEstimator<'a> {
         params: ApproximationParams,
         rng: &mut R,
     ) -> Result<Vec<Estimate>, CoreError> {
-        assert_eq!(
-            bank.len(),
-            queries.len(),
-            "bank was compiled from a different query list"
-        );
-        let samples = self.batch_sample_count(params)?;
-        let mut experiment = BatchExperiment::new(&self.inner, bank, queries);
-        let outcome = estimate_fixed_batch(rng, samples, queries.len(), |rng, successes| {
-            experiment.draw(rng, successes)
-        });
-        Ok(Self::estimates_from(samples, &outcome.successes))
+        self.check_bank(bank, queries)?;
+        params.validate()?;
+        let samples = self.inner.fixed_sample_count(None, params)?;
+        let unlimited = RunBudget::unlimited();
+        let outcome = self
+            .inner
+            .run_fixed(bank, queries, samples, params.delta, &unlimited, rng);
+        Ok(estimates_of(&outcome))
     }
 
-    /// Estimates every query of the bank adaptively from **one** shared
-    /// repair stream under the Dagum–Karp–Luby–Ross stopping rule: query
-    /// `i` tracks its own success target `Υ(ε, δ/k)` and **retires** the
-    /// moment it is reached — its witnesses drop out of the shared
-    /// per-draw containment scan ([`BankLiveSet`]), so the per-draw cost
-    /// shrinks as the bank drains — and the stream stops when the last
-    /// query retires or `max_samples` truncates it (reported per query via
-    /// [`Estimate::truncated`]).  A compiled entry with no witness has
-    /// probability exactly 0 and retires before the first draw, with
-    /// estimate 0, zero samples and no truncation; any other
-    /// zero-probability query truncates at the cut-off without stalling
-    /// the retirement of the others.
-    ///
-    /// Requires [`EstimatorMode::OptimalStopping`].  With `δ/k` per query,
-    /// a union bound gives: with probability at least `1 − δ`, **every**
-    /// non-truncated estimate is within relative error `ε` of its true
-    /// probability.
-    ///
-    /// **Bit-identity.**  The RNG is consumed by the shared repair draw
-    /// only, and query `i` retires after observing exactly the stream
-    /// prefix an independent run would draw, so each outcome is
-    /// bit-identical to a standalone stopping-rule run with the same
-    /// target `Υ(ε, δ/k)` from the same RNG state.  (The *round-based*
-    /// parallel variant [`BatchEstimator::estimate_stopping_batch_rounds`]
-    /// is the one that trades bit-identity for sharding — see there.)
+    /// [`BatchEstimator::estimate_batch`], requiring
+    /// [`EstimatorMode::OptimalStopping`].
     pub fn estimate_stopping_batch<R: Rng + ?Sized>(
         &self,
         queries: &[BatchQuery<'_>],
         params: ApproximationParams,
         rng: &mut R,
     ) -> Result<Vec<Estimate>, CoreError> {
-        let max_samples = self.stopping_cut_off(params)?;
-        let bank = self.compile_bank(queries)?;
-        let target = self
-            .per_query_stopping_rule(params, queries.len())
-            .success_target();
-        let targets = vec![target; queries.len()];
-        let live = BankLiveSet::full(&bank);
-        let mut experiment = BatchStoppingExperiment::new(&self.inner, &bank, queries, live);
-        let outcome = estimate_stopping_batch_budgeted(
-            rng,
-            &targets,
-            max_samples,
-            &RunBudget::unlimited(),
-            &mut experiment,
-            Some(&settle_witness_free(&bank, None)),
-        );
-        Ok(outcome
-            .outcomes
-            .into_iter()
-            .map(|o| Estimate {
-                value: o.estimate,
-                samples: o.samples,
-                successes: o.successes,
-                truncated: o.truncated,
-            })
-            .collect())
+        stopping_cut_off(params)?;
+        self.estimate_batch(queries, params, rng)
     }
 
-    /// As [`BatchEstimator::estimate_batch`], under a [`RunBudget`].
+    /// Estimates `P_{M_Σ,Qᵢ}(D, c̄ᵢ)` for every query of the bank from one
+    /// shared sequence of sampled repairs, under a [`RunBudget`].
     ///
-    /// [`EstimatorMode::OptimalStopping`] routes through
-    /// [`BatchEstimator::estimate_stopping_batch_with_budget`]; the fixed
-    /// modes share one loop that the budget can cut at any draw, in which
-    /// case every query reports the same truncated sample count together
-    /// with its achieved `(ε′, δ)` bound.  The budget's compile-step cap
-    /// also bounds bank compilation
-    /// ([`BatchEstimator::compile_bank_with_budget`]).
+    /// Compiles the [`LineageBank`] (validating every candidate arity)
+    /// before any sampling happens, under the budget's compile-step cap
+    /// ([`BatchEstimator::compile_bank`]); queries whose witness
+    /// enumeration overflows the cap fall back to the backtracking
+    /// evaluator per draw while the rest stay on the word-level bitset
+    /// path.
+    ///
+    /// The fixed modes share one loop that the budget can cut at any
+    /// draw, in which case every query reports the same truncated sample
+    /// count together with its achieved `(ε′, δ)` bound.
+    ///
+    /// [`EstimatorMode::OptimalStopping`] runs the batched stopping rule
+    /// from one shared repair stream: query `i` tracks its own success
+    /// target `Υ(ε, δ/k)` and **retires** the moment it is reached — its
+    /// witnesses drop out of the shared per-draw containment scan
+    /// ([`BankLiveSet`]), so the per-draw cost shrinks as the bank drains
+    /// — and the stream stops when the last query retires or
+    /// `max_samples` truncates it.  A compiled entry with no witness has
+    /// probability exactly 0 and retires before the first draw, with
+    /// estimate 0, zero samples and status `Converged`; any other
+    /// zero-probability query truncates at the cut-off without stalling
+    /// the retirement of the others.  With `δ/k` per query, a union bound
+    /// gives: with probability at least `1 − δ`, **every** converged
+    /// estimate is within relative error `ε` of its true probability.
+    /// Each outcome is bit-identical to a single-query run with the same
+    /// target from the same RNG state, since query `i` retires after
+    /// observing exactly the stream prefix that run would draw.
+    ///
+    /// When the budget interrupts the stream, queries that already retired
+    /// **keep their converged values**; queries still live report the
+    /// empirical mean over the truncated stream, flagged
+    /// [`BudgetExhausted`](crate::budget::BudgetStatus::BudgetExhausted) or
+    /// [`Cancelled`](crate::budget::BudgetStatus::Cancelled), each with
+    /// the achieved `(ε′, δ/k)` bound at its observed counts.  An
+    /// interrupted outcome can be continued with
+    /// [`BatchEstimator::estimate_stopping_batch_resume`].
     pub fn estimate_batch_with_budget<R: Rng + ?Sized>(
         &self,
         queries: &[BatchQuery<'_>],
@@ -917,104 +1016,33 @@ impl<'a> BatchEstimator<'a> {
         budget: &RunBudget,
         rng: &mut R,
     ) -> Result<EstimateOutcome, CoreError> {
-        if matches!(params.mode, EstimatorMode::OptimalStopping { .. }) {
-            return self.estimate_stopping_batch_with_budget(queries, params, budget, rng);
-        }
-        let samples = self.batch_sample_count(params)?;
-        let bank = self.compile_bank_with_budget(queries, budget)?;
-        let mut experiment = BatchExperiment::new(&self.inner, &bank, queries);
-        let (outcome, status) =
-            estimate_fixed_batch_budgeted(rng, samples, queries.len(), budget, |rng, successes| {
-                experiment.draw(rng, successes)
-            });
-        let queries = outcome
-            .successes
-            .iter()
-            .map(|&s| QueryOutcome {
-                estimate: if outcome.samples == 0 {
-                    0.0
-                } else {
-                    s as f64 / outcome.samples as f64
-                },
-                samples: outcome.samples,
-                successes: s,
-                status,
-                achieved: AchievedBound::at(outcome.samples, s, params.delta),
-            })
-            .collect();
-        Ok(EstimateOutcome {
-            queries,
-            total_draws: outcome.samples,
-        })
+        params.validate()?;
+        let samples = match params.mode {
+            EstimatorMode::OptimalStopping { .. } => None,
+            _ => Some(self.inner.fixed_sample_count(None, params)?),
+        };
+        let bank = self.compile_bank(queries, budget)?;
+        self.inner.run(&bank, queries, params, samples, budget, rng)
     }
 
-    /// As [`BatchEstimator::estimate_stopping_batch`], under a
-    /// [`RunBudget`].
+    /// Continues an interrupted stopping-rule run of
+    /// [`BatchEstimator::estimate_batch_with_budget`] over `bank`, a bank
+    /// compiled (or [refreshed](LineageBank::refresh)) from `queries` —
+    /// also the **enrollment** path of the sliding-window estimator
+    /// (`crate::stream`).
     ///
-    /// The budget is polled between draws and consumes no randomness, so
-    /// an unconstrained budget retires every query at exactly the draw
-    /// [`BatchEstimator::estimate_stopping_batch`] would, with status
-    /// [`Converged`](crate::budget::BudgetStatus::Converged)
-    /// (property-tested bit-identical).  When
-    /// the budget interrupts the stream, queries that already retired
-    /// **keep their converged values**; queries still live report the
-    /// empirical mean over the truncated stream, flagged
-    /// [`BudgetExhausted`](crate::budget::BudgetStatus::BudgetExhausted) or
-    /// [`Cancelled`](crate::budget::BudgetStatus::Cancelled), each with the achieved
-    /// `(ε′, δ/k)` bound at its observed counts.  An interrupted outcome
-    /// can be continued with
-    /// [`BatchEstimator::estimate_stopping_batch_resume`].
-    pub fn estimate_stopping_batch_with_budget<R: Rng + ?Sized>(
-        &self,
-        queries: &[BatchQuery<'_>],
-        params: ApproximationParams,
-        budget: &RunBudget,
-        rng: &mut R,
-    ) -> Result<EstimateOutcome, CoreError> {
-        self.stopping_batch_budgeted(queries, params, budget, rng, None)
-    }
-
-    /// Continues an interrupted
-    /// [`BatchEstimator::estimate_stopping_batch_with_budget`] run.
-    ///
-    /// `prior` must be the outcome of a budgeted stopping-batch run over
-    /// the **same queries and parameters**, and `rng` must be the same
-    /// generator, positioned where the interrupted run left it (the budget
-    /// machinery consumes no randomness, so an interruption at draw `t`
-    /// leaves the RNG after exactly `t` draws).  Converged entries keep
-    /// their frozen outcomes; live entries pick their success counts back
-    /// up, and the concatenated run is **bit-identical** to one
-    /// uninterrupted run (property-tested).  Draw counts are absolute
-    /// across resumption: `max_samples`, a draw cap and a
+    /// `prior` must be the outcome of a stopping-rule run over the **same
+    /// queries and parameters**, and `rng` must be the same generator,
+    /// positioned where the interrupted run left it (the budget machinery
+    /// consumes no randomness, so an interruption at draw `t` leaves the
+    /// RNG after exactly `t` draws).  Converged entries of `prior` are
+    /// returned **verbatim** (bit-identical, zero draws); only the others
+    /// are live, and they pick their success counts back up, so the
+    /// concatenated run is **bit-identical** to one uninterrupted run
+    /// (property-tested).  Draw counts are absolute across resumption:
+    /// `max_samples`, a draw cap and a
     /// [`tripped_at_draw`](crate::budget::CancelToken::tripped_at_draw)
     /// token all refer to the total stream length.
-    pub fn estimate_stopping_batch_resume<R: Rng + ?Sized>(
-        &self,
-        queries: &[BatchQuery<'_>],
-        params: ApproximationParams,
-        budget: &RunBudget,
-        prior: &EstimateOutcome,
-        rng: &mut R,
-    ) -> Result<EstimateOutcome, CoreError> {
-        let resume = Self::budgeted_from(prior);
-        self.stopping_batch_budgeted(queries, params, budget, rng, Some(&resume))
-    }
-
-    /// As [`BatchEstimator::estimate_stopping_batch_resume`], driving a
-    /// bank compiled (or [refreshed](LineageBank::refresh)) earlier
-    /// instead of recompiling — the **enrollment** path of the
-    /// sliding-window estimator (`crate::stream`), and the admission dual
-    /// of the retirement the stopping loop performs as queries converge.
-    ///
-    /// The live set is built from scratch: [`BankLiveSet::empty`], then
-    /// [`BankLiveSet::enroll`] for exactly the prior's non-converged
-    /// entries — the same membership the montecarlo resume derives, so
-    /// the driver's retirement re-announcements for frozen entries are
-    /// no-ops and construction cost tracks the enrolled set.  Converged
-    /// entries of `prior` are returned **verbatim** (bit-identical,
-    /// zero draws); enrolled entries continue their stream at absolute
-    /// draw counts exactly as
-    /// [`BatchEstimator::estimate_stopping_batch_resume`] would.
     ///
     /// `prior` is also the seeding hook for a *fresh* stream over a
     /// refreshed bank: hand in a baseline outcome whose entries carry
@@ -1022,11 +1050,13 @@ impl<'a> BatchEstimator<'a> {
     /// (re-)enter the loop, and converged outcomes carried over verbatim
     /// for everything that should not.
     ///
-    /// # Panics
-    /// Panics if `bank` was not compiled from `queries`, if `prior` is
-    /// for a different batch, or if `bank` is stale with respect to the
-    /// estimator's database.
-    pub fn estimate_stopping_batch_resume_with_bank<R: Rng + ?Sized>(
+    /// # Errors
+    /// [`CoreError::InvalidParameters`] if `bank` was not compiled from
+    /// `queries` (its entry count differs), if `prior` is for a batch of
+    /// another size, or if `bank` is stale with respect to the
+    /// estimator's database; or if `params` is not in
+    /// [`EstimatorMode::OptimalStopping`].
+    pub fn estimate_stopping_batch_resume<R: Rng + ?Sized>(
         &self,
         bank: &LineageBank,
         queries: &[BatchQuery<'_>],
@@ -1035,157 +1065,45 @@ impl<'a> BatchEstimator<'a> {
         prior: &EstimateOutcome,
         rng: &mut R,
     ) -> Result<EstimateOutcome, CoreError> {
-        assert_eq!(
-            bank.len(),
-            queries.len(),
-            "bank was compiled from a different query list"
-        );
-        assert_eq!(
-            prior.queries.len(),
-            queries.len(),
-            "prior outcome is for a different batch"
-        );
-        assert_eq!(
-            bank.universe(),
-            self.inner.db.len(),
-            "bank is stale: refresh it against the database before resuming"
-        );
-        let max_samples = self.stopping_cut_off(params)?;
-        let target = self
-            .per_query_stopping_rule(params, queries.len())
-            .success_target();
-        let targets = vec![target; queries.len()];
-        let resume = settle_witness_free(bank, Some(&Self::budgeted_from(prior)));
-        let mut live = BankLiveSet::empty(bank);
-        for (query, status) in resume.statuses.iter().enumerate() {
-            if !status.is_converged() {
-                live.enroll(bank, query);
-            }
+        self.check_bank(bank, queries)?;
+        if prior.queries.len() != queries.len() {
+            return Err(CoreError::InvalidParameters {
+                message: format!(
+                    "prior outcome is for a different batch ({} entries for {} queries)",
+                    prior.queries.len(),
+                    queries.len()
+                ),
+            });
         }
-        let mut experiment = BatchStoppingExperiment::new(&self.inner, bank, queries, live);
-        let budgeted = estimate_stopping_batch_budgeted(
-            rng,
-            &targets,
-            max_samples,
-            budget,
-            &mut experiment,
-            Some(&resume),
-        );
-        Ok(Self::outcome_from(
-            budgeted,
-            params.delta / queries.len().max(1) as f64,
-        ))
+        self.inner
+            .run_stopping(bank, queries, params, budget, Some(prior), rng)
     }
 
-    /// Shared driver of the budgeted stopping-batch paths.
-    fn stopping_batch_budgeted<R: Rng + ?Sized>(
-        &self,
-        queries: &[BatchQuery<'_>],
-        params: ApproximationParams,
-        budget: &RunBudget,
-        rng: &mut R,
-        resume: Option<&BudgetedStoppingOutcome>,
-    ) -> Result<EstimateOutcome, CoreError> {
-        let max_samples = self.stopping_cut_off(params)?;
-        let bank = self.compile_bank_with_budget(queries, budget)?;
-        let target = self
-            .per_query_stopping_rule(params, queries.len())
-            .success_target();
-        let targets = vec![target; queries.len()];
-        let live = BankLiveSet::full(&bank);
-        let mut experiment = BatchStoppingExperiment::new(&self.inner, &bank, queries, live);
-        let budgeted = estimate_stopping_batch_budgeted(
-            rng,
-            &targets,
-            max_samples,
-            budget,
-            &mut experiment,
-            Some(&settle_witness_free(&bank, resume)),
-        );
-        Ok(Self::outcome_from(
-            budgeted,
-            params.delta / queries.len().max(1) as f64,
-        ))
-    }
-
-    /// Round-based rayon-sharded variant of
-    /// [`BatchEstimator::estimate_stopping_batch`]: draws `round_samples`
-    /// shared repairs per round (sharded across worker threads with
-    /// deterministic per-shard RNG streams), retires converged queries at
-    /// each round boundary, and rebuilds the compacted live bank view for
-    /// the next round.
+    /// The stopping rule of [`BatchEstimator::estimate_batch_with_budget`]
+    /// in rayon-sharded rounds of [`DEFAULT_ROUND_SAMPLES`] shared repairs
+    /// (deterministic per-shard RNG streams), retiring converged queries
+    /// at each round boundary and rebuilding the compacted live bank view
+    /// for the next round.
     ///
     /// **Where bit-identity ends.**  Retirement is round-granular: a query
     /// crossing its success target mid-round keeps observing draws to the
     /// boundary and reports the empirical mean over at least `Υ(ε, δ/k)`
     /// successes, so its outcome differs from the sequential loop's
-    /// `Υ/N` — the round-based variant matches the sequential one (and
-    /// `k` independent stopping-rule runs) in *guarantee*, not
-    /// bit-for-bit.  It **is** bit-identical across thread counts for a
-    /// fixed `master_seed` (deterministic shard seeds, integer success
-    /// sums, round-boundary retirement).  The `(ε, δ)` accuracy bound is
-    /// validated against the exact solver in the test-suite.
-    ///
-    /// Only available with the `parallel` feature (rayon).
-    #[cfg(feature = "parallel")]
-    pub fn estimate_stopping_batch_rounds(
-        &self,
-        queries: &[BatchQuery<'_>],
-        params: ApproximationParams,
-        master_seed: u64,
-        round_samples: u64,
-    ) -> Result<Vec<Estimate>, CoreError> {
-        use crate::montecarlo::{estimate_stopping_batch_rounds_budgeted, DEFAULT_SHARD_SIZE};
-
-        let max_samples = self.stopping_cut_off(params)?;
-        let bank = self.compile_bank(queries)?;
-        let target = self
-            .per_query_stopping_rule(params, queries.len())
-            .success_target();
-        let targets = vec![target; queries.len()];
-        let settled: Vec<usize> = witness_free(&bank).collect();
-        let outcome = estimate_stopping_batch_rounds_budgeted(
-            master_seed,
-            &targets,
-            max_samples,
-            round_samples,
-            DEFAULT_SHARD_SIZE,
-            &RunBudget::unlimited(),
-            &settled,
-            |live_queries| {
-                let live = BankLiveSet::restrict(&bank, live_queries);
-                let mut experiment =
-                    BatchStoppingExperiment::new(&self.inner, &bank, queries, live);
-                move |rng: &mut rand::rngs::StdRng, hits: &mut [bool]| {
-                    experiment.draw_live(rng, hits)
-                }
-            },
-        );
-        Ok(outcome
-            .outcomes
-            .into_iter()
-            .map(|o| Estimate {
-                value: o.estimate,
-                samples: o.samples,
-                successes: o.successes,
-                truncated: o.truncated,
-            })
-            .collect())
-    }
-
-    /// As [`BatchEstimator::estimate_stopping_batch_rounds`], under a
-    /// [`RunBudget`].
+    /// `Υ/N` — the round-based variant matches the sequential one in
+    /// *guarantee*, not bit-for-bit.  It **is** bit-identical across
+    /// thread counts for a fixed `master_seed` (deterministic shard seeds,
+    /// integer success sums, round-boundary retirement).  The `(ε, δ)`
+    /// accuracy bound is validated against the exact solver in the
+    /// test-suite.
     ///
     /// The budget is polled once per **round boundary** (consuming no
-    /// randomness): cancellation here is round-granular, an unconstrained
-    /// budget is bit-identical to the unbudgeted rounds path, and the
-    /// outcome stays bit-identical across thread counts for a fixed
-    /// `master_seed` whenever the budget decisions are deterministic (draw
-    /// caps and pre-tripped tokens are; wall-clock deadlines are not).
-    /// Resumption is not offered on this path — mid-round work cannot be
-    /// replayed draw-by-draw; use the sequential
-    /// [`BatchEstimator::estimate_stopping_batch_resume`] when resumable
-    /// interruption matters more than sharding.
+    /// randomness): cancellation here is round-granular, and the outcome
+    /// stays bit-identical across thread counts whenever the budget
+    /// decisions are deterministic (draw caps and pre-tripped tokens are;
+    /// wall-clock deadlines are not).  Resumption is not offered on this
+    /// path — mid-round work cannot be replayed draw-by-draw; use the
+    /// sequential path when resumable interruption matters more than
+    /// sharding.
     ///
     /// Only available with the `parallel` feature (rayon).
     #[cfg(feature = "parallel")]
@@ -1194,39 +1112,12 @@ impl<'a> BatchEstimator<'a> {
         queries: &[BatchQuery<'_>],
         params: ApproximationParams,
         master_seed: u64,
-        round_samples: u64,
         budget: &RunBudget,
     ) -> Result<EstimateOutcome, CoreError> {
-        use crate::montecarlo::{estimate_stopping_batch_rounds_budgeted, DEFAULT_SHARD_SIZE};
-
-        let max_samples = self.stopping_cut_off(params)?;
-        let bank = self.compile_bank_with_budget(queries, budget)?;
-        let target = self
-            .per_query_stopping_rule(params, queries.len())
-            .success_target();
-        let targets = vec![target; queries.len()];
-        let settled: Vec<usize> = witness_free(&bank).collect();
-        let budgeted = estimate_stopping_batch_rounds_budgeted(
-            master_seed,
-            &targets,
-            max_samples,
-            round_samples,
-            DEFAULT_SHARD_SIZE,
-            budget,
-            &settled,
-            |live_queries| {
-                let live = BankLiveSet::restrict(&bank, live_queries);
-                let mut experiment =
-                    BatchStoppingExperiment::new(&self.inner, &bank, queries, live);
-                move |rng: &mut rand::rngs::StdRng, hits: &mut [bool]| {
-                    experiment.draw_live(rng, hits)
-                }
-            },
-        );
-        Ok(Self::outcome_from(
-            budgeted,
-            params.delta / queries.len().max(1) as f64,
-        ))
+        stopping_cut_off(params)?;
+        let bank = self.compile_bank(queries, budget)?;
+        self.inner
+            .run_rounds(&bank, queries, params, master_seed, budget)
     }
 
     /// As [`BatchEstimator::estimate_batch`], with the shared samples
@@ -1236,9 +1127,9 @@ impl<'a> BatchEstimator<'a> {
     /// bit-identical for a fixed master seed regardless of thread count,
     /// and bit-identical to `k` independent `estimate_parallel` runs.
     ///
-    /// [`EstimatorMode::OptimalStopping`] routes through the round-based
-    /// [`BatchEstimator::estimate_stopping_batch_rounds`] with
-    /// [`DEFAULT_ROUND_SAMPLES`] samples per round.
+    /// [`EstimatorMode::OptimalStopping`] runs the round-based
+    /// [`BatchEstimator::estimate_stopping_batch_rounds_with_budget`] under
+    /// [`RunBudget::unlimited`].
     #[cfg(feature = "parallel")]
     pub fn estimate_batch_parallel(
         &self,
@@ -1246,165 +1137,118 @@ impl<'a> BatchEstimator<'a> {
         params: ApproximationParams,
         master_seed: u64,
     ) -> Result<Vec<Estimate>, CoreError> {
-        use crate::montecarlo::{estimate_fixed_batch_parallel, DEFAULT_SHARD_SIZE};
-
-        if matches!(params.mode, EstimatorMode::OptimalStopping { .. }) {
-            return self.estimate_stopping_batch_rounds(
+        let unlimited = RunBudget::unlimited();
+        let outcome = if matches!(params.mode, EstimatorMode::OptimalStopping { .. }) {
+            self.estimate_stopping_batch_rounds_with_budget(
                 queries,
                 params,
                 master_seed,
-                DEFAULT_ROUND_SAMPLES,
-            );
-        }
-        let samples = self.batch_sample_count(params)?;
-        let bank = self.compile_bank(queries)?;
-        let outcome = estimate_fixed_batch_parallel(
-            master_seed,
-            samples,
-            DEFAULT_SHARD_SIZE,
-            queries.len(),
-            || {
-                let mut experiment = BatchExperiment::new(&self.inner, &bank, queries);
-                move |rng: &mut rand::rngs::StdRng, successes: &mut [u64]| {
-                    experiment.draw(rng, successes)
-                }
-            },
-        );
-        Ok(Self::estimates_from(samples, &outcome.successes))
+                &unlimited,
+            )?
+        } else {
+            params.validate()?;
+            let samples = self.inner.fixed_sample_count(None, params)?;
+            let bank = self.compile_bank(queries, &unlimited)?;
+            self.inner
+                .run_fixed_parallel(&bank, queries, samples, params.delta, master_seed)
+        };
+        Ok(estimates_of(&outcome))
     }
 
     /// Compiles the bank's shared lineage ([`LineageBank::compile`]:
     /// grounded plan-ordered atom sequences factored into one scan trie,
     /// witnesses deduplicated into one arena), validating every candidate
-    /// arity.  All `estimate_*` batch paths call this internally; exposing
-    /// it lets callers compile once and estimate many times
-    /// ([`BatchEstimator::estimate_batch_with_bank`]).
-    pub fn compile_bank(&self, queries: &[BatchQuery<'_>]) -> Result<LineageBank, CoreError> {
-        let refs: Vec<(&QueryEvaluator, &[Value])> =
-            queries.iter().map(|q| (q.evaluator, q.candidate)).collect();
-        Ok(LineageBank::compile(self.inner.db, &refs)?)
-    }
-
-    /// As [`BatchEstimator::compile_bank`], under the compile-time part of
-    /// a [`RunBudget`] ([`RunBudget::with_max_compile_steps`] and the
-    /// cancel token).  An interrupted enumeration degrades the **whole
-    /// bank** to evaluator fallback — a partial witness set would
-    /// under-report entailment — so estimation proceeds correctly, just
-    /// without the word-level bitset fast path.  An unconstrained budget
-    /// compiles the identical bank as [`BatchEstimator::compile_bank`].
-    pub fn compile_bank_with_budget(
+    /// arity, under the compile-time part of `budget`
+    /// ([`RunBudget::with_max_compile_steps`] and the cancel token).  All
+    /// `estimate_*` paths call this internally; exposing it lets callers
+    /// compile once and estimate many times
+    /// ([`BatchEstimator::estimate_batch_with_bank`],
+    /// [`BatchEstimator::estimate_stopping_batch_resume`]).
+    ///
+    /// An interrupted enumeration degrades the **whole bank** to evaluator
+    /// fallback — a partial witness set would under-report entailment — so
+    /// estimation proceeds correctly, just without the word-level bitset
+    /// fast path.  Under [`RunBudget::unlimited`] the bank is exactly
+    /// [`LineageBank::compile`]'s.
+    pub fn compile_bank(
         &self,
         queries: &[BatchQuery<'_>],
         budget: &RunBudget,
     ) -> Result<LineageBank, CoreError> {
-        let refs: Vec<(&QueryEvaluator, &[Value])> =
-            queries.iter().map(|q| (q.evaluator, q.candidate)).collect();
-        Ok(LineageBank::compile_with_budget(
-            self.inner.db,
-            &refs,
-            DEFAULT_WITNESS_CAP,
-            &budget.compile_budget(),
-        )?)
+        self.inner.compile(queries, budget)
     }
 
-    /// Converts a budgeted stopping-batch outcome into the public
-    /// [`EstimateOutcome`], attaching each query's achieved `(ε′, δ/k)`
-    /// bound at its observed counts.
-    fn outcome_from(budgeted: BudgetedStoppingOutcome, per_query_delta: f64) -> EstimateOutcome {
-        let queries = budgeted
-            .outcomes
-            .iter()
-            .zip(&budgeted.statuses)
-            .map(|(o, &status)| QueryOutcome {
-                estimate: o.estimate,
-                samples: o.samples,
-                successes: o.successes,
-                status,
-                achieved: AchievedBound::at(o.samples, o.successes, per_query_delta),
-            })
-            .collect();
-        EstimateOutcome {
-            queries,
-            total_draws: budgeted.total_samples,
+    /// Checks that `bank` can drive `queries` on the estimator's
+    /// database: one entry per query, and current with the database.
+    fn check_bank(&self, bank: &LineageBank, queries: &[BatchQuery<'_>]) -> Result<(), CoreError> {
+        if bank.len() != queries.len() {
+            return Err(CoreError::InvalidParameters {
+                message: format!(
+                    "bank was compiled from a different query list ({} entries for {} queries)",
+                    bank.len(),
+                    queries.len()
+                ),
+            });
         }
-    }
-
-    /// Reconstructs the resumable montecarlo-layer outcome from a prior
-    /// public [`EstimateOutcome`].
-    fn budgeted_from(prior: &EstimateOutcome) -> BudgetedStoppingOutcome {
-        BudgetedStoppingOutcome {
-            outcomes: prior
-                .queries
-                .iter()
-                .map(|q| StoppingRuleOutcome {
-                    estimate: q.estimate,
-                    samples: q.samples,
-                    successes: q.successes,
-                    truncated: !q.status.is_converged(),
-                })
-                .collect(),
-            statuses: prior.queries.iter().map(|q| q.status).collect(),
-            total_samples: prior.total_draws,
+        if bank.universe() != self.inner.db.len() {
+            return Err(CoreError::InvalidParameters {
+                message: "bank is stale: refresh it against the database before estimating"
+                    .to_string(),
+            });
         }
-    }
-
-    fn estimates_from(samples: u64, successes: &[u64]) -> Vec<Estimate> {
-        successes
-            .iter()
-            .map(|&s| Estimate {
-                value: if samples == 0 {
-                    0.0
-                } else {
-                    s as f64 / samples as f64
-                },
-                samples,
-                successes: s,
-                truncated: false,
-            })
-            .collect()
+        Ok(())
     }
 }
 
 /// Default number of shared repairs drawn per round by the round-based
-/// adaptive batch path ([`BatchEstimator::estimate_batch_parallel`] in
-/// [`EstimatorMode::OptimalStopping`]): a few shards' worth, so rounds
-/// parallelise while retirement stays reasonably fine-grained.
+/// stopping rule ([`BatchEstimator::estimate_stopping_batch_rounds_with_budget`]):
+/// a few shards' worth, so rounds parallelise while retirement stays
+/// reasonably fine-grained.
 #[cfg(feature = "parallel")]
-pub const DEFAULT_ROUND_SAMPLES: u64 = 4 * crate::montecarlo::DEFAULT_SHARD_SIZE;
+pub const DEFAULT_ROUND_SAMPLES: u64 = 4 * DEFAULT_SHARD_SIZE;
 
-/// One fully compiled *adaptive* batched Bernoulli experiment: draw a
-/// repair into a reused buffer, write per-query hits for the **live**
-/// queries only, compacting the shared witness scan as queries retire
-/// (the [`BankLiveSet`] drops witnesses referenced only by retired
-/// queries).
-struct BatchStoppingExperiment<'e, 'a> {
+/// The one fully compiled Bernoulli experiment of both estimators: draw a
+/// repair into a reused buffer, then decide every **live** entry of the
+/// bank against it in one word-level pass (fallback entries route through
+/// the backtracking evaluator).  The stopping loops retire entries as they
+/// converge, which drops the witnesses only they referenced out of the
+/// shared containment scan ([`BankLiveSet`]); the fixed loops keep every
+/// entry live and count its hits.
+///
+/// Construction hoists everything out of the Monte-Carlo loop: the repair
+/// buffer, the walk scratch and the bank scratch.  A draw performs no heap
+/// allocation on any sampler path (the buffers reach steady-state capacity
+/// after the first few draws).
+struct BankExperiment<'e, 'a> {
     estimator: &'e OcqaEstimator<'a>,
     bank: &'e LineageBank,
     queries: &'e [BatchQuery<'e>],
     live: BankLiveSet,
     buffer: RepairBuffer,
     bank_scratch: BankScratch,
+    /// The per-entry hits of [`BankExperiment::count`]'s draws.
+    hits: Vec<bool>,
 }
 
-impl<'e, 'a> BatchStoppingExperiment<'e, 'a> {
+impl<'e, 'a> BankExperiment<'e, 'a> {
     fn new(
         estimator: &'e OcqaEstimator<'a>,
         bank: &'e LineageBank,
         queries: &'e [BatchQuery<'e>],
         live: BankLiveSet,
     ) -> Self {
-        BatchStoppingExperiment {
+        BankExperiment {
             estimator,
             bank,
             queries,
             live,
-            buffer: RepairBuffer::new(estimator, bank_witnesses(bank)),
+            buffer: RepairBuffer::new(estimator, bank),
             bank_scratch: BankScratch::new(),
+            hits: vec![false; queries.len()],
         }
     }
 
-    /// Draws one shared repair and writes `hits[q]` for every live query
-    /// (fallback entries route through the backtracking evaluator).
+    /// Draws one shared repair and writes `hits[q]` for every live query.
     fn draw_live<R: Rng + ?Sized>(&mut self, rng: &mut R, hits: &mut [bool]) {
         self.buffer.draw(&self.estimator.sampler, rng);
         let repair = &self.buffer.repair;
@@ -1412,143 +1256,43 @@ impl<'e, 'a> BatchStoppingExperiment<'e, 'a> {
             .evaluate_live_into(&self.live, repair, &mut self.bank_scratch, hits);
         for &q in self.live.live_queries() {
             let query = &self.queries[q];
-            if self.bank.is_fallback(q) {
-                hits[q] = query
+            let entailed = || {
+                query
                     .evaluator
                     .has_answer(self.estimator.db, repair, query.candidate)
-                    .expect("candidate arity was validated during bank compilation");
+                    .expect("candidate arity was validated during bank compilation")
+            };
+            if self.bank.is_fallback(q) {
+                hits[q] = entailed();
             } else {
                 debug_assert_eq!(
                     hits[q],
-                    query
-                        .evaluator
-                        .has_answer(self.estimator.db, repair, query.candidate)
-                        .expect("candidate arity was validated during bank compilation"),
-                    "live lineage bank disagrees with the backtracking evaluator on query {q}"
+                    entailed(),
+                    "lineage bank disagrees with the backtracking evaluator on query {q}"
                 );
             }
         }
     }
+
+    /// Draws one shared repair and adds one to `successes[q]` for every
+    /// live query `q` it entails.
+    fn count<R: Rng + ?Sized>(&mut self, rng: &mut R, successes: &mut [u64]) {
+        let mut hits = std::mem::take(&mut self.hits);
+        self.draw_live(rng, &mut hits);
+        for &q in self.live.live_queries() {
+            successes[q] += u64::from(hits[q]);
+        }
+        self.hits = hits;
+    }
 }
 
-impl<R: Rng + ?Sized> StoppingBatchExperiment<R> for BatchStoppingExperiment<'_, '_> {
+impl<R: Rng + ?Sized> StoppingBatchExperiment<R> for BankExperiment<'_, '_> {
     fn draw(&mut self, rng: &mut R, hits: &mut [bool]) {
         self.draw_live(rng, hits);
     }
 
     fn retire(&mut self, query: usize) {
         self.live.retire(self.bank, query);
-    }
-}
-
-/// One fully compiled *batched* Bernoulli experiment: draw a repair into a
-/// reused buffer, update every per-query hit counter against the shared
-/// lineage bank in one word-level pass.
-struct BatchExperiment<'e, 'a> {
-    estimator: &'e OcqaEstimator<'a>,
-    bank: &'e LineageBank,
-    queries: &'e [BatchQuery<'e>],
-    buffer: RepairBuffer,
-    bank_scratch: BankScratch,
-    hits: Vec<bool>,
-}
-
-impl<'e, 'a> BatchExperiment<'e, 'a> {
-    fn new(
-        estimator: &'e OcqaEstimator<'a>,
-        bank: &'e LineageBank,
-        queries: &'e [BatchQuery<'e>],
-    ) -> Self {
-        BatchExperiment {
-            estimator,
-            bank,
-            queries,
-            buffer: RepairBuffer::new(estimator, bank_witnesses(bank)),
-            bank_scratch: BankScratch::new(),
-            hits: vec![false; queries.len()],
-        }
-    }
-
-    fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R, successes: &mut [u64]) {
-        self.buffer.draw(&self.estimator.sampler, rng);
-        let repair = &self.buffer.repair;
-        self.bank
-            .evaluate_into(repair, &mut self.bank_scratch, &mut self.hits);
-        for (index, query) in self.queries.iter().enumerate() {
-            let hit = if self.bank.is_fallback(index) {
-                query
-                    .evaluator
-                    .has_answer(self.estimator.db, repair, query.candidate)
-                    .expect("candidate arity was validated during bank compilation")
-            } else {
-                debug_assert_eq!(
-                    self.hits[index],
-                    query
-                        .evaluator
-                        .has_answer(self.estimator.db, repair, query.candidate)
-                        .expect("candidate arity was validated during bank compilation"),
-                    "lineage bank disagrees with the backtracking evaluator on query {index}"
-                );
-                self.hits[index]
-            };
-            if hit {
-                successes[index] += 1;
-            }
-        }
-    }
-}
-
-/// One fully compiled Bernoulli experiment: draw a repair into a reused
-/// buffer, check entailment against the compiled lineage.
-///
-/// Construction hoists everything out of the Monte-Carlo loop: the
-/// operations walker, the repair buffer, and the walk scratch.  `draw`
-/// performs no heap allocation on any sampler path (the buffers reach
-/// steady-state capacity after the first few draws).
-struct SampleExperiment<'e, 'a> {
-    estimator: &'e OcqaEstimator<'a>,
-    lineage: Option<&'e CompiledLineage>,
-    evaluator: &'e QueryEvaluator,
-    candidate: &'e [Value],
-    buffer: RepairBuffer,
-}
-
-impl<'e, 'a> SampleExperiment<'e, 'a> {
-    fn new(
-        estimator: &'e OcqaEstimator<'a>,
-        lineage: Option<&'e CompiledLineage>,
-        evaluator: &'e QueryEvaluator,
-        candidate: &'e [Value],
-    ) -> Self {
-        SampleExperiment {
-            estimator,
-            lineage,
-            evaluator,
-            candidate,
-            buffer: RepairBuffer::new(estimator, lineage.map(CompiledLineage::witnesses)),
-        }
-    }
-
-    fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        self.buffer.draw(&self.estimator.sampler, rng);
-        let repair = &self.buffer.repair;
-        match self.lineage {
-            Some(lineage) => {
-                let entailed = lineage.entails(repair);
-                debug_assert_eq!(
-                    entailed,
-                    self.evaluator
-                        .has_answer(self.estimator.db, repair, self.candidate)
-                        .expect("candidate arity was validated before sampling"),
-                    "compiled lineage disagrees with the backtracking evaluator"
-                );
-                entailed
-            }
-            None => self
-                .evaluator
-                .has_answer(self.estimator.db, repair, self.candidate)
-                .expect("candidate arity was validated before sampling"),
-        }
     }
 }
 
@@ -1829,30 +1573,23 @@ mod tests {
                 .estimate_stopping_batch(&queries, params, &mut StdRng::seed_from_u64(17))
                 .unwrap();
             assert_eq!(via_batch, direct, "spec {}", spec.short_name());
-            // Per-query: a standalone DKLR run with target Υ(ε, δ/2).
-            let rule = StoppingRuleEstimator::new(0.25, 0.2 / queries.len() as f64)
-                .with_max_samples(200_000);
+            // Per-query: a single-query run (a bank of one) with target
+            // Υ(ε, δ/2).
+            let single_params = ApproximationParams::new(0.25, 0.2 / queries.len() as f64)
+                .unwrap()
+                .with_mode(EstimatorMode::OptimalStopping {
+                    max_samples: 200_000,
+                });
+            let estimator = OcqaEstimator::new(&db, &sigma, spec).unwrap();
             for (i, query) in queries.iter().enumerate() {
                 let mut rng = StdRng::seed_from_u64(17);
-                let estimator = OcqaEstimator::new(&db, &sigma, spec).unwrap();
-                let lineage =
-                    CompiledLineage::compile(query.evaluator, &db, query.candidate).unwrap();
-                let mut sample = SampleExperiment::new(
-                    &estimator,
-                    lineage.as_ref(),
-                    query.evaluator,
-                    query.candidate,
-                );
-                let standalone = rule.estimate(&mut rng, |rng| sample.draw(rng));
+                let standalone = estimator
+                    .estimate(query.evaluator, query.candidate, single_params, &mut rng)
+                    .unwrap();
                 assert!(!standalone.truncated);
                 assert_eq!(
                     direct[i],
-                    Estimate {
-                        value: standalone.estimate,
-                        samples: standalone.samples,
-                        successes: standalone.successes,
-                        truncated: false,
-                    },
+                    standalone,
                     "spec {}, query {i}",
                     spec.short_name()
                 );
@@ -1939,7 +1676,9 @@ mod tests {
         for spec in all_specs() {
             let name = spec.short_name();
             let batch = BatchEstimator::new(&db, &sigma, spec).unwrap();
-            let bank = batch.compile_bank(&queries).unwrap();
+            let bank = batch
+                .compile_bank(&queries, &RunBudget::unlimited())
+                .unwrap();
             assert_eq!(bank.query_witness_count(1), Some(0), "spec {name}");
             let direct = batch
                 .estimate_stopping_batch(&queries, params, &mut StdRng::seed_from_u64(31))
@@ -1975,7 +1714,7 @@ mod tests {
                 assert!(budgeted.queries[0].status.is_converged());
             }
             let budgeted = batch
-                .estimate_stopping_batch_with_budget(
+                .estimate_batch_with_budget(
                     &queries,
                     params,
                     &RunBudget::unlimited(),
@@ -1992,7 +1731,7 @@ mod tests {
             }
             // A bank of witness-free entries only draws nothing at all.
             let alone = batch
-                .estimate_stopping_batch_with_budget(
+                .estimate_batch_with_budget(
                     &queries[1..2],
                     params,
                     &RunBudget::unlimited(),
@@ -2003,9 +1742,7 @@ mod tests {
             assert!(alone.converged(), "spec {name}");
             #[cfg(feature = "parallel")]
             {
-                let rounds = batch
-                    .estimate_stopping_batch_rounds(&queries, params, 23, DEFAULT_ROUND_SAMPLES)
-                    .unwrap();
+                let rounds = batch.estimate_batch_parallel(&queries, params, 23).unwrap();
                 assert_eq!(rounds[1], zero, "spec {name}");
                 assert!(rounds.iter().all(|e| !e.truncated), "spec {name}");
             }
@@ -2034,9 +1771,14 @@ mod tests {
         // round-based stopping rule with the default round size.
         let baseline = batch.estimate_batch_parallel(&queries, params, 23).unwrap();
         let direct = batch
-            .estimate_stopping_batch_rounds(&queries, params, 23, DEFAULT_ROUND_SAMPLES)
+            .estimate_stopping_batch_rounds_with_budget(
+                &queries,
+                params,
+                23,
+                &RunBudget::unlimited(),
+            )
             .unwrap();
-        assert_eq!(baseline, direct);
+        assert_eq!(baseline, estimates_of(&direct));
         for (i, query) in queries.iter().enumerate() {
             let estimate = baseline[i];
             assert!(!estimate.truncated, "query {i}");
@@ -2275,12 +2017,15 @@ mod tests {
         let uninterrupted = batch
             .estimate_stopping_batch(&queries, params, &mut StdRng::seed_from_u64(41))
             .unwrap();
+        let bank = batch
+            .compile_bank(&queries, &RunBudget::unlimited())
+            .unwrap();
         for cut in [1u64, 17, 80, 500] {
             let mut rng = StdRng::seed_from_u64(41);
             let token = CancelToken::tripped_at_draw(cut);
             let budget = RunBudget::unlimited().with_cancel_token(token);
             let partial = batch
-                .estimate_stopping_batch_with_budget(&queries, params, &budget, &mut rng)
+                .estimate_batch_with_budget(&queries, params, &budget, &mut rng)
                 .unwrap();
             assert_eq!(partial.total_draws, cut, "cut {cut}");
             assert!(partial
@@ -2289,6 +2034,7 @@ mod tests {
                 .any(|q| q.status == BudgetStatus::Cancelled));
             let resumed = batch
                 .estimate_stopping_batch_resume(
+                    &bank,
                     &queries,
                     params,
                     &RunBudget::unlimited(),
@@ -2309,10 +2055,11 @@ mod tests {
 
     #[test]
     fn enrollment_resume_with_a_precompiled_bank_matches_the_recompiling_resume() {
-        // The enrollment path (BankLiveSet::empty + enroll of the prior's
-        // non-converged entries, over a caller-held bank) must be
-        // indistinguishable from the recompiling resume: same outcomes,
-        // same statuses, same total draws, for several truncation points.
+        // The enrollment path (the live set holds exactly the prior's
+        // non-converged entries of a caller-held bank) continues an
+        // interrupted run into exactly the uninterrupted outcome: same
+        // estimates, statuses, achieved bounds and total draws, for
+        // several truncation points.
         let (db, sigma) = figure2();
         let lookup = parse_query(db.schema(), "Ans(x) :- R('a1', x)").unwrap();
         let lookup = QueryEvaluator::new(lookup);
@@ -2326,36 +2073,150 @@ mod tests {
             },
         );
         let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
-        let bank = batch.compile_bank(&queries).unwrap();
+        let unlimited = RunBudget::unlimited();
+        let bank = batch.compile_bank(&queries, &unlimited).unwrap();
+        let uninterrupted = batch
+            .estimate_batch_with_budget(
+                &queries,
+                params,
+                &unlimited,
+                &mut StdRng::seed_from_u64(41),
+            )
+            .unwrap();
         for cut in [1u64, 17, 80, 500] {
             let mut rng = StdRng::seed_from_u64(41);
             let budget =
                 RunBudget::unlimited().with_cancel_token(CancelToken::tripped_at_draw(cut));
             let partial = batch
-                .estimate_stopping_batch_with_budget(&queries, params, &budget, &mut rng)
-                .unwrap();
-            let mut enrolled_rng = rng.clone();
-            let recompiled = batch
-                .estimate_stopping_batch_resume(
-                    &queries,
-                    params,
-                    &RunBudget::unlimited(),
-                    &partial,
-                    &mut rng,
-                )
+                .estimate_batch_with_budget(&queries, params, &budget, &mut rng)
                 .unwrap();
             let enrolled = batch
-                .estimate_stopping_batch_resume_with_bank(
-                    &bank,
-                    &queries,
-                    params,
-                    &RunBudget::unlimited(),
-                    &partial,
-                    &mut enrolled_rng,
+                .estimate_stopping_batch_resume(
+                    &bank, &queries, params, &unlimited, &partial, &mut rng,
                 )
                 .unwrap();
-            assert_eq!(enrolled, recompiled, "cut {cut}");
+            assert_eq!(enrolled, uninterrupted, "cut {cut}");
         }
+    }
+
+    /// The lookup and membership queries of figure 2, for the rejection
+    /// tests.
+    fn lookup_and_member(db: &Database) -> [QueryEvaluator; 2] {
+        ["Ans(x) :- R('a1', x)", "Ans() :- R('a3', 'b1')"]
+            .map(|text| QueryEvaluator::new(parse_query(db.schema(), text).unwrap()))
+    }
+
+    fn stopping_params() -> ApproximationParams {
+        ApproximationParams::new(0.25, 0.2)
+            .unwrap()
+            .with_mode(EstimatorMode::OptimalStopping { max_samples: 2_000 })
+    }
+
+    fn is_invalid<T: std::fmt::Debug>(result: Result<T, CoreError>) -> bool {
+        matches!(result, Err(CoreError::InvalidParameters { .. }))
+    }
+
+    #[test]
+    fn a_prior_for_another_batch_is_rejected() {
+        let (db, sigma) = figure2();
+        let [lookup, member] = lookup_and_member(&db);
+        let b1 = [Value::str("b1")];
+        let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&member, &[])];
+        let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
+        let unlimited = RunBudget::unlimited();
+        let bank = batch.compile_bank(&queries, &unlimited).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        // A prior for a batch of one, and one for a batch of three.
+        let one = batch
+            .estimate_batch_with_budget(&queries[..1], stopping_params(), &unlimited, &mut rng)
+            .unwrap();
+        let mut three = one.clone();
+        three.queries.extend([one.queries[0]; 2]);
+        for prior in [&one, &three] {
+            let resumed = batch.estimate_stopping_batch_resume(
+                &bank,
+                &queries,
+                stopping_params(),
+                &unlimited,
+                prior,
+                &mut rng,
+            );
+            assert!(is_invalid(resumed), "{} prior entries", prior.queries.len());
+        }
+    }
+
+    #[test]
+    fn a_bank_from_another_query_list_is_rejected() {
+        let (db, sigma) = figure2();
+        let [lookup, member] = lookup_and_member(&db);
+        let b1 = [Value::str("b1")];
+        let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&member, &[])];
+        let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
+        let unlimited = RunBudget::unlimited();
+        let short = batch.compile_bank(&queries[..1], &unlimited).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let prior = batch
+            .estimate_batch_with_budget(&queries, stopping_params(), &unlimited, &mut rng)
+            .unwrap();
+        let resumed = batch.estimate_stopping_batch_resume(
+            &short,
+            &queries,
+            stopping_params(),
+            &unlimited,
+            &prior,
+            &mut rng,
+        );
+        assert!(is_invalid(resumed));
+        let fixed = stopping_params().with_mode(EstimatorMode::FixedSamples(10));
+        assert!(is_invalid(
+            batch.estimate_batch_with_bank(&short, &queries, fixed, &mut rng)
+        ));
+    }
+
+    #[test]
+    fn a_stale_bank_is_rejected() {
+        let (mut db, sigma) = figure2();
+        let [lookup, member] = lookup_and_member(&db);
+        let b1 = [Value::str("b1")];
+        let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&member, &[])];
+        let unlimited = RunBudget::unlimited();
+        let (stale, prior) = {
+            let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
+            let prior = batch
+                .estimate_batch_with_budget(
+                    &queries,
+                    stopping_params(),
+                    &unlimited,
+                    &mut StdRng::seed_from_u64(3),
+                )
+                .unwrap();
+            (batch.compile_bank(&queries, &unlimited).unwrap(), prior)
+        };
+        db.insert_values("R", [Value::str("a2"), Value::str("b2")])
+            .unwrap();
+        let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let resumed = batch.estimate_stopping_batch_resume(
+            &stale,
+            &queries,
+            stopping_params(),
+            &unlimited,
+            &prior,
+            &mut rng,
+        );
+        assert!(is_invalid(resumed));
+        let fixed = stopping_params().with_mode(EstimatorMode::FixedSamples(10));
+        assert!(is_invalid(
+            batch.estimate_batch_with_bank(&stale, &queries, fixed, &mut rng)
+        ));
+        // The same bank refreshed against the database is accepted.
+        let mut fresh = stale;
+        let refs: Vec<(&QueryEvaluator, &[Value])> =
+            queries.iter().map(|q| (q.evaluator, q.candidate)).collect();
+        fresh.refresh(&db, &refs).unwrap();
+        assert!(batch
+            .estimate_batch_with_bank(&fresh, &queries, fixed, &mut rng)
+            .is_ok());
     }
 
     #[test]
@@ -2371,8 +2232,10 @@ mod tests {
             let Ok(batch) = BatchEstimator::new(&db, &sigma, spec) else {
                 continue;
             };
-            let bank = batch.compile_bank(&queries).unwrap();
-            let units = RepairBuffer::new(&batch.inner, bank_witnesses(&bank)).units;
+            let bank = batch
+                .compile_bank(&queries, &RunBudget::unlimited())
+                .unwrap();
+            let units = RepairBuffer::new(&batch.inner, &bank).units;
             match spec.semantics {
                 // The witness R(a3, b1) lies in block a3, partition index 2.
                 UniformSemantics::Repairs => {
@@ -2387,8 +2250,8 @@ mod tests {
             }
             covered += usize::from(units.is_some());
             // A fallback entry reads the whole repair: the full draw.
-            let degraded = batch.compile_bank_with_budget(&queries, &starved).unwrap();
-            let buffer = RepairBuffer::new(&batch.inner, bank_witnesses(&degraded));
+            let degraded = batch.compile_bank(&queries, &starved).unwrap();
+            let buffer = RepairBuffer::new(&batch.inner, &degraded);
             assert_eq!(buffer.units, None, "{}", spec.short_name());
         }
         assert_eq!(covered, 4, "both block and both walk specs restrict");
@@ -2412,18 +2275,13 @@ mod tests {
         );
         let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
         let starved = RunBudget::unlimited().with_max_compile_steps(1);
-        let bank = batch.compile_bank_with_budget(&queries, &starved).unwrap();
+        let bank = batch.compile_bank(&queries, &starved).unwrap();
         assert!(bank.is_fallback(0), "the starved bank degrades to fallback");
         let plain = batch
             .estimate_stopping_batch(&queries, params, &mut StdRng::seed_from_u64(5))
             .unwrap();
         let degraded = batch
-            .estimate_stopping_batch_with_budget(
-                &queries,
-                params,
-                &starved,
-                &mut StdRng::seed_from_u64(5),
-            )
+            .estimate_batch_with_budget(&queries, params, &starved, &mut StdRng::seed_from_u64(5))
             .unwrap();
         assert_eq!(
             (
@@ -2503,15 +2361,12 @@ mod tests {
                     max_samples: 1_000_000,
                 });
         let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
-        let plain = batch
-            .estimate_stopping_batch_rounds(&queries, params, 23, DEFAULT_ROUND_SAMPLES)
-            .unwrap();
+        let plain = batch.estimate_batch_parallel(&queries, params, 23).unwrap();
         let budgeted = batch
             .estimate_stopping_batch_rounds_with_budget(
                 &queries,
                 params,
                 23,
-                DEFAULT_ROUND_SAMPLES,
                 &RunBudget::unlimited(),
             )
             .unwrap();
@@ -2537,7 +2392,6 @@ mod tests {
                 &queries,
                 params,
                 23,
-                DEFAULT_ROUND_SAMPLES,
                 &RunBudget::unlimited().with_max_draws(1),
             )
             .unwrap();

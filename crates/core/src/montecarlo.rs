@@ -1,33 +1,33 @@
 //! Monte-Carlo estimation of Bernoulli means.
 //!
-//! The FPRAS drivers reduce every approximation task to estimating the mean
-//! `p` of a Bernoulli random variable ("does a sampled repair/sequence
-//! entail the query?").  Two estimators are provided:
+//! The FPRAS drivers reduce every approximation task to estimating the
+//! means of Bernoulli random variables ("does a sampled repair/sequence
+//! entail the query?"), `k` of them at once from **one** shared sample
+//! stream.  A single query is a stream with one variable.  Four loops
+//! cover every estimator mode:
 //!
-//! * [`estimate_fixed`] — the textbook fixed-sample-size estimator, used
-//!   with the sample counts of [`crate::bounds`] (additive or relative
-//!   guarantees).
-//! * [`StoppingRuleEstimator`] — the *optimal stopping rule* of Dagum,
-//!   Karp, Luby and Ross (reference \[8\] of the paper), which achieves a
-//!   relative `(ε, δ)`-guarantee with an expected number of samples
-//!   proportional to `1/p`, without having to know a lower bound on `p` in
-//!   advance.  This is the estimator the practical FPRAS drivers use.
+//! * [`estimate_fixed_batch`] — the textbook fixed-sample-size estimator,
+//!   used with the sample counts of [`crate::bounds`] (additive or
+//!   relative guarantees), and its rayon-sharded twin
+//!   [`estimate_fixed_batch_parallel`];
+//! * [`estimate_stopping_batch_budgeted`] — the *optimal stopping rule* of
+//!   Dagum, Karp, Luby and Ross (reference \[8\] of the paper, see
+//!   [`StoppingRuleEstimator`]), which achieves a relative
+//!   `(ε, δ)`-guarantee with an expected number of samples proportional
+//!   to `1/p`, without having to know a lower bound on `p` in advance.
+//!   Each variable tracks its own success target and *retires* from the
+//!   per-draw work as it converges.  [`estimate_stopping_batch`] is the
+//!   same loop without a budget;
+//! * [`estimate_stopping_batch_rounds`] — the stopping rule in
+//!   rayon-sharded rounds.
 //!
-//! Both have batched counterparts estimating `k` Bernoulli means from
-//! **one** shared sample stream: [`estimate_fixed_batch`] (and the
-//! rayon-sharded [`estimate_fixed_batch_parallel`]) for the fixed-sample
-//! modes, and [`estimate_stopping_batch`] (and the round-based
-//! [`estimate_stopping_batch_rounds`]) for the adaptive stopping rule,
-//! where each query tracks its own success target and *retires* from the
-//! per-draw work as it converges.
-//!
-//! Every loop has a `_budgeted` counterpart taking a
-//! [`RunBudget`] — draw caps, wall-clock
-//! deadlines, cooperative cancellation — that can stop the stream
-//! mid-flight and reports a [`BudgetStatus`]
-//! alongside the partial outcome.  Budget checks consume no randomness and
-//! run *before* each draw, so an unconstrained budget is bit-identical to
-//! the plain loop and an interrupted run can be
+//! Every loop but the sharded fixed one takes a [`RunBudget`] — draw
+//! caps, wall-clock deadlines, cooperative cancellation — that can stop
+//! the stream mid-flight and reports a [`BudgetStatus`] alongside the
+//! partial outcome; [`RunBudget::unlimited`] never interrupts.  Budget
+//! checks consume no randomness and run *before* each draw, so an
+//! unconstrained budget never changes the stream, and an interrupted
+//! sequential stopping run can be
 //! [resumed](estimate_stopping_batch_budgeted) from the same RNG state to
 //! reproduce the uninterrupted stream bit-for-bit.
 
@@ -38,89 +38,6 @@ use rand::Rng;
 use rand::{rngs::StdRng, SeedableRng};
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
-
-/// The result of a Monte-Carlo estimation run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MonteCarloOutcome {
-    /// The estimate of the Bernoulli mean.
-    pub estimate: f64,
-    /// The number of samples that were drawn.
-    pub samples: u64,
-    /// The number of positive samples among them.
-    pub successes: u64,
-}
-
-/// Draws exactly `samples` Bernoulli samples from `experiment` and returns
-/// the empirical mean.
-///
-/// With `samples ≥ ln(2/δ)/(2ε²)` this is an additive `(ε, δ)`
-/// approximation (Hoeffding); with `samples ≥ 3·ln(2/δ)/(ε²·p)` it is a
-/// relative one (multiplicative Chernoff).
-pub fn estimate_fixed<R, F>(rng: &mut R, samples: u64, mut experiment: F) -> MonteCarloOutcome
-where
-    R: Rng + ?Sized,
-    F: FnMut(&mut R) -> bool,
-{
-    let mut successes = 0u64;
-    for _ in 0..samples {
-        if experiment(rng) {
-            successes += 1;
-        }
-    }
-    MonteCarloOutcome {
-        estimate: if samples == 0 {
-            0.0
-        } else {
-            successes as f64 / samples as f64
-        },
-        samples,
-        successes,
-    }
-}
-
-/// As [`estimate_fixed`], under a [`RunBudget`].
-///
-/// The budget is polled *before* each draw (consuming no randomness), so
-/// an unconstrained budget draws the same sample sequence as
-/// [`estimate_fixed`] and returns a bit-identical outcome with status
-/// [`BudgetStatus::Converged`].  An interrupted run reports the empirical
-/// mean over the draws actually consumed and the interrupting status.
-pub fn estimate_fixed_budgeted<R, F>(
-    rng: &mut R,
-    samples: u64,
-    budget: &RunBudget,
-    mut experiment: F,
-) -> (MonteCarloOutcome, BudgetStatus)
-where
-    R: Rng + ?Sized,
-    F: FnMut(&mut R) -> bool,
-{
-    let mut successes = 0u64;
-    let mut drawn = 0u64;
-    let mut status = BudgetStatus::Converged;
-    while drawn < samples {
-        if let Some(interrupt) = budget.check(drawn) {
-            status = interrupt;
-            break;
-        }
-        drawn += 1;
-        if experiment(rng) {
-            successes += 1;
-        }
-    }
-    (
-        MonteCarloOutcome {
-            estimate: if drawn == 0 {
-                0.0
-            } else {
-                successes as f64 / drawn as f64
-            },
-            samples: drawn,
-            successes,
-        },
-        status,
-    )
-}
 
 /// The result of a batched Monte-Carlo run: one shared sample count, one
 /// success counter per Bernoulli variable.
@@ -148,39 +65,23 @@ impl BatchOutcome {
     }
 }
 
-/// Draws exactly `samples` *shared* experiments, each updating `queries`
-/// success counters at once: `experiment(rng, successes)` must add at most
-/// one to each counter per call.
+/// Draws up to `samples` *shared* experiments under `budget`, each
+/// updating `queries` success counters at once: `experiment(rng,
+/// successes)` must add at most one to each counter per call.
 ///
-/// Because the RNG is consumed by the shared draw only (never by the
-/// per-variable checks), running this with `k` counters is bit-identical
-/// to `k` runs of [`estimate_fixed`] from the same RNG state — the batched
-/// and the independent estimators realise the *same* random variables.
+/// With `samples ≥ ln(2/δ)/(2ε²)` each mean is an additive `(ε, δ)`
+/// approximation (Hoeffding); with `samples ≥ 3·ln(2/δ)/(ε²·p)` a relative
+/// one (multiplicative Chernoff).  Because the RNG is consumed by the
+/// shared draw only (never by the per-variable checks), running this with
+/// `k` counters is bit-identical to `k` one-counter runs from the same RNG
+/// state — the batched and the independent estimators realise the *same*
+/// random variables.
+///
+/// One shared status for the whole batch: the stream either runs to its
+/// planned length ([`BudgetStatus::Converged`]) or every variable is cut
+/// at the same draw.  The budget is polled before each draw, so an
+/// interrupted run has consumed exactly the draws it reports.
 pub fn estimate_fixed_batch<R, F>(
-    rng: &mut R,
-    samples: u64,
-    queries: usize,
-    mut experiment: F,
-) -> BatchOutcome
-where
-    R: Rng + ?Sized,
-    F: FnMut(&mut R, &mut [u64]),
-{
-    let mut successes = vec![0u64; queries];
-    for _ in 0..samples {
-        experiment(rng, &mut successes);
-    }
-    BatchOutcome { samples, successes }
-}
-
-/// As [`estimate_fixed_batch`], under a [`RunBudget`].
-///
-/// One shared status for the whole batch: the fixed-sample stream either
-/// runs to its planned length ([`BudgetStatus::Converged`]) or every
-/// variable is cut at the same draw.  The budget is polled before each
-/// draw, so an unconstrained budget is bit-identical to
-/// [`estimate_fixed_batch`].
-pub fn estimate_fixed_batch_budgeted<R, F>(
     rng: &mut R,
     samples: u64,
     queries: usize,
@@ -211,16 +112,19 @@ where
     )
 }
 
-/// Batched counterpart of [`estimate_fixed_parallel`]: draws exactly
-/// `samples` shared experiments sharded across threads, summing the
-/// per-shard success vectors.
+/// As [`estimate_fixed_batch`] without a budget, with the samples sharded
+/// across threads, summing the per-shard success vectors.
 ///
-/// The shard boundaries and per-shard RNG streams are **identical** to
-/// [`estimate_fixed_parallel`]'s for the same `(master_seed, samples,
-/// shard_size)`, and the reduction is an element-wise integer sum, so the
-/// outcome is bit-identical regardless of thread count *and* bit-identical
-/// to `k` independent [`estimate_fixed_parallel`] runs whose experiments
-/// consume the RNG identically (the batched FPRAS guarantee).
+/// Shard `s` runs its own `StdRng` seeded deterministically from
+/// `(master_seed, s)` and its own experiment instance obtained from
+/// `make_experiment` (so per-shard scratch buffers — sampled-repair
+/// bitsets, walk scratch — are private to a shard and allocated once per
+/// shard, not once per sample).  Because shard boundaries depend only on
+/// `samples` and `shard_size`, and the reduction is an element-wise
+/// integer sum, the outcome is **bit-identical for a fixed master seed
+/// regardless of thread count** — including a thread count of one — and
+/// bit-identical to `k` one-counter runs whose experiments consume the
+/// RNG identically (the batched FPRAS guarantee).
 ///
 /// Only available with the `parallel` feature (rayon).
 #[cfg(feature = "parallel")]
@@ -279,55 +183,8 @@ fn shard_seed(master_seed: u64, shard: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Draws exactly `samples` Bernoulli samples in parallel, sharding them
-/// across threads.
-///
-/// Shard `s` runs its own `StdRng` seeded deterministically from
-/// `(master_seed, s)` and its own experiment instance obtained from
-/// `make_experiment` (so per-shard scratch buffers — sampled-repair
-/// bitsets, walk scratch — are private to a shard and allocated once per
-/// shard, not once per sample).  Because shard boundaries depend only on
-/// `samples` and `shard_size`, and the success total is an exact integer
-/// sum, the outcome is **bit-identical for a fixed master seed regardless
-/// of thread count** — including a thread count of one.
-///
-/// Only available with the `parallel` feature (rayon).
-#[cfg(feature = "parallel")]
-pub fn estimate_fixed_parallel<E, F>(
-    master_seed: u64,
-    samples: u64,
-    shard_size: u64,
-    make_experiment: F,
-) -> MonteCarloOutcome
-where
-    F: Fn() -> E + Sync,
-    E: FnMut(&mut StdRng) -> bool,
-{
-    let shard_size = shard_size.max(1);
-    let shards = samples.div_ceil(shard_size);
-    let successes: u64 = (0..shards)
-        .into_par_iter()
-        .map(|shard| {
-            let mut rng = StdRng::seed_from_u64(shard_seed(master_seed, shard));
-            let mut experiment = make_experiment();
-            let count = shard_size.min(samples - shard * shard_size);
-            (0..count).filter(|_| experiment(&mut rng)).count() as u64
-        })
-        .sum();
-    MonteCarloOutcome {
-        estimate: if samples == 0 {
-            0.0
-        } else {
-            successes as f64 / samples as f64
-        },
-        samples,
-        successes,
-    }
-}
-
-/// A batched Bernoulli experiment driven by the stopping-rule loops
-/// ([`estimate_stopping_batch`] and, with the `parallel` feature,
-/// [`estimate_stopping_batch_rounds`]).
+/// A batched Bernoulli experiment driven by the sequential stopping-rule
+/// loop ([`estimate_stopping_batch_budgeted`]).
 ///
 /// Unlike the fixed-sample batched loop, the adaptive loop *retires*
 /// queries as they converge, and the experiment is told about it so the
@@ -349,9 +206,10 @@ pub trait StoppingBatchExperiment<R: Rng + ?Sized> {
     fn retire(&mut self, _query: usize) {}
 }
 
-/// The result of a batched stopping-rule run: one outcome per query, plus
-/// the length of the shared sample stream (the stream runs until the last
-/// live query retires or `max_samples` truncates it).
+/// The result of a batched stopping-rule run without a budget: one
+/// outcome per query, plus the length of the shared sample stream (the
+/// stream runs until the last live query retires or `max_samples`
+/// truncates it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoppingBatchOutcome {
     /// Per-query stopping-rule outcomes.  `outcomes[q].samples` is the
@@ -363,25 +221,8 @@ pub struct StoppingBatchOutcome {
     pub total_samples: u64,
 }
 
-/// Drives **one** shared sample stream until every query has reached its
-/// success target `targets[q]` (or `max_samples` truncates the stream),
-/// retiring queries as they converge.
-///
-/// Query `q` retires at the first draw `N_q` where its success count
-/// reaches `targets[q]`, with estimate `targets[q] / N_q` — exactly the
-/// Dagum–Karp–Luby–Ross stopping rule applied to the prefix of the shared
-/// stream it observed.  Because the experiment's per-query checks consume
-/// no randomness, that prefix is the *same* sample sequence an independent
-/// [`StoppingRuleEstimator::estimate`] run with the same target would see
-/// from the same RNG state: the sequential batched loop is **bit-identical**
-/// to per-query stopping-rule runs (pass each query `Υ(ε, δ/k)` to realise
-/// the union-bound guarantee over a bank of `k`).
-///
-/// Queries still live when `max_samples` is reached are flagged
-/// [`truncated`](StoppingRuleOutcome::truncated) and report the plain
-/// empirical mean; a zero-probability query therefore truncates without
-/// stalling the retirement of the others — it merely keeps the stream
-/// running to the cut-off while the per-draw live set shrinks around it.
+/// [`estimate_stopping_batch_budgeted`] under [`RunBudget::unlimited`],
+/// from a fresh stream.
 pub fn estimate_stopping_batch<R, E>(
     rng: &mut R,
     targets: &[u64],
@@ -428,18 +269,34 @@ pub struct BudgetedStoppingOutcome {
     pub total_samples: u64,
 }
 
-/// As [`estimate_stopping_batch`], under a [`RunBudget`], with optional
-/// resumption of an interrupted run.
+/// Drives **one** shared sample stream under `budget` until every query
+/// has reached its success target `targets[q]` (or `max_samples`
+/// truncates the stream), retiring queries as they converge; optionally
+/// resumes an interrupted run.
+///
+/// Query `q` retires at the first draw `N_q` where its success count
+/// reaches `targets[q]`, with estimate `targets[q] / N_q` — exactly the
+/// Dagum–Karp–Luby–Ross stopping rule applied to the prefix of the shared
+/// stream it observed.  Because the experiment's per-query checks consume
+/// no randomness, that prefix is the *same* sample sequence a one-target
+/// run would see from the same RNG state: the batched loop is
+/// **bit-identical** to per-query stopping-rule runs (pass each query
+/// `Υ(ε, δ/k)` to realise the union-bound guarantee over a bank of `k`).
+///
+/// Queries still live when `max_samples` is reached are flagged
+/// [`truncated`](StoppingRuleOutcome::truncated) and report the plain
+/// empirical mean; a zero-probability query therefore truncates without
+/// stalling the retirement of the others — it merely keeps the stream
+/// running to the cut-off while the per-draw live set shrinks around it.
 ///
 /// The budget is polled *before* each draw and consumes no randomness, so
-/// an unconstrained budget is **bit-identical** to
-/// [`estimate_stopping_batch`], and an interruption at draw `t` leaves the
-/// RNG having consumed exactly `t` draws.  Feeding the returned outcome
-/// back as `resume` (with the *same* RNG, now positioned after draw `t`)
-/// continues the shared stream where it stopped: converged queries keep
-/// their frozen outcomes (their retirement is re-announced to
-/// `experiment`), live queries pick their success counts back up, and the
-/// concatenated run is bit-identical to one uninterrupted run.
+/// an interruption at draw `t` leaves the RNG having consumed exactly `t`
+/// draws.  Feeding the returned outcome back as `resume` (with the *same*
+/// RNG, now positioned after draw `t`) continues the shared stream where
+/// it stopped: converged queries keep their frozen outcomes (their
+/// retirement is re-announced to `experiment`), live queries pick their
+/// success counts back up, and the concatenated run is bit-identical to
+/// one uninterrupted run.
 ///
 /// Draw counts are absolute across resumption: `max_samples`, a
 /// [`max_draws`](RunBudget::with_max_draws) cap and a
@@ -471,7 +328,7 @@ where
         };
         k
     ];
-    let mut statuses = vec![BudgetStatus::Converged; k];
+    let statuses = vec![BudgetStatus::Converged; k];
     let mut successes = vec![0u64; k];
     let mut hits = vec![false; k];
     let mut live: Vec<usize> = Vec::with_capacity(k);
@@ -527,10 +384,22 @@ where
             j += 1;
         }
     }
-    // Anything still live was cut off — by the budget if it fired, by the
-    // `max_samples` cut-off otherwise.
+    truncate_live(outcomes, statuses, &live, &successes, draws, interrupt)
+}
+
+/// Closes a stopping-rule stream of `draws` draws: every query still in
+/// `live` was cut off — by the budget's `interrupt` if it fired, by the
+/// `max_samples` cut-off otherwise — and reports its empirical mean.
+fn truncate_live(
+    mut outcomes: Vec<StoppingRuleOutcome>,
+    mut statuses: Vec<BudgetStatus>,
+    live: &[usize],
+    successes: &[u64],
+    draws: u64,
+    interrupt: Option<BudgetStatus>,
+) -> BudgetedStoppingOutcome {
     let live_status = interrupt.unwrap_or(BudgetStatus::BudgetExhausted);
-    for &q in &live {
+    for &q in live {
         outcomes[q] = StoppingRuleOutcome {
             estimate: if draws == 0 {
                 0.0
@@ -550,15 +419,20 @@ where
     }
 }
 
-/// Round-based rayon-sharded variant of [`estimate_stopping_batch`]:
-/// draws up to `round_samples` shared samples per round (sharded across
-/// worker threads exactly like [`estimate_fixed_batch_parallel`], with a
-/// global shard counter deriving the per-shard RNG streams), then checks
-/// retirement at the round boundary.
+/// The stopping rule of [`estimate_stopping_batch_budgeted`] in
+/// rayon-sharded rounds: draws up to `round_samples` shared samples per
+/// round (sharded across worker threads exactly like
+/// [`estimate_fixed_batch_parallel`], with a global shard counter deriving
+/// the per-shard RNG streams), then checks retirement at the round
+/// boundary.
 ///
 /// `make_experiment` is called once per shard with the **current live
 /// query list** and returns the shard's experiment closure, so a fresh
-/// shard only pays for the queries that are still live.
+/// shard only pays for the queries that are still live.  The queries
+/// listed in `settled` retire before the first round with estimate 0,
+/// zero samples and status [`Converged`](BudgetStatus::Converged): the
+/// caller knows their probability is exactly 0, so they neither hold the
+/// stream open nor reach `make_experiment`'s live lists.
 ///
 /// **Adaptive round size.**  Rounds shrink with the live set: a round
 /// draws `⌈round_samples · live/k⌉` samples (never less than one shard,
@@ -576,67 +450,29 @@ where
 /// until the boundary, so its sample count — and hence its estimate, the
 /// empirical mean `successes/samples` over at least `targets[q]`
 /// successes — differs from the sequential loop's `target/N_q`.  The
-/// round-based variant matches the sequential one (and `k` independent
-/// stopping-rule runs) in *guarantee*, not bit-for-bit: each query stops
-/// with at least the DKLR success target at a sample count at least as
-/// large, which preserves the relative `(ε, δ)` bound (tested against the
-/// exact solver).  The outcome is still **bit-identical across thread
-/// counts** for a fixed `master_seed`: shard boundaries, shard seeds and
-/// the element-wise integer success sums are all thread-count independent,
-/// and retirement decisions are made from the summed per-round counts.
-///
-/// Only available with the `parallel` feature (rayon).
-#[cfg(feature = "parallel")]
-pub fn estimate_stopping_batch_rounds<E, F>(
-    master_seed: u64,
-    targets: &[u64],
-    max_samples: u64,
-    round_samples: u64,
-    shard_size: u64,
-    make_experiment: F,
-) -> StoppingBatchOutcome
-where
-    F: Fn(&[usize]) -> E + Sync,
-    E: FnMut(&mut StdRng, &mut [bool]),
-{
-    let budgeted = estimate_stopping_batch_rounds_budgeted(
-        master_seed,
-        targets,
-        max_samples,
-        round_samples,
-        shard_size,
-        &RunBudget::unlimited(),
-        &[],
-        make_experiment,
-    );
-    StoppingBatchOutcome {
-        outcomes: budgeted.outcomes,
-        total_samples: budgeted.total_samples,
-    }
-}
-
-/// As [`estimate_stopping_batch_rounds`], under a [`RunBudget`].
+/// round-based loop matches the sequential one in *guarantee*, not
+/// bit-for-bit: each query stops with at least the DKLR success target at
+/// a sample count at least as large, which preserves the relative
+/// `(ε, δ)` bound (tested against the exact solver).  The outcome is still
+/// **bit-identical across thread counts** for a fixed `master_seed`:
+/// shard boundaries, shard seeds and the element-wise integer success sums
+/// are all thread-count independent, and retirement decisions are made
+/// from the summed per-round counts.
 ///
 /// The budget is polled once per **round boundary** (consuming no
 /// randomness), so cancellation here is round-granular: a deadline or
 /// token observed at a boundary stops the run before the next round is
 /// dispatched to the thread pool, and live queries report the empirical
-/// mean over the rounds that completed.  An unconstrained budget is
-/// bit-identical to [`estimate_stopping_batch_rounds`], and the outcome
-/// remains bit-identical across thread counts for a fixed `master_seed`
-/// whenever the budget decisions themselves are deterministic (draw caps
-/// and pre-tripped tokens are; a wall-clock deadline is not, by nature).
-/// Resumption is not offered on this path — mid-round work cannot be
-/// replayed draw-by-draw.
+/// mean over the rounds that completed.  The outcome stays bit-identical
+/// across thread counts whenever the budget decisions themselves are
+/// deterministic (draw caps and pre-tripped tokens are; a wall-clock
+/// deadline is not, by nature).  Resumption is not offered on this path —
+/// mid-round work cannot be replayed draw-by-draw.
 ///
-/// The queries listed in `settled` retire before the first round with
-/// estimate 0, zero samples and status
-/// [`Converged`](BudgetStatus::Converged): the caller knows their
-/// probability is exactly 0, so they neither hold the stream open nor
-/// reach `make_experiment`'s live lists.
+/// Only available with the `parallel` feature (rayon).
 #[cfg(feature = "parallel")]
 #[allow(clippy::too_many_arguments)]
-pub fn estimate_stopping_batch_rounds_budgeted<E, F>(
+pub fn estimate_stopping_batch_rounds<E, F>(
     master_seed: u64,
     targets: &[u64],
     max_samples: u64,
@@ -662,7 +498,6 @@ where
         };
         k
     ];
-    let mut statuses = vec![BudgetStatus::Converged; k];
     let mut successes = vec![0u64; k];
     let mut live: Vec<usize> = (0..k).filter(|q| !settled.contains(q)).collect();
     let mut drawn = 0u64;
@@ -725,44 +560,29 @@ where
             }
         });
     }
-    let live_status = interrupt.unwrap_or(BudgetStatus::BudgetExhausted);
-    for &q in &live {
-        outcomes[q] = StoppingRuleOutcome {
-            estimate: if drawn == 0 {
-                0.0
-            } else {
-                successes[q] as f64 / drawn as f64
-            },
-            samples: drawn,
-            successes: successes[q],
-            truncated: true,
-        };
-        statuses[q] = live_status;
-    }
-    BudgetedStoppingOutcome {
-        outcomes,
-        statuses,
-        total_samples: drawn,
-    }
+    let statuses = vec![BudgetStatus::Converged; k];
+    truncate_live(outcomes, statuses, &live, &successes, drawn, interrupt)
 }
 
-/// The Stopping Rule Algorithm of Dagum–Karp–Luby–Ross.
+/// The Stopping Rule Algorithm of Dagum–Karp–Luby–Ross: its success
+/// target.
 ///
-/// Draws samples until the number of successes reaches
+/// The rule draws samples until the number of successes reaches
 /// `Υ = 1 + 4·(e − 2)·(1 + ε)·ln(2/δ)/ε²` and outputs `Υ / N`, where `N`
 /// is the number of samples drawn.  The output is within relative error
 /// `ε` of the true mean with probability at least `1 − δ`, and the
-/// expected sample count is `O(Υ / p)`.
+/// expected sample count is `O(Υ / p)`.  The loops that run it are
+/// [`estimate_stopping_batch_budgeted`] (a single mean is a batch of one)
+/// and [`estimate_stopping_batch_rounds`].
 ///
 /// Because the expected running time is inversely proportional to the true
-/// mean, a `max_samples` cut-off is enforced; if it is reached the
-/// estimator returns the empirical mean observed so far and flags the
-/// result as truncated.
+/// mean, the loops enforce a `max_samples` cut-off; if it is reached they
+/// return the empirical mean observed so far and flag the result as
+/// truncated.
 #[derive(Debug, Clone, Copy)]
 pub struct StoppingRuleEstimator {
     epsilon: f64,
     delta: f64,
-    max_samples: u64,
 }
 
 /// The outcome of a stopping-rule estimation run.
@@ -810,17 +630,7 @@ impl StoppingRuleEstimator {
                 message: format!("delta must be in (0, 1), got {delta}"),
             });
         }
-        Ok(StoppingRuleEstimator {
-            epsilon,
-            delta,
-            max_samples: 50_000_000,
-        })
-    }
-
-    /// Overrides the sample cut-off.
-    pub fn with_max_samples(mut self, max_samples: u64) -> Self {
-        self.max_samples = max_samples;
-        self
+        Ok(StoppingRuleEstimator { epsilon, delta })
     }
 
     /// The success target `Υ` of the stopping rule.
@@ -831,97 +641,6 @@ impl StoppingRuleEstimator {
                 / (self.epsilon * self.epsilon);
         upsilon.ceil() as u64
     }
-
-    /// Runs the stopping rule against the Bernoulli `experiment`.
-    pub fn estimate<R, F>(&self, rng: &mut R, mut experiment: F) -> StoppingRuleOutcome
-    where
-        R: Rng + ?Sized,
-        F: FnMut(&mut R) -> bool,
-    {
-        let target = self.success_target();
-        let mut successes = 0u64;
-        let mut samples = 0u64;
-        while successes < target && samples < self.max_samples {
-            samples += 1;
-            if experiment(rng) {
-                successes += 1;
-            }
-        }
-        let truncated = successes < target;
-        let estimate = if truncated {
-            if samples == 0 {
-                0.0
-            } else {
-                successes as f64 / samples as f64
-            }
-        } else {
-            target as f64 / samples as f64
-        };
-        StoppingRuleOutcome {
-            estimate,
-            samples,
-            successes,
-            truncated,
-        }
-    }
-
-    /// As [`StoppingRuleEstimator::estimate`], under a [`RunBudget`].
-    ///
-    /// The budget is polled before each draw (consuming no randomness), so
-    /// an unconstrained budget is bit-identical to
-    /// [`StoppingRuleEstimator::estimate`].  An interrupted run reports
-    /// the empirical mean over the draws consumed, `truncated = true`, and
-    /// the interrupting status; reaching the success target reports
-    /// [`BudgetStatus::Converged`].
-    pub fn estimate_budgeted<R, F>(
-        &self,
-        rng: &mut R,
-        budget: &RunBudget,
-        mut experiment: F,
-    ) -> (StoppingRuleOutcome, BudgetStatus)
-    where
-        R: Rng + ?Sized,
-        F: FnMut(&mut R) -> bool,
-    {
-        let target = self.success_target();
-        let mut successes = 0u64;
-        let mut samples = 0u64;
-        let mut interrupt = None;
-        while successes < target && samples < self.max_samples {
-            if let Some(status) = budget.check(samples) {
-                interrupt = Some(status);
-                break;
-            }
-            samples += 1;
-            if experiment(rng) {
-                successes += 1;
-            }
-        }
-        let truncated = successes < target;
-        let estimate = if truncated {
-            if samples == 0 {
-                0.0
-            } else {
-                successes as f64 / samples as f64
-            }
-        } else {
-            target as f64 / samples as f64
-        };
-        let status = if truncated {
-            interrupt.unwrap_or(BudgetStatus::BudgetExhausted)
-        } else {
-            BudgetStatus::Converged
-        };
-        (
-            StoppingRuleOutcome {
-                estimate,
-                samples,
-                successes,
-                truncated,
-            },
-            status,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -930,23 +649,47 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A one-variable fixed run of `samples` Bernoulli(`p`) draws.
+    fn fixed_bernoulli(
+        rng: &mut StdRng,
+        samples: u64,
+        budget: &RunBudget,
+        p: f64,
+    ) -> (BatchOutcome, BudgetStatus) {
+        estimate_fixed_batch(rng, samples, 1, budget, |rng, successes| {
+            successes[0] += u64::from(rng.random_bool(p))
+        })
+    }
+
     #[test]
     fn fixed_estimator_recovers_the_mean() {
         let mut rng = StdRng::seed_from_u64(1);
-        let outcome = estimate_fixed(&mut rng, 40_000, |rng| rng.random_bool(0.3));
-        assert!((outcome.estimate - 0.3).abs() < 0.02);
+        let (outcome, status) = fixed_bernoulli(&mut rng, 40_000, &RunBudget::unlimited(), 0.3);
+        let estimate = outcome.estimates()[0];
+        assert!((estimate - 0.3).abs() < 0.02);
         assert_eq!(outcome.samples, 40_000);
-        assert_eq!(
-            outcome.successes,
-            (outcome.estimate * 40_000.0).round() as u64
-        );
+        assert_eq!(outcome.successes[0], (estimate * 40_000.0).round() as u64);
+        assert_eq!(status, BudgetStatus::Converged);
     }
 
     #[test]
     fn fixed_estimator_with_zero_samples_is_zero() {
         let mut rng = StdRng::seed_from_u64(2);
-        let outcome = estimate_fixed(&mut rng, 0, |_| true);
-        assert_eq!(outcome.estimate, 0.0);
+        let (outcome, _) = fixed_bernoulli(&mut rng, 0, &RunBudget::unlimited(), 1.0);
+        assert_eq!(outcome.estimates(), vec![0.0]);
+    }
+
+    /// The stopping rule on one Bernoulli(`p`) variable: a one-target
+    /// stopping batch.
+    fn stopping_bernoulli(
+        estimator: StoppingRuleEstimator,
+        rng: &mut StdRng,
+        max_samples: u64,
+        p: f64,
+    ) -> StoppingRuleOutcome {
+        let mut experiment = ThresholdExperiment::new(&[p]);
+        let target = [estimator.success_target()];
+        estimate_stopping_batch(rng, &target, max_samples, &mut experiment).outcomes[0]
     }
 
     #[test]
@@ -954,7 +697,7 @@ mod tests {
         let estimator = StoppingRuleEstimator::new(0.1, 0.05);
         let mut rng = StdRng::seed_from_u64(3);
         for &p in &[0.5, 0.1, 0.01] {
-            let outcome = estimator.estimate(&mut rng, |rng| rng.random_bool(p));
+            let outcome = stopping_bernoulli(estimator, &mut rng, 50_000_000, p);
             assert!(!outcome.truncated);
             let relative_error = (outcome.estimate - p).abs() / p;
             assert!(
@@ -969,16 +712,16 @@ mod tests {
     fn stopping_rule_uses_fewer_samples_for_larger_means() {
         let estimator = StoppingRuleEstimator::new(0.2, 0.1);
         let mut rng = StdRng::seed_from_u64(4);
-        let big = estimator.estimate(&mut rng, |rng| rng.random_bool(0.5));
-        let small = estimator.estimate(&mut rng, |rng| rng.random_bool(0.02));
+        let big = stopping_bernoulli(estimator, &mut rng, 50_000_000, 0.5);
+        let small = stopping_bernoulli(estimator, &mut rng, 50_000_000, 0.02);
         assert!(big.samples * 5 < small.samples);
     }
 
     #[test]
     fn stopping_rule_truncates_on_zero_probability_events() {
-        let estimator = StoppingRuleEstimator::new(0.2, 0.1).with_max_samples(5_000);
+        let estimator = StoppingRuleEstimator::new(0.2, 0.1);
         let mut rng = StdRng::seed_from_u64(5);
-        let outcome = estimator.estimate(&mut rng, |_| false);
+        let outcome = stopping_bernoulli(estimator, &mut rng, 5_000, 0.0);
         assert!(outcome.truncated);
         assert_eq!(outcome.estimate, 0.0);
         assert_eq!(outcome.samples, 5_000);
@@ -993,19 +736,25 @@ mod tests {
     #[cfg(feature = "parallel")]
     #[test]
     fn parallel_estimator_recovers_the_mean() {
-        let outcome = estimate_fixed_parallel(99, 80_000, DEFAULT_SHARD_SIZE, || {
-            |rng: &mut StdRng| rng.random_bool(0.25)
-        });
+        let outcome = parallel_bernoulli(99, 80_000, DEFAULT_SHARD_SIZE, 0.25);
         assert_eq!(outcome.samples, 80_000);
-        assert!((outcome.estimate - 0.25).abs() < 0.01);
+        assert!((outcome.estimates()[0] - 0.25).abs() < 0.01);
+    }
+
+    /// A one-variable sharded run of `samples` Bernoulli(`p`) draws.
+    #[cfg(feature = "parallel")]
+    fn parallel_bernoulli(master_seed: u64, samples: u64, shard_size: u64, p: f64) -> BatchOutcome {
+        estimate_fixed_batch_parallel(master_seed, samples, shard_size, 1, || {
+            move |rng: &mut StdRng, successes: &mut [u64]| {
+                successes[0] += u64::from(rng.random_bool(p))
+            }
+        })
     }
 
     #[cfg(feature = "parallel")]
     #[test]
     fn parallel_estimator_is_thread_count_independent() {
-        let run = || {
-            estimate_fixed_parallel(7, 50_001, 1_000, || |rng: &mut StdRng| rng.random_bool(0.4))
-        };
+        let run = || parallel_bernoulli(7, 50_001, 1_000, 0.4);
         let baseline = run();
         for threads in [1usize, 2, 5, 16] {
             let pool = rayon::ThreadPoolBuilder::new()
@@ -1025,23 +774,26 @@ mod tests {
         let thresholds = [0.2f64, 0.5, 0.8];
         let batched = {
             let mut rng = StdRng::seed_from_u64(11);
-            estimate_fixed_batch(&mut rng, 10_000, thresholds.len(), |rng, successes| {
+            let experiment = |rng: &mut StdRng, successes: &mut [u64]| {
                 let draw: f64 = rng.random();
                 for (s, &t) in successes.iter_mut().zip(&thresholds) {
                     if draw < t {
                         *s += 1;
                     }
                 }
-            })
+            };
+            let budget = RunBudget::unlimited();
+            estimate_fixed_batch(&mut rng, 10_000, thresholds.len(), &budget, experiment).0
         };
         assert_eq!(batched.samples, 10_000);
         for (i, &t) in thresholds.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(11);
-            let single = estimate_fixed(&mut rng, 10_000, |rng| {
+            let budget = RunBudget::unlimited();
+            let (single, _) = estimate_fixed_batch(&mut rng, 10_000, 1, &budget, |rng, s| {
                 let draw: f64 = rng.random();
-                draw < t
+                s[0] += u64::from(draw < t);
             });
-            assert_eq!(batched.successes[i], single.successes, "variable {i}");
+            assert_eq!(batched.successes[i], single.successes[0], "variable {i}");
         }
         let estimates = batched.estimates();
         for (e, &t) in estimates.iter().zip(&thresholds) {
@@ -1052,10 +804,11 @@ mod tests {
     #[test]
     fn batch_estimator_with_zero_samples_or_queries() {
         let mut rng = StdRng::seed_from_u64(1);
-        let zero = estimate_fixed_batch(&mut rng, 0, 3, |_, _| panic!("no draws"));
+        let budget = RunBudget::unlimited();
+        let (zero, _) = estimate_fixed_batch(&mut rng, 0, 3, &budget, |_, _| panic!("no draws"));
         assert_eq!(zero.successes, vec![0, 0, 0]);
         assert_eq!(zero.estimates(), vec![0.0, 0.0, 0.0]);
-        let empty = estimate_fixed_batch(&mut rng, 5, 0, |_, successes| {
+        let (empty, _) = estimate_fixed_batch(&mut rng, 5, 0, &budget, |_, successes| {
             assert!(successes.is_empty());
         });
         assert!(empty.successes.is_empty());
@@ -1075,13 +828,13 @@ mod tests {
         };
         let batched = estimate_fixed_batch_parallel(42, 30_001, 1_000, 2, || experiment);
         for (i, &t) in thresholds.iter().enumerate() {
-            let single = estimate_fixed_parallel(42, 30_001, 1_000, || {
-                move |rng: &mut StdRng| {
+            let single = estimate_fixed_batch_parallel(42, 30_001, 1_000, 1, || {
+                move |rng: &mut StdRng, successes: &mut [u64]| {
                     let draw: f64 = rng.random();
-                    draw < t
+                    successes[0] += u64::from(draw < t);
                 }
             });
-            assert_eq!(batched.successes[i], single.successes, "variable {i}");
+            assert_eq!(batched.successes[i], single.successes[0], "variable {i}");
         }
         // Thread-count independence.
         for threads in [1usize, 2, 7] {
@@ -1200,14 +953,24 @@ mod tests {
         let estimator = StoppingRuleEstimator::new(0.1, 0.05);
         let targets = vec![estimator.success_target(); 2];
         let run = || {
-            estimate_stopping_batch_rounds(33, &targets, 10_000_000, 2_048, 512, |_live| {
-                move |rng: &mut StdRng, hits: &mut [bool]| {
-                    let draw: f64 = rng.random();
-                    for (hit, &t) in hits.iter_mut().zip(&thresholds) {
-                        *hit = draw < t;
+            let budget = RunBudget::unlimited();
+            estimate_stopping_batch_rounds(
+                33,
+                &targets,
+                10_000_000,
+                2_048,
+                512,
+                &budget,
+                &[],
+                |_| {
+                    move |rng: &mut StdRng, hits: &mut [bool]| {
+                        let draw: f64 = rng.random();
+                        for (hit, &t) in hits.iter_mut().zip(&thresholds) {
+                            *hit = draw < t;
+                        }
                     }
-                }
-            })
+                },
+            )
         };
         let batched = run();
         for (q, &t) in thresholds.iter().enumerate() {
@@ -1249,15 +1012,25 @@ mod tests {
         let target = StoppingRuleEstimator::new(0.3, 0.1).success_target();
         let targets = vec![target; 2];
         let live_sizes: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let batched = estimate_stopping_batch_rounds(9, &targets, 1_000_000, 1_000, 500, |live| {
-            live_sizes.lock().unwrap().push(live.len());
-            move |rng: &mut StdRng, hits: &mut [bool]| {
-                let draw: f64 = rng.random();
-                for (hit, &t) in hits.iter_mut().zip(&thresholds) {
-                    *hit = draw < t;
+        let budget = RunBudget::unlimited();
+        let batched = estimate_stopping_batch_rounds(
+            9,
+            &targets,
+            1_000_000,
+            1_000,
+            500,
+            &budget,
+            &[],
+            |live| {
+                live_sizes.lock().unwrap().push(live.len());
+                move |rng: &mut StdRng, hits: &mut [bool]| {
+                    let draw: f64 = rng.random();
+                    for (hit, &t) in hits.iter_mut().zip(&thresholds) {
+                        *hit = draw < t;
+                    }
                 }
-            }
-        });
+            },
+        );
         let easy = batched.outcomes[0];
         assert!(!easy.truncated);
         assert_eq!(easy.samples, 1_000, "the common query retires in round one");
@@ -1281,7 +1054,7 @@ mod tests {
         );
         // The adaptive schedule stays bit-identical across thread counts.
         let rerun = || {
-            estimate_stopping_batch_rounds(9, &targets, 1_000_000, 1_000, 500, |_live| {
+            estimate_stopping_batch_rounds(9, &targets, 1_000_000, 1_000, 500, &budget, &[], |_| {
                 move |rng: &mut StdRng, hits: &mut [bool]| {
                     let draw: f64 = rng.random();
                     for (hit, &t) in hits.iter_mut().zip(&thresholds) {
@@ -1303,9 +1076,11 @@ mod tests {
     #[test]
     fn stopping_batch_rounds_truncates_at_the_cut_off() {
         let targets = vec![10u64];
-        let batched = estimate_stopping_batch_rounds(1, &targets, 1_000, 256, 64, |_live| {
-            |_rng: &mut StdRng, hits: &mut [bool]| hits.fill(false)
-        });
+        let budget = RunBudget::unlimited();
+        let batched =
+            estimate_stopping_batch_rounds(1, &targets, 1_000, 256, 64, &budget, &[], |_| {
+                |_rng: &mut StdRng, hits: &mut [bool]| hits.fill(false)
+            });
         assert!(batched.outcomes[0].truncated);
         assert_eq!(batched.outcomes[0].samples, 1_000);
         assert_eq!(batched.total_samples, 1_000);
@@ -1313,17 +1088,17 @@ mod tests {
 
     #[test]
     fn unbudgeted_and_unlimited_budget_fixed_runs_are_bit_identical() {
+        // The plain loop: draw 5 000 times, count the successes.
         let plain = {
             let mut rng = StdRng::seed_from_u64(77);
-            estimate_fixed(&mut rng, 5_000, |rng| rng.random_bool(0.3))
+            (0..5_000).filter(|_| rng.random_bool(0.3)).count() as u64
         };
         let (budgeted, status) = {
             let mut rng = StdRng::seed_from_u64(77);
-            estimate_fixed_budgeted(&mut rng, 5_000, &RunBudget::unlimited(), |rng| {
-                rng.random_bool(0.3)
-            })
+            fixed_bernoulli(&mut rng, 5_000, &RunBudget::unlimited(), 0.3)
         };
-        assert_eq!(budgeted, plain);
+        assert_eq!(budgeted.samples, 5_000);
+        assert_eq!(budgeted.successes, vec![plain]);
         assert_eq!(status, BudgetStatus::Converged);
     }
 
@@ -1331,18 +1106,18 @@ mod tests {
     fn budgeted_fixed_run_stops_at_the_draw_cap() {
         let mut rng = StdRng::seed_from_u64(77);
         let budget = RunBudget::unlimited().with_max_draws(100);
-        let (outcome, status) =
-            estimate_fixed_budgeted(&mut rng, 5_000, &budget, |rng| rng.random_bool(0.3));
+        let (outcome, status) = fixed_bernoulli(&mut rng, 5_000, &budget, 0.3);
         assert_eq!(status, BudgetStatus::BudgetExhausted);
         assert_eq!(outcome.samples, 100);
         // Exactly 100 draws were consumed: the next draw continues the
         // uninterrupted stream.
-        let continued = estimate_fixed(&mut rng, 4_900, |rng| rng.random_bool(0.3));
-        let full = {
-            let mut rng = StdRng::seed_from_u64(77);
-            estimate_fixed(&mut rng, 5_000, |rng| rng.random_bool(0.3))
-        };
-        assert_eq!(outcome.successes + continued.successes, full.successes);
+        let unlimited = RunBudget::unlimited();
+        let (continued, _) = fixed_bernoulli(&mut rng, 4_900, &unlimited, 0.3);
+        let (full, _) = fixed_bernoulli(&mut StdRng::seed_from_u64(77), 5_000, &unlimited, 0.3);
+        assert_eq!(
+            outcome.successes[0] + continued.successes[0],
+            full.successes[0]
+        );
     }
 
     #[test]
@@ -1352,7 +1127,7 @@ mod tests {
         let budget = RunBudget::unlimited().with_cancel_token(token);
         let mut rng = StdRng::seed_from_u64(3);
         let (outcome, status) =
-            estimate_fixed_batch_budgeted(&mut rng, 10_000, 2, &budget, |rng, successes| {
+            estimate_fixed_batch(&mut rng, 10_000, 2, &budget, |rng, successes| {
                 let draw: f64 = rng.random();
                 for (s, &t) in successes.iter_mut().zip(&thresholds) {
                     if draw < t {
@@ -1441,27 +1216,31 @@ mod tests {
 
     #[test]
     fn stopping_rule_budgeted_matches_plain_and_reports_cancellation() {
+        // A single mean is a one-target stopping batch.
         let estimator = StoppingRuleEstimator::new(0.2, 0.1);
-        let plain = {
+        let target = [estimator.success_target()];
+        let budgeted = |budget: &RunBudget| {
+            let mut experiment = ThresholdExperiment::new(&[0.4]);
             let mut rng = StdRng::seed_from_u64(13);
-            estimator.estimate(&mut rng, |rng| rng.random_bool(0.4))
+            estimate_stopping_batch_budgeted(
+                &mut rng,
+                &target,
+                50_000_000,
+                budget,
+                &mut experiment,
+                None,
+            )
         };
-        let (budgeted, status) = {
-            let mut rng = StdRng::seed_from_u64(13);
-            estimator.estimate_budgeted(&mut rng, &RunBudget::unlimited(), |rng| {
-                rng.random_bool(0.4)
-            })
-        };
-        assert_eq!(budgeted, plain);
-        assert_eq!(status, BudgetStatus::Converged);
-        let mut rng = StdRng::seed_from_u64(13);
+        let plain = stopping_bernoulli(estimator, &mut StdRng::seed_from_u64(13), 50_000_000, 0.4);
+        let unlimited = budgeted(&RunBudget::unlimited());
+        assert_eq!(unlimited.outcomes, vec![plain]);
+        assert_eq!(unlimited.statuses, vec![BudgetStatus::Converged]);
         let budget = RunBudget::unlimited()
             .with_cancel_token(crate::budget::CancelToken::tripped_at_draw(7));
-        let (partial, status) =
-            estimator.estimate_budgeted(&mut rng, &budget, |rng| rng.random_bool(0.4));
-        assert_eq!(status, BudgetStatus::Cancelled);
-        assert!(partial.truncated);
-        assert_eq!(partial.samples, 7);
+        let partial = budgeted(&budget);
+        assert_eq!(partial.statuses, vec![BudgetStatus::Cancelled]);
+        assert!(partial.outcomes[0].truncated);
+        assert_eq!(partial.outcomes[0].samples, 7);
     }
 
     #[test]
@@ -1475,6 +1254,9 @@ mod tests {
     #[cfg(feature = "parallel")]
     #[test]
     fn budgeted_rounds_with_unlimited_budget_match_plain_rounds() {
+        // A budget whose checks run but never fire (an untripped token, a
+        // draw cap past the cut-off) leaves the rounds as they are without
+        // one.
         let thresholds = [0.5f64, 0.02];
         let targets = vec![StoppingRuleEstimator::new(0.1, 0.05).success_target(); 2];
         let experiment = |_live: &[usize]| {
@@ -1485,21 +1267,24 @@ mod tests {
                 }
             }
         };
-        let plain =
-            estimate_stopping_batch_rounds(33, &targets, 10_000_000, 2_048, 512, experiment);
-        let budgeted = estimate_stopping_batch_rounds_budgeted(
-            33,
-            &targets,
-            10_000_000,
-            2_048,
-            512,
-            &RunBudget::unlimited(),
-            &[],
-            experiment,
-        );
-        assert_eq!(budgeted.outcomes, plain.outcomes);
-        assert_eq!(budgeted.total_samples, plain.total_samples);
-        assert!(budgeted.statuses.iter().all(|s| s.is_converged()));
+        let run = |budget: &RunBudget| {
+            estimate_stopping_batch_rounds(
+                33,
+                &targets,
+                10_000_000,
+                2_048,
+                512,
+                budget,
+                &[],
+                experiment,
+            )
+        };
+        let plain = run(&RunBudget::unlimited());
+        let dormant = RunBudget::unlimited()
+            .with_cancel_token(crate::budget::CancelToken::new())
+            .with_max_draws(20_000_000);
+        assert_eq!(run(&dormant), plain);
+        assert!(plain.statuses.iter().all(|s| s.is_converged()));
     }
 
     #[cfg(feature = "parallel")]
@@ -1509,7 +1294,7 @@ mod tests {
         let token = crate::budget::CancelToken::new();
         token.cancel();
         let budget = RunBudget::unlimited().with_cancel_token(token);
-        let cancelled = estimate_stopping_batch_rounds_budgeted(
+        let cancelled = estimate_stopping_batch_rounds(
             1,
             &targets,
             1_000_000,
@@ -1523,7 +1308,7 @@ mod tests {
         assert_eq!(cancelled.total_samples, 0);
         assert_eq!(cancelled.statuses, vec![BudgetStatus::Cancelled]);
         assert!(cancelled.outcomes[0].truncated);
-        let capped = estimate_stopping_batch_rounds_budgeted(
+        let capped = estimate_stopping_batch_rounds(
             1,
             &targets,
             1_000_000,
@@ -1542,10 +1327,10 @@ mod tests {
     #[cfg(feature = "parallel")]
     #[test]
     fn parallel_estimator_handles_edge_sample_counts() {
-        let zero = estimate_fixed_parallel(1, 0, 64, || |_: &mut StdRng| true);
-        assert_eq!(zero.estimate, 0.0);
+        let zero = parallel_bernoulli(1, 0, 64, 1.0);
+        assert_eq!(zero.estimates(), vec![0.0]);
         assert_eq!(zero.samples, 0);
-        let one = estimate_fixed_parallel(1, 1, 64, || |_: &mut StdRng| true);
-        assert_eq!(one.successes, 1);
+        let one = parallel_bernoulli(1, 1, 64, 1.0);
+        assert_eq!(one.successes, vec![1]);
     }
 }

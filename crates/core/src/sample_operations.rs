@@ -72,7 +72,8 @@
 //! draw from the same RNG state, and costs O(facts + pairs of the listed
 //! components, plus, under `M^uo`, their survivors' degrees).  The full
 //! draw ([`OperationWalkSampler::sample_result_into`]) is the same
-//! routine over every component after one O(|D|/64) fill.  Only
+//! routine over every component after one O(|D|/64) copy of the live
+//! facts (deleted ids stay absent).  Only
 //! [`OperationWalkSampler::sample`], which returns a sequence, still
 //! walks all components interleaved on the caller's RNG.
 
@@ -265,7 +266,8 @@ impl<'a> OperationWalkSampler<'a> {
     /// walks, so the draw performs no heap allocation once the buffers
     /// reach steady-state capacity.  Takes one `u64` from `rng`.
     ///
-    /// The draw fills `out` once and then draws every conflict component
+    /// The draw copies the live facts into `out` once (deleted ids stay
+    /// absent) and then draws every conflict component
     /// on its own keyed substream, exactly as
     /// [`OperationWalkSampler::sample_components_into`] over all
     /// components.  Under `M^uo` each component walk draws the
@@ -287,7 +289,7 @@ impl<'a> OperationWalkSampler<'a> {
         scratch: &mut WalkScratch,
     ) {
         assert_eq!(out.universe(), self.db.len(), "buffer universe mismatch");
-        out.fill();
+        out.copy_from(self.db.live_facts());
         let components = 0..self.index.component_count();
         self.walk_components(rng.next_u64(), components, out, scratch);
     }
@@ -297,9 +299,9 @@ impl<'a> OperationWalkSampler<'a> {
     /// [`ConflictIndex::component`]): takes one `u64` from `rng` and
     /// rewrites only the facts of the listed components, each to exactly
     /// the value the full draw from the same RNG state gives it.  Every
-    /// other fact of `out` is left as it was, so `out` should start full
-    /// (or hold an earlier draw) for the facts outside `components` to
-    /// read as a repair would.  Cost is linear in the facts and pairs of
+    /// other fact of `out` is left as it was, so `out` should start as
+    /// the live facts (or hold an earlier draw) for the facts outside
+    /// `components` to read as a repair would.  Cost is linear in the facts and pairs of
     /// the listed components, plus, under `M^uo`, the degrees of the facts
     /// their walks check.
     ///

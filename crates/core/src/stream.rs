@@ -19,9 +19,9 @@
 //! their converged [`QueryOutcome`] **verbatim** (bit-identical, zero
 //! draws), and only changed entries re-enter the shared stopping loop
 //! through the enrollment path
-//! ([`BankLiveSet::enroll`](ucqa_query::BankLiveSet::enroll) — the dual
-//! of the retirement the loop performs as queries converge — driven by
-//! [`BatchEstimator::estimate_stopping_batch_resume_with_bank`]).
+//! ([`BatchEstimator::estimate_stopping_batch_resume`], whose live set
+//! holds exactly the entries not yet converged — the dual of the
+//! retirement the loop performs as queries converge).
 //!
 //! A reused outcome is the estimate the entry converged to when it last
 //! changed, carried forward across ticks that provably did not move its
@@ -480,9 +480,8 @@ impl WindowedEstimator {
             .map(|(e, c)| BatchQuery::new(e, c.as_slice()))
             .collect();
         let estimator = self.estimator()?;
-        let outcome = estimator.estimate_stopping_batch_resume_with_bank(
-            &self.bank, &batch, params, budget, &source, rng,
-        )?;
+        let outcome = estimator
+            .estimate_stopping_batch_resume(&self.bank, &batch, params, budget, &source, rng)?;
         let tick_draws = outcome.total_draws;
         if outcome.converged() {
             self.prior = Some(outcome.clone());
@@ -745,7 +744,7 @@ mod tests {
         let evals = queries(w.db(), &["Ans() :- R(3, x)"]);
         let batch = [BatchQuery::new(&evals[0].0, &evals[0].1)];
         let scratch = scratch_est
-            .estimate_stopping_batch_with_budget(
+            .estimate_batch_with_budget(
                 &batch,
                 // δ/k must match the windowed pass (k = 2 there).
                 ApproximationParams::new(0.3, 0.1).unwrap().with_mode(

@@ -6,7 +6,8 @@
 //! whatever the stream has proven when the budget runs out.  This example
 //! walks the full lifecycle over an inconsistent sensor table:
 //!
-//! 1. an **unconstrained** budget (bit-identical to the unbudgeted path),
+//! 1. an **unconstrained** budget (`RunBudget::unlimited`, what every
+//!    entry point without a budget runs under),
 //! 2. a **draw cap** cutting the stream mid-flight, with each query
 //!    reporting the achieved `(ε′, δ/k)` bound at its actual draw count,
 //! 3. **resuming** the interrupted run to convergence with the same RNG
@@ -78,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Unconstrained budget: same stream, same outcome, plus per-query
     //    status and achieved-bound reporting.
-    let full = estimator.estimate_stopping_batch_with_budget(
+    let full = estimator.estimate_batch_with_budget(
         &bank,
         params,
         &RunBudget::unlimited(),
@@ -97,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    achieved bound at the truncated counts.
     let cap = (full.total_draws / 10).max(1);
     let mut rng = StdRng::seed_from_u64(7);
-    let capped = estimator.estimate_stopping_batch_with_budget(
+    let capped = estimator.estimate_batch_with_budget(
         &bank,
         params,
         &RunBudget::unlimited().with_max_draws(cap),
@@ -122,8 +123,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 3. Resume with the remaining budget: the same RNG continues the
-    //    stream, and the concatenated run equals the uninterrupted one.
+    //    stream over the compiled bank, and the concatenated run equals
+    //    the uninterrupted one.
+    let compiled = estimator.compile_bank(&bank, &RunBudget::unlimited())?;
     let resumed = estimator.estimate_stopping_batch_resume(
+        &compiled,
         &bank,
         params,
         &RunBudget::unlimited(),
@@ -141,7 +145,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. A cancellation token, as a stop button would trip it.  Here it
     //    fires deterministically at draw 100; `CancelToken::cancel` (or
     //    the shared `flag()`) does the same from another thread.
-    let cancelled = estimator.estimate_stopping_batch_with_budget(
+    let cancelled = estimator.estimate_batch_with_budget(
         &bank,
         params,
         &RunBudget::unlimited().with_cancel_token(CancelToken::tripped_at_draw(100)),

@@ -14,6 +14,7 @@ use proptest::TestCaseResult;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
+use uocqa::core::budget::RunBudget;
 use uocqa::core::exact::ExactSolver;
 use uocqa::core::fpras::{
     ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode, OcqaEstimator,
@@ -239,7 +240,9 @@ fn estimators_reproduce_full_draws_with_and_without_a_fallback_entry() {
                     .iter()
                     .map(|(e, c)| BatchQuery::new(e, c))
                     .collect();
-                let compiled = estimator.compile_bank(&bank).unwrap();
+                let compiled = estimator
+                    .compile_bank(&bank, &RunBudget::unlimited())
+                    .unwrap();
                 assert_eq!(compiled.has_fallback(), bank_len > lookups);
                 let batched = estimator
                     .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(seed))

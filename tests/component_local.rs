@@ -24,6 +24,7 @@ use proptest::TestCaseResult;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
+use uocqa::core::budget::RunBudget;
 use uocqa::core::exact::ExactSolver;
 use uocqa::core::fpras::{
     ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode, OcqaEstimator,
@@ -611,7 +612,7 @@ fn single_fd_walk_streams_are_pinned() {
         window.live_count() < window.len(),
         "the window holds tombstones"
     );
-    let pinned = [0x5321_486c_3eec_0be7, 0xa931_fcd5_661d_14fd];
+    let pinned = [0x0d5d_f761_f89e_0679, 0x4248_c446_0cd1_ecbb];
     let digests =
         [false, true].map(|singleton| draw_digest(&walker(&window, &sigma, singleton), 7, 200));
     assert_eq!(digests, pinned, "M^uo, M^{{uo,1}} draw digests");
@@ -711,7 +712,7 @@ fn multi_fd_repair_draw_streams_are_pinned() {
             .map(|singleton| draw_digest(&indexed_walker(&db, &sigma, index, singleton), 11, 200));
         assert_eq!(
             digests,
-            [0x7a0f_c7e5_b7b0_7458, 0x49e9_2188_c353_9a8b],
+            [0xa5f9_57cd_f95f_8652, 0x119a_334c_50d3_ab0d],
             "M^uo, M^{{uo,1}} draw digests from the {which} index"
         );
     }
@@ -765,7 +766,9 @@ fn assert_estimators_reproduce_full_walks(
                 .iter()
                 .map(|(e, c)| BatchQuery::new(e, c))
                 .collect();
-            let compiled = estimator.compile_bank(&bank).unwrap();
+            let compiled = estimator
+                .compile_bank(&bank, &RunBudget::unlimited())
+                .unwrap();
             assert_eq!(compiled.has_fallback(), bank_len > lookups);
             let batched = estimator
                 .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(seed))
@@ -853,4 +856,29 @@ fn estimators_reproduce_full_walks_with_and_without_a_fallback_entry() {
         GeneratorSpec::uniform_operations().with_singleton_only(),
         &queries,
     );
+}
+
+/// A repair drawn after deletions is a subset of the live database under
+/// both walk generators, from a freshly built and from a refreshed index:
+/// a tombstoned id belongs to no conflict component, so no draw rewrites
+/// it, and the draw must start from the live facts rather than from every
+/// id of the universe.
+#[test]
+fn walk_repairs_after_deletions_hold_only_live_facts() {
+    let (db, sigma, refreshed) = refreshed_multi_fd_window();
+    assert!(db.live_count() < db.len(), "the database holds tombstones");
+    let built = ConflictIndex::build(&db, &sigma);
+    for (which, index) in [("built", &built), ("refreshed", &refreshed)] {
+        for singleton in [false, true] {
+            let sampler = indexed_walker(&db, &sigma, index, singleton);
+            let mut rng = StdRng::seed_from_u64(5);
+            for draw in 0..40 {
+                let repair = sampler.sample_result(&mut rng);
+                assert!(
+                    repair.is_subset_of(db.live_facts()),
+                    "draw {draw} (singleton {singleton}, {which} index) holds a deleted fact"
+                );
+            }
+        }
+    }
 }

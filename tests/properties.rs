@@ -533,7 +533,9 @@ proptest! {
             .with_mode(EstimatorMode::FixedSamples(96));
         for spec in all_specs() {
             let estimator = BatchEstimator::new(&db, &sigma, spec).unwrap();
-            let planned_bank = estimator.compile_bank(&bank).unwrap();
+            let planned_bank = estimator
+                .compile_bank(&bank, &uocqa::core::budget::RunBudget::unlimited())
+                .unwrap();
             let planned = estimator
                 .estimate_batch_with_bank(&planned_bank, &bank, params, &mut StdRng::seed_from_u64(seed))
                 .unwrap();
@@ -693,18 +695,23 @@ proptest! {
     }
 }
 
-/// `estimate_fixed_parallel` returns bit-identical results for a fixed
-/// master seed regardless of the number of worker threads, and the
+/// `estimate_fixed_batch_parallel` returns bit-identical results for a
+/// fixed master seed regardless of the number of worker threads, and the
 /// end-to-end `estimate_parallel` agrees with the exact probability.
 #[test]
 fn parallel_estimation_is_deterministic_across_thread_counts() {
     use uocqa::core::fpras::{ApproximationParams, EstimatorMode, OcqaEstimator};
-    use uocqa::core::montecarlo::estimate_fixed_parallel;
+    use uocqa::core::montecarlo::estimate_fixed_batch_parallel;
 
     // Raw estimator: a plain Bernoulli experiment.
-    let raw_baseline = estimate_fixed_parallel(2024, 100_003, 1_024, || {
-        |rng: &mut StdRng| rng.random_bool(0.35)
-    });
+    let raw = || {
+        estimate_fixed_batch_parallel(2024, 100_003, 1_024, 1, || {
+            |rng: &mut StdRng, successes: &mut [u64]| {
+                successes[0] += u64::from(rng.random_bool(0.35))
+            }
+        })
+    };
+    let raw_baseline = raw();
     assert_eq!(raw_baseline.samples, 100_003);
 
     // End-to-end: the uniform-repairs FPRAS over a seeded block workload.
@@ -724,12 +731,11 @@ fn parallel_estimation_is_deterministic_across_thread_counts() {
             .num_threads(threads)
             .build()
             .expect("thread pool");
-        let raw = pool.install(|| {
-            estimate_fixed_parallel(2024, 100_003, 1_024, || {
-                |rng: &mut StdRng| rng.random_bool(0.35)
-            })
-        });
-        assert_eq!(raw, raw_baseline, "raw outcome with {threads} threads");
+        assert_eq!(
+            pool.install(raw),
+            raw_baseline,
+            "raw outcome with {threads} threads"
+        );
         let estimate = pool
             .install(|| estimator.estimate_parallel(&evaluator, &candidate, params, 77))
             .unwrap();
@@ -818,7 +824,7 @@ proptest! {
         let budget =
             RunBudget::unlimited().with_cancel_token(CancelToken::tripped_at_draw(cut));
         let partial = estimator
-            .estimate_stopping_batch_with_budget(&bank, params, &budget, &mut rng)
+            .estimate_batch_with_budget(&bank, params, &budget, &mut rng)
             .unwrap();
         if cut < uninterrupted[0].samples {
             // The token fired while the query was still live.
@@ -831,8 +837,10 @@ proptest! {
             prop_assert_eq!(partial.queries[0].status, BudgetStatus::Converged);
             prop_assert_eq!(partial.queries[0].samples, uninterrupted[0].samples);
         }
+        let compiled = estimator.compile_bank(&bank, &RunBudget::unlimited()).unwrap();
         let resumed = estimator
             .estimate_stopping_batch_resume(
+                &compiled,
                 &bank,
                 params,
                 &RunBudget::unlimited(),

@@ -21,6 +21,12 @@
 
 use ucqa_numeric::LogFloat;
 
+/// The default sample cut-off of the optimal stopping rule
+/// ([`crate::fpras::ApproximationParams::new`]), and the largest sample
+/// count [`samples_for_relative_error`] derives: a fixed run longer than
+/// the stopping rule would ever draw is never the practical choice.
+pub const DEFAULT_MAX_SAMPLES: u64 = 10_000_000;
+
 /// Lemma 5.3: `rrfreq_{Σ,Q}(D, c̄) ≥ 1 / (2·|D|)^{|Q|}` whenever positive,
 /// for a set of primary keys.
 pub fn rrfreq_lower_bound(database_size: usize, query_atoms: usize) -> LogFloat {
@@ -113,17 +119,15 @@ fn ln_factorial(n: u64) -> f64 {
 /// `lower_bound` whenever it is non-zero: `⌈3·ln(2/δ) / (ε²·p_min)⌉`
 /// (standard multiplicative Chernoff bound).
 ///
-/// Returns `None` when the count does not fit in `u64` (which signals the
-/// caller to use the optimal stopping rule instead).
+/// Returns `None` when the count exceeds [`DEFAULT_MAX_SAMPLES`] (which
+/// signals the caller to use the optimal stopping rule instead).
 pub fn samples_for_relative_error(epsilon: f64, delta: f64, lower_bound: LogFloat) -> Option<u64> {
     if lower_bound.is_zero() {
         return None;
     }
     let ln_samples = (3.0 * (2.0 / delta).ln() / (epsilon * epsilon)).ln() - lower_bound.ln();
-    if ln_samples > 62.0 * std::f64::consts::LN_2 {
-        return None;
-    }
-    Some(ln_samples.exp().ceil() as u64)
+    let samples = ln_samples.exp().ceil();
+    (samples <= DEFAULT_MAX_SAMPLES as f64).then_some(samples as u64)
 }
 
 /// The number of Monte-Carlo samples sufficient for an *additive*
@@ -176,6 +180,18 @@ mod tests {
         // …and None when the bound is absurdly small or zero.
         assert!(samples_for_relative_error(0.1, 0.05, LogFloat::from_ln(-200.0)).is_none());
         assert!(samples_for_relative_error(0.1, 0.05, LogFloat::zero()).is_none());
+        // Proposition 7.3 on the 6-fact figure 2 database (one key, a
+        // one-atom query) asks for about 1.35·10¹⁴ draws at ε 0.3, δ 0.2:
+        // far past the stopping cut-off, so no count is derived.
+        let bound = uniform_operations_keys_lower_bound(6, 1, 1);
+        assert!(samples_for_relative_error(0.3, 0.2, bound).is_none());
+        // The cut-off itself is the largest count derived.
+        let at = |samples: f64| {
+            let ln_bound = (3.0 * 10f64.ln() / 0.09).ln() - samples.ln();
+            samples_for_relative_error(0.3, 0.2, LogFloat::from_ln(ln_bound))
+        };
+        assert!(at(DEFAULT_MAX_SAMPLES as f64 * 0.99).is_some());
+        assert!(at(DEFAULT_MAX_SAMPLES as f64 * 1.01).is_none());
     }
 
     #[test]

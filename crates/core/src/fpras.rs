@@ -20,7 +20,6 @@ use std::sync::Arc;
 use rand::Rng;
 
 use ucqa_db::{ConflictIndex, Database, FactSet, FdSet, Value};
-use ucqa_query::lineage::DEFAULT_WITNESS_CAP;
 use ucqa_query::{BankLiveSet, BankScratch, LineageBank, QueryEvaluator};
 use ucqa_repair::{GeneratorSpec, UniformSemantics};
 
@@ -53,7 +52,8 @@ pub enum EstimatorMode {
     },
     /// A fixed number of samples derived from the worst-case lower bounds
     /// of [`crate::bounds`] (relative guarantee).  Fails when the bound is
-    /// too small to be useful.
+    /// too small to be useful: when the derived count exceeds the
+    /// stopping rule's default cut-off [`crate::bounds::DEFAULT_MAX_SAMPLES`].
     FixedFromLowerBound,
     /// A fixed number of samples for an *additive* `(ε, δ)`-guarantee.
     FixedAdditive,
@@ -74,14 +74,15 @@ pub struct ApproximationParams {
 }
 
 impl ApproximationParams {
-    /// Creates parameters using the optimal stopping rule with a default
-    /// cut-off of 10 million samples.
+    /// Creates parameters using the optimal stopping rule with the
+    /// default cut-off of [`bounds::DEFAULT_MAX_SAMPLES`] (10 million)
+    /// samples.
     pub fn new(epsilon: f64, delta: f64) -> Result<Self, CoreError> {
         let params = ApproximationParams {
             epsilon,
             delta,
             mode: EstimatorMode::OptimalStopping {
-                max_samples: 10_000_000,
+                max_samples: bounds::DEFAULT_MAX_SAMPLES,
             },
         };
         params.validate()?;
@@ -581,12 +582,8 @@ impl<'a> OcqaEstimator<'a> {
     ) -> Result<LineageBank, CoreError> {
         let refs: Vec<(&QueryEvaluator, &[Value])> =
             queries.iter().map(|q| (q.evaluator, q.candidate)).collect();
-        Ok(LineageBank::compile_with_budget(
-            self.db,
-            &refs,
-            DEFAULT_WITNESS_CAP,
-            &budget.compile_budget(),
-        )?)
+        let (bank, _) = LineageBank::compile_with_budget(self.db, &refs, &budget.compile_budget())?;
+        Ok(bank)
     }
 
     /// The sequential driver of both estimators: a fixed loop of
@@ -1179,7 +1176,9 @@ impl<'a> BatchEstimator<'a> {
     }
 
     /// Checks that `bank` can drive `queries` on the estimator's
-    /// database: one entry per query, and current with the database.
+    /// database: one entry per query, and current with the database's
+    /// changelog version (a delete-only delta leaves the universe as it
+    /// was, so only the version tells).
     fn check_bank(&self, bank: &LineageBank, queries: &[BatchQuery<'_>]) -> Result<(), CoreError> {
         if bank.len() != queries.len() {
             return Err(CoreError::InvalidParameters {
@@ -1190,7 +1189,7 @@ impl<'a> BatchEstimator<'a> {
                 ),
             });
         }
-        if bank.universe() != self.inner.db.len() {
+        if bank.version() != self.inner.db.version() {
             return Err(CoreError::InvalidParameters {
                 message: "bank is stale: refresh it against the database before estimating"
                     .to_string(),
@@ -2217,6 +2216,24 @@ mod tests {
         assert!(batch
             .estimate_batch_with_bank(&fresh, &queries, fixed, &mut rng)
             .is_ok());
+        // A delete-only delta leaves the universe as it was; the bank is
+        // stale all the same until it is refreshed.
+        let victim = db
+            .fact_id(&ucqa_db::Fact::new(
+                db.schema().relation_id("R").unwrap(),
+                vec![Value::str("a2"), Value::str("b2")],
+            ))
+            .unwrap();
+        db.delete(victim).unwrap();
+        let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
+        assert_eq!(fresh.universe(), db.len());
+        assert!(is_invalid(
+            batch.estimate_batch_with_bank(&fresh, &queries, fixed, &mut rng)
+        ));
+        fresh.refresh(&db, &refs).unwrap();
+        assert!(batch
+            .estimate_batch_with_bank(&fresh, &queries, fixed, &mut rng)
+            .is_ok());
     }
 
     #[test]
@@ -2401,6 +2418,31 @@ mod tests {
             "the cap stops the stream long before the cut-off (drew {})",
             capped.total_draws
         );
+    }
+
+    #[test]
+    fn lower_bound_counts_past_the_stopping_cut_off_are_rejected() {
+        let (db, sigma) = figure2();
+        let q = parse_query(db.schema(), "Ans(x) :- R('a1', x)").unwrap();
+        let evaluator = QueryEvaluator::new(q);
+        let from_bound = ApproximationParams::new(0.3, 0.2)
+            .unwrap()
+            .with_mode(EstimatorMode::FixedFromLowerBound);
+        for spec in all_specs() {
+            let estimator = OcqaEstimator::new(&db, &sigma, spec).unwrap();
+            let samples = estimator.fixed_sample_count(Some(&evaluator), from_bound);
+            if spec == GeneratorSpec::uniform_operations() {
+                // Proposition 7.3 derives about 1.35·10¹⁴ draws here.
+                assert!(is_invalid(samples), "{}", spec.short_name());
+            } else {
+                let samples = samples.unwrap();
+                assert!(
+                    samples <= bounds::DEFAULT_MAX_SAMPLES,
+                    "{}",
+                    spec.short_name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -96,7 +96,7 @@ pub struct TickReport {
     pub replayed: usize,
     /// Per bank entry: `true` iff its fingerprint — witness sets plus
     /// the composition of each witness fact's conflict component (see
-    /// [`LineageBank::refresh_with_delta`]) — changed, i.e. its answer
+    /// [`LineageBank::entry_fingerprint`]) — changed, i.e. its answer
     /// probability may have moved and its converged outcome cannot be
     /// reused.  Under uniform-sequences generators any change to the
     /// conflict-component structure flags every entry (the marginals do
@@ -144,10 +144,10 @@ pub struct WindowedEstimator {
     queries: Vec<(QueryEvaluator, Vec<Value>)>,
     bank: LineageBank,
     /// Per-entry fingerprints current with `bank` and `conflict` (see
-    /// [`LineageBank::entry_fingerprint`]) — the `before` of the next
-    /// tick's delta.  Cached because the conflict structure they were
-    /// computed under no longer exists once a tick has mutated the
-    /// database.
+    /// [`LineageBank::entry_fingerprint`]) — what the next tick's
+    /// refresh compares against.  Cached because the conflict structure
+    /// they were computed under no longer exists once a tick has mutated
+    /// the database.
     fingerprints: Vec<Option<u64>>,
     /// The [`ConflictIndex::structure_fingerprint`] current with
     /// `conflict` — the global freshness gate for uniform-sequences
@@ -369,11 +369,25 @@ impl WindowedEstimator {
         }
         let conflict_replayed = Arc::make_mut(&mut self.conflict).refresh(&self.db, &self.sigma);
         let refs = Self::query_refs(&self.queries);
-        let delta =
-            self.bank
-                .refresh_with_delta(&self.db, &refs, &self.fingerprints, &self.conflict)?;
+        let bank_replayed = self.bank.refresh(&self.db, &refs)?;
         drop(refs);
-        let mut changed = delta.changed;
+        // A bank that replayed nothing saw the database stand still: even
+        // fallback entries are provably fresh, and the cached
+        // fingerprints still describe this state.  Otherwise an entry is
+        // changed iff its fingerprint moved; a fallback entry has no
+        // witness set to fingerprint, so it always reads changed.
+        let mut changed = if bank_replayed == 0 {
+            vec![false; self.queries.len()]
+        } else {
+            let fingerprints = self.bank.fingerprints(&self.conflict);
+            let changed = fingerprints
+                .iter()
+                .zip(&self.fingerprints)
+                .map(|(after, before)| after.is_none() || after != before)
+                .collect();
+            self.fingerprints = fingerprints;
+            changed
+        };
         // Uniform-sequences marginals depend on how the repairing
         // sequences of *other* components interleave with a witness's
         // own: a changed component anywhere invalidates every entry, not
@@ -387,14 +401,13 @@ impl WindowedEstimator {
             }
             self.structure = structure;
         }
-        self.fingerprints = delta.fingerprints;
         for (flag, &c) in self.enrolled.iter_mut().zip(&changed) {
             *flag |= c;
         }
         // After a partial failure the two replays can differ (one
         // structure healed earlier than the other); report the wider
         // window.
-        let replayed = conflict_replayed.max(delta.replayed);
+        let replayed = conflict_replayed.max(bank_replayed);
         if replayed > 0 {
             // A mutated window invalidates a mid-stream pass: its draws
             // came from the previous window's repair distribution.
@@ -710,6 +723,43 @@ mod tests {
         assert_eq!(reuse.tick_draws, 0);
         assert!(reuse.reused.iter().all(|&r| r));
         assert_eq!(reuse.outcome.queries, first.outcome.queries);
+    }
+
+    #[test]
+    fn fallback_entries_read_changed_whenever_the_window_moves() {
+        // 65 keys of one fact each: the two-atom cross product has
+        // 65² > DEFAULT_WITNESS_CAP images, so entry 0 is a fallback
+        // entry with no fingerprint; entry 1 stays compiled.
+        let mut schema = Schema::new();
+        schema.add_relation("R", &["K", "V"]).unwrap();
+        let mut db = Database::with_schema(schema);
+        for k in 0..65 {
+            db.insert_values("R", [Value::int(k), Value::int(0)])
+                .unwrap();
+        }
+        let mut sigma = FdSet::new();
+        sigma.add(FunctionalDependency::from_names(db.schema(), "R", &["K"], &["V"]).unwrap());
+        let qs = queries(&db, &["Ans() :- R(x, y), R(z, w)", "Ans() :- R(1, 0)"]);
+        let mut w = WindowedEstimator::new(
+            db,
+            sigma,
+            GeneratorSpec::uniform_repairs(),
+            WindowSpec::Unbounded,
+            qs,
+        )
+        .unwrap();
+        assert!(w.bank().is_fallback(0) && !w.bank().is_fallback(1));
+        // A tick that moves nothing replays nothing: nothing is changed.
+        let report = w.tick(vec![], &[]).unwrap();
+        assert_eq!(report.replayed, 0);
+        assert_eq!(report.changed, vec![false, false]);
+        // A consistent insert under a fresh key leaves entry 1's
+        // fingerprint alone, but the fallback entry has none to prove
+        // unchanged.
+        let insert = fact(w.db(), 100, 0);
+        let report = w.tick(vec![insert], &[]).unwrap();
+        assert_eq!(report.replayed, 1);
+        assert_eq!(report.changed, vec![true, false]);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! The batched FPRAS drivers of `ucqa-core` estimate `k` queries over the
 //! **same** database by sampling each operational repair once and checking
-//! it against every query.  Compiling `k` independent
-//! [`CompiledLineage`](crate::CompiledLineage)s would re-materialise shared witnesses (identical
-//! queries, overlapping joins) and re-scan them per query;
-//! [`LineageBank`] instead compiles all `(query, candidate)` pairs into
-//! one deduplicated arena of witness bitsets.  Each query keeps a bitmask
+//! it against every query.  Compiling `k` independent lineages would
+//! re-materialise shared witnesses (identical queries, overlapping joins)
+//! and re-scan them per query; [`LineageBank`] instead compiles all
+//! `(query, candidate)` pairs into one deduplicated arena of witness
+//! bitsets.  A single query is a bank of one.  Each query keeps a bitmask
 //! over the arena selecting its own minimal antichain, so the per-sample
 //! batched check is:
 //!
@@ -14,9 +14,10 @@
 //!    "witness ⊆ repair", each checked exactly once per draw), then
 //! 2. one word-level `mask ∧ contained ≠ 0` pass per query.
 //!
-//! Per-query booleans are **bit-identical** to `CompiledLineage::entails`
-//! on the same repair: the mask selects exactly the query's own antichain,
-//! so sharing changes the cost, never the outcome.  Queries whose witness
+//! Per-query booleans are **bit-identical** to a bank of that query
+//! alone, and to the backtracking evaluator, on the same repair: the mask
+//! selects exactly the query's own antichain, so sharing changes the
+//! cost, never the outcome.  Queries whose witness
 //! enumeration overflows the cap are kept as [fallback](LineageBank::is_fallback)
 //! entries — the caller routes those through the backtracking evaluator
 //! while the rest of the bank stays on the bitset path.
@@ -64,9 +65,10 @@ fn sorted_subset(a: &[FactId], b: &[FactId]) -> bool {
     true
 }
 
-/// The id-list counterpart of `lineage::minimal_antichain`: duplicates and
-/// supersets absorbed, survivors in ascending cardinality order.  Working
-/// on sorted fact-id lists keeps the sort/dedup/containment passes
+/// The minimal monotone-DNF antichain of raw witnesses given as sorted
+/// fact-id lists: duplicates and supersets absorbed (`w ⊆ w'` makes `w'`
+/// redundant), survivors in ascending cardinality order.  Working on
+/// sorted fact-id lists keeps the sort/dedup/containment passes
 /// proportional to the witness *sizes* (a handful of ids) instead of the
 /// universe size, which is what makes shared bank compilation cheap on
 /// large databases.
@@ -93,9 +95,15 @@ fn minimal_antichain_images(mut raw: Vec<Vec<FactId>>) -> Vec<Vec<FactId>> {
 /// One query of a bank entry: an evaluator plus the candidate tuple.
 pub type BankQueryRef<'q> = (&'q QueryEvaluator, &'q [Value]);
 
-/// A bound on the *compile-time* work of [`LineageBank::compile`]: a cap
-/// on enumeration steps (candidate facts visited by the shared scan-trie
-/// DFS) and/or a shared cancellation flag.
+/// The limits of one [`LineageBank::compile_with_budget`]: the per-entry
+/// witness cap ([`DEFAULT_WITNESS_CAP`] unless set), and a bound on the
+/// *compile-time* work — a cap on enumeration steps (candidate facts
+/// visited by the shared scan-trie DFS) and/or a shared cancellation
+/// flag.
+///
+/// An entry with more than `witness_cap` witnesses is a
+/// [fallback](LineageBank::is_fallback) entry; the bank keeps the cap and
+/// [`LineageBank::refresh`] applies it again.
 ///
 /// Witness enumeration is output-polynomial per entry thanks to the
 /// witness cap, but a pathological bank — many deep joins over a large
@@ -111,10 +119,21 @@ pub type BankQueryRef<'q> = (&'q QueryEvaluator, &'q [Value]);
 /// The flag is a plain [`AtomicBool`] so callers outside this crate (the
 /// run budgets of `ucqa-core`) can share their cancellation token without
 /// a dependency cycle.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CompileBudget {
+    witness_cap: usize,
     max_steps: Option<u64>,
     cancel: Option<Arc<AtomicBool>>,
+}
+
+impl Default for CompileBudget {
+    fn default() -> Self {
+        CompileBudget {
+            witness_cap: DEFAULT_WITNESS_CAP,
+            max_steps: None,
+            cancel: None,
+        }
+    }
 }
 
 impl CompileBudget {
@@ -122,9 +141,16 @@ impl CompileBudget {
     /// cancellation flag (the step cap is checked on every step).
     const CANCEL_CHECK_INTERVAL: u64 = 256;
 
-    /// No bound: compilation runs to completion.
+    /// No bound on the work: compilation runs to completion under the
+    /// default witness cap.
     pub fn unlimited() -> Self {
         CompileBudget::default()
+    }
+
+    /// Sets the per-entry witness cap.
+    pub fn with_witness_cap(mut self, cap: usize) -> Self {
+        self.witness_cap = cap;
+        self
     }
 
     /// Caps the number of enumeration steps.
@@ -155,7 +181,7 @@ impl CompileBudget {
 }
 
 /// Observability counters from one shared bank compilation
-/// ([`LineageBank::compile_instrumented`]).
+/// ([`LineageBank::compile_with_budget`]).
 ///
 /// `steps` is the *pass count* of the compile: candidate facts visited by
 /// the scan-trie DFS, including the fill passes of memoized subtrees but
@@ -231,12 +257,13 @@ impl ArenaBuilder {
         BankEntry::Compiled { mask }
     }
 
-    fn finish(self, entries: Vec<BankEntry>, version: u64) -> LineageBank {
+    fn finish(self, entries: Vec<BankEntry>, cap: usize, version: u64) -> LineageBank {
         LineageBank {
             universe: self.universe,
             witnesses: self.witnesses,
             sparse: self.sparse,
             entries,
+            cap,
             version,
         }
     }
@@ -267,6 +294,9 @@ pub struct LineageBank {
     /// The arena by non-zero words: what the per-draw check reads.
     sparse: SparseWitnesses,
     entries: Vec<BankEntry>,
+    /// The per-entry witness cap the bank was compiled under, applied
+    /// again by [`LineageBank::refresh`].
+    cap: usize,
     /// The database changelog version the bank was compiled (or last
     /// refreshed) against — what [`LineageBank::refresh`] replays from.
     version: u64,
@@ -274,36 +304,28 @@ pub struct LineageBank {
 
 impl LineageBank {
     /// Compiles a bank over `db` with the default per-query witness cap
-    /// ([`DEFAULT_WITNESS_CAP`], the same cap as single-query
-    /// compilation, so a query falls back in the bank iff it falls back
-    /// standalone).
+    /// ([`DEFAULT_WITNESS_CAP`]) and no bound on the work:
+    /// [`LineageBank::compile_with_budget`] under
+    /// [`CompileBudget::unlimited`].
     ///
     /// Candidate arities are validated for **every** query before any
     /// sampling can start; the first mismatch aborts compilation.
     pub fn compile(db: &Database, queries: &[BankQueryRef<'_>]) -> Result<Self, QueryError> {
-        Self::compile_with_cap(db, queries, DEFAULT_WITNESS_CAP)
+        Self::compile_with_budget(db, queries, &CompileBudget::unlimited()).map(|(bank, _)| bank)
     }
 
-    /// As [`LineageBank::compile`], with an explicit per-query witness cap.
+    /// Compiles a bank over `db` under a [`CompileBudget`], returning the
+    /// [`CompileStats`] of the shared enumeration — the pass count that
+    /// shows how much work subtree sharing saved.
     ///
     /// Compilation is **shared**: every entry is grounded into its
     /// plan-ordered atom sequence
     /// (`QueryEvaluator::grounded_answer_atoms`), the sequences are
     /// factored into a scan trie, and witnesses for the whole bank are
     /// enumerated in one indexed pass over the trie.  Per entry, the
-    /// witness set (and the fallback decision) is identical to a
-    /// standalone
-    /// [`CompiledLineage::compile_with_cap`](crate::CompiledLineage::compile_with_cap)
-    /// — sharing changes the compile cost, never the result.
-    pub fn compile_with_cap(
-        db: &Database,
-        queries: &[BankQueryRef<'_>],
-        cap: usize,
-    ) -> Result<Self, QueryError> {
-        Self::compile_with_budget(db, queries, cap, &CompileBudget::unlimited())
-    }
-
-    /// As [`LineageBank::compile_with_cap`], under a [`CompileBudget`].
+    /// witness set (and the fallback decision under the budget's witness
+    /// cap) is identical to a bank of that entry alone — sharing changes
+    /// the compile cost, never the result.
     ///
     /// When the budget interrupts enumeration, the whole bank degrades to
     /// [fallback](LineageBank::is_fallback) entries (see [`CompileBudget`]
@@ -312,19 +334,6 @@ impl LineageBank {
     pub fn compile_with_budget(
         db: &Database,
         queries: &[BankQueryRef<'_>],
-        cap: usize,
-        budget: &CompileBudget,
-    ) -> Result<Self, QueryError> {
-        Self::compile_instrumented(db, queries, cap, budget).map(|(bank, _)| bank)
-    }
-
-    /// As [`LineageBank::compile_with_budget`], additionally returning the
-    /// [`CompileStats`] of the shared enumeration — the pass count that
-    /// shows how much work subtree sharing saved.
-    pub fn compile_instrumented(
-        db: &Database,
-        queries: &[BankQueryRef<'_>],
-        cap: usize,
         budget: &CompileBudget,
     ) -> Result<(Self, CompileStats), QueryError> {
         let universe = db.len();
@@ -346,7 +355,7 @@ impl LineageBank {
             trie_nodes: trie.nodes.len(),
             ..CompileStats::default()
         };
-        if !trie.enumerate(db, cap, budget, &mut raw, &mut overflowed, &mut stats) {
+        if !trie.enumerate(db, budget, &mut raw, &mut overflowed, &mut stats) {
             // The budget interrupted enumeration: a partially enumerated
             // witness set would under-report entailment, so the whole
             // bank degrades to evaluator fallback.
@@ -368,14 +377,18 @@ impl LineageBank {
                 }
             })
             .collect();
-        Ok((arena.finish(entries, db.version()), stats))
+        Ok((
+            arena.finish(entries, budget.witness_cap, db.version()),
+            stats,
+        ))
     }
 
-    /// Incrementally refreshes the bank after database mutations, with the
-    /// default witness cap: replays the changelog since the version the
-    /// bank was compiled against instead of re-running the shared-trie
-    /// enumeration.  `queries` must be the same `(evaluator, candidate)`
-    /// list the bank was compiled from.
+    /// Incrementally refreshes the bank after database mutations, under
+    /// the witness cap it was compiled with: replays the changelog since
+    /// the version the bank was compiled against instead of re-running
+    /// the shared-trie enumeration.  `queries` must be the same
+    /// `(evaluator, candidate)` list the bank was compiled from; a list of
+    /// another length is a [`QueryError::BankMismatch`].
     ///
     /// Per compiled entry, witnesses touching a deleted fact are dropped
     /// (any absorbed superset contained the same fact, so nothing
@@ -385,6 +398,13 @@ impl LineageBank {
     /// would build — so per-draw booleans, and hence estimates, are
     /// bit-identical to a recompiled bank's.  The arena is rebuilt in
     /// entry order, preserving the compile-time arena layout.
+    ///
+    /// Survivors are tested against the database's maintained live set
+    /// ([`Database::live_facts`]), one word test per word a witness
+    /// spans: ids are never reused, so a witness whose facts are all live
+    /// lost none of them since the bank's version.  The delta passes read
+    /// the same set, so a refresh builds nothing universe-sized beyond
+    /// the new arena.
     ///
     /// Fallback entries stay fallback (the backtracking evaluator they
     /// route through always sees the current database), and a compiled
@@ -401,92 +421,12 @@ impl LineageBank {
         db: &Database,
         queries: &[BankQueryRef<'_>],
     ) -> Result<usize, QueryError> {
-        self.refresh_with_cap(db, queries, DEFAULT_WITNESS_CAP)
-    }
-
-    /// As [`LineageBank::refresh`], additionally reporting which entries'
-    /// [fingerprint](LineageBank::entry_fingerprint) actually changed
-    /// across the replay.
-    ///
-    /// `before` is the fingerprint vector of the **pre-replay** state —
-    /// the caller caches it from compile time or from the previous
-    /// refresh, because the conflict structure it was computed under no
-    /// longer exists once the database has moved.  `conflict` describes
-    /// the **post-replay** conflict state (the caller refreshes its
-    /// conflict index first, then the bank).  An entry is flagged changed
-    /// iff the fingerprints differ (fallback entries, which have no
-    /// witness set to fingerprint, are always flagged once anything at
-    /// all replayed), and the post-replay fingerprints are returned for
-    /// the caller to cache for the next delta.
-    ///
-    /// This is the freshness signal of the sliding-window estimator
-    /// (`ucqa_core::stream`): entries whose fingerprint survived a tick
-    /// keep their converged estimates verbatim, entries that changed
-    /// re-enter the shared stopping loop via [`BankLiveSet::enroll`].
-    /// Under uniform-sequences generators the caller must additionally
-    /// compare [`ConflictIndex::structure_fingerprint`]s — see
-    /// [`LineageBank::entry_fingerprint`].
-    ///
-    /// # Panics
-    /// Panics if `before.len()` differs from the number of bank entries.
-    pub fn refresh_with_delta(
-        &mut self,
-        db: &Database,
-        queries: &[BankQueryRef<'_>],
-        before: &[Option<u64>],
-        conflict: &ConflictIndex,
-    ) -> Result<RefreshDelta, QueryError> {
-        assert_eq!(
-            before.len(),
-            self.entries.len(),
-            "refresh_with_delta requires one cached fingerprint per entry"
-        );
-        let replayed = self.refresh(db, queries)?;
-        if replayed == 0 {
-            // Nothing replayed: the database did not move, so even
-            // fallback entries (fingerprint `None`) are provably fresh
-            // and the cached fingerprints still describe this state.
-            return Ok(RefreshDelta {
-                replayed,
-                changed: vec![false; self.entries.len()],
-                fingerprints: before.to_vec(),
+        if queries.len() != self.entries.len() {
+            return Err(QueryError::BankMismatch {
+                entries: self.entries.len(),
+                queries: queries.len(),
             });
         }
-        let fingerprints = self.fingerprints(conflict);
-        let changed = fingerprints
-            .iter()
-            .zip(before)
-            .map(|(after, prior)| after.is_none() || prior.is_none() || after != prior)
-            .collect();
-        Ok(RefreshDelta {
-            replayed,
-            changed,
-            fingerprints,
-        })
-    }
-
-    /// As [`LineageBank::refresh`], with an explicit per-query witness cap.
-    ///
-    /// Survivors are tested against the database's maintained live set
-    /// ([`Database::live_facts`]), one word test per word a witness
-    /// spans: ids are never reused, so a witness whose facts are all live
-    /// lost none of them since the bank's version.  The delta passes read
-    /// the same set, so a refresh builds nothing universe-sized beyond
-    /// the new arena.
-    ///
-    /// # Panics
-    /// Panics if `queries.len()` differs from the number of bank entries.
-    pub fn refresh_with_cap(
-        &mut self,
-        db: &Database,
-        queries: &[BankQueryRef<'_>],
-        cap: usize,
-    ) -> Result<usize, QueryError> {
-        assert_eq!(
-            queries.len(),
-            self.entries.len(),
-            "refresh requires the bank's own query list"
-        );
         let changes = db.changes_since(self.version);
         if changes.is_empty() {
             return Ok(0);
@@ -503,6 +443,7 @@ impl LineageBank {
             }
         }
         let live = db.live_facts();
+        let cap = self.cap;
         let mut arena = ArenaBuilder::new(universe);
         let mut entries = Vec::with_capacity(self.entries.len());
         for (entry, &(evaluator, candidate)) in queries.iter().enumerate() {
@@ -541,7 +482,7 @@ impl LineageBank {
             }
             entries.push(arena.entry(minimal_antichain_images(raw)));
         }
-        *self = arena.finish(entries, db.version());
+        *self = arena.finish(entries, cap, db.version());
         Ok(applied)
     }
 
@@ -778,31 +719,6 @@ impl LineageBank {
     }
 }
 
-/// What one [`LineageBank::refresh_with_delta`] actually touched.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RefreshDelta {
-    /// Changelog entries replayed (`0` when the bank was already current).
-    pub replayed: usize,
-    /// Per entry, in bank order: `true` iff the lineage-and-conflict
-    /// fingerprint changed across the replay.  Fallback entries are
-    /// flagged whenever anything replayed — with no witness set there is
-    /// nothing to prove unchanged.
-    pub changed: Vec<bool>,
-    /// The post-replay fingerprints, in bank order — the `before` of the
-    /// next delta.
-    pub fingerprints: Vec<Option<u64>>,
-}
-
-impl RefreshDelta {
-    /// The indices of the entries whose lineage changed.
-    pub fn changed_entries(&self) -> impl Iterator<Item = usize> + '_ {
-        self.changed
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &c)| c.then_some(i))
-    }
-}
-
 /// One node of the shared scan trie: a grounded, slot-normalized,
 /// dictionary-encoded atom, plus everything the enumerator needs to run
 /// it as one indexed join step.
@@ -1032,7 +948,8 @@ impl ScanTrie {
 
     /// Enumerates the whole trie in one DFS, appending each full match's
     /// image to `raw[entry]` for every terminal entry of the matched path.
-    /// An entry whose raw witness count exceeds `cap` is flagged in
+    /// An entry whose raw witness count exceeds the budget's witness cap
+    /// is flagged in
     /// `overflowed` and collects no further witnesses; subtrees whose
     /// entries have all overflowed are pruned.
     ///
@@ -1049,7 +966,6 @@ impl ScanTrie {
     fn enumerate(
         &self,
         db: &Database,
-        cap: usize,
         budget: &CompileBudget,
         raw: &mut [Vec<Vec<FactId>>],
         overflowed: &mut [bool],
@@ -1065,7 +981,7 @@ impl ScanTrie {
         let cx = EnumCx {
             db,
             index: db.relation_index(),
-            cap,
+            cap: budget.witness_cap,
             budget,
             sharing: &sharing,
         };
@@ -1531,7 +1447,6 @@ impl BankLiveSet {
 mod tests {
     use super::*;
     use crate::parser::parse_query;
-    use crate::CompiledLineage;
     use ucqa_db::{ConflictIndex, FactId, FdSet, FunctionalDependency, Schema};
 
     fn blocks_db() -> Database {
@@ -1591,6 +1506,14 @@ mod tests {
         Some(minimal)
     }
 
+    /// A bank compiled under the witness cap `cap`.
+    fn capped(db: &Database, queries: &[BankQueryRef<'_>], cap: usize) -> LineageBank {
+        let budget = CompileBudget::unlimited().with_witness_cap(cap);
+        LineageBank::compile_with_budget(db, queries, &budget)
+            .unwrap()
+            .0
+    }
+
     /// Entry `entry`'s witnesses as sorted fact-id lists, in sorted order;
     /// `None` for a fallback entry.
     fn canonical(bank: &LineageBank, entry: usize) -> Option<Vec<Vec<FactId>>> {
@@ -1615,16 +1538,16 @@ mod tests {
         );
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         let bank = LineageBank::compile(&db, &queries).unwrap();
-        let singles: Vec<CompiledLineage> = evals
-            .iter()
-            .map(|e| CompiledLineage::compile(e, &db, &[]).unwrap().unwrap())
-            .collect();
         let mut scratch = BankScratch::new();
         let mut hits = vec![false; bank.len()];
         for subset in subsets(db.len()) {
             bank.evaluate_into(&subset, &mut scratch, &mut hits);
-            for (i, single) in singles.iter().enumerate() {
-                assert_eq!(hits[i], single.entails(&subset), "query {i}, {subset:?}");
+            for (i, evaluator) in evals.iter().enumerate() {
+                assert_eq!(
+                    hits[i],
+                    evaluator.has_answer(&db, &subset, &[]).unwrap(),
+                    "query {i}, {subset:?}"
+                );
             }
         }
     }
@@ -1647,13 +1570,13 @@ mod tests {
         let evals = evaluators(&db, &["Ans() :- R(1, x)", "Ans() :- R(1, x)"]);
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         let bank = LineageBank::compile(&db, &queries).unwrap();
-        let single = CompiledLineage::compile(&evals[0], &db, &[])
+        let single = reference_witnesses(&db, queries[0], DEFAULT_WITNESS_CAP)
             .unwrap()
-            .unwrap();
+            .len();
         // The arena holds each witness once, not once per duplicate.
-        assert_eq!(bank.witness_count(), single.witness_count());
-        assert_eq!(bank.query_witness_count(0), Some(single.witness_count()));
-        assert_eq!(bank.query_witness_count(1), Some(single.witness_count()));
+        assert_eq!(bank.witness_count(), single);
+        assert_eq!(bank.query_witness_count(0), Some(single));
+        assert_eq!(bank.query_witness_count(1), Some(single));
     }
 
     #[test]
@@ -1676,7 +1599,7 @@ mod tests {
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         // Cap 2: the full-scan query has 5 witnesses and overflows; the
         // block lookup has 2 and stays compiled.
-        let bank = LineageBank::compile_with_cap(&db, &queries, 2).unwrap();
+        let bank = capped(&db, &queries, 2);
         assert!(bank.is_fallback(0));
         assert!(!bank.is_fallback(1));
         assert!(bank.has_fallback());
@@ -1697,8 +1620,7 @@ mod tests {
         let evals = evaluators(&db, &["Ans() :- R(x, y)", "Ans() :- R(1, x)"]);
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         let budget = CompileBudget::unlimited().with_max_steps(1);
-        let bank =
-            LineageBank::compile_with_budget(&db, &queries, DEFAULT_WITNESS_CAP, &budget).unwrap();
+        let (bank, _) = LineageBank::compile_with_budget(&db, &queries, &budget).unwrap();
         // No partial bank is ever kept: every entry falls back, even ones
         // the DFS would have finished before the budget fired.
         assert!(bank.is_fallback(0));
@@ -1722,8 +1644,7 @@ mod tests {
         // A tripped flag never errors or panics compilation: the fixture's
         // DFS finishes under one poll interval, so the bank still compiles.
         flag.store(true, Ordering::Relaxed);
-        let bank =
-            LineageBank::compile_with_budget(&db, &queries, DEFAULT_WITNESS_CAP, &budget).unwrap();
+        let (bank, _) = LineageBank::compile_with_budget(&db, &queries, &budget).unwrap();
         assert_eq!(bank.len(), 1);
     }
 
@@ -1740,13 +1661,8 @@ mod tests {
         );
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         let plain = LineageBank::compile(&db, &queries).unwrap();
-        let budgeted = LineageBank::compile_with_budget(
-            &db,
-            &queries,
-            DEFAULT_WITNESS_CAP,
-            &CompileBudget::unlimited(),
-        )
-        .unwrap();
+        let (budgeted, _) =
+            LineageBank::compile_with_budget(&db, &queries, &CompileBudget::unlimited()).unwrap();
         assert_eq!(plain.witness_count(), budgeted.witness_count());
         let mut scratch_a = BankScratch::new();
         let mut scratch_b = BankScratch::new();
@@ -1861,7 +1777,7 @@ mod tests {
         let db = blocks_db();
         let evals = evaluators(&db, &["Ans() :- R(x, y)", "Ans() :- R(1, x)"]);
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
-        let bank = LineageBank::compile_with_cap(&db, &queries, 2).unwrap();
+        let bank = capped(&db, &queries, 2);
         assert!(bank.is_fallback(0));
         let mut live = BankLiveSet::full(&bank);
         // The fallback entry contributes no arena witnesses.
@@ -1899,7 +1815,7 @@ mod tests {
         );
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         for cap in [DEFAULT_WITNESS_CAP, 2] {
-            let shared = LineageBank::compile_with_cap(&db, &queries, cap).unwrap();
+            let shared = capped(&db, &queries, cap);
             let reference: Vec<Option<Vec<Vec<FactId>>>> = queries
                 .iter()
                 .map(|&query| reference_witnesses(&db, query, cap))
@@ -1942,11 +1858,11 @@ mod tests {
             (&boolean[0], &[] as &[Value]),
         ];
         let bank = LineageBank::compile(&db, &queries).unwrap();
-        let single = CompiledLineage::compile(&boolean[0], &db, &[])
+        let single = reference_witnesses(&db, queries[2], DEFAULT_WITNESS_CAP)
             .unwrap()
-            .unwrap();
-        assert_eq!(bank.query_witness_count(0), Some(single.witness_count()));
-        assert_eq!(bank.query_witness_count(2), Some(single.witness_count()));
+            .len();
+        assert_eq!(bank.query_witness_count(0), Some(single));
+        assert_eq!(bank.query_witness_count(2), Some(single));
         // Entries 0 and 2 are the same grounded query: their witnesses
         // coincide in the arena.
         let mut scratch = BankScratch::new();
@@ -1954,7 +1870,11 @@ mod tests {
         for subset in subsets(db.len()) {
             bank.evaluate_into(&subset, &mut scratch, &mut hits);
             assert_eq!(hits[0], hits[2], "{subset:?}");
-            assert_eq!(hits[0], single.entails(&subset), "{subset:?}");
+            assert_eq!(
+                hits[0],
+                boolean[0].has_answer(&db, &subset, &[]).unwrap(),
+                "{subset:?}"
+            );
         }
     }
 
@@ -2032,8 +1952,9 @@ mod tests {
         let evals = evaluators(&db, &["Ans() :- R(x, y)", "Ans() :- R(1, x)"]);
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         // Cap 3: the full scan (5 witnesses) falls back, the block lookup
-        // (2 witnesses) compiles.
-        let mut bank = LineageBank::compile_with_cap(&db, &queries, 3).unwrap();
+        // (2 witnesses) compiles.  The bank keeps the cap for its
+        // refreshes.
+        let mut bank = capped(&db, &queries, 3);
         assert!(bank.is_fallback(0));
         assert!(!bank.is_fallback(1));
         // Two more block-1 facts push the lookup past the cap on refresh;
@@ -2042,19 +1963,26 @@ mod tests {
             .unwrap();
         db.insert_values("R", [Value::int(1), Value::int(9)])
             .unwrap();
-        assert_eq!(bank.refresh_with_cap(&db, &queries, 3).unwrap(), 2);
+        assert_eq!(bank.refresh(&db, &queries).unwrap(), 2);
         assert!(bank.is_fallback(0));
         assert!(bank.is_fallback(1), "over-cap refresh degrades to fallback");
     }
 
     #[test]
-    #[should_panic(expected = "refresh requires the bank's own query list")]
-    fn refresh_with_a_mismatched_query_list_panics() {
+    fn refresh_with_a_mismatched_query_list_is_an_error() {
         let db = blocks_db();
         let evals = evaluators(&db, &["Ans() :- R(1, x)"]);
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         let mut bank = LineageBank::compile(&db, &queries).unwrap();
-        bank.refresh(&db, &[]).unwrap();
+        assert_eq!(
+            bank.refresh(&db, &[]),
+            Err(QueryError::BankMismatch {
+                entries: 1,
+                queries: 0
+            })
+        );
+        // The bank is untouched and still refreshes against its own list.
+        assert_eq!(bank.refresh(&db, &queries), Ok(0));
     }
 
     #[test]
@@ -2173,13 +2101,9 @@ mod tests {
         // only when the witness sets coincide; distinct queries differ.
         assert_ne!(before[0], before[1]);
 
-        // A current bank reports an empty delta.
-        let noop = bank
-            .refresh_with_delta(&db, &queries, &before, &conflict)
-            .unwrap();
-        assert_eq!(noop.replayed, 0);
-        assert!(noop.changed.iter().all(|&c| !c));
-        assert_eq!(noop.fingerprints, before);
+        // A current bank replays nothing and keeps its fingerprints.
+        assert_eq!(bank.refresh(&db, &queries).unwrap(), 0);
+        assert_eq!(bank.fingerprints(&conflict), before);
 
         // A block-3 insert rewrites entry 1's lineage and — because the
         // new fact enters every witness's universe — leaves entries 0 and
@@ -2188,13 +2112,8 @@ mod tests {
         db.insert_values("R", [Value::int(3), Value::int(8)])
             .unwrap();
         let conflict = ConflictIndex::build(&db, &sigma);
-        let delta = bank
-            .refresh_with_delta(&db, &queries, &before, &conflict)
-            .unwrap();
-        assert_eq!(delta.replayed, 1);
-        assert_eq!(delta.changed, vec![false, true, false]);
-        assert_eq!(delta.changed_entries().collect::<Vec<_>>(), vec![1]);
-        let after = &delta.fingerprints;
+        assert_eq!(bank.refresh(&db, &queries).unwrap(), 1);
+        let after = &bank.fingerprints(&conflict);
         assert_eq!(after[0], before[0]);
         assert_ne!(after[1], before[1]);
         assert_eq!(after[2], before[2]);
@@ -2229,24 +2148,22 @@ mod tests {
         let sigma = blocks_sigma(&db);
         let evals = evaluators(&db, &["Ans() :- R(x, y)", "Ans() :- R(1, x)"]);
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
-        let mut bank = LineageBank::compile_with_cap(&db, &queries, 2).unwrap();
+        let mut bank = capped(&db, &queries, 2);
         let conflict = ConflictIndex::build(&db, &sigma);
         assert!(bank.is_fallback(0));
         assert_eq!(bank.entry_fingerprint(0, &conflict), None);
         assert!(bank.witnesses_of(0).is_none());
         assert!(bank.entry_fingerprint(1, &conflict).is_some());
         let before = bank.fingerprints(&conflict);
-        // Any replay flags the fallback entry — there is no witness set
-        // to prove unchanged — while the untouched compiled entry stays
-        // fresh.
+        // After a replay the fallback entry still has no fingerprint —
+        // no witness set to prove unchanged, so the windowed estimator
+        // flags it whenever anything replayed — while the untouched
+        // compiled entry keeps its own.
         db.insert_values("R", [Value::int(5), Value::int(5)])
             .unwrap();
         let conflict = ConflictIndex::build(&db, &sigma);
-        let delta = bank
-            .refresh_with_delta(&db, &queries, &before, &conflict)
-            .unwrap();
-        assert_eq!(delta.replayed, 1);
-        assert_eq!(delta.changed, vec![true, false]);
+        assert_eq!(bank.refresh(&db, &queries).unwrap(), 1);
+        assert_eq!(bank.fingerprints(&conflict), vec![None, before[1]]);
     }
 
     #[test]
@@ -2268,10 +2185,9 @@ mod tests {
         db.insert_values("R", [Value::int(1), Value::int(9)])
             .unwrap();
         let conflict = ConflictIndex::build(&db, &sigma);
-        let delta = bank
-            .refresh_with_delta(&db, &queries, &before, &conflict)
-            .unwrap();
-        assert_eq!(delta.changed, vec![true], "conflict growth must re-enroll");
+        bank.refresh(&db, &queries).unwrap();
+        let after = bank.fingerprints(&conflict);
+        assert_ne!(after, before, "conflict growth must re-enroll");
         let witnesses: Vec<Vec<FactId>> = bank
             .witnesses_of(0)
             .unwrap()
@@ -2285,10 +2201,8 @@ mod tests {
         db.insert_values("R", [Value::int(9), Value::int(9)])
             .unwrap();
         let conflict = ConflictIndex::build(&db, &sigma);
-        let delta = bank
-            .refresh_with_delta(&db, &queries, &delta.fingerprints, &conflict)
-            .unwrap();
-        assert_eq!(delta.changed, vec![false]);
+        bank.refresh(&db, &queries).unwrap();
+        assert_eq!(bank.fingerprints(&conflict), after);
     }
 
     /// A database where costed plans destroy prefix sharing: S-keys are
@@ -2327,13 +2241,8 @@ mod tests {
             .map(|t| QueryEvaluator::with_stats(parse_query(db.schema(), t).unwrap(), &db).unwrap())
             .collect();
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
-        let (bank, stats) = LineageBank::compile_instrumented(
-            &db,
-            &queries,
-            DEFAULT_WITNESS_CAP,
-            &CompileBudget::unlimited(),
-        )
-        .unwrap();
+        let (bank, stats) =
+            LineageBank::compile_with_budget(&db, &queries, &CompileBudget::unlimited()).unwrap();
         assert!(
             stats.shared_subtrees >= 1,
             "the R('h', y) suffix must form a group: {stats:?}"
@@ -2378,13 +2287,8 @@ mod tests {
             .map(|t| QueryEvaluator::with_stats(parse_query(db.schema(), t).unwrap(), &db).unwrap())
             .collect();
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
-        let (bank, stats) = LineageBank::compile_instrumented(
-            &db,
-            &queries,
-            DEFAULT_WITNESS_CAP,
-            &CompileBudget::unlimited(),
-        )
-        .unwrap();
+        let (bank, stats) =
+            LineageBank::compile_with_budget(&db, &queries, &CompileBudget::unlimited()).unwrap();
         assert!(stats.shared_subtrees >= 1, "{stats:?}");
         assert_eq!(stats.replays, 3, "one replay per occurrence: {stats:?}");
         for (entry, &query) in queries.iter().enumerate() {
@@ -2408,7 +2312,7 @@ mod tests {
             .map(|t| QueryEvaluator::with_stats(parse_query(db.schema(), t).unwrap(), &db).unwrap())
             .collect();
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
-        let shared = LineageBank::compile_with_cap(&db, &queries, 1).unwrap();
+        let shared = capped(&db, &queries, 1);
         for (entry, &query) in queries.iter().enumerate() {
             assert!(shared.is_fallback(entry), "entry {entry} must overflow");
             assert_eq!(

@@ -30,6 +30,14 @@ pub enum QueryError {
         /// Number of values supplied.
         actual: usize,
     },
+    /// A bank was refreshed against a query list of another length than
+    /// the one it was compiled from.
+    BankMismatch {
+        /// Number of bank entries.
+        entries: usize,
+        /// Number of queries supplied.
+        queries: usize,
+    },
     /// The query is syntactically valid but outside the supported
     /// fragment (e.g. an atom with more than 64 terms).
     Unsupported {
@@ -52,6 +60,10 @@ impl fmt::Display for QueryError {
             QueryError::AnswerArityMismatch { expected, actual } => write!(
                 f,
                 "query has {expected} answer variables but {actual} values were supplied"
+            ),
+            QueryError::BankMismatch { entries, queries } => write!(
+                f,
+                "bank has {entries} entries but {queries} queries were supplied"
             ),
             QueryError::Unsupported { message } => write!(f, "unsupported query: {message}"),
         }

@@ -4,7 +4,7 @@
 //! interned into dense *slots*, every atom's terms are resolved to either
 //! a constant or a slot index, and two [`JoinPlan`]s are built — one for
 //! free enumeration and one with the answer slots treated as prebound
-//! (the candidate-driven paths of the lineage compiler).  Evaluation
+//! (the candidate-driven paths: `has_answer` and the lineage bank).  Evaluation
 //! executes the plan on **dictionary-encoded symbols**: at each entry
 //! point the query's constants are resolved through the database's
 //! [`Dictionary`] (a constant the dictionary never
@@ -80,7 +80,7 @@ pub struct QueryEvaluator {
     /// Join plan for free enumeration (no slots prebound).
     plan: JoinPlan,
     /// Join plan with the answer slots treated as prebound (the
-    /// candidate-driven paths: `has_answer`, the lineage compiler).
+    /// candidate-driven paths: `has_answer`, the lineage bank).
     answer_plan: JoinPlan,
 }
 
@@ -202,8 +202,8 @@ impl QueryEvaluator {
     }
 
     /// The join plan of candidate-driven enumeration (answer slots treated
-    /// as prebound) — the order the lineage compiler and the bank's shared
-    /// scan trie enumerate witnesses in.
+    /// as prebound) — the order the bank's shared scan trie and its delta
+    /// refresh enumerate witnesses in.
     pub fn answer_plan(&self) -> &JoinPlan {
         &self.answer_plan
     }
@@ -329,8 +329,7 @@ impl QueryEvaluator {
     }
 
     /// Enumerates the homomorphisms `h` with `h(x̄) = candidate`, without a
-    /// limit.  Used by the lower-bound machinery and the lineage compiler,
-    /// which need the image facts `h(Q)`.
+    /// limit, each with its bindings and its image facts `h(Q)`.
     pub fn homomorphisms_for_answer(
         &self,
         db: &Database,
@@ -363,47 +362,13 @@ impl QueryEvaluator {
     }
 
     /// Visits the image `h(Q)` of every homomorphism `h` with
-    /// `h(x̄) = candidate`, without materialising bindings.  The visitor
-    /// returns `true` to stop enumeration early; the overall return value
-    /// is `true` iff enumeration was stopped.
-    ///
-    /// This is the enumeration backend of the lineage compiler: images
-    /// arrive unsorted and may contain duplicate fact ids (facts hit by
-    /// several atoms).
-    pub fn for_each_answer_image<F>(
-        &self,
-        db: &Database,
-        subset: &FactSet,
-        candidate: &[Value],
-        mut visitor: F,
-    ) -> Result<bool, QueryError>
-    where
-        F: FnMut(&[FactId]) -> bool,
-    {
-        let mut bindings: Vec<Option<Sym>> = vec![None; self.slots.len()];
-        if !self.prebind_candidate(db.dictionary(), candidate, &mut bindings)? {
-            return Ok(false);
-        }
-        let Some(encoded) = self.encode_atoms(db) else {
-            return Ok(false);
-        };
-        let mut image = Vec::new();
-        Ok(self.answer_plan.run(
-            db,
-            db.relation_index(),
-            subset,
-            &encoded,
-            &mut bindings,
-            &mut image,
-            &mut |_, image| visitor(image),
-        ))
-    }
-
-    /// As [`QueryEvaluator::for_each_answer_image`], restricted to images
-    /// that touch at least one fact of `inserted_by_relation` (one
-    /// ascending fact-id list per relation id) — the delta enumeration
-    /// backend of [`crate::CompiledLineage::refresh`] and
-    /// [`crate::LineageBank::refresh`].
+    /// `h(x̄) = candidate` that touches at least one fact of
+    /// `inserted_by_relation` (one ascending fact-id list per relation
+    /// id), without materialising bindings — the delta enumeration
+    /// backend of [`crate::LineageBank::refresh`].  The visitor returns
+    /// `true` to stop enumeration early; the overall return value is
+    /// `true` iff enumeration was stopped.  Images arrive unsorted and may
+    /// contain duplicate fact ids (facts hit by several atoms).
     ///
     /// Runs one pinned pass of the answer plan per plan step (step `p`
     /// draws its candidates from the inserted facts of its relation, all
@@ -837,23 +802,6 @@ mod tests {
         let eval = QueryEvaluator::new(q);
         assert_eq!(eval.homomorphisms(&db, &db.all_facts(), Some(2)).len(), 2);
         assert_eq!(eval.homomorphisms(&db, &db.all_facts(), None).len(), 6);
-    }
-
-    #[test]
-    fn answer_images_are_visited_per_homomorphism() {
-        let db = graph_db();
-        let q = parse_query(db.schema(), "Ans(x) :- V(x, z), T(z)").unwrap();
-        let eval = QueryEvaluator::new(q);
-        let mut images = Vec::new();
-        let stopped = eval
-            .for_each_answer_image(&db, &db.all_facts(), &[Value::str("u")], |image| {
-                images.push(image.to_vec());
-                false
-            })
-            .unwrap();
-        assert!(!stopped);
-        assert_eq!(images.len(), 1);
-        assert_eq!(images[0].len(), 2);
     }
 
     #[test]

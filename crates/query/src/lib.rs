@@ -11,12 +11,13 @@
 //! cost-ordered against the live [`ucqa_db::RelationIndex`] statistics
 //! when built with [`QueryEvaluator::with_stats`], structurally
 //! coverage-ordered otherwise (queries are fixed — data complexity — so
-//! the plan is built once per evaluator).  [`lineage`] compiles the
-//! enumeration result into witness bitsets for the Monte-Carlo hot loop,
-//! and [`bank`] shares both the enumeration (common atom prefixes *and*
-//! canonicalised suffix subtrees, one scan trie with fill-once/replay
-//! memoisation) and the witnesses (one deduplicated arena) across a
-//! whole bank of queries.
+//! the plan is built once per evaluator).  [`bank`] compiles the
+//! enumeration result into witnesses for the Monte-Carlo hot loop
+//! ([`lineage`] holds their sparse form and the witness cap), sharing
+//! both the enumeration (common atom prefixes *and* canonicalised suffix
+//! subtrees, one scan trie with fill-once/replay memoisation) and the
+//! witnesses (one deduplicated arena) across a whole bank of queries; a
+//! single query is a bank of one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,19 +32,16 @@ pub mod parser;
 pub mod plan;
 
 pub use ast::{Atom, ConjunctiveQuery, Term, Variable};
-pub use bank::{
-    BankLiveSet, BankQueryRef, BankScratch, CompileBudget, CompileStats, LineageBank, RefreshDelta,
-};
+pub use bank::{BankLiveSet, BankQueryRef, BankScratch, CompileBudget, CompileStats, LineageBank};
 pub use error::QueryError;
 pub use eval::{Bindings, QueryEvaluator};
-pub use lineage::CompiledLineage;
 pub use plan::{JoinPlan, PlanExplain, StepExplain};
 
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use crate::{
-        Atom, BankLiveSet, BankScratch, Bindings, CompileBudget, CompileStats, CompiledLineage,
-        ConjunctiveQuery, JoinPlan, LineageBank, PlanExplain, QueryError, QueryEvaluator,
-        RefreshDelta, StepExplain, Term, Variable,
+        Atom, BankLiveSet, BankScratch, Bindings, CompileBudget, CompileStats, ConjunctiveQuery,
+        JoinPlan, LineageBank, PlanExplain, QueryError, QueryEvaluator, StepExplain, Term,
+        Variable,
     };
 }

@@ -8,271 +8,26 @@
 //! function of the fact bits: `D' ⊨ Q(c̄)` iff the image of **some**
 //! homomorphism `h` with `h(x̄) = c̄` survives in `D'`.
 //!
-//! [`CompiledLineage`] materialises that function once per
-//! `(D, Q, candidate)` triple: it enumerates all homomorphisms up front and
-//! compiles their images into a minimal antichain of witness bitsets.  The
-//! per-sample check is then *"some witness ⊆ repair"* — a handful of
-//! word-level AND/compare operations per witness — instead of a full
-//! backtracking homomorphism search.  Witness enumeration is capped (query
-//! lineage can be exponential in the query size); past the cap the caller
-//! falls back to the backtracking evaluator.
+//! [`LineageBank`](crate::LineageBank) materialises that function once per
+//! `(D, Q, candidate)` entry — a single query is a bank of one: it
+//! enumerates all homomorphisms up front and compiles their images into a
+//! minimal antichain of witnesses.  The per-sample check is then *"some
+//! witness ⊆ repair"* — a handful of word-level AND/compare operations per
+//! witness (`SparseWitnesses`) — instead of a full backtracking
+//! homomorphism search.  Witness enumeration is capped (query lineage can
+//! be exponential in the query size); past the cap the entry falls back
+//! to the backtracking evaluator.
 
-use ucqa_db::Value;
-use ucqa_db::{Database, FactChange, FactId, FactSet};
+use ucqa_db::FactId;
 
-use crate::{CompileBudget, QueryError, QueryEvaluator};
-
-/// Default cap on the number of witnesses materialised by
-/// [`CompiledLineage::compile`].
+/// Default cap on the number of witnesses materialised per bank entry
+/// (see [`CompileBudget::with_witness_cap`](crate::CompileBudget::with_witness_cap)).
 ///
 /// `4096` witnesses × a 1 000-fact universe is ~64 KiB of bitset words —
 /// comfortably cache-resident — while the linear witness scan stays far
 /// cheaper than a backtracking search that would re-derive those same
 /// homomorphisms on every sample.
 pub const DEFAULT_WITNESS_CAP: usize = 4096;
-
-/// The compiled lineage of one `(database, query, candidate)` triple: a
-/// minimal monotone DNF over fact bitsets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompiledLineage {
-    /// Minimal witness antichain, sorted by ascending popcount (smaller
-    /// witnesses are cheaper to check and more likely to be contained).
-    witnesses: Vec<FactSet>,
-    /// `witnesses` by their non-zero words: what [`CompiledLineage::entails`]
-    /// reads.
-    sparse: SparseWitnesses,
-    universe: usize,
-    /// The database changelog version the lineage was compiled (or last
-    /// refreshed) against — what [`CompiledLineage::refresh`] replays from.
-    version: u64,
-}
-
-impl CompiledLineage {
-    /// Compiles the lineage of `candidate` over the **full** database with
-    /// the default witness cap.
-    ///
-    /// Returns `Ok(None)` when the number of distinct witnesses exceeds the
-    /// cap, in which case the caller should keep using the backtracking
-    /// evaluator.
-    pub fn compile(
-        evaluator: &QueryEvaluator,
-        db: &Database,
-        candidate: &[Value],
-    ) -> Result<Option<Self>, QueryError> {
-        Self::compile_with_cap(evaluator, db, candidate, DEFAULT_WITNESS_CAP)
-    }
-
-    /// As [`CompiledLineage::compile`], with an explicit witness cap.
-    ///
-    /// Witness enumeration runs on the evaluator's plan-based pipeline
-    /// ([`QueryEvaluator::for_each_answer_image`] — atom steps over the
-    /// database's relation indexes, cost-ordered against the live
-    /// statistics when the evaluator was built with
-    /// [`QueryEvaluator::with_stats`]); the step order never changes the
-    /// compiled antichain, only the enumeration cost.
-    pub fn compile_with_cap(
-        evaluator: &QueryEvaluator,
-        db: &Database,
-        candidate: &[Value],
-        cap: usize,
-    ) -> Result<Option<Self>, QueryError> {
-        let universe = db.len();
-        let all = db.all_facts();
-        let mut raw: Vec<FactSet> = Vec::new();
-        let overflowed = evaluator.for_each_answer_image(db, &all, candidate, |image| {
-            let mut witness = FactSet::empty(universe);
-            for &fact in image {
-                witness.insert(fact);
-            }
-            raw.push(witness);
-            // Enumeration keeps its own budget: one past the cap is
-            // enough to know compilation must be abandoned.
-            raw.len() > cap
-        })?;
-        if overflowed {
-            return Ok(None);
-        }
-        Ok(Some(Self::from_witnesses(raw, universe, db.version())))
-    }
-
-    /// As [`CompiledLineage::compile`], under a [`CompileBudget`].
-    ///
-    /// The budget is polled once per enumerated witness; when it
-    /// interrupts enumeration the result is `Ok(None)` — exactly the
-    /// over-cap outcome — so the caller degrades to the backtracking
-    /// evaluator instead of stalling on a pathological lineage.
-    pub fn compile_with_budget(
-        evaluator: &QueryEvaluator,
-        db: &Database,
-        candidate: &[Value],
-        budget: &CompileBudget,
-    ) -> Result<Option<Self>, QueryError> {
-        let universe = db.len();
-        let all = db.all_facts();
-        let mut raw: Vec<FactSet> = Vec::new();
-        let mut steps = 0u64;
-        let interrupted = evaluator.for_each_answer_image(db, &all, candidate, |image| {
-            steps += 1;
-            if budget.interrupted(steps) {
-                return true;
-            }
-            let mut witness = FactSet::empty(universe);
-            for &fact in image {
-                witness.insert(fact);
-            }
-            raw.push(witness);
-            raw.len() > DEFAULT_WITNESS_CAP
-        })?;
-        if interrupted {
-            return Ok(None);
-        }
-        Ok(Some(Self::from_witnesses(raw, universe, db.version())))
-    }
-
-    /// Builds the minimal antichain from raw witness sets: duplicates and
-    /// supersets are absorbed (`w ⊆ w'` makes `w'` redundant — monotone DNF
-    /// absorption).
-    fn from_witnesses(raw: Vec<FactSet>, universe: usize, version: u64) -> Self {
-        let witnesses = minimal_antichain(raw);
-        CompiledLineage {
-            sparse: SparseWitnesses::of(&witnesses),
-            witnesses,
-            universe,
-            version,
-        }
-    }
-
-    /// Incrementally refreshes the lineage after database mutations, with
-    /// the default witness cap: replays the changelog since the version
-    /// the lineage was compiled against instead of re-enumerating every
-    /// homomorphism.
-    ///
-    /// * Witnesses touching a deleted fact are dropped (their absorbed
-    ///   supersets contained the same fact, so no absorbed witness can
-    ///   resurface); survivors, the witnesses whose facts are all still
-    ///   live, are grown to the new universe.
-    /// * New witnesses are enumerated by pinned delta passes of the join
-    ///   plan ([`QueryEvaluator::for_each_delta_answer_image`]), visiting
-    ///   only matches that touch an inserted fact.
-    ///
-    /// The merged set re-minimalises to **exactly** the antichain a fresh
-    /// [`CompiledLineage::compile`] would build — same witnesses, same
-    /// order — so estimates drawn over a refreshed lineage are
-    /// bit-identical to estimates over a recompiled one.
-    ///
-    /// Returns `Ok(false)` when the refreshed witness count exceeds the
-    /// cap; the lineage is then left unchanged and the caller should fall
-    /// back to the backtracking evaluator (or recompile).  `evaluator` and
-    /// `candidate` must be the pair the lineage was compiled from.
-    pub fn refresh(
-        &mut self,
-        evaluator: &QueryEvaluator,
-        db: &Database,
-        candidate: &[Value],
-    ) -> Result<bool, QueryError> {
-        self.refresh_with_cap(evaluator, db, candidate, DEFAULT_WITNESS_CAP)
-    }
-
-    /// As [`CompiledLineage::refresh`], with an explicit witness cap.
-    pub fn refresh_with_cap(
-        &mut self,
-        evaluator: &QueryEvaluator,
-        db: &Database,
-        candidate: &[Value],
-        cap: usize,
-    ) -> Result<bool, QueryError> {
-        let universe = db.len();
-        let mut inserted_by_relation: Vec<Vec<FactId>> =
-            vec![Vec::new(); db.schema().relation_count()];
-        for change in db.changes_since(self.version) {
-            // An inserted-then-deleted fact is skipped here and cannot
-            // appear in old witnesses (its id postdates them), so it
-            // contributes nothing — as it should.
-            if let FactChange::Inserted(id) = change {
-                if db.is_live(*id) {
-                    inserted_by_relation[db.relation_of(*id).index()].push(*id);
-                }
-            }
-        }
-        let live = db.live_facts();
-        let mut raw: Vec<FactSet> = Vec::with_capacity(self.witnesses.len());
-        for witness in &self.witnesses {
-            // Ids are never reused, so a witness survives iff its facts
-            // are all still live.
-            let mut survivor = witness.clone();
-            survivor.grow(universe);
-            if survivor.is_subset_of(live) {
-                raw.push(survivor);
-            }
-        }
-        let overflowed = evaluator.for_each_delta_answer_image(
-            db,
-            live,
-            candidate,
-            &inserted_by_relation,
-            |image| {
-                let mut witness = FactSet::empty(universe);
-                for &fact in image {
-                    witness.insert(fact);
-                }
-                raw.push(witness);
-                raw.len() > cap
-            },
-        )?;
-        if overflowed {
-            return Ok(false);
-        }
-        *self = Self::from_witnesses(raw, universe, db.version());
-        Ok(true)
-    }
-
-    /// The per-sample entailment check: `true` iff some witness survives in
-    /// `repair`, i.e. `repair ⊨ Q(c̄)`.
-    ///
-    /// Performs no heap allocation; each witness costs one word operation
-    /// per non-zero word it spans (one per fact at most), with early exit
-    /// — independent of the universe size.
-    #[inline]
-    pub fn entails(&self, repair: &FactSet) -> bool {
-        debug_assert_eq!(repair.universe(), self.universe);
-        (0..self.witnesses.len()).any(|w| self.sparse.contained(w, repair.words()))
-    }
-
-    /// Number of witnesses in the minimal antichain.
-    pub fn witness_count(&self) -> usize {
-        self.witnesses.len()
-    }
-
-    /// The witnesses themselves (sorted by ascending cardinality).
-    pub fn witnesses(&self) -> &[FactSet] {
-        &self.witnesses
-    }
-
-    /// The size of the fact universe the lineage ranges over.
-    pub fn universe(&self) -> usize {
-        self.universe
-    }
-
-    /// The database changelog version the lineage is current with (see
-    /// [`Database::version`]); [`CompiledLineage::refresh`] replays the
-    /// changelog from here.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// `true` iff the candidate is entailed by **every** subset, including
-    /// the empty one (the query is satisfied by zero atoms matching — only
-    /// possible for queries with an empty body).
-    pub fn is_unconditional(&self) -> bool {
-        self.witnesses.first().is_some_and(FactSet::is_empty)
-    }
-
-    /// `true` iff no subset of the database entails the candidate (the
-    /// target probability is exactly zero).
-    pub fn never_entails(&self) -> bool {
-        self.witnesses.is_empty()
-    }
-}
 
 /// Witness bitsets stored by their non-zero words: witness `i` is the
 /// `(word index, mask)` pairs `words[starts[i]..starts[i + 1]]`.
@@ -297,15 +52,6 @@ impl Default for SparseWitnesses {
 }
 
 impl SparseWitnesses {
-    /// The sparse form of `witnesses`, in the same order.
-    pub(crate) fn of(witnesses: &[FactSet]) -> Self {
-        let mut sparse = SparseWitnesses::default();
-        for witness in witnesses {
-            sparse.push(witness.iter());
-        }
-        sparse
-    }
-
     /// Appends one witness, given by its facts in ascending order.
     pub(crate) fn push(&mut self, facts: impl IntoIterator<Item = FactId>) {
         let start = self.words.len();
@@ -348,44 +94,14 @@ impl SparseWitnesses {
     }
 }
 
-/// Reduces raw witness sets to the minimal monotone-DNF antichain:
-/// duplicates and supersets are absorbed (`w ⊆ w'` makes `w'` redundant),
-/// and the survivors are sorted by ascending popcount (smaller witnesses
-/// are cheaper to check and more likely to be contained).
-///
-/// Exact duplicates are removed by sorting first, so the quadratic
-/// containment pass only compares a candidate against *strictly smaller*
-/// kept witnesses (among equal cardinalities, `⊆` implies `=`, which the
-/// dedup already handled).  Banks of equal-size witnesses — atomic
-/// membership queries, fixed-shape join banks — thus minimise in
-/// `O(n log n)` instead of `O(n²)` word scans.
-///
-/// Shared between single-query compilation and the bank's shared-trie
-/// compilation, so both produce the same antichain from the same raw set.
-pub(crate) fn minimal_antichain(mut raw: Vec<FactSet>) -> Vec<FactSet> {
-    raw.sort_unstable();
-    raw.dedup();
-    raw.sort_by_key(FactSet::len);
-    let mut witnesses: Vec<FactSet> = Vec::new();
-    for candidate in raw {
-        // `witnesses` is in ascending cardinality order (candidates
-        // arrive that way), so the strictly-smaller prefix is contiguous.
-        let smaller = witnesses.partition_point(|kept| kept.len() < candidate.len());
-        if !witnesses[..smaller]
-            .iter()
-            .any(|kept| kept.is_subset_of(&candidate))
-        {
-            witnesses.push(candidate);
-        }
-    }
-    witnesses
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    //! One query's lineage, compiled as a bank of one and checked against
+    //! the backtracking evaluator.
+
     use crate::parser::parse_query;
-    use ucqa_db::{FactId, Schema};
+    use crate::{BankScratch, CompileBudget, LineageBank, QueryEvaluator};
+    use ucqa_db::{Database, FactId, FactSet, Schema, Value};
 
     fn blocks_db() -> Database {
         let mut schema = Schema::new();
@@ -398,6 +114,34 @@ mod tests {
         db
     }
 
+    fn evaluator(db: &Database, text: &str) -> QueryEvaluator {
+        QueryEvaluator::new(parse_query(db.schema(), text).unwrap())
+    }
+
+    /// The bank of one `(evaluator, candidate)` entry.
+    fn single(db: &Database, evaluator: &QueryEvaluator, candidate: &[Value]) -> LineageBank {
+        LineageBank::compile(db, &[(evaluator, candidate)]).unwrap()
+    }
+
+    /// Whether the bank's one entry holds on `subset`.
+    fn entails(bank: &LineageBank, subset: &FactSet) -> bool {
+        let mut hits = [false];
+        bank.evaluate_into(subset, &mut BankScratch::new(), &mut hits);
+        hits[0]
+    }
+
+    /// The entry's witnesses as sorted fact-id lists.
+    fn witnesses(bank: &LineageBank) -> Vec<Vec<FactId>> {
+        let mut ids: Vec<Vec<FactId>> = bank
+            .witnesses_of(0)
+            .unwrap()
+            .iter()
+            .map(|w| w.iter().collect())
+            .collect();
+        ids.sort();
+        ids
+    }
+
     #[test]
     fn entails_agrees_with_the_evaluator_on_all_subsets() {
         let db = blocks_db();
@@ -407,10 +151,9 @@ mod tests {
             ("Ans() :- R(1, x), R(2, x)", vec![]),
             ("Ans() :- R(9, 9)", vec![]),
         ] {
-            let evaluator = QueryEvaluator::new(parse_query(db.schema(), text).unwrap());
-            let lineage = CompiledLineage::compile(&evaluator, &db, &candidate)
-                .unwrap()
-                .expect("under cap");
+            let evaluator = evaluator(&db, text);
+            let lineage = single(&db, &evaluator, &candidate);
+            assert!(!lineage.is_fallback(0), "under cap");
             for mask in 0u32..(1 << db.len()) {
                 let subset = FactSet::from_iter(
                     db.len(),
@@ -419,7 +162,7 @@ mod tests {
                         .map(FactId::new),
                 );
                 assert_eq!(
-                    lineage.entails(&subset),
+                    entails(&lineage, &subset),
                     evaluator.has_answer(&db, &subset, &candidate).unwrap(),
                     "query {text}, mask {mask:b}"
                 );
@@ -432,17 +175,18 @@ mod tests {
         let db = blocks_db();
         // R(x, y), R(z, y): single-fact images (x = z) absorb the two-fact
         // ones, leaving exactly the five singleton witnesses.
-        let evaluator =
-            QueryEvaluator::new(parse_query(db.schema(), "Ans() :- R(x, y), R(z, y)").unwrap());
-        let lineage = CompiledLineage::compile(&evaluator, &db, &[])
-            .unwrap()
-            .unwrap();
-        assert_eq!(lineage.witness_count(), 5);
-        assert!(lineage.witnesses().iter().all(|w| w.len() == 1));
-        for (i, a) in lineage.witnesses().iter().enumerate() {
-            for (j, b) in lineage.witnesses().iter().enumerate() {
+        let evaluator = evaluator(&db, "Ans() :- R(x, y), R(z, y)");
+        let lineage = single(&db, &evaluator, &[]);
+        let witnesses = witnesses(&lineage);
+        assert_eq!(witnesses.len(), 5);
+        assert!(witnesses.iter().all(|w| w.len() == 1));
+        for (i, a) in witnesses.iter().enumerate() {
+            for (j, b) in witnesses.iter().enumerate() {
                 if i != j {
-                    assert!(!a.is_subset_of(b), "witness {i} ⊆ witness {j}");
+                    assert!(
+                        !a.iter().all(|f| b.contains(f)),
+                        "witness {i} ⊆ witness {j}"
+                    );
                 }
             }
         }
@@ -451,24 +195,26 @@ mod tests {
     #[test]
     fn unsatisfiable_candidates_have_no_witnesses() {
         let db = blocks_db();
-        let evaluator = QueryEvaluator::new(parse_query(db.schema(), "Ans() :- R(9, 9)").unwrap());
-        let lineage = CompiledLineage::compile(&evaluator, &db, &[])
-            .unwrap()
-            .unwrap();
-        assert!(lineage.never_entails());
-        assert!(!lineage.entails(&db.all_facts()));
+        let evaluator = evaluator(&db, "Ans() :- R(9, 9)");
+        let lineage = single(&db, &evaluator, &[]);
+        assert_eq!(lineage.query_witness_count(0), Some(0));
+        assert!(!entails(&lineage, &db.all_facts()));
     }
 
     #[test]
     fn cap_overflow_returns_none() {
         let db = blocks_db();
-        let evaluator = QueryEvaluator::new(parse_query(db.schema(), "Ans() :- R(x, y)").unwrap());
-        assert!(CompiledLineage::compile_with_cap(&evaluator, &db, &[], 2)
-            .unwrap()
-            .is_none());
-        assert!(CompiledLineage::compile_with_cap(&evaluator, &db, &[], 5)
-            .unwrap()
-            .is_some());
+        let evaluator = evaluator(&db, "Ans() :- R(x, y)");
+        let queries = [(&evaluator, &[] as &[Value])];
+        let capped = |cap| {
+            let budget = CompileBudget::unlimited().with_witness_cap(cap);
+            LineageBank::compile_with_budget(&db, &queries, &budget)
+                .unwrap()
+                .0
+        };
+        assert!(capped(2).query_witness_count(0).is_none());
+        assert!(capped(2).witnesses_of(0).is_none());
+        assert_eq!(capped(5).query_witness_count(0), Some(5));
     }
 
     #[test]
@@ -480,17 +226,16 @@ mod tests {
             ("Ans() :- R(1, x), R(2, x)", vec![]),
             ("Ans() :- R(9, 9)", vec![]),
         ] {
-            let evaluator = QueryEvaluator::new(parse_query(db.schema(), text).unwrap());
-            let mut lineage = CompiledLineage::compile(&evaluator, &db, &candidate)
-                .unwrap()
-                .unwrap();
+            let evaluator = evaluator(&db, text);
+            let queries = [(&evaluator, candidate.as_slice())];
+            let mut lineage = single(&db, &evaluator, &candidate);
             // No mutations: refresh is a structural no-op.
-            let before = lineage.clone();
-            assert!(lineage.refresh(&evaluator, &db, &candidate).unwrap());
-            assert_eq!(lineage, before, "query {text}");
+            let before = witnesses(&lineage);
+            assert_eq!(lineage.refresh(&db, &queries).unwrap(), 0);
+            assert_eq!(witnesses(&lineage), before, "query {text}");
             // Insert facts extending block 1 and bridging blocks, and
-            // delete R(2, 1); the refreshed lineage must equal — same
-            // witnesses, same order — a compile from scratch.
+            // delete R(2, 1); the refreshed lineage must equal a compile
+            // from scratch.
             db.insert_values("R", [Value::int(1), Value::int(9)])
                 .unwrap();
             db.insert_values("R", [Value::int(2), Value::int(9)])
@@ -500,11 +245,10 @@ mod tests {
                 vec![Value::int(2), Value::int(1)],
             );
             db.delete(db.fact_id(&gone).unwrap()).unwrap();
-            assert!(lineage.refresh(&evaluator, &db, &candidate).unwrap());
-            let fresh = CompiledLineage::compile(&evaluator, &db, &candidate)
-                .unwrap()
-                .unwrap();
-            assert_eq!(lineage, fresh, "query {text}");
+            lineage.refresh(&db, &queries).unwrap();
+            assert!(!lineage.is_fallback(0), "query {text}");
+            let fresh = single(&db, &evaluator, &candidate);
+            assert_eq!(witnesses(&lineage), witnesses(&fresh), "query {text}");
             // Undo for the next query: re-insert what was deleted (new id,
             // but compile and refresh both see the same database).
             db.insert_values("R", [Value::int(2), Value::int(1)])
@@ -517,45 +261,23 @@ mod tests {
         let mut db = blocks_db();
         // 8 is not interned at compile time: the lineage compiles to zero
         // witnesses (never entails).
-        let evaluator = QueryEvaluator::new(parse_query(db.schema(), "Ans() :- R(8, x)").unwrap());
-        let mut lineage = CompiledLineage::compile(&evaluator, &db, &[])
-            .unwrap()
-            .unwrap();
-        assert!(lineage.never_entails());
+        let evaluator = evaluator(&db, "Ans() :- R(8, x)");
+        let queries = [(&evaluator, &[] as &[Value])];
+        let mut lineage = single(&db, &evaluator, &[]);
+        assert_eq!(lineage.query_witness_count(0), Some(0));
         db.insert_values("R", [Value::int(8), Value::int(1)])
             .unwrap();
-        assert!(lineage.refresh(&evaluator, &db, &[]).unwrap());
-        let fresh = CompiledLineage::compile(&evaluator, &db, &[])
-            .unwrap()
-            .unwrap();
-        assert_eq!(lineage, fresh);
-        assert_eq!(lineage.witness_count(), 1);
-        assert!(lineage.entails(&db.all_facts()));
-    }
-
-    #[test]
-    fn over_cap_refresh_reports_false_and_leaves_the_lineage_unchanged() {
-        let mut db = blocks_db();
-        let evaluator = QueryEvaluator::new(parse_query(db.schema(), "Ans() :- R(1, x)").unwrap());
-        let mut lineage = CompiledLineage::compile_with_cap(&evaluator, &db, &[], 3)
-            .unwrap()
-            .unwrap();
-        let before = lineage.clone();
-        for v in 10..14 {
-            db.insert_values("R", [Value::int(1), Value::int(v)])
-                .unwrap();
-        }
-        assert!(!lineage.refresh_with_cap(&evaluator, &db, &[], 3).unwrap());
-        assert_eq!(
-            lineage, before,
-            "failed refresh must not corrupt the lineage"
-        );
+        assert_eq!(lineage.refresh(&db, &queries).unwrap(), 1);
+        let fresh = single(&db, &evaluator, &[]);
+        assert_eq!(witnesses(&lineage), witnesses(&fresh));
+        assert_eq!(lineage.query_witness_count(0), Some(1));
+        assert!(entails(&lineage, &db.all_facts()));
     }
 
     #[test]
     fn arity_mismatch_is_reported() {
         let db = blocks_db();
-        let evaluator = QueryEvaluator::new(parse_query(db.schema(), "Ans(x) :- R(1, x)").unwrap());
-        assert!(CompiledLineage::compile(&evaluator, &db, &[]).is_err());
+        let evaluator = evaluator(&db, "Ans(x) :- R(1, x)");
+        assert!(LineageBank::compile(&db, &[(&evaluator, &[] as &[Value])]).is_err());
     }
 }

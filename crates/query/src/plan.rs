@@ -5,8 +5,8 @@
 //! relation at every step.  That is fine for entailment checks on sampled
 //! repairs (the compiled-lineage bitsets took that job over in PR 1), but
 //! witness *enumeration* — the compile step behind every
-//! [`crate::CompiledLineage`] and [`crate::LineageBank`] entry — still ran
-//! one naive pass per `(query, candidate)`.  This module turns enumeration
+//! [`crate::LineageBank`] entry — still ran one naive pass per
+//! `(query, candidate)`.  This module turns enumeration
 //! into a plan-based pipeline:
 //!
 //! * **Atom order** is chosen greedily.  The structural planner
@@ -199,7 +199,7 @@ impl JoinPlan {
     ///
     /// This is the default plan wherever a database is in scope
     /// ([`crate::QueryEvaluator::with_stats`], and through it every
-    /// [`crate::CompiledLineage`] and [`crate::LineageBank`] compile); the
+    /// [`crate::LineageBank`] compile); the
     /// structural [`JoinPlan::build`] order survives as the baseline.
     /// The chosen order never changes *what* is enumerated — witness sets
     /// and fallback decisions are enumeration-order-independent — only how
@@ -363,7 +363,7 @@ impl JoinPlan {
     /// match must place an inserted fact at some step, so the union of the
     /// pinned passes covers exactly the new matches; a match placing `k`
     /// inserted facts at `k` distinct steps is emitted once per such step,
-    /// and callers absorb the duplicates (the lineage compiler's antichain
+    /// and callers absorb the duplicates (the bank's minimal antichain
     /// does so by construction).  Pinning is safe because
     /// [`match_and_bind`] re-validates *all* terms of the pinned atom — an
     /// inserted fact that does not actually match is skipped, never bound.

@@ -441,7 +441,6 @@ mod tests {
         // its shared written prefix; subtree sharing must enumerate the
         // common hot suffix once and replay it for every entry, keeping
         // the pass count close to the structural prefix trie's.
-        use ucqa_query::lineage::DEFAULT_WITNESS_CAP;
         use ucqa_query::{CompileBudget, CompileStats, LineageBank};
 
         let (db, _) = workload().generate();
@@ -460,13 +459,8 @@ mod tests {
                 .collect();
             let refs: Vec<(&QueryEvaluator, &[Value])> =
                 evaluators.iter().map(|e| (e, &[] as &[Value])).collect();
-            let (compiled, stats) = LineageBank::compile_instrumented(
-                &db,
-                &refs,
-                DEFAULT_WITNESS_CAP,
-                &CompileBudget::unlimited(),
-            )
-            .unwrap();
+            let (compiled, stats) =
+                LineageBank::compile_with_budget(&db, &refs, &CompileBudget::unlimited()).unwrap();
             for entry in 0..k {
                 assert!(!compiled.is_fallback(entry), "entry {entry} overflowed");
             }

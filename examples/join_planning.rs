@@ -78,12 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     let start = Instant::now();
-    let (shared, stats) = LineageBank::compile_instrumented(
-        &db,
-        &refs,
-        uocqa::query::lineage::DEFAULT_WITNESS_CAP,
-        &uocqa::query::CompileBudget::unlimited(),
-    )?;
+    let (shared, stats) =
+        LineageBank::compile_with_budget(&db, &refs, &uocqa::query::CompileBudget::unlimited())?;
     let shared_ms = start.elapsed().as_secs_f64() * 1e3;
     println!(
         "shared compile: {} enumeration steps over {} trie nodes, \

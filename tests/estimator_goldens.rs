@@ -193,8 +193,9 @@ fn digests(spec: GeneratorSpec) -> Vec<(&'static str, u64)> {
         ("single/budget/stopping-cancelled", stopping, &cancelled),
         ("single/budget/fixed", samples, &unlimited),
         ("single/budget/fixed-capped", samples, &capped),
-        // The lower bounds of some generators ask for astronomically many
-        // draws on any database, so the derived count runs under a cap.
+        // The derived count runs under a cap.  Under M^uo the
+        // Proposition 7.3 bound asks for about 1.35·10¹⁴ draws, past the
+        // stopping cut-off, so that run is rejected before drawing.
         ("single/budget/fixed-from-bound-capped", from_bound, &capped),
     ] {
         let result = single.estimate_with_budget(&lookup, &b1, params, budget, &mut rng());
@@ -403,7 +404,7 @@ const PINNED: &[(&str, [u64; 6])] = &[
             0x7b702633bdab131f,
             0x7969071432f7d54c,
             0x0e626b0039cc40ce,
-            0xb7358c28950542f7,
+            0xaf645c4c8602c60c,
             0x8c0868ea8c60b85b,
         ],
     ),

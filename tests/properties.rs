@@ -10,7 +10,9 @@ use uocqa::db::{
     ConflictGraph, ConflictIndex, Database, Fact, FactId, FactSet, LiveOps, Value, ViolationSet,
 };
 use uocqa::numeric::Ratio;
-use uocqa::query::{Atom, CompiledLineage, ConjunctiveQuery, QueryEvaluator, Term};
+use uocqa::query::{
+    Atom, BankScratch, CompileBudget, ConjunctiveQuery, LineageBank, QueryEvaluator, Term,
+};
 use uocqa::repair::{GeneratorSpec, OperationalSemantics, RepairingTree, TreeLimits};
 
 mod common;
@@ -122,10 +124,10 @@ proptest! {
         }
     }
 
-    /// The compiled lineage agrees with the backtracking evaluator on
-    /// random subsets of seeded workload databases, across single-atom
-    /// lookup queries, Boolean fact-membership queries and two-atom join
-    /// queries.
+    /// The compiled lineage — one query as a bank of one — agrees with
+    /// the backtracking evaluator on random subsets of seeded workload
+    /// databases, across single-atom lookup queries, Boolean
+    /// fact-membership queries and two-atom join queries.
     #[test]
     fn compiled_lineage_agrees_with_the_evaluator(
         blocks in 1usize..6,
@@ -142,9 +144,10 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5);
         for (query, candidate) in queries {
             let evaluator = QueryEvaluator::new(query);
-            let lineage = CompiledLineage::compile(&evaluator, &db, &candidate)
-                .unwrap()
-                .expect("workload lineages stay under the witness cap");
+            let lineage = LineageBank::compile(&db, &[(&evaluator, candidate.as_slice())]).unwrap();
+            prop_assert!(!lineage.is_fallback(0), "workload lineages stay under the witness cap");
+            let mut scratch = BankScratch::new();
+            let mut hits = [false];
             for _ in 0..32 {
                 let subset = FactSet::from_iter(
                     db.len(),
@@ -152,8 +155,9 @@ proptest! {
                         .filter(|_| rng.random_bool(0.5))
                         .map(uocqa::db::FactId::new),
                 );
+                lineage.evaluate_into(&subset, &mut scratch, &mut hits);
                 prop_assert_eq!(
-                    lineage.entails(&subset),
+                    hits[0],
                     evaluator.has_answer(&db, &subset, &candidate).unwrap(),
                     "subset {:?}", subset
                 );
@@ -383,7 +387,6 @@ proptest! {
         rows in prop::collection::vec((0u8..3, 0u8..3, 0u8..3, 0u8..2), 2..10),
         seed in 0u64..1_000,
     ) {
-        use uocqa::query::LineageBank;
         use uocqa::workload::queries::overlapping_join_bank;
 
         let (db, _) = multi_fd_database(&rows);
@@ -449,17 +452,14 @@ proptest! {
                 unplanned.sort_by(|a, b| a.bindings.cmp(&b.bindings).then(a.image.cmp(&b.image)));
                 prop_assert_eq!(planned, unplanned);
             }
-            let planned = CompiledLineage::compile(evaluator, &db, candidate).unwrap();
+            let planned = LineageBank::compile(&db, &[(evaluator, candidate.as_slice())]).unwrap();
             let reference = reference_witnesses(
                 evaluator,
                 &db,
                 candidate,
                 uocqa::query::lineage::DEFAULT_WITNESS_CAP,
             );
-            let witness_set = |lineage: &CompiledLineage| -> std::collections::BTreeSet<Vec<FactId>> {
-                lineage.witnesses().iter().map(FactSet::to_vec).collect()
-            };
-            prop_assert_eq!(planned.as_ref().map(witness_set), reference);
+            prop_assert_eq!(canonical_witnesses(&planned, 0, None), reference);
         }
 
         // Whole-bank: the shared scan trie produces the reference entries,
@@ -468,7 +468,8 @@ proptest! {
         let refs: Vec<(&QueryEvaluator, &[Value])> =
             evaluators.iter().map(|(e, c)| (e, c.as_slice())).collect();
         for cap in [uocqa::query::lineage::DEFAULT_WITNESS_CAP, 1] {
-            let shared = LineageBank::compile_with_cap(&db, &refs, cap).unwrap();
+            let budget = CompileBudget::unlimited().with_witness_cap(cap);
+            let (shared, _) = LineageBank::compile_with_budget(&db, &refs, &budget).unwrap();
             let reference: Vec<_> = refs
                 .iter()
                 .map(|&(evaluator, candidate)| reference_witnesses(evaluator, &db, candidate, cap))
@@ -547,8 +548,8 @@ proptest! {
     }
 
     /// Cost-based join plans are **end-to-end bit-identical** to the
-    /// structural baseline: per-query compiled-lineage antichains, bank
-    /// witness sets after `minimal_antichain`, fallback flags under the
+    /// structural baseline: per-query lineage antichains (banks of one),
+    /// whole-bank witness sets, fallback flags under the
     /// default and a fallback-forcing cap, and same-seed batched
     /// estimates across all six generator specs all agree between
     /// evaluators planned with `QueryEvaluator::new` (structural order)
@@ -560,7 +561,6 @@ proptest! {
         seed in 0u64..200,
     ) {
         use uocqa::core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
-        use uocqa::query::LineageBank;
         use uocqa::workload::queries::overlapping_join_bank;
 
         let (db, sigma) = block_database(&profile);
@@ -582,17 +582,15 @@ proptest! {
             .map(|q| QueryEvaluator::with_stats(q, &db).unwrap())
             .collect();
 
-        // Per-query compiled lineages hold the same minimal antichain.
-        let witness_set = |lineage: &CompiledLineage| -> std::collections::BTreeSet<Vec<FactId>> {
-            lineage.witnesses().iter().map(FactSet::to_vec).collect()
-        };
+        // Per-query lineages (banks of one) hold the same minimal
+        // antichain, or fall back together.
         for (s, c) in structural.iter().zip(&costed) {
-            let s_lineage = CompiledLineage::compile(s, &db, &[]).unwrap();
-            let c_lineage = CompiledLineage::compile(c, &db, &[]).unwrap();
-            match (&s_lineage, &c_lineage) {
-                (Some(s), Some(c)) => prop_assert_eq!(witness_set(s), witness_set(c)),
-                _ => prop_assert!(s_lineage.is_none() == c_lineage.is_none()),
-            }
+            let s_lineage = LineageBank::compile(&db, &[(s, &[] as &[Value])]).unwrap();
+            let c_lineage = LineageBank::compile(&db, &[(c, &[] as &[Value])]).unwrap();
+            prop_assert_eq!(
+                canonical_witnesses(&s_lineage, 0, None),
+                canonical_witnesses(&c_lineage, 0, None)
+            );
         }
 
         // Whole banks agree entry by entry — witness sets and fallback
@@ -603,8 +601,9 @@ proptest! {
         let c_refs: Vec<(&QueryEvaluator, &[Value])> =
             costed.iter().map(|e| (e, &[] as &[Value])).collect();
         for cap in [uocqa::query::lineage::DEFAULT_WITNESS_CAP, 1] {
-            let s_bank = LineageBank::compile_with_cap(&db, &s_refs, cap).unwrap();
-            let c_bank = LineageBank::compile_with_cap(&db, &c_refs, cap).unwrap();
+            let budget = CompileBudget::unlimited().with_witness_cap(cap);
+            let (s_bank, _) = LineageBank::compile_with_budget(&db, &s_refs, &budget).unwrap();
+            let (c_bank, _) = LineageBank::compile_with_budget(&db, &c_refs, &budget).unwrap();
             for entry in 0..s_refs.len() {
                 prop_assert_eq!(
                     s_bank.is_fallback(entry),
@@ -1245,7 +1244,7 @@ proptest! {
         seed in 0u64..200,
     ) {
         use uocqa::core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
-        use uocqa::query::{BankQueryRef, LineageBank};
+        use uocqa::query::BankQueryRef;
 
         let (mut db, sigma) = block_database(&profile);
         let texts = [
@@ -1312,7 +1311,7 @@ proptest! {
         rounds in prop::collection::vec((0usize..3, 0usize..2), 1..5),
         seed in 0u64..200,
     ) {
-        use uocqa::query::{BankQueryRef, LineageBank};
+        use uocqa::query::BankQueryRef;
 
         let (mut db, sigma) = block_database(&profile);
         let evaluators: Vec<QueryEvaluator> = ["Ans() :- R(0, v)", "Ans() :- R(x, y), R(z, y)"]

@@ -2,9 +2,8 @@
 //!
 //! The experiment harness of the reproduction.  Every experiment of
 //! `EXPERIMENTS.md` (E1–E12) is implemented as a function returning one or
-//! more [`report::Table`]s with *paper value vs. measured value* rows; the
-//! `experiments` binary prints them, and the Criterion benches reuse the
-//! same workloads for timing.
+//! more [`report::Table`]s with *paper value vs. measured value* rows, and
+//! the `experiments` binary prints them.
 //!
 //! The performance benchmark of the estimator stack is not here: it is
 //! the standalone `perfbench` package at the repository root (see
@@ -16,7 +15,6 @@
 //!
 //! ```text
 //! cargo run -p ucqa-bench --release --bin experiments -- all
-//! cargo bench -p ucqa-bench
 //! ```
 
 #![forbid(unsafe_code)]
@@ -27,7 +25,7 @@ pub mod report;
 
 pub use report::Table;
 
-/// Fixtures shared by the experiments, the benches and the examples.
+/// Fixtures shared by the experiments.
 pub mod fixtures {
     use ucqa_db::{Database, FdSet, FunctionalDependency, Schema, Value};
 

@@ -1905,7 +1905,7 @@ mod tests {
 
     #[test]
     fn unlimited_budget_estimates_are_bit_identical_across_all_specs() {
-        // The acceptance criterion of the budget subsystem: with an
+        // The acceptance check of the budget subsystem: with an
         // unconstrained `RunBudget`, every estimator entry point draws the
         // same sample stream and reports the same counts as the pre-budget
         // path, for every generator spec.

@@ -10,10 +10,11 @@
 //!
 //! The hot path is backed by the precomputed incremental
 //! [`ConflictIndex`]: `V(D, Σ)` and its conflict components are computed
-//! **once** when the sampler is built.  The interleaved walk
-//! ([`OperationWalkSampler::sample`]) keeps `Ops_s(D, Σ)` itself in a
-//! [`LiveOps`] cursor, because its leaf probability needs `|Ops_s|` at
-//! every step.
+//! **once** when the sampler is built.  `Ops_s(D, Σ)` of a sub-database is
+//! derived from the index in one place,
+//! [`OperationWalkSampler::available_operations`].  The reference walk
+//! ([`OperationWalkSampler::sample`]) calls it at every step, because its
+//! leaf probability needs `|Ops_s|`; the repair draws never keep `Ops_s`.
 //!
 //! **Lazy permutation.**  The `M^uo` repair draws need only the result,
 //! so they never maintain `Ops_s`.  A component's walk fills a pool with
@@ -74,16 +75,16 @@
 //! draw ([`OperationWalkSampler::sample_result_into`]) is the same
 //! routine over every component after one O(|D|/64) copy of the live
 //! facts (deleted ids stay absent).  Only
-//! [`OperationWalkSampler::sample`], which returns a sequence, still
-//! walks all components interleaved on the caller's RNG.
+//! [`OperationWalkSampler::sample`], which returns a sequence, walks all
+//! components interleaved on the caller's RNG.
 
 use std::sync::Arc;
 
 use rand::{Rng, RngCore};
 
-use ucqa_db::{ConflictIndex, Database, FactId, FactSet, FdSet, LiveOps};
+use ucqa_db::{ConflictIndex, Database, FactId, FactSet, FdSet};
 use ucqa_numeric::LogFloat;
-use ucqa_repair::{operation::justified_operations_from_index, Operation, RepairingSequence};
+use ucqa_repair::{Operation, RepairingSequence};
 
 use crate::random::KeyedStream;
 
@@ -213,11 +214,12 @@ impl<'a> OperationWalkSampler<'a> {
     /// of the uniform-operations Markov chain, together with its leaf
     /// probability `π(s)`.
     ///
-    /// This walk interleaves all components on the caller's RNG, as the
-    /// chain does, and keeps `Ops_s(D, Σ)` in a [`LiveOps`] cursor: each
-    /// step is a uniform pick over the cursor's live singleton and pair
-    /// arrays (the latter empty for a singleton walk), and `π(s)` gains a
-    /// factor `1/|Ops_s|`.  The per-component walks of the repair draws
+    /// This is the reference chain itself: starting from the live facts,
+    /// each step picks uniformly from
+    /// [`OperationWalkSampler::available_operations`] on the current
+    /// sub-database, multiplies `π(s)` by `1/|Ops_s|` and applies the
+    /// pick, until no operation is justified.  Each step costs O(|V|).
+    /// The per-component walks of the repair draws
     /// ([`OperationWalkSampler::sample_result_into`]) have the chain's
     /// *repair* distribution but not its *sequence* distribution (they
     /// fix an order in which components are repaired), so they cannot
@@ -225,30 +227,19 @@ impl<'a> OperationWalkSampler<'a> {
     /// draws': `sample(rng).result` and `sample_result(rng)` are equally
     /// distributed, not equal.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> WalkOutcome {
-        let index: &ConflictIndex = &self.index;
-        let mut ops = LiveOps::new();
-        ops.reset_full(index, !self.singleton_only);
-        let mut operations = Vec::new();
-        let mut probability = LogFloat::one();
-        while !ops.is_consistent() {
-            let singles = ops.single_count();
-            let count = singles + ops.pair_count();
-            let choice = rng.random_range(0..count);
-            probability *= LogFloat::from_value(1.0 / count as f64);
-            if choice < singles {
-                let fact = ops.single(choice);
-                ops.remove_fact(index, fact);
-                operations.push(Operation::remove_one(fact));
-            } else {
-                let (f, g) = ops.pair(index, choice - singles);
-                ops.remove_fact(index, f);
-                ops.remove_fact(index, g);
-                operations.push(Operation::remove_pair(f, g));
-            }
+        let mut live = self.db.live_facts().clone();
+        let (mut operations, mut probability) = (Vec::new(), LogFloat::one());
+        let mut available = self.available_operations(&live);
+        while !available.is_empty() {
+            probability *= LogFloat::from_value(1.0 / available.len() as f64);
+            let operation = available.swap_remove(rng.random_range(0..available.len()));
+            operation.apply(&mut live);
+            operations.push(operation);
+            available = self.available_operations(&live);
         }
         WalkOutcome {
             sequence: RepairingSequence::from_operations(operations),
-            result: ops.live().clone(),
+            result: live,
             probability,
         }
     }
@@ -387,25 +378,30 @@ impl<'a> OperationWalkSampler<'a> {
         components
     }
 
-    /// Counts the justified operations available on `subset` — the factor
-    /// `|Ops_s(D, Σ)|` of the leaf distribution, exposed for diagnostics
-    /// and the lower-bound experiments.
-    pub fn available_operation_count(&self, subset: &FactSet) -> usize {
-        let mut ops = LiveOps::new();
-        ops.reset_to(&self.index, subset);
-        let singles = ops.single_count();
-        if self.singleton_only {
-            singles
-        } else {
-            singles + ops.pair_count()
-        }
-    }
-
-    /// The justified operations available on `subset`, in canonical order.
+    /// The justified operations `Ops_s(D, Σ)` available on `subset`, in
+    /// canonical order, read from the conflict index: the facts of
+    /// `subset` with a conflicting neighbour in `subset`, and, unless the
+    /// sampler is singleton-only, the conflicting pairs with both facts in
+    /// `subset`.  O(|V|).
     pub fn available_operations(&self, subset: &FactSet) -> Vec<Operation> {
-        let mut ops = LiveOps::new();
-        ops.reset_to(&self.index, subset);
-        justified_operations_from_index(&self.index, &ops, self.singleton_only)
+        let index: &ConflictIndex = &self.index;
+        let mut operations: Vec<Operation> = index
+            .conflicting_facts()
+            .iter()
+            .filter(|&&fact| subset.contains(fact) && index.has_live_neighbour(fact, subset))
+            .map(|&fact| Operation::remove_one(fact))
+            .collect();
+        if !self.singleton_only {
+            operations.extend(
+                index
+                    .pairs()
+                    .iter()
+                    .filter(|&&(f, g)| subset.contains(f) && subset.contains(g))
+                    .map(|&(f, g)| Operation::remove_pair(f, g)),
+            );
+        }
+        operations.sort_unstable();
+        operations
     }
 }
 
@@ -435,6 +431,7 @@ mod tests {
     use rand::{RngCore, SeedableRng};
     use std::collections::HashMap;
     use ucqa_db::{FunctionalDependency, Schema, Value, ViolationSet};
+    use ucqa_repair::operation::justified_operations_from;
     use ucqa_repair::{GeneratorSpec, OperationalSemantics, TreeLimits};
     use ucqa_workload::BlockWorkload;
 
@@ -562,71 +559,39 @@ mod tests {
         }
     }
 
-    /// Sorted copies of a cursor's live singleton and pair operations.
-    fn sorted_ops(index: &ConflictIndex, ops: &LiveOps) -> (Vec<FactId>, Vec<(FactId, FactId)>) {
-        let mut singles = ops.live_singles().to_vec();
-        singles.sort();
-        let mut pairs: Vec<_> = ops.live_pairs(index).collect();
-        pairs.sort();
-        (singles, pairs)
-    }
-
     #[test]
     fn incremental_walk_state_matches_recompute_at_every_step() {
         // Drive the index-backed walk by hand on a general-FD database,
         // component by component as the repair draws do, and cross-check
-        // the live operation sets against a from-scratch recompute after
-        // every removal.  Each step moves two cursors in lockstep: `paired`
-        // keeps the pair set, `unpaired` does not (as a singleton walk's).
+        // the justified operations read from the index against a
+        // from-scratch recompute after every step, for the pair and the
+        // singleton sampler.
         let (db, sigma) = ucqa_workload_like_database();
-        let sampler = OperationWalkSampler::new(&db, &sigma);
-        let index = sampler.conflict_index();
+        let paired = OperationWalkSampler::new(&db, &sigma);
+        let unpaired = OperationWalkSampler::new(&db, &sigma).singleton_only();
+        let index = paired.conflict_index();
         // f0 and f1 violate both FDs: the one pair on which counting
         // conflicting neighbours and counting violations differ.
         assert!(index.violations().len() > index.pairs().len());
-        assert_eq!(index.degree(FactId::new(0)), 3);
+        assert_eq!(index.neighbour_positions(FactId::new(0)).len(), 3);
         let mut rng = StdRng::seed_from_u64(4);
-        let (mut paired, mut unpaired) = (LiveOps::new(), LiveOps::new());
-        for singleton_walk in [false, true] {
+        for sampler in [&paired, &unpaired] {
             for _ in 0..50 {
                 for component in 0..index.component_count() {
-                    paired.reset_component(index, component, true);
-                    unpaired.reset_component(index, component, false);
                     let facts = index.component(component);
                     let mut subset = FactSet::from_iter(db.len(), facts.iter().copied());
-                    while !paired.is_consistent() {
-                        let singles = paired.single_count();
-                        let count = if singleton_walk {
-                            singles
-                        } else {
-                            singles + paired.pair_count()
-                        };
-                        let choice = rng.random_range(0..count);
-                        let removed = if choice < singles {
-                            vec![paired.single(choice)]
-                        } else {
-                            let (f, g) = paired.pair(index, choice - singles);
-                            vec![f, g]
-                        };
-                        for &f in &removed {
-                            paired.remove_fact(index, f);
-                            unpaired.remove_fact(index, f);
-                            subset.remove(f);
-                        }
+                    loop {
+                        let available = sampler.available_operations(&subset);
                         let violations = ViolationSet::compute(&db, &sigma, &subset);
-                        let (singles, pairs) = sorted_ops(index, &paired);
-                        assert_eq!(singles, violations.conflicting_facts());
-                        assert_eq!(pairs, violations.conflicting_pairs());
-                        // Same singletons in the same order: a singleton
-                        // walk draws the same repair with or without the
-                        // pair set.
-                        assert_eq!(unpaired.live_singles(), paired.live_singles());
-                        assert_eq!(unpaired.pair_count(), 0);
-                        assert!(facts
-                            .iter()
-                            .all(|&f| paired.live().contains(f) == subset.contains(f)));
+                        assert_eq!(
+                            available,
+                            justified_operations_from(&violations, sampler.is_singleton_only())
+                        );
+                        if available.is_empty() {
+                            break;
+                        }
+                        available[rng.random_range(0..available.len())].apply(&mut subset);
                     }
-                    assert!(unpaired.is_consistent());
                     assert!(ViolationSet::compute(&db, &sigma, &subset).is_empty());
                 }
             }
@@ -734,9 +699,11 @@ mod tests {
             assert!(outcome.sequence.is_singleton_only());
             assert!(!outcome.result.is_empty());
         }
-        assert_eq!(sampler.available_operation_count(&db.all_facts()), 3);
+        assert_eq!(sampler.available_operations(&db.all_facts()).len(), 3);
         assert_eq!(
-            OperationWalkSampler::new(&db, &sigma).available_operation_count(&db.all_facts()),
+            OperationWalkSampler::new(&db, &sigma)
+                .available_operations(&db.all_facts())
+                .len(),
             5
         );
     }

@@ -5,40 +5,34 @@
 //! removes one or two facts.  Violations are *monotone under removal*:
 //! `V(D', Σ)` is exactly the subset of `V(D, Σ)` whose two facts both
 //! survive in `D'`.  So instead of rescanning the database on every step
-//! (O(|D|) per step, O(|D|²) per walk), the index computes `V(D, Σ)`
-//! **once**, stores per-fact adjacency, and maintains the live operation
-//! sets incrementally:
+//! (O(|D|) per step, O(|D|²) per walk), [`ConflictIndex`] computes
+//! `V(D, Σ)` **once**, is patched per database delta, and answers every
+//! question about `Ops_s` of a sub-database `D' ⊆ D` from its adjacency:
+//! a live fact `f` is a justified singleton iff
+//! [`ConflictIndex::has_live_neighbour`] finds a live fact in its
+//! neighbour run, and a pair of [`ConflictIndex::component_pairs`] is
+//! justified iff both its facts are live.  The index holds no walk state,
+//! so it is shareable across threads and backs any number of concurrent
+//! walks.
 //!
-//! * [`ConflictIndex`] — the shared part, built once per `(D, Σ)` and
-//!   patched per database delta.  It stores the conflict graph **per
-//!   component**: each component's facts (ascending), its deduplicated
-//!   conflicting pairs (lexicographic), its violations (canonical order)
-//!   and its facts' neighbour runs (ascending neighbour id, each entry a
-//!   conflicting fact and the id of their pair, with the conflicting
-//!   fact's position in the component's fact run beside it) are
-//!   contiguous runs of flat arenas, and one per-fact entry holds the
-//!   fact's component slot and its neighbour run.  Components are ranked
-//!   in order of their smallest fact id through a bitset of component
-//!   minima whose word-level popcount prefix gives each minimum its rank.
-//!   Shareable across threads.
-//! * [`LiveOps`] — a mutable cursor that keeps `Ops_s(D, Σ)` itself: the
-//!   live sub-database, per-fact counts of live conflicting neighbours,
-//!   and the live singleton (and, optionally, pair) operation sets as
-//!   dense swap-remove arrays, so `|Ops_s(D, Σ)|` is known at every step,
-//!   a uniform pick over it is O(1) and [`LiveOps::remove_fact`] is one
-//!   pass over the removed fact's neighbours.  The interleaved walk,
-//!   whose leaf probability `π(s)` needs `|Ops_s(D, Σ)|`, and the
-//!   diagnostics use it.  The repair draws do not.  Under `M^uo` they
-//!   visit a component's operations in a uniform random order and test
-//!   each one when it comes up, reading only
-//!   [`ConflictIndex::component`], [`ConflictIndex::component_pairs`]
-//!   and [`ConflictIndex::has_live_neighbour`]; under `M^{uo,1}` they
-//!   compare each fact's rank with its neighbours', read by position
-//!   through [`ConflictIndex::neighbour_positions`].
+//! It stores the conflict graph **per component**: each component's facts
+//! (ascending), its deduplicated conflicting pairs (lexicographic), its
+//! violations (canonical order) and its facts' neighbour runs (ascending
+//! neighbour id, with each neighbour's position in the component's fact
+//! run beside it) are contiguous runs of flat arenas, and one per-fact
+//! entry holds the fact's component slot and its neighbour run.
+//! Components are ranked in order of their smallest fact id through a
+//! bitset of component minima whose word-level popcount prefix gives each
+//! minimum its rank.  Under `M^uo` the repair draws of
+//! `ucqa_core::sample_operations` visit a component's operations in a
+//! uniform random order and test each one when it comes up, reading only
+//! [`ConflictIndex::component`], [`ConflictIndex::component_pairs`] and
+//! [`ConflictIndex::has_live_neighbour`]; under `M^{uo,1}` they compare
+//! each fact's rank with its neighbours', read by position through
+//! [`ConflictIndex::neighbour_positions`].
 //!
-//! A live fact is a justified singleton operation iff it has a live
-//! conflicting neighbour, so several FDs violating the same pair count
-//! once: the walk never needs the violations themselves.
+//! A pair violating several FDs is one neighbour and one pair operation,
+//! so the walk never needs the violations themselves.
 //!
 //! Every singleton or pair operation lies inside one conflict component,
 //! so the walk projected onto a component is that component's own walk;
@@ -59,23 +53,23 @@
 //! fingerprint is the wrapping sum of the digests, so both follow the
 //! delta too.  The global lists [`ConflictIndex::pairs`],
 //! [`ConflictIndex::violations`] and [`ConflictIndex::conflicting_facts`]
-//! are views assembled on first use after a change, for diagnostics and
-//! tests; the walk never reads them.
+//! are views assembled on first use after a change, for diagnostics,
+//! tests and the reference walk's `Ops_s`; the repair draws never read
+//! them.
 
 use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::{Database, FactChange, FactId, FactSet, FdId, FdSet, Violation, ViolationSet};
 
-/// Sentinel marking a fact/pair as absent from its dense live array, and
-/// a fact as belonging to no component.
-const NOT_LIVE: u32 = u32::MAX;
+/// Sentinel slot of a fact that belongs to no component.
+const NO_COMPONENT: u32 = u32::MAX;
 
 /// Per fact: its component slot and its neighbour run.
 #[derive(Debug, Clone, Copy)]
 struct FactEntry {
     /// The slot of the fact's component in [`ConflictIndex::slots`], or
-    /// [`NOT_LIVE`] for a fact in no violation (conflict-free or deleted).
+    /// [`NO_COMPONENT`] for a fact in no violation (conflict-free or deleted).
     slot: u32,
     /// Start of the fact's neighbour run in the neighbour arena.
     start: u32,
@@ -85,7 +79,7 @@ struct FactEntry {
 
 /// The entry of a fact in no component.
 const CONFLICT_FREE: FactEntry = FactEntry {
-    slot: NOT_LIVE,
+    slot: NO_COMPONENT,
     start: 0,
     len: 0,
 };
@@ -141,15 +135,14 @@ impl Component {
     }
 }
 
-/// The four flat arenas every component's runs live in.  A pair's id is
-/// its position in `pairs`.
+/// The four flat arenas every component's runs live in.
 #[derive(Debug, Clone, Default)]
 struct Arenas {
     facts: Vec<FactId>,
     pairs: Vec<(FactId, FactId)>,
     violations: Vec<Violation>,
-    /// Each entry a conflicting fact and the id of the pair the two form.
-    neighbours: Vec<(FactId, u32)>,
+    /// Each entry a conflicting fact.
+    neighbours: Vec<FactId>,
     /// Beside each entry of `neighbours`: the conflicting fact's position
     /// in its component's fact run.
     positions: Vec<u32>,
@@ -173,20 +166,17 @@ impl Arenas {
 struct Views {
     violations: OnceLock<Vec<Violation>>,
     pairs: OnceLock<Vec<(FactId, FactId)>>,
-    /// The arena ids of the pairs, in pair order.
-    pair_ids: OnceLock<Vec<u32>>,
     conflicting: OnceLock<Vec<FactId>>,
 }
 
 /// The conflict structure of `(D, Σ)`: precomputed once, patched per
 /// delta.
 ///
-/// Holds `V(D, Σ)` plus the adjacency needed to maintain the justified
-/// operation sets of any sub-database reached by removals, stored per
+/// Holds `V(D, Σ)` plus the adjacency that decides the justified
+/// operations of any sub-database reached by removals, stored per
 /// conflict component (see the module docs).  All state that changes
-/// during a walk lives outside it, in a [`LiveOps`] cursor or the walk's
-/// own buffers, so one `ConflictIndex` can back any number of concurrent
-/// walks.
+/// during a walk lives in the walk's own buffers, so one `ConflictIndex`
+/// can back any number of concurrent walks.
 ///
 /// An index remembers the database version it describes and is brought up
 /// to date with [`ConflictIndex::refresh`], which replays the fact-level
@@ -373,7 +363,7 @@ impl ConflictIndex {
         );
         touched.sort_unstable();
         touched.dedup();
-        if touched.last() == Some(&NOT_LIVE) {
+        if touched.last() == Some(&NO_COMPONENT) {
             touched.pop();
         }
 
@@ -520,7 +510,7 @@ impl ConflictIndex {
         for &(a, b) in pairs {
             for fact in [a, b] {
                 let entry = &mut self.facts[fact.index()];
-                if entry.slot == NOT_LIVE {
+                if entry.slot == NO_COMPONENT {
                     entry.slot = facts.len() as u32;
                     facts.push(fact);
                 }
@@ -612,16 +602,14 @@ impl ConflictIndex {
                 cursor += degree[position - first_fact];
             }
         }
-        arenas
-            .neighbours
-            .resize(cursor as usize, (FactId::new(0), 0));
+        arenas.neighbours.resize(cursor as usize, FactId::new(0));
         arenas.positions.resize(cursor as usize, 0);
-        for (id, &(a, b)) in (pair_at[0]..).zip(&arenas.pairs[pair_at[0] as usize..]) {
+        for &(a, b) in &arenas.pairs[pair_at[0] as usize..] {
             for (fact, other) in [(a, b), (b, a)] {
                 let position = self.facts[other.index()].slot;
                 let entry = &mut self.facts[fact.index()];
                 let at = (entry.start + entry.len) as usize;
-                arenas.neighbours[at] = (other, id);
+                arenas.neighbours[at] = other;
                 arenas.positions[at] = position;
                 entry.len += 1;
             }
@@ -731,13 +719,9 @@ impl ConflictIndex {
             arenas
                 .violations
                 .extend_from_slice(&old.violations[component.violations.range()]);
-            arenas.neighbours.extend(
-                old.neighbours[neighbours.range()]
-                    .iter()
-                    .map(|&(other, pair)| {
-                        (other, pair - component.pairs.start + moved.pairs.start)
-                    }),
-            );
+            arenas
+                .neighbours
+                .extend_from_slice(&old.neighbours[neighbours.range()]);
             arenas
                 .positions
                 .extend_from_slice(&old.positions[neighbours.range()]);
@@ -795,18 +779,6 @@ impl ConflictIndex {
         all
     }
 
-    /// The arena ids of all pairs, in pair order.
-    fn pair_ids(&self) -> &[u32] {
-        self.views.pair_ids.get_or_init(|| {
-            let mut ids: Vec<u32> = self
-                .live_components()
-                .flat_map(|c| c.pairs.start..c.pairs.end)
-                .collect();
-            ids.sort_unstable_by_key(|&id| self.arenas.pairs[id as usize]);
-            ids
-        })
-    }
-
     /// The size of the fact universe.
     pub fn universe(&self) -> usize {
         self.universe
@@ -843,17 +815,9 @@ impl ConflictIndex {
             .get_or_init(|| self.sorted_runs(&self.arenas.facts, |c| c.facts))
     }
 
-    /// The number of facts `fact` conflicts with in the full database —
-    /// its degree in the conflict graph, as
-    /// [`crate::ConflictGraph::degree`].  A pair violating several FDs
-    /// counts once.
-    pub fn degree(&self, fact: FactId) -> usize {
-        self.facts[fact.index()].len as usize
-    }
-
-    /// The facts `fact` conflicts with, each with the id of their pair,
-    /// by ascending fact id (the pair order).
-    fn neighbours_of(&self, fact: FactId) -> &[(FactId, u32)] {
+    /// The facts `fact` conflicts with, by ascending fact id (the pair
+    /// order).
+    fn neighbours_of(&self, fact: FactId) -> &[FactId] {
         let FactEntry { start, len, .. } = self.facts[fact.index()];
         &self.arenas.neighbours[start as usize..(start + len) as usize]
     }
@@ -874,7 +838,7 @@ impl ConflictIndex {
     pub fn has_live_neighbour(&self, fact: FactId, live: &FactSet) -> bool {
         self.neighbours_of(fact)
             .iter()
-            .any(|&(other, _)| live.contains(other))
+            .any(|&other| live.contains(other))
     }
 
     /// The number of connected components of the conflict graph.
@@ -904,7 +868,7 @@ impl ConflictIndex {
     /// (conflict-free or deleted) or outside the universe.
     pub fn component_of(&self, fact: FactId) -> Option<usize> {
         let slot = self.facts.get(fact.index())?.slot;
-        if slot == NOT_LIVE {
+        if slot == NO_COMPONENT {
             return None;
         }
         let facts = self.slots[slot as usize].facts;
@@ -941,7 +905,7 @@ impl ConflictIndex {
     /// comparing digests.  O(1).
     pub fn component_digest(&self, fact: FactId) -> u64 {
         match self.facts.get(fact.index()) {
-            Some(entry) if entry.slot != NOT_LIVE => self.slots[entry.slot as usize].digest,
+            Some(entry) if entry.slot != NO_COMPONENT => self.slots[entry.slot as usize].digest,
             _ => singleton_digest(fact),
         }
     }
@@ -981,21 +945,13 @@ impl Clone for ConflictIndex {
 
 impl PartialEq for ConflictIndex {
     fn eq(&self, other: &Self) -> bool {
-        // Each neighbour as its fact and the pair its id resolves to.
-        let neighbours = |index: &ConflictIndex, fact: FactId| {
-            index
-                .neighbours_of(fact)
-                .iter()
-                .map(|&(g, pair)| (g, index.arenas.pairs[pair as usize]))
-                .collect::<Vec<_>>()
-        };
         self.universe == other.universe
             && self.version == other.version
             && self.pairs() == other.pairs()
             && self.violations() == other.violations()
             && (0..self.universe)
                 .map(FactId::new)
-                .all(|fact| neighbours(self, fact) == neighbours(other, fact))
+                .all(|fact| self.neighbours_of(fact) == other.neighbours_of(fact))
             && self.component_count() == other.component_count()
             && self
                 .slots_by_rank()
@@ -1031,284 +987,6 @@ impl Fnv {
     }
 }
 
-/// The mutable state of one walk over a [`ConflictIndex`]: the live
-/// sub-database plus the live operation sets `Ops_s(D, Σ)`, maintained
-/// incrementally under fact removal.
-///
-/// The singleton set holds the live facts with at least one live
-/// conflicting neighbour; the pair set, when the reset asked for pairs,
-/// holds the pair ids whose two facts are both live.  Both are dense
-/// arrays with positional back-pointers, so membership updates are O(1)
-/// swap-removes and a uniform draw is a single `random_range` plus an
-/// array read.
-///
-/// A default-constructed `LiveOps` owns no buffers; the first
-/// [`LiveOps::reset_full`], [`LiveOps::reset_component`] or
-/// [`LiveOps::reset_to`] sizes them, and later resets reuse the
-/// allocations (the walk hot loop is allocation-free).
-#[derive(Debug, Clone, Default)]
-pub struct LiveOps {
-    /// The live sub-database `D'`.
-    live: FactSet,
-    /// Per fact: the number of live facts it conflicts with (zero for a
-    /// removed fact, so `degree[f] != 0` iff `f` is a live singleton).
-    degree: Vec<u32>,
-    /// Dense array of live singleton operations (facts with `degree > 0`).
-    singles: Vec<FactId>,
-    /// Per fact: its position in `singles`, or [`NOT_LIVE`].
-    single_pos: Vec<u32>,
-    /// Whether the last reset asked for the pair set; without it `pairs`
-    /// stays empty and `pair_pos` is never read or written.
-    track_pairs: bool,
-    /// Dense array of live pair operations (pair ids).
-    pairs: Vec<u32>,
-    /// Per pair id: its position in `pairs`, or [`NOT_LIVE`].
-    pair_pos: Vec<u32>,
-}
-
-impl LiveOps {
-    /// Creates an empty cursor (no buffers allocated yet).
-    pub fn new() -> Self {
-        LiveOps::default()
-    }
-
-    /// Clears any state left by a previous (possibly abandoned) walk,
-    /// restoring the invariant that every `single_pos`/`pair_pos` entry is
-    /// [`NOT_LIVE`] and every degree is zero, then sizes the buffers for
-    /// `index` (the pair positions only when `pairs` is set).
-    /// O(current live operations) — the positional arrays are only ever
-    /// written through `singles` / `pairs`, so clearing those entries
-    /// suffices even when the reset targets a **different**
-    /// [`ConflictIndex`].
-    fn prepare(&mut self, index: &ConflictIndex, pairs: bool) {
-        for &fact in &self.singles {
-            self.single_pos[fact.index()] = NOT_LIVE;
-            self.degree[fact.index()] = 0;
-        }
-        self.singles.clear();
-        for &pair in &self.pairs {
-            self.pair_pos[pair as usize] = NOT_LIVE;
-        }
-        self.pairs.clear();
-        if self.live.universe() != index.universe {
-            self.live = FactSet::empty(index.universe);
-            self.degree = vec![0; index.universe];
-            self.single_pos = vec![NOT_LIVE; index.universe];
-        }
-        // Pair ids are arena positions.  Every entry outside `pairs` is
-        // NOT_LIVE, so a buffer longer than a (compacted) arena needs no
-        // shrinking.
-        let pair_ids = index.arenas.pairs.len();
-        if pairs && self.pair_pos.len() < pair_ids {
-            self.pair_pos.resize(pair_ids, NOT_LIVE);
-        }
-        self.track_pairs = pairs;
-    }
-
-    /// Opens `facts` as live singletons at their full-database degrees.
-    fn open_singles(&mut self, index: &ConflictIndex, facts: &[FactId]) {
-        for (position, &fact) in (0..).zip(facts) {
-            self.degree[fact.index()] = index.degree(fact) as u32;
-            self.single_pos[fact.index()] = position;
-            self.singles.push(fact);
-        }
-    }
-
-    /// Opens the pair ids `pairs` as live pair operations.
-    fn open_pairs(&mut self, pairs: impl IntoIterator<Item = u32>) {
-        for (position, pair) in (0..).zip(pairs) {
-            self.pair_pos[pair as usize] = position;
-            self.pairs.push(pair);
-        }
-    }
-
-    /// Resets to the full database: every fact live, every singleton
-    /// operation of the universe available in fact order, and every pair
-    /// operation too, in pair order, when `pairs` is set (a singleton walk
-    /// passes `false` and keeps no pair set).  O(conflicting facts +
-    /// |D|/64), plus the pairs if kept, once the index's whole-database
-    /// views exist.
-    pub fn reset_full(&mut self, index: &ConflictIndex, pairs: bool) {
-        self.prepare(index, pairs);
-        self.live.fill();
-        self.open_singles(index, index.conflicting_facts());
-        if pairs {
-            self.open_pairs(index.pair_ids().iter().copied());
-        }
-    }
-
-    /// Resets to the start of component `component`'s own walk: every
-    /// fact of the component live, and exactly the component's singleton
-    /// operations available, plus its pair operations when `pairs` is set.
-    /// O(component facts), plus the component's pairs if kept, plus a
-    /// one-off O(|D|) sizing when the buffers first meet `index`'s
-    /// universe.
-    ///
-    /// Only the component's facts are written to [`LiveOps::live`]; facts
-    /// outside it keep whatever an earlier walk left there, and no
-    /// operation touches them.
-    ///
-    /// # Panics
-    /// Panics if `component` is out of range.
-    pub fn reset_component(&mut self, index: &ConflictIndex, component: usize, pairs: bool) {
-        self.prepare(index, pairs);
-        let slot = index.slots[index.slot(component)];
-        let facts = &index.arenas.facts[slot.facts.range()];
-        for &fact in facts {
-            self.live.insert(fact);
-        }
-        self.open_singles(index, facts);
-        if pairs {
-            self.open_pairs(slot.pairs.start..slot.pairs.end);
-        }
-    }
-
-    /// Resets to an arbitrary sub-database `subset ⊆ D`, pair set
-    /// included.  O(conflicting facts + pairs + |D|/64); used by the
-    /// diagnostics APIs, not by the walk hot loop.
-    ///
-    /// # Panics
-    /// Panics if `subset`'s universe differs from the index's.
-    pub fn reset_to(&mut self, index: &ConflictIndex, subset: &FactSet) {
-        assert_eq!(
-            subset.universe(),
-            index.universe,
-            "subset universe mismatch"
-        );
-        self.prepare(index, true);
-        self.live.copy_from(subset);
-        for (&(a, b), &pair) in index.pairs().iter().zip(index.pair_ids()) {
-            if self.live.contains(a) && self.live.contains(b) {
-                self.degree[a.index()] += 1;
-                self.degree[b.index()] += 1;
-                self.pair_pos[pair as usize] = self.pairs.len() as u32;
-                self.pairs.push(pair);
-            }
-        }
-        for &fact in index.conflicting_facts() {
-            if self.degree[fact.index()] > 0 {
-                self.single_pos[fact.index()] = self.singles.len() as u32;
-                self.singles.push(fact);
-            }
-        }
-    }
-
-    /// Removes a live fact in one pass over its conflicting neighbours:
-    /// each live neighbour loses one live neighbour and leaves the
-    /// singleton set at zero, and each live pair touching the fact dies
-    /// (when pairs are tracked).
-    ///
-    /// # Panics
-    /// Panics if `fact` is not live.
-    pub fn remove_fact(&mut self, index: &ConflictIndex, fact: FactId) {
-        let was_live = self.live.remove(fact);
-        assert!(was_live, "removed a fact that is not live");
-        self.retire_single(fact);
-        self.degree[fact.index()] = 0;
-        for &(other, pair) in index.neighbours_of(fact) {
-            // A neighbour with a nonzero count is live, so the pair was
-            // live until this call; a removed neighbour's count is zero.
-            let degree = &mut self.degree[other.index()];
-            if *degree == 0 {
-                continue;
-            }
-            *degree -= 1;
-            if *degree == 0 {
-                self.retire_single(other);
-            }
-            if self.track_pairs {
-                self.retire_pair(pair);
-            }
-        }
-    }
-
-    /// Swap-removes `fact` from the singleton set, if present.
-    fn retire_single(&mut self, fact: FactId) {
-        let position = self.single_pos[fact.index()];
-        if position == NOT_LIVE {
-            return;
-        }
-        self.single_pos[fact.index()] = NOT_LIVE;
-        let last = self.singles.pop().expect("a positioned fact is present");
-        if (position as usize) < self.singles.len() {
-            self.singles[position as usize] = last;
-            self.single_pos[last.index()] = position;
-        }
-    }
-
-    /// Swap-removes a pair id from the pair set, if present.
-    fn retire_pair(&mut self, pair: u32) {
-        let position = self.pair_pos[pair as usize];
-        if position == NOT_LIVE {
-            return;
-        }
-        self.pair_pos[pair as usize] = NOT_LIVE;
-        let last = self.pairs.pop().expect("a positioned pair is present");
-        if (position as usize) < self.pairs.len() {
-            self.pairs[position as usize] = last;
-            self.pair_pos[last as usize] = position;
-        }
-    }
-
-    /// The live sub-database `D'`.
-    pub fn live(&self) -> &FactSet {
-        &self.live
-    }
-
-    /// Number of live singleton operations (= live conflicting facts).
-    pub fn single_count(&self) -> usize {
-        self.singles.len()
-    }
-
-    /// Number of live pair operations (zero when the last reset kept no
-    /// pair set).
-    pub fn pair_count(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// The `i`-th live singleton operation (arbitrary but stable order
-    /// between mutations).
-    pub fn single(&self, i: usize) -> FactId {
-        self.singles[i]
-    }
-
-    /// The `i`-th live pair operation.
-    pub fn pair(&self, index: &ConflictIndex, i: usize) -> (FactId, FactId) {
-        index.arenas.pairs[self.pairs[i] as usize]
-    }
-
-    /// The live singleton operations (unsorted).
-    pub fn live_singles(&self) -> &[FactId] {
-        &self.singles
-    }
-
-    /// The live pair operations (unsorted), resolved against the index.
-    pub fn live_pairs<'a>(
-        &'a self,
-        index: &'a ConflictIndex,
-    ) -> impl Iterator<Item = (FactId, FactId)> + 'a {
-        self.pairs.iter().map(|&p| index.arenas.pairs[p as usize])
-    }
-
-    /// Returns `true` iff the live sub-database is consistent, i.e. no
-    /// justified operation remains.
-    pub fn is_consistent(&self) -> bool {
-        self.singles.is_empty()
-    }
-
-    /// The live violations, i.e. `V(D', Σ)` for the current sub-database
-    /// (for diagnostics and cross-checking tests).
-    pub fn live_violations<'a>(
-        &'a self,
-        index: &'a ConflictIndex,
-    ) -> impl Iterator<Item = &'a Violation> + 'a {
-        index
-            .violations()
-            .iter()
-            .filter(|v| self.live.contains(v.first) && self.live.contains(v.second))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1331,13 +1009,40 @@ mod tests {
         (db, sigma)
     }
 
-    /// Sorted copies of the live operation sets.
-    fn sorted_state(index: &ConflictIndex, ops: &LiveOps) -> (Vec<FactId>, Vec<(FactId, FactId)>) {
-        let mut singles = ops.live_singles().to_vec();
+    /// The justified operations of `subset`, read from the index: the
+    /// facts of `subset` with a live neighbour and the component pairs
+    /// with both facts in `subset`, each list sorted.
+    fn operations_on(
+        index: &ConflictIndex,
+        subset: &FactSet,
+    ) -> (Vec<FactId>, Vec<(FactId, FactId)>) {
+        let (mut singles, mut pairs) = (Vec::new(), Vec::new());
+        for c in 0..index.component_count() {
+            singles.extend(
+                index
+                    .component(c)
+                    .iter()
+                    .filter(|&&f| subset.contains(f) && index.has_live_neighbour(f, subset)),
+            );
+            pairs.extend(
+                index
+                    .component_pairs(c)
+                    .iter()
+                    .filter(|&&(a, b)| subset.contains(a) && subset.contains(b)),
+            );
+        }
         singles.sort();
-        let mut pairs: Vec<(FactId, FactId)> = ops.live_pairs(index).collect();
         pairs.sort();
         (singles, pairs)
+    }
+
+    /// The number of violations of `V(D, Σ)` with both facts in `subset`.
+    fn live_violations(index: &ConflictIndex, subset: &FactSet) -> usize {
+        index
+            .violations()
+            .iter()
+            .filter(|v| subset.contains(v.first) && subset.contains(v.second))
+            .count()
     }
 
     #[test]
@@ -1347,10 +1052,8 @@ mod tests {
         assert_eq!(index.universe(), 3);
         assert_eq!(index.violations().len(), 2);
         assert_eq!(index.pairs().len(), 2);
-        let mut ops = LiveOps::new();
-        ops.reset_full(&index, true);
         // Root of Figure 1: -f1, -f2, -f3, -{f1,f2}, -{f2,f3}.
-        let (singles, pairs) = sorted_state(&index, &ops);
+        let (singles, pairs) = operations_on(&index, &db.all_facts());
         assert_eq!(
             singles,
             vec![FactId::new(0), FactId::new(1), FactId::new(2)]
@@ -1362,46 +1065,39 @@ mod tests {
                 (FactId::new(1), FactId::new(2))
             ]
         );
-        assert!(!ops.is_consistent());
-        assert_eq!(ops.live_violations(&index).count(), 2);
+        assert_eq!(live_violations(&index, &db.all_facts()), 2);
     }
 
     #[test]
     fn removing_the_middle_fact_kills_everything() {
         let (db, sigma) = running_example();
         let index = ConflictIndex::build(&db, &sigma);
-        let mut ops = LiveOps::new();
-        ops.reset_full(&index, true);
         // f2 (id 1) is in both violations; removing it repairs the
         // database in one step.
-        ops.remove_fact(&index, FactId::new(1));
-        assert!(ops.is_consistent());
-        assert_eq!(ops.single_count(), 0);
-        assert_eq!(ops.pair_count(), 0);
-        assert_eq!(ops.live().len(), 2);
-        assert_eq!(ops.live_violations(&index).count(), 0);
+        let mut subset = db.all_facts();
+        subset.remove(FactId::new(1));
+        assert_eq!(operations_on(&index, &subset), (vec![], vec![]));
+        assert_eq!(subset.len(), 2);
+        assert_eq!(live_violations(&index, &subset), 0);
     }
 
     #[test]
     fn removing_an_endpoint_keeps_the_other_violation() {
         let (db, sigma) = running_example();
         let index = ConflictIndex::build(&db, &sigma);
-        let mut ops = LiveOps::new();
-        ops.reset_full(&index, true);
         // Removing f1 kills the φ1 violation {f1, f2}; {f2, f3} survives.
-        ops.remove_fact(&index, FactId::new(0));
-        assert!(!ops.is_consistent());
-        let (singles, pairs) = sorted_state(&index, &ops);
+        let mut subset = db.all_facts();
+        subset.remove(FactId::new(0));
+        let (singles, pairs) = operations_on(&index, &subset);
         assert_eq!(singles, vec![FactId::new(1), FactId::new(2)]);
         assert_eq!(pairs, vec![(FactId::new(1), FactId::new(2))]);
-        assert_eq!(ops.pair(&index, 0), (FactId::new(1), FactId::new(2)));
+        assert_eq!(live_violations(&index, &subset), 1);
     }
 
     #[test]
     fn reset_to_matches_recompute_on_all_subsets() {
         let (db, sigma) = running_example();
         let index = ConflictIndex::build(&db, &sigma);
-        let mut ops = LiveOps::new();
         for mask in 0u32..(1 << db.len()) {
             let subset = FactSet::from_iter(
                 db.len(),
@@ -1409,9 +1105,8 @@ mod tests {
                     .filter(|i| (mask >> i) & 1 == 1)
                     .map(FactId::new),
             );
-            ops.reset_to(&index, &subset);
             let violations = ViolationSet::compute(&db, &sigma, &subset);
-            let (singles, pairs) = sorted_state(&index, &ops);
+            let (singles, pairs) = operations_on(&index, &subset);
             assert_eq!(singles, violations.conflicting_facts(), "mask {mask:b}");
             assert_eq!(pairs, violations.conflicting_pairs(), "mask {mask:b}");
         }
@@ -1421,41 +1116,19 @@ mod tests {
     fn incremental_removal_matches_recompute() {
         let (db, sigma) = running_example();
         let index = ConflictIndex::build(&db, &sigma);
-        let mut ops = LiveOps::new();
-        // Remove facts one at a time in every order, with and without the
-        // pair set (the cursor is reused across modes); after each removal
-        // the incremental state must match a from-scratch recompute.
-        for track_pairs in [true, false, true] {
-            for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 1, 0], [2, 0, 1]] {
-                ops.reset_full(&index, track_pairs);
-                let mut subset = db.all_facts();
-                for fact in order {
-                    ops.remove_fact(&index, FactId::new(fact));
-                    subset.remove(FactId::new(fact));
-                    let violations = ViolationSet::compute(&db, &sigma, &subset);
-                    let (singles, pairs) = sorted_state(&index, &ops);
-                    let context = format!("order {order:?}, pairs {track_pairs}");
-                    assert_eq!(singles, violations.conflicting_facts(), "{context}");
-                    if track_pairs {
-                        assert_eq!(pairs, violations.conflicting_pairs(), "{context}");
-                    } else {
-                        assert_eq!(ops.pair_count(), 0, "{context}");
-                    }
-                    assert_eq!(ops.live(), &subset);
-                }
+        // Remove facts one at a time in every order; after each removal
+        // the index's operations must match a from-scratch recompute.
+        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [2, 1, 0], [2, 0, 1]] {
+            let mut subset = db.all_facts();
+            for fact in order {
+                subset.remove(FactId::new(fact));
+                let violations = ViolationSet::compute(&db, &sigma, &subset);
+                let (singles, pairs) = operations_on(&index, &subset);
+                assert_eq!(singles, violations.conflicting_facts(), "order {order:?}");
+                assert_eq!(pairs, violations.conflicting_pairs(), "order {order:?}");
+                assert_eq!(live_violations(&index, &subset), violations.len());
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "not live")]
-    fn double_removal_panics() {
-        let (db, sigma) = running_example();
-        let index = ConflictIndex::build(&db, &sigma);
-        let mut ops = LiveOps::new();
-        ops.reset_full(&index, true);
-        ops.remove_fact(&index, FactId::new(0));
-        ops.remove_fact(&index, FactId::new(0));
     }
 
     #[test]
@@ -1473,63 +1146,15 @@ mod tests {
         let index = ConflictIndex::build(&db, &sigma);
         assert_eq!(index.violations().len(), 2);
         assert_eq!(index.pairs().len(), 1);
-        let mut ops = LiveOps::new();
-        ops.reset_full(&index, true);
-        assert_eq!(ops.single_count(), 2);
-        assert_eq!(ops.pair_count(), 1);
+        let (singles, pairs) = operations_on(&index, &db.all_facts());
+        assert_eq!((singles.len(), pairs.len()), (2, 1));
         // The pair is one conflicting neighbour, not two: both violations
         // die with one endpoint, the pair dies too, and the surviving fact
-        // leaves the singleton set exactly once.
-        assert_eq!(index.degree(FactId::new(1)), 1);
-        ops.remove_fact(&index, FactId::new(0));
-        assert!(ops.is_consistent());
-        assert_eq!(ops.pair_count(), 0);
-    }
-
-    #[test]
-    fn abandoned_walk_state_does_not_leak_across_indexes() {
-        // An abandoned mid-walk cursor reset against a *different* index of
-        // the same universe must not inherit stale positions or degrees.
-        let (db_a, sigma_a) = running_example();
-        let index_a = ConflictIndex::build(&db_a, &sigma_a);
-        // Same universe (3 facts), different conflict structure: only
-        // f0/f1 conflict under A → B, f2 is conflict-free.
-        let mut schema = Schema::new();
-        schema.add_relation("R", &["A", "B"]).unwrap();
-        let mut db_b = Database::with_schema(schema);
-        db_b.insert_values("R", [Value::int(1), Value::int(1)])
-            .unwrap();
-        db_b.insert_values("R", [Value::int(1), Value::int(2)])
-            .unwrap();
-        db_b.insert_values("R", [Value::int(2), Value::int(1)])
-            .unwrap();
-        let mut sigma_b = FdSet::new();
-        sigma_b.add(FunctionalDependency::from_names(db_b.schema(), "R", &["A"], &["B"]).unwrap());
-        let index_b = ConflictIndex::build(&db_b, &sigma_b);
-
-        let mut reused = LiveOps::new();
-        reused.reset_full(&index_a, true);
-        // Abandon mid-walk: f2 still live with stale position/degree.
-        reused.remove_fact(&index_a, FactId::new(0));
-        reused.reset_full(&index_b, true);
-        let mut fresh = LiveOps::new();
-        fresh.reset_full(&index_b, true);
-        let (reused_state, fresh_state) = (
-            sorted_state(&index_b, &reused),
-            sorted_state(&index_b, &fresh),
-        );
-        assert_eq!(reused_state, fresh_state);
-        // Removing the conflict-free fact must leave the singles intact.
-        reused.remove_fact(&index_b, FactId::new(2));
-        assert_eq!(reused.single_count(), 2);
-        assert_eq!(reused.pair_count(), 1);
-        // And reset_to after an abandoned walk is clean as well.
-        reused.reset_to(&index_a, &db_a.all_facts());
-        fresh.reset_to(&index_a, &db_a.all_facts());
-        assert_eq!(
-            sorted_state(&index_a, &reused),
-            sorted_state(&index_a, &fresh)
-        );
+        // is no longer a singleton operation.
+        assert_eq!(index.neighbour_positions(FactId::new(1)).len(), 1);
+        let mut subset = db.all_facts();
+        subset.remove(FactId::new(0));
+        assert_eq!(operations_on(&index, &subset), (vec![], vec![]));
     }
 
     #[test]
@@ -1567,9 +1192,12 @@ mod tests {
         assert_eq!(index.refresh(&db, &sigma), 0);
 
         // A refreshed index backs walks exactly like a fresh one.
-        let mut ops = LiveOps::new();
-        ops.reset_full(&index, true);
-        assert!(!ops.is_consistent());
+        let (singles, pairs) = operations_on(&index, &db.all_facts());
+        assert!(!singles.is_empty() && !pairs.is_empty());
+        assert_eq!(
+            (singles, pairs),
+            operations_on(&ConflictIndex::build(&db, &sigma), &db.all_facts())
+        );
     }
 
     #[test]
@@ -1614,10 +1242,7 @@ mod tests {
         let index = ConflictIndex::build(&db, &sigma);
         assert!(index.violations().is_empty());
         assert!(index.conflicting_facts().is_empty());
-        let mut ops = LiveOps::new();
-        ops.reset_full(&index, true);
-        assert!(ops.is_consistent());
-        assert_eq!(ops.live().len(), 2);
+        assert_eq!(operations_on(&index, &db.all_facts()), (vec![], vec![]));
     }
 
     /// `R(A, B)` with key `A → B` over blocks `1: {f0, f1}`, `2: {f2}`,
@@ -1682,29 +1307,29 @@ mod tests {
     fn reset_component_opens_exactly_one_components_operations() {
         let (db, sigma) = two_component_example();
         let index = ConflictIndex::build(&db, &sigma);
-        let mut ops = LiveOps::new();
-        for c in [1, 0, 1] {
-            // Abandon the previous component mid-walk before resetting.
-            ops.reset_component(&index, c, true);
-            let (singles, pairs) = sorted_state(&index, &ops);
-            assert_eq!(singles, index.component(c));
-            let mut expected: Vec<(FactId, FactId)> = index
+        for c in 0..index.component_count() {
+            // The component's facts alone carry exactly its operations.
+            let facts = index.component(c);
+            let mut subset = FactSet::from_iter(db.len(), facts.iter().copied());
+            let (singles, pairs) = operations_on(&index, &subset);
+            assert_eq!(singles, facts);
+            let expected: Vec<(FactId, FactId)> = index
                 .pairs()
                 .iter()
                 .copied()
                 .filter(|&(a, _)| index.component_of(a) == Some(c))
                 .collect();
-            expected.sort();
             assert_eq!(pairs, expected);
-            assert!(index.component(c).iter().all(|&f| ops.live().contains(f)));
-            ops.remove_fact(&index, index.component(c)[0]);
+            // Removing its facts one by one tracks a recompute and touches
+            // nothing outside it.
+            for &fact in facts {
+                subset.remove(fact);
+                let violations = ViolationSet::compute(&db, &sigma, &subset);
+                let (singles, pairs) = operations_on(&index, &subset);
+                assert_eq!(singles, violations.conflicting_facts());
+                assert_eq!(pairs, violations.conflicting_pairs());
+            }
         }
-        // Walking component 1 to the end touches nothing outside it.
-        ops.reset_component(&index, 1, true);
-        ops.remove_fact(&index, FactId::new(3));
-        ops.remove_fact(&index, FactId::new(4));
-        assert!(ops.is_consistent());
-        assert!(ops.live().contains(FactId::new(5)));
     }
 
     #[test]

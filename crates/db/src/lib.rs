@@ -13,9 +13,8 @@
 //! * [`violation`] — FD violations `V(D, Σ)` (Definition 3.2).
 //! * [`ConflictGraph`] — the conflict graph `CG(D, Σ)` used throughout the
 //!   appendices.
-//! * [`ConflictIndex`] / [`LiveOps`] — the precomputed incremental
-//!   conflict index backing the uniform-operations walk, and the cursor
-//!   that keeps a walk's live operation sets.
+//! * [`ConflictIndex`] — the precomputed incremental conflict index
+//!   backing the uniform-operations walk.
 //! * [`RelationIndex`] — per-relation `(position, value) → fact ids`
 //!   indexes, built once per database and shared across threads; the
 //!   access-path backbone of the plan-based query evaluator.
@@ -36,13 +35,12 @@
 //! subset of `V(D, Σ)` whose two facts both survive in `D'`.  That
 //! invariant is what lets [`ConflictIndex`] precompute the violation and
 //! operation universe once per `(D, Σ)` instead of an O(|D|) rescan per
-//! walk step.  [`LiveOps`] maintains the live operation sets of a walk
-//! with O(1) uniform picks and O(degree) removals; the repair draws of
-//! `ucqa-core` need no such state, because justification is monotone too:
-//! they visit a component's operations in a uniform random order and test
-//! each against the index when it comes up (see the "Incremental conflict
-//! index" section of the README and the property test cross-checking
-//! [`LiveOps`] against [`ViolationSet`] recomputation).
+//! walk step.  A walk keeps no operation sets, because justification is
+//! monotone too: the repair draws of `ucqa-core` visit a component's
+//! operations in a uniform random order and test each against the index
+//! when it comes up (see the "Incremental conflict index" section of the
+//! README and the property test cross-checking the index's operations
+//! against [`ViolationSet`] recomputation).
 //!
 //! A minimal end-to-end construction:
 //!
@@ -80,7 +78,7 @@ pub mod violation;
 
 pub use blocks::{Block, BlockPartition};
 pub use conflict_graph::ConflictGraph;
-pub use conflict_index::{ConflictIndex, LiveOps};
+pub use conflict_index::ConflictIndex;
 pub use database::{Database, FactChange};
 pub use dictionary::{Dictionary, Sym};
 pub use error::DbError;
@@ -96,7 +94,7 @@ pub use violation::{Violation, ViolationSet};
 pub mod prelude {
     pub use crate::{
         Block, BlockPartition, ConflictGraph, ConflictIndex, Database, DbError, Dictionary, Fact,
-        FactChange, FactId, FactSet, FdId, FdSet, FunctionalDependency, LiveOps, RelationId,
-        RelationIndex, Schema, StatsSnapshot, Sym, Value, Violation, ViolationSet,
+        FactChange, FactId, FactSet, FdId, FdSet, FunctionalDependency, RelationId, RelationIndex,
+        Schema, StatsSnapshot, Sym, Value, Violation, ViolationSet,
     };
 }

@@ -21,8 +21,7 @@ pub struct FactSet {
 
 impl Default for FactSet {
     /// An empty subset of the empty universe — the state of a scratch
-    /// buffer before its first `copy_from`/resize (see e.g.
-    /// [`crate::LiveOps`], whose `Default` relies on this).
+    /// buffer before its first `copy_from`/resize.
     fn default() -> Self {
         FactSet::empty(0)
     }

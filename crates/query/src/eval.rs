@@ -328,39 +328,6 @@ impl QueryEvaluator {
         ))
     }
 
-    /// Enumerates the homomorphisms `h` with `h(x̄) = candidate`, without a
-    /// limit, each with its bindings and its image facts `h(Q)`.
-    pub fn homomorphisms_for_answer(
-        &self,
-        db: &Database,
-        subset: &FactSet,
-        candidate: &[Value],
-    ) -> Result<Vec<Homomorphism>, QueryError> {
-        let mut results = Vec::new();
-        let mut bindings: Vec<Option<Sym>> = vec![None; self.slots.len()];
-        if !self.prebind_candidate(db.dictionary(), candidate, &mut bindings)? {
-            return Ok(results);
-        }
-        let Some(encoded) = self.encode_atoms(db) else {
-            return Ok(results);
-        };
-        let dict = db.dictionary();
-        let mut image = Vec::new();
-        self.answer_plan.run(
-            db,
-            db.relation_index(),
-            subset,
-            &encoded,
-            &mut bindings,
-            &mut image,
-            &mut |bindings, image| {
-                results.push(self.materialize(dict, bindings, image));
-                false
-            },
-        );
-        Ok(results)
-    }
-
     /// Visits the image `h(Q)` of every homomorphism `h` with
     /// `h(x̄) = candidate` that touches at least one fact of
     /// `inserted_by_relation` (one ascending fact-id list per relation
@@ -770,21 +737,6 @@ mod tests {
         let q = parse_query(db.schema(), "Ans() :- E(x, x)").unwrap();
         let eval = QueryEvaluator::new(q);
         assert!(!eval.entails(&db, &db.all_facts()));
-    }
-
-    #[test]
-    fn homomorphisms_for_answer_prebinds_answer_vars() {
-        let db = graph_db();
-        let q = parse_query(db.schema(), "Ans(x) :- V(x, z), T(z)").unwrap();
-        let eval = QueryEvaluator::new(q);
-        let homs = eval
-            .homomorphisms_for_answer(&db, &db.all_facts(), &[Value::str("u")])
-            .unwrap();
-        assert_eq!(homs.len(), 1);
-        assert_eq!(
-            homs[0].bindings.get(&Variable::new("z")),
-            Some(&Value::int(1))
-        );
     }
 
     #[test]

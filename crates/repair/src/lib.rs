@@ -69,9 +69,7 @@ pub mod weighted;
 pub use chain::RepairingMarkovChain;
 pub use error::RepairError;
 pub use generator::{GeneratorSpec, UniformSemantics};
-pub use operation::{
-    justified_operations, justified_operations_from_index, Operation, OperationScratch,
-};
+pub use operation::{justified_operations, Operation, OperationScratch};
 pub use semantics::{OperationalSemantics, RepairProbability};
 pub use sequence::RepairingSequence;
 pub use tree::{NodeId, RepairingTree, TreeLimits};

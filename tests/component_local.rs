@@ -14,8 +14,9 @@
 //! distribution on a multi-component instance, that the lazy repair draws
 //! realise it on components that are not cliques, in full and restricted
 //! draws, that `M^us` does *not*
-//! factorize, and that the estimators' restricted path reproduces full
-//! walks exactly, with and without an above-cap fallback entry.
+//! factorize, that the estimators' restricted path reproduces full
+//! walks exactly, with and without an above-cap fallback entry, and that
+//! the interleaved walk realises the chain's leaf distribution.
 
 use std::collections::BTreeMap;
 
@@ -38,7 +39,8 @@ use uocqa::numeric::Ratio;
 use uocqa::query::parser::parse_query;
 use uocqa::query::{Atom, ConjunctiveQuery, QueryEvaluator, Term};
 use uocqa::repair::operation::justified_operations;
-use uocqa::repair::GeneratorSpec;
+use uocqa::repair::{GeneratorSpec, Operation, TreeLimits};
+use uocqa::workload::fds::proposition_d6_database;
 use uocqa::workload::queries::{block_lookup_query, fact_membership_query_bank};
 use uocqa::workload::{BlockWorkload, MultiFdWorkload, SkewedJoinWorkload, StreamWorkload};
 
@@ -423,9 +425,9 @@ fn walks_match_the_exact_semantics_with_a_doubly_violated_pair() {
 }
 
 /// Over `R(A, B, C, P)` with `A → B` and `C → B`, ten facts in one
-/// component that is not a clique; f0 and f1 violate both FDs.  The same database
-/// backs the walk sampler's in-crate cross-check of `LiveOps` against a
-/// recompute.
+/// component that is not a clique; f0 and f1 violate both FDs.  The same
+/// database backs the walk sampler's in-crate cross-check of its justified
+/// operations against a recompute.
 fn overlapping_fd_database() -> (Database, FdSet) {
     let mut schema = Schema::new();
     schema.add_relation("R", &["A", "B", "C", "P"]).unwrap();
@@ -673,9 +675,10 @@ fn refreshed_multi_fd_window() -> (Database, FdSet, ConflictIndex) {
 }
 
 /// Pins the interleaved `M^uo` and `M^{uo,1}` walks
-/// ([`OperationWalkSampler::sample`], which opens every component's
-/// operations at once in pair order) on a multi-FD, multi-component
-/// database, drawn from a freshly built and from a refreshed index.
+/// ([`OperationWalkSampler::sample`], which picks from every component's
+/// justified operations at once, in canonical order) on a multi-FD,
+/// multi-component database, drawn from a freshly built and from a
+/// refreshed index.
 #[test]
 fn interleaved_walk_streams_are_pinned() {
     let (db, sigma, refreshed) = refreshed_multi_fd_window();
@@ -689,7 +692,7 @@ fn interleaved_walk_streams_are_pinned() {
         });
         assert_eq!(
             digests,
-            [0xda0e_2e25_ef7c_0640, 0x7a9e_7f0f_b232_4e7b],
+            [0xd4ab_6d0c_7262_36d1, 0x74f9_e4d7_5e21_0848],
             "M^uo, M^{{uo,1}} sequence digests from the {which} index"
         );
     }
@@ -862,7 +865,8 @@ fn estimators_reproduce_full_walks_with_and_without_a_fallback_entry() {
 /// both walk generators, from a freshly built and from a refreshed index:
 /// a tombstoned id belongs to no conflict component, so no draw rewrites
 /// it, and the draw must start from the live facts rather than from every
-/// id of the universe.
+/// id of the universe.  The same holds for the interleaved walk, whose
+/// result is also the result of its sequence applied to the database.
 #[test]
 fn walk_repairs_after_deletions_hold_only_live_facts() {
     let (db, sigma, refreshed) = refreshed_multi_fd_window();
@@ -877,6 +881,87 @@ fn walk_repairs_after_deletions_hold_only_live_facts() {
                 assert!(
                     repair.is_subset_of(db.live_facts()),
                     "draw {draw} (singleton {singleton}, {which} index) holds a deleted fact"
+                );
+                let outcome = sampler.sample(&mut rng);
+                assert!(
+                    outcome.result.is_subset_of(db.live_facts()),
+                    "walk {draw} (singleton {singleton}, {which} index) holds a deleted fact"
+                );
+                assert_eq!(
+                    outcome.sequence.result(&db),
+                    outcome.result,
+                    "walk {draw} (singleton {singleton}, {which} index)"
+                );
+            }
+        }
+    }
+}
+
+/// The interleaved walk ([`OperationWalkSampler::sample`]) realises the
+/// chain's *sequence* law, not only its repair law: every sampled
+/// sequence is a leaf of the chain, its reported `π(s)` is that leaf's
+/// exact probability, and each leaf's count is `Binomial(SAMPLES, π)`,
+/// failing only in a tail of probability below `ALPHA` on either side.
+/// Checked under `M^uo` and `M^{uo,1}` on the running example, on the
+/// running example beside a second component (so the walk interleaves
+/// components), and on the Proposition D.6 family for n = 4.
+#[test]
+fn interleaved_walks_follow_the_chain_leaf_distribution() {
+    const SAMPLES: u64 = 1_500;
+    const ALPHA: f64 = 1e-6;
+    let (two_components, sigma) = two_component_database();
+    let mut running_example = Database::with_schema(two_components.schema().clone());
+    for (_, fact) in two_components.iter().take(3) {
+        running_example.insert(fact).unwrap();
+    }
+    let (star, star_sigma) = proposition_d6_database(4);
+    for (name, db, sigma) in [
+        ("running example", &running_example, &sigma),
+        ("two components", &two_components, &sigma),
+        ("Prop. D.6", &star, &star_sigma),
+    ] {
+        for spec in WALK_SPECS.map(|spec| spec()) {
+            let chain = spec.build_chain(db, sigma, TreeLimits::default()).unwrap();
+            let exact: BTreeMap<Vec<Operation>, f64> = chain
+                .leaf_distribution()
+                .into_iter()
+                .map(|(leaf, p)| {
+                    (
+                        chain.tree().sequence(leaf).operations().to_vec(),
+                        p.to_f64(),
+                    )
+                })
+                .collect();
+            let context = format!("{name}, {}", spec.short_name());
+            let sampler = walker(db, sigma, spec.singleton_only);
+            let mut rng = StdRng::seed_from_u64(29);
+            let mut counts: BTreeMap<Vec<Operation>, u64> = BTreeMap::new();
+            for _ in 0..SAMPLES {
+                let outcome = sampler.sample(&mut rng);
+                let sequence = outcome.sequence.operations().to_vec();
+                let Some(&p) = exact.get(&sequence) else {
+                    panic!(
+                        "{context}: {:?} is not a leaf of the chain",
+                        outcome.sequence
+                    );
+                };
+                let reported = outcome.probability.to_f64();
+                assert!(
+                    (reported - p).abs() <= 1e-12 * p,
+                    "{context}: {:?} reports π = {reported}, exact {p}",
+                    outcome.sequence
+                );
+                *counts.entry(sequence).or_insert(0) += 1;
+            }
+            for (sequence, &p) in &exact {
+                // No underflow in the tail's first term at this sample size.
+                assert!(binomial_upper_tail(SAMPLES, p, 0) > 0.999);
+                let k = counts.get(sequence).copied().unwrap_or(0);
+                let upper = binomial_upper_tail(SAMPLES, p, k);
+                let lower = 1.0 - binomial_upper_tail(SAMPLES, p, k + 1);
+                assert!(
+                    upper > ALPHA && lower > ALPHA,
+                    "{context}: {sequence:?} drawn {k} of {SAMPLES} times, exact {p}"
                 );
             }
         }

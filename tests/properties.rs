@@ -6,13 +6,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use uocqa::core::counting;
+use uocqa::core::sample_operations::OperationWalkSampler;
 use uocqa::db::{
-    ConflictGraph, ConflictIndex, Database, Fact, FactId, FactSet, LiveOps, Value, ViolationSet,
+    ConflictGraph, ConflictIndex, Database, Fact, FactId, FactSet, Value, ViolationSet,
 };
 use uocqa::numeric::Ratio;
 use uocqa::query::{
     Atom, BankScratch, CompileBudget, ConjunctiveQuery, LineageBank, QueryEvaluator, Term,
 };
+use uocqa::repair::operation::justified_operations_from;
 use uocqa::repair::{GeneratorSpec, OperationalSemantics, RepairingTree, TreeLimits};
 
 mod common;
@@ -640,23 +642,21 @@ proptest! {
         }
     }
 
-    /// The incremental conflict index agrees with a from-scratch
-    /// `ViolationSet::recompute` after **every** removal, on randomised
-    /// multi-FD, non-key, cross-relation databases — the invariant that
-    /// makes the O(ops)-per-step uniform-operations walk realise the same
-    /// leaf distribution as the rescan walk.
+    /// The justified operations the walk sampler reads from the conflict
+    /// index agree with a from-scratch `ViolationSet::recompute` after
+    /// **every** removal, on randomised multi-FD, non-key, cross-relation
+    /// databases — the invariant that makes the index-backed
+    /// uniform-operations walk realise the same leaf distribution as the
+    /// rescan walk.
     #[test]
     fn incremental_conflict_index_matches_recompute_after_every_removal(
         rows in prop::collection::vec((0u8..3, 0u8..3, 0u8..3, 0u8..2), 1..14),
         seed in 0u64..1_000,
     ) {
         let (db, sigma) = multi_fd_database(&rows);
-        let index = ConflictIndex::build(&db, &sigma);
-        let mut ops = LiveOps::new();
-        ops.reset_full(&index, true);
-        // A singleton walk's cursor: same removals, no pair set.
-        let mut singles_only = LiveOps::new();
-        singles_only.reset_full(&index, false);
+        let paired = OperationWalkSampler::new(&db, &sigma);
+        let unpaired = OperationWalkSampler::new(&db, &sigma).singleton_only();
+        let index = paired.conflict_index();
         let mut subset = db.all_facts();
         let mut reference = ViolationSet::default();
         let mut recompute_scratch = Vec::new();
@@ -666,31 +666,22 @@ proptest! {
         while !remaining.is_empty() {
             let pick = rng.random_range(0..remaining.len());
             let fact = remaining.swap_remove(pick);
-            ops.remove_fact(&index, fact);
-            singles_only.remove_fact(&index, fact);
             subset.remove(fact);
             reference.recompute(&db, &sigma, &subset, &mut recompute_scratch);
-            let mut singles = ops.live_singles().to_vec();
-            singles.sort();
-            prop_assert_eq!(&singles, &reference.conflicting_facts());
-            let mut unpaired_singles = singles_only.live_singles().to_vec();
-            unpaired_singles.sort();
-            prop_assert_eq!(unpaired_singles, singles);
-            prop_assert_eq!(singles_only.pair_count(), 0);
-            let mut pairs: Vec<(FactId, FactId)> = ops.live_pairs(&index).collect();
-            pairs.sort();
-            prop_assert_eq!(pairs, reference.conflicting_pairs());
-            prop_assert_eq!(ops.live(), &subset);
-            prop_assert_eq!(ops.live_violations(&index).count(), reference.len());
-            prop_assert_eq!(ops.is_consistent(), reference.is_empty());
-            // A fresh reset to the same subset reaches the same state.
-            let mut fresh = LiveOps::new();
-            fresh.reset_to(&index, &subset);
-            prop_assert_eq!(fresh.single_count(), ops.single_count());
-            prop_assert_eq!(fresh.pair_count(), ops.pair_count());
+            for (sampler, singleton_only) in [(&paired, false), (&unpaired, true)] {
+                prop_assert_eq!(
+                    sampler.available_operations(&subset),
+                    justified_operations_from(&reference, singleton_only)
+                );
+            }
+            let live_violations = index
+                .violations()
+                .iter()
+                .filter(|v| subset.contains(v.first) && subset.contains(v.second))
+                .count();
+            prop_assert_eq!(live_violations, reference.len());
         }
-        prop_assert!(ops.is_consistent());
-        prop_assert_eq!(ops.live_violations(&index).count(), 0);
+        prop_assert!(paired.available_operations(&subset).is_empty());
     }
 }
 

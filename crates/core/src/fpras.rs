@@ -214,7 +214,7 @@ impl RepairBuffer {
             (0..bank.len())
                 .filter_map(|entry| bank.witnesses_of(entry))
                 .flatten()
-                .flat_map(FactSet::iter)
+                .flat_map(|witness| witness.iter())
         };
         let units = match &estimator.sampler {
             _ if bank.has_fallback() => None,
@@ -469,7 +469,7 @@ impl<'a> OcqaEstimator<'a> {
     /// A single query is a bank of one.  The candidate's lineage compiles
     /// into a one-entry [`LineageBank`] under the budget's compile-step
     /// cap (which also validates the candidate arity, before any sampling
-    /// happens): a monotone DNF of witness bitsets, so entailment of a
+    /// happens): a monotone DNF of sparse witnesses, so entailment of a
     /// sampled repair is a word-level "some witness ⊆ repair" check and
     /// the loop performs no heap allocation and no backtracking search.
     /// When the witness count exceeds
@@ -935,7 +935,7 @@ impl<'a> BatchEstimator<'a> {
     ///
     /// # Errors
     /// [`CoreError::InvalidParameters`] if `bank` was not compiled from
-    /// `queries` (its entry count differs) or is stale with respect to the
+    /// `queries` (see [`LineageBank::compiled_from`]) or is stale with respect to the
     /// estimator's database, besides the parameter errors of
     /// [`BatchEstimator::estimate_batch`].
     pub fn estimate_batch_with_bank<R: Rng + ?Sized>(
@@ -1049,7 +1049,7 @@ impl<'a> BatchEstimator<'a> {
     ///
     /// # Errors
     /// [`CoreError::InvalidParameters`] if `bank` was not compiled from
-    /// `queries` (its entry count differs), if `prior` is for a batch of
+    /// `queries` (see [`LineageBank::compiled_from`]), if `prior` is for a batch of
     /// another size, or if `bank` is stale with respect to the
     /// estimator's database; or if `params` is not in
     /// [`EstimatorMode::OptimalStopping`].
@@ -1176,11 +1176,12 @@ impl<'a> BatchEstimator<'a> {
     }
 
     /// Checks that `bank` can drive `queries` on the estimator's
-    /// database: one entry per query, and current with the database's
+    /// database: compiled from `queries` (see
+    /// [`LineageBank::compiled_from`]), and current with the database's
     /// changelog version (a delete-only delta leaves the universe as it
     /// was, so only the version tells).
     fn check_bank(&self, bank: &LineageBank, queries: &[BatchQuery<'_>]) -> Result<(), CoreError> {
-        if bank.len() != queries.len() {
+        if !bank.compiled_from(queries.iter().map(|q| (q.evaluator, q.candidate))) {
             return Err(CoreError::InvalidParameters {
                 message: format!(
                     "bank was compiled from a different query list ({} entries for {} queries)",
@@ -1214,16 +1215,18 @@ pub const DEFAULT_ROUND_SAMPLES: u64 = 4 * DEFAULT_SHARD_SIZE;
 /// shared containment scan ([`BankLiveSet`]); the fixed loops keep every
 /// entry live and count its hits.
 ///
-/// Construction hoists everything out of the Monte-Carlo loop: the repair
-/// buffer, the walk scratch and the bank scratch.  A draw performs no heap
-/// allocation on any sampler path (the buffers reach steady-state capacity
-/// after the first few draws).
+/// Everything is hoisted out of the Monte-Carlo loop: the repair buffer,
+/// the walk scratch and the bank scratch.  The repair buffer, which is
+/// universe-sized, is built on the first draw, so a pass that draws
+/// nothing (every entry reused or settled) builds none.  A draw performs
+/// no heap allocation on any sampler path (the buffers reach steady-state
+/// capacity after the first few draws).
 struct BankExperiment<'e, 'a> {
     estimator: &'e OcqaEstimator<'a>,
     bank: &'e LineageBank,
     queries: &'e [BatchQuery<'e>],
     live: BankLiveSet,
-    buffer: RepairBuffer,
+    buffer: Option<RepairBuffer>,
     bank_scratch: BankScratch,
     /// The per-entry hits of [`BankExperiment::count`]'s draws.
     hits: Vec<bool>,
@@ -1241,7 +1244,7 @@ impl<'e, 'a> BankExperiment<'e, 'a> {
             bank,
             queries,
             live,
-            buffer: RepairBuffer::new(estimator, bank),
+            buffer: None,
             bank_scratch: BankScratch::new(),
             hits: vec![false; queries.len()],
         }
@@ -1249,8 +1252,11 @@ impl<'e, 'a> BankExperiment<'e, 'a> {
 
     /// Draws one shared repair and writes `hits[q]` for every live query.
     fn draw_live<R: Rng + ?Sized>(&mut self, rng: &mut R, hits: &mut [bool]) {
-        self.buffer.draw(&self.estimator.sampler, rng);
-        let repair = &self.buffer.repair;
+        let buffer = self
+            .buffer
+            .get_or_insert_with(|| RepairBuffer::new(self.estimator, self.bank));
+        buffer.draw(&self.estimator.sampler, rng);
+        let repair = &buffer.repair;
         self.bank
             .evaluate_live_into(&self.live, repair, &mut self.bank_scratch, hits);
         for &q in self.live.live_queries() {
@@ -2170,6 +2176,41 @@ mod tests {
         assert!(is_invalid(
             batch.estimate_batch_with_bank(&short, &queries, fixed, &mut rng)
         ));
+    }
+
+    #[test]
+    fn a_bank_from_a_foreign_list_of_the_same_length_is_rejected() {
+        let (db, sigma) = figure2();
+        let [lookup, member] = lookup_and_member(&db);
+        let (b1, b2) = ([Value::str("b1")], [Value::str("b2")]);
+        let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&member, &[])];
+        let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
+        let unlimited = RunBudget::unlimited();
+        let bank = batch.compile_bank(&queries, &unlimited).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let prior = batch
+            .estimate_batch_with_budget(&queries, stopping_params(), &unlimited, &mut rng)
+            .unwrap();
+        let fixed = stopping_params().with_mode(EstimatorMode::FixedSamples(10));
+        // Another candidate at one entry, and the entries swapped.
+        let other_candidate = [BatchQuery::new(&lookup, &b2), BatchQuery::new(&member, &[])];
+        let swapped = [BatchQuery::new(&member, &[]), BatchQuery::new(&lookup, &b1)];
+        for foreign in [&other_candidate, &swapped] {
+            assert!(is_invalid(
+                batch.estimate_batch_with_bank(&bank, foreign, fixed, &mut rng)
+            ));
+            assert!(is_invalid(batch.estimate_stopping_batch_resume(
+                &bank,
+                foreign,
+                stopping_params(),
+                &unlimited,
+                &prior,
+                &mut rng,
+            )));
+        }
+        assert!(batch
+            .estimate_batch_with_bank(&bank, &queries, fixed, &mut rng)
+            .is_ok());
     }
 
     #[test]

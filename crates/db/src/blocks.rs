@@ -8,13 +8,12 @@
 
 use std::collections::HashMap;
 
-use crate::{Database, DbError, FactId, FdSet, RelationId, Sym, Value};
+use crate::{Database, DbError, FactId, FdSet, RelationId, Sym};
 
 /// A single block: the facts of one relation sharing the key LHS values.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     relation: RelationId,
-    key_values: Vec<Value>,
     facts: Vec<FactId>,
 }
 
@@ -22,11 +21,6 @@ impl Block {
     /// The relation of this block.
     pub fn relation(&self) -> RelationId {
         self.relation
-    }
-
-    /// The key (LHS) values shared by the facts of this block.
-    pub fn key_values(&self) -> &[Value] {
-        &self.key_values
     }
 
     /// The facts of this block, in fact-id order.
@@ -52,7 +46,7 @@ impl Block {
 /// Facts of relations without a key in `Σ`, and facts whose block would be
 /// a singleton, are still represented (as singleton blocks) so that the
 /// partition covers the whole database; the algorithms that only care about
-/// conflicting blocks use [`BlockPartition::non_singleton_blocks`].
+/// conflicting blocks skip the blocks of one fact.
 #[derive(Debug, Clone)]
 pub struct BlockPartition {
     blocks: Vec<Block>,
@@ -75,11 +69,7 @@ impl BlockPartition {
     /// set of primary keys.  For each relation, the *first* key of `sigma`
     /// over that relation (if any) determines the blocks; relations without
     /// a key contribute singleton blocks.
-    ///
-    /// This is the building block used by [`BlockPartition::compute`]; it is
-    /// exposed for algorithms (e.g. workload statistics) that want block
-    /// structure w.r.t. one chosen key per relation.
-    pub fn compute_unchecked(db: &Database, sigma: &FdSet) -> Self {
+    fn compute_unchecked(db: &Database, sigma: &FdSet) -> Self {
         // Choose one key per relation (the first declared): its LHS
         // positions, per relation index.
         let mut key_positions: Vec<Option<Vec<usize>>> = vec![None; db.schema().relation_count()];
@@ -89,9 +79,6 @@ impl BlockPartition {
             }
         }
 
-        // Facts are grouped on their key symbols; values are decoded once
-        // per block, not once per fact.
-        let dict = db.dictionary();
         let mut blocks: Vec<Block> = Vec::new();
         let mut block_of_fact = vec![usize::MAX; db.len()];
         let mut index: HashMap<(RelationId, Vec<Sym>), usize> = HashMap::new();
@@ -100,18 +87,10 @@ impl BlockPartition {
             let relation = db.relation_of(fact_id);
             let key = key_positions[relation.index()].as_deref();
             // Without a key over the relation, every fact is its own
-            // block, keyed by the full tuple.
+            // block.
             let mut new_block = || {
-                let key_values = match key {
-                    Some(positions) => positions
-                        .iter()
-                        .map(|&p| dict.decode(db.sym(fact_id, p)).clone())
-                        .collect(),
-                    None => db.fact(fact_id).values().to_vec(),
-                };
                 blocks.push(Block {
                     relation,
-                    key_values,
                     facts: Vec::new(),
                 });
                 blocks.len() - 1
@@ -138,21 +117,10 @@ impl BlockPartition {
         &self.blocks
     }
 
-    /// The blocks with at least two facts — the ones that can host
-    /// violations (called `B₁, …, Bₙ` in the proofs).
-    pub fn non_singleton_blocks(&self) -> Vec<&Block> {
-        self.blocks.iter().filter(|b| b.len() >= 2).collect()
-    }
-
     /// The index (into [`BlockPartition::blocks`]) of the block containing
     /// `fact`.
     pub fn block_index_of(&self, fact: FactId) -> usize {
         self.block_of_fact[fact.index()]
-    }
-
-    /// The block containing `fact`.
-    pub fn block_of(&self, fact: FactId) -> &Block {
-        &self.blocks[self.block_index_of(fact)]
     }
 
     /// Number of blocks.
@@ -169,7 +137,7 @@ impl BlockPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Database, FunctionalDependency, Schema};
+    use crate::{Database, FunctionalDependency, Schema, Value};
 
     /// The database of Figure 2 of the paper: six facts over R/2 with the
     /// primary key R : A1 → A2, forming blocks of sizes 3, 1, 2.
@@ -200,7 +168,6 @@ mod tests {
         let mut sizes: Vec<usize> = partition.blocks().iter().map(Block::len).collect();
         sizes.sort();
         assert_eq!(sizes, vec![1, 2, 3]);
-        assert_eq!(partition.non_singleton_blocks().len(), 2);
     }
 
     #[test]
@@ -216,10 +183,11 @@ mod tests {
             partition.block_index_of(FactId::new(0)),
             partition.block_index_of(FactId::new(3))
         );
-        assert_eq!(partition.block_of(FactId::new(3)).len(), 1);
+        let block_of = |fact| &partition.blocks()[partition.block_index_of(fact)];
+        assert_eq!(block_of(FactId::new(3)).len(), 1);
         assert_eq!(
-            partition.block_of(FactId::new(0)).key_values(),
-            &[Value::str("a1")]
+            block_of(FactId::new(0)).facts(),
+            &[FactId::new(0), FactId::new(1), FactId::new(2)]
         );
     }
 
@@ -251,6 +219,9 @@ mod tests {
         sigma.add(FunctionalDependency::from_names(db.schema(), "R", &["A"], &["B"]).unwrap());
         let partition = BlockPartition::compute(&db, &sigma).unwrap();
         assert_eq!(partition.len(), 2);
-        assert_eq!(partition.block_of(FactId::new(2)).len(), 1);
+        assert_eq!(
+            partition.blocks()[partition.block_index_of(FactId::new(2))].len(),
+            1
+        );
     }
 }

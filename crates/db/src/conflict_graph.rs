@@ -22,7 +22,7 @@ impl ConflictGraph {
 
     /// Builds a conflict graph over `universe` facts from a precomputed
     /// violation set.
-    pub fn from_violations(universe: usize, violations: &ViolationSet) -> Self {
+    fn from_violations(universe: usize, violations: &ViolationSet) -> Self {
         // Push violation endpoints directly (no intermediate deduplicated
         // pair vector); the per-node sort/dedup below removes duplicate
         // edges from pairs violating several FDs.

@@ -163,7 +163,7 @@ impl Database {
     ///
     /// Pre-seeding the dictionary lets several databases agree on symbol
     /// assignments, and lets tests exercise symbol-order independence.
-    pub fn with_dictionary(schema: Arc<Schema>, dict: Arc<Dictionary>) -> Self {
+    fn with_dictionary(schema: Arc<Schema>, dict: Arc<Dictionary>) -> Self {
         let relations = schema.relation_count();
         let columns = (0..relations)
             .map(|r| vec![Vec::new(); schema.arity(RelationId(r as u32))])
@@ -195,7 +195,7 @@ impl Database {
     }
 
     /// A shared handle to the schema.
-    pub fn schema_arc(&self) -> Arc<Schema> {
+    fn schema_arc(&self) -> Arc<Schema> {
         Arc::clone(&self.schema)
     }
 
@@ -207,7 +207,7 @@ impl Database {
     /// A shared handle to the dictionary, for decoding symbols on other
     /// threads.  Later inserts of *new* constants copy-on-write the
     /// database's dictionary, leaving the returned snapshot untouched.
-    pub fn share_dictionary(&self) -> Arc<Dictionary> {
+    fn share_dictionary(&self) -> Arc<Dictionary> {
         Arc::clone(&self.dict)
     }
 

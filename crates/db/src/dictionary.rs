@@ -90,8 +90,8 @@ impl Dictionary {
     /// was seen before).
     ///
     /// # Panics
-    /// Panics if the `u32` symbol space is exhausted; fallible callers use
-    /// [`Dictionary::try_intern`].
+    /// Panics if the `u32` symbol space is exhausted (see
+    /// [`DbError::DictionaryFull`]).
     pub fn intern(&mut self, value: Value) -> Sym {
         match self.try_intern(value) {
             Ok(sym) => sym,
@@ -103,7 +103,7 @@ impl Dictionary {
     /// already holds `u32::MAX + 1` distinct constants returns
     /// [`DbError::DictionaryFull`] instead of silently aliasing the new
     /// value onto an existing symbol.
-    pub fn try_intern(&mut self, value: Value) -> Result<Sym, DbError> {
+    fn try_intern(&mut self, value: Value) -> Result<Sym, DbError> {
         if let Some(&sym) = self.index.get(&value) {
             return Ok(sym);
         }

@@ -47,11 +47,6 @@ pub enum DbError {
         /// Human-readable explanation.
         reason: String,
     },
-    /// A set of FDs was required to be a set of keys but is not.
-    NotKeys {
-        /// Human-readable explanation.
-        reason: String,
-    },
     /// A fact carried a `RelationId` minted by a different schema (its
     /// index is out of range for this database's schema).
     ForeignRelationId {
@@ -106,9 +101,6 @@ impl fmt::Display for DbError {
             ),
             DbError::NotPrimaryKeys { reason } => {
                 write!(f, "constraint set is not a set of primary keys: {reason}")
-            }
-            DbError::NotKeys { reason } => {
-                write!(f, "constraint set is not a set of keys: {reason}")
             }
             DbError::ForeignRelationId { index, relations } => write!(
                 f,

@@ -99,7 +99,7 @@ impl FunctionalDependency {
     }
 
     /// Returns `true` iff this FD is a *key*, i.e. `X ∪ Y = att(R)`.
-    pub fn is_key(&self, schema: &Schema) -> bool {
+    fn is_key(&self, schema: &Schema) -> bool {
         let mut union = self.lhs.clone();
         union.extend(self.rhs.iter().copied());
         union.len() == schema.arity(self.relation)
@@ -163,11 +163,6 @@ impl FdSet {
         FdSet::default()
     }
 
-    /// Creates an FD set from a vector of FDs.
-    pub fn from_fds(fds: Vec<FunctionalDependency>) -> Self {
-        FdSet { fds }
-    }
-
     /// Adds an FD and returns its id.
     pub fn add(&mut self, fd: FunctionalDependency) -> FdId {
         let id = FdId::new(self.fds.len());
@@ -196,14 +191,6 @@ impl FdSet {
             .iter()
             .enumerate()
             .map(|(i, fd)| (FdId::new(i), fd))
-    }
-
-    /// The FDs constraining a given relation.
-    pub fn fds_of(&self, relation: RelationId) -> Vec<FdId> {
-        self.iter()
-            .filter(|(_, fd)| fd.relation() == relation)
-            .map(|(id, _)| id)
-            .collect()
     }
 
     /// Returns `true` iff every FD in the set is a key (`X ∪ Y = att(R)`).
@@ -246,19 +233,6 @@ impl FdSet {
         Ok(())
     }
 
-    /// Validates that this set is a set of keys, with a descriptive error
-    /// otherwise.
-    pub fn require_keys(&self, schema: &Schema) -> Result<(), DbError> {
-        for fd in &self.fds {
-            if !fd.is_key(schema) {
-                return Err(DbError::NotKeys {
-                    reason: format!("`{}` is not a key", fd.display(schema)),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// The maximal number of keys/FDs over a single relation name — the
     /// constant `k` of Proposition 7.3 and Lemma D.1.
     pub fn max_fds_per_relation(&self) -> usize {
@@ -271,13 +245,13 @@ impl FdSet {
 
     /// Whether a *pair* of facts jointly satisfies every FD of the set, i.e.
     /// `{f, g} ⊨ Σ`.
-    pub fn pair_satisfies(&self, f: &Fact, g: &Fact) -> bool {
+    fn pair_satisfies(&self, f: &Fact, g: &Fact) -> bool {
         self.fds.iter().all(|fd| fd.satisfied_by_pair(f, g))
     }
 
     /// Whether the sub-database `subset ⊆ D` satisfies the whole set, i.e.
     /// `D' ⊨ Σ`.
-    pub fn satisfied_by(&self, db: &Database, subset: &FactSet) -> bool {
+    fn satisfied_by(&self, db: &Database, subset: &FactSet) -> bool {
         // Pairwise check per relation; FDs are binary constraints so this is
         // complete.  Violation detection with indexes lives in
         // `crate::violation`; this method is the simple reference check.
@@ -371,7 +345,6 @@ mod tests {
         let mut fds = FdSet::new();
         fds.add(FunctionalDependency::from_names(&schema, "R", &["A"], &["B"]).unwrap());
         assert!(!fds.is_keys(&schema));
-        assert!(fds.require_keys(&schema).is_err());
     }
 
     #[test]

@@ -43,7 +43,7 @@
 
 use std::ops::Range;
 
-use crate::{Database, FactId, RelationId, Sym, Value};
+use crate::{Database, FactId, RelationId, Sym};
 
 /// A run `start..start + len` of the posting arena.
 #[derive(Debug, Clone, Copy, Default)]
@@ -253,22 +253,6 @@ impl RelationIndex {
         &self.arena[self.columns[relation.index()][position].run(sym).range()]
     }
 
-    /// Value-level probe: resolves `value` through `dict` and returns its
-    /// posting run (empty when the value was never interned — it then
-    /// occurs in no fact).
-    pub fn matches_value(
-        &self,
-        dict: &crate::Dictionary,
-        relation: RelationId,
-        position: usize,
-        value: &Value,
-    ) -> &[FactId] {
-        match dict.lookup(value) {
-            Some(sym) => self.matches(relation, position, sym),
-            None => &[],
-        }
-    }
-
     /// The exact length of the posting run of `sym` at
     /// `(relation, position)` — the statistic the join planner uses to
     /// break atom-order ties.
@@ -288,11 +272,6 @@ impl RelationIndex {
     #[inline]
     pub fn distinct_count(&self, relation: RelationId, position: usize) -> usize {
         self.columns[relation.index()][position].distinct as usize
-    }
-
-    /// Alias of [`RelationIndex::distinct_count`] (pre-encoding name).
-    pub fn distinct_values(&self, relation: RelationId, position: usize) -> usize {
-        self.distinct_count(relation, position)
     }
 
     /// Number of facts of `relation`.
@@ -715,6 +694,7 @@ pub fn intersect_postings(a: &[FactId], b: &[FactId], out: &mut Vec<FactId>) {
 mod tests {
     use super::*;
     use crate::Schema;
+    use crate::Value;
 
     fn sample_db() -> Database {
         let mut schema = Schema::new();
@@ -753,22 +733,6 @@ mod tests {
         assert_eq!(index.relation_cardinality(s), 1);
         // 3 facts × arity 2 + 1 fact × arity 1.
         assert_eq!(index.posting_entries(), 7);
-    }
-
-    #[test]
-    fn value_probe_resolves_through_the_dictionary() {
-        let db = sample_db();
-        let index = RelationIndex::build(&db);
-        let r = db.schema().relation_id("R").unwrap();
-        assert_eq!(
-            index.matches_value(db.dictionary(), r, 0, &Value::int(1)),
-            &[FactId::new(0), FactId::new(1)]
-        );
-        // A never-interned value matches nothing (and does not intern).
-        assert!(index
-            .matches_value(db.dictionary(), r, 0, &Value::int(9))
-            .is_empty());
-        assert_eq!(db.dictionary().lookup(&Value::int(9)), None);
     }
 
     #[test]

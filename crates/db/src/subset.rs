@@ -132,11 +132,6 @@ impl FactSet {
         other.is_subset_of(self)
     }
 
-    /// Alias for [`FactSet::contains_all`] mirroring the set-theoretic name.
-    pub fn is_superset_of(&self, other: &FactSet) -> bool {
-        other.is_subset_of(self)
-    }
-
     /// Removes every member, keeping the allocation.
     pub fn clear(&mut self) {
         for word in &mut self.words {
@@ -171,22 +166,6 @@ impl FactSet {
         debug_assert_eq!(self.universe, other.universe);
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= b;
-        }
-    }
-
-    /// In-place union: `self ← self ∪ other`.
-    pub fn union_with(&mut self, other: &FactSet) {
-        debug_assert_eq!(self.universe, other.universe);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// In-place difference: `self ← self ∖ other`.
-    pub fn difference_with(&mut self, other: &FactSet) {
-        debug_assert_eq!(self.universe, other.universe);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
         }
     }
 
@@ -238,13 +217,6 @@ impl FactSet {
         })
     }
 
-    /// Removes every fact in `facts` from the subset.
-    pub fn remove_all(&mut self, facts: impl IntoIterator<Item = FactId>) {
-        for f in facts {
-            self.remove(f);
-        }
-    }
-
     /// Collects the members into a vector of fact ids.
     pub fn to_vec(&self) -> Vec<FactId> {
         self.iter().collect()
@@ -290,7 +262,8 @@ mod tests {
         let mut set = FactSet::full(10);
         assert!(set.remove(FactId::new(3)));
         assert!(!set.remove(FactId::new(3)));
-        set.remove_all([FactId::new(0), FactId::new(9)]);
+        set.remove(FactId::new(0));
+        set.remove(FactId::new(9));
         let members: Vec<usize> = set.iter().map(FactId::index).collect();
         assert_eq!(members, vec![1, 2, 4, 5, 6, 7, 8]);
     }
@@ -350,7 +323,6 @@ mod tests {
         let a = FactSet::from_iter(100, [FactId::new(1), FactId::new(70)]);
         let b = FactSet::from_iter(100, [FactId::new(1), FactId::new(70), FactId::new(99)]);
         assert!(b.contains_all(&a));
-        assert!(b.is_superset_of(&a));
         assert!(!a.contains_all(&b));
         assert!(a.contains_all(&FactSet::empty(100)));
     }
@@ -381,14 +353,8 @@ mod tests {
     fn word_level_set_operations() {
         let mut a = FactSet::from_iter(70, [FactId::new(1), FactId::new(2), FactId::new(69)]);
         let b = FactSet::from_iter(70, [FactId::new(2), FactId::new(3), FactId::new(69)]);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.to_vec(), vec![FactId::new(2), FactId::new(69)]);
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.len(), 4);
-        a.difference_with(&b);
-        assert_eq!(a.to_vec(), vec![FactId::new(1)]);
+        a.intersect_with(&b);
+        assert_eq!(a.to_vec(), vec![FactId::new(2), FactId::new(69)]);
     }
 
     #[test]

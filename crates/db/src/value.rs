@@ -28,14 +28,6 @@ impl Value {
         Value::Int(value)
     }
 
-    /// Returns the integer payload, if this is an integer constant.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            Value::Str(_) => None,
-        }
-    }
-
     /// Returns the string payload, if this is a string constant.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -108,10 +100,9 @@ mod tests {
     fn construction_and_accessors() {
         let i = Value::int(42);
         let s = Value::str("alice");
-        assert_eq!(i.as_int(), Some(42));
+        assert_eq!(i, Value::Int(42));
         assert_eq!(i.as_str(), None);
         assert_eq!(s.as_str(), Some("alice"));
-        assert_eq!(s.as_int(), None);
     }
 
     #[test]

@@ -234,11 +234,6 @@ impl ViolationSet {
         out.sort_unstable();
         out.dedup();
     }
-
-    /// The violations involving a given fact.
-    pub fn involving(&self, fact: FactId) -> impl Iterator<Item = &Violation> + '_ {
-        self.violations.iter().filter(move |v| v.involves(fact))
-    }
 }
 
 #[cfg(test)]
@@ -288,14 +283,6 @@ mod tests {
         subset.remove(FactId::new(1)); // remove f2
         let violations = ViolationSet::compute(&db, &sigma, &subset);
         assert!(violations.is_empty());
-    }
-
-    #[test]
-    fn involving_filters_by_fact() {
-        let (db, sigma) = running_example();
-        let violations = ViolationSet::of_database(&db, &sigma);
-        assert_eq!(violations.involving(FactId::new(1)).count(), 2);
-        assert_eq!(violations.involving(FactId::new(0)).count(), 1);
     }
 
     #[test]

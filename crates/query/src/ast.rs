@@ -124,7 +124,7 @@ impl Atom {
 /// Invariants (enforced by [`ConjunctiveQuery::new`]):
 /// * every atom's arity matches its relation's arity in the schema;
 /// * every answer variable occurs in at least one body atom (safety).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ConjunctiveQuery {
     answer_vars: Vec<Variable>,
     atoms: Vec<Atom>,

@@ -5,14 +5,16 @@
 //! it against every query.  Compiling `k` independent lineages would
 //! re-materialise shared witnesses (identical queries, overlapping joins)
 //! and re-scan them per query; [`LineageBank`] instead compiles all
-//! `(query, candidate)` pairs into one deduplicated arena of witness
-//! bitsets.  A single query is a bank of one.  Each query keeps a bitmask
-//! over the arena selecting its own minimal antichain, so the per-sample
-//! batched check is:
+//! `(query, candidate)` pairs into one deduplicated arena of witnesses,
+//! each stored once as the sparse `(word, mask)` runs its facts span.  A
+//! single query is a bank of one.  Each query keeps a bitmask over the
+//! arena selecting its own minimal antichain, so the per-sample batched
+//! check ([`LineageBank::evaluate_live_into`]) is:
 //!
-//! 1. one containment scan over the *distinct* witnesses (word-level
-//!    "witness ⊆ repair", each checked exactly once per draw), then
-//! 2. one word-level `mask ∧ contained ≠ 0` pass per query.
+//! 1. one containment scan over the *distinct* witnesses of the live
+//!    queries (word-level "witness ⊆ repair" on the few repair words
+//!    each spans, each checked exactly once per draw), then
+//! 2. one word-level `mask ∧ contained ≠ 0` pass per live query.
 //!
 //! Per-query booleans are **bit-identical** to a bank of that query
 //! alone, and to the backtracking evaluator, on the same repair: the mask
@@ -20,7 +22,7 @@
 //! cost, never the outcome.  Queries whose witness
 //! enumeration overflows the cap are kept as [fallback](LineageBank::is_fallback)
 //! entries — the caller routes those through the backtracking evaluator
-//! while the rest of the bank stays on the bitset path.
+//! while the rest of the bank stays on the witness path.
 //!
 //! **Compilation is shared too.**  [`LineageBank::compile`] does not run
 //! one witness enumeration per entry: it grounds every `(query,
@@ -40,13 +42,14 @@
 //! the bank drains.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use ucqa_db::{ConflictIndex, Database, FactChange, FactId, FactSet, RelationIndex, Sym, Value};
 
-use crate::lineage::{SparseWitnesses, DEFAULT_WITNESS_CAP};
+use crate::lineage::{SparseWitnesses, Witness, DEFAULT_WITNESS_CAP};
 use crate::plan::{candidate_facts, match_and_bind, unbind, SymAtom, SymTerm};
 use crate::{QueryError, QueryEvaluator};
 
@@ -212,25 +215,15 @@ enum BankEntry {
 }
 
 /// The witness arena of a bank under construction: every distinct
-/// witness stored once, as a bitset and in sparse form, in the order
-/// entries first reference it.
+/// witness stored once, in sparse form, in the order entries first
+/// reference it.
+#[derive(Default)]
 struct ArenaBuilder {
-    universe: usize,
-    witnesses: Vec<FactSet>,
-    sparse: SparseWitnesses,
+    witnesses: SparseWitnesses,
     index: HashMap<Vec<FactId>, usize>,
 }
 
 impl ArenaBuilder {
-    fn new(universe: usize) -> Self {
-        ArenaBuilder {
-            universe,
-            witnesses: Vec::new(),
-            sparse: SparseWitnesses::default(),
-            index: HashMap::new(),
-        }
-    }
-
     /// The compiled entry whose antichain is `witnesses` (sorted fact-id
     /// lists), interning each one: a witness shared with an earlier entry
     /// costs a lookup, not an arena slot.
@@ -241,9 +234,7 @@ impl ArenaBuilder {
                 Some(&index) => index,
                 None => {
                     let index = self.witnesses.len();
-                    self.witnesses
-                        .push(FactSet::from_iter(self.universe, witness.iter().copied()));
-                    self.sparse.push(witness.iter().copied());
+                    self.witnesses.push(witness.iter().copied());
                     self.index.insert(witness, index);
                     index
                 }
@@ -256,21 +247,47 @@ impl ArenaBuilder {
         }
         BankEntry::Compiled { mask }
     }
+}
 
-    fn finish(self, entries: Vec<BankEntry>, cap: usize, version: u64) -> LineageBank {
-        LineageBank {
-            universe: self.universe,
-            witnesses: self.witnesses,
-            sparse: self.sparse,
-            entries,
-            cap,
-            version,
-        }
+/// A 64-bit FNV-1a hasher, deterministic across runs and builds: the
+/// entry fingerprints of [`LineageBank::entry_fingerprint`] and the
+/// query-list digest of [`LineageBank::compiled_from`].
+struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
 }
 
-/// Reusable per-draw scratch of [`LineageBank::evaluate_into`]: one bit per
-/// arena witness ("is this witness contained in the current repair?").
+impl Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A digest of a `(query, candidate)` list: its length, then each query
+/// and candidate tuple in order.
+fn query_digest<'q>(queries: impl ExactSizeIterator<Item = BankQueryRef<'q>>) -> u64 {
+    let mut hasher = Fnv::default();
+    queries.len().hash(&mut hasher);
+    for (evaluator, candidate) in queries {
+        evaluator.query().hash(&mut hasher);
+        candidate.hash(&mut hasher);
+    }
+    hasher.finish()
+}
+
+/// Reusable per-draw scratch of [`LineageBank::evaluate_live_into`]: one
+/// bit per arena witness ("is this witness contained in the current
+/// repair?").
 #[derive(Debug, Default, Clone)]
 pub struct BankScratch {
     contained: Vec<u64>,
@@ -289,10 +306,8 @@ impl BankScratch {
 pub struct LineageBank {
     universe: usize,
     /// The arena: every *distinct* witness across all compiled entries,
-    /// stored once.
-    witnesses: Vec<FactSet>,
-    /// The arena by non-zero words: what the per-draw check reads.
-    sparse: SparseWitnesses,
+    /// stored once, by the non-zero words it spans.
+    witnesses: SparseWitnesses,
     entries: Vec<BankEntry>,
     /// The per-entry witness cap the bank was compiled under, applied
     /// again by [`LineageBank::refresh`].
@@ -300,6 +315,9 @@ pub struct LineageBank {
     /// The database changelog version the bank was compiled (or last
     /// refreshed) against — what [`LineageBank::refresh`] replays from.
     version: u64,
+    /// [`query_digest`] of the `(query, candidate)` list the bank was
+    /// compiled from.
+    digest: u64,
 }
 
 impl LineageBank {
@@ -336,7 +354,6 @@ impl LineageBank {
         queries: &[BankQueryRef<'_>],
         budget: &CompileBudget,
     ) -> Result<(Self, CompileStats), QueryError> {
-        let universe = db.len();
         // Ground every entry first: candidate arities are validated for
         // the whole bank before any enumeration starts.  `None` marks an
         // entry with provably zero homomorphisms (a repeated answer
@@ -363,9 +380,9 @@ impl LineageBank {
         }
 
         // Witnesses are kept as sorted fact-id lists until here —
-        // sparse-friendly to sort, hash and containment-check — and only
-        // the *distinct* arena survivors are materialised as bitsets.
-        let mut arena = ArenaBuilder::new(universe);
+        // cheap to sort, hash and containment-check — and only the
+        // *distinct* arena survivors are stored, as word runs.
+        let mut arena = ArenaBuilder::default();
         let entries = raw
             .into_iter()
             .zip(overflowed)
@@ -377,18 +394,24 @@ impl LineageBank {
                 }
             })
             .collect();
-        Ok((
-            arena.finish(entries, budget.witness_cap, db.version()),
-            stats,
-        ))
+        let bank = LineageBank {
+            universe: db.len(),
+            witnesses: arena.witnesses,
+            entries,
+            cap: budget.witness_cap,
+            version: db.version(),
+            digest: query_digest(queries.iter().copied()),
+        };
+        Ok((bank, stats))
     }
 
     /// Incrementally refreshes the bank after database mutations, under
     /// the witness cap it was compiled with: replays the changelog since
     /// the version the bank was compiled against instead of re-running
     /// the shared-trie enumeration.  `queries` must be the same
-    /// `(evaluator, candidate)` list the bank was compiled from; a list of
-    /// another length is a [`QueryError::BankMismatch`].
+    /// `(evaluator, candidate)` list the bank was compiled from (see
+    /// [`LineageBank::compiled_from`]); any other list is a
+    /// [`QueryError::BankMismatch`].
     ///
     /// Per compiled entry, witnesses touching a deleted fact are dropped
     /// (any absorbed superset contained the same fact, so nothing
@@ -403,8 +426,7 @@ impl LineageBank {
     /// ([`Database::live_facts`]), one word test per word a witness
     /// spans: ids are never reused, so a witness whose facts are all live
     /// lost none of them since the bank's version.  The delta passes read
-    /// the same set, so a refresh builds nothing universe-sized beyond
-    /// the new arena.
+    /// the same set, so a refresh builds nothing universe-sized.
     ///
     /// Fallback entries stay fallback (the backtracking evaluator they
     /// route through always sees the current database), and a compiled
@@ -421,7 +443,7 @@ impl LineageBank {
         db: &Database,
         queries: &[BankQueryRef<'_>],
     ) -> Result<usize, QueryError> {
-        if queries.len() != self.entries.len() {
+        if !self.compiled_from(queries.iter().copied()) {
             return Err(QueryError::BankMismatch {
                 entries: self.entries.len(),
                 queries: queries.len(),
@@ -432,7 +454,6 @@ impl LineageBank {
             return Ok(0);
         }
         let applied = changes.len();
-        let universe = db.len();
         let mut inserted_by_relation: Vec<Vec<FactId>> =
             vec![Vec::new(); db.schema().relation_count()];
         for change in changes {
@@ -444,7 +465,7 @@ impl LineageBank {
         }
         let live = db.live_facts();
         let cap = self.cap;
-        let mut arena = ArenaBuilder::new(universe);
+        let mut arena = ArenaBuilder::default();
         let mut entries = Vec::with_capacity(self.entries.len());
         for (entry, &(evaluator, candidate)) in queries.iter().enumerate() {
             if self.is_fallback(entry) {
@@ -457,8 +478,8 @@ impl LineageBank {
             // facts are still live.
             let mut raw: Vec<Vec<FactId>> = Vec::new();
             for index in self.entry_witnesses(entry) {
-                if self.sparse.contained(index, live.words()) {
-                    raw.push(self.sparse.facts(index).collect());
+                if self.witnesses.contained(index, live.words()) {
+                    raw.push(self.witnesses.get(index).iter().collect());
                 }
             }
             let mut over_cap = false;
@@ -482,41 +503,22 @@ impl LineageBank {
             }
             entries.push(arena.entry(minimal_antichain_images(raw)));
         }
-        *self = arena.finish(entries, cap, db.version());
+        self.universe = db.len();
+        self.witnesses = arena.witnesses;
+        self.entries = entries;
+        self.version = db.version();
         Ok(applied)
     }
 
-    /// The per-draw batched entailment check: writes, for every query `i`,
-    /// `hits[i] = (repair ⊨ Qᵢ(c̄ᵢ))` — except for fallback entries, which
-    /// are set to `false` and must be answered by the caller's evaluator
-    /// (see [`LineageBank::is_fallback`]).
-    ///
-    /// Performs no heap allocation once `scratch` reaches steady-state
-    /// capacity.  Each distinct witness is containment-checked exactly
-    /// once, no matter how many queries share it, on the few repair words
-    /// it spans rather than on the whole universe.
-    ///
-    /// # Panics
-    /// Panics if `hits.len()` differs from the number of queries.
-    pub fn evaluate_into(&self, repair: &FactSet, scratch: &mut BankScratch, hits: &mut [bool]) {
-        assert_eq!(hits.len(), self.entries.len(), "hits length mismatch");
-        debug_assert_eq!(repair.universe(), self.universe);
-        let words = self.witnesses.len().div_ceil(64);
-        scratch.contained.clear();
-        scratch.contained.resize(words, 0);
-        for index in 0..self.witnesses.len() {
-            if self.sparse.contained(index, repair.words()) {
-                scratch.contained[index / 64] |= 1u64 << (index % 64);
-            }
-        }
-        for (entry, hit) in self.entries.iter().zip(hits.iter_mut()) {
-            *hit = match entry {
-                BankEntry::Compiled { mask } => {
-                    mask.iter().zip(&scratch.contained).any(|(m, c)| m & c != 0)
-                }
-                BankEntry::Fallback => false,
-            };
-        }
+    /// `true` iff `queries` is the `(evaluator, candidate)` list the bank
+    /// was compiled from: the same length, and equal queries and
+    /// candidates entry by entry (compared through a 64-bit digest kept
+    /// at compile).
+    pub fn compiled_from<'q>(
+        &self,
+        queries: impl ExactSizeIterator<Item = BankQueryRef<'q>>,
+    ) -> bool {
+        queries.len() == self.entries.len() && query_digest(queries) == self.digest
     }
 
     /// Number of queries in the bank.
@@ -622,18 +624,11 @@ impl LineageBank {
             BankEntry::Compiled { .. } => {
                 let mut lists: Vec<Vec<FactId>> = self
                     .entry_witnesses(index)
-                    .map(|w| self.sparse.facts(w).collect())
+                    .map(|w| self.witnesses.get(w).iter().collect())
                     .collect();
                 lists.sort_unstable();
-                const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-                const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-                let mut hash = FNV_OFFSET;
-                let mut mix = |value: u64| {
-                    for byte in value.to_le_bytes() {
-                        hash ^= u64::from(byte);
-                        hash = hash.wrapping_mul(FNV_PRIME);
-                    }
-                };
+                let mut hasher = Fnv::default();
+                let mut mix = |value: u64| hasher.write(&value.to_le_bytes());
                 mix(lists.len() as u64);
                 for list in &lists {
                     // Length-prefix each list so concatenations can't
@@ -644,7 +639,7 @@ impl LineageBank {
                         mix(conflict.component_digest(id));
                     }
                 }
-                Some(hash)
+                Some(hasher.finish())
             }
         }
     }
@@ -657,31 +652,36 @@ impl LineageBank {
             .collect()
     }
 
-    /// The witness sets of entry `index`'s minimal antichain, in arena
+    /// The witnesses of entry `index`'s minimal antichain, in arena
     /// order, or `None` for a fallback entry.  Ground-truth comparisons
     /// (windowed state vs a from-scratch rebuild) canonicalize these into
     /// sorted id-lists before comparing.
-    pub fn witnesses_of(&self, index: usize) -> Option<Vec<&FactSet>> {
+    pub fn witnesses_of(&self, index: usize) -> Option<Vec<Witness<'_>>> {
         match &self.entries[index] {
             BankEntry::Fallback => None,
             BankEntry::Compiled { .. } => Some(
                 self.entry_witnesses(index)
-                    .map(|w| &self.witnesses[w])
+                    .map(|w| self.witnesses.get(w))
                     .collect(),
             ),
         }
     }
 
-    /// As [`LineageBank::evaluate_into`], restricted to the live queries
-    /// of `live`: writes `hits[q]` for every live query `q` (fallback
-    /// entries are set to `false` as usual) and **skips** both retired
-    /// queries and the arena witnesses no live query references.
+    /// The per-draw batched entailment check, over the live queries of
+    /// `live`: writes `hits[q] = (repair ⊨ Q_q(c̄_q))` for every live
+    /// query `q` — except for fallback entries, which are set to `false`
+    /// and must be answered by the caller's evaluator (see
+    /// [`LineageBank::is_fallback`]).  Retired queries and the arena
+    /// witnesses no live query references are **skipped**; their entries
+    /// of `hits` are left untouched (they may hold stale values).
+    /// [`BankLiveSet::full`] checks every query.
     ///
-    /// On the live entries the booleans are bit-identical to
-    /// [`LineageBank::evaluate_into`]: a live query's witnesses all carry a
-    /// positive reference count, so compaction changes the cost of the
-    /// containment scan, never its outcome.  Entries of retired queries
-    /// are left untouched (they may hold stale values).
+    /// A live query's witnesses all carry a positive reference count, so
+    /// retirement changes the cost of the containment scan, never a live
+    /// query's outcome.  Each distinct live witness is containment-checked
+    /// exactly once, no matter how many queries share it, on the few
+    /// repair words it spans rather than on the whole universe.  Performs
+    /// no heap allocation once `scratch` reaches steady-state capacity.
     ///
     /// # Panics
     /// Panics if `hits.len()` differs from the number of queries, or if
@@ -704,7 +704,7 @@ impl LineageBank {
         scratch.contained.clear();
         scratch.contained.resize(words, 0);
         for &index in &live.live_witnesses {
-            if self.sparse.contained(index, repair.words()) {
+            if self.witnesses.contained(index, repair.words()) {
                 scratch.contained[index / 64] |= 1u64 << (index % 64);
             }
         }
@@ -1430,11 +1430,6 @@ impl BankLiveSet {
         self.entry_pos[query] != usize::MAX
     }
 
-    /// Number of live queries.
-    pub fn live_query_count(&self) -> usize {
-        self.live_entries.len()
-    }
-
     /// Number of arena witnesses still referenced by some live query —
     /// the per-draw containment-scan length of
     /// [`LineageBank::evaluate_live_into`].
@@ -1506,6 +1501,14 @@ mod tests {
         Some(minimal)
     }
 
+    /// Every entry's hit on `subset`: the live check over a full live set.
+    fn hits_on(bank: &LineageBank, subset: &FactSet) -> Vec<bool> {
+        let mut hits = vec![false; bank.len()];
+        let live = BankLiveSet::full(bank);
+        bank.evaluate_live_into(&live, subset, &mut BankScratch::new(), &mut hits);
+        hits
+    }
+
     /// A bank compiled under the witness cap `cap`.
     fn capped(db: &Database, queries: &[BankQueryRef<'_>], cap: usize) -> LineageBank {
         let budget = CompileBudget::unlimited().with_witness_cap(cap);
@@ -1538,10 +1541,8 @@ mod tests {
         );
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         let bank = LineageBank::compile(&db, &queries).unwrap();
-        let mut scratch = BankScratch::new();
-        let mut hits = vec![false; bank.len()];
         for subset in subsets(db.len()) {
-            bank.evaluate_into(&subset, &mut scratch, &mut hits);
+            let hits = hits_on(&bank, &subset);
             for (i, evaluator) in evals.iter().enumerate() {
                 assert_eq!(
                     hits[i],
@@ -1560,8 +1561,7 @@ mod tests {
         assert_eq!(bank.len(), 0);
         assert_eq!(bank.witness_count(), 0);
         assert!(!bank.has_fallback());
-        let mut scratch = BankScratch::new();
-        bank.evaluate_into(&db.all_facts(), &mut scratch, &mut []);
+        assert!(hits_on(&bank, &db.all_facts()).is_empty());
     }
 
     #[test]
@@ -1607,9 +1607,10 @@ mod tests {
         assert_eq!(bank.query_witness_count(1), Some(2));
         let mut scratch = BankScratch::new();
         let mut hits = vec![true; 2];
-        bank.evaluate_into(&db.all_facts(), &mut scratch, &mut hits);
+        let live = BankLiveSet::full(&bank);
+        bank.evaluate_live_into(&live, &db.all_facts(), &mut scratch, &mut hits);
         // Fallback entries are reported as false; the compiled entry is
-        // answered on the bitset path.
+        // answered on the witness path.
         assert!(!hits[0]);
         assert!(hits[1]);
     }
@@ -1664,14 +1665,12 @@ mod tests {
         let (budgeted, _) =
             LineageBank::compile_with_budget(&db, &queries, &CompileBudget::unlimited()).unwrap();
         assert_eq!(plain.witness_count(), budgeted.witness_count());
-        let mut scratch_a = BankScratch::new();
-        let mut scratch_b = BankScratch::new();
-        let mut hits_a = vec![false; plain.len()];
-        let mut hits_b = vec![false; budgeted.len()];
         for subset in subsets(db.len()) {
-            plain.evaluate_into(&subset, &mut scratch_a, &mut hits_a);
-            budgeted.evaluate_into(&subset, &mut scratch_b, &mut hits_b);
-            assert_eq!(hits_a, hits_b, "{subset:?}");
+            assert_eq!(
+                hits_on(&plain, &subset),
+                hits_on(&budgeted, &subset),
+                "{subset:?}"
+            );
         }
     }
 
@@ -1690,26 +1689,25 @@ mod tests {
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         let bank = LineageBank::compile(&db, &queries).unwrap();
         let mut scratch = BankScratch::new();
-        let mut full_hits = vec![false; bank.len()];
         let mut live_hits = vec![false; bank.len()];
         // Retire queries one by one; after every retirement the live
-        // evaluation must agree with the full evaluation on the survivors,
-        // over every subset of the universe.
+        // evaluation must agree with the backtracking evaluator on the
+        // survivors, over every subset of the universe.
         for order in [[0usize, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]] {
             let mut live = BankLiveSet::full(&bank);
-            assert_eq!(live.live_query_count(), 4);
+            assert_eq!(live.live_queries().len(), 4);
             assert_eq!(live.live_witness_count(), bank.witness_count());
             for (step, &retired) in order.iter().enumerate() {
                 for subset in subsets(db.len()) {
-                    bank.evaluate_into(&subset, &mut scratch, &mut full_hits);
                     bank.evaluate_live_into(&live, &subset, &mut scratch, &mut live_hits);
                     for &q in live.live_queries() {
-                        assert_eq!(live_hits[q], full_hits[q], "step {step}, query {q}");
+                        let expected = evals[q].has_answer(&db, &subset, &[]).unwrap();
+                        assert_eq!(live_hits[q], expected, "step {step}, query {q}");
                     }
                 }
                 live.retire(&bank, retired);
                 assert!(!live.is_live(retired));
-                assert_eq!(live.live_query_count(), 4 - step - 1);
+                assert_eq!(live.live_queries().len(), 4 - step - 1);
             }
             assert_eq!(live.live_witness_count(), 0);
         }
@@ -1746,7 +1744,7 @@ mod tests {
         );
         live.retire(&bank, 2);
         assert_eq!(live.live_witness_count(), 0);
-        assert_eq!(live.live_query_count(), 0);
+        assert!(live.live_queries().is_empty());
     }
 
     #[test]
@@ -1820,14 +1818,12 @@ mod tests {
                 .iter()
                 .map(|&query| reference_witnesses(&db, query, cap))
                 .collect();
-            let mut scratch = BankScratch::new();
-            let mut shared_hits = vec![false; shared.len()];
             for (i, expected) in reference.iter().enumerate() {
                 assert_eq!(shared.is_fallback(i), expected.is_none(), "entry {i}");
                 assert_eq!(&canonical(&shared, i), expected, "entry {i}");
             }
             for subset in subsets(db.len()) {
-                shared.evaluate_into(&subset, &mut scratch, &mut shared_hits);
+                let shared_hits = hits_on(&shared, &subset);
                 // Fallback entries report no hit: the caller routes them
                 // through the evaluator.
                 let reference_hits: Vec<bool> = reference
@@ -1865,10 +1861,8 @@ mod tests {
         assert_eq!(bank.query_witness_count(2), Some(single));
         // Entries 0 and 2 are the same grounded query: their witnesses
         // coincide in the arena.
-        let mut scratch = BankScratch::new();
-        let mut hits = vec![false; 3];
         for subset in subsets(db.len()) {
-            bank.evaluate_into(&subset, &mut scratch, &mut hits);
+            let hits = hits_on(&bank, &subset);
             assert_eq!(hits[0], hits[2], "{subset:?}");
             assert_eq!(
                 hits[0],
@@ -1886,10 +1880,10 @@ mod tests {
         let queries: Vec<BankQueryRef<'_>> = vec![(&evaluator, &[] as &[Value])];
         let bank = LineageBank::compile(&db, &queries).unwrap();
         assert_eq!(bank.query_witness_count(0), Some(1));
-        let mut scratch = BankScratch::new();
-        let mut hits = vec![false; 1];
-        bank.evaluate_into(&FactSet::empty(db.len()), &mut scratch, &mut hits);
-        assert!(hits[0], "an empty body is entailed by the empty subset");
+        assert!(
+            hits_on(&bank, &FactSet::empty(db.len()))[0],
+            "an empty body is entailed by the empty subset"
+        );
     }
 
     #[test]
@@ -1927,10 +1921,6 @@ mod tests {
         // booleans on every subset.
         let fresh = LineageBank::compile(&db, &queries).unwrap();
         assert_eq!(bank.witness_count(), fresh.witness_count());
-        let mut scratch_a = BankScratch::new();
-        let mut scratch_b = BankScratch::new();
-        let mut hits_a = vec![false; bank.len()];
-        let mut hits_b = vec![false; fresh.len()];
         for i in 0..queries.len() {
             assert_eq!(bank.is_fallback(i), fresh.is_fallback(i), "entry {i}");
             assert_eq!(
@@ -1940,9 +1930,11 @@ mod tests {
             );
         }
         for subset in subsets(db.len()) {
-            bank.evaluate_into(&subset, &mut scratch_a, &mut hits_a);
-            fresh.evaluate_into(&subset, &mut scratch_b, &mut hits_b);
-            assert_eq!(hits_a, hits_b, "{subset:?}");
+            assert_eq!(
+                hits_on(&bank, &subset),
+                hits_on(&fresh, &subset),
+                "{subset:?}"
+            );
         }
     }
 
@@ -1986,6 +1978,40 @@ mod tests {
     }
 
     #[test]
+    fn refresh_with_a_foreign_list_of_the_same_length_is_an_error() {
+        let mut db = blocks_db();
+        let evals = evaluators(&db, &["Ans() :- R(1, x)", "Ans(x) :- R(x, 1)"]);
+        let one = [Value::int(1)];
+        let two = [Value::int(2)];
+        let own: Vec<BankQueryRef<'_>> = vec![(&evals[0], &[]), (&evals[1], &one)];
+        let mut bank = LineageBank::compile(&db, &own).unwrap();
+        assert!(bank.compiled_from(own.iter().copied()));
+        db.insert_values("R", [Value::int(1), Value::int(3)])
+            .unwrap();
+        // Another candidate, and the same queries in another order: each
+        // is a foreign list of the bank's length, rejected before any
+        // replay.
+        let other_candidate: Vec<BankQueryRef<'_>> = vec![(&evals[0], &[]), (&evals[1], &two)];
+        let swapped: Vec<BankQueryRef<'_>> = vec![(&evals[1], &one), (&evals[0], &[])];
+        for foreign in [&other_candidate, &swapped] {
+            assert!(!bank.compiled_from(foreign.iter().copied()));
+            assert_eq!(
+                bank.refresh(&db, foreign),
+                Err(QueryError::BankMismatch {
+                    entries: 2,
+                    queries: 2
+                })
+            );
+        }
+        // The bank still refreshes against its own list, which an equal
+        // list built from other evaluators also matches.
+        let again = evaluators(&db, &["Ans() :- R(1, x)", "Ans(x) :- R(x, 1)"]);
+        let equal: Vec<BankQueryRef<'_>> = vec![(&again[0], &[]), (&again[1], &one)];
+        assert_eq!(bank.refresh(&db, &equal), Ok(1));
+        assert_eq!(bank.version(), db.version());
+    }
+
+    #[test]
     fn arity_mismatch_aborts_compilation() {
         let db = blocks_db();
         let evals = evaluators(&db, &["Ans(x) :- R(1, x)"]);
@@ -2000,8 +2026,8 @@ mod tests {
         let evals = evaluators(&db, &["Ans() :- R(1, x)"]);
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         let bank = LineageBank::compile(&db, &queries).unwrap();
-        let mut scratch = BankScratch::new();
-        bank.evaluate_into(&db.all_facts(), &mut scratch, &mut []);
+        let live = BankLiveSet::full(&bank);
+        bank.evaluate_live_into(&live, &db.all_facts(), &mut BankScratch::new(), &mut []);
     }
 
     /// Membership and refcount view of a live set, position-independent.
@@ -2035,7 +2061,7 @@ mod tests {
         for query in [1, 3, 0, 2] {
             live.retire(&bank, query);
         }
-        assert_eq!(live.live_query_count(), 0);
+        assert!(live.live_queries().is_empty());
         assert_eq!(live.live_witness_count(), 0);
         for query in [2, 0, 3, 1] {
             live.enroll(&bank, query);
@@ -2044,12 +2070,10 @@ mod tests {
         assert_eq!(live_snapshot(&live), full);
         // And the restored set evaluates identically to the full one.
         let mut scratch = BankScratch::new();
-        let mut full_hits = vec![false; bank.len()];
         let mut live_hits = vec![false; bank.len()];
         for subset in subsets(db.len()) {
-            bank.evaluate_into(&subset, &mut scratch, &mut full_hits);
             bank.evaluate_live_into(&live, &subset, &mut scratch, &mut live_hits);
-            assert_eq!(full_hits, live_hits, "{subset:?}");
+            assert_eq!(hits_on(&bank, &subset), live_hits, "{subset:?}");
         }
     }
 
@@ -2067,7 +2091,7 @@ mod tests {
         let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
         let bank = LineageBank::compile(&db, &queries).unwrap();
         let mut enrolled = BankLiveSet::empty(&bank);
-        assert_eq!(enrolled.live_query_count(), 0);
+        assert!(enrolled.live_queries().is_empty());
         enrolled.enroll(&bank, 2);
         enrolled.enroll(&bank, 0);
         let restricted = BankLiveSet::restrict(&bank, &[0, 2]);

@@ -30,8 +30,9 @@ pub enum QueryError {
         /// Number of values supplied.
         actual: usize,
     },
-    /// A bank was refreshed against a query list of another length than
-    /// the one it was compiled from.
+    /// A bank was refreshed against a query list other than the one it
+    /// was compiled from: another length, or another query or candidate
+    /// at some entry.
     BankMismatch {
         /// Number of bank entries.
         entries: usize,
@@ -63,7 +64,7 @@ impl fmt::Display for QueryError {
             ),
             QueryError::BankMismatch { entries, queries } => write!(
                 f,
-                "bank has {entries} entries but {queries} queries were supplied"
+                "bank of {entries} entries was compiled from another list than the {queries} queries supplied"
             ),
             QueryError::Unsupported { message } => write!(f, "unsupported query: {message}"),
         }

@@ -35,6 +35,7 @@ pub use ast::{Atom, ConjunctiveQuery, Term, Variable};
 pub use bank::{BankLiveSet, BankQueryRef, BankScratch, CompileBudget, CompileStats, LineageBank};
 pub use error::QueryError;
 pub use eval::{Bindings, QueryEvaluator};
+pub use lineage::Witness;
 pub use plan::{JoinPlan, PlanExplain, StepExplain};
 
 /// Commonly used types, re-exported for convenience.

@@ -23,19 +23,21 @@ use ucqa_db::FactId;
 /// Default cap on the number of witnesses materialised per bank entry
 /// (see [`CompileBudget::with_witness_cap`](crate::CompileBudget::with_witness_cap)).
 ///
-/// `4096` witnesses × a 1 000-fact universe is ~64 KiB of bitset words —
-/// comfortably cache-resident — while the linear witness scan stays far
-/// cheaper than a backtracking search that would re-derive those same
-/// homomorphisms on every sample.
+/// A witness is stored as the few `(word, mask)` runs its facts span, so
+/// `4096` witnesses of a short join take a few tens of KiB whatever the
+/// universe size — comfortably cache-resident — while the linear witness
+/// scan stays far cheaper than a backtracking search that would re-derive
+/// those same homomorphisms on every sample.
 pub const DEFAULT_WITNESS_CAP: usize = 4096;
 
-/// Witness bitsets stored by their non-zero words: witness `i` is the
-/// `(word index, mask)` pairs `words[starts[i]..starts[i + 1]]`.
+/// The witnesses of a bank arena, each stored once by the non-zero words
+/// of its bitset: witness `i` is the `(word index, mask)` pairs
+/// `words[starts[i]..starts[i + 1]]`.
 ///
-/// A witness spans a handful of facts but its bitset spans the whole
-/// universe, so the per-draw containment check reads only the few repair
-/// words a witness touches instead of `⌈universe/64⌉` of them.  Built
-/// next to the bitsets at compile and refresh.
+/// A witness spans a handful of facts, so it costs a few pairs rather
+/// than a universe-sized bitset, and the per-draw containment check reads
+/// only the few repair words a witness touches instead of
+/// `⌈universe/64⌉` of them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SparseWitnesses {
     starts: Vec<usize>,
@@ -65,14 +67,40 @@ impl SparseWitnesses {
         self.starts.push(self.words.len());
     }
 
-    /// The `(word index, mask)` pairs of witness `index`.
-    fn pairs(&self, index: usize) -> &[(usize, u64)] {
-        &self.words[self.starts[index]..self.starts[index + 1]]
+    /// Number of witnesses stored.
+    pub(crate) fn len(&self) -> usize {
+        self.starts.len() - 1
     }
 
-    /// The facts of witness `index`, ascending.
-    pub(crate) fn facts(&self, index: usize) -> impl Iterator<Item = FactId> + '_ {
-        self.pairs(index).iter().flat_map(|&(word, mask)| {
+    /// Witness `index`.
+    pub(crate) fn get(&self, index: usize) -> Witness<'_> {
+        Witness {
+            pairs: &self.words[self.starts[index]..self.starts[index + 1]],
+        }
+    }
+
+    /// `true` iff witness `index` ⊆ the set whose membership words are
+    /// `repair` (see [`FactSet::words`](ucqa_db::FactSet::words)).
+    #[inline]
+    pub(crate) fn contained(&self, index: usize, repair: &[u64]) -> bool {
+        self.get(index)
+            .pairs
+            .iter()
+            .all(|&(word, mask)| repair[word] & mask == mask)
+    }
+}
+
+/// One witness of a bank arena: a view over its `(word, mask)` runs (see
+/// [`LineageBank::witnesses_of`](crate::LineageBank::witnesses_of)).
+#[derive(Debug, Clone, Copy)]
+pub struct Witness<'a> {
+    pairs: &'a [(usize, u64)],
+}
+
+impl<'a> Witness<'a> {
+    /// The witness's facts, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = FactId> + 'a {
+        self.pairs.iter().flat_map(|&(word, mask)| {
             let mut bits = mask;
             std::iter::from_fn(move || {
                 (bits != 0).then(|| {
@@ -83,15 +111,6 @@ impl SparseWitnesses {
             })
         })
     }
-
-    /// `true` iff witness `index` ⊆ the set whose membership words are
-    /// `repair` (see [`FactSet::words`]).
-    #[inline]
-    pub(crate) fn contained(&self, index: usize, repair: &[u64]) -> bool {
-        self.pairs(index)
-            .iter()
-            .all(|&(word, mask)| repair[word] & mask == mask)
-    }
 }
 
 #[cfg(test)]
@@ -100,7 +119,7 @@ mod tests {
     //! the backtracking evaluator.
 
     use crate::parser::parse_query;
-    use crate::{BankScratch, CompileBudget, LineageBank, QueryEvaluator};
+    use crate::{BankLiveSet, BankScratch, CompileBudget, LineageBank, QueryEvaluator};
     use ucqa_db::{Database, FactId, FactSet, Schema, Value};
 
     fn blocks_db() -> Database {
@@ -126,7 +145,8 @@ mod tests {
     /// Whether the bank's one entry holds on `subset`.
     fn entails(bank: &LineageBank, subset: &FactSet) -> bool {
         let mut hits = [false];
-        bank.evaluate_into(subset, &mut BankScratch::new(), &mut hits);
+        let live = BankLiveSet::full(bank);
+        bank.evaluate_live_into(&live, subset, &mut BankScratch::new(), &mut hits);
         hits[0]
     }
 

@@ -95,17 +95,33 @@ pub fn local_maxima_repairs(db: &Database, sigma: &FdSet) -> BTreeMap<FactSet, R
 /// iff `binomial_upper_tail(seeds, δ, k) ≤ α` — iff the one-sided
 /// Clopper–Pearson lower confidence bound on the miss rate, at confidence
 /// `1 − α`, exceeds `δ`.
+///
+/// The terms are summed in log space (log-sum-exp), so the tail stays
+/// exact to rounding where `(1 − p)ⁿ` alone underflows, from
+/// `n·ln(1/(1 − p))` of about 708 on.
 pub fn binomial_upper_tail(n: u64, p: f64, k: u64) -> f64 {
-    // Term i is C(n, i)·pⁱ·(1−p)ⁿ⁻ⁱ; build it from term i − 1.
-    let mut term = (1.0 - p).powi(n as i32);
-    let mut tail = if k == 0 { term } else { 0.0 };
-    for i in 1..=n {
-        term *= (n - i + 1) as f64 / i as f64 * p / (1.0 - p);
+    if p <= 0.0 || p >= 1.0 {
+        // X is 0 or n surely.
+        let x = if p <= 0.0 { 0 } else { n };
+        return if x >= k { 1.0 } else { 0.0 };
+    }
+    // ln of term i, C(n, i)·pⁱ·(1−p)ⁿ⁻ⁱ, built from term i − 1.
+    let (ln_p, ln_q) = (p.ln(), (-p).ln_1p());
+    let mut ln_term = n as f64 * ln_q;
+    let mut ln_terms = Vec::new();
+    for i in 0..=n {
+        if i > 0 {
+            ln_term += ((n - i + 1) as f64 / i as f64).ln() + ln_p - ln_q;
+        }
         if i >= k {
-            tail += term;
+            ln_terms.push(ln_term);
         }
     }
-    tail
+    let max = ln_terms.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    if max == f64::NEG_INFINITY {
+        return 0.0;
+    }
+    max.exp() * ln_terms.iter().map(|t| (t - max).exp()).sum::<f64>()
 }
 
 /// Builds a primary-key database (single relation `R(A, B)`, key `A → B`)

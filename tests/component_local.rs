@@ -967,3 +967,53 @@ fn interleaved_walks_follow_the_chain_leaf_distribution() {
         }
     }
 }
+
+/// `binomial_upper_tail` past the point where `(1 − p)ⁿ` underflows: at
+/// `n = 4000, p = 0.2`, `n·ln(1/(1 − p)) ≈ 893`.  The tail at `k = 0` is
+/// 1, and at `k = 844` it matches the exact rational sum
+/// `Σ_{i ≥ k} C(n, i)·4ⁿ⁻ⁱ / 5ⁿ`; at small `n` it matches a direct
+/// floating-point sum for every `k`.
+#[test]
+fn binomial_upper_tail_does_not_underflow() {
+    use uocqa::numeric::Natural;
+    let (n, k) = (4000u64, 844u64);
+    assert!((binomial_upper_tail(n, 0.2, 0) - 1.0).abs() < 1e-9);
+    // Term i of the numerator is C(n, i)·4ⁿ⁻ⁱ; term i + 1 is term i
+    // times (n − i) / (4·(i + 1)), an exact division.
+    let mut term = Natural::from_u64(4).pow(n as u32);
+    let mut numerator = Natural::zero();
+    for i in 0..=n {
+        if i >= k {
+            numerator += &term;
+        }
+        if i < n {
+            term = (&term * &Natural::from_u64(n - i))
+                .div_rem(&Natural::from_u64(4 * (i + 1)))
+                .0;
+        }
+    }
+    let exact = (numerator.ln() - Natural::from_u64(5).pow(n as u32).ln()).exp();
+    let tail = binomial_upper_tail(n, 0.2, k);
+    assert!(exact > 0.01, "exact tail {exact}");
+    assert!(
+        (tail - exact).abs() < 1e-9 * exact,
+        "tail {tail}, exact {exact}"
+    );
+
+    let (n, p) = (30u64, 0.3f64);
+    let direct = |k: u64| -> f64 {
+        (k..=n)
+            .map(|i| {
+                let choose = (0..i).fold(1.0, |c, j| c * (n - j) as f64 / (j + 1) as f64);
+                choose * p.powi(i as i32) * (1.0 - p).powi((n - i) as i32)
+            })
+            .sum()
+    };
+    for k in 0..=n + 1 {
+        let (tail, direct) = (binomial_upper_tail(n, p, k), direct(k));
+        assert!(
+            (tail - direct).abs() <= 1e-12 * direct.max(1e-300),
+            "k {k}: tail {tail}, direct {direct}"
+        );
+    }
+}

@@ -12,7 +12,8 @@ use uocqa::db::{
 };
 use uocqa::numeric::Ratio;
 use uocqa::query::{
-    Atom, BankScratch, CompileBudget, ConjunctiveQuery, LineageBank, QueryEvaluator, Term,
+    Atom, BankLiveSet, BankScratch, CompileBudget, ConjunctiveQuery, LineageBank, QueryEvaluator,
+    Term,
 };
 use uocqa::repair::operation::justified_operations_from;
 use uocqa::repair::{GeneratorSpec, OperationalSemantics, RepairingTree, TreeLimits};
@@ -148,6 +149,7 @@ proptest! {
             let evaluator = QueryEvaluator::new(query);
             let lineage = LineageBank::compile(&db, &[(&evaluator, candidate.as_slice())]).unwrap();
             prop_assert!(!lineage.is_fallback(0), "workload lineages stay under the witness cap");
+            let live = BankLiveSet::full(&lineage);
             let mut scratch = BankScratch::new();
             let mut hits = [false];
             for _ in 0..32 {
@@ -157,7 +159,7 @@ proptest! {
                         .filter(|_| rng.random_bool(0.5))
                         .map(uocqa::db::FactId::new),
                 );
-                lineage.evaluate_into(&subset, &mut scratch, &mut hits);
+                lineage.evaluate_live_into(&live, &subset, &mut scratch, &mut hits);
                 prop_assert_eq!(
                     hits[0],
                     evaluator.has_answer(&db, &subset, &candidate).unwrap(),
@@ -476,7 +478,8 @@ proptest! {
                 .iter()
                 .map(|&(evaluator, candidate)| reference_witnesses(evaluator, &db, candidate, cap))
                 .collect();
-            let mut scratch = uocqa::query::BankScratch::new();
+            let live = BankLiveSet::full(&shared);
+            let mut scratch = BankScratch::new();
             let mut shared_hits = vec![false; shared.len()];
             for (i, expected) in reference.iter().enumerate() {
                 prop_assert_eq!(shared.is_fallback(i), expected.is_none(), "cap {}, entry {}", cap, i);
@@ -487,7 +490,7 @@ proptest! {
                 );
             }
             for subset in &subsets {
-                shared.evaluate_into(subset, &mut scratch, &mut shared_hits);
+                shared.evaluate_live_into(&live, subset, &mut scratch, &mut shared_hits);
                 // Fallback entries report no hit: the caller routes them
                 // through the evaluator.
                 let reference_hits: Vec<bool> = reference
@@ -1376,4 +1379,89 @@ proptest! {
             }
         }
     }
+}
+
+/// Witnesses spanning more than 64 words of fact ids read back through
+/// `witnesses_of` as the same id sets as the backtracking reference, both
+/// at compile and after a refresh over inserts and deletes.
+#[test]
+fn witnesses_of_matches_the_reference_beyond_64_words() {
+    let mut schema = uocqa::db::Schema::new();
+    schema.add_relation("R", &["A", "B"]).unwrap();
+    let mut db = Database::with_schema(schema);
+    // Unique keys 0..4500, values in 0..300: a join R(c, x), R(x, y)
+    // pairs fact c with a fact among the first 300 ids.
+    let value = |a: i64| (a * 37 + 11) % 300;
+    for a in 0..4500 {
+        db.insert_values("R", [Value::int(a), Value::int(value(a))])
+            .unwrap();
+    }
+    let texts = [
+        "Ans() :- R(5, x), R(x, y)",
+        "Ans() :- R(700, x), R(x, y)",
+        "Ans() :- R(4100, x), R(x, y)",
+        "Ans() :- R(4499, x), R(x, y)",
+        "Ans() :- R(x, 17), R(17, y)",
+        "Ans(x) :- R(x, 17)",
+    ];
+    let evaluators: Vec<QueryEvaluator> = texts
+        .iter()
+        .map(|t| QueryEvaluator::new(uocqa::query::parser::parse_query(db.schema(), t).unwrap()))
+        .collect();
+    let candidates: Vec<Vec<Value>> = (0..texts.len())
+        .map(|i| {
+            if i + 1 == texts.len() {
+                vec![Value::int(4338)]
+            } else {
+                vec![]
+            }
+        })
+        .collect();
+    let refs: Vec<(&QueryEvaluator, &[Value])> = evaluators
+        .iter()
+        .zip(&candidates)
+        .map(|(e, c)| (e, c.as_slice()))
+        .collect();
+    assert_eq!(value(4338), 17, "the candidate answers the lookup");
+    let cap = uocqa::query::lineage::DEFAULT_WITNESS_CAP;
+    let assert_matches = |bank: &LineageBank, db: &Database, context: &str| {
+        assert!(
+            db.len().div_ceil(64) > 64,
+            "{context}: universe spans > 64 words"
+        );
+        for (entry, &(evaluator, candidate)) in refs.iter().enumerate() {
+            let expected = reference_witnesses(evaluator, db, candidate, cap);
+            assert!(
+                expected.as_ref().is_some_and(|w| !w.is_empty()),
+                "{context}: entry {entry}"
+            );
+            assert_eq!(
+                canonical_witnesses(bank, entry, None),
+                expected,
+                "{context}: entry {entry}"
+            );
+        }
+    };
+    let mut bank = LineageBank::compile(&db, &refs).unwrap();
+    assert_matches(&bank, &db, "compiled");
+    // Grow the universe, add witnesses far from the old ids, and delete
+    // facts that old witnesses used.
+    let id_of = |db: &Database, a: i64| {
+        let r = db.schema().relation_id("R").unwrap();
+        db.fact_id(&Fact::new(r, vec![Value::int(a), Value::int(value(a))]))
+            .unwrap()
+    };
+    for a in [700, 4100] {
+        db.delete(id_of(&db, a)).unwrap();
+    }
+    for a in 4500..4800 {
+        db.insert_values("R", [Value::int(a), Value::int(value(a))])
+            .unwrap();
+    }
+    db.insert_values("R", [Value::int(700), Value::int(value(4100))])
+        .unwrap();
+    db.insert_values("R", [Value::int(4100), Value::int(17)])
+        .unwrap();
+    bank.refresh(&db, &refs).unwrap();
+    assert_matches(&bank, &db, "refreshed");
 }

@@ -20,7 +20,7 @@ use ucqa_core::sample_operations::OperationWalkSampler;
 use ucqa_core::sample_repairs::RepairSampler;
 use ucqa_core::sample_sequences::SequenceSampler;
 use ucqa_core::{bounds, CoreError};
-use ucqa_db::{Database, FdSet, Value};
+use ucqa_db::{Database, FactSet, FdSet, Value};
 use ucqa_graphs::homomorphism::{count_homomorphisms, TargetGraph};
 use ucqa_graphs::independent_sets::count_independent_sets;
 use ucqa_graphs::reductions::{
@@ -216,8 +216,9 @@ pub fn e02_block_repairs() -> Vec<Table> {
     let mut rng = StdRng::seed_from_u64(20_220_401);
     let samples = 60_000usize;
     let mut counts: std::collections::HashMap<Vec<usize>, usize> = std::collections::HashMap::new();
+    let mut repair = FactSet::empty(db.len());
     for _ in 0..samples {
-        let repair = sampler.sample(&mut rng);
+        sampler.sample_into(&mut rng, &mut repair);
         *counts
             .entry(repair.iter().map(|f| f.index()).collect())
             .or_insert(0) += 1;
@@ -460,8 +461,8 @@ pub fn e06_fpras_srfreq() -> Vec<Table> {
         let (db, sigma) = BlockWorkload::uniform(blocks, size, 2000 + blocks as u64).generate();
         let (query, candidate) = block_lookup_query(&db, 5).expect("valid workload query");
         let evaluator = QueryEvaluator::new(query);
-        let sampler = SequenceSampler::new(&db, &sigma).expect("primary keys");
-        let digits = sampler.sequence_count().to_string().len();
+        let sizes = counting::block_sizes(&db, &sigma, &db.all_facts()).expect("primary keys");
+        let digits = counting::count_complete_sequences(&sizes).to_string().len();
         let estimator = OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_sequences())
             .expect("primary keys");
         let params = ApproximationParams::new(0.1, 0.05).expect("valid parameters");
@@ -933,17 +934,18 @@ pub fn e12_scaling() -> Vec<Table> {
         };
 
         // Per-sample costs.
+        let mut repair = FactSet::empty(db.len());
         let repair_sampler = RepairSampler::new(&db, &sigma).expect("primary keys");
         let start = Instant::now();
         for _ in 0..1_000 {
-            let _ = repair_sampler.sample(&mut rng);
+            repair_sampler.sample_into(&mut rng, &mut repair);
         }
         let per_repair_sample = start.elapsed() / 1_000;
 
-        let sequence_sampler = SequenceSampler::new(&db, &sigma).expect("primary keys");
+        let sequence_sampler = SequenceSampler::new_log_space(&db, &sigma).expect("primary keys");
         let start = Instant::now();
         for _ in 0..200 {
-            let _ = sequence_sampler.sample_result(&mut rng);
+            sequence_sampler.sample_result_into(&mut rng, &mut repair);
         }
         let per_sequence_sample = start.elapsed() / 200;
 

@@ -10,11 +10,10 @@
 //! run does not abort — it returns an [`EstimateOutcome`] carrying, per
 //! query, the partial estimate, the draws it observed, a
 //! [`BudgetStatus`], and the **achieved** error bound obtained by
-//! inverting the stopping-rule target at the actual success count
-//! ([`achieved_relative_epsilon`]) and the Hoeffding bound at the actual
-//! draw count ([`achieved_additive_epsilon`]).  Queries that converged
-//! before the interruption keep their converged values; only the live
-//! ones degrade.
+//! inverting the stopping-rule target at the actual success count and
+//! the Hoeffding bound at the actual draw count ([`AchievedBound`]).
+//! Queries that converged before the interruption keep their converged
+//! values; only the live ones degrade.
 //!
 //! Budget checks consume **no randomness**: the RNG is touched only by
 //! the shared repair draw, so a run under [`RunBudget::unlimited`] draws
@@ -143,7 +142,7 @@ impl CancelToken {
 
     /// Whether cancellation has been requested (by [`CancelToken::cancel`]
     /// or by an armed draw-index trip) once `draws` draws have happened.
-    pub fn is_cancelled(&self, draws: u64) -> bool {
+    fn is_cancelled(&self, draws: u64) -> bool {
         self.flag.load(Ordering::Relaxed) || self.trip_at_draw.is_some_and(|at| draws >= at)
     }
 
@@ -278,13 +277,8 @@ impl RunBudget {
         self
     }
 
-    /// `true` iff no constraint is set (the budget can never interrupt).
-    pub fn is_unlimited(&self) -> bool {
-        self.max_draws.is_none() && self.deadline.is_none() && self.cancel.is_none()
-    }
-
     /// The deadline-check stride.
-    pub fn check_interval(&self) -> u64 {
+    fn check_interval(&self) -> u64 {
         self.check_interval.unwrap_or(Self::DEFAULT_CHECK_INTERVAL)
     }
 
@@ -372,7 +366,7 @@ impl AchievedBound {
 /// `ε′ = (c + sqrt(c² + 4c(S−1))) / (2(S−1))`.  Returns `None` for
 /// `S ≤ 1` (no inversion exists) and values above 1 unclamped — a bound
 /// with `ε′ ≥ 1` is honest ("nothing useful yet"), not an error.
-pub fn achieved_relative_epsilon(successes: u64, delta: f64) -> Option<f64> {
+fn achieved_relative_epsilon(successes: u64, delta: f64) -> Option<f64> {
     if successes <= 1 || !(delta > 0.0 && delta < 1.0) {
         return None;
     }
@@ -388,7 +382,7 @@ pub fn achieved_relative_epsilon(successes: u64, delta: f64) -> Option<f64> {
 /// [`achieved_relative_epsilon`]'s guard, so a nonsensical failure
 /// probability reports "no bound" instead of a NaN (for `δ < 0` the `ln`
 /// would go imaginary; for `δ ≥ 2` the square root would).
-pub fn achieved_additive_epsilon(samples: u64, delta: f64) -> f64 {
+fn achieved_additive_epsilon(samples: u64, delta: f64) -> f64 {
     if samples == 0 || !(delta > 0.0 && delta < 1.0) {
         return f64::INFINITY;
     }
@@ -457,7 +451,6 @@ mod tests {
     #[test]
     fn unlimited_budget_never_interrupts() {
         let budget = RunBudget::unlimited();
-        assert!(budget.is_unlimited());
         for draws in [0, 1, 1_000_000, u64::MAX] {
             assert_eq!(budget.check(draws), None);
         }

@@ -12,8 +12,6 @@
 //! All counts are returned as exact [`Natural`]s: they grow factorially in
 //! the database size and overflow machine integers almost immediately.
 
-use std::collections::HashMap;
-
 use ucqa_db::{BlockPartition, Database, DbError, FactSet, FdSet};
 use ucqa_numeric::combinatorics::{binomial, factorial};
 use ucqa_numeric::Natural;
@@ -26,14 +24,7 @@ use ucqa_numeric::Natural;
 /// database only through this profile, which is what makes them polynomial.
 pub fn block_sizes(db: &Database, sigma: &FdSet, subset: &FactSet) -> Result<Vec<usize>, DbError> {
     let partition = BlockPartition::compute(db, sigma)?;
-    Ok(block_sizes_from_partition(&partition, subset))
-}
-
-/// As [`block_sizes`], but reusing a precomputed block partition of the
-/// *full* database (the partition never changes along a repairing
-/// sequence; only the per-block live counts do).
-pub fn block_sizes_from_partition(partition: &BlockPartition, subset: &FactSet) -> Vec<usize> {
-    partition
+    Ok(partition
         .blocks()
         .iter()
         .map(|block| {
@@ -44,7 +35,7 @@ pub fn block_sizes_from_partition(partition: &BlockPartition, subset: &FactSet) 
                 .count()
         })
         .filter(|size| *size > 0)
-        .collect()
+        .collect())
 }
 
 /// `|CORep(D, Σ)|` for a set of primary keys, from the block-size profile:
@@ -108,7 +99,10 @@ pub fn sequences_empty_block(m: u64, i: u64) -> Natural {
 /// The DP state `P^{k,i}_j` counts the interleaved complete sequences over
 /// the first `j` conflicting blocks that use exactly `i` pair removals and
 /// leave exactly `k` of those blocks non-empty; block sequences are
-/// interleaved with multinomial factors.
+/// interleaved with multinomial factors.  This is the one exact form of
+/// the DP: the `M^us` sampler keeps its tables in log-space `f64`
+/// ([`crate::sample_sequences`]), and its tests check every layer
+/// against this count.
 pub fn count_complete_sequences(sizes: &[usize]) -> Natural {
     // Only blocks with at least two facts host operations.
     let blocks: Vec<u64> = sizes
@@ -209,47 +203,6 @@ pub fn count_complete_sequences_singleton(sizes: &[usize]) -> Natural {
         count = &count * &Natural::from_u64(m);
     }
     count
-}
-
-/// A memoising wrapper around [`count_complete_sequences`] /
-/// [`count_complete_sequences_singleton`], keyed by the sorted block-size
-/// profile.
-///
-/// The uniform-sequence sampler calls the count once per candidate
-/// operation per step; along a single repairing walk many of those calls
-/// share a profile, so memoisation removes most of the DP work.
-#[derive(Debug, Default)]
-pub struct SequenceCountCache {
-    pair_counts: HashMap<Vec<usize>, Natural>,
-    singleton_counts: HashMap<Vec<usize>, Natural>,
-}
-
-impl SequenceCountCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        SequenceCountCache::default()
-    }
-
-    /// `|CRS|` for the given block-size profile (order-insensitive).
-    pub fn count(&mut self, sizes: &[usize], singleton_only: bool) -> Natural {
-        let mut key: Vec<usize> = sizes.iter().copied().filter(|&m| m >= 2).collect();
-        key.sort_unstable();
-        let map = if singleton_only {
-            &mut self.singleton_counts
-        } else {
-            &mut self.pair_counts
-        };
-        if let Some(cached) = map.get(&key) {
-            return cached.clone();
-        }
-        let value = if singleton_only {
-            count_complete_sequences_singleton(&key)
-        } else {
-            count_complete_sequences(&key)
-        };
-        map.insert(key, value.clone());
-        value
-    }
 }
 
 #[cfg(test)]
@@ -363,18 +316,6 @@ mod tests {
         assert_eq!(count_complete_sequences(&[]).to_u64(), Some(1));
         assert_eq!(count_complete_sequences(&[1, 1, 1]).to_u64(), Some(1));
         assert_eq!(count_complete_sequences_singleton(&[1]).to_u64(), Some(1));
-    }
-
-    #[test]
-    fn cache_returns_consistent_values() {
-        let mut cache = SequenceCountCache::new();
-        let direct = count_complete_sequences(&[3, 2]);
-        assert_eq!(cache.count(&[3, 2], false), direct);
-        assert_eq!(cache.count(&[2, 3, 1], false), direct); // order/singletons ignored
-        assert_eq!(
-            cache.count(&[3, 2], true),
-            count_complete_sequences_singleton(&[3, 2])
-        );
     }
 
     /// Builds a primary-key database whose block profile is `sizes`.

@@ -124,18 +124,16 @@ pub struct Estimate {
     pub truncated: bool,
 }
 
-/// Which sampler backs the estimator.
+/// Which sampler backs the estimator: one variant per
+/// [`UniformSemantics`], each sampler built in the spec's operation mode
+/// (pair or singleton-only), which its draws then follow.
 ///
 /// The operations walker owns its precomputed [`ucqa_db::ConflictIndex`],
 /// built once here so that every Monte-Carlo shard shares it by reference;
-/// the sequences samplers are built in log-space-only mode because the
-/// estimator never needs `sample_sequence` (skipping the exact `Natural`
-/// DP cells, whose big-integer arithmetic dominates construction).
+/// only the pair-mode sequences sampler builds the Lemma C.1 tables.
 enum SamplerKind<'a> {
     Repairs(RepairSampler),
-    RepairsSingleton(RepairSampler),
     Sequences(SequenceSampler),
-    SequencesSingleton(SequenceSampler),
     Operations(OperationWalkSampler<'a>),
 }
 
@@ -162,16 +160,7 @@ impl SamplerKind<'_> {
                 sampler.sample_blocks_into(rng, blocks, out)
             }
             (SamplerKind::Repairs(sampler), None) => sampler.sample_into(rng, out),
-            (SamplerKind::RepairsSingleton(sampler), Some(blocks)) => {
-                sampler.sample_singleton_blocks_into(rng, blocks, out)
-            }
-            (SamplerKind::RepairsSingleton(sampler), None) => {
-                sampler.sample_singleton_into(rng, out)
-            }
             (SamplerKind::Sequences(sampler), _) => sampler.sample_result_into(rng, out),
-            (SamplerKind::SequencesSingleton(sampler), _) => {
-                sampler.sample_result_singleton_into(rng, out)
-            }
             (SamplerKind::Operations(walker), Some(components)) => {
                 walker.sample_components_into(rng, components, out, scratch)
             }
@@ -195,7 +184,7 @@ impl SamplerKind<'_> {
 /// facts of the buffer stay as prepared: [`RepairSampler::prepare`] for
 /// the blocks, the live facts for the walk.  A fallback entry runs the
 /// backtracking evaluator on the whole repair, so a bank with one keeps
-/// the full draw, as do the sequence samplers, whose draws are not keyed
+/// the full draw, as does the sequence sampler, whose draws are not keyed
 /// by component.
 struct RepairBuffer {
     repair: FactSet,
@@ -218,15 +207,15 @@ impl RepairBuffer {
         };
         let units = match &estimator.sampler {
             _ if bank.has_fallback() => None,
-            SamplerKind::Repairs(sampler) | SamplerKind::RepairsSingleton(sampler) => {
+            SamplerKind::Repairs(sampler) => {
                 sampler.prepare(&mut repair);
                 Some(sampler.blocks_meeting(witness_facts()))
             }
+            SamplerKind::Sequences(_) => None,
             SamplerKind::Operations(walker) => {
                 repair.copy_from(estimator.db.live_facts());
                 Some(walker.components_meeting(witness_facts()))
             }
-            _ => None,
         };
         RepairBuffer {
             repair,
@@ -380,7 +369,7 @@ impl<'a> OcqaEstimator<'a> {
                         "Theorem E.1 covers primary keys only; E.1(3) rules out FDs",
                     ));
                 }
-                SamplerKind::RepairsSingleton(RepairSampler::new(db, sigma)?)
+                SamplerKind::Repairs(RepairSampler::new(db, sigma)?.singleton_only())
             }
             (UniformSemantics::Sequences, false) => {
                 if !primary_keys {
@@ -394,7 +383,7 @@ impl<'a> OcqaEstimator<'a> {
                 if !primary_keys {
                     return Err(unsupported("Theorem E.8 covers primary keys only"));
                 }
-                SamplerKind::SequencesSingleton(SequenceSampler::new_log_space(db, sigma)?)
+                SamplerKind::Sequences(SequenceSampler::new_singleton_only(db, sigma)?)
             }
             (UniformSemantics::Operations, false) => {
                 if !keys {
@@ -435,15 +424,14 @@ impl<'a> OcqaEstimator<'a> {
     pub fn theoretical_lower_bound(&self, evaluator: &QueryEvaluator) -> ucqa_numeric::LogFloat {
         let d = self.db.len();
         let q = evaluator.query().atom_count();
-        match &self.sampler {
-            SamplerKind::Repairs(_) => bounds::rrfreq_lower_bound(d, q),
-            SamplerKind::RepairsSingleton(_) => bounds::singleton_frequency_lower_bound(d, q),
-            SamplerKind::Sequences(_) => bounds::srfreq_lower_bound(d, q),
-            SamplerKind::SequencesSingleton(_) => bounds::singleton_frequency_lower_bound(d, q),
-            SamplerKind::Operations(walker) if walker.is_singleton_only() => {
-                bounds::fd_singleton_lower_bound(d, q)
+        match (&self.sampler, self.spec.singleton_only) {
+            (SamplerKind::Repairs(_) | SamplerKind::Sequences(_), true) => {
+                bounds::singleton_frequency_lower_bound(d, q)
             }
-            SamplerKind::Operations(_) => {
+            (SamplerKind::Repairs(_), false) => bounds::rrfreq_lower_bound(d, q),
+            (SamplerKind::Sequences(_), false) => bounds::srfreq_lower_bound(d, q),
+            (SamplerKind::Operations(_), true) => bounds::fd_singleton_lower_bound(d, q),
+            (SamplerKind::Operations(_), false) => {
                 bounds::uniform_operations_keys_lower_bound(d, q, self.sigma.max_fds_per_relation())
             }
         }

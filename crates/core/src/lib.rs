@@ -46,7 +46,7 @@ pub mod error;
 pub mod exact;
 pub mod fpras;
 pub mod montecarlo;
-pub mod random;
+mod random;
 pub mod sample_operations;
 pub mod sample_repairs;
 pub mod sample_sequences;

@@ -1,20 +1,12 @@
-//! Sampling utilities: exact selection over big-integer weights, and the
-//! keyed SplitMix64 coordinates of the block and component samplers.
-//!
-//! The uniform-sequence sampler selects among alternatives whose weights
-//! are huge exact counts (`Natural`s with hundreds of digits).  Converting
-//! those weights to `f64` would silently destroy uniformity, so selection
-//! is performed with exact integer arithmetic: draw a uniform natural below
-//! the total weight and walk the cumulative sums.
+//! The keyed SplitMix64 coordinates of the block and component samplers.
 //!
 //! The `M^ur` block sampler and the `M^uo` component walk both take one
 //! `u64` key per draw and derive unit `u`'s randomness from
-//! `key + (u+1)·φ` alone (the crate-private `GOLDEN_GAMMA`, `mix64` and
-//! `KeyedStream` below), so a draw restricted to some units agrees with
-//! the full draw on them.
+//! `key + (u+1)·φ` alone (`GOLDEN_GAMMA`, `mix64` and `KeyedStream`
+//! below), so a draw restricted to some units agrees with the full draw
+//! on them.
 
-use rand::{Rng, RngCore};
-use ucqa_numeric::Natural;
+use rand::RngCore;
 
 /// The SplitMix64 increment (`2⁶⁴/φ`): unit `u` of a keyed draw hashes
 /// the counter `key + (u+1)·GOLDEN_GAMMA`.
@@ -68,104 +60,9 @@ impl RngCore for KeyedStream {
     }
 }
 
-/// Draws a natural number uniformly at random from `[0, bound)`.
-///
-/// Uses rejection sampling over the smallest power-of-two range covering
-/// `bound`, so the expected number of draws is at most 2.
-///
-/// # Panics
-/// Panics if `bound` is zero.
-pub fn random_natural_below<R: Rng + ?Sized>(rng: &mut R, bound: &Natural) -> Natural {
-    assert!(!bound.is_zero(), "bound must be positive");
-    if let Some(small) = bound.to_u64() {
-        return Natural::from_u64(rng.random_range(0..small));
-    }
-    let bits = bound.bits();
-    let limbs = bits.div_ceil(32) as usize;
-    let top_bits = bits - 32 * (limbs as u64 - 1);
-    let top_mask: u32 = if top_bits >= 32 {
-        u32::MAX
-    } else {
-        (1u32 << top_bits) - 1
-    };
-    loop {
-        let mut raw: Vec<u32> = (0..limbs).map(|_| rng.random::<u32>()).collect();
-        if let Some(top) = raw.last_mut() {
-            *top &= top_mask;
-        }
-        let candidate = Natural::from_limbs_le(raw);
-        if candidate < *bound {
-            return candidate;
-        }
-    }
-}
-
-/// Picks an index with probability proportional to the exact weights.
-///
-/// Zero-weight entries are never selected.
-///
-/// # Panics
-/// Panics if all weights are zero.
-pub fn pick_weighted<R: Rng + ?Sized>(rng: &mut R, weights: &[Natural]) -> usize {
-    let total: Natural = weights.iter().sum();
-    assert!(!total.is_zero(), "at least one weight must be positive");
-    let target = random_natural_below(rng, &total);
-    let mut cumulative = Natural::zero();
-    for (index, weight) in weights.iter().enumerate() {
-        if weight.is_zero() {
-            continue;
-        }
-        cumulative = &cumulative + weight;
-        if target < cumulative {
-            return index;
-        }
-    }
-    unreachable!("target is below the total weight, so some prefix must exceed it")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn small_bounds_cover_the_range_uniformly() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let bound = Natural::from_u64(5);
-        let mut counts = [0usize; 5];
-        for _ in 0..10_000 {
-            let v = random_natural_below(&mut rng, &bound).to_u64().unwrap() as usize;
-            counts[v] += 1;
-        }
-        for &c in &counts {
-            assert!((c as f64 - 2000.0).abs() < 400.0, "counts {counts:?}");
-        }
-    }
-
-    #[test]
-    fn large_bounds_stay_below_the_bound() {
-        let mut rng = StdRng::seed_from_u64(2);
-        // 2^200 + 12345
-        let bound = &Natural::from_u64(2).pow(200) + &Natural::from_u64(12_345);
-        for _ in 0..200 {
-            let v = random_natural_below(&mut rng, &bound);
-            assert!(v < bound);
-        }
-    }
-
-    #[test]
-    fn weighted_pick_respects_proportions() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let weights = vec![Natural::from_u64(1), Natural::zero(), Natural::from_u64(3)];
-        let mut counts = [0usize; 3];
-        for _ in 0..20_000 {
-            counts[pick_weighted(&mut rng, &weights)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = counts[2] as f64 / counts[0] as f64;
-        assert!((ratio - 3.0).abs() < 0.4, "ratio {ratio}");
-    }
 
     #[test]
     fn keyed_streams_are_deterministic_and_not_shifted_copies() {
@@ -179,12 +76,5 @@ mod tests {
         let (first, second) = (words(7, 0), words(7, 1));
         assert_ne!(first[1..], second[..7]);
         assert!(first.iter().all(|w| !second.contains(w)));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_bound_panics() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let _ = random_natural_below(&mut rng, &Natural::zero());
     }
 }

@@ -200,11 +200,6 @@ impl<'a> OperationWalkSampler<'a> {
         self
     }
 
-    /// Whether the walk is restricted to singleton removals.
-    pub fn is_singleton_only(&self) -> bool {
-        self.singleton_only
-    }
-
     /// The precomputed conflict index backing the walks.
     pub fn conflict_index(&self) -> &ConflictIndex {
         &self.index
@@ -585,7 +580,7 @@ mod tests {
                         let violations = ViolationSet::compute(&db, &sigma, &subset);
                         assert_eq!(
                             available,
-                            justified_operations_from(&violations, sampler.is_singleton_only())
+                            justified_operations_from(&violations, sampler.singleton_only)
                         );
                         if available.is_empty() {
                             break;
@@ -692,7 +687,7 @@ mod tests {
     fn singleton_walk_never_uses_pair_removals() {
         let (db, sigma) = running_example();
         let sampler = OperationWalkSampler::new(&db, &sigma).singleton_only();
-        assert!(sampler.is_singleton_only());
+        assert!(sampler.singleton_only);
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..100 {
             let outcome = sampler.sample(&mut rng);

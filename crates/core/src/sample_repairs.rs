@@ -1,16 +1,17 @@
 //! Uniform sampling of candidate operational repairs for primary keys.
 //!
-//! * [`RepairSampler::sample`] — `SampleRep` of Lemma 5.2: draws a repair
+//! * `SampleRep` of Lemma 5.2 ([`RepairSampler::new`]): draws a repair
 //!   uniformly from `CORep(D, Σ)` by choosing, independently for every
 //!   block `B` with `|B| ≥ 2`, one of its `|B| + 1` outcomes (keep one
 //!   specific fact, or keep none).
-//! * [`RepairSampler::sample_singleton`] — `SampleRep¹` of Lemma E.2: the
+//! * `SampleRep¹` of Lemma E.2 ([`RepairSampler::singleton_only`]): the
 //!   singleton-operation variant, where every block keeps exactly one fact
 //!   (`|B|` outcomes).
 //!
-//! Both samplers are *exactly* uniform over their respective repair
-//! spaces, which is what makes the Monte-Carlo estimators of Theorems
-//! 5.1(2) and E.1(2) correct.
+//! A sampler takes its mode at construction, and its draws
+//! ([`RepairSampler::sample_into`], [`RepairSampler::sample_blocks_into`])
+//! are *exactly* uniform over that mode's repair space, which is what
+//! makes the Monte-Carlo estimators of Theorems 5.1(2) and E.1(2) correct.
 //!
 //! **Keyed block coordinates.**  Every draw takes exactly one `u64` key
 //! from the caller's RNG, and block `b`'s outcome is a pure function of
@@ -74,6 +75,8 @@ pub struct RepairSampler {
     conflicting: Vec<usize>,
     /// The facts of singleton blocks, which every repair keeps.
     fixed: FactSet,
+    /// Whether draws follow `SampleRep¹` (every block keeps one fact).
+    singleton_only: bool,
 }
 
 impl RepairSampler {
@@ -105,44 +108,26 @@ impl RepairSampler {
             block_facts,
             conflicting,
             fixed,
+            singleton_only: false,
         })
     }
 
-    /// Draws a repair uniformly at random from `CORep(D, Σ)`
-    /// (Lemma 5.2).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> FactSet {
-        let mut repair = FactSet::empty(self.fixed.universe());
-        self.sample_into(rng, &mut repair);
-        repair
+    /// Restricts the draws to `SampleRep¹` (Lemma E.2): every block keeps
+    /// exactly one of its facts, uniformly over `CORep¹(D, Σ)`.
+    pub fn singleton_only(mut self) -> Self {
+        self.singleton_only = true;
+        self
     }
 
-    /// As [`RepairSampler::sample`], writing the repair into a reused
-    /// buffer: the Monte-Carlo hot loop performs no heap allocation.
-    /// Takes one `u64` from `rng`.
+    /// Draws a repair uniformly at random from the sampler's repair space
+    /// into a reused buffer: the Monte-Carlo hot loop performs no heap
+    /// allocation.  Takes one `u64` from `rng`.
     ///
     /// # Panics
     /// Panics if `out`'s universe differs from the sampler's database.
     pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut FactSet) {
         self.prepare(out);
-        self.draw::<false>(rng.next_u64(), &self.conflicting, false, out);
-    }
-
-    /// Draws a repair uniformly at random from `CORep¹(D, Σ)`
-    /// (Lemma E.2): every block keeps exactly one of its facts.
-    pub fn sample_singleton<R: Rng + ?Sized>(&self, rng: &mut R) -> FactSet {
-        let mut repair = FactSet::empty(self.fixed.universe());
-        self.sample_singleton_into(rng, &mut repair);
-        repair
-    }
-
-    /// As [`RepairSampler::sample_singleton`], writing into a reused buffer.
-    /// Takes one `u64` from `rng`.
-    ///
-    /// # Panics
-    /// Panics if `out`'s universe differs from the sampler's database.
-    pub fn sample_singleton_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut FactSet) {
-        self.prepare(out);
-        self.draw::<false>(rng.next_u64(), &self.conflicting, true, out);
+        self.draw::<false>(rng.next_u64(), &self.conflicting, out);
     }
 
     /// Prepares `out` for restricted draws: every singleton-block fact
@@ -172,36 +157,18 @@ impl RepairSampler {
         blocks: &[usize],
         out: &mut FactSet,
     ) {
-        self.draw::<true>(rng.next_u64(), blocks, false, out);
-    }
-
-    /// As [`RepairSampler::sample_blocks_into`], for the singleton
-    /// variant of [`RepairSampler::sample_singleton_into`].
-    ///
-    /// # Panics
-    /// As [`RepairSampler::sample_blocks_into`].
-    pub fn sample_singleton_blocks_into<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        blocks: &[usize],
-        out: &mut FactSet,
-    ) {
-        self.draw::<true>(rng.next_u64(), blocks, true, out);
+        self.draw::<true>(rng.next_u64(), blocks, out);
     }
 
     /// The one draw routine: writes the keyed outcome of every listed
     /// conflicting block into `out`.  `REWRITE` first clears the block's
     /// facts; the full draws skip that, their buffer having just been
-    /// prepared.  `singleton` picks `SampleRep¹`'s `|B|` outcomes over
-    /// `SampleRep`'s `|B| + 1` (the last of which keeps no fact).
+    /// prepared.  The mode, read once per draw, picks `SampleRep¹`'s `|B|`
+    /// outcomes or `SampleRep`'s `|B| + 1` (the last of which keeps no
+    /// fact).
     #[inline]
-    fn draw<const REWRITE: bool>(
-        &self,
-        key: u64,
-        blocks: &[usize],
-        singleton: bool,
-        out: &mut FactSet,
-    ) {
+    fn draw<const REWRITE: bool>(&self, key: u64, blocks: &[usize], out: &mut FactSet) {
+        let no_survivor = usize::from(!self.singleton_only);
         for &block in blocks {
             let facts = &self.block_facts[self.block_starts[block]..self.block_starts[block + 1]];
             if facts.len() < 2 {
@@ -217,7 +184,7 @@ impl RepairSampler {
             // the outcome is random and a mispredicted branch would stall
             // on the hash.
             let last = facts.len() - 1;
-            let outcome = keyed_outcome(key, block, facts.len() + usize::from(!singleton));
+            let outcome = keyed_outcome(key, block, facts.len() + no_survivor);
             out.set(facts[outcome.min(last)], outcome <= last);
         }
     }
@@ -277,8 +244,9 @@ mod tests {
         let (db, sigma) = figure2();
         let sampler = RepairSampler::new(&db, &sigma).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
+        let mut repair = FactSet::empty(db.len());
         for _ in 0..200 {
-            let repair = sampler.sample(&mut rng);
+            sampler.sample_into(&mut rng, &mut repair);
             assert!(ViolationSet::compute(&db, &sigma, &repair).is_empty());
             // The isolated fact f2,1 (id 3) must always survive.
             assert!(repair.contains(ucqa_db::FactId::new(3)));
@@ -292,8 +260,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let samples = 24_000usize;
         let mut counts: HashMap<Vec<usize>, usize> = HashMap::new();
+        let mut repair = FactSet::empty(db.len());
         for _ in 0..samples {
-            let repair = sampler.sample(&mut rng);
+            sampler.sample_into(&mut rng, &mut repair);
             let key: Vec<usize> = repair.iter().map(|f| f.index()).collect();
             *counts.entry(key).or_insert(0) += 1;
         }
@@ -312,11 +281,12 @@ mod tests {
     #[test]
     fn singleton_sampler_hits_all_6_repairs() {
         let (db, sigma) = figure2();
-        let sampler = RepairSampler::new(&db, &sigma).unwrap();
+        let sampler = RepairSampler::new(&db, &sigma).unwrap().singleton_only();
         let mut rng = StdRng::seed_from_u64(3);
         let mut seen = std::collections::HashSet::new();
+        let mut repair = FactSet::empty(db.len());
         for _ in 0..2_000 {
-            let repair = sampler.sample_singleton(&mut rng);
+            sampler.sample_into(&mut rng, &mut repair);
             assert!(ViolationSet::compute(&db, &sigma, &repair).is_empty());
             // Singleton repairs keep one fact per block: 3 facts in total.
             assert_eq!(repair.len(), 3);
@@ -328,17 +298,18 @@ mod tests {
     #[test]
     fn sample_into_reuses_the_buffer_and_matches_fresh_samples() {
         let (db, sigma) = figure2();
-        let sampler = RepairSampler::new(&db, &sigma).unwrap();
+        let pair = RepairSampler::new(&db, &sigma).unwrap();
+        let singleton = pair.clone().singleton_only();
         let mut fresh_rng = StdRng::seed_from_u64(77);
         let mut reused_rng = StdRng::seed_from_u64(77);
         let mut buffer = FactSet::empty(db.len());
         for _ in 0..100 {
-            let fresh = sampler.sample(&mut fresh_rng);
-            sampler.sample_into(&mut reused_rng, &mut buffer);
-            assert_eq!(fresh, buffer);
-            let fresh1 = sampler.sample_singleton(&mut fresh_rng);
-            sampler.sample_singleton_into(&mut reused_rng, &mut buffer);
-            assert_eq!(fresh1, buffer);
+            for sampler in [&pair, &singleton] {
+                let mut fresh = FactSet::empty(db.len());
+                sampler.sample_into(&mut fresh_rng, &mut fresh);
+                sampler.sample_into(&mut reused_rng, &mut buffer);
+                assert_eq!(fresh, buffer);
+            }
         }
     }
 

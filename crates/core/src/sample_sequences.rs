@@ -10,29 +10,31 @@
 //! 1. A complete sequence decomposes uniquely into one complete *block
 //!    sequence* per conflicting block plus an interleaving of those block
 //!    sequences.
-//! 2. The dynamic program of Lemma C.1 is materialised layer by layer; a
-//!    backward pass through its tables samples the per-block configuration
-//!    (number of pair removals, empty vs. non-empty outcome) with
-//!    probability proportional to the number of complete sequences
-//!    compatible with it.
+//! 2. The dynamic program of Lemma C.1 is materialised layer by layer, in
+//!    log-space `f64`; a backward walk through its tables samples the
+//!    per-block configuration (number of pair removals, empty vs.
+//!    non-empty outcome) with probability proportional to the number of
+//!    complete sequences compatible with it.
 //! 3. Given its configuration, each block's sequence is drawn uniformly by
 //!    elementary choices (survivor, paired facts, operation order), and the
 //!    block sequences are interleaved uniformly at random.
 //!
-//! The composition of these three uniform choices is exactly the uniform
+//! The composition of these three uniform choices is the uniform
 //! distribution over `CRS(D, Σ)`; see the module tests, which compare the
-//! induced repair distribution against the exact `M^us` semantics.
+//! induced repair distribution against the exact `M^us` semantics, and the
+//! tables against the exact DP of [`crate::counting::count_complete_sequences`].
+//!
+//! Under singleton operations (`CRS¹`) the survivor of each block is
+//! uniform and independent of the other blocks (the interleaving count
+//! does not depend on which facts survive), so that mode needs no DP.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use ucqa_db::{BlockPartition, Database, DbError, FactId, FactSet, FdSet};
-use ucqa_numeric::combinatorics::binomial;
-use ucqa_numeric::Natural;
 use ucqa_repair::{Operation, RepairingSequence};
 
 use crate::counting::{sequences_empty_block, sequences_nonempty_block};
-use crate::random::pick_weighted;
 
 /// Outcome chosen for one block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,26 +45,26 @@ struct BlockConfig {
     empty: bool,
 }
 
+/// The configuration of every block of a singleton-only sequence: one
+/// survivor, no pair removal.
+const SURVIVOR_ONLY: BlockConfig = BlockConfig {
+    pairs: 0,
+    empty: false,
+};
+
 /// A uniform sampler over the complete repairing sequences `CRS(D, Σ)`
-/// (and `CRS¹(D, Σ)`) of a database w.r.t. a set of primary keys.
+/// (built by [`SequenceSampler::new_log_space`]) or `CRS¹(D, Σ)` (built by
+/// [`SequenceSampler::new_singleton_only`]) of a database w.r.t. a set of
+/// primary keys.
 ///
-/// Two sampling backends coexist:
-///
-/// * [`SequenceSampler::sample_sequence`] walks the exact `Natural` DP
-///   tables with big-integer weighted picks — exact, but it allocates.
-/// * [`SequenceSampler::sample_result_into`] (the Monte-Carlo hot path)
-///   uses log-space `f64` mirrors of the same tables, precomputed once at
-///   construction, so each sample costs only table lookups and draws —
-///   no big-integer arithmetic and **no heap allocation**.  The `f64`
-///   weights agree with the exact ones to ~15 significant digits, far
-///   below the statistical resolution of any Monte-Carlo estimate.
-///
-/// When only results are needed (the FPRAS path never asks for a
-/// sequence), [`SequenceSampler::new_log_space`] skips the exact `Natural`
-/// cells entirely and evaluates the Lemma C.1 recurrence directly in
-/// log-space `f64` — the big-integer arithmetic of the exact tables is
-/// what makes construction super-quadratic in the number of blocks, so
-/// this is the mode that scales to thousands of blocks.
+/// The mode is fixed at construction and both draws serve it:
+/// [`SequenceSampler::sample_result_into`] (the Monte-Carlo hot path,
+/// free of heap allocation) and [`SequenceSampler::sample_sequence`].
+/// Both run one backward walk over the log-space Lemma C.1 tables, which
+/// only the pair mode builds.  The `f64` weights agree with the exact
+/// counts to ~15 significant digits, far below the statistical
+/// resolution of any Monte-Carlo estimate, and building them is plain
+/// `f64` arithmetic, so the sampler scales to thousands of blocks.
 #[derive(Debug)]
 pub struct SequenceSampler {
     universe: usize,
@@ -71,14 +73,19 @@ pub struct SequenceSampler {
     /// Facts that can never be removed (singleton blocks / keyless
     /// relations).
     untouchable: Vec<FactId>,
-    /// Layered DP tables of Lemma C.1: `layers[j][k][i]` is `P^{k,i}_{j+1}`.
-    /// `None` in log-space-only mode ([`SequenceSampler::new_log_space`]).
-    layers: Option<Vec<Vec<Vec<Natural>>>>,
-    /// Prefix sums of block sizes (`prefix[j]` = facts in the first `j`
-    /// conflict blocks).
+    /// The Lemma C.1 tables of the pair mode; `None` in singleton mode.
+    tables: Option<LogTables>,
+}
+
+/// The Lemma C.1 dynamic program over the conflicting blocks' sizes, in
+/// log-space `f64` (`-inf` for zero cells).
+#[derive(Debug)]
+struct LogTables {
+    /// Prefix sums of block sizes (`prefix_facts[j]` = facts in the first
+    /// `j` conflict blocks).
     prefix_facts: Vec<u64>,
     max_pairs: u64,
-    /// `ln(layers[j][k][i])` (`-inf` for zero cells).
+    /// `ln_layers[j][k][i]` is `ln P^{k,i}_{j+1}`.
     ln_layers: Vec<Vec<Vec<f64>>>,
     /// `ln(n!)` for `n` up to the total number of conflict facts.
     ln_fact: Vec<f64>,
@@ -91,38 +98,20 @@ pub struct SequenceSampler {
 }
 
 impl SequenceSampler {
-    /// Creates a sampler for `db` w.r.t. the set `sigma` of primary keys.
-    pub fn new(db: &Database, sigma: &FdSet) -> Result<Self, DbError> {
-        let partition = BlockPartition::compute(db, sigma)?;
-        Ok(Self::from_partition(db, &partition))
-    }
-
-    /// As [`SequenceSampler::new`], but building only the log-space `f64`
-    /// tables — the exact `Natural` DP cells are skipped, so
-    /// [`SequenceSampler::sample_sequence`] and
-    /// [`SequenceSampler::sequence_count`] are unavailable (they panic).
-    ///
-    /// This is the construction the FPRAS path uses: the Monte-Carlo loop
-    /// only ever draws *results*, and skipping the big-integer cells turns
-    /// the super-quadratic construction cost into plain `f64` arithmetic
-    /// over the same table shape.
+    /// Creates a sampler over `CRS(D, Σ)` for `db` w.r.t. the set `sigma`
+    /// of primary keys, building the log-space Lemma C.1 tables.
     pub fn new_log_space(db: &Database, sigma: &FdSet) -> Result<Self, DbError> {
+        Self::build(db, sigma, false)
+    }
+
+    /// Creates a sampler over the singleton-only sequences `CRS¹(D, Σ)`;
+    /// it builds no tables.
+    pub fn new_singleton_only(db: &Database, sigma: &FdSet) -> Result<Self, DbError> {
+        Self::build(db, sigma, true)
+    }
+
+    fn build(db: &Database, sigma: &FdSet, singleton_only: bool) -> Result<Self, DbError> {
         let partition = BlockPartition::compute(db, sigma)?;
-        Ok(Self::from_partition_log_space(db, &partition))
-    }
-
-    /// Creates a sampler from a precomputed block partition (exact +
-    /// log-space tables).
-    pub fn from_partition(db: &Database, partition: &BlockPartition) -> Self {
-        Self::from_partition_with_mode(db, partition, true)
-    }
-
-    /// As [`SequenceSampler::from_partition`], in log-space-only mode.
-    pub fn from_partition_log_space(db: &Database, partition: &BlockPartition) -> Self {
-        Self::from_partition_with_mode(db, partition, false)
-    }
-
-    fn from_partition_with_mode(db: &Database, partition: &BlockPartition, exact: bool) -> Self {
         let mut conflict_blocks = Vec::new();
         let mut untouchable = Vec::new();
         for block in partition.blocks() {
@@ -132,21 +121,143 @@ impl SequenceSampler {
                 untouchable.extend_from_slice(block.facts());
             }
         }
-        let sizes: Vec<u64> = conflict_blocks.iter().map(|b| b.len() as u64).collect();
+        let tables = (!singleton_only).then(|| {
+            let sizes: Vec<u64> = conflict_blocks.iter().map(|b| b.len() as u64).collect();
+            LogTables::build(&sizes)
+        });
+        Ok(SequenceSampler {
+            universe: db.len(),
+            conflict_blocks,
+            untouchable,
+            tables,
+        })
+    }
+
+    /// Draws the *result* `s(D)` of a uniformly random complete sequence
+    /// `s` of the sampler's mode into a reused buffer.
+    ///
+    /// This is all the Monte-Carlo estimator for `SRFreq` needs; use
+    /// [`SequenceSampler::sample_sequence`] when the sequence itself is
+    /// required.
+    ///
+    /// # Panics
+    /// Panics if `out`'s universe differs from the sampler's database.
+    pub fn sample_result_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut FactSet) {
+        assert_eq!(out.universe(), self.universe, "buffer universe mismatch");
+        out.clear();
+        for &fact in &self.untouchable {
+            out.insert(fact);
+        }
+        self.walk_configs(rng, |rng, j, config| {
+            if !config.empty {
+                let block = &self.conflict_blocks[j];
+                out.insert(block[rng.random_range(0..block.len())]);
+            }
+        });
+    }
+
+    /// Draws a uniformly random complete repairing sequence of the
+    /// sampler's mode.
+    pub fn sample_sequence<R: Rng + ?Sized>(&self, rng: &mut R) -> RepairingSequence {
+        let mut configs = vec![SURVIVOR_ONLY; self.conflict_blocks.len()];
+        self.walk_configs(rng, |_, j, config| configs[j] = config);
+        // Per-block operation lists, each in a valid (already randomised)
+        // internal order.
+        let block_sequences: Vec<Vec<Operation>> = self
+            .conflict_blocks
+            .iter()
+            .zip(&configs)
+            .map(|(facts, config)| sample_block_sequence(rng, facts, *config))
+            .collect();
+        // Interleave uniformly: shuffle a multiset of block labels and
+        // consume each block's operations in order.
+        let mut labels: Vec<usize> = Vec::new();
+        for (index, ops) in block_sequences.iter().enumerate() {
+            labels.extend(std::iter::repeat_n(index, ops.len()));
+        }
+        labels.shuffle(rng);
+        let mut cursors = vec![0usize; block_sequences.len()];
+        let mut operations = Vec::with_capacity(labels.len());
+        for label in labels {
+            operations.push(block_sequences[label][cursors[label]].clone());
+            cursors[label] += 1;
+        }
+        RepairingSequence::from_operations(operations)
+    }
+
+    /// Draws every conflicting block's configuration, calling
+    /// `visit(rng, j, config)` once per block `j` as soon as its
+    /// configuration is drawn, so that `visit` may draw from `rng` in
+    /// between.
+    ///
+    /// In pair mode the final DP cell `(k, i)` is drawn from its
+    /// cumulative distribution, then the blocks are walked backwards,
+    /// splitting `(k, i)` into the last block's configuration and the
+    /// prefix state, with probability proportional to the number of
+    /// complete sequences compatible with each split.  In singleton mode
+    /// every block keeps one survivor, visited first to last, and no
+    /// randomness is drawn here.
+    fn walk_configs<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        mut visit: impl FnMut(&mut R, usize, BlockConfig),
+    ) {
+        let n = self.conflict_blocks.len();
+        let Some(tables) = &self.tables else {
+            for j in 0..n {
+                visit(rng, j, SURVIVOR_ONLY);
+            }
+            return;
+        };
+        if n == 0 {
+            return;
+        }
+        let draw = rng.random::<f64>();
+        let index = tables
+            .final_cells
+            .partition_point(|&(_, _, cumulative)| cumulative <= draw)
+            .min(tables.final_cells.len() - 1);
+        let (mut k, mut i, _) = tables.final_cells[index];
+        for j in (1..n).rev() {
+            let (pairs, empty) = tables.sample_backward_split(rng, j, k, i);
+            visit(rng, j, BlockConfig { pairs, empty });
+            if !empty {
+                k -= 1;
+            }
+            i -= pairs;
+        }
+        // The first block absorbs whatever remains.
+        debug_assert!(k <= 1, "first block can keep at most one fact non-empty");
+        visit(
+            rng,
+            0,
+            BlockConfig {
+                pairs: i,
+                empty: k == 0,
+            },
+        );
+    }
+}
+
+impl LogTables {
+    /// Builds the tables for the conflicting blocks of sizes `sizes`.
+    ///
+    /// Each cell is a log-sum-exp over the terms of the Lemma C.1
+    /// recurrence, accumulated with a running maximum for stability; the
+    /// per-block sequence counts stay exact (`O(m)` big-integer cells per
+    /// block, which is cheap) and only their logs enter the tables.
+    fn build(sizes: &[u64]) -> Self {
         let max_pairs: u64 = sizes.iter().map(|m| m / 2).sum();
         let mut prefix_facts = vec![0u64; sizes.len() + 1];
         for (j, &m) in sizes.iter().enumerate() {
             prefix_facts[j + 1] = prefix_facts[j] + m;
         }
-
         let total_facts = *prefix_facts.last().expect("prefix sums are non-empty");
         let mut ln_fact = Vec::with_capacity(total_facts as usize + 1);
         ln_fact.push(0.0f64);
         for n in 1..=total_facts {
             ln_fact.push(ln_fact[n as usize - 1] + (n as f64).ln());
         }
-        // The per-block sequence counts stay exact (O(m) big-integer cells
-        // per block — cheap); only their logs enter the tables.
         let ln_seq_empty: Vec<Vec<f64>> = sizes
             .iter()
             .map(|&m| {
@@ -163,156 +274,97 @@ impl SequenceSampler {
                     .collect()
             })
             .collect();
-
-        let (layers, ln_layers) = if exact {
-            let layers = build_layers(&sizes, max_pairs, &prefix_facts);
-            let ln_layers: Vec<Vec<Vec<f64>>> = layers
-                .iter()
-                .map(|table| {
-                    table
-                        .iter()
-                        .map(|row| row.iter().map(Natural::ln).collect())
-                        .collect()
-                })
-                .collect();
-            (Some(layers), ln_layers)
-        } else {
-            let ln_layers = build_layers_ln(
-                &sizes,
-                max_pairs,
-                &prefix_facts,
-                &ln_seq_empty,
-                &ln_seq_nonempty,
-                &ln_fact,
-            );
-            (None, ln_layers)
-        };
-
-        let final_cells = match ln_layers.last() {
-            None => Vec::new(),
-            Some(layer) => {
-                let mut cells: Vec<(usize, u64, f64)> = Vec::new();
-                let mut max_ln = f64::NEG_INFINITY;
-                for (k, row) in layer.iter().enumerate() {
-                    for (i, &ln) in row.iter().enumerate() {
-                        if ln > f64::NEG_INFINITY {
-                            max_ln = max_ln.max(ln);
-                            cells.push((k, i as u64, ln));
-                        }
-                    }
-                }
-                let total: f64 = cells.iter().map(|&(_, _, ln)| (ln - max_ln).exp()).sum();
-                let mut cumulative = 0.0f64;
-                for cell in &mut cells {
-                    cumulative += (cell.2 - max_ln).exp() / total;
-                    cell.2 = cumulative;
-                }
-                if let Some(last) = cells.last_mut() {
-                    last.2 = 1.0;
-                }
-                cells
-            }
-        };
-
-        SequenceSampler {
-            universe: db.len(),
-            conflict_blocks,
-            untouchable,
-            layers,
+        let mut tables = LogTables {
             prefix_facts,
             max_pairs,
-            ln_layers,
+            ln_layers: Vec::with_capacity(sizes.len()),
             ln_fact,
             ln_seq_empty,
             ln_seq_nonempty,
-            final_cells,
-        }
+            final_cells: Vec::new(),
+        };
+        tables.fill_layers(sizes);
+        tables.final_cells = match tables.ln_layers.last() {
+            None => Vec::new(),
+            Some(layer) => cumulative_cells(layer),
+        };
+        tables
     }
 
-    /// Returns `true` iff the exact `Natural` DP tables were built (i.e.
-    /// the sampler was not constructed with
-    /// [`SequenceSampler::new_log_space`]).
-    pub fn has_exact_tables(&self) -> bool {
-        self.layers.is_some()
-    }
-
-    /// `|CRS(D, Σ)|`, read off the final DP layer.
-    ///
-    /// # Panics
-    /// Panics in log-space-only mode (the exact cells were skipped).
-    pub fn sequence_count(&self) -> Natural {
-        let layers = self
-            .layers
-            .as_ref()
-            .expect("sequence_count requires the exact DP tables (not log-space-only mode)");
-        match layers.last() {
-            None => Natural::one(),
-            Some(layer) => layer.iter().flatten().sum(),
-        }
-    }
-
-    /// Draws the *result* `s(D)` of a uniformly random complete sequence
-    /// `s ∈ CRS(D, Σ)`.
-    ///
-    /// This is all the Monte-Carlo estimator for `SRFreq` needs; use
-    /// [`SequenceSampler::sample_sequence`] when the sequence itself is
-    /// required.
-    pub fn sample_result<R: Rng + ?Sized>(&self, rng: &mut R) -> FactSet {
-        let mut result = FactSet::empty(self.universe);
-        self.sample_result_into(rng, &mut result);
-        result
-    }
-
-    /// As [`SequenceSampler::sample_result`], writing into a reused buffer.
-    ///
-    /// Samples the per-block empty/non-empty outcome by a backward walk
-    /// over the precomputed log-space DP tables: per block the candidate
-    /// split weights are evaluated twice (once to normalise, once to walk
-    /// the cumulative sum), which keeps the walk free of heap allocation.
-    ///
-    /// # Panics
-    /// Panics if `out`'s universe differs from the sampler's database.
-    pub fn sample_result_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut FactSet) {
-        assert_eq!(out.universe(), self.universe, "buffer universe mismatch");
-        out.clear();
-        for &fact in &self.untouchable {
-            out.insert(fact);
-        }
-        let n = self.conflict_blocks.len();
-        if n == 0 {
+    /// Fills `ln_layers`, one layer per block.
+    fn fill_layers(&mut self, sizes: &[u64]) {
+        let Some(&first_size) = sizes.first() else {
             return;
+        };
+        let max_pairs = self.max_pairs;
+        let neg_table = |blocks: usize| -> Vec<Vec<f64>> {
+            vec![vec![f64::NEG_INFINITY; (max_pairs + 1) as usize]; blocks + 1]
+        };
+        let mut first = neg_table(1);
+        for i in 0..=max_pairs.min(first_size / 2) {
+            first[0][i as usize] = self.ln_seq_empty[0][i as usize];
+            first[1][i as usize] = self.ln_seq_nonempty[0][i as usize];
         }
-        // Sample the final (k, i) cell from its precomputed cumulative
-        // distribution.
-        let draw = rng.random::<f64>();
-        let index = self
-            .final_cells
-            .partition_point(|&(_, _, cumulative)| cumulative <= draw)
-            .min(self.final_cells.len() - 1);
-        let (mut k, mut i, _) = self.final_cells[index];
-
-        // Walk the blocks backwards, splitting (k, i) into the last block's
-        // configuration and the prefix state (the f64 shadow of
-        // `sample_configs`).
-        for j in (1..n).rev() {
-            let (i2, empty) = self.sample_backward_split(rng, j, k, i);
-            if !empty {
-                let block = &self.conflict_blocks[j];
-                out.insert(block[rng.random_range(0..block.len())]);
-                k -= 1;
+        self.ln_layers.push(first);
+        for j in 2..=sizes.len() {
+            let block = sizes[j - 1];
+            let total_now = self.prefix_facts[j];
+            let previous = &self.ln_layers[j - 2];
+            let mut next = neg_table(j);
+            #[allow(clippy::needless_range_loop)]
+            for k in 0..=j {
+                for i in 0..=max_pairs {
+                    // Infeasible states (more pair removals + survivors
+                    // than facts) have zero count; skip them before
+                    // computing the operation total, which would underflow.
+                    if i + k as u64 > total_now {
+                        continue;
+                    }
+                    let total_ops = total_now - i - k as u64;
+                    // Running log-sum-exp over the feasible splits.
+                    let mut max_ln = f64::NEG_INFINITY;
+                    let mut sum = 0.0f64;
+                    let mut add = |term: f64| {
+                        if term == f64::NEG_INFINITY {
+                            return;
+                        }
+                        if term <= max_ln {
+                            sum += (term - max_ln).exp();
+                        } else {
+                            sum = sum * (max_ln - term).exp() + 1.0;
+                            max_ln = term;
+                        }
+                    };
+                    for i2 in 0..=i.min(block / 2) {
+                        let i1 = (i - i2) as usize;
+                        if k < previous.len() {
+                            let prev = previous[k][i1];
+                            let s_e = self.ln_seq_empty[j - 1][i2 as usize];
+                            if prev > f64::NEG_INFINITY && s_e > f64::NEG_INFINITY {
+                                add(prev + s_e + self.ln_binomial(total_ops, block - i2));
+                            }
+                        }
+                        if k >= 1 && k - 1 < previous.len() {
+                            let prev = previous[k - 1][i1];
+                            let s_ne = self.ln_seq_nonempty[j - 1][i2 as usize];
+                            if prev > f64::NEG_INFINITY && s_ne > f64::NEG_INFINITY {
+                                add(prev + s_ne + self.ln_binomial(total_ops, block - i2 - 1));
+                            }
+                        }
+                    }
+                    if sum > 0.0 {
+                        next[k][i as usize] = max_ln + sum.ln();
+                    }
+                }
             }
-            i -= i2;
-        }
-        debug_assert!(k <= 1, "first block can keep at most one fact non-empty");
-        if k == 1 {
-            let block = &self.conflict_blocks[0];
-            out.insert(block[rng.random_range(0..block.len())]);
+            self.ln_layers.push(next);
         }
     }
 
     /// Draws the split `(i2, empty)` of state `(k, i)` at block `j ≥ 1`,
-    /// with probability proportional to the same weights as the exact
-    /// backward pass, evaluated in log-space `f64`.
+    /// with probability proportional to its weight: the two passes over
+    /// the splits (one to normalise, one to walk the cumulative sum) keep
+    /// the walk free of heap allocation.
     fn sample_backward_split<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -352,11 +404,10 @@ impl SequenceSampler {
     }
 
     /// Enumerates the feasible splits of state `(k, i)` at block `j`,
-    /// invoking `visit(i2, empty, ln_weight)` for each — the same
-    /// feasibility conditions and weight formulas as the exact
-    /// `sample_configs` backward pass.
+    /// invoking `visit(i2, empty, ln_weight)` for each — the terms of the
+    /// Lemma C.1 recurrence that [`LogTables::fill_layers`] sums.
     fn for_each_split(&self, j: usize, k: usize, i: u64, mut visit: impl FnMut(u64, bool, f64)) {
-        let block_size = self.conflict_blocks[j].len() as u64;
+        let block_size = self.prefix_facts[j + 1] - self.prefix_facts[j];
         let total_ops = self.prefix_facts[j + 1] - i - k as u64;
         let previous = &self.ln_layers[j - 1];
         for i2 in 0..=i.min(block_size / 2) {
@@ -392,337 +443,31 @@ impl SequenceSampler {
         }
         self.ln_fact[n as usize] - self.ln_fact[k as usize] - self.ln_fact[(n - k) as usize]
     }
-
-    /// Draws a uniformly random complete repairing sequence from
-    /// `CRS(D, Σ)`.
-    ///
-    /// # Panics
-    /// Panics in log-space-only mode (the exact cells were skipped); use
-    /// [`SequenceSampler::sample_result_into`] there, or construct with
-    /// [`SequenceSampler::new`].
-    pub fn sample_sequence<R: Rng + ?Sized>(&self, rng: &mut R) -> RepairingSequence {
-        let configs = self.sample_configs(rng);
-        // Per-block operation lists, each in a valid (already randomised)
-        // internal order.
-        let block_sequences: Vec<Vec<Operation>> = self
-            .conflict_blocks
-            .iter()
-            .zip(&configs)
-            .map(|(facts, config)| sample_block_sequence(rng, facts, *config))
-            .collect();
-        // Interleave uniformly: shuffle a multiset of block labels and
-        // consume each block's operations in order.
-        let mut labels: Vec<usize> = Vec::new();
-        for (index, ops) in block_sequences.iter().enumerate() {
-            labels.extend(std::iter::repeat_n(index, ops.len()));
-        }
-        labels.shuffle(rng);
-        let mut cursors = vec![0usize; block_sequences.len()];
-        let mut operations = Vec::with_capacity(labels.len());
-        for label in labels {
-            operations.push(block_sequences[label][cursors[label]].clone());
-            cursors[label] += 1;
-        }
-        RepairingSequence::from_operations(operations)
-    }
-
-    /// Draws the result of a uniformly random *singleton-only* complete
-    /// sequence `s ∈ CRS¹(D, Σ)`.
-    ///
-    /// Under singleton operations the survivor of each block is uniform and
-    /// independent of the other blocks (the interleaving count does not
-    /// depend on which facts survive), so no DP is required.
-    pub fn sample_result_singleton<R: Rng + ?Sized>(&self, rng: &mut R) -> FactSet {
-        let mut result = FactSet::empty(self.universe);
-        self.sample_result_singleton_into(rng, &mut result);
-        result
-    }
-
-    /// As [`SequenceSampler::sample_result_singleton`], writing into a
-    /// reused buffer (no heap allocation per sample).
-    ///
-    /// # Panics
-    /// Panics if `out`'s universe differs from the sampler's database.
-    pub fn sample_result_singleton_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut FactSet) {
-        assert_eq!(out.universe(), self.universe, "buffer universe mismatch");
-        out.clear();
-        for &fact in &self.untouchable {
-            out.insert(fact);
-        }
-        for block in &self.conflict_blocks {
-            let survivor = block[rng.random_range(0..block.len())];
-            out.insert(survivor);
-        }
-    }
-
-    /// Draws a uniformly random singleton-only complete repairing sequence
-    /// from `CRS¹(D, Σ)`.
-    pub fn sample_sequence_singleton<R: Rng + ?Sized>(&self, rng: &mut R) -> RepairingSequence {
-        let mut block_sequences: Vec<Vec<Operation>> = Vec::new();
-        for block in &self.conflict_blocks {
-            let survivor_index = rng.random_range(0..block.len());
-            let mut removals: Vec<Operation> = block
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != survivor_index)
-                .map(|(_, &fact)| Operation::remove_one(fact))
-                .collect();
-            removals.shuffle(rng);
-            block_sequences.push(removals);
-        }
-        let mut labels: Vec<usize> = Vec::new();
-        for (index, ops) in block_sequences.iter().enumerate() {
-            labels.extend(std::iter::repeat_n(index, ops.len()));
-        }
-        labels.shuffle(rng);
-        let mut cursors = vec![0usize; block_sequences.len()];
-        let mut operations = Vec::with_capacity(labels.len());
-        for label in labels {
-            operations.push(block_sequences[label][cursors[label]].clone());
-            cursors[label] += 1;
-        }
-        RepairingSequence::from_operations(operations)
-    }
-
-    /// Samples the per-block configurations via a backward pass over the
-    /// Lemma C.1 tables, with probability proportional to the number of
-    /// complete sequences compatible with each configuration.
-    fn sample_configs<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<BlockConfig> {
-        let n = self.conflict_blocks.len();
-        let mut configs = vec![
-            BlockConfig {
-                pairs: 0,
-                empty: false
-            };
-            n
-        ];
-        if n == 0 {
-            return configs;
-        }
-        let layers = self
-            .layers
-            .as_ref()
-            .expect("sample_sequence requires the exact DP tables (not log-space-only mode)");
-        // Sample the final (k, i) cell proportionally to P^{k,i}_n.
-        let final_layer = &layers[n - 1];
-        let mut cells = Vec::new();
-        let mut weights = Vec::new();
-        for (k, row) in final_layer.iter().enumerate() {
-            for (i, weight) in row.iter().enumerate() {
-                if !weight.is_zero() {
-                    cells.push((k, i as u64));
-                    weights.push(weight.clone());
-                }
-            }
-        }
-        let (mut k, mut i) = cells[pick_weighted(rng, &weights)];
-
-        // Walk the blocks backwards, splitting (k, i) into the last block's
-        // configuration and the prefix state.
-        for j in (1..n).rev() {
-            let block_size = self.conflict_blocks[j].len() as u64;
-            let total_ops = self.prefix_facts[j + 1] - i - k as u64;
-            let previous = &layers[j - 1];
-            let mut options = Vec::new();
-            let mut option_weights = Vec::new();
-            for i2 in 0..=i.min(block_size / 2) {
-                let i1 = i - i2;
-                if i1 > self.max_pairs {
-                    continue;
-                }
-                // Block j ends empty; the prefix keeps k non-empty blocks.
-                let s_e = sequences_empty_block(block_size, i2);
-                if !s_e.is_zero() && k < previous.len() {
-                    let prev = &previous[k][i1 as usize];
-                    if !prev.is_zero() {
-                        let weight = &(prev * &s_e) * &binomial(total_ops, block_size - i2);
-                        options.push((i2, true));
-                        option_weights.push(weight);
-                    }
-                }
-                // Block j ends non-empty; the prefix keeps k−1.
-                if k >= 1 {
-                    let s_ne = sequences_nonempty_block(block_size, i2);
-                    if !s_ne.is_zero() {
-                        let prev = &previous[k - 1][i1 as usize];
-                        if !prev.is_zero() {
-                            let weight =
-                                &(prev * &s_ne) * &binomial(total_ops, block_size - i2 - 1);
-                            options.push((i2, false));
-                            option_weights.push(weight);
-                        }
-                    }
-                }
-            }
-            let (i2, empty) = options[pick_weighted(rng, &option_weights)];
-            configs[j] = BlockConfig { pairs: i2, empty };
-            i -= i2;
-            if !empty {
-                k -= 1;
-            }
-        }
-        // The first block absorbs whatever remains.
-        debug_assert!(k <= 1, "first block can keep at most one fact non-empty");
-        configs[0] = BlockConfig {
-            pairs: i,
-            empty: k == 0,
-        };
-        configs
-    }
 }
 
-/// Builds the layered DP tables `P^{k,i}_j` of Lemma C.1.
-fn build_layers(sizes: &[u64], max_pairs: u64, prefix_facts: &[u64]) -> Vec<Vec<Vec<Natural>>> {
-    let n = sizes.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let zero_table = |blocks: usize| -> Vec<Vec<Natural>> {
-        vec![vec![Natural::zero(); (max_pairs + 1) as usize]; blocks + 1]
-    };
-    let mut layers: Vec<Vec<Vec<Natural>>> = Vec::with_capacity(n);
-    let mut first = zero_table(1);
-    for i in 0..=max_pairs {
-        first[0][i as usize] = sequences_empty_block(sizes[0], i);
-        first[1][i as usize] = sequences_nonempty_block(sizes[0], i);
-    }
-    layers.push(first);
-    for j in 2..=n {
-        let block = sizes[j - 1];
-        let total_now = prefix_facts[j];
-        let previous = &layers[j - 2];
-        let mut next = zero_table(j);
-        #[allow(clippy::needless_range_loop)]
-        for k in 0..=j {
-            for i in 0..=max_pairs {
-                // Infeasible states (more pair removals + survivors than
-                // facts) have zero count; skip them before computing the
-                // operation total, which would underflow.
-                if i + k as u64 > total_now {
-                    continue;
-                }
-                let total_ops = total_now - i - k as u64;
-                let mut cell = Natural::zero();
-                for i2 in 0..=i.min(block / 2) {
-                    let i1 = (i - i2) as usize;
-                    if k < previous.len() {
-                        let prev = &previous[k][i1];
-                        if !prev.is_zero() {
-                            let s_e = sequences_empty_block(block, i2);
-                            if !s_e.is_zero() {
-                                cell = &cell + &(&(prev * &s_e) * &binomial(total_ops, block - i2));
-                            }
-                        }
-                    }
-                    if k >= 1 && k - 1 < previous.len() {
-                        let prev = &previous[k - 1][i1];
-                        if !prev.is_zero() {
-                            let s_ne = sequences_nonempty_block(block, i2);
-                            if !s_ne.is_zero() {
-                                cell = &cell
-                                    + &(&(prev * &s_ne) * &binomial(total_ops, block - i2 - 1));
-                            }
-                        }
-                    }
-                }
-                next[k][i as usize] = cell;
+/// The non-zero cells `(k, i)` of the final layer with their cumulative
+/// probabilities (the last forced to exactly 1).
+fn cumulative_cells(layer: &[Vec<f64>]) -> Vec<(usize, u64, f64)> {
+    let mut cells: Vec<(usize, u64, f64)> = Vec::new();
+    let mut max_ln = f64::NEG_INFINITY;
+    for (k, row) in layer.iter().enumerate() {
+        for (i, &ln) in row.iter().enumerate() {
+            if ln > f64::NEG_INFINITY {
+                max_ln = max_ln.max(ln);
+                cells.push((k, i as u64, ln));
             }
         }
-        layers.push(next);
     }
-    layers
-}
-
-/// Builds the Lemma C.1 tables directly in log-space `f64` (zero cells are
-/// `-inf`), never materialising the exact big-integer values.
-///
-/// The recurrence, the feasibility conditions and the iteration order are
-/// identical to [`build_layers`]; each cell is a log-sum-exp over the same
-/// terms, accumulated with a running maximum for stability.  The result
-/// agrees with `ln` of the exact tables to ~15 significant digits — far
-/// below the statistical resolution of any Monte-Carlo estimate — while
-/// construction stays plain `f64` arithmetic.
-fn build_layers_ln(
-    sizes: &[u64],
-    max_pairs: u64,
-    prefix_facts: &[u64],
-    ln_seq_empty: &[Vec<f64>],
-    ln_seq_nonempty: &[Vec<f64>],
-    ln_fact: &[f64],
-) -> Vec<Vec<Vec<f64>>> {
-    let n = sizes.len();
-    if n == 0 {
-        return Vec::new();
+    let total: f64 = cells.iter().map(|&(_, _, ln)| (ln - max_ln).exp()).sum();
+    let mut cumulative = 0.0f64;
+    for cell in &mut cells {
+        cumulative += (cell.2 - max_ln).exp() / total;
+        cell.2 = cumulative;
     }
-    let ln_binomial = |n: u64, k: u64| -> f64 {
-        if k > n {
-            return f64::NEG_INFINITY;
-        }
-        ln_fact[n as usize] - ln_fact[k as usize] - ln_fact[(n - k) as usize]
-    };
-    let neg_table = |blocks: usize| -> Vec<Vec<f64>> {
-        vec![vec![f64::NEG_INFINITY; (max_pairs + 1) as usize]; blocks + 1]
-    };
-    let mut layers: Vec<Vec<Vec<f64>>> = Vec::with_capacity(n);
-    let mut first = neg_table(1);
-    for i in 0..=max_pairs {
-        if i <= sizes[0] / 2 {
-            first[0][i as usize] = ln_seq_empty[0][i as usize];
-            first[1][i as usize] = ln_seq_nonempty[0][i as usize];
-        }
+    if let Some(last) = cells.last_mut() {
+        last.2 = 1.0;
     }
-    layers.push(first);
-    for j in 2..=n {
-        let block = sizes[j - 1];
-        let total_now = prefix_facts[j];
-        let previous = &layers[j - 2];
-        let mut next = neg_table(j);
-        #[allow(clippy::needless_range_loop)]
-        for k in 0..=j {
-            for i in 0..=max_pairs {
-                if i + k as u64 > total_now {
-                    continue;
-                }
-                let total_ops = total_now - i - k as u64;
-                // Running log-sum-exp over the feasible splits.
-                let mut max_ln = f64::NEG_INFINITY;
-                let mut sum = 0.0f64;
-                let mut add = |term: f64| {
-                    if term == f64::NEG_INFINITY {
-                        return;
-                    }
-                    if term <= max_ln {
-                        sum += (term - max_ln).exp();
-                    } else {
-                        sum = sum * (max_ln - term).exp() + 1.0;
-                        max_ln = term;
-                    }
-                };
-                for i2 in 0..=i.min(block / 2) {
-                    let i1 = (i - i2) as usize;
-                    if k < previous.len() {
-                        let prev = previous[k][i1];
-                        let s_e = ln_seq_empty[j - 1][i2 as usize];
-                        if prev > f64::NEG_INFINITY && s_e > f64::NEG_INFINITY {
-                            add(prev + s_e + ln_binomial(total_ops, block - i2));
-                        }
-                    }
-                    if k >= 1 && k - 1 < previous.len() {
-                        let prev = previous[k - 1][i1];
-                        let s_ne = ln_seq_nonempty[j - 1][i2 as usize];
-                        if prev > f64::NEG_INFINITY && s_ne > f64::NEG_INFINITY {
-                            add(prev + s_ne + ln_binomial(total_ops, block - i2 - 1));
-                        }
-                    }
-                }
-                if sum > 0.0 {
-                    next[k][i as usize] = max_ln + sum.ln();
-                }
-            }
-        }
-        layers.push(next);
-    }
-    layers
+    cells
 }
 
 /// Draws a uniformly random complete block sequence for a block with the
@@ -777,6 +522,8 @@ mod tests {
     use ucqa_db::{FunctionalDependency, Schema, Value};
     use ucqa_repair::{GeneratorSpec, OperationalSemantics, TreeLimits};
 
+    use crate::counting::count_complete_sequences;
+
     fn figure2() -> (Database, FdSet) {
         let mut schema = Schema::new();
         schema.add_relation("R", &["A1", "A2"]).unwrap();
@@ -797,17 +544,100 @@ mod tests {
         (db, sigma)
     }
 
+    /// A primary-key database whose block profile is `sizes`.
+    fn database_with_blocks(sizes: &[usize]) -> (Database, FdSet) {
+        let mut schema = Schema::new();
+        schema.add_relation("R", &["A", "B"]).unwrap();
+        let mut db = Database::with_schema(schema);
+        for (block, &size) in sizes.iter().enumerate() {
+            for row in 0..size {
+                db.insert_values("R", [Value::int(block as i64), Value::int(row as i64)])
+                    .unwrap();
+            }
+        }
+        let mut sigma = FdSet::new();
+        sigma.add(FunctionalDependency::from_names(db.schema(), "R", &["A"], &["B"]).unwrap());
+        (db, sigma)
+    }
+
+    /// `ln` of the sum of a layer's cells.
+    fn log_sum_exp(layer: &[Vec<f64>]) -> f64 {
+        let max = layer
+            .iter()
+            .flatten()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max);
+        max + layer
+            .iter()
+            .flatten()
+            .map(|&ln| (ln - max).exp())
+            .sum::<f64>()
+            .ln()
+    }
+
+    /// The exact result distribution of `spec` on `db`.
+    fn exact_distribution(
+        db: &Database,
+        sigma: &FdSet,
+        spec: GeneratorSpec,
+    ) -> HashMap<Vec<usize>, f64> {
+        let chain = spec.build_chain(db, sigma, TreeLimits::default()).unwrap();
+        OperationalSemantics::from_chain(&chain)
+            .repairs()
+            .iter()
+            .map(|entry| {
+                (
+                    entry.repair.iter().map(|f| f.index()).collect(),
+                    entry.probability.to_f64(),
+                )
+            })
+            .collect()
+    }
+
+    /// Checks that `samples` results drawn from `seed` hit every repair
+    /// of `exact`, each within 0.02 of its probability.
+    fn assert_results_follow(
+        db: &Database,
+        sampler: &SequenceSampler,
+        exact: HashMap<Vec<usize>, f64>,
+        seed: u64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let samples = 40_000usize;
+        let mut result = FactSet::empty(db.len());
+        let mut counts: HashMap<Vec<usize>, usize> = HashMap::new();
+        for _ in 0..samples {
+            sampler.sample_result_into(&mut rng, &mut result);
+            *counts
+                .entry(result.iter().map(|f| f.index()).collect())
+                .or_insert(0) += 1;
+        }
+        assert_eq!(counts.len(), exact.len());
+        for (repair, probability) in exact {
+            let observed = counts.get(&repair).copied().unwrap_or(0) as f64 / samples as f64;
+            assert!(
+                (observed - probability).abs() < 0.02,
+                "repair {repair:?}: observed {observed}, exact {probability}"
+            );
+        }
+    }
+
     #[test]
     fn sequence_count_matches_example_c2() {
         let (db, sigma) = figure2();
-        let sampler = SequenceSampler::new(&db, &sigma).unwrap();
-        assert_eq!(sampler.sequence_count().to_u64(), Some(99));
+        let sampler = SequenceSampler::new_log_space(&db, &sigma).unwrap();
+        let tables = sampler.tables.as_ref().unwrap();
+        let count = log_sum_exp(tables.ln_layers.last().unwrap()).exp();
+        assert!(
+            (count - 99.0).abs() < 1e-9,
+            "|CRS| read off the tables: {count}"
+        );
     }
 
     #[test]
     fn sampled_sequences_are_valid_complete_and_uniform() {
         let (db, sigma) = figure2();
-        let sampler = SequenceSampler::new(&db, &sigma).unwrap();
+        let sampler = SequenceSampler::new_log_space(&db, &sigma).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
         let mut seen: HashMap<String, usize> = HashMap::new();
         let samples = 19_800usize; // 200 per sequence on average
@@ -833,50 +663,21 @@ mod tests {
 
     #[test]
     fn result_distribution_matches_exact_uniform_sequences_semantics() {
+        // The singleton mode against the exact `M^{us,1}` semantics.
         let (db, sigma) = figure2();
-        let sampler = SequenceSampler::new(&db, &sigma).unwrap();
-        let chain = GeneratorSpec::uniform_sequences()
-            .build_chain(&db, &sigma, TreeLimits::default())
-            .unwrap();
-        let semantics = OperationalSemantics::from_chain(&chain);
-        let exact: HashMap<Vec<usize>, f64> = semantics
-            .repairs()
-            .iter()
-            .map(|entry| {
-                (
-                    entry.repair.iter().map(|f| f.index()).collect(),
-                    entry.probability.to_f64(),
-                )
-            })
-            .collect();
-
-        let mut rng = StdRng::seed_from_u64(5);
-        let samples = 40_000usize;
-        let mut counts: HashMap<Vec<usize>, usize> = HashMap::new();
-        for _ in 0..samples {
-            let result = sampler.sample_result(&mut rng);
-            *counts
-                .entry(result.iter().map(|f| f.index()).collect())
-                .or_insert(0) += 1;
-        }
-        assert_eq!(counts.len(), exact.len());
-        for (repair, probability) in exact {
-            let observed = counts.get(&repair).copied().unwrap_or(0) as f64 / samples as f64;
-            assert!(
-                (observed - probability).abs() < 0.02,
-                "repair {repair:?}: observed {observed}, exact {probability}"
-            );
-        }
+        let sampler = SequenceSampler::new_singleton_only(&db, &sigma).unwrap();
+        let spec = GeneratorSpec::uniform_sequences().with_singleton_only();
+        assert_results_follow(&db, &sampler, exact_distribution(&db, &sigma, spec), 5);
     }
 
     #[test]
     fn singleton_samples_are_valid_and_cover_all_sequences() {
         let (db, sigma) = figure2();
-        let sampler = SequenceSampler::new(&db, &sigma).unwrap();
+        let sampler = SequenceSampler::new_singleton_only(&db, &sigma).unwrap();
         let mut rng = StdRng::seed_from_u64(23);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..5_000 {
-            let sequence = sampler.sample_sequence_singleton(&mut rng);
+            let sequence = sampler.sample_sequence(&mut rng);
             assert!(sequence.is_singleton_only());
             sequence
                 .validate(&db, &sigma)
@@ -886,34 +687,47 @@ mod tests {
         }
         // |CRS¹| = (2 + 1)! · 3 · 2 = 36 singleton sequences.
         assert_eq!(seen.len(), 36);
-        let result = sampler.sample_result_singleton(&mut rng);
+        let mut result = FactSet::empty(db.len());
+        sampler.sample_result_into(&mut rng, &mut result);
         assert_eq!(result.len(), 3);
     }
 
     #[test]
-    fn log_space_only_tables_match_ln_of_exact_tables() {
+    fn singleton_mode_holds_no_tables() {
         let (db, sigma) = figure2();
-        let exact = SequenceSampler::new(&db, &sigma).unwrap();
-        let log_only = SequenceSampler::new_log_space(&db, &sigma).unwrap();
-        assert!(exact.has_exact_tables());
-        assert!(!log_only.has_exact_tables());
-        assert_eq!(exact.ln_layers.len(), log_only.ln_layers.len());
-        for (a_table, b_table) in exact.ln_layers.iter().zip(&log_only.ln_layers) {
-            for (a_row, b_row) in a_table.iter().zip(b_table) {
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    if a == f64::NEG_INFINITY || b == f64::NEG_INFINITY {
-                        assert_eq!(a, b, "zero cells must agree");
-                    } else {
-                        assert!((a - b).abs() < 1e-9 * a.abs().max(1.0), "{a} vs {b}");
-                    }
-                }
+        let singleton = SequenceSampler::new_singleton_only(&db, &sigma).unwrap();
+        assert!(singleton.tables.is_none());
+        let pair = SequenceSampler::new_log_space(&db, &sigma).unwrap();
+        assert!(pair.tables.is_some());
+    }
+
+    #[test]
+    fn log_space_only_tables_match_ln_of_exact_tables() {
+        // Layer `j` sums `P^{k,i}_{j+1}` over all `(k, i)`: the number of
+        // complete sequences of the first `j + 1` conflicting blocks.
+        let cycle = |sizes: &[usize], blocks: usize| -> Vec<usize> {
+            sizes.iter().copied().cycle().take(blocks).collect()
+        };
+        for profile in [
+            vec![3, 1, 2],
+            vec![2, 2, 2, 2],
+            vec![2, 3, 4, 5, 6, 7],
+            vec![7, 1, 5, 2, 6, 3, 4],
+            cycle(&[2, 3], 42),
+        ] {
+            let (db, sigma) = database_with_blocks(&profile);
+            let sampler = SequenceSampler::new_log_space(&db, &sigma).unwrap();
+            let sizes: Vec<usize> = sampler.conflict_blocks.iter().map(Vec::len).collect();
+            let layers = &sampler.tables.as_ref().unwrap().ln_layers;
+            assert_eq!(layers.len(), sizes.len(), "profile {profile:?}");
+            for (j, layer) in layers.iter().enumerate() {
+                let table = log_sum_exp(layer);
+                let exact = count_complete_sequences(&sizes[..=j]).ln();
+                assert!(
+                    (table - exact).abs() <= 1e-9 * exact.abs().max(1.0),
+                    "profile {profile:?}, layer {j}: {table} vs {exact}"
+                );
             }
-        }
-        // The final-cell cumulative distributions agree as well.
-        assert_eq!(exact.final_cells.len(), log_only.final_cells.len());
-        for (&(ka, ia, ca), &(kb, ib, cb)) in exact.final_cells.iter().zip(&log_only.final_cells) {
-            assert_eq!((ka, ia), (kb, ib));
-            assert!((ca - cb).abs() < 1e-9);
         }
     }
 
@@ -921,54 +735,8 @@ mod tests {
     fn log_space_result_distribution_matches_exact_semantics() {
         let (db, sigma) = figure2();
         let sampler = SequenceSampler::new_log_space(&db, &sigma).unwrap();
-        let chain = GeneratorSpec::uniform_sequences()
-            .build_chain(&db, &sigma, TreeLimits::default())
-            .unwrap();
-        let semantics = OperationalSemantics::from_chain(&chain);
-        let exact: HashMap<Vec<usize>, f64> = semantics
-            .repairs()
-            .iter()
-            .map(|entry| {
-                (
-                    entry.repair.iter().map(|f| f.index()).collect(),
-                    entry.probability.to_f64(),
-                )
-            })
-            .collect();
-        let mut rng = StdRng::seed_from_u64(19);
-        let samples = 40_000usize;
-        let mut counts: HashMap<Vec<usize>, usize> = HashMap::new();
-        for _ in 0..samples {
-            let result = sampler.sample_result(&mut rng);
-            *counts
-                .entry(result.iter().map(|f| f.index()).collect())
-                .or_insert(0) += 1;
-        }
-        assert_eq!(counts.len(), exact.len());
-        for (repair, probability) in exact {
-            let observed = counts.get(&repair).copied().unwrap_or(0) as f64 / samples as f64;
-            assert!(
-                (observed - probability).abs() < 0.02,
-                "repair {repair:?}: observed {observed}, exact {probability}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "log-space-only")]
-    fn log_space_mode_panics_on_sample_sequence() {
-        let (db, sigma) = figure2();
-        let sampler = SequenceSampler::new_log_space(&db, &sigma).unwrap();
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = sampler.sample_sequence(&mut rng);
-    }
-
-    #[test]
-    #[should_panic(expected = "log-space-only")]
-    fn log_space_mode_panics_on_sequence_count() {
-        let (db, sigma) = figure2();
-        let sampler = SequenceSampler::new_log_space(&db, &sigma).unwrap();
-        let _ = sampler.sequence_count();
+        let spec = GeneratorSpec::uniform_sequences();
+        assert_results_follow(&db, &sampler, exact_distribution(&db, &sigma, spec), 19);
     }
 
     #[test]
@@ -982,10 +750,15 @@ mod tests {
             .unwrap();
         let mut sigma = FdSet::new();
         sigma.add(FunctionalDependency::from_names(db.schema(), "R", &["A"], &["B"]).unwrap());
-        let sampler = SequenceSampler::new(&db, &sigma).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(sampler.sequence_count().to_u64(), Some(1));
-        assert!(sampler.sample_sequence(&mut rng).is_empty());
-        assert_eq!(sampler.sample_result(&mut rng).len(), 2);
+        let mut result = FactSet::empty(db.len());
+        for sampler in [
+            SequenceSampler::new_log_space(&db, &sigma).unwrap(),
+            SequenceSampler::new_singleton_only(&db, &sigma).unwrap(),
+        ] {
+            assert!(sampler.sample_sequence(&mut rng).is_empty());
+            sampler.sample_result_into(&mut rng, &mut result);
+            assert_eq!(result.len(), 2);
+        }
     }
 }

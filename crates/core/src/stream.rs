@@ -541,11 +541,6 @@ impl WindowedEstimator {
         &self.bank
     }
 
-    /// How many ticks the stream has advanced.
-    pub fn tick_count(&self) -> u64 {
-        self.tick
-    }
-
     /// How many times the stream has re-costed its query plans.
     ///
     /// Plans are costed against a [`StatsSnapshot`] of the relation

@@ -53,19 +53,6 @@ impl Natural {
         Natural { limbs }
     }
 
-    /// Constructs a natural from little-endian `u32` limbs (trailing zero
-    /// limbs are stripped).
-    ///
-    /// Intended for bulk construction such as drawing uniformly random
-    /// naturals below a bound; prefer [`Natural::from_u64`] for ordinary
-    /// values.
-    pub fn from_limbs_le(mut limbs: Vec<u32>) -> Self {
-        while limbs.last() == Some(&0) {
-            limbs.pop();
-        }
-        Natural { limbs }
-    }
-
     /// The number of `u32` limbs of the value (0 for zero).
     pub fn limb_count(&self) -> usize {
         self.limbs.len()
@@ -105,7 +92,7 @@ impl Natural {
     }
 
     /// Number of significant bits (`0` for the value zero).
-    pub fn bits(&self) -> u64 {
+    fn bits(&self) -> u64 {
         match self.limbs.last() {
             None => 0,
             Some(top) => {

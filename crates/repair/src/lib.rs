@@ -48,10 +48,6 @@
 //! digit.  When a polynomial sampler in `ucqa-core` claims to realise a
 //! generator's leaf distribution, the claim is validated against *this*
 //! crate's enumeration on small instances.
-//!
-//! The crate also hosts [`TrustWeightedGenerator`], a beyond-the-paper
-//! extension biasing operation choices by per-fact trust weights while
-//! keeping the repairing-chain structure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,7 +60,6 @@ pub mod operation;
 pub mod semantics;
 pub mod sequence;
 pub mod tree;
-pub mod weighted;
 
 pub use chain::RepairingMarkovChain;
 pub use error::RepairError;
@@ -73,7 +68,6 @@ pub use operation::{justified_operations, Operation, OperationScratch};
 pub use semantics::{OperationalSemantics, RepairProbability};
 pub use sequence::RepairingSequence;
 pub use tree::{NodeId, RepairingTree, TreeLimits};
-pub use weighted::{TrustWeightedGenerator, TrustWeights};
 
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {

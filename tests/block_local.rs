@@ -52,9 +52,14 @@ fn check_restricted_against_full(
     seed: u64,
     draws: usize,
 ) -> TestCaseResult {
-    let sampler = RepairSampler::new(db, sigma).unwrap();
-    let blocks = sampler.partition().blocks();
+    let pair = RepairSampler::new(db, sigma).unwrap();
+    let blocks = pair.partition().blocks();
     for singleton in [false, true] {
+        let sampler = if singleton {
+            pair.clone().singleton_only()
+        } else {
+            pair.clone()
+        };
         let mut full_rng = StdRng::seed_from_u64(seed);
         let mut part_rng = StdRng::seed_from_u64(seed);
         let mut full = FactSet::empty(db.len());
@@ -63,13 +68,8 @@ fn check_restricted_against_full(
         for draw in 0..draws {
             let mut after_one_word = full_rng.clone();
             after_one_word.next_u64();
-            if singleton {
-                sampler.sample_singleton_into(&mut full_rng, &mut full);
-                sampler.sample_singleton_blocks_into(&mut part_rng, listed, &mut part);
-            } else {
-                sampler.sample_into(&mut full_rng, &mut full);
-                sampler.sample_blocks_into(&mut part_rng, listed, &mut part);
-            }
+            sampler.sample_into(&mut full_rng, &mut full);
+            sampler.sample_blocks_into(&mut part_rng, listed, &mut part);
             prop_assert_eq!(peek(&full_rng), peek(&after_one_word), "full draw {}", draw);
             prop_assert_eq!(
                 peek(&part_rng),
@@ -189,16 +189,15 @@ fn full_draw_successes(
     seed: u64,
     draws: u64,
 ) -> Vec<u64> {
-    let sampler = RepairSampler::new(db, sigma).unwrap();
+    let mut sampler = RepairSampler::new(db, sigma).unwrap();
+    if singleton {
+        sampler = sampler.singleton_only();
+    }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut repair = FactSet::empty(db.len());
     let mut successes = vec![0u64; queries.len()];
     for _ in 0..draws {
-        if singleton {
-            sampler.sample_singleton_into(&mut rng, &mut repair);
-        } else {
-            sampler.sample_into(&mut rng, &mut repair);
-        }
+        sampler.sample_into(&mut rng, &mut repair);
         for ((evaluator, candidate), count) in queries.iter().zip(&mut successes) {
             if evaluator.has_answer(db, &repair, candidate).unwrap() {
                 *count += 1;

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use uocqa::core::exact::ExactSolver;
 use uocqa::core::fpras::{ApproximationParams, EstimatorMode, OcqaEstimator};
 use uocqa::core::CoreError;
-use uocqa::db::ViolationSet;
+use uocqa::db::{FactSet, ViolationSet};
 use uocqa::query::QueryEvaluator;
 use uocqa::repair::GeneratorSpec;
 use uocqa::workload::queries::{block_join_query, block_lookup_query, fact_membership_query};
@@ -237,17 +237,21 @@ fn sampled_repairs_from_every_sampler_are_consistent() {
     let (db, sigma) = BlockWorkload::uniform(10, 4, 31).generate();
     let mut rng = StdRng::seed_from_u64(5);
     let repair_sampler = RepairSampler::new(&db, &sigma).unwrap();
-    let sequence_sampler = SequenceSampler::new(&db, &sigma).unwrap();
+    let repair_sampler_1 = repair_sampler.clone().singleton_only();
+    let sequence_sampler = SequenceSampler::new_log_space(&db, &sigma).unwrap();
+    let sequence_sampler_1 = SequenceSampler::new_singleton_only(&db, &sigma).unwrap();
     let walk = OperationWalkSampler::new(&db, &sigma);
+    let consistent = |repair: &FactSet| ViolationSet::compute(&db, &sigma, repair).is_empty();
+    let mut repair = FactSet::empty(db.len());
     for _ in 0..25 {
-        for repair in [
-            repair_sampler.sample(&mut rng),
-            repair_sampler.sample_singleton(&mut rng),
-            sequence_sampler.sample_result(&mut rng),
-            sequence_sampler.sample_result_singleton(&mut rng),
-            walk.sample_result(&mut rng),
-        ] {
-            assert!(ViolationSet::compute(&db, &sigma, &repair).is_empty());
-        }
+        repair_sampler.sample_into(&mut rng, &mut repair);
+        assert!(consistent(&repair));
+        repair_sampler_1.sample_into(&mut rng, &mut repair);
+        assert!(consistent(&repair));
+        sequence_sampler.sample_result_into(&mut rng, &mut repair);
+        assert!(consistent(&repair));
+        sequence_sampler_1.sample_result_into(&mut rng, &mut repair);
+        assert!(consistent(&repair));
+        assert!(consistent(&walk.sample_result(&mut rng)));
     }
 }

@@ -16,7 +16,7 @@ use ucqa_core::fpras::{ApproximationParams, OcqaEstimator};
 use ucqa_core::montecarlo::{
     estimate_stopping_batch, StoppingBatchExperiment, StoppingRuleEstimator,
 };
-use ucqa_core::sample_operations::OperationWalkSampler;
+use ucqa_core::sample_operations::{OperationWalkSampler, WalkScratch};
 use ucqa_core::sample_repairs::RepairSampler;
 use ucqa_core::sample_sequences::SequenceSampler;
 use ucqa_core::{bounds, CoreError};
@@ -614,19 +614,23 @@ pub fn e08_fpras_fd_singleton() -> Vec<Table> {
 }
 
 /// The raw uniform-operations walk as a one-query stopping-rule
-/// experiment: does the sampled repair entail the Boolean query?
+/// experiment: does the sampled repair entail the Boolean query?  Each
+/// draw reuses one repair buffer and one walk scratch.
 struct WalkExperiment<'a> {
     walk: OperationWalkSampler<'a>,
     db: &'a Database,
     evaluator: &'a QueryEvaluator,
+    repair: FactSet,
+    scratch: WalkScratch,
 }
 
 impl<R: Rng + ?Sized> StoppingBatchExperiment<R> for WalkExperiment<'_> {
     fn draw(&mut self, rng: &mut R, hits: &mut [bool]) {
-        let repair = self.walk.sample_result(rng);
+        self.walk
+            .sample_result_into(rng, &mut self.repair, &mut self.scratch);
         hits[0] = self
             .evaluator
-            .has_answer(self.db, &repair, &[])
+            .has_answer(self.db, &self.repair, &[])
             .expect("boolean query");
     }
 }
@@ -675,6 +679,8 @@ pub fn e09_proposition_d6() -> Vec<Table> {
             walk: OperationWalkSampler::new(&db, &sigma),
             db: &db,
             evaluator: &evaluator,
+            repair: FactSet::empty(db.len()),
+            scratch: WalkScratch::new(),
         };
         let mut rng = StdRng::seed_from_u64(900 + n as u64);
         let target = [StoppingRuleEstimator::new(0.2, 0.1).success_target()];
@@ -950,9 +956,10 @@ pub fn e12_scaling() -> Vec<Table> {
         let per_sequence_sample = start.elapsed() / 200;
 
         let walk = OperationWalkSampler::new(&db, &sigma);
+        let mut scratch = WalkScratch::new();
         let start = Instant::now();
         for _ in 0..50 {
-            let _ = walk.sample_result(&mut rng);
+            walk.sample_result_into(&mut rng, &mut repair, &mut scratch);
         }
         let per_walk_sample = start.elapsed() / 50;
 

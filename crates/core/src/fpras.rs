@@ -33,7 +33,7 @@ use crate::montecarlo::{
 use crate::montecarlo::{
     estimate_fixed_batch_parallel, estimate_stopping_batch_rounds, DEFAULT_SHARD_SIZE,
 };
-use crate::sample_operations::{OperationWalkSampler, WalkScratch};
+use crate::sample_operations::{FactTarget, OperationWalkSampler, WalkScratch};
 use crate::sample_repairs::RepairSampler;
 use crate::sample_sequences::SequenceSampler;
 use crate::CoreError;
@@ -138,100 +138,125 @@ enum SamplerKind<'a> {
 }
 
 impl SamplerKind<'_> {
-    /// Draws one repair into the reused buffer — restricted to the
-    /// `units` (conflicting blocks, or conflict components of the walk)
-    /// when given; see [`RepairBuffer`].
+    /// Draws one repair into the reused buffer, over what `cover` names;
+    /// see [`RepairBuffer`] and [`Cover`].
     ///
     /// This is the *only* place the Monte-Carlo loops consume the RNG —
     /// the one experiment ([`BankExperiment`]) of every estimator
     /// dispatches through it, and a single query is a bank of one, which
     /// is what makes batched and single-query outcomes bit-identical
     /// under a shared seed.  A restricted draw takes the same single key as the
-    /// full one and agrees with it on every unit it covers.
+    /// full one and agrees with it on every unit or fact it covers.
     fn sample_repair_into<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        units: Option<&[usize]>,
+        cover: &Cover,
         out: &mut FactSet,
         scratch: &mut WalkScratch,
     ) {
-        match (self, units) {
-            (SamplerKind::Repairs(sampler), Some(blocks)) => {
+        match (self, cover) {
+            (SamplerKind::Repairs(sampler), Cover::Units(blocks)) => {
                 sampler.sample_blocks_into(rng, blocks, out)
             }
-            (SamplerKind::Repairs(sampler), None) => sampler.sample_into(rng, out),
+            (SamplerKind::Repairs(sampler), _) => sampler.sample_into(rng, out),
             (SamplerKind::Sequences(sampler), _) => sampler.sample_result_into(rng, out),
-            (SamplerKind::Operations(walker), Some(components)) => {
+            (SamplerKind::Operations(walker), Cover::Units(components)) => {
                 walker.sample_components_into(rng, components, out, scratch)
             }
-            (SamplerKind::Operations(walker), None) => walker.sample_result_into(rng, out, scratch),
+            (SamplerKind::Operations(walker), Cover::Facts(targets)) => {
+                walker.sample_facts_into(rng, targets, out)
+            }
+            (SamplerKind::Operations(walker), Cover::All) => {
+                walker.sample_result_into(rng, out, scratch)
+            }
         }
     }
 }
 
-/// The reused draw state of one experiment: the repair buffer, the walk
-/// scratch, and the units a draw covers — for the block-based samplers
-/// the conflicting blocks its check can see, for the walk the conflict
-/// components.
+/// What a draw decides: the whole repair, or only what the check of the
+/// live entries reads.
 ///
 /// Under `M^ur` and `M^{ur,1}` every block's outcome is independent and
 /// keyed by the block (Lemma 5.2); under `M^uo` and `M^{uo,1}` every
-/// component walks alone on a keyed substream (Lemmas 7.2 / D.7, see
-/// [`crate::sample_operations`]).  A compiled check reads only its
-/// witness facts, so a draw restricted to the blocks or components
-/// meeting those facts decides every check exactly as the full draw
-/// would, at a cost set by the bank rather than by `|D|`.  The other
-/// facts of the buffer stay as prepared: [`RepairSampler::prepare`] for
-/// the blocks, the live facts for the walk.  A fallback entry runs the
-/// backtracking evaluator on the whole repair, so a bank with one keeps
-/// the full draw, as does the sequence sampler, whose draws are not keyed
-/// by component.
-struct RepairBuffer {
-    repair: FactSet,
-    scratch: WalkScratch,
-    /// The blocks or components a draw covers; `None` for full draws.
-    units: Option<Vec<usize>>,
+/// component is drawn alone on a keyed substream (Lemmas 7.2 / D.7, see
+/// [`crate::sample_operations`]), and under `M^{uo,1}` each fact's
+/// membership is a function of the ranks of the fact and its neighbours
+/// alone.  A compiled check reads only its witness facts, so a draw
+/// restricted to the blocks, components or facts those witnesses meet
+/// decides every check exactly as the full draw would, at a cost set by
+/// the bank rather than by `|D|`.  A fallback entry runs the backtracking
+/// evaluator on the whole repair, so while one is live the draw is full,
+/// as is every draw of the sequence sampler, whose draws are not keyed by
+/// component.
+#[derive(Debug, PartialEq)]
+enum Cover {
+    /// Every block or component: the full draw.
+    All,
+    /// The conflicting blocks (`M^ur`, `M^{ur,1}`) or the conflict
+    /// components (`M^uo`) that the live witnesses meet.
+    Units(Vec<usize>),
+    /// The distinct live witness facts (`M^{uo,1}`), each decided alone.
+    Facts(Vec<FactTarget>),
 }
 
-impl RepairBuffer {
-    /// The draw state of an experiment over `bank`.
-    fn new(estimator: &OcqaEstimator<'_>, bank: &LineageBank) -> Self {
-        let mut repair = FactSet::empty(estimator.db.len());
-        // The facts of every witness of the bank; read only when no entry
-        // is a fallback entry.
+impl Cover {
+    /// The cover of a draw checked against the live entries of `live`.
+    fn of(estimator: &OcqaEstimator<'_>, bank: &LineageBank, live: &BankLiveSet) -> Self {
+        let entries = live.live_queries();
+        if entries.iter().any(|&q| bank.is_fallback(q)) {
+            return Cover::All;
+        }
         let witness_facts = || {
-            (0..bank.len())
-                .filter_map(|entry| bank.witnesses_of(entry))
+            entries
+                .iter()
+                .filter_map(|&q| bank.witnesses_of(q))
                 .flatten()
                 .flat_map(|witness| witness.iter())
         };
-        let units = match &estimator.sampler {
-            _ if bank.has_fallback() => None,
-            SamplerKind::Repairs(sampler) => {
-                sampler.prepare(&mut repair);
-                Some(sampler.blocks_meeting(witness_facts()))
+        match &estimator.sampler {
+            SamplerKind::Repairs(sampler) => Cover::Units(sampler.blocks_meeting(witness_facts())),
+            SamplerKind::Sequences(_) => Cover::All,
+            SamplerKind::Operations(walker) if estimator.spec.singleton_only => {
+                Cover::Facts(walker.targets_meeting(witness_facts()))
             }
-            SamplerKind::Sequences(_) => None,
             SamplerKind::Operations(walker) => {
-                repair.copy_from(estimator.db.live_facts());
-                Some(walker.components_meeting(witness_facts()))
+                Cover::Units(walker.components_meeting(witness_facts()))
             }
-        };
+        }
+    }
+}
+
+/// The reused draw state of one experiment: the universe-sized repair
+/// buffer and the walk scratch.
+///
+/// A restricted draw ([`Cover`]) rewrites only what it covers; every other
+/// fact of the buffer stays as prepared ([`RepairSampler::prepare`] for
+/// the blocks, the live facts for the walk) or as an earlier full draw of
+/// the same pass left it, and no compiled check reads it.
+struct RepairBuffer {
+    repair: FactSet,
+    scratch: WalkScratch,
+}
+
+impl RepairBuffer {
+    /// The draw state of an experiment of `estimator`.
+    fn new(estimator: &OcqaEstimator<'_>) -> Self {
+        let mut repair = FactSet::empty(estimator.db.len());
+        match &estimator.sampler {
+            SamplerKind::Repairs(sampler) => sampler.prepare(&mut repair),
+            SamplerKind::Sequences(_) => {}
+            SamplerKind::Operations(_) => repair.copy_from(estimator.db.live_facts()),
+        }
         RepairBuffer {
             repair,
             scratch: WalkScratch::new(),
-            units,
         }
     }
 
-    /// Draws the next repair (see [`SamplerKind::sample_repair_into`]).
-    fn draw<R: Rng + ?Sized>(&mut self, sampler: &SamplerKind<'_>, rng: &mut R) {
-        sampler.sample_repair_into(
-            rng,
-            self.units.as_deref(),
-            &mut self.repair,
-            &mut self.scratch,
-        );
+    /// Draws the next repair over `cover` (see
+    /// [`SamplerKind::sample_repair_into`]).
+    fn draw<R: Rng + ?Sized>(&mut self, sampler: &SamplerKind<'_>, cover: &Cover, rng: &mut R) {
+        sampler.sample_repair_into(rng, cover, &mut self.repair, &mut self.scratch);
     }
 }
 
@@ -1204,17 +1229,25 @@ pub const DEFAULT_ROUND_SAMPLES: u64 = 4 * DEFAULT_SHARD_SIZE;
 /// entry live and count its hits.
 ///
 /// Everything is hoisted out of the Monte-Carlo loop: the repair buffer,
-/// the walk scratch and the bank scratch.  The repair buffer, which is
-/// universe-sized, is built on the first draw, so a pass that draws
-/// nothing (every entry reused or settled) builds none.  A draw performs
-/// no heap allocation on any sampler path (the buffers reach steady-state
-/// capacity after the first few draws).
+/// the walk scratch, the draw's [`Cover`] and the bank scratch.  The
+/// repair buffer, which is universe-sized, is built on the first draw, so
+/// a pass that draws nothing (every entry reused or settled) builds none.
+/// The cover follows the live entries: a retirement drops it, and the
+/// next draw derives it again from the entries still live.  So a pass
+/// draws whole repairs only while a fallback entry is live, and once the
+/// last one retires it decides only what the remaining entries' witnesses
+/// read.  Between retirements a draw performs no heap allocation on any
+/// sampler path (the buffers reach steady-state capacity after the first
+/// few draws).
 struct BankExperiment<'e, 'a> {
     estimator: &'e OcqaEstimator<'a>,
     bank: &'e LineageBank,
     queries: &'e [BatchQuery<'e>],
     live: BankLiveSet,
     buffer: Option<RepairBuffer>,
+    /// What the next draw covers; `None` until the first draw and after
+    /// each retirement.
+    cover: Option<Cover>,
     bank_scratch: BankScratch,
     /// The per-entry hits of [`BankExperiment::count`]'s draws.
     hits: Vec<bool>,
@@ -1233,6 +1266,7 @@ impl<'e, 'a> BankExperiment<'e, 'a> {
             queries,
             live,
             buffer: None,
+            cover: None,
             bank_scratch: BankScratch::new(),
             hits: vec![false; queries.len()],
         }
@@ -1242,8 +1276,11 @@ impl<'e, 'a> BankExperiment<'e, 'a> {
     fn draw_live<R: Rng + ?Sized>(&mut self, rng: &mut R, hits: &mut [bool]) {
         let buffer = self
             .buffer
-            .get_or_insert_with(|| RepairBuffer::new(self.estimator, self.bank));
-        buffer.draw(&self.estimator.sampler, rng);
+            .get_or_insert_with(|| RepairBuffer::new(self.estimator));
+        let cover = self
+            .cover
+            .get_or_insert_with(|| Cover::of(self.estimator, self.bank, &self.live));
+        buffer.draw(&self.estimator.sampler, cover, rng);
         let repair = &buffer.repair;
         self.bank
             .evaluate_live_into(&self.live, repair, &mut self.bank_scratch, hits);
@@ -1286,6 +1323,7 @@ impl<R: Rng + ?Sized> StoppingBatchExperiment<R> for BankExperiment<'_, '_> {
 
     fn retire(&mut self, query: usize) {
         self.live.retire(self.bank, query);
+        self.cover = None;
     }
 }
 
@@ -1296,8 +1334,9 @@ mod tests {
     use crate::exact::ExactSolver;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use ucqa_db::{FunctionalDependency, Schema};
+    use ucqa_db::{FactId, FunctionalDependency, Schema};
     use ucqa_query::parser::parse_query;
+    use ucqa_query::CompileBudget;
 
     fn figure2() -> (Database, FdSet) {
         let mut schema = Schema::new();
@@ -2265,42 +2304,122 @@ mod tests {
             .is_ok());
     }
 
+    /// What each spec's draw covers for the live entries of `live`.
+    fn cover_of(batch: &BatchEstimator<'_>, bank: &LineageBank, live: &[usize]) -> Cover {
+        Cover::of(&batch.inner, bank, &BankLiveSet::restrict(bank, live))
+    }
+
     #[test]
     fn block_and_walk_samplers_draw_only_the_units_a_fallback_free_bank_sees() {
         let (db, sigma) = figure2();
-        let lookup = parse_query(db.schema(), "Ans(x) :- R('a3', x)").unwrap();
-        let lookup = QueryEvaluator::new(lookup);
+        let parse = |text: &str| QueryEvaluator::new(parse_query(db.schema(), text).unwrap());
+        let (a3, a1, any) = (
+            parse("Ans(x) :- R('a3', x)"),
+            parse("Ans(x) :- R('a1', x)"),
+            parse("Ans() :- R(x, y)"),
+        );
         let b1 = [Value::str("b1")];
-        let queries = [BatchQuery::new(&lookup, &b1)];
+        // Entry 0's witness is R(a3, b1), fact 4; entry 1's is R(a1, b1),
+        // fact 0; entry 2 has six witnesses, past a witness cap of 2.
+        let queries = [
+            BatchQuery::new(&a3, &b1),
+            BatchQuery::new(&a1, &b1),
+            BatchQuery::new(&any, &[]),
+        ];
+        let refs: Vec<_> = queries.iter().map(|q| (q.evaluator, q.candidate)).collect();
+        let capped = CompileBudget::default().with_witness_cap(2);
+        let (bank, _) = LineageBank::compile_with_budget(&db, &refs, &capped).unwrap();
+        assert!(!bank.is_fallback(0) && !bank.is_fallback(1) && bank.is_fallback(2));
         let starved = RunBudget::unlimited().with_max_compile_steps(1);
+        let facts = |ids: &[usize]| ids.iter().map(|&id| FactId::new(id)).collect::<Vec<_>>();
         let mut covered = 0;
         for spec in all_specs() {
             let Ok(batch) = BatchEstimator::new(&db, &sigma, spec) else {
                 continue;
             };
-            let bank = batch
-                .compile_bank(&queries, &RunBudget::unlimited())
-                .unwrap();
-            let units = RepairBuffer::new(&batch.inner, &bank).units;
+            let name = spec.short_name();
+            // The cover of the entries `live`, whose witnesses are the
+            // facts `witness_facts`.
+            let expected = |witness_facts: &[usize]| match &batch.inner.sampler {
+                SamplerKind::Repairs(sampler) => {
+                    Cover::Units(sampler.blocks_meeting(facts(witness_facts)))
+                }
+                SamplerKind::Operations(walker) if spec.singleton_only => {
+                    Cover::Facts(walker.targets_meeting(facts(witness_facts)))
+                }
+                SamplerKind::Operations(walker) => {
+                    Cover::Units(walker.components_meeting(facts(witness_facts)))
+                }
+                SamplerKind::Sequences(_) => Cover::All,
+            };
+            let cover = cover_of(&batch, &bank, &[0]);
             match spec.semantics {
-                // The witness R(a3, b1) lies in block a3, partition index 2.
-                UniformSemantics::Repairs => {
-                    assert_eq!(units, Some(vec![2]), "{}", spec.short_name())
+                // R(a3, b1) lies in block a3, partition index 2.
+                UniformSemantics::Repairs => assert_eq!(cover, Cover::Units(vec![2]), "{name}"),
+                UniformSemantics::Operations if spec.singleton_only => {
+                    let Cover::Facts(targets) = &cover else {
+                        panic!("{name}: {cover:?}")
+                    };
+                    assert_eq!(targets.len(), 1, "{name}");
                 }
                 // Its conflict component {R(a3, b1), R(a3, b2)} is the
                 // second by smallest fact id, after the a1 facts.
                 UniformSemantics::Operations => {
-                    assert_eq!(units, Some(vec![1]), "{}", spec.short_name())
+                    assert_eq!(cover, Cover::Units(vec![1]), "{name}")
                 }
-                UniformSemantics::Sequences => assert_eq!(units, None, "{}", spec.short_name()),
+                UniformSemantics::Sequences => assert_eq!(cover, Cover::All, "{name}"),
             }
-            covered += usize::from(units.is_some());
-            // A fallback entry reads the whole repair: the full draw.
-            let degraded = batch.compile_bank(&queries, &starved).unwrap();
-            let buffer = RepairBuffer::new(&batch.inner, &degraded);
-            assert_eq!(buffer.units, None, "{}", spec.short_name());
+            assert_eq!(cover, expected(&[4]), "{name}");
+            covered += usize::from(cover != Cover::All);
+            // A live set without its fallback entry restricts; with it,
+            // the draw is full, since the evaluator reads the whole repair.
+            assert_eq!(
+                cover_of(&batch, &bank, &[0, 1]),
+                expected(&[4, 0]),
+                "{name}"
+            );
+            assert_eq!(cover_of(&batch, &bank, &[0, 2]), Cover::All, "{name}");
+            let degraded = batch.compile_bank(&queries[..1], &starved).unwrap();
+            assert_eq!(cover_of(&batch, &degraded, &[0]), Cover::All, "{name}");
+
+            // In a pass, each retirement shrinks the next draw's cover to
+            // the remaining entries' witness facts.
+            let mut experiment =
+                BankExperiment::new(&batch.inner, &bank, &queries, BankLiveSet::full(&bank));
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut hits = vec![false; queries.len()];
+            let mut draw_then_cover = |experiment: &mut BankExperiment<'_, '_>| {
+                StoppingBatchExperiment::draw(experiment, &mut rng, &mut hits);
+                experiment.cover.take().unwrap()
+            };
+            assert_eq!(draw_then_cover(&mut experiment), Cover::All, "{name}");
+            StoppingBatchExperiment::<StdRng>::retire(&mut experiment, 2);
+            assert!(experiment.cover.is_none(), "{name}: retire builds no cover");
+            assert_eq!(
+                draw_then_cover(&mut experiment),
+                expected(&[4, 0]),
+                "{name}"
+            );
+            StoppingBatchExperiment::<StdRng>::retire(&mut experiment, 1);
+            assert_eq!(draw_then_cover(&mut experiment), expected(&[4]), "{name}");
         }
         assert_eq!(covered, 4, "both block and both walk specs restrict");
+    }
+
+    #[test]
+    fn a_pass_that_never_draws_builds_no_draw_state() {
+        let (db, sigma) = figure2();
+        let lookup = QueryEvaluator::new(parse_query(db.schema(), "Ans(x) :- R('a3', x)").unwrap());
+        let b1 = [Value::str("b1")];
+        let queries = [BatchQuery::new(&lookup, &b1)];
+        let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
+        let bank = batch
+            .compile_bank(&queries, &RunBudget::unlimited())
+            .unwrap();
+        let mut experiment =
+            BankExperiment::new(&batch.inner, &bank, &queries, BankLiveSet::full(&bank));
+        StoppingBatchExperiment::<StdRng>::retire(&mut experiment, 0);
+        assert!(experiment.buffer.is_none() && experiment.cover.is_none());
     }
 
     #[test]

@@ -45,6 +45,16 @@ impl KeyedStream {
             state: mix64(keyed_counter(key, unit)),
         }
     }
+
+    /// The `index`-th word (from 0) a fresh stream yields, at random
+    /// access: what the `index + 1`-th [`RngCore::next_u64`] call returns,
+    /// without the calls before it.  Read on a stream that has not been
+    /// advanced.
+    #[inline]
+    pub(crate) fn word(&self, index: usize) -> u64 {
+        let steps = (index as u64).wrapping_add(1);
+        mix64(self.state.wrapping_add(steps.wrapping_mul(GOLDEN_GAMMA)))
+    }
 }
 
 impl RngCore for KeyedStream {
@@ -76,5 +86,16 @@ mod tests {
         let (first, second) = (words(7, 0), words(7, 1));
         assert_ne!(first[1..], second[..7]);
         assert!(first.iter().all(|w| !second.contains(w)));
+    }
+
+    #[test]
+    fn random_access_words_equal_the_sequential_words() {
+        for (key, unit) in [(7, 3), (0, 0), (u64::MAX, 12)] {
+            let fresh = KeyedStream::new(key, unit);
+            let mut stream = fresh.clone();
+            for index in 0..100 {
+                assert_eq!(fresh.word(index), stream.next_u64(), "word {index}");
+            }
+        }
     }
 }

@@ -70,13 +70,29 @@
 //! whose state starts at `mix64(key + (c+1)·φ)`.  A draw restricted to a
 //! list of components ([`OperationWalkSampler::sample_components_into`])
 //! is then bit-identical, on every fact of those components, to the full
-//! draw from the same RNG state, and costs O(facts + pairs of the listed
-//! components, plus, under `M^uo`, their survivors' degrees).  The full
-//! draw ([`OperationWalkSampler::sample_result_into`]) is the same
-//! routine over every component after one O(|D|/64) copy of the live
-//! facts (deleted ids stay absent).  Only
-//! [`OperationWalkSampler::sample`], which returns a sequence, walks all
-//! components interleaved on the caller's RNG.
+//! draw from the same RNG state.  The full draw
+//! ([`OperationWalkSampler::sample_result_into`]) is the same routine over
+//! every component after one O(|D|/64) copy of the live facts (deleted
+//! ids stay absent).  Only [`OperationWalkSampler::sample`], which returns
+//! a sequence, walks all components interleaved on the caller's RNG.
+//!
+//! **Pulled `M^{uo,1}` draws.**  Under the local-maxima law a fact's
+//! membership depends only on its own rank and its neighbours' ranks, and
+//! the `i`-th word of a keyed stream is `mix64(start + (i+1)·φ)`, which
+//! can be read at random access.  So a check that reads a few facts needs
+//! no component drawn:
+//! [`OperationWalkSampler::sample_facts_into`] decides just the facts it
+//! is given ([`FactTarget`]s, from
+//! [`OperationWalkSampler::targets_meeting`]), each bit-identical to the
+//! full draw's membership, and stops a fact's neighbour scan at the first
+//! neighbour that outranks it.
+//!
+//! **Cost per draw.**  Full: O(|D|/64 + |V|).  Restricted to components:
+//! O(facts + pairs of the listed components, plus, under `M^uo`, their
+//! survivors' degrees).  Pulled (`M^{uo,1}` only): O(Σ degrees of the
+//! decided facts), independent of `|D|` and of the size of their
+//! components, which matters most where a few large components hold
+//! every fact and a restriction to components saves nothing.
 
 use std::sync::Arc;
 
@@ -114,6 +130,18 @@ impl WalkScratch {
     }
 }
 
+/// A fact a pulled `M^{uo,1}` draw decides
+/// ([`OperationWalkSampler::sample_facts_into`]): the fact, its conflict
+/// component, and its position in the component's fact run, which keys
+/// its rank.  Built by [`OperationWalkSampler::targets_meeting`]; the
+/// order sorts by component, then position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct FactTarget {
+    component: u32,
+    position: u32,
+    fact: FactId,
+}
+
 /// The outcome of one uniform-operations walk.
 #[derive(Debug, Clone)]
 pub struct WalkOutcome {
@@ -133,9 +161,11 @@ pub struct WalkOutcome {
 ///
 /// Construction computes `V(D, Σ)` once and builds the incremental
 /// [`ConflictIndex`] with its component partition.  A full repair draw
-/// then costs O(|V| + |D|/64) in total instead of O(|D|) *per step*, and
-/// a draw restricted to some components costs O(their facts + pairs,
-/// plus, under `M^uo`, their survivors' degrees), independent of `|D|`.
+/// then costs O(|V| + |D|/64) in total instead of O(|D|) *per step*, a
+/// draw restricted to some components costs O(their facts + pairs, plus,
+/// under `M^uo`, their survivors' degrees), and a pulled `M^{uo,1}` draw
+/// of some facts costs O(their degrees), the last two independent of
+/// `|D|`.
 /// The sampler itself is immutable after construction (`Sync`), so the
 /// parallel estimator shares one instance across its worker threads; the
 /// per-walk mutable state lives in [`WalkScratch`].
@@ -219,7 +249,8 @@ impl<'a> OperationWalkSampler<'a> {
     /// *repair* distribution but not its *sequence* distribution (they
     /// fix an order in which components are repaired), so they cannot
     /// stand in here.  Its RNG stream therefore differs from the repair
-    /// draws': `sample(rng).result` and `sample_result(rng)` are equally
+    /// draws': `sample(rng).result` and the repair
+    /// [`OperationWalkSampler::sample_result_into`] writes are equally
     /// distributed, not equal.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> WalkOutcome {
         let mut live = self.db.live_facts().clone();
@@ -237,15 +268,6 @@ impl<'a> OperationWalkSampler<'a> {
             result: live,
             probability,
         }
-    }
-
-    /// Draws one repair (the common case for Monte-Carlo estimation): as
-    /// [`OperationWalkSampler::sample_result_into`] into a fresh buffer.
-    /// Takes one `u64` from `rng`.
-    pub fn sample_result<R: Rng + ?Sized>(&self, rng: &mut R) -> FactSet {
-        let mut repair = FactSet::empty(self.db.len());
-        self.sample_result_into(rng, &mut repair, &mut WalkScratch::new());
-        repair
     }
 
     /// Draws one repair into a reused buffer, reusing `scratch` across
@@ -303,6 +325,50 @@ impl<'a> OperationWalkSampler<'a> {
     ) {
         assert_eq!(out.universe(), self.db.len(), "buffer universe mismatch");
         self.walk_components(rng.next_u64(), components.iter().copied(), out, scratch);
+    }
+
+    /// The pulled `M^{uo,1}` draw: takes one `u64` from `rng` and decides
+    /// only the facts of `targets` (from
+    /// [`OperationWalkSampler::targets_meeting`]), each to exactly the
+    /// membership the full draw from the same RNG state gives it.  Every
+    /// other fact of `out` is left as it was.
+    ///
+    /// A fact survives iff its keyed rank beats every neighbour's (the
+    /// local-maxima law of the module docs), and every rank is one word of
+    /// its component's keyed stream, read at random access by position.
+    /// So no component is drawn: a target costs one word plus, at most,
+    /// one per neighbour, and the scan of its neighbours stops at the
+    /// first that outranks it.  The draw costs O(Σ degrees of the targets),
+    /// independent of `|D|` and of the size of the targets' components.
+    ///
+    /// # Panics
+    /// Panics if the sampler is not singleton-only (an `M^uo` walk has no
+    /// per-fact law), or if `out`'s universe differs from the sampler's
+    /// database.
+    pub fn sample_facts_into<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        targets: &[FactTarget],
+        out: &mut FactSet,
+    ) {
+        assert!(
+            self.singleton_only,
+            "only a singleton-only walk draws single facts"
+        );
+        assert_eq!(out.universe(), self.db.len(), "buffer universe mismatch");
+        let key = rng.next_u64();
+        let index: &ConflictIndex = &self.index;
+        for run in targets.chunk_by(|a, b| a.component == b.component) {
+            let ranks = KeyedStream::new(key, run[0].component as usize);
+            for target in run {
+                let rank = ranks.word(target.position as usize);
+                let survives = index
+                    .neighbour_positions(target.fact)
+                    .iter()
+                    .all(|&p| ranks.word(p as usize) < rank);
+                out.set(target.fact, survives);
+            }
+        }
     }
 
     /// The one repair-draw routine: draws each listed component alone on
@@ -371,6 +437,34 @@ impl<'a> OperationWalkSampler<'a> {
         components.sort_unstable();
         components.dedup();
         components
+    }
+
+    /// The targets of a pulled draw
+    /// ([`OperationWalkSampler::sample_facts_into`]) for a check that
+    /// reads only `facts`: each distinct fact with its component and its
+    /// position in the component's fact run (a binary search), sorted by
+    /// component and position.  Conflict-free and deleted facts are in
+    /// every repair or in none; they are skipped.
+    pub fn targets_meeting(&self, facts: impl IntoIterator<Item = FactId>) -> Vec<FactTarget> {
+        let index: &ConflictIndex = &self.index;
+        let mut targets: Vec<FactTarget> = facts
+            .into_iter()
+            .filter_map(|fact| {
+                let component = index.component_of(fact)?;
+                let position = index
+                    .component(component)
+                    .binary_search(&fact)
+                    .expect("a component's fact run holds its facts");
+                Some(FactTarget {
+                    component: component as u32,
+                    position: position as u32,
+                    fact,
+                })
+            })
+            .collect();
+        targets.sort_unstable();
+        targets.dedup();
+        targets
     }
 
     /// The justified operations `Ops_s(D, Σ)` available on `subset`, in
@@ -479,10 +573,11 @@ mod tests {
             .collect();
         let sampler = OperationWalkSampler::new(&db, &sigma);
         let mut rng = StdRng::seed_from_u64(9);
+        let (mut result, mut scratch) = (FactSet::empty(db.len()), WalkScratch::new());
         let samples = 40_000usize;
         let mut counts: HashMap<Vec<usize>, usize> = HashMap::new();
         for _ in 0..samples {
-            let result = sampler.sample_result(&mut rng);
+            sampler.sample_result_into(&mut rng, &mut result, &mut scratch);
             *counts
                 .entry(result.iter().map(|f| f.index()).collect())
                 .or_insert(0) += 1;

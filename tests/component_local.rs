@@ -71,8 +71,8 @@ fn peek(rng: &StdRng) -> u64 {
 /// `listed`, from equal RNG states, for the pair and the singleton walk.
 /// Checks that the restricted buffer agrees with the full draw on every
 /// fact of the listed components and keeps every other fact present,
-/// that each draw takes exactly one `u64`, and that `sample_result`
-/// returns what `sample_result_into` writes.
+/// that each draw takes exactly one `u64`, and that a fresh buffer and
+/// scratch receive what the reused ones do.
 fn check_restricted_against_full(
     db: &Database,
     sigma: &FdSet,
@@ -91,10 +91,11 @@ fn check_restricted_against_full(
         for draw in 0..draws {
             let mut after_one_word = full_rng.clone();
             after_one_word.next_u64();
-            let fresh = sampler.sample_result(&mut full_rng.clone());
+            let mut fresh = FactSet::empty(db.len());
+            sampler.sample_result_into(&mut full_rng.clone(), &mut fresh, &mut WalkScratch::new());
             sampler.sample_result_into(&mut full_rng, &mut full, &mut full_scratch);
             sampler.sample_components_into(&mut part_rng, listed, &mut part, &mut part_scratch);
-            prop_assert_eq!(&fresh, &full, "sample_result, draw {}", draw);
+            prop_assert_eq!(&fresh, &full, "fresh buffer, draw {}", draw);
             prop_assert_eq!(peek(&full_rng), peek(&after_one_word), "full draw {}", draw);
             prop_assert_eq!(
                 peek(&part_rng),
@@ -876,8 +877,9 @@ fn walk_repairs_after_deletions_hold_only_live_facts() {
         for singleton in [false, true] {
             let sampler = indexed_walker(&db, &sigma, index, singleton);
             let mut rng = StdRng::seed_from_u64(5);
+            let (mut repair, mut scratch) = (FactSet::empty(db.len()), WalkScratch::new());
             for draw in 0..40 {
-                let repair = sampler.sample_result(&mut rng);
+                sampler.sample_result_into(&mut rng, &mut repair, &mut scratch);
                 assert!(
                     repair.is_subset_of(db.live_facts()),
                     "draw {draw} (singleton {singleton}, {which} index) holds a deleted fact"

@@ -230,7 +230,7 @@ fn fixed_sample_modes_scale_to_larger_workloads() {
 
 #[test]
 fn sampled_repairs_from_every_sampler_are_consistent() {
-    use uocqa::core::sample_operations::OperationWalkSampler;
+    use uocqa::core::sample_operations::{OperationWalkSampler, WalkScratch};
     use uocqa::core::sample_repairs::RepairSampler;
     use uocqa::core::sample_sequences::SequenceSampler;
 
@@ -242,7 +242,7 @@ fn sampled_repairs_from_every_sampler_are_consistent() {
     let sequence_sampler_1 = SequenceSampler::new_singleton_only(&db, &sigma).unwrap();
     let walk = OperationWalkSampler::new(&db, &sigma);
     let consistent = |repair: &FactSet| ViolationSet::compute(&db, &sigma, repair).is_empty();
-    let mut repair = FactSet::empty(db.len());
+    let (mut repair, mut scratch) = (FactSet::empty(db.len()), WalkScratch::new());
     for _ in 0..25 {
         repair_sampler.sample_into(&mut rng, &mut repair);
         assert!(consistent(&repair));
@@ -252,6 +252,7 @@ fn sampled_repairs_from_every_sampler_are_consistent() {
         assert!(consistent(&repair));
         sequence_sampler_1.sample_result_into(&mut rng, &mut repair);
         assert!(consistent(&repair));
-        assert!(consistent(&walk.sample_result(&mut rng)));
+        walk.sample_result_into(&mut rng, &mut repair, &mut scratch);
+        assert!(consistent(&repair));
     }
 }

@@ -1,0 +1,372 @@
+//! Pulled `M^{uo,1}` draws.  Under singleton removals a fact survives
+//! iff its keyed rank beats every conflict neighbour's, so a draw can
+//! decide only the facts a check reads
+//! ([`OperationWalkSampler::sample_facts_into`]) instead of whole
+//! components.  These tests check that each decided fact gets exactly the
+//! membership the full draw from the same RNG state gives it, on a built
+//! and on a refreshed conflict index, and that the pulled draws realise
+//! the local-maxima law on small instances.
+//!
+//! The estimators pull only while no evaluator-fallback entry is live: a
+//! bank with one draws whole repairs until it retires, and only what the
+//! compiled entries' witnesses read after.  The mixed-bank pins fold
+//! every entry's `(samples, successes, truncated)` on the sequential
+//! stopping path, the round-based path and the windowed path, so the
+//! switch from full to pulled draws in the middle of a pass keeps every
+//! outcome bit for bit.
+
+use std::collections::BTreeMap;
+
+use proptest::prelude::*;
+use proptest::TestCaseResult;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
+
+use uocqa::core::budget::{BudgetStatus, RunBudget};
+use uocqa::core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
+use uocqa::core::sample_operations::{OperationWalkSampler, WalkScratch};
+use uocqa::core::{EstimateOutcome, WindowSpec, WindowedEstimator};
+use uocqa::db::{ConflictIndex, Database, Fact, FactId, FactSet, FdSet, Value};
+use uocqa::query::parser::parse_query;
+use uocqa::query::{CompileBudget, LineageBank, QueryEvaluator};
+use uocqa::repair::GeneratorSpec;
+use uocqa::workload::queries::fact_membership_query_bank;
+use uocqa::workload::MultiFdWorkload;
+
+mod common;
+use common::{binomial_upper_tail, local_maxima_repairs};
+
+/// The singleton-only walk over `db`, backed by `index`.
+fn pulling_walker<'a>(
+    db: &'a Database,
+    sigma: &'a FdSet,
+    index: &ConflictIndex,
+) -> OperationWalkSampler<'a> {
+    OperationWalkSampler::with_index(db, sigma, index.clone()).singleton_only()
+}
+
+/// Draws `draws` repairs in full and pulled for the facts `picked`, from
+/// equal RNG states.  Checks that each draw takes one `u64`, that every
+/// picked fact in a conflict component gets the full draw's membership,
+/// and that every other fact of the pulled buffer keeps its start value
+/// (all present): conflict-free and deleted facts are no targets.
+fn check_pulled_against_full(
+    db: &Database,
+    sampler: &OperationWalkSampler<'_>,
+    picked: &[FactId],
+    seed: u64,
+    draws: usize,
+) -> TestCaseResult {
+    let index = sampler.conflict_index();
+    let targets = sampler.targets_meeting(picked.iter().copied());
+    let decided: Vec<FactId> = picked
+        .iter()
+        .copied()
+        .filter(|&fact| index.component_of(fact).is_some())
+        .collect();
+    let mut full_rng = StdRng::seed_from_u64(seed);
+    let mut pull_rng = StdRng::seed_from_u64(seed);
+    let (mut full, mut scratch) = (FactSet::empty(db.len()), WalkScratch::new());
+    let mut pulled = FactSet::full(db.len());
+    for draw in 0..draws {
+        sampler.sample_result_into(&mut full_rng, &mut full, &mut scratch);
+        sampler.sample_facts_into(&mut pull_rng, &targets, &mut pulled);
+        prop_assert_eq!(full_rng.clone().next_u64(), pull_rng.clone().next_u64());
+        for fact in (0..db.len()).map(FactId::new) {
+            let expected = !decided.contains(&fact) || full.contains(fact);
+            prop_assert_eq!(pulled.contains(fact), expected, "draw {}, {:?}", draw, fact);
+        }
+    }
+    Ok(())
+}
+
+/// A random choice of `picks` fact ids of `0..universe`, with repeats.
+fn random_facts(universe: usize, picks: usize, seed: u64) -> Vec<FactId> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..picks)
+        .map(|_| FactId::new(rng.random_range(0..universe)))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random general-FD databases and random fact picks, drawn from a
+    /// freshly built index.
+    #[test]
+    fn pulled_draws_equal_full_draws_on_a_built_index(
+        facts in 4usize..80,
+        relations in 1usize..3,
+        spread in 2usize..6,
+        rhs_domain in 2usize..4,
+        data_seed in 0u64..1_000,
+        picks in 0usize..24,
+        seed in 0u64..1_000,
+    ) {
+        let (db, sigma) =
+            MultiFdWorkload::new(facts, relations, (facts / spread).max(1), rhs_domain, data_seed)
+                .generate();
+        let index = ConflictIndex::build(&db, &sigma);
+        let picked = random_facts(db.len(), picks, seed);
+        check_pulled_against_full(&db, &pulling_walker(&db, &sigma, &index), &picked, seed, 12)?;
+    }
+
+    /// The same after a refresh: the index is built over a prefix of the
+    /// facts, then the rest arrive (merging components) and every
+    /// `gap`-th fact is deleted (splitting them), and the refreshed index
+    /// equals a fresh build.  Picks include deleted facts.
+    #[test]
+    fn pulled_draws_equal_full_draws_on_a_refreshed_index(
+        facts in 8usize..80,
+        spread in 2usize..6,
+        data_seed in 0u64..1_000,
+        prefix in 20usize..80,
+        gap in 2usize..7,
+        picks in 0usize..24,
+        seed in 0u64..1_000,
+    ) {
+        let (generated, sigma) =
+            MultiFdWorkload::new(facts, 2, (facts / spread).max(1), 3, data_seed).generate();
+        let rows: Vec<Fact> = generated.iter().map(|(_, fact)| fact).collect();
+        let split = rows.len() * prefix / 100;
+        let mut db = Database::with_schema(generated.schema().clone());
+        db.extend(rows[..split].to_vec()).unwrap();
+        let mut index = ConflictIndex::build(&db, &sigma);
+        db.extend(rows[split..].to_vec()).unwrap();
+        for id in (0..db.len()).step_by(gap) {
+            db.delete(FactId::new(id)).unwrap();
+        }
+        index.refresh(&db, &sigma);
+        prop_assert_eq!(&index, &ConflictIndex::build(&db, &sigma));
+        let picked = random_facts(db.len(), picks, seed);
+        check_pulled_against_full(&db, &pulling_walker(&db, &sigma, &index), &picked, seed, 12)?;
+    }
+}
+
+/// Pulled draws of every conflicting fact, into a buffer of all facts,
+/// realise the local-maxima law ([`local_maxima_repairs`]) on small
+/// general-FD instances: every drawn repair is in its support, and each
+/// repair's count is `Binomial(SAMPLES, p)`, failing only in a tail of
+/// probability below `ALPHA` on either side.
+#[test]
+fn pulled_draws_follow_the_local_maxima_law() {
+    const SAMPLES: u64 = 2_000;
+    const ALPHA: f64 = 1e-6;
+    for seed in 0..4 {
+        let (db, sigma) = MultiFdWorkload::new(7, 2, 2, 2, seed).generate();
+        let index = ConflictIndex::build(&db, &sigma);
+        let exact = local_maxima_repairs(&db, &sigma);
+        let sampler = pulling_walker(&db, &sigma, &index);
+        let targets = sampler.targets_meeting(index.conflicting_facts().iter().copied());
+        let mut rng = StdRng::seed_from_u64(41 + seed);
+        let mut repair = db.all_facts();
+        let mut counts: BTreeMap<FactSet, u64> = BTreeMap::new();
+        for _ in 0..SAMPLES {
+            sampler.sample_facts_into(&mut rng, &targets, &mut repair);
+            *counts.entry(repair.clone()).or_insert(0) += 1;
+        }
+        assert!(
+            counts.keys().all(|r| exact.contains_key(r)),
+            "seed {seed}: a pulled repair is not a set of local maxima"
+        );
+        for (repair, p) in &exact {
+            let p = p.to_f64();
+            let k = counts.get(repair).copied().unwrap_or(0);
+            let upper = binomial_upper_tail(SAMPLES, p, k);
+            let lower = 1.0 - binomial_upper_tail(SAMPLES, p, k + 1);
+            assert!(
+                upper > ALPHA && lower > ALPHA,
+                "seed {seed}: repair {repair:?} drawn {k} of {SAMPLES} times, exact {p}"
+            );
+        }
+    }
+}
+
+/// The general-FD instance of the mixed-bank pins: eight conflict
+/// components over two relations.
+fn mixed_instance() -> (Database, FdSet) {
+    MultiFdWorkload::new(200, 2, 60, 3, 4).generate()
+}
+
+/// Six fact-membership entries, a join whose witnesses span components,
+/// and two products past the default witness cap: one with 100² images,
+/// true in almost every repair, and one that also needs a fact of a
+/// conflicting `A`-group of `R0` to survive, which fails in a share of
+/// the repairs.  A draw that skipped the group's facts while that
+/// fallback entry is live would leave them whole and satisfy it on
+/// every draw.  Both fallback entries retire before the rarest
+/// membership entry.
+fn mixed_queries(db: &Database) -> Vec<(QueryEvaluator, Vec<Value>)> {
+    let parse = |text: &str| QueryEvaluator::new(parse_query(db.schema(), text).unwrap());
+    let group = (0..)
+        .find(|a| {
+            let group = parse(&format!("Ans() :- R0({a}, y, z, w)"));
+            let bank = LineageBank::compile(db, &[(&group, &[])]).unwrap();
+            bank.query_witness_count(0).unwrap() >= 2
+        })
+        .unwrap();
+    let mut queries: Vec<(QueryEvaluator, Vec<Value>)> = fact_membership_query_bank(db, 6, 8)
+        .unwrap()
+        .into_iter()
+        .map(|query| (QueryEvaluator::new(query), Vec::new()))
+        .collect();
+    for text in [
+        "Ans() :- R0(x, y, z, w), R1(x, y, u, v)".to_string(),
+        "Ans() :- R0(x, y, z, w), R1(a, b, c, d)".to_string(),
+        format!("Ans() :- R0({group}, y, z, w), R1(a, b, c, d), R0(e, f, g, h)"),
+    ] {
+        queries.push((parse(&text), Vec::new()));
+    }
+    queries
+}
+
+fn batch_refs(queries: &[(QueryEvaluator, Vec<Value>)]) -> Vec<BatchQuery<'_>> {
+    queries
+        .iter()
+        .map(|(e, c)| BatchQuery::new(e, c.as_slice()))
+        .collect()
+}
+
+fn params(epsilon: f64) -> ApproximationParams {
+    ApproximationParams::new(epsilon, 0.1)
+        .unwrap()
+        .with_mode(EstimatorMode::OptimalStopping {
+            max_samples: 50_000,
+        })
+}
+
+fn spec() -> GeneratorSpec {
+    GeneratorSpec::uniform_operations().with_singleton_only()
+}
+
+/// An FNV-1a fold of every entry's `(samples, successes, truncated)` and
+/// the pass's draw count.
+fn digest(outcomes: &[&EstimateOutcome]) -> u64 {
+    let mix = |hash: u64, word: u64| (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for outcome in outcomes {
+        for query in &outcome.queries {
+            hash = mix(hash, query.samples);
+            hash = mix(hash, query.successes);
+            hash = mix(hash, u64::from(query.status != BudgetStatus::Converged));
+        }
+        hash = mix(hash, outcome.total_draws);
+    }
+    hash
+}
+
+/// Checks that the pass converged, and that every fallback entry retired
+/// while a compiled entry was still live: the pass switched from full to
+/// pulled draws in its middle.
+fn assert_switches_mid_pass(outcome: &EstimateOutcome, bank: &LineageBank, context: &str) {
+    assert!(outcome.converged(), "{context}");
+    let last = |fallback: bool| {
+        (0..bank.len())
+            .filter(|&q| bank.is_fallback(q) == fallback)
+            .map(|q| outcome.queries[q].samples)
+            .max()
+    };
+    assert!(
+        last(true) < last(false),
+        "{context}: no compiled entry outlived the fallback entries"
+    );
+}
+
+/// The sequential stopping path over a bank whose join entry is pushed
+/// past a witness cap of 16, beside the two products (past the cap too),
+/// from a fresh stream.
+#[test]
+fn mixed_bank_stopping_outcomes_are_pinned() {
+    let (db, sigma) = mixed_instance();
+    let queries = mixed_queries(&db);
+    let batch = batch_refs(&queries);
+    let estimator = BatchEstimator::new(&db, &sigma, spec()).unwrap();
+    let refs: Vec<_> = queries.iter().map(|(e, c)| (e, c.as_slice())).collect();
+    let (bank, _) = LineageBank::compile_with_budget(
+        &db,
+        &refs,
+        &CompileBudget::default().with_witness_cap(16),
+    )
+    .unwrap();
+    assert_eq!((0..bank.len()).filter(|&q| bank.is_fallback(q)).count(), 3);
+    // A pass cut before its first draw is a fresh stream to resume.
+    let fresh = estimator
+        .estimate_batch_with_budget(
+            &batch,
+            params(0.2),
+            &RunBudget::unlimited().with_max_draws(0),
+            &mut StdRng::seed_from_u64(1),
+        )
+        .unwrap();
+    let outcome = estimator
+        .estimate_stopping_batch_resume(
+            &bank,
+            &batch,
+            params(0.2),
+            &RunBudget::unlimited(),
+            &fresh,
+            &mut StdRng::seed_from_u64(5),
+        )
+        .unwrap();
+    assert_switches_mid_pass(&outcome, &bank, "stopping");
+    assert_eq!(digest(&[&outcome]), 9836023562149814198, "stopping digest");
+}
+
+/// The round-based path, whose every round builds its draw state for the
+/// entries still live.
+#[test]
+fn mixed_bank_round_outcomes_are_pinned() {
+    let (db, sigma) = mixed_instance();
+    let queries = mixed_queries(&db);
+    let batch = batch_refs(&queries);
+    let estimator = BatchEstimator::new(&db, &sigma, spec()).unwrap();
+    let bank = estimator
+        .compile_bank(&batch, &RunBudget::unlimited())
+        .unwrap();
+    let outcome = estimator
+        .estimate_stopping_batch_rounds_with_budget(
+            &batch,
+            params(0.07),
+            9,
+            &RunBudget::unlimited(),
+        )
+        .unwrap();
+    assert_switches_mid_pass(&outcome, &bank, "rounds");
+    assert_eq!(digest(&[&outcome]), 8448021296435329892, "rounds digest");
+}
+
+/// The windowed path: a first pass over the whole bank, then ticks that
+/// retract facts (splitting components) and insert them again (merging
+/// them), each followed by a pass over the entries they changed.
+#[test]
+fn mixed_bank_window_outcomes_are_pinned() {
+    let (db, sigma) = mixed_instance();
+    let queries = mixed_queries(&db);
+    let facts: Vec<Fact> = (0..db.len())
+        .step_by(11)
+        .map(|id| db.fact(FactId::new(id)))
+        .collect();
+    let mut window =
+        WindowedEstimator::new(db, sigma, spec(), WindowSpec::Unbounded, queries).unwrap();
+    let mut rng = StdRng::seed_from_u64(13);
+    let budget = RunBudget::unlimited();
+    let first = window.estimate(params(0.2), &budget, &mut rng).unwrap();
+    assert_switches_mid_pass(&first.outcome, window.bank(), "window, first pass");
+    let mut outcomes = vec![first.outcome];
+    for tick in 0..4 {
+        let (inserts, retracts) = if tick % 2 == 0 {
+            (Vec::new(), facts.clone())
+        } else {
+            (facts.clone(), Vec::new())
+        };
+        window.tick(inserts, &retracts).unwrap();
+        outcomes.push(
+            window
+                .estimate(params(0.2), &budget, &mut rng)
+                .unwrap()
+                .outcome,
+        );
+    }
+    let outcomes: Vec<&EstimateOutcome> = outcomes.iter().collect();
+    assert_eq!(digest(&outcomes), 11620128251723852869, "window digest");
+}

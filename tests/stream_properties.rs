@@ -10,11 +10,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use uocqa::core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
-use uocqa::core::sample_operations::OperationWalkSampler;
+use uocqa::core::sample_operations::{OperationWalkSampler, WalkScratch};
 use uocqa::core::{
     BudgetStatus, ExactSolver, RunBudget, TickOutcome, WindowSpec, WindowedEstimator,
 };
-use uocqa::db::{ConflictIndex, Database, Fact, FactId, FdSet, Value};
+use uocqa::db::{ConflictIndex, Database, Fact, FactId, FactSet, FdSet, Value};
 use uocqa::query::{LineageBank, QueryEvaluator};
 use uocqa::repair::{GeneratorSpec, UniformSemantics};
 use uocqa::workload::StreamWorkload;
@@ -499,14 +499,20 @@ fn assert_window_matches_scratch(
             (windowed, scratch) = (windowed.singleton_only(), scratch.singleton_only());
         }
         let mut rngs = [0, 1].map(|_| StdRng::seed_from_u64(est_seed));
+        let mut repairs = [
+            FactSet::empty(w.db().len()),
+            FactSet::empty(scratch_db.len()),
+        ];
+        let mut walk_scratch = WalkScratch::new();
         for draw in 0..8 {
-            let remapped: Vec<FactId> = windowed
-                .sample_result(&mut rngs[0])
+            windowed.sample_result_into(&mut rngs[0], &mut repairs[0], &mut walk_scratch);
+            scratch.sample_result_into(&mut rngs[1], &mut repairs[1], &mut walk_scratch);
+            let remapped: Vec<FactId> = repairs[0]
                 .iter()
                 .filter(|&f| w.db().is_live(f))
                 .map(|f| remap(&map, f))
                 .collect();
-            let drawn: Vec<FactId> = scratch.sample_result(&mut rngs[1]).iter().collect();
+            let drawn: Vec<FactId> = repairs[1].iter().collect();
             assert_eq!(remapped, drawn, "draw {draw} diverged: {context}");
         }
     }

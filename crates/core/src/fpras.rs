@@ -20,7 +20,7 @@ use std::sync::Arc;
 use rand::Rng;
 
 use ucqa_db::{ConflictIndex, Database, FactSet, FdSet, Value};
-use ucqa_query::{BankLiveSet, BankScratch, LineageBank, QueryEvaluator};
+use ucqa_query::{BankLiveSet, BankScratch, LineageBank, Membership, QueryEvaluator};
 use ucqa_repair::{GeneratorSpec, UniformSemantics};
 
 use crate::bounds;
@@ -33,7 +33,7 @@ use crate::montecarlo::{
 use crate::montecarlo::{
     estimate_fixed_batch_parallel, estimate_stopping_batch_rounds, DEFAULT_SHARD_SIZE,
 };
-use crate::sample_operations::{FactTarget, OperationWalkSampler, WalkScratch};
+use crate::sample_operations::{OperationWalkSampler, PulledCheck, WalkScratch};
 use crate::sample_repairs::RepairSampler;
 use crate::sample_sequences::SequenceSampler;
 use crate::CoreError;
@@ -141,12 +141,13 @@ impl SamplerKind<'_> {
     /// Draws one repair into the reused buffer, over what `cover` names;
     /// see [`RepairBuffer`] and [`Cover`].
     ///
-    /// This is the *only* place the Monte-Carlo loops consume the RNG —
-    /// the one experiment ([`BankExperiment`]) of every estimator
-    /// dispatches through it, and a single query is a bank of one, which
-    /// is what makes batched and single-query outcomes bit-identical
-    /// under a shared seed.  A restricted draw takes the same single key as the
-    /// full one and agrees with it on every unit or fact it covers.
+    /// This and [`PulledCheck::draw`] are the *only* places the
+    /// Monte-Carlo loops consume the RNG — the one experiment
+    /// ([`BankExperiment`]) of every estimator dispatches through them,
+    /// and a single query is a bank of one, which is what makes batched
+    /// and single-query outcomes bit-identical under a shared seed.  A
+    /// restricted or pulled draw takes the same single key as the full
+    /// one and agrees with it on every unit or fact it decides.
     fn sample_repair_into<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -163,9 +164,6 @@ impl SamplerKind<'_> {
             (SamplerKind::Operations(walker), Cover::Units(components)) => {
                 walker.sample_components_into(rng, components, out, scratch)
             }
-            (SamplerKind::Operations(walker), Cover::Facts(targets)) => {
-                walker.sample_facts_into(rng, targets, out)
-            }
             (SamplerKind::Operations(walker), Cover::All) => {
                 walker.sample_result_into(rng, out, scratch)
             }
@@ -173,21 +171,20 @@ impl SamplerKind<'_> {
     }
 }
 
-/// What a draw decides: the whole repair, or only what the check of the
-/// live entries reads.
+/// What a buffered draw decides: the whole repair, or only what the
+/// check of the live entries reads.
 ///
 /// Under `M^ur` and `M^{ur,1}` every block's outcome is independent and
-/// keyed by the block (Lemma 5.2); under `M^uo` and `M^{uo,1}` every
-/// component is drawn alone on a keyed substream (Lemmas 7.2 / D.7, see
-/// [`crate::sample_operations`]), and under `M^{uo,1}` each fact's
-/// membership is a function of the ranks of the fact and its neighbours
-/// alone.  A compiled check reads only its witness facts, so a draw
-/// restricted to the blocks, components or facts those witnesses meet
-/// decides every check exactly as the full draw would, at a cost set by
-/// the bank rather than by `|D|`.  A fallback entry runs the backtracking
-/// evaluator on the whole repair, so while one is live the draw is full,
-/// as is every draw of the sequence sampler, whose draws are not keyed by
-/// component.
+/// keyed by the block (Lemma 5.2), and under `M^uo` every component is
+/// drawn alone on a keyed substream (Lemma 7.2, see
+/// [`crate::sample_operations`]).  A compiled check reads only its
+/// witness facts, so a draw restricted to the blocks or components those
+/// witnesses meet decides every check exactly as the full draw would, at
+/// a cost set by the bank rather than by `|D|`.  A fallback entry runs
+/// the backtracking evaluator on the whole repair, so while one is live
+/// the draw is full, as is every draw of the sequence sampler, whose
+/// draws are not keyed by component.  `M^{uo,1}` draws no repair at all
+/// ([`PulledCheck`]).
 #[derive(Debug, PartialEq)]
 enum Cover {
     /// Every block or component: the full draw.
@@ -195,8 +192,6 @@ enum Cover {
     /// The conflicting blocks (`M^ur`, `M^{ur,1}`) or the conflict
     /// components (`M^uo`) that the live witnesses meet.
     Units(Vec<usize>),
-    /// The distinct live witness facts (`M^{uo,1}`), each decided alone.
-    Facts(Vec<FactTarget>),
 }
 
 impl Cover {
@@ -206,36 +201,36 @@ impl Cover {
         if entries.iter().any(|&q| bank.is_fallback(q)) {
             return Cover::All;
         }
-        let witness_facts = || {
-            entries
-                .iter()
-                .filter_map(|&q| bank.witnesses_of(q))
-                .flatten()
-                .flat_map(|witness| witness.iter())
-        };
+        let witness_facts = entries
+            .iter()
+            .filter_map(|&q| bank.witnesses_of(q))
+            .flatten()
+            .flat_map(|witness| witness.iter());
         match &estimator.sampler {
-            SamplerKind::Repairs(sampler) => Cover::Units(sampler.blocks_meeting(witness_facts())),
+            SamplerKind::Repairs(sampler) => Cover::Units(sampler.blocks_meeting(witness_facts)),
             SamplerKind::Sequences(_) => Cover::All,
-            SamplerKind::Operations(walker) if estimator.spec.singleton_only => {
-                Cover::Facts(walker.targets_meeting(witness_facts()))
-            }
             SamplerKind::Operations(walker) => {
-                Cover::Units(walker.components_meeting(witness_facts()))
+                Cover::Units(walker.components_meeting(witness_facts))
             }
         }
     }
 }
 
-/// The reused draw state of one experiment: the universe-sized repair
-/// buffer and the walk scratch.
+/// The reused draw state of one buffered experiment: the universe-sized
+/// repair buffer, the walk scratch, the draw's [`Cover`] and the scratch
+/// of the word-level check.
 ///
-/// A restricted draw ([`Cover`]) rewrites only what it covers; every other
-/// fact of the buffer stays as prepared ([`RepairSampler::prepare`] for
-/// the blocks, the live facts for the walk) or as an earlier full draw of
-/// the same pass left it, and no compiled check reads it.
+/// A restricted draw rewrites only what it covers; every other fact of
+/// the buffer stays as prepared ([`RepairSampler::prepare`] for the
+/// blocks, the live facts for the walk) or as an earlier full draw of the
+/// same pass left it, and no compiled check reads it.
 struct RepairBuffer {
     repair: FactSet,
     scratch: WalkScratch,
+    /// What the next draw covers; `None` until the first draw and after
+    /// each retirement.
+    cover: Option<Cover>,
+    bank_scratch: BankScratch,
 }
 
 impl RepairBuffer {
@@ -250,13 +245,30 @@ impl RepairBuffer {
         RepairBuffer {
             repair,
             scratch: WalkScratch::new(),
+            cover: None,
+            bank_scratch: BankScratch::new(),
         }
     }
 
-    /// Draws the next repair over `cover` (see
-    /// [`SamplerKind::sample_repair_into`]).
-    fn draw<R: Rng + ?Sized>(&mut self, sampler: &SamplerKind<'_>, cover: &Cover, rng: &mut R) {
-        sampler.sample_repair_into(rng, cover, &mut self.repair, &mut self.scratch);
+    /// Draws the next repair over the cover of the live entries of `live`
+    /// (see [`SamplerKind::sample_repair_into`]), deriving the cover
+    /// first if a retirement dropped it, and writes `hits[q]` for every
+    /// live compiled entry `q` (see [`LineageBank::evaluate_live_into`]).
+    fn draw<R: Rng + ?Sized>(
+        &mut self,
+        estimator: &OcqaEstimator<'_>,
+        bank: &LineageBank,
+        live: &BankLiveSet,
+        rng: &mut R,
+        hits: &mut [bool],
+    ) {
+        let cover = self
+            .cover
+            .get_or_insert_with(|| Cover::of(estimator, bank, live));
+        estimator
+            .sampler
+            .sample_repair_into(rng, cover, &mut self.repair, &mut self.scratch);
+        bank.evaluate_live_into(live, &self.repair, &mut self.bank_scratch, hits);
     }
 }
 
@@ -1221,36 +1233,64 @@ impl<'a> BatchEstimator<'a> {
 pub const DEFAULT_ROUND_SAMPLES: u64 = 4 * DEFAULT_SHARD_SIZE;
 
 /// The one fully compiled Bernoulli experiment of both estimators: draw a
-/// repair into a reused buffer, then decide every **live** entry of the
-/// bank against it in one word-level pass (fallback entries route through
-/// the backtracking evaluator).  The stopping loops retire entries as they
-/// converge, which drops the witnesses only they referenced out of the
-/// shared containment scan ([`BankLiveSet`]); the fixed loops keep every
-/// entry live and count its hits.
+/// repair, then decide every **live** entry of the bank against it
+/// (fallback entries route through the backtracking evaluator).  The
+/// stopping loops retire entries as they converge, which drops the
+/// witnesses only they referenced out of the shared check
+/// ([`BankLiveSet`]); the fixed loops keep every entry live and count its
+/// hits.
 ///
-/// Everything is hoisted out of the Monte-Carlo loop: the repair buffer,
-/// the walk scratch, the draw's [`Cover`] and the bank scratch.  The
-/// repair buffer, which is universe-sized, is built on the first draw, so
-/// a pass that draws nothing (every entry reused or settled) builds none.
-/// The cover follows the live entries: a retirement drops it, and the
-/// next draw derives it again from the entries still live.  So a pass
-/// draws whole repairs only while a fallback entry is live, and once the
-/// last one retires it decides only what the remaining entries' witnesses
-/// read.  Between retirements a draw performs no heap allocation on any
-/// sampler path (the buffers reach steady-state capacity after the first
-/// few draws).
+/// A draw takes one of two forms, chosen by the generator and built on
+/// the pass's first draw, so a pass that draws nothing (every entry
+/// reused or settled) builds neither:
+/// - **Buffered** (`M^ur`, `M^us`, `M^uo`): a [`RepairBuffer`], which is
+///   universe-sized, and one word-level containment pass
+///   ([`LineageBank::evaluate_live_into`]) over it.  The buffer's
+///   [`Cover`] follows the live entries: a retirement drops it, and the
+///   next draw derives it again from the entries still live.  So a pass
+///   draws whole repairs only while a fallback entry is live, and once the
+///   last one retires it decides only what the remaining entries'
+///   witnesses read.
+/// - **Pulled** (`M^{uo,1}`): no repair at all.  One [`PulledCheck`] per
+///   pass decides each witness fact only when a witness reaches it, and
+///   answers the fallback evaluator fact by fact.
+///
+/// Between retirements, neither form's draw nor its check of the
+/// compiled entries performs a heap allocation once the buffers reach
+/// steady-state capacity.  The backtracking evaluator does, on every
+/// call: it is run for each live fallback entry, and in debug builds for
+/// every live entry as a cross-check of the compiled one.
 struct BankExperiment<'e, 'a> {
     estimator: &'e OcqaEstimator<'a>,
     bank: &'e LineageBank,
     queries: &'e [BatchQuery<'e>],
     live: BankLiveSet,
-    buffer: Option<RepairBuffer>,
-    /// What the next draw covers; `None` until the first draw and after
-    /// each retirement.
-    cover: Option<Cover>,
-    bank_scratch: BankScratch,
+    /// The draw state; `None` until the first draw.
+    draw: Option<DrawState<'e, 'a>>,
     /// The per-entry hits of [`BankExperiment::count`]'s draws.
     hits: Vec<bool>,
+}
+
+/// The draw state of a [`BankExperiment`]: a repair buffer, or, under
+/// `M^{uo,1}`, the pulled check.
+enum DrawState<'e, 'a> {
+    Buffered(RepairBuffer),
+    Pulled(PulledCheck<'e, 'a>),
+}
+
+impl<'e, 'a> DrawState<'e, 'a> {
+    /// The draw state of a pass of `estimator` over the live entries of
+    /// `live`.  Built once per pass, and kept out of line so that the
+    /// per-draw path stays small enough to inline.
+    #[inline(never)]
+    fn new(estimator: &'e OcqaEstimator<'a>, bank: &LineageBank, live: &BankLiveSet) -> Self {
+        match &estimator.sampler {
+            SamplerKind::Operations(walker) if estimator.spec.singleton_only => {
+                DrawState::Pulled(PulledCheck::new(walker, bank, live))
+            }
+            _ => DrawState::Buffered(RepairBuffer::new(estimator)),
+        }
+    }
 }
 
 impl<'e, 'a> BankExperiment<'e, 'a> {
@@ -1265,41 +1305,28 @@ impl<'e, 'a> BankExperiment<'e, 'a> {
             bank,
             queries,
             live,
-            buffer: None,
-            cover: None,
-            bank_scratch: BankScratch::new(),
+            draw: None,
             hits: vec![false; queries.len()],
         }
     }
 
     /// Draws one shared repair and writes `hits[q]` for every live query.
     fn draw_live<R: Rng + ?Sized>(&mut self, rng: &mut R, hits: &mut [bool]) {
-        let buffer = self
-            .buffer
-            .get_or_insert_with(|| RepairBuffer::new(self.estimator));
-        let cover = self
-            .cover
-            .get_or_insert_with(|| Cover::of(self.estimator, self.bank, &self.live));
-        buffer.draw(&self.estimator.sampler, cover, rng);
-        let repair = &buffer.repair;
-        self.bank
-            .evaluate_live_into(&self.live, repair, &mut self.bank_scratch, hits);
-        for &q in self.live.live_queries() {
-            let query = &self.queries[q];
-            let entailed = || {
-                query
-                    .evaluator
-                    .has_answer(self.estimator.db, repair, query.candidate)
-                    .expect("candidate arity was validated during bank compilation")
-            };
-            if self.bank.is_fallback(q) {
-                hits[q] = entailed();
-            } else {
-                debug_assert_eq!(
-                    hits[q],
-                    entailed(),
-                    "lineage bank disagrees with the backtracking evaluator on query {q}"
-                );
+        let (estimator, bank, live) = (self.estimator, self.bank, &self.live);
+        let draw = self
+            .draw
+            .get_or_insert_with(|| DrawState::new(estimator, bank, live));
+        match draw {
+            DrawState::Buffered(buffer) => {
+                buffer.draw(estimator, bank, live, rng, hits);
+                decide_with_evaluator(estimator.db, self.queries, bank, live, &buffer.repair, hits);
+            }
+            DrawState::Pulled(check) => {
+                check.draw(rng);
+                for &q in live.live_queries() {
+                    hits[q] = !bank.is_fallback(q) && check.entry_hit(q);
+                }
+                decide_with_evaluator(estimator.db, self.queries, bank, live, check, hits);
             }
         }
     }
@@ -1316,6 +1343,37 @@ impl<'e, 'a> BankExperiment<'e, 'a> {
     }
 }
 
+/// Writes `hits[q]` for every live fallback entry of `live` from the
+/// backtracking evaluator on `repair`, and, in debug builds, checks every
+/// live compiled entry's hit against it.
+fn decide_with_evaluator<M: Membership + ?Sized>(
+    db: &Database,
+    queries: &[BatchQuery<'_>],
+    bank: &LineageBank,
+    live: &BankLiveSet,
+    repair: &M,
+    hits: &mut [bool],
+) {
+    for &q in live.live_queries() {
+        let query = &queries[q];
+        let entailed = || {
+            query
+                .evaluator
+                .has_answer(db, repair, query.candidate)
+                .expect("candidate arity was validated during bank compilation")
+        };
+        if bank.is_fallback(q) {
+            hits[q] = entailed();
+        } else {
+            debug_assert_eq!(
+                hits[q],
+                entailed(),
+                "lineage bank disagrees with the backtracking evaluator on query {q}"
+            );
+        }
+    }
+}
+
 impl<R: Rng + ?Sized> StoppingBatchExperiment<R> for BankExperiment<'_, '_> {
     fn draw(&mut self, rng: &mut R, hits: &mut [bool]) {
         self.draw_live(rng, hits);
@@ -1323,7 +1381,9 @@ impl<R: Rng + ?Sized> StoppingBatchExperiment<R> for BankExperiment<'_, '_> {
 
     fn retire(&mut self, query: usize) {
         self.live.retire(self.bank, query);
-        self.cover = None;
+        if let Some(DrawState::Buffered(buffer)) = &mut self.draw {
+            buffer.cover = None;
+        }
     }
 }
 
@@ -2332,20 +2392,54 @@ mod tests {
         assert!(!bank.is_fallback(0) && !bank.is_fallback(1) && bank.is_fallback(2));
         let starved = RunBudget::unlimited().with_max_compile_steps(1);
         let facts = |ids: &[usize]| ids.iter().map(|&id| FactId::new(id)).collect::<Vec<_>>();
-        let mut covered = 0;
+        let (mut covered, mut pulled) = (0, 0);
         for spec in all_specs() {
             let Ok(batch) = BatchEstimator::new(&db, &sigma, spec) else {
                 continue;
             };
             let name = spec.short_name();
+            let mut experiment =
+                BankExperiment::new(&batch.inner, &bank, &queries, BankLiveSet::full(&bank));
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut hits = vec![false; queries.len()];
+            if spec.semantics == UniformSemantics::Operations && spec.singleton_only {
+                // `M^{uo,1}` draws no repair, also while the fallback
+                // entry is live: one pulled check serves the whole
+                // pass.  Its targets are the conflicting witness facts
+                // of the compiled entries, R(a1, b1) and R(a3, b1); a
+                // retirement keeps it, and every draw advances it.
+                let mut draw_then_check = |experiment: &mut BankExperiment<'_, '_>| {
+                    StoppingBatchExperiment::draw(experiment, &mut rng, &mut hits);
+                    let Some(DrawState::Pulled(check)) = &experiment.draw else {
+                        panic!("{name}: a singleton walk pulls every draw");
+                    };
+                    (check.target_facts(), check.draws())
+                };
+                assert_eq!(
+                    draw_then_check(&mut experiment),
+                    (facts(&[0, 4]), 1),
+                    "{name}"
+                );
+                StoppingBatchExperiment::<StdRng>::retire(&mut experiment, 2);
+                assert_eq!(
+                    draw_then_check(&mut experiment),
+                    (facts(&[0, 4]), 2),
+                    "{name}"
+                );
+                StoppingBatchExperiment::<StdRng>::retire(&mut experiment, 1);
+                assert_eq!(
+                    draw_then_check(&mut experiment),
+                    (facts(&[0, 4]), 3),
+                    "{name}"
+                );
+                pulled += 1;
+                continue;
+            }
             // The cover of the entries `live`, whose witnesses are the
             // facts `witness_facts`.
             let expected = |witness_facts: &[usize]| match &batch.inner.sampler {
                 SamplerKind::Repairs(sampler) => {
                     Cover::Units(sampler.blocks_meeting(facts(witness_facts)))
-                }
-                SamplerKind::Operations(walker) if spec.singleton_only => {
-                    Cover::Facts(walker.targets_meeting(facts(witness_facts)))
                 }
                 SamplerKind::Operations(walker) => {
                     Cover::Units(walker.components_meeting(facts(witness_facts)))
@@ -2356,12 +2450,6 @@ mod tests {
             match spec.semantics {
                 // R(a3, b1) lies in block a3, partition index 2.
                 UniformSemantics::Repairs => assert_eq!(cover, Cover::Units(vec![2]), "{name}"),
-                UniformSemantics::Operations if spec.singleton_only => {
-                    let Cover::Facts(targets) = &cover else {
-                        panic!("{name}: {cover:?}")
-                    };
-                    assert_eq!(targets.len(), 1, "{name}");
-                }
                 // Its conflict component {R(a3, b1), R(a3, b2)} is the
                 // second by smallest fact id, after the a1 facts.
                 UniformSemantics::Operations => {
@@ -2384,17 +2472,19 @@ mod tests {
 
             // In a pass, each retirement shrinks the next draw's cover to
             // the remaining entries' witness facts.
-            let mut experiment =
-                BankExperiment::new(&batch.inner, &bank, &queries, BankLiveSet::full(&bank));
-            let mut rng = StdRng::seed_from_u64(3);
-            let mut hits = vec![false; queries.len()];
             let mut draw_then_cover = |experiment: &mut BankExperiment<'_, '_>| {
                 StoppingBatchExperiment::draw(experiment, &mut rng, &mut hits);
-                experiment.cover.take().unwrap()
+                let Some(DrawState::Buffered(buffer)) = &mut experiment.draw else {
+                    panic!("{name}: only a singleton walk pulls");
+                };
+                buffer.cover.take().unwrap()
             };
             assert_eq!(draw_then_cover(&mut experiment), Cover::All, "{name}");
             StoppingBatchExperiment::<StdRng>::retire(&mut experiment, 2);
-            assert!(experiment.cover.is_none(), "{name}: retire builds no cover");
+            let Some(DrawState::Buffered(buffer)) = &experiment.draw else {
+                unreachable!()
+            };
+            assert!(buffer.cover.is_none(), "{name}: retire builds no cover");
             assert_eq!(
                 draw_then_cover(&mut experiment),
                 expected(&[4, 0]),
@@ -2403,7 +2493,11 @@ mod tests {
             StoppingBatchExperiment::<StdRng>::retire(&mut experiment, 1);
             assert_eq!(draw_then_cover(&mut experiment), expected(&[4]), "{name}");
         }
-        assert_eq!(covered, 4, "both block and both walk specs restrict");
+        assert_eq!(
+            (covered, pulled),
+            (3, 1),
+            "both block specs and the pair walk restrict; the singleton walk pulls"
+        );
     }
 
     #[test]
@@ -2419,7 +2513,7 @@ mod tests {
         let mut experiment =
             BankExperiment::new(&batch.inner, &bank, &queries, BankLiveSet::full(&bank));
         StoppingBatchExperiment::<StdRng>::retire(&mut experiment, 0);
-        assert!(experiment.buffer.is_none() && experiment.cover.is_none());
+        assert!(experiment.draw.is_none());
     }
 
     #[test]

@@ -79,27 +79,38 @@
 //! **Pulled `M^{uo,1}` draws.**  Under the local-maxima law a fact's
 //! membership depends only on its own rank and its neighbours' ranks, and
 //! the `i`-th word of a keyed stream is `mix64(start + (i+1)·φ)`, which
-//! can be read at random access.  So a check that reads a few facts needs
-//! no component drawn:
-//! [`OperationWalkSampler::sample_facts_into`] decides just the facts it
-//! is given ([`FactTarget`]s, from
-//! [`OperationWalkSampler::targets_meeting`]), each bit-identical to the
-//! full draw's membership, and stops a fact's neighbour scan at the first
-//! neighbour that outranks it.
+//! can be read at random access.  So a check needs no repair drawn at
+//! all: [`OperationWalkSampler::survives`] decides one fact under a draw
+//! key, bit-identical to the full draw's membership, and stops the scan
+//! of its neighbours soon after the first that outranks it.
+//! [`PulledCheck`] is the estimators' check of a whole bank on that
+//! primitive.  Each draw takes one key, and a fact is decided only when
+//! a witness reaches it, at most once per draw.  A witness stops at its
+//! first absent fact, and an entry at its first contained witness.  The
+//! backtracking evaluator of a fallback entry asks the check about the
+//! facts its search reaches ([`Membership`]), so no `M^{uo,1}` draw is
+//! ever full.
 //!
 //! **Cost per draw.**  Full: O(|D|/64 + |V|).  Restricted to components:
 //! O(facts + pairs of the listed components, plus, under `M^uo`, their
-//! survivors' degrees).  Pulled (`M^{uo,1}` only): O(Σ degrees of the
-//! decided facts), independent of `|D|` and of the size of their
+//! survivors' degrees).  Pulled (`M^{uo,1}` only): the trie nodes of the
+//! live entries that the draw reaches, plus O(degree) for each fact it
+//! decides.  That is independent of `|D|` and of the size of the facts'
 //! components, which matters most where a few large components hold
-//! every fact and a restriction to components saves nothing.
+//! every fact and a restriction to components saves nothing.  Building
+//! the check once per pass costs O(witness facts) lookups and sorts, and
+//! nothing universe-sized.
 
+use std::cell::Cell;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::{Rng, RngCore};
 
 use ucqa_db::{ConflictIndex, Database, FactId, FactSet, FdSet};
 use ucqa_numeric::LogFloat;
+use ucqa_query::{BankLiveSet, LineageBank, Membership};
 use ucqa_repair::{Operation, RepairingSequence};
 
 use crate::random::KeyedStream;
@@ -128,18 +139,6 @@ impl WalkScratch {
     pub fn new() -> Self {
         WalkScratch::default()
     }
-}
-
-/// A fact a pulled `M^{uo,1}` draw decides
-/// ([`OperationWalkSampler::sample_facts_into`]): the fact, its conflict
-/// component, and its position in the component's fact run, which keys
-/// its rank.  Built by [`OperationWalkSampler::targets_meeting`]; the
-/// order sorts by component, then position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct FactTarget {
-    component: u32,
-    position: u32,
-    fact: FactId,
 }
 
 /// The outcome of one uniform-operations walk.
@@ -327,48 +326,61 @@ impl<'a> OperationWalkSampler<'a> {
         self.walk_components(rng.next_u64(), components.iter().copied(), out, scratch);
     }
 
-    /// The pulled `M^{uo,1}` draw: takes one `u64` from `rng` and decides
-    /// only the facts of `targets` (from
-    /// [`OperationWalkSampler::targets_meeting`]), each to exactly the
-    /// membership the full draw from the same RNG state gives it.  Every
-    /// other fact of `out` is left as it was.
+    /// The pulled `M^{uo,1}` draw of one fact: whether `fact` is in the
+    /// repair that [`OperationWalkSampler::sample_result_into`] writes when
+    /// it takes `key` from its RNG.  A deleted fact is in none, a
+    /// conflict-free live fact in every one.
     ///
-    /// A fact survives iff its keyed rank beats every neighbour's (the
-    /// local-maxima law of the module docs), and every rank is one word of
-    /// its component's keyed stream, read at random access by position.
-    /// So no component is drawn: a target costs one word plus, at most,
-    /// one per neighbour, and the scan of its neighbours stops at the
-    /// first that outranks it.  The draw costs O(Σ degrees of the targets),
-    /// independent of `|D|` and of the size of the targets' components.
+    /// A fact of a conflict component survives iff its keyed rank beats
+    /// every neighbour's (the local-maxima law of the module docs), and
+    /// every rank is one word of its component's keyed stream, read at
+    /// random access by position.  So no component is drawn: the fact
+    /// costs the search for its position, one word, and at most one word
+    /// per neighbour, since the scan stops soon after the first neighbour
+    /// that outranks it.  That is independent of `|D|` and of the size of
+    /// the fact's component.
     ///
     /// # Panics
     /// Panics if the sampler is not singleton-only (an `M^uo` walk has no
-    /// per-fact law), or if `out`'s universe differs from the sampler's
-    /// database.
-    pub fn sample_facts_into<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        targets: &[FactTarget],
-        out: &mut FactSet,
-    ) {
+    /// per-fact law).
+    pub fn survives(&self, key: u64, fact: FactId) -> bool {
         assert!(
             self.singleton_only,
-            "only a singleton-only walk draws single facts"
+            "only a singleton-only walk decides single facts"
         );
-        assert_eq!(out.universe(), self.db.len(), "buffer universe mismatch");
-        let key = rng.next_u64();
-        let index: &ConflictIndex = &self.index;
-        for run in targets.chunk_by(|a, b| a.component == b.component) {
-            let ranks = KeyedStream::new(key, run[0].component as usize);
-            for target in run {
-                let rank = ranks.word(target.position as usize);
-                let survives = index
-                    .neighbour_positions(target.fact)
-                    .iter()
-                    .all(|&p| ranks.word(p as usize) < rank);
-                out.set(target.fact, survives);
+        match self.index.position_of(fact) {
+            Some((component, position)) => self.outranks_neighbours(key, fact, component, position),
+            None => self.db.is_live(fact),
+        }
+    }
+
+    /// [`OperationWalkSampler::survives`] for a fact of a conflict
+    /// component whose component and position are already known: its rank
+    /// under `key` beats the rank of every neighbour.  The neighbours are
+    /// read four at a time, and the scan stops after the first group of
+    /// four that holds a higher rank: a data-dependent exit per neighbour
+    /// mispredicts more than the extra reads cost.
+    #[inline]
+    pub(crate) fn outranks_neighbours(
+        &self,
+        key: u64,
+        fact: FactId,
+        component: usize,
+        position: usize,
+    ) -> bool {
+        let ranks = KeyedStream::new(key, component);
+        let rank = ranks.word(position);
+        let word = |p: &u32| ranks.word(*p as usize);
+        let mut chunks = self.index.neighbour_positions(fact).chunks_exact(4);
+        for chunk in &mut chunks {
+            let top = word(&chunk[0])
+                .max(word(&chunk[1]))
+                .max(word(&chunk[2]).max(word(&chunk[3])));
+            if top > rank {
+                return false;
             }
         }
+        chunks.remainder().iter().all(|p| word(p) < rank)
     }
 
     /// The one repair-draw routine: draws each listed component alone on
@@ -439,34 +451,6 @@ impl<'a> OperationWalkSampler<'a> {
         components
     }
 
-    /// The targets of a pulled draw
-    /// ([`OperationWalkSampler::sample_facts_into`]) for a check that
-    /// reads only `facts`: each distinct fact with its component and its
-    /// position in the component's fact run (a binary search), sorted by
-    /// component and position.  Conflict-free and deleted facts are in
-    /// every repair or in none; they are skipped.
-    pub fn targets_meeting(&self, facts: impl IntoIterator<Item = FactId>) -> Vec<FactTarget> {
-        let index: &ConflictIndex = &self.index;
-        let mut targets: Vec<FactTarget> = facts
-            .into_iter()
-            .filter_map(|fact| {
-                let component = index.component_of(fact)?;
-                let position = index
-                    .component(component)
-                    .binary_search(&fact)
-                    .expect("a component's fact run holds its facts");
-                Some(FactTarget {
-                    component: component as u32,
-                    position: position as u32,
-                    fact,
-                })
-            })
-            .collect();
-        targets.sort_unstable();
-        targets.dedup();
-        targets
-    }
-
     /// The justified operations `Ops_s(D, Σ)` available on `subset`, in
     /// canonical order, read from the conflict index: the facts of
     /// `subset` with a conflicting neighbour in `subset`, and, unless the
@@ -492,6 +476,342 @@ impl<'a> OperationWalkSampler<'a> {
         operations.sort_unstable();
         operations
     }
+}
+
+/// A fact the pulled check decides: a conflicting witness fact, with its
+/// component and its position there, which key its rank.
+#[derive(Debug, Clone, Copy)]
+struct Target {
+    fact: FactId,
+    component: u32,
+    position: u32,
+}
+
+/// A node of a [`PulledCheck`] trie: a target ordinal, flagged with
+/// [`LEAF`] where a witness ends, and the index just past its subtree.
+#[derive(Debug, Clone, Copy)]
+struct TrieNode {
+    target: u32,
+    next: u32,
+}
+
+/// The flag of a [`TrieNode`] that ends a witness.
+const LEAF: u32 = 1 << 31;
+
+/// The ordinal of a witness fact in no conflict component: it is in every
+/// repair, so no check reads it.
+const CONFLICT_FREE: u32 = u32::MAX;
+
+/// The pulled `M^{uo,1}` check of a bank's entries: each draw decides
+/// them without drawing a repair, and decides a fact only when a witness
+/// or the evaluator reaches it.
+///
+/// Under the local-maxima law a fact's membership is a function of the
+/// draw key and the ranks of the fact and its neighbours
+/// ([`OperationWalkSampler::survives`]).  So each draw takes one key,
+/// exactly as the full draw does ([`PulledCheck::draw`]), and a compiled
+/// entry walks its witnesses ([`PulledCheck::entry_hit`]): a witness stops
+/// at its first absent fact, and the entry at its first contained
+/// witness.  A fallback entry runs the backtracking evaluator with the
+/// check as its [`Membership`] oracle.  Every answer is the full draw's,
+/// bit for bit, so only the work changes.
+///
+/// The estimators build one check per pass, over the entries live at its
+/// first draw.  The distinct conflicting facts of their witnesses become
+/// the targets, each looked up once: its component and its position
+/// there.  Conflict-free witness facts are in every repair and drop out.
+/// Each entry's witnesses form one trie, whose paths test first the
+/// facts that the most witnesses share and then those of the highest
+/// degree: one absent shared fact rules out every witness below it, and a
+/// fact survives with probability `1/(deg+1)`.  A per-target memo,
+/// stamped with the draw's epoch, decides each target at most once per
+/// draw, and all of it is sized by the witnesses, not by `|D|`.  A
+/// retirement needs no rebuild: the estimator stops asking about the
+/// entry.
+pub struct PulledCheck<'e, 'a> {
+    walker: &'e OperationWalkSampler<'a>,
+    /// The targets, ordered so that each trie path runs from the highest
+    /// ordinal down (see [`PulledCheck::new`]).
+    targets: Vec<Target>,
+    /// Per target: `epoch << 1 | present`, as the last draw that decided
+    /// it left it.
+    memo: Vec<Cell<u64>>,
+    /// The ordinal of every witness fact, by fact id, or
+    /// [`CONFLICT_FREE`].
+    lookup: HashMap<u32, u32>,
+    /// Every entry's witnesses as a trie, one run of nodes per entry, in
+    /// depth-first order.
+    nodes: Vec<TrieNode>,
+    /// Per bank entry: the end of its run in `nodes`; empty for an entry
+    /// that is a fallback entry or was not live at the build.
+    entry_ends: Vec<u32>,
+    /// Per bank entry: whether it has a witness of conflict-free facts
+    /// only, and so is in every repair.
+    certain: Vec<bool>,
+    /// The current draw's key, and its epoch: the number of draws so far.
+    key: u64,
+    epoch: u64,
+}
+
+impl<'e, 'a> PulledCheck<'e, 'a> {
+    /// The check of the live entries of `live`, drawn by `walker`.
+    ///
+    /// # Panics
+    /// Panics if `walker` is not singleton-only.
+    pub fn new(
+        walker: &'e OperationWalkSampler<'a>,
+        bank: &LineageBank,
+        live: &BankLiveSet,
+    ) -> Self {
+        assert!(
+            walker.singleton_only,
+            "only a singleton-only walk decides single facts"
+        );
+        // Every witness fact of every live compiled entry, witness after
+        // witness and entry after entry, as it occurs.
+        let mut occurrences: Vec<u32> = Vec::new();
+        let mut witness_ends = Vec::new();
+        let mut entry_ends = Vec::with_capacity(bank.len());
+        for q in 0..bank.len() {
+            if live.is_live(q) {
+                for witness in bank.witnesses_of(q).into_iter().flatten() {
+                    occurrences.extend(witness.iter().map(|fact| fact.index() as u32));
+                    witness_ends.push(occurrences.len() as u32);
+                }
+            }
+            entry_ends.push(witness_ends.len() as u32);
+        }
+        // Look each distinct fact up once, and count the witnesses that
+        // share it; every occurrence becomes the fact's ordinal.
+        let index: &ConflictIndex = &walker.index;
+        let mut lookup = HashMap::new();
+        let (mut targets, mut order_keys): (_, Vec<(usize, usize, FactId)>) =
+            (Vec::new(), Vec::new());
+        for occurrence in &mut occurrences {
+            *occurrence = match lookup.entry(*occurrence) {
+                Entry::Occupied(seen) => {
+                    let ordinal = *seen.get();
+                    if ordinal != CONFLICT_FREE {
+                        order_keys[ordinal as usize].0 += 1;
+                    }
+                    ordinal
+                }
+                Entry::Vacant(new) => {
+                    let fact = FactId::new(*new.key() as usize);
+                    let ordinal = match index.position_of(fact) {
+                        Some((component, position)) => {
+                            targets.push(Target {
+                                fact,
+                                component: component as u32,
+                                position: position as u32,
+                            });
+                            let degree = index.neighbour_positions(fact).len();
+                            order_keys.push((1usize, degree, fact));
+                            (targets.len() - 1) as u32
+                        }
+                        None => CONFLICT_FREE,
+                    };
+                    *new.insert(ordinal)
+                }
+            };
+        }
+        // Renumber the targets by ascending order key, so that a path
+        // sorted by descending ordinal tests the most shared fact first,
+        // and sibling paths in ascending order try the most likely
+        // present first.
+        let mut order: Vec<u32> = (0..targets.len() as u32).collect();
+        order.sort_unstable_by_key(|&t| order_keys[t as usize]);
+        let mut renumbered = vec![0; targets.len()];
+        for (rank, &t) in order.iter().enumerate() {
+            renumbered[t as usize] = rank as u32;
+        }
+        let targets: Vec<Target> = order.iter().map(|&t| targets[t as usize]).collect();
+        for ordinal in lookup.values_mut() {
+            if *ordinal != CONFLICT_FREE {
+                *ordinal = renumbered[*ordinal as usize];
+            }
+        }
+        // Each witness's path: its targets, by descending ordinal.
+        let mut paths: Vec<u32> = Vec::with_capacity(occurrences.len());
+        let mut start = 0;
+        for end in &mut witness_ends {
+            let first = paths.len();
+            paths.extend(
+                occurrences[start..*end as usize]
+                    .iter()
+                    .filter(|&&ordinal| ordinal != CONFLICT_FREE)
+                    .map(|&ordinal| renumbered[ordinal as usize]),
+            );
+            paths[first..].sort_unstable_by(|a, b| b.cmp(a));
+            start = *end as usize;
+            *end = paths.len() as u32;
+        }
+        let path = |w: usize| {
+            let start = if w == 0 { 0 } else { witness_ends[w - 1] } as usize;
+            &paths[start..witness_ends[w] as usize]
+        };
+        // Each entry's paths, sorted, as one trie.
+        let (mut nodes, mut certain) = (Vec::new(), Vec::with_capacity(bank.len()));
+        let (mut sorted, mut open, mut sort_keys) = (Vec::new(), Vec::new(), Vec::new());
+        let mut first_witness = 0;
+        for end in &mut entry_ends {
+            sorted.clear();
+            sorted.extend((first_witness..*end as usize).map(path));
+            first_witness = *end as usize;
+            // A witness of conflict-free facts only is in every repair.
+            let sure = sorted.iter().any(|path| path.is_empty());
+            certain.push(sure);
+            if sure {
+                sorted.clear();
+            }
+            sort_paths(&mut sorted, &mut sort_keys);
+            let mut previous: &[u32] = &[];
+            for &path in &sorted {
+                let common = previous
+                    .iter()
+                    .zip(path)
+                    .take_while(|(a, b)| a == b)
+                    .count();
+                if !previous.is_empty() && common == previous.len() {
+                    // `previous ⊆ path`: the path adds nothing.
+                    continue;
+                }
+                debug_assert!(common < path.len(), "paths are sorted");
+                for node in open.drain(common..) {
+                    close(&mut nodes, node);
+                }
+                for &target in &path[common..] {
+                    open.push(nodes.len());
+                    nodes.push(TrieNode { target, next: 0 });
+                }
+                if let Some(leaf) = nodes.last_mut() {
+                    leaf.target |= LEAF;
+                }
+                previous = path;
+            }
+            for node in open.drain(..) {
+                close(&mut nodes, node);
+            }
+            *end = nodes.len() as u32;
+        }
+        PulledCheck {
+            walker,
+            memo: vec![Cell::new(0); targets.len()],
+            targets,
+            lookup,
+            nodes,
+            entry_ends,
+            certain,
+            key: 0,
+            epoch: 0,
+        }
+    }
+
+    /// Starts the next draw: takes one `u64` key from `rng`, as
+    /// [`OperationWalkSampler::sample_result_into`] does, and forgets
+    /// every fact the previous draw decided.
+    pub fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+        self.key = rng.next_u64();
+        self.epoch += 1;
+    }
+
+    /// Whether target `t` is in the current draw's repair: as its memo
+    /// records, if the current draw decided it already.
+    #[inline]
+    fn target_present(&self, t: usize) -> bool {
+        let stamp = self.memo[t].get();
+        if stamp >> 1 == self.epoch {
+            return stamp & 1 == 1;
+        }
+        let Target {
+            fact,
+            component,
+            position,
+        } = self.targets[t];
+        let present =
+            self.walker
+                .outranks_neighbours(self.key, fact, component as usize, position as usize);
+        self.memo[t].set((self.epoch << 1) | u64::from(present));
+        present
+    }
+
+    /// The facts the check decides by witness, ascending.
+    #[cfg(test)]
+    pub(crate) fn target_facts(&self) -> Vec<FactId> {
+        let mut facts: Vec<FactId> = self.targets.iter().map(|target| target.fact).collect();
+        facts.sort_unstable();
+        facts
+    }
+
+    /// The number of draws so far.
+    #[cfg(test)]
+    pub(crate) fn draws(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Whether some witness of bank entry `q` is in the current draw's
+    /// repair: the entry's outcome on the full draw from the same key,
+    /// for a compiled entry that was live when the check was built, and
+    /// `false` for any other entry.
+    ///
+    /// A walk of the entry's trie: a present node descends to its first
+    /// child, an absent one skips its subtree, and a present leaf ends the
+    /// walk.
+    pub fn entry_hit(&self, q: usize) -> bool {
+        if self.certain[q] {
+            return true;
+        }
+        let mut at = if q == 0 { 0 } else { self.entry_ends[q - 1] } as usize;
+        let end = self.entry_ends[q] as usize;
+        while at < end {
+            let TrieNode { target, next } = self.nodes[at];
+            if !self.target_present((target & !LEAF) as usize) {
+                at = next as usize;
+            } else if target & LEAF != 0 {
+                return true;
+            } else {
+                at += 1;
+            }
+        }
+        false
+    }
+}
+
+impl Membership for PulledCheck<'_, '_> {
+    /// Membership in the current draw's repair: a target through its
+    /// memo, any other fact decided afresh.
+    fn contains(&self, fact: FactId) -> bool {
+        match self.lookup.get(&(fact.index() as u32)) {
+            Some(&t) if t != CONFLICT_FREE => self.target_present(t as usize),
+            _ => self.walker.survives(self.key, fact),
+        }
+    }
+}
+
+/// Sorts `paths` lexicographically: by a packed key of their first two
+/// targets, which decides most comparisons since most witnesses have one
+/// or two conflicting facts, and, among paths that share both, by the
+/// whole path.  `keys` is scratch.
+fn sort_paths(paths: &mut Vec<&[u32]>, keys: &mut Vec<u128>) {
+    let target = |path: &[u32], i: usize| path.get(i).map_or(0, |&t| u128::from(t) + 1);
+    keys.clear();
+    keys.extend(
+        paths
+            .iter()
+            .enumerate()
+            .map(|(i, path)| (target(path, 0) << 96) | (target(path, 1) << 64) | i as u128),
+    );
+    keys.sort_unstable();
+    let sorted: Vec<&[u32]> = keys.iter().map(|&key| paths[key as u64 as usize]).collect();
+    *paths = sorted;
+    for run in paths.chunk_by_mut(|a, b| a.len() >= 2 && b.len() >= 2 && a[..2] == b[..2]) {
+        run.sort_unstable();
+    }
+}
+
+/// Points `node` past its subtree: at the next node to be pushed.
+fn close(nodes: &mut [TrieNode], node: usize) {
+    nodes[node].next = nodes.len() as u32;
 }
 
 /// The largest of `ranks` at `positions`, or 0 for none: a full fold with
@@ -795,6 +1115,65 @@ mod tests {
                 .available_operations(&db.all_facts())
                 .len(),
             5
+        );
+    }
+
+    #[test]
+    fn a_witness_that_extends_another_after_its_conflict_free_facts_drop_adds_nothing() {
+        // Two key blocks of R and one of T, plus T(4, a) alone.  The
+        // witnesses of the query are {R(1,a), R(2,a), T(3,a)} and
+        // {R(1,a), R(2,a), T(4,a)}; T(4, a) is conflict-free, so the
+        // second reads as the path R(1,a), R(2,a), a prefix of the
+        // first's.  The entry holds iff both R facts survive, whatever
+        // T(3, a) does, and the pulled check must agree with the full
+        // draw on every draw.
+        let mut schema = Schema::new();
+        schema.add_relation("R", &["K", "V"]).unwrap();
+        schema.add_relation("T", &["K", "V"]).unwrap();
+        let mut db = Database::with_schema(schema);
+        for (relation, k, v) in [
+            ("R", 1, "a"),
+            ("R", 1, "b"),
+            ("R", 2, "a"),
+            ("R", 2, "b"),
+            ("T", 3, "a"),
+            ("T", 3, "b"),
+            ("T", 4, "a"),
+        ] {
+            db.insert_values(relation, [Value::int(k), Value::str(v)])
+                .unwrap();
+        }
+        let mut sigma = FdSet::new();
+        for relation in ["R", "T"] {
+            sigma.add(
+                FunctionalDependency::from_names(db.schema(), relation, &["K"], &["V"]).unwrap(),
+            );
+        }
+        let query = ucqa_query::parser::parse_query(
+            db.schema(),
+            "Ans() :- R(1, 'a'), R(2, 'a'), T(k, 'a')",
+        )
+        .unwrap();
+        let evaluator = ucqa_query::QueryEvaluator::new(query);
+        let bank = LineageBank::compile(&db, &[(&evaluator, &[])]).unwrap();
+        assert_eq!(bank.query_witness_count(0), Some(2));
+        let walker = OperationWalkSampler::new(&db, &sigma).singleton_only();
+        let mut check = PulledCheck::new(&walker, &bank, &BankLiveSet::full(&bank));
+        let mut rng = StdRng::seed_from_u64(6);
+        let (mut repair, mut scratch) = (FactSet::empty(db.len()), WalkScratch::new());
+        let (mut without_t3, mut hits) = (0, 0);
+        for _ in 0..400 {
+            let mut full_rng = rng.clone();
+            check.draw(&mut rng);
+            walker.sample_result_into(&mut full_rng, &mut repair, &mut scratch);
+            let expected = repair.contains(FactId::new(0)) && repair.contains(FactId::new(2));
+            assert_eq!(check.entry_hit(0), expected);
+            hits += usize::from(expected);
+            without_t3 += usize::from(expected && !repair.contains(FactId::new(4)));
+        }
+        assert!(
+            hits > 0 && without_t3 > 0,
+            "{hits} hits, {without_t3} without T(3, a)"
         );
     }
 

@@ -875,6 +875,22 @@ impl ConflictIndex {
         Some(self.rank_of(self.arenas.facts[facts.start as usize]))
     }
 
+    /// The component of `fact` and its position in the component's fact
+    /// run ([`ConflictIndex::component`]), or `None` for a fact in no
+    /// violation (conflict-free or deleted) or outside the universe.  A
+    /// binary search in the run: O(log of the component's size).
+    pub fn position_of(&self, fact: FactId) -> Option<(usize, usize)> {
+        let slot = self.facts.get(fact.index())?.slot;
+        if slot == NO_COMPONENT {
+            return None;
+        }
+        let run = &self.arenas.facts[self.slots[slot as usize].facts.range()];
+        let position = run
+            .binary_search(&fact)
+            .expect("a component's fact run holds its facts");
+        Some((self.rank_of(run[0]), position))
+    }
+
     /// The connected components of the conflict graph: facts involved in
     /// at least one violation, grouped by reachability over conflicting
     /// pairs.  Each component is sorted ascending; components are sorted

@@ -26,7 +26,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ucqa_db::{Database, Dictionary, FactId, FactSet, Sym, Value};
 
-use crate::plan::{match_and_bind, unbind, JoinPlan, PlanAtom, PlanTerm, SymAtom, SymTerm};
+use crate::plan::{
+    match_and_bind, unbind, JoinPlan, Membership, PlanAtom, PlanTerm, SymAtom, SymTerm,
+};
 use crate::{ConjunctiveQuery, QueryError, Term, Variable};
 
 /// A variable assignment produced by a homomorphism from a query into a
@@ -303,10 +305,14 @@ impl QueryEvaluator {
 
     /// Returns `true` iff the tuple `candidate` is an answer to the query
     /// over `D'`, i.e. `candidate ∈ Q(D')`.
-    pub fn has_answer(
+    ///
+    /// `subset` is read one fact at a time through [`Membership`], so it
+    /// may be a [`FactSet`] or a sampler that decides each fact only when
+    /// the search reaches it.
+    pub fn has_answer<M: Membership + ?Sized>(
         &self,
         db: &Database,
-        subset: &FactSet,
+        subset: &M,
         candidate: &[Value],
     ) -> Result<bool, QueryError> {
         let mut bindings: Vec<Option<Sym>> = vec![None; self.slots.len()];

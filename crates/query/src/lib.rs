@@ -36,7 +36,7 @@ pub use bank::{BankLiveSet, BankQueryRef, BankScratch, CompileBudget, CompileSta
 pub use error::QueryError;
 pub use eval::{Bindings, QueryEvaluator};
 pub use lineage::Witness;
-pub use plan::{JoinPlan, PlanExplain, StepExplain};
+pub use plan::{JoinPlan, Membership, PlanExplain, StepExplain};
 
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {

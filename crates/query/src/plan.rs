@@ -47,6 +47,24 @@ use ucqa_db::{
     Value,
 };
 
+/// The sub-database a plan runs against, read one fact at a time: the
+/// seam between the executor and what decides membership.  A [`FactSet`]
+/// answers from its bits; a sampler can instead decide each fact of a
+/// random repair only when the executor reaches it, so that no repair is
+/// ever materialised.  A fact outside the sub-database, a deleted one
+/// included, must read as absent.
+pub trait Membership {
+    /// Whether `fact` belongs to the sub-database.
+    fn contains(&self, fact: FactId) -> bool;
+}
+
+impl Membership for FactSet {
+    #[inline]
+    fn contains(&self, fact: FactId) -> bool {
+        FactSet::contains(self, fact)
+    }
+}
+
 /// An atom term resolved against the evaluator's interned variable slots.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanTerm {
@@ -336,17 +354,18 @@ impl JoinPlan {
     /// order** (the plan's steps index into it); `bindings` must have one
     /// entry per slot, with prebound slots already filled.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run<F>(
+    pub(crate) fn run<M, F>(
         &self,
         db: &Database,
         index: &RelationIndex,
-        subset: &FactSet,
+        subset: &M,
         encoded: &[SymAtom],
         bindings: &mut Vec<Option<Sym>>,
         image: &mut Vec<FactId>,
         sink: &mut F,
     ) -> bool
     where
+        M: Membership + ?Sized,
         F: FnMut(&[Option<Sym>], &[FactId]) -> bool,
     {
         self.step(db, index, subset, encoded, 0, bindings, image, sink)
@@ -475,11 +494,11 @@ impl JoinPlan {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn step<F>(
+    fn step<M, F>(
         &self,
         db: &Database,
         index: &RelationIndex,
-        subset: &FactSet,
+        subset: &M,
         encoded: &[SymAtom],
         depth: usize,
         bindings: &mut Vec<Option<Sym>>,
@@ -487,6 +506,7 @@ impl JoinPlan {
         sink: &mut F,
     ) -> bool
     where
+        M: Membership + ?Sized,
         F: FnMut(&[Option<Sym>], &[FactId]) -> bool,
     {
         if depth == self.steps.len() {

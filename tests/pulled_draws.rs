@@ -1,34 +1,37 @@
 //! Pulled `M^{uo,1}` draws.  Under singleton removals a fact survives
 //! iff its keyed rank beats every conflict neighbour's, so a draw can
 //! decide only the facts a check reads
-//! ([`OperationWalkSampler::sample_facts_into`]) instead of whole
-//! components.  These tests check that each decided fact gets exactly the
-//! membership the full draw from the same RNG state gives it, on a built
-//! and on a refreshed conflict index, and that the pulled draws realise
-//! the local-maxima law on small instances.
+//! ([`OperationWalkSampler::survives`]) instead of whole components, and
+//! the estimators check a bank without drawing any repair
+//! ([`PulledCheck`]).  These tests check that each decided fact, and each
+//! entry the pulled check decides, gets exactly what the full draw from
+//! the same RNG state gives it, on a built and on a refreshed conflict
+//! index, and that the pulled draws realise the local-maxima law on small
+//! instances.
 //!
-//! The estimators pull only while no evaluator-fallback entry is live: a
-//! bank with one draws whole repairs until it retires, and only what the
-//! compiled entries' witnesses read after.  The mixed-bank pins fold
-//! every entry's `(samples, successes, truncated)` on the sequential
-//! stopping path, the round-based path and the windowed path, so the
-//! switch from full to pulled draws in the middle of a pass keeps every
-//! outcome bit for bit.
+//! A fallback entry reads the pulled check through the backtracking
+//! evaluator, so no `M^{uo,1}` draw is ever full.  The mixed-bank pins
+//! fold every entry's `(samples, successes, truncated)` on the sequential
+//! stopping path, the round-based path and the windowed path, over banks
+//! whose fallback entries retire in the middle of a pass.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use proptest::TestCaseResult;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
 
 use uocqa::core::budget::{BudgetStatus, RunBudget};
 use uocqa::core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
-use uocqa::core::sample_operations::{OperationWalkSampler, WalkScratch};
+use uocqa::core::sample_operations::{OperationWalkSampler, PulledCheck, WalkScratch};
 use uocqa::core::{EstimateOutcome, WindowSpec, WindowedEstimator};
 use uocqa::db::{ConflictIndex, Database, Fact, FactId, FactSet, FdSet, Value};
 use uocqa::query::parser::parse_query;
-use uocqa::query::{CompileBudget, LineageBank, QueryEvaluator};
+use uocqa::query::{
+    BankLiveSet, BankScratch, CompileBudget, LineageBank, Membership, QueryEvaluator,
+};
 use uocqa::repair::GeneratorSpec;
 use uocqa::workload::queries::fact_membership_query_bank;
 use uocqa::workload::MultiFdWorkload;
@@ -45,11 +48,10 @@ fn pulling_walker<'a>(
     OperationWalkSampler::with_index(db, sigma, index.clone()).singleton_only()
 }
 
-/// Draws `draws` repairs in full and pulled for the facts `picked`, from
-/// equal RNG states.  Checks that each draw takes one `u64`, that every
-/// picked fact in a conflict component gets the full draw's membership,
-/// and that every other fact of the pulled buffer keeps its start value
-/// (all present): conflict-free and deleted facts are no targets.
+/// Draws `draws` repairs in full, and decides the facts `picked` under
+/// the key of each, from equal RNG states.  Checks that each draw takes
+/// one `u64`, and that every picked fact, deleted and conflict-free ones
+/// included, gets the full draw's membership.
 fn check_pulled_against_full(
     db: &Database,
     sampler: &OperationWalkSampler<'_>,
@@ -57,24 +59,21 @@ fn check_pulled_against_full(
     seed: u64,
     draws: usize,
 ) -> TestCaseResult {
-    let index = sampler.conflict_index();
-    let targets = sampler.targets_meeting(picked.iter().copied());
-    let decided: Vec<FactId> = picked
-        .iter()
-        .copied()
-        .filter(|&fact| index.component_of(fact).is_some())
-        .collect();
     let mut full_rng = StdRng::seed_from_u64(seed);
     let mut pull_rng = StdRng::seed_from_u64(seed);
     let (mut full, mut scratch) = (FactSet::empty(db.len()), WalkScratch::new());
-    let mut pulled = FactSet::full(db.len());
     for draw in 0..draws {
         sampler.sample_result_into(&mut full_rng, &mut full, &mut scratch);
-        sampler.sample_facts_into(&mut pull_rng, &targets, &mut pulled);
+        let key = pull_rng.next_u64();
         prop_assert_eq!(full_rng.clone().next_u64(), pull_rng.clone().next_u64());
-        for fact in (0..db.len()).map(FactId::new) {
-            let expected = !decided.contains(&fact) || full.contains(fact);
-            prop_assert_eq!(pulled.contains(fact), expected, "draw {}, {:?}", draw, fact);
+        for &fact in picked {
+            prop_assert_eq!(
+                sampler.survives(key, fact),
+                full.contains(fact),
+                "draw {}, {:?}",
+                draw,
+                fact
+            );
         }
     }
     Ok(())
@@ -127,24 +126,166 @@ proptest! {
     ) {
         let (generated, sigma) =
             MultiFdWorkload::new(facts, 2, (facts / spread).max(1), 3, data_seed).generate();
-        let rows: Vec<Fact> = generated.iter().map(|(_, fact)| fact).collect();
-        let split = rows.len() * prefix / 100;
-        let mut db = Database::with_schema(generated.schema().clone());
-        db.extend(rows[..split].to_vec()).unwrap();
-        let mut index = ConflictIndex::build(&db, &sigma);
-        db.extend(rows[split..].to_vec()).unwrap();
-        for id in (0..db.len()).step_by(gap) {
-            db.delete(FactId::new(id)).unwrap();
-        }
-        index.refresh(&db, &sigma);
+        let (db, index) = refreshed(&generated, &sigma, prefix, gap);
         prop_assert_eq!(&index, &ConflictIndex::build(&db, &sigma));
         let picked = random_facts(db.len(), picks, seed);
         check_pulled_against_full(&db, &pulling_walker(&db, &sigma, &index), &picked, seed, 12)?;
     }
+
+    /// Random banks under a small witness cap, so that some entries fall
+    /// back, checked by the pulled check against the full draw from the
+    /// same RNG state: the word-level check plus the evaluator.  Every
+    /// live compiled entry's hit, every live entry's evaluator answer
+    /// through the check, and every fact's membership must agree, while
+    /// entries retire in random order in the middle of the pass.  The
+    /// index is built, or refreshed over merged and split components
+    /// and deleted facts.
+    #[test]
+    fn pulled_checks_equal_full_draws_while_entries_retire(
+        facts in 8usize..80,
+        relations in 1usize..3,
+        spread in 2usize..6,
+        data_seed in 0u64..1_000,
+        refresh in 0u8..2,
+        prefix in 20usize..80,
+        gap in 2usize..7,
+        cap in 1usize..40,
+        seed in 0u64..1_000,
+    ) {
+        let (generated, sigma) =
+            MultiFdWorkload::new(facts, relations, (facts / spread).max(1), 3, data_seed)
+                .generate();
+        let (db, index) = if refresh == 1 {
+            refreshed(&generated, &sigma, prefix, gap)
+        } else {
+            (generated.clone(), ConflictIndex::build(&generated, &sigma))
+        };
+        let queries = random_bank(&generated, seed);
+        check_bank_against_full(&db, &sigma, &index, &queries, cap, seed, 16)?;
+    }
 }
 
-/// Pulled draws of every conflicting fact, into a buffer of all facts,
-/// realise the local-maxima law ([`local_maxima_repairs`]) on small
+/// `generated`'s facts, ingested as a first `prefix` per cent and then
+/// the rest (merging components), with every `gap`-th fact deleted after
+/// (splitting them), beside the conflict index built over the first part
+/// and refreshed since.
+fn refreshed(
+    generated: &Database,
+    sigma: &FdSet,
+    prefix: usize,
+    gap: usize,
+) -> (Database, ConflictIndex) {
+    let rows: Vec<Fact> = generated.iter().map(|(_, fact)| fact).collect();
+    let split = rows.len() * prefix / 100;
+    let mut db = Database::with_schema(generated.schema().clone());
+    db.extend(rows[..split].to_vec()).unwrap();
+    let mut index = ConflictIndex::build(&db, sigma);
+    db.extend(rows[split..].to_vec()).unwrap();
+    for id in (0..db.len()).step_by(gap) {
+        db.delete(FactId::new(id)).unwrap();
+    }
+    index.refresh(&db, sigma);
+    (db, index)
+}
+
+/// A random bank over the first and last relation of `generated`, the
+/// facts before any deletion: fact-membership entries (witness-free once
+/// their fact is deleted), a join, a three-atom join, a non-Boolean
+/// entry with a candidate, and a product with many witnesses.
+fn random_bank(generated: &Database, seed: u64) -> Vec<(QueryEvaluator, Vec<Value>)> {
+    let db = generated;
+    let parse = |text: &str| QueryEvaluator::new(parse_query(db.schema(), text).unwrap());
+    let last = format!("R{}", db.schema().relation_count() - 1);
+    let mut queries: Vec<(QueryEvaluator, Vec<Value>)> = fact_membership_query_bank(db, 4, seed)
+        .unwrap()
+        .into_iter()
+        .map(|query| (QueryEvaluator::new(query), Vec::new()))
+        .collect();
+    for text in [
+        format!("Ans() :- R0(x, y, z, w), {last}(x, y, u, v)"),
+        format!("Ans() :- R0(x, y, z, w), {last}(x, u, v, t), R0(a, y, c, d)"),
+        format!("Ans() :- R0(x, y, z, w), {last}(a, b, c, d)"),
+    ] {
+        queries.push((parse(&text), Vec::new()));
+    }
+    let pivot = db.fact(FactId::new(
+        StdRng::seed_from_u64(seed).random_range(0..db.len()),
+    ));
+    queries.push((
+        parse(&format!("Ans(y) :- {last}(x, y, z, w), R0(x, u, v, t)")),
+        vec![pivot.values()[1].clone()],
+    ));
+    queries
+}
+
+/// The core of `pulled_checks_equal_full_draws_while_entries_retire`:
+/// compiles `queries` under a witness cap of `cap`, builds one pulled
+/// check over all of them, and runs `draws` draws, retiring the entries
+/// in a random order at random draws.
+fn check_bank_against_full(
+    db: &Database,
+    sigma: &FdSet,
+    index: &ConflictIndex,
+    queries: &[(QueryEvaluator, Vec<Value>)],
+    cap: usize,
+    seed: u64,
+    draws: usize,
+) -> TestCaseResult {
+    let refs: Vec<_> = queries.iter().map(|(e, c)| (e, c.as_slice())).collect();
+    let budget = CompileBudget::default().with_witness_cap(cap);
+    let (bank, _) = LineageBank::compile_with_budget(db, &refs, &budget).unwrap();
+    let walker = pulling_walker(db, sigma, index);
+    let mut live = BankLiveSet::full(&bank);
+    let mut check = PulledCheck::new(&walker, &bank, &live);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut retirements: Vec<(usize, usize)> = (0..bank.len())
+        .map(|q| (rng.random_range(0..draws), q))
+        .collect();
+    retirements.shuffle(&mut rng);
+    let mut pull_rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let mut full_rng = pull_rng.clone();
+    let (mut full, mut scratch) = (FactSet::empty(db.len()), WalkScratch::new());
+    let (mut bank_scratch, mut hits) = (BankScratch::new(), vec![false; bank.len()]);
+    for draw in 0..draws {
+        for &(at, q) in &retirements {
+            if at == draw {
+                live.retire(&bank, q);
+            }
+        }
+        check.draw(&mut pull_rng);
+        walker.sample_result_into(&mut full_rng, &mut full, &mut scratch);
+        prop_assert_eq!(full_rng.clone().next_u64(), pull_rng.clone().next_u64());
+        for fact in (0..db.len()).map(FactId::new) {
+            prop_assert_eq!(
+                check.contains(fact),
+                full.contains(fact),
+                "draw {}, {:?}",
+                draw,
+                fact
+            );
+        }
+        bank.evaluate_live_into(&live, &full, &mut bank_scratch, &mut hits);
+        for &q in live.live_queries() {
+            let (evaluator, candidate) = &queries[q];
+            let entailed = evaluator.has_answer(db, &full, candidate).unwrap();
+            if !bank.is_fallback(q) {
+                prop_assert_eq!(hits[q], entailed, "draw {}, entry {}", draw, q);
+                prop_assert_eq!(check.entry_hit(q), entailed, "draw {}, entry {}", draw, q);
+            }
+            prop_assert_eq!(
+                evaluator.has_answer(db, &check, candidate).unwrap(),
+                entailed,
+                "draw {}, entry {}",
+                draw,
+                q
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Pulled draws of every conflicting fact, written into a set of all
+/// facts, realise the local-maxima law ([`local_maxima_repairs`]) on small
 /// general-FD instances: every drawn repair is in its support, and each
 /// repair's count is `Binomial(SAMPLES, p)`, failing only in a tail of
 /// probability below `ALPHA` on either side.
@@ -157,12 +298,14 @@ fn pulled_draws_follow_the_local_maxima_law() {
         let index = ConflictIndex::build(&db, &sigma);
         let exact = local_maxima_repairs(&db, &sigma);
         let sampler = pulling_walker(&db, &sigma, &index);
-        let targets = sampler.targets_meeting(index.conflicting_facts().iter().copied());
         let mut rng = StdRng::seed_from_u64(41 + seed);
         let mut repair = db.all_facts();
         let mut counts: BTreeMap<FactSet, u64> = BTreeMap::new();
         for _ in 0..SAMPLES {
-            sampler.sample_facts_into(&mut rng, &targets, &mut repair);
+            let key = rng.next_u64();
+            for &fact in index.conflicting_facts() {
+                repair.set(fact, sampler.survives(key, fact));
+            }
             *counts.entry(repair.clone()).or_insert(0) += 1;
         }
         assert!(
@@ -192,10 +335,9 @@ fn mixed_instance() -> (Database, FdSet) {
 /// and two products past the default witness cap: one with 100² images,
 /// true in almost every repair, and one that also needs a fact of a
 /// conflicting `A`-group of `R0` to survive, which fails in a share of
-/// the repairs.  A draw that skipped the group's facts while that
-/// fallback entry is live would leave them whole and satisfy it on
-/// every draw.  Both fallback entries retire before the rarest
-/// membership entry.
+/// the repairs.  An evaluator oracle that read the group's facts as
+/// present, as they are in `D`, would satisfy it on every draw.  Both
+/// fallback entries retire before the rarest membership entry.
 fn mixed_queries(db: &Database) -> Vec<(QueryEvaluator, Vec<Value>)> {
     let parse = |text: &str| QueryEvaluator::new(parse_query(db.schema(), text).unwrap());
     let group = (0..)
@@ -256,9 +398,10 @@ fn digest(outcomes: &[&EstimateOutcome]) -> u64 {
 }
 
 /// Checks that the pass converged, and that every fallback entry retired
-/// while a compiled entry was still live: the pass switched from full to
-/// pulled draws in its middle.
-fn assert_switches_mid_pass(outcome: &EstimateOutcome, bank: &LineageBank, context: &str) {
+/// while a compiled entry was still live: the pass's one pulled check
+/// served the evaluator and the compiled entries together, and kept
+/// serving the compiled entries after the fallback entries retired.
+fn assert_fallbacks_retire_mid_pass(outcome: &EstimateOutcome, bank: &LineageBank, context: &str) {
     assert!(outcome.converged(), "{context}");
     let last = |fallback: bool| {
         (0..bank.len())
@@ -308,7 +451,7 @@ fn mixed_bank_stopping_outcomes_are_pinned() {
             &mut StdRng::seed_from_u64(5),
         )
         .unwrap();
-    assert_switches_mid_pass(&outcome, &bank, "stopping");
+    assert_fallbacks_retire_mid_pass(&outcome, &bank, "stopping");
     assert_eq!(digest(&[&outcome]), 9836023562149814198, "stopping digest");
 }
 
@@ -331,7 +474,7 @@ fn mixed_bank_round_outcomes_are_pinned() {
             &RunBudget::unlimited(),
         )
         .unwrap();
-    assert_switches_mid_pass(&outcome, &bank, "rounds");
+    assert_fallbacks_retire_mid_pass(&outcome, &bank, "rounds");
     assert_eq!(digest(&[&outcome]), 8448021296435329892, "rounds digest");
 }
 
@@ -351,7 +494,7 @@ fn mixed_bank_window_outcomes_are_pinned() {
     let mut rng = StdRng::seed_from_u64(13);
     let budget = RunBudget::unlimited();
     let first = window.estimate(params(0.2), &budget, &mut rng).unwrap();
-    assert_switches_mid_pass(&first.outcome, window.bank(), "window, first pass");
+    assert_fallbacks_retire_mid_pass(&first.outcome, window.bank(), "window, first pass");
     let mut outcomes = vec![first.outcome];
     for tick in 0..4 {
         let (inserts, retracts) = if tick % 2 == 0 {

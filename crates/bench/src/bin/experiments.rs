@@ -1,4 +1,5 @@
-//! Regenerates every experiment table of `EXPERIMENTS.md`.
+//! Regenerates every experiment table E1–E12 (listed in
+//! `ARCHITECTURE.md`).
 //!
 //! ```text
 //! cargo run -p ucqa-bench --release --bin experiments -- all

@@ -1,9 +1,9 @@
-//! The experiment suite E1–E12 (see `DESIGN.md` §3 and `EXPERIMENTS.md`).
+//! The experiment suite E1–E12 (see "Experiments and benchmark" in
+//! `ARCHITECTURE.md`).
 //!
 //! Each function regenerates one experiment and returns the tables that the
 //! `experiments` binary prints.  Paper-stated quantities are reported next
-//! to the measured ones so the output can be pasted into `EXPERIMENTS.md`
-//! verbatim.
+//! to the measured ones.
 
 use std::time::Instant;
 
@@ -12,14 +12,14 @@ use rand::{Rng, SeedableRng};
 
 use ucqa_core::counting;
 use ucqa_core::exact::ExactSolver;
-use ucqa_core::fpras::{ApproximationParams, OcqaEstimator};
+use ucqa_core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, Estimate};
 use ucqa_core::montecarlo::{
     estimate_stopping_batch, StoppingBatchExperiment, StoppingRuleEstimator,
 };
 use ucqa_core::sample_operations::{OperationWalkSampler, WalkScratch};
 use ucqa_core::sample_repairs::RepairSampler;
 use ucqa_core::sample_sequences::SequenceSampler;
-use ucqa_core::{bounds, CoreError};
+use ucqa_core::{bounds, CoreError, RunBudget};
 use ucqa_db::{Database, FactSet, FdSet, Value};
 use ucqa_graphs::homomorphism::{count_homomorphisms, TargetGraph};
 use ucqa_graphs::independent_sets::count_independent_sets;
@@ -67,6 +67,28 @@ pub fn run(which: &str) -> Vec<Table> {
             vec![table]
         }
     }
+}
+
+/// One query's FPRAS estimate: a run over a bank of one, compiled and
+/// estimated without a budget.
+fn estimate_one(
+    estimator: &BatchEstimator<'_>,
+    evaluator: &QueryEvaluator,
+    candidate: &[Value],
+    params: ApproximationParams,
+    rng: &mut StdRng,
+) -> Result<Estimate, CoreError> {
+    let queries = [BatchQuery::new(evaluator, candidate)];
+    let unlimited = RunBudget::unlimited();
+    let bank = estimator.compile_bank(&queries, &unlimited)?;
+    let outcome = estimator.run(&bank, &queries, params, &unlimited, None, rng)?;
+    let entry = &outcome.queries[0];
+    Ok(Estimate {
+        value: entry.estimate,
+        samples: entry.samples,
+        successes: entry.successes,
+        truncated: !entry.status.is_converged(),
+    })
 }
 
 fn ratio_str(r: &Ratio) -> String {
@@ -385,11 +407,10 @@ fn fpras_block_sweep(
         let (db, sigma) = BlockWorkload::uniform(blocks, size, 1000 + blocks as u64).generate();
         let (query, candidate) = block_lookup_query(&db, 5).expect("valid workload query");
         let evaluator = QueryEvaluator::new(query);
-        let estimator = OcqaEstimator::new(&db, &sigma, spec).expect("supported combination");
+        let estimator = BatchEstimator::new(&db, &sigma, spec).expect("supported combination");
         let params = ApproximationParams::new(epsilon, 0.05).expect("valid parameters");
         let start = Instant::now();
-        let estimate = estimator
-            .estimate(&evaluator, &candidate, params, &mut rng)
+        let estimate = estimate_one(&estimator, &evaluator, &candidate, params, &mut rng)
             .expect("estimation succeeds");
         let elapsed = start.elapsed();
         let exact = exact_for_block(size);
@@ -437,11 +458,10 @@ pub fn e06_fpras_srfreq() -> Vec<Table> {
     let evaluator = QueryEvaluator::new(q);
     let candidate = [Value::str("b1")];
     let estimator =
-        OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_sequences()).expect("primary keys");
+        BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_sequences()).expect("primary keys");
     let params = ApproximationParams::new(0.05, 0.05).expect("valid parameters");
     let mut rng = StdRng::seed_from_u64(606);
-    let estimate = estimator
-        .estimate(&evaluator, &candidate, params, &mut rng)
+    let estimate = estimate_one(&estimator, &evaluator, &candidate, params, &mut rng)
         .expect("estimation succeeds");
 
     let mut table = Table::new(
@@ -463,12 +483,11 @@ pub fn e06_fpras_srfreq() -> Vec<Table> {
         let evaluator = QueryEvaluator::new(query);
         let sizes = counting::block_sizes(&db, &sigma, &db.all_facts()).expect("primary keys");
         let digits = counting::count_complete_sequences(&sizes).to_string().len();
-        let estimator = OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_sequences())
+        let estimator = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_sequences())
             .expect("primary keys");
         let params = ApproximationParams::new(0.1, 0.05).expect("valid parameters");
         let start = Instant::now();
-        let estimate = estimator
-            .estimate(&evaluator, &candidate, params, &mut rng)
+        let estimate = estimate_one(&estimator, &evaluator, &candidate, params, &mut rng)
             .expect("estimation succeeds");
         let elapsed = start.elapsed();
         table.add_row(vec![
@@ -509,13 +528,12 @@ pub fn e07_fpras_uniform_operations_keys() -> Vec<Table> {
         .answer_probability(GeneratorSpec::uniform_operations(), &evaluator, &[])
         .expect("small instance")
         .to_f64();
-    let estimator = OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations())
+    let estimator = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations())
         .expect("keys are supported");
     let params = ApproximationParams::new(0.05, 0.05).expect("valid parameters");
     let start = Instant::now();
-    let estimate = estimator
-        .estimate(&evaluator, &[], params, &mut rng)
-        .expect("estimation succeeds");
+    let estimate =
+        estimate_one(&estimator, &evaluator, &[], params, &mut rng).expect("estimation succeeds");
     table.add_row(vec![
         format!("8 facts, domain 3 (exactly solvable)"),
         format!("{exact:.4}"),
@@ -530,12 +548,11 @@ pub fn e07_fpras_uniform_operations_keys() -> Vec<Table> {
         let (db, sigma) = MultiKeyWorkload::new(facts, domain, 7 + facts as u64).generate();
         let query = ucqa_workload::queries::fact_membership_query(&db, 2).expect("valid query");
         let evaluator = QueryEvaluator::new(query);
-        let estimator = OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations())
+        let estimator = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations())
             .expect("keys are supported");
         let params = ApproximationParams::new(0.1, 0.05).expect("valid parameters");
         let start = Instant::now();
-        let estimate = estimator
-            .estimate(&evaluator, &[], params, &mut rng)
+        let estimate = estimate_one(&estimator, &evaluator, &[], params, &mut rng)
             .expect("estimation succeeds");
         table.add_row(vec![
             format!("{facts} facts, domain {domain}"),
@@ -546,7 +563,7 @@ pub fn e07_fpras_uniform_operations_keys() -> Vec<Table> {
             format!("{:.1?}", start.elapsed()),
         ]);
     }
-    table.add_note("this regime (non-primary keys) is exactly where uniform repairs / sequences have no known FPRAS — the corresponding OcqaEstimator constructors return Unsupported, see E11 notes");
+    table.add_note("this regime (non-primary keys) is exactly where uniform repairs / sequences have no known FPRAS — the corresponding BatchEstimator constructors return Unsupported, see E11 notes");
     vec![table]
 }
 
@@ -575,12 +592,11 @@ pub fn e08_fpras_fd_singleton() -> Vec<Table> {
         .answer_probability(spec, &evaluator, &[])
         .expect("small instance")
         .to_f64();
-    let estimator = OcqaEstimator::new(&db, &sigma, spec).expect("FDs with singleton ops");
+    let estimator = BatchEstimator::new(&db, &sigma, spec).expect("FDs with singleton ops");
     let params = ApproximationParams::new(0.05, 0.05).expect("valid parameters");
     let start = Instant::now();
-    let estimate = estimator
-        .estimate(&evaluator, &[], params, &mut rng)
-        .expect("estimation succeeds");
+    let estimate =
+        estimate_one(&estimator, &evaluator, &[], params, &mut rng).expect("estimation succeeds");
     table.add_row(vec![
         "9 facts, FD A→B (exactly solvable)".into(),
         format!("{exact:.4}"),
@@ -594,12 +610,11 @@ pub fn e08_fpras_fd_singleton() -> Vec<Table> {
         let (db, sigma) = FdWorkload::new(facts, da, db_size, 11 + facts as u64).generate();
         let query = ucqa_workload::queries::fact_membership_query(&db, 1).expect("valid query");
         let evaluator = QueryEvaluator::new(query);
-        let estimator = OcqaEstimator::new(&db, &sigma, spec).expect("FDs with singleton ops");
+        let estimator = BatchEstimator::new(&db, &sigma, spec).expect("FDs with singleton ops");
         let lower_bound = estimator.theoretical_lower_bound(&evaluator).to_f64();
         let params = ApproximationParams::new(0.1, 0.05).expect("valid parameters");
         let start = Instant::now();
-        let estimate = estimator
-            .estimate(&evaluator, &[], params, &mut rng)
+        let estimate = estimate_one(&estimator, &evaluator, &[], params, &mut rng)
             .expect("estimation succeeds");
         table.add_row(vec![
             format!("{facts} facts, FD A→B (Lemma D.8 bound {lower_bound:.2e})"),
@@ -672,7 +687,7 @@ pub fn e09_proposition_d6() -> Vec<Table> {
         // plain Monte-Carlo fails by running the raw uniform-operations
         // walk under the stopping rule.
         let refused = matches!(
-            OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()),
+            BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()),
             Err(CoreError::Unsupported { .. })
         );
         let mut walk = WalkExperiment {
@@ -705,7 +720,7 @@ pub fn e09_proposition_d6() -> Vec<Table> {
             walk_cell,
         ]);
     }
-    table.add_note("the OcqaEstimator constructor refuses FDs with pair removals (the open case of Section 7); the last column drives the raw uniform-operations walk through the stopping rule anyway, showing that the number of samples needed explodes as the target probability decays exponentially");
+    table.add_note("the BatchEstimator constructor refuses FDs with pair removals (the open case of Section 7); the last column drives the raw uniform-operations walk through the stopping rule anyway, showing that the number of samples needed explodes as the target probability decays exponentially");
     vec![table]
 }
 
@@ -965,18 +980,16 @@ pub fn e12_scaling() -> Vec<Table> {
 
         // End-to-end FPRAS times.
         let params = ApproximationParams::new(0.2, 0.1).expect("valid parameters");
-        let ur = OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs())
+        let ur = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs())
             .expect("primary keys");
         let start = Instant::now();
-        let ur_estimate = ur
-            .estimate(&evaluator, &candidate, params, &mut rng)
+        let ur_estimate = estimate_one(&ur, &evaluator, &candidate, params, &mut rng)
             .expect("estimation succeeds");
         let ur_time = start.elapsed();
         let uo =
-            OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).expect("keys");
+            BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).expect("keys");
         let start = Instant::now();
-        let uo_estimate = uo
-            .estimate(&evaluator, &candidate, params, &mut rng)
+        let uo_estimate = estimate_one(&uo, &evaluator, &candidate, params, &mut rng)
             .expect("estimation succeeds");
         let uo_time = start.elapsed();
 

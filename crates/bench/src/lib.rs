@@ -1,9 +1,9 @@
 //! # `ucqa-bench`
 //!
-//! The experiment harness of the reproduction.  Every experiment of
-//! `EXPERIMENTS.md` (E1–E12) is implemented as a function returning one or
-//! more [`report::Table`]s with *paper value vs. measured value* rows, and
-//! the `experiments` binary prints them.
+//! The experiment harness of the reproduction.  Every experiment E1–E12
+//! (listed in `ARCHITECTURE.md`) is implemented as a function returning
+//! one or more [`report::Table`]s with *paper value vs. measured value*
+//! rows, and the `experiments` binary prints them.
 //!
 //! The performance benchmark of the estimator stack is not here: it is
 //! the standalone `perfbench` package at the repository root (see

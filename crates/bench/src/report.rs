@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// A simple column-aligned table with a title and optional footnotes,
-/// printed by the `experiments` binary and pasted into `EXPERIMENTS.md`.
+/// printed by the `experiments` binary.
 #[derive(Debug, Clone)]
 pub struct Table {
     /// Table title (experiment id + description).
@@ -45,8 +45,7 @@ impl Table {
         self.notes.push(note.into());
     }
 
-    /// Renders the table as GitHub-flavoured markdown (used to populate
-    /// `EXPERIMENTS.md`).
+    /// Renders the table as GitHub-flavoured markdown.
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("### {}\n\n", self.title));

@@ -19,8 +19,8 @@
 //! the shared repair draw, so a run under [`RunBudget::unlimited`] draws
 //! the same stream as one with a budget that never fires, and
 //! a cancelled run that is *resumed* with the same RNG continues the very
-//! same sample stream (see
-//! [`crate::fpras::BatchEstimator::estimate_stopping_batch_resume`]).
+//! same sample stream (see the `prior` of
+//! [`crate::fpras::BatchEstimator::run`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -412,8 +412,8 @@ pub struct QueryOutcome {
 /// The result of a budgeted estimation run: per-query partial estimates,
 /// the shared stream length, and how the run ended.
 ///
-/// Returned by the `*_with_budget` entry points of
-/// [`crate::fpras::OcqaEstimator`] and [`crate::fpras::BatchEstimator`].
+/// Returned by [`crate::fpras::BatchEstimator::run`] and
+/// `run_sharded` (feature `parallel`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EstimateOutcome {
     /// One outcome per query, in input order.

@@ -364,19 +364,19 @@ mod tests {
                 let budget =
                     starved_compile_budget().with_cancel_token(CancelToken::tripped_at_draw(cut));
                 let mut rng = StdRng::seed_from_u64(seed);
+                let starved = batch.compile_bank(&queries, &budget).unwrap();
                 let partial = batch
-                    .estimate_batch_with_budget(&queries, params, &budget, &mut rng)
+                    .run(&starved, &queries, params, &budget, None, &mut rng)
                     .unwrap();
-                let bank = batch
-                    .compile_bank(&queries, &RunBudget::unlimited())
-                    .unwrap();
+                let unlimited = RunBudget::unlimited();
+                let bank = batch.compile_bank(&queries, &unlimited).unwrap();
                 let resumed = batch
-                    .estimate_stopping_batch_resume(
+                    .run(
                         &bank,
                         &queries,
                         params,
-                        &RunBudget::unlimited(),
-                        &partial,
+                        &unlimited,
+                        Some(&partial),
                         &mut rng,
                     )
                     .unwrap();
@@ -418,11 +418,14 @@ mod tests {
             let plain = batch
                 .estimate_stopping_batch(&queries, params, &mut StdRng::seed_from_u64(7))
                 .unwrap();
+            let bank = batch.compile_bank(&queries, &dormant).unwrap();
             let budgeted = batch
-                .estimate_batch_with_budget(
+                .run(
+                    &bank,
                     &queries,
                     params,
                     &dormant,
+                    None,
                     &mut StdRng::seed_from_u64(7),
                 )
                 .unwrap();
@@ -461,16 +464,19 @@ mod tests {
                 .answer_probability(spec, &evaluator, &candidate)
                 .unwrap()
                 .to_f64();
-            let estimator = crate::fpras::OcqaEstimator::new(&db, &sigma, spec).unwrap();
+            let estimator = BatchEstimator::new(&db, &sigma, spec).unwrap();
+            let queries = [BatchQuery::new(&evaluator, &candidate)];
             for _ in 0..3 {
                 let cut = 64 + plan.truncation_point(4_000);
                 let budget = starved_compile_budget().with_max_draws(cut);
+                let bank = estimator.compile_bank(&queries, &budget).unwrap();
                 let outcome = estimator
-                    .estimate_with_budget(
-                        &evaluator,
-                        &candidate,
+                    .run(
+                        &bank,
+                        &queries,
                         params,
                         &budget,
+                        None,
                         &mut StdRng::seed_from_u64(13),
                     )
                     .unwrap();

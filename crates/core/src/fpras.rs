@@ -1,9 +1,9 @@
 //! End-to-end FPRAS drivers for uniform operational CQA.
 //!
-//! [`OcqaEstimator`] wires together a uniform generator specification, the
-//! matching polynomial sampler, and a Monte-Carlo estimator, and enforces
-//! the constraint-class requirements under which the paper proves each
-//! combination approximable:
+//! [`BatchEstimator`] wires together a uniform generator specification,
+//! the matching polynomial sampler, and a Monte-Carlo estimator, and
+//! enforces the constraint-class requirements under which the paper
+//! proves each combination approximable:
 //!
 //! | Generator | Pair + singleton ops | Singleton ops only |
 //! |---|---|---|
@@ -14,6 +14,16 @@
 //! Requesting a combination outside this table yields
 //! [`CoreError::Unsupported`] with the relevant theorem cited in the error
 //! message.
+//!
+//! Every theorem's FPRAS draws from the generator and estimates a
+//! Bernoulli mean, so one scheme serves them all: a bank of queries is
+//! compiled once ([`BatchEstimator::compile_bank`]) and estimated from
+//! one shared draw stream, sequentially ([`BatchEstimator::run`]) or in
+//! rayon-sharded rounds (`BatchEstimator::run_sharded`, feature
+//! `parallel`).  A single query is a bank of one.  Both schedules run
+//! the Dagum–Karp–Luby–Ross stopping rule; a fixed sample count is the
+//! same rule with a success target no entry reaches, cut off at that
+//! count.
 
 use std::sync::Arc;
 
@@ -26,13 +36,11 @@ use ucqa_repair::{GeneratorSpec, UniformSemantics};
 use crate::bounds;
 use crate::budget::{AchievedBound, BudgetStatus, EstimateOutcome, QueryOutcome, RunBudget};
 use crate::montecarlo::{
-    estimate_fixed_batch, estimate_stopping_batch_budgeted, BatchOutcome, BudgetedStoppingOutcome,
-    StoppingBatchExperiment, StoppingRuleEstimator, StoppingRuleOutcome,
+    estimate_stopping_batch_budgeted, BudgetedStoppingOutcome, StoppingBatchExperiment,
+    StoppingRuleEstimator, StoppingRuleOutcome,
 };
 #[cfg(feature = "parallel")]
-use crate::montecarlo::{
-    estimate_fixed_batch_parallel, estimate_stopping_batch_rounds, DEFAULT_SHARD_SIZE,
-};
+use crate::montecarlo::{estimate_stopping_batch_rounds, DEFAULT_SHARD_SIZE};
 use crate::sample_operations::{OperationWalkSampler, PulledCheck, WalkScratch};
 use crate::sample_repairs::RepairSampler;
 use crate::sample_sequences::SequenceSampler;
@@ -51,9 +59,10 @@ pub enum EstimatorMode {
         max_samples: u64,
     },
     /// A fixed number of samples derived from the worst-case lower bounds
-    /// of [`crate::bounds`] (relative guarantee).  Fails when the bound is
-    /// too small to be useful: when the derived count exceeds the
-    /// stopping rule's default cut-off [`crate::bounds::DEFAULT_MAX_SAMPLES`].
+    /// of [`crate::bounds`] (relative guarantee), for a bank of one entry.
+    /// Fails when the bound is too small to be useful: when the derived
+    /// count exceeds the stopping rule's default cut-off
+    /// [`crate::bounds::DEFAULT_MAX_SAMPLES`].
     FixedFromLowerBound,
     /// A fixed number of samples for an *additive* `(ε, δ)`-guarantee.
     FixedAdditive,
@@ -95,22 +104,16 @@ impl ApproximationParams {
         self
     }
 
+    /// `ε` and `δ` must lie in `(0, 1)`: the range checks of
+    /// [`StoppingRuleEstimator::try_new`].
     fn validate(&self) -> Result<(), CoreError> {
-        if !(self.epsilon > 0.0 && self.epsilon < 1.0) {
-            return Err(CoreError::InvalidParameters {
-                message: format!("epsilon must be in (0, 1), got {}", self.epsilon),
-            });
-        }
-        if !(self.delta > 0.0 && self.delta < 1.0) {
-            return Err(CoreError::InvalidParameters {
-                message: format!("delta must be in (0, 1), got {}", self.delta),
-            });
-        }
-        Ok(())
+        StoppingRuleEstimator::try_new(self.epsilon, self.delta).map(|_| ())
     }
 }
 
-/// The result of an approximate OCQA run.
+/// One entry's outcome without its status and bound: the view the
+/// `perfbench` harness reads from [`BatchEstimator::estimate_stopping_batch`]
+/// and [`BatchEstimator::estimate_batch_with_bank`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
     /// The estimated probability `P_{M_Σ,Q}(D, c̄)`.
@@ -119,8 +122,9 @@ pub struct Estimate {
     pub samples: u64,
     /// Number of samples whose repair entailed the answer.
     pub successes: u64,
-    /// Whether a sample cut-off truncated the run (the `(ε, δ)` guarantee
-    /// then no longer applies; the value is the plain empirical mean).
+    /// Whether the entry did not converge: a sample cut-off or a budget
+    /// truncated the run (the `(ε, δ)` guarantee then no longer applies;
+    /// the value is the plain empirical mean).
     pub truncated: bool,
 }
 
@@ -143,11 +147,11 @@ impl SamplerKind<'_> {
     ///
     /// This and [`PulledCheck::draw`] are the *only* places the
     /// Monte-Carlo loops consume the RNG — the one experiment
-    /// ([`BankExperiment`]) of every estimator dispatches through them,
-    /// and a single query is a bank of one, which is what makes batched
-    /// and single-query outcomes bit-identical under a shared seed.  A
-    /// restricted or pulled draw takes the same single key as the full
-    /// one and agrees with it on every unit or fact it decides.
+    /// ([`BankExperiment`]) of every run dispatches through them, which
+    /// is what makes a bank's outcomes bit-identical to runs over banks
+    /// of one under a shared seed.  A restricted or pulled draw takes the
+    /// same single key as the full one and agrees with it on every unit
+    /// or fact it decides.
     fn sample_repair_into<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -196,7 +200,7 @@ enum Cover {
 
 impl Cover {
     /// The cover of a draw checked against the live entries of `live`.
-    fn of(estimator: &OcqaEstimator<'_>, bank: &LineageBank, live: &BankLiveSet) -> Self {
+    fn of(estimator: &BatchEstimator<'_>, bank: &LineageBank, live: &BankLiveSet) -> Self {
         let entries = live.live_queries();
         if entries.iter().any(|&q| bank.is_fallback(q)) {
             return Cover::All;
@@ -235,7 +239,7 @@ struct RepairBuffer {
 
 impl RepairBuffer {
     /// The draw state of an experiment of `estimator`.
-    fn new(estimator: &OcqaEstimator<'_>) -> Self {
+    fn new(estimator: &BatchEstimator<'_>) -> Self {
         let mut repair = FactSet::empty(estimator.db.len());
         match &estimator.sampler {
             SamplerKind::Repairs(sampler) => sampler.prepare(&mut repair),
@@ -256,7 +260,7 @@ impl RepairBuffer {
     /// live compiled entry `q` (see [`LineageBank::evaluate_live_into`]).
     fn draw<R: Rng + ?Sized>(
         &mut self,
-        estimator: &OcqaEstimator<'_>,
+        estimator: &BatchEstimator<'_>,
         bank: &LineageBank,
         live: &BankLiveSet,
         rng: &mut R,
@@ -315,15 +319,144 @@ fn settle_witness_free(
     start
 }
 
-/// An approximate (FPRAS) solver for `OCQA(Σ, M, Q)` over one database.
-pub struct OcqaEstimator<'a> {
+/// How a run draws: per-entry success targets over one shared stream,
+/// cut off after `cut_off` draws.
+///
+/// A fixed mode is the stopping rule with every target at `u64::MAX`,
+/// which no entry reaches, and the cut-off at its sample count: every
+/// entry rides the stream to the cut-off, which is where it converges.
+struct Schedule {
+    targets: Vec<u64>,
+    cut_off: u64,
+    /// The failure probability of each entry's achieved bound: `δ/k`
+    /// under the stopping rule over a bank of `k`, `δ` under a fixed
+    /// count.
+    delta: f64,
+    fixed: bool,
+}
+
+impl Schedule {
+    /// The public [`EstimateOutcome`] of a run, attaching each entry's
+    /// achieved bound at its observed counts.  Under a fixed mode an
+    /// entry that reached the cut-off is [`BudgetStatus::Converged`].
+    fn outcome(&self, run: BudgetedStoppingOutcome) -> EstimateOutcome {
+        let queries = run
+            .outcomes
+            .iter()
+            .zip(&run.statuses)
+            .map(|(o, &status)| QueryOutcome {
+                estimate: o.estimate,
+                samples: o.samples,
+                successes: o.successes,
+                status: if self.fixed && o.samples == self.cut_off {
+                    BudgetStatus::Converged
+                } else {
+                    status
+                },
+                achieved: AchievedBound::at(o.samples, o.successes, self.delta),
+            })
+            .collect();
+        EstimateOutcome {
+            queries,
+            total_draws: run.total_samples,
+        }
+    }
+}
+
+/// Reconstructs the resumable montecarlo-layer outcome from a prior
+/// public [`EstimateOutcome`].
+fn budgeted_from(prior: &EstimateOutcome) -> BudgetedStoppingOutcome {
+    BudgetedStoppingOutcome {
+        outcomes: prior
+            .queries
+            .iter()
+            .map(|q| StoppingRuleOutcome {
+                estimate: q.estimate,
+                samples: q.samples,
+                successes: q.successes,
+                truncated: !q.status.is_converged(),
+            })
+            .collect(),
+        statuses: prior.queries.iter().map(|q| q.status).collect(),
+        total_samples: prior.total_draws,
+    }
+}
+
+/// The [`Estimate`] views of a run's entries: truncated iff not
+/// converged.
+fn estimates_of(outcome: &EstimateOutcome) -> Vec<Estimate> {
+    outcome
+        .queries
+        .iter()
+        .map(|q| Estimate {
+            value: q.estimate,
+            samples: q.samples,
+            successes: q.successes,
+            truncated: !q.status.is_converged(),
+        })
+        .collect()
+}
+
+fn invalid(message: impl Into<String>) -> CoreError {
+    CoreError::InvalidParameters {
+        message: message.into(),
+    }
+}
+
+/// One query of a bank: an evaluator plus its candidate answer tuple.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchQuery<'q> {
+    /// The (slot-compiled) query evaluator.
+    pub evaluator: &'q QueryEvaluator,
+    /// The candidate answer tuple (empty for Boolean queries).
+    pub candidate: &'q [Value],
+}
+
+impl<'q> BatchQuery<'q> {
+    /// Creates a batch query.
+    pub fn new(evaluator: &'q QueryEvaluator, candidate: &'q [Value]) -> Self {
+        BatchQuery {
+            evaluator,
+            candidate,
+        }
+    }
+}
+
+/// The FPRAS for `OCQA(Σ, M, Q)` over one database: one sampler loop,
+/// `k` estimates.
+///
+/// One draw of an operational repair answers *every* query of a bank at
+/// once (the per-draw check is membership of the sampled repair in each
+/// query's lineage).  So the estimator compiles the whole bank into a
+/// shared [`LineageBank`] ([`BatchEstimator::compile_bank`]: witness
+/// enumeration factored through a shared scan trie over the per-query
+/// join plans, witnesses deduplicated into one arena, per-query masks)
+/// and drives **one** sampling loop; each sampled repair updates every
+/// live entry in a single word-level pass.  A single query is a bank of
+/// one.
+///
+/// **Bit-identity guarantee.**  The RNG is consumed by the shared draw
+/// only, never by the per-query checks, so under a fixed seed every
+/// entry of a [`BatchEstimator::run`] is exactly the outcome of a run
+/// over a bank of that entry alone from the same RNG state (under the
+/// stopping rule, with the bank's per-entry `δ/k`), and every entry of a
+/// `run_sharded` (feature `parallel`) in a fixed mode is exactly that of a
+/// sharded run over a bank of one under the same master seed, whatever
+/// the thread count.
+///
+/// Under [`EstimatorMode::OptimalStopping`] each entry tracks its own
+/// Dagum–Karp–Luby–Ross success target `Υ(ε, δ/k)` over the shared
+/// stream and **retires** as it converges, shrinking the per-draw work
+/// until the last entry stops the stream.  The fixed modes run the same
+/// loop with a target no entry reaches, cut off at the mode's count.
+pub struct BatchEstimator<'a> {
     db: &'a Database,
     sigma: &'a FdSet,
     spec: GeneratorSpec,
     sampler: SamplerKind<'a>,
 }
 
-impl<'a> OcqaEstimator<'a> {
+impl<'a> BatchEstimator<'a> {
     /// Creates an estimator for the given uniform generator, validating
     /// that the paper provides an FPRAS for the combination of generator
     /// and constraint class.
@@ -331,15 +464,15 @@ impl<'a> OcqaEstimator<'a> {
         Self::new_inner(db, sigma, spec, None)
     }
 
-    /// As [`OcqaEstimator::new`], reusing a caller-maintained
+    /// As [`BatchEstimator::new`], reusing a caller-maintained
     /// [`ConflictIndex`] for the uniform-operations walk — typically one
     /// kept current across database mutations with
     /// [`ConflictIndex::refresh`] — instead of rebuilding it from scratch.
-    /// Estimates are bit-identical to [`OcqaEstimator::new`] under the
+    /// Estimates are bit-identical to [`BatchEstimator::new`] under the
     /// same seed; only the construction cost differs.
     ///
     /// # Errors
-    /// The same support errors as [`OcqaEstimator::new`]; additionally,
+    /// The same support errors as [`BatchEstimator::new`]; additionally,
     /// the spec must use [`UniformSemantics::Operations`] (the repair and
     /// sequence generators do not consume a conflict index).
     ///
@@ -358,7 +491,7 @@ impl<'a> OcqaEstimator<'a> {
                 singleton_only: spec.singleton_only,
                 constraint_class: "any".to_string(),
                 explanation: "a precomputed conflict index only backs the uniform-operations \
-                              walk; use OcqaEstimator::new for the other generators"
+                              walk; use BatchEstimator::new for the other generators"
                     .to_string(),
             });
         }
@@ -443,7 +576,7 @@ impl<'a> OcqaEstimator<'a> {
                 SamplerKind::Operations(walker.singleton_only())
             }
         };
-        Ok(OcqaEstimator {
+        Ok(BatchEstimator {
             db,
             sigma,
             spec,
@@ -474,133 +607,22 @@ impl<'a> OcqaEstimator<'a> {
         }
     }
 
-    /// Estimates `P_{M_Σ,Q}(D, c̄)`:
-    /// [`OcqaEstimator::estimate_with_budget`] under
-    /// [`RunBudget::unlimited`].
-    pub fn estimate<R: Rng + ?Sized>(
-        &self,
-        evaluator: &QueryEvaluator,
-        candidate: &[Value],
-        params: ApproximationParams,
-        rng: &mut R,
-    ) -> Result<Estimate, CoreError> {
-        let unlimited = RunBudget::unlimited();
-        let outcome = self.estimate_with_budget(evaluator, candidate, params, &unlimited, rng)?;
-        Ok(estimate_of(&outcome.queries[0]))
-    }
-
-    /// Estimates `P_{M_Σ,Q}(D, c̄)` under a [`RunBudget`].
+    /// Compiles the bank's shared lineage ([`LineageBank::compile`]:
+    /// grounded plan-ordered atom sequences factored into one scan trie,
+    /// witnesses deduplicated into one arena), validating every candidate
+    /// arity, under the compile-time part of `budget`
+    /// ([`RunBudget::with_max_compile_steps`] and the cancel token).
+    /// Compile once, then [`run`](BatchEstimator::run) or `run_sharded`
+    /// (feature `parallel`) as often as needed.
     ///
-    /// A single query is a bank of one.  The candidate's lineage compiles
-    /// into a one-entry [`LineageBank`] under the budget's compile-step
-    /// cap (which also validates the candidate arity, before any sampling
-    /// happens): a monotone DNF of sparse witnesses, so entailment of a
-    /// sampled repair is a word-level "some witness ⊆ repair" check and
-    /// the loop performs no heap allocation and no backtracking search.
-    /// When the witness count exceeds
-    /// [`ucqa_query::lineage::DEFAULT_WITNESS_CAP`], the check falls back
-    /// to the (slot-compiled) backtracking evaluator.  The bank then runs
-    /// through the same drivers as [`BatchEstimator`]: the stopping rule,
-    /// under which a lineage with no witness is answered without drawing
-    /// (the probability is exactly 0: estimate 0, zero samples), or the
-    /// fixed loop with the mode's sample count
-    /// ([`EstimatorMode::FixedFromLowerBound`] derives it from
-    /// [`OcqaEstimator::theoretical_lower_bound`]).
-    ///
-    /// The budget is polled between draws and consumes no randomness: an
-    /// unconstrained budget never changes the sample stream and reports
-    /// status [`Converged`](crate::budget::BudgetStatus::Converged).  An
-    /// interrupted run returns the partial estimate together with the
-    /// achieved `(ε′, δ)` bound at the observed counts (see
-    /// [`AchievedBound`]).
-    pub fn estimate_with_budget<R: Rng + ?Sized>(
-        &self,
-        evaluator: &QueryEvaluator,
-        candidate: &[Value],
-        params: ApproximationParams,
-        budget: &RunBudget,
-        rng: &mut R,
-    ) -> Result<EstimateOutcome, CoreError> {
-        params.validate()?;
-        let queries = [BatchQuery::new(evaluator, candidate)];
-        let bank = self.compile(&queries, budget)?;
-        let samples = match params.mode {
-            EstimatorMode::OptimalStopping { .. } => None,
-            _ => Some(self.fixed_sample_count(Some(evaluator), params)?),
-        };
-        self.run(&bank, &queries, params, samples, budget, rng)
-    }
-
-    /// Estimates `P_{M_Σ,Q}(D, c̄)` with samples sharded across rayon
-    /// worker threads.
-    ///
-    /// Only the fixed-sample-count modes are supported (the optimal
-    /// stopping rule is inherently sequential).  Each shard owns its own
-    /// deterministic RNG stream derived from `master_seed` and its own
-    /// sampling buffers, so the result is bit-identical for a fixed master
-    /// seed regardless of the number of worker threads.
-    #[cfg(feature = "parallel")]
-    pub fn estimate_parallel(
-        &self,
-        evaluator: &QueryEvaluator,
-        candidate: &[Value],
-        params: ApproximationParams,
-        master_seed: u64,
-    ) -> Result<Estimate, CoreError> {
-        params.validate()?;
-        let samples = self.fixed_sample_count(Some(evaluator), params)?;
-        let queries = [BatchQuery::new(evaluator, candidate)];
-        let bank = self.compile(&queries, &RunBudget::unlimited())?;
-        let outcome = self.run_fixed_parallel(&bank, &queries, samples, params.delta, master_seed);
-        Ok(estimate_of(&outcome.queries[0]))
-    }
-
-    /// The sample count of a fixed-sample [`EstimatorMode`].
-    /// [`EstimatorMode::FixedFromLowerBound`] derives it from the lower
-    /// bound of one query, so it needs that query's `evaluator`: a bank
-    /// shares one loop across queries whose bounds differ.  An error for
-    /// [`EstimatorMode::OptimalStopping`], whose sample count is data
-    /// dependent.
-    fn fixed_sample_count(
-        &self,
-        evaluator: Option<&QueryEvaluator>,
-        params: ApproximationParams,
-    ) -> Result<u64, CoreError> {
-        let invalid = |message: &str| CoreError::InvalidParameters {
-            message: message.to_string(),
-        };
-        match (params.mode, evaluator) {
-            (EstimatorMode::FixedSamples(samples), _) => Ok(samples),
-            (EstimatorMode::FixedAdditive, _) => Ok(bounds::samples_for_additive_error(
-                params.epsilon,
-                params.delta,
-            )),
-            (EstimatorMode::FixedFromLowerBound, Some(evaluator)) => {
-                let bound = self.theoretical_lower_bound(evaluator);
-                bounds::samples_for_relative_error(params.epsilon, params.delta, bound).ok_or_else(
-                    || {
-                        invalid(
-                            "the worst-case lower bound is too small to derive a practical \
-                             sample count; use the optimal stopping rule",
-                        )
-                    },
-                )
-            }
-            (EstimatorMode::FixedFromLowerBound, None) => Err(invalid(
-                "a bank shares one sample loop across all queries, but FixedFromLowerBound \
-                 would derive a different count per query: use FixedSamples, FixedAdditive \
-                 or OptimalStopping",
-            )),
-            (EstimatorMode::OptimalStopping { .. }, _) => Err(invalid(
-                "the optimal stopping rule has no fixed sample count: it runs through \
-                 `estimate`, `estimate_with_budget` and the `BatchEstimator` stopping paths",
-            )),
-        }
-    }
-
-    /// Compiles `queries` into one [`LineageBank`] under the compile-time
-    /// part of `budget` (see [`BatchEstimator::compile_bank`]).
-    fn compile(
+    /// Queries whose witness enumeration overflows the witness cap fall
+    /// back to the backtracking evaluator per draw while the rest stay on
+    /// the word-level bitset path.  An interrupted enumeration degrades
+    /// the **whole bank** to evaluator fallback — a partial witness set
+    /// would under-report entailment — so estimation proceeds correctly,
+    /// just without the bitset fast path.  Under [`RunBudget::unlimited`]
+    /// the bank is exactly [`LineageBank::compile`]'s.
+    pub fn compile_bank(
         &self,
         queries: &[BatchQuery<'_>],
         budget: &RunBudget,
@@ -611,48 +633,65 @@ impl<'a> OcqaEstimator<'a> {
         Ok(bank)
     }
 
-    /// The sequential driver of both estimators: a fixed loop of
-    /// `samples` draws, or the stopping rule when `samples` is `None`.
-    fn run<R: Rng + ?Sized>(
-        &self,
-        bank: &LineageBank,
-        queries: &[BatchQuery<'_>],
-        params: ApproximationParams,
-        samples: Option<u64>,
-        budget: &RunBudget,
-        rng: &mut R,
-    ) -> Result<EstimateOutcome, CoreError> {
-        match samples {
-            Some(samples) => Ok(self.run_fixed(bank, queries, samples, params.delta, budget, rng)),
-            None => self.run_stopping(bank, queries, params, budget, None, rng),
-        }
-    }
-
-    /// The fixed-sample driver: `samples` shared draws under `budget`,
-    /// counting the hits of every entry of `bank`.
-    fn run_fixed<R: Rng + ?Sized>(
-        &self,
-        bank: &LineageBank,
-        queries: &[BatchQuery<'_>],
-        samples: u64,
-        delta: f64,
-        budget: &RunBudget,
-        rng: &mut R,
-    ) -> EstimateOutcome {
-        let mut experiment = BankExperiment::new(self, bank, queries, BankLiveSet::full(bank));
-        let (outcome, status) =
-            estimate_fixed_batch(rng, samples, queries.len(), budget, |rng, successes| {
-                experiment.count(rng, successes)
-            });
-        fixed_outcome(&outcome, status, delta)
-    }
-
-    /// The stopping-rule driver: one shared stream over `bank` under the
-    /// Dagum–Karp–Luby–Ross rule with per-entry target `Υ(ε, δ/k)`,
-    /// starting from `prior` (or a fresh stream) with every
-    /// [witness-free](witness_free) entry settled at zero draws.  Only
-    /// the entries not yet converged are live.
-    fn run_stopping<R: Rng + ?Sized>(
+    /// Estimates `P_{M_Σ,Qᵢ}(D, c̄ᵢ)` for every query of `bank` from one
+    /// shared sequence of sampled repairs, under a [`RunBudget`].
+    ///
+    /// `bank` must be compiled ([`BatchEstimator::compile_bank`]) or
+    /// [refreshed](LineageBank::refresh) from `queries` and current with
+    /// the estimator's database.
+    ///
+    /// [`EstimatorMode::OptimalStopping`] runs the batched stopping rule:
+    /// entry `i` tracks its own success target `Υ(ε, δ/k)` and
+    /// **retires** the moment it is reached — its witnesses drop out of
+    /// the shared per-draw containment scan ([`BankLiveSet`]), so the
+    /// per-draw cost shrinks as the bank drains — and the stream stops
+    /// when the last entry retires or `max_samples` truncates it.  A
+    /// compiled entry with no witness has probability exactly 0 and
+    /// retires before the first draw, with estimate 0, zero samples and
+    /// status `Converged`; any other zero-probability entry truncates at
+    /// the cut-off without stalling the retirement of the others.  With
+    /// `δ/k` per entry, a union bound gives: with probability at least
+    /// `1 − δ`, **every** converged estimate is within relative error `ε`
+    /// of its true probability.
+    ///
+    /// The fixed modes draw their sample count for every entry (an
+    /// [`EstimatorMode::FixedFromLowerBound`] count is derived from
+    /// [`BatchEstimator::theoretical_lower_bound`] of the bank's one
+    /// entry), each entry reporting its achieved `(ε′, δ)` bound.
+    ///
+    /// The budget is polled between draws and consumes no randomness: an
+    /// unconstrained budget never changes the sample stream.  When it
+    /// interrupts the stream, entries that already retired **keep their
+    /// converged values**; entries still live report the empirical mean
+    /// over the truncated stream, flagged
+    /// [`BudgetExhausted`](BudgetStatus::BudgetExhausted) or
+    /// [`Cancelled`](BudgetStatus::Cancelled), each with the achieved
+    /// bound at its observed counts.
+    ///
+    /// **Resuming.**  Under the stopping rule, `prior` continues an
+    /// interrupted run: it must be the outcome of a run over the **same
+    /// queries and parameters**, and `rng` the same generator, positioned
+    /// where that run left it (an interruption at draw `t` leaves the RNG
+    /// after exactly `t` draws).  Converged entries of `prior` are
+    /// returned **verbatim**; only the others are live, and they pick
+    /// their success counts back up, so the concatenated run is
+    /// bit-identical to one uninterrupted run.  Draw counts are absolute
+    /// across resumption: `max_samples`, a draw cap and a
+    /// [`tripped_at_draw`](crate::budget::CancelToken::tripped_at_draw)
+    /// token all refer to the total stream length.  `prior` is also the
+    /// **enrollment** hook of the sliding-window estimator
+    /// ([`crate::stream`]): a baseline whose entries carry zero counts
+    /// and a non-converged status for everything that should (re-)enter
+    /// the loop, and converged outcomes for everything that should not.
+    ///
+    /// # Errors
+    /// [`CoreError::InvalidParameters`] if `bank` was not compiled from
+    /// `queries` (see [`LineageBank::compiled_from`]) or is stale with
+    /// respect to the estimator's database; if `prior` is given under a
+    /// fixed mode or is for a bank of another size; if `params` are out
+    /// of range; or if [`EstimatorMode::FixedFromLowerBound`] is asked of
+    /// a bank that is not one entry, or derives an impractical count.
+    pub fn run<R: Rng + ?Sized>(
         &self,
         bank: &LineageBank,
         queries: &[BatchQuery<'_>],
@@ -661,69 +700,76 @@ impl<'a> OcqaEstimator<'a> {
         prior: Option<&EstimateOutcome>,
         rng: &mut R,
     ) -> Result<EstimateOutcome, CoreError> {
-        let max_samples = stopping_cut_off(params)?;
-        let (targets, delta) = stopping_targets(params, queries.len());
-        let start = settle_witness_free(bank, prior.map(budgeted_from).as_ref());
-        let live: Vec<usize> = (0..bank.len())
-            .filter(|&q| !start.statuses[q].is_converged())
-            .collect();
-        let live = BankLiveSet::restrict(bank, &live);
-        let mut experiment = BankExperiment::new(self, bank, queries, live);
-        let outcome = estimate_stopping_batch_budgeted(
-            rng,
-            &targets,
-            max_samples,
-            budget,
-            &mut experiment,
-            Some(&start),
-        );
-        Ok(outcome_from(outcome, delta))
+        self.check_bank(bank, queries)?;
+        if let Some(prior) = prior {
+            if !matches!(params.mode, EstimatorMode::OptimalStopping { .. }) {
+                return Err(invalid(format!(
+                    "a prior resumes a stopping-rule run, but the mode is {:?}",
+                    params.mode
+                )));
+            }
+            if prior.queries.len() != queries.len() {
+                return Err(invalid(format!(
+                    "prior outcome is for a different batch ({} entries for {} queries)",
+                    prior.queries.len(),
+                    queries.len()
+                )));
+            }
+        }
+        let schedule = self.schedule(queries, params)?;
+        Ok(self.drive(bank, queries, &schedule, budget, prior, rng))
     }
 
-    /// As [`OcqaEstimator::run_fixed`], sharded across rayon worker
-    /// threads and without a budget.
+    /// [`BatchEstimator::run`] without `prior`, with the shared samples
+    /// drawn in rayon-sharded rounds of [`DEFAULT_ROUND_SAMPLES`]
+    /// (deterministic per-shard RNG streams derived from `master_seed`),
+    /// retiring converged entries at each round boundary and rebuilding
+    /// the compacted live bank view for the next round.
+    ///
+    /// **Where bit-identity ends.**  Retirement is round-granular: an
+    /// entry crossing its success target mid-round keeps observing draws
+    /// to the boundary and reports the empirical mean over at least
+    /// `Υ(ε, δ/k)` successes, so its outcome differs from the sequential
+    /// loop's `Υ/N` — the rounds match the sequential run in *guarantee*,
+    /// not bit-for-bit.  They **are** bit-identical across thread counts
+    /// for a fixed `master_seed` (deterministic shard seeds, integer
+    /// success sums, round-boundary retirement).  A fixed mode retires
+    /// nothing, so its rounds cut the stream into the same global shards
+    /// whatever the bank.
+    ///
+    /// The budget is polled once per **round boundary** (consuming no
+    /// randomness): cancellation here is round-granular, and the outcome
+    /// stays bit-identical across thread counts whenever the budget
+    /// decisions are deterministic (draw caps and pre-tripped tokens are;
+    /// wall-clock deadlines are not).  Resumption is not offered —
+    /// mid-round work cannot be replayed draw-by-draw; use
+    /// [`BatchEstimator::run`] when resumable interruption matters more
+    /// than sharding.
+    ///
+    /// # Errors
+    /// Those of [`BatchEstimator::run`] that do not concern `prior`.
+    ///
+    /// Only available with the `parallel` feature (rayon).
     #[cfg(feature = "parallel")]
-    fn run_fixed_parallel(
-        &self,
-        bank: &LineageBank,
-        queries: &[BatchQuery<'_>],
-        samples: u64,
-        delta: f64,
-        master_seed: u64,
-    ) -> EstimateOutcome {
-        let outcome = estimate_fixed_batch_parallel(
-            master_seed,
-            samples,
-            DEFAULT_SHARD_SIZE,
-            queries.len(),
-            || {
-                let mut experiment =
-                    BankExperiment::new(self, bank, queries, BankLiveSet::full(bank));
-                move |rng: &mut StdRng, successes: &mut [u64]| experiment.count(rng, successes)
-            },
-        );
-        fixed_outcome(&outcome, BudgetStatus::Converged, delta)
-    }
-
-    /// As [`OcqaEstimator::run_stopping`] from a fresh stream, in
-    /// rayon-sharded rounds of [`DEFAULT_ROUND_SAMPLES`]: each shard's
-    /// experiment sees only the entries still live at its round.
-    #[cfg(feature = "parallel")]
-    fn run_rounds(
+    pub fn run_sharded(
         &self,
         bank: &LineageBank,
         queries: &[BatchQuery<'_>],
         params: ApproximationParams,
-        master_seed: u64,
         budget: &RunBudget,
+        master_seed: u64,
     ) -> Result<EstimateOutcome, CoreError> {
-        let max_samples = stopping_cut_off(params)?;
-        let (targets, delta) = stopping_targets(params, queries.len());
-        let settled: Vec<usize> = witness_free(bank).collect();
+        self.check_bank(bank, queries)?;
+        let schedule = self.schedule(queries, params)?;
+        let settled: Vec<usize> = if schedule.fixed {
+            Vec::new()
+        } else {
+            witness_free(bank).collect()
+        };
         let outcome = estimate_stopping_batch_rounds(
             master_seed,
-            &targets,
-            max_samples,
+            &schedule.targets,
+            schedule.cut_off,
             DEFAULT_ROUND_SAMPLES,
             DEFAULT_SHARD_SIZE,
             budget,
@@ -734,235 +780,45 @@ impl<'a> OcqaEstimator<'a> {
                 move |rng: &mut StdRng, hits: &mut [bool]| experiment.draw_live(rng, hits)
             },
         );
-        Ok(outcome_from(outcome, delta))
-    }
-}
-
-/// The `max_samples` cut-off of a stopping-rule run, or an error when
-/// `params` is not in [`EstimatorMode::OptimalStopping`].
-fn stopping_cut_off(params: ApproximationParams) -> Result<u64, CoreError> {
-    params.validate()?;
-    match params.mode {
-        EstimatorMode::OptimalStopping { max_samples } => Ok(max_samples),
-        other => Err(CoreError::InvalidParameters {
-            message: format!(
-                "the stopping rule requires EstimatorMode::OptimalStopping (got {other:?}); \
-                 use `estimate_batch` for the fixed-sample modes"
-            ),
-        }),
-    }
-}
-
-/// The per-entry success targets of a stopping-rule run over a bank of
-/// `bank_size`, and the per-entry failure probability they are for:
-/// relative error `ε` with failure probability `δ / bank_size`, so a union
-/// bound over the bank restores the overall `(ε, δ)` guarantee.
-fn stopping_targets(params: ApproximationParams, bank_size: usize) -> (Vec<u64>, f64) {
-    let delta = params.delta / bank_size.max(1) as f64;
-    let target = StoppingRuleEstimator::new(params.epsilon, delta).success_target();
-    (vec![target; bank_size], delta)
-}
-
-/// The public [`EstimateOutcome`] of a fixed-sample run: every entry
-/// shares the run's sample count and status, with its achieved
-/// `(ε′, δ)` bound at its observed counts.
-fn fixed_outcome(outcome: &BatchOutcome, status: BudgetStatus, delta: f64) -> EstimateOutcome {
-    let queries = outcome
-        .successes
-        .iter()
-        .zip(outcome.estimates())
-        .map(|(&successes, estimate)| QueryOutcome {
-            estimate,
-            samples: outcome.samples,
-            successes,
-            status,
-            achieved: AchievedBound::at(outcome.samples, successes, delta),
-        })
-        .collect();
-    EstimateOutcome {
-        queries,
-        total_draws: outcome.samples,
-    }
-}
-
-/// Converts a budgeted stopping-batch outcome into the public
-/// [`EstimateOutcome`], attaching each query's achieved `(ε′, δ/k)`
-/// bound at its observed counts.
-fn outcome_from(budgeted: BudgetedStoppingOutcome, per_query_delta: f64) -> EstimateOutcome {
-    let queries = budgeted
-        .outcomes
-        .iter()
-        .zip(&budgeted.statuses)
-        .map(|(o, &status)| QueryOutcome {
-            estimate: o.estimate,
-            samples: o.samples,
-            successes: o.successes,
-            status,
-            achieved: AchievedBound::at(o.samples, o.successes, per_query_delta),
-        })
-        .collect();
-    EstimateOutcome {
-        queries,
-        total_draws: budgeted.total_samples,
-    }
-}
-
-/// Reconstructs the resumable montecarlo-layer outcome from a prior
-/// public [`EstimateOutcome`].
-fn budgeted_from(prior: &EstimateOutcome) -> BudgetedStoppingOutcome {
-    BudgetedStoppingOutcome {
-        outcomes: prior
-            .queries
-            .iter()
-            .map(|q| StoppingRuleOutcome {
-                estimate: q.estimate,
-                samples: q.samples,
-                successes: q.successes,
-                truncated: !q.status.is_converged(),
-            })
-            .collect(),
-        statuses: prior.queries.iter().map(|q| q.status).collect(),
-        total_samples: prior.total_draws,
-    }
-}
-
-/// The [`Estimate`] view of one entry's outcome: truncated iff it did not
-/// converge.
-fn estimate_of(outcome: &QueryOutcome) -> Estimate {
-    Estimate {
-        value: outcome.estimate,
-        samples: outcome.samples,
-        successes: outcome.successes,
-        truncated: !outcome.status.is_converged(),
-    }
-}
-
-fn estimates_of(outcome: &EstimateOutcome) -> Vec<Estimate> {
-    outcome.queries.iter().map(estimate_of).collect()
-}
-
-/// One query of a batched estimation run: an evaluator plus its candidate
-/// answer tuple.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchQuery<'q> {
-    /// The (slot-compiled) query evaluator.
-    pub evaluator: &'q QueryEvaluator,
-    /// The candidate answer tuple (empty for Boolean queries).
-    pub candidate: &'q [Value],
-}
-
-impl<'q> BatchQuery<'q> {
-    /// Creates a batch query.
-    pub fn new(evaluator: &'q QueryEvaluator, candidate: &'q [Value]) -> Self {
-        BatchQuery {
-            evaluator,
-            candidate,
-        }
-    }
-}
-
-/// A batched multi-query FPRAS driver: one sampler loop, `k` estimates.
-///
-/// Estimating `k` queries over the same database with `k` independent
-/// [`OcqaEstimator::estimate`] calls runs `k` walk/sampler loops even
-/// though a single draw of an operational repair can answer *all* queries
-/// at once (the per-draw check is membership of the sampled repair in each
-/// query's lineage).  [`BatchEstimator`] compiles the whole query bank
-/// into a shared [`LineageBank`] — witness enumeration factored through a
-/// shared scan trie over the per-query join plans, witnesses deduplicated
-/// into one arena, per-query masks — and drives **one** sampling loop;
-/// each sampled repair updates every per-query hit counter in a single
-/// word-level pass.  A single-query [`OcqaEstimator`] run is the same
-/// loop over a bank of one.
-///
-/// **Bit-identity guarantee.**  The RNG is consumed by the shared draw
-/// only, never by the per-query checks, so under a fixed seed
-/// [`BatchEstimator::estimate_batch`] returns, for every query, exactly
-/// the `Estimate` that a fresh single-query
-/// [`OcqaEstimator::estimate`] run would return from the same RNG state
-/// (under the stopping rule, with the bank's per-query `δ/k`) — and
-/// [`BatchEstimator::estimate_batch_parallel`] in a fixed mode is
-/// bit-identical to `k` independent
-/// [`OcqaEstimator::estimate_parallel`] runs under the same master seed,
-/// regardless of thread count.
-///
-/// Every mode but [`EstimatorMode::FixedFromLowerBound`] is supported (it
-/// would derive a different fixed count per query, defeating the shared
-/// loop).  The fixed-sample-count modes
-/// ([`EstimatorMode::FixedSamples`] and [`EstimatorMode::FixedAdditive`])
-/// share one loop of a fixed length.  The adaptive
-/// [`EstimatorMode::OptimalStopping`] runs the batched stopping rule: each
-/// query tracks its own Dagum–Karp–Luby–Ross success target `Υ(ε, δ/k)`
-/// over the shared repair stream and **retires** as it converges,
-/// shrinking the per-draw work until the last query stops the stream —
-/// sequentially ([`BatchEstimator::estimate_batch_with_budget`], which an
-/// interrupted run [resumes](BatchEstimator::estimate_stopping_batch_resume)
-/// from), or in rayon-sharded rounds
-/// ([`BatchEstimator::estimate_stopping_batch_rounds_with_budget`]).  The
-/// entry points without a budget run under [`RunBudget::unlimited`].
-pub struct BatchEstimator<'a> {
-    inner: OcqaEstimator<'a>,
-}
-
-impl<'a> BatchEstimator<'a> {
-    /// Creates a batched estimator for the given uniform generator, with
-    /// the same constraint-class validation as [`OcqaEstimator::new`].
-    pub fn new(db: &'a Database, sigma: &'a FdSet, spec: GeneratorSpec) -> Result<Self, CoreError> {
-        Ok(BatchEstimator {
-            inner: OcqaEstimator::new(db, sigma, spec)?,
-        })
+        Ok(schedule.outcome(outcome))
     }
 
-    /// As [`BatchEstimator::new`], reusing a caller-maintained
-    /// [`ConflictIndex`] for the uniform-operations walk (see
-    /// [`OcqaEstimator::with_conflict_index`] for the errors, the
-    /// staleness panics, and the bit-identity guarantee).
-    pub fn with_conflict_index(
-        db: &'a Database,
-        sigma: &'a FdSet,
-        spec: GeneratorSpec,
-        index: impl Into<Arc<ConflictIndex>>,
-    ) -> Result<Self, CoreError> {
-        Ok(BatchEstimator {
-            inner: OcqaEstimator::with_conflict_index(db, sigma, spec, index)?,
-        })
-    }
-
-    /// The generator this estimator approximates.
-    pub fn spec(&self) -> GeneratorSpec {
-        self.inner.spec()
-    }
-
-    /// The underlying single-query estimator (sharing the sampler and its
-    /// precomputed conflict index).
-    pub fn estimator(&self) -> &OcqaEstimator<'a> {
-        &self.inner
-    }
-
-    /// [`BatchEstimator::estimate_batch_with_budget`] under
-    /// [`RunBudget::unlimited`].
-    pub fn estimate_batch<R: Rng + ?Sized>(
+    /// Compiles `queries` and runs the stopping rule over them under
+    /// [`RunBudget::unlimited`]: [`BatchEstimator::run`] without the bank
+    /// check, as [`Estimate`] views.  The `perfbench` harness times this
+    /// path.
+    ///
+    /// # Errors
+    /// [`CoreError::InvalidParameters`] unless `params` is in
+    /// [`EstimatorMode::OptimalStopping`], besides the compile errors of
+    /// [`BatchEstimator::compile_bank`].
+    pub fn estimate_stopping_batch<R: Rng + ?Sized>(
         &self,
         queries: &[BatchQuery<'_>],
         params: ApproximationParams,
         rng: &mut R,
     ) -> Result<Vec<Estimate>, CoreError> {
+        if !matches!(params.mode, EstimatorMode::OptimalStopping { .. }) {
+            return Err(invalid(format!(
+                "estimate_stopping_batch runs the stopping rule, but the mode is {:?}; \
+                 `run` takes every mode",
+                params.mode
+            )));
+        }
+        let schedule = self.schedule(queries, params)?;
         let unlimited = RunBudget::unlimited();
-        let outcome = self.estimate_batch_with_budget(queries, params, &unlimited, rng)?;
+        let bank = self.compile_bank(queries, &unlimited)?;
+        let outcome = self.drive(&bank, queries, &schedule, &unlimited, None, rng);
         Ok(estimates_of(&outcome))
     }
 
-    /// As [`BatchEstimator::estimate_batch`] (fixed-sample modes only),
-    /// driving a bank compiled earlier with
-    /// [`BatchEstimator::compile_bank`] — the compile-once / estimate-many
-    /// pattern, which also lets a caller time compilation and estimation
-    /// separately.
+    /// [`BatchEstimator::run`] over a precompiled `bank` under
+    /// [`RunBudget::unlimited`] without a prior, as [`Estimate`] views;
+    /// the `perfbench` harness checks a window against a scratch rebuild
+    /// with it.
     ///
     /// # Errors
-    /// [`CoreError::InvalidParameters`] if `bank` was not compiled from
-    /// `queries` (see [`LineageBank::compiled_from`]) or is stale with respect to the
-    /// estimator's database, besides the parameter errors of
-    /// [`BatchEstimator::estimate_batch`].
+    /// Those of [`BatchEstimator::run`].
     pub fn estimate_batch_with_bank<R: Rng + ?Sized>(
         &self,
         bank: &LineageBank,
@@ -970,234 +826,96 @@ impl<'a> BatchEstimator<'a> {
         params: ApproximationParams,
         rng: &mut R,
     ) -> Result<Vec<Estimate>, CoreError> {
-        self.check_bank(bank, queries)?;
-        params.validate()?;
-        let samples = self.inner.fixed_sample_count(None, params)?;
-        let unlimited = RunBudget::unlimited();
-        let outcome = self
-            .inner
-            .run_fixed(bank, queries, samples, params.delta, &unlimited, rng);
+        let outcome = self.run(bank, queries, params, &RunBudget::unlimited(), None, rng)?;
         Ok(estimates_of(&outcome))
     }
 
-    /// [`BatchEstimator::estimate_batch`], requiring
-    /// [`EstimatorMode::OptimalStopping`].
-    pub fn estimate_stopping_batch<R: Rng + ?Sized>(
+    /// The [`Schedule`] of `params` over a bank of `queries`.
+    ///
+    /// The stopping rule's per-entry target is `Υ(ε, δ/k)`: relative
+    /// error `ε` with failure probability `δ/k`, so a union bound over
+    /// the bank restores the overall `(ε, δ)` guarantee.
+    fn schedule(
         &self,
         queries: &[BatchQuery<'_>],
         params: ApproximationParams,
-        rng: &mut R,
-    ) -> Result<Vec<Estimate>, CoreError> {
-        stopping_cut_off(params)?;
-        self.estimate_batch(queries, params, rng)
-    }
-
-    /// Estimates `P_{M_Σ,Qᵢ}(D, c̄ᵢ)` for every query of the bank from one
-    /// shared sequence of sampled repairs, under a [`RunBudget`].
-    ///
-    /// Compiles the [`LineageBank`] (validating every candidate arity)
-    /// before any sampling happens, under the budget's compile-step cap
-    /// ([`BatchEstimator::compile_bank`]); queries whose witness
-    /// enumeration overflows the cap fall back to the backtracking
-    /// evaluator per draw while the rest stay on the word-level bitset
-    /// path.
-    ///
-    /// The fixed modes share one loop that the budget can cut at any
-    /// draw, in which case every query reports the same truncated sample
-    /// count together with its achieved `(ε′, δ)` bound.
-    ///
-    /// [`EstimatorMode::OptimalStopping`] runs the batched stopping rule
-    /// from one shared repair stream: query `i` tracks its own success
-    /// target `Υ(ε, δ/k)` and **retires** the moment it is reached — its
-    /// witnesses drop out of the shared per-draw containment scan
-    /// ([`BankLiveSet`]), so the per-draw cost shrinks as the bank drains
-    /// — and the stream stops when the last query retires or
-    /// `max_samples` truncates it.  A compiled entry with no witness has
-    /// probability exactly 0 and retires before the first draw, with
-    /// estimate 0, zero samples and status `Converged`; any other
-    /// zero-probability query truncates at the cut-off without stalling
-    /// the retirement of the others.  With `δ/k` per query, a union bound
-    /// gives: with probability at least `1 − δ`, **every** converged
-    /// estimate is within relative error `ε` of its true probability.
-    /// Each outcome is bit-identical to a single-query run with the same
-    /// target from the same RNG state, since query `i` retires after
-    /// observing exactly the stream prefix that run would draw.
-    ///
-    /// When the budget interrupts the stream, queries that already retired
-    /// **keep their converged values**; queries still live report the
-    /// empirical mean over the truncated stream, flagged
-    /// [`BudgetExhausted`](crate::budget::BudgetStatus::BudgetExhausted) or
-    /// [`Cancelled`](crate::budget::BudgetStatus::Cancelled), each with
-    /// the achieved `(ε′, δ/k)` bound at its observed counts.  An
-    /// interrupted outcome can be continued with
-    /// [`BatchEstimator::estimate_stopping_batch_resume`].
-    pub fn estimate_batch_with_budget<R: Rng + ?Sized>(
-        &self,
-        queries: &[BatchQuery<'_>],
-        params: ApproximationParams,
-        budget: &RunBudget,
-        rng: &mut R,
-    ) -> Result<EstimateOutcome, CoreError> {
+    ) -> Result<Schedule, CoreError> {
         params.validate()?;
-        let samples = match params.mode {
-            EstimatorMode::OptimalStopping { .. } => None,
-            _ => Some(self.inner.fixed_sample_count(None, params)?),
+        let k = queries.len();
+        let fixed = |samples| Schedule {
+            targets: vec![u64::MAX; k],
+            cut_off: samples,
+            delta: params.delta,
+            fixed: true,
         };
-        let bank = self.compile_bank(queries, budget)?;
-        self.inner.run(&bank, queries, params, samples, budget, rng)
+        Ok(match params.mode {
+            EstimatorMode::OptimalStopping { max_samples } => {
+                let delta = params.delta / k.max(1) as f64;
+                let target = StoppingRuleEstimator::new(params.epsilon, delta).success_target();
+                Schedule {
+                    targets: vec![target; k],
+                    cut_off: max_samples,
+                    delta,
+                    fixed: false,
+                }
+            }
+            EstimatorMode::FixedSamples(samples) => fixed(samples),
+            EstimatorMode::FixedAdditive => fixed(bounds::samples_for_additive_error(
+                params.epsilon,
+                params.delta,
+            )),
+            EstimatorMode::FixedFromLowerBound => {
+                let [query] = queries else {
+                    return Err(invalid(format!(
+                        "FixedFromLowerBound derives its count from the lower bound of one \
+                         query, but the bank has {k} entries: use FixedSamples, FixedAdditive \
+                         or OptimalStopping"
+                    )));
+                };
+                let bound = self.theoretical_lower_bound(query.evaluator);
+                fixed(
+                    bounds::samples_for_relative_error(params.epsilon, params.delta, bound)
+                        .ok_or_else(|| {
+                            invalid(
+                                "the worst-case lower bound is too small to derive a practical \
+                                 sample count; use the optimal stopping rule",
+                            )
+                        })?,
+                )
+            }
+        })
     }
 
-    /// Continues an interrupted stopping-rule run of
-    /// [`BatchEstimator::estimate_batch_with_budget`] over `bank`, a bank
-    /// compiled (or [refreshed](LineageBank::refresh)) from `queries` —
-    /// also the **enrollment** path of the sliding-window estimator
-    /// (`crate::stream`).
-    ///
-    /// `prior` must be the outcome of a stopping-rule run over the **same
-    /// queries and parameters**, and `rng` must be the same generator,
-    /// positioned where the interrupted run left it (the budget machinery
-    /// consumes no randomness, so an interruption at draw `t` leaves the
-    /// RNG after exactly `t` draws).  Converged entries of `prior` are
-    /// returned **verbatim** (bit-identical, zero draws); only the others
-    /// are live, and they pick their success counts back up, so the
-    /// concatenated run is **bit-identical** to one uninterrupted run
-    /// (property-tested).  Draw counts are absolute across resumption:
-    /// `max_samples`, a draw cap and a
-    /// [`tripped_at_draw`](crate::budget::CancelToken::tripped_at_draw)
-    /// token all refer to the total stream length.
-    ///
-    /// `prior` is also the seeding hook for a *fresh* stream over a
-    /// refreshed bank: hand in a baseline outcome whose entries carry
-    /// zero counts and a non-converged status for everything that should
-    /// (re-)enter the loop, and converged outcomes carried over verbatim
-    /// for everything that should not.
-    ///
-    /// # Errors
-    /// [`CoreError::InvalidParameters`] if `bank` was not compiled from
-    /// `queries` (see [`LineageBank::compiled_from`]), if `prior` is for a batch of
-    /// another size, or if `bank` is stale with respect to the
-    /// estimator's database; or if `params` is not in
-    /// [`EstimatorMode::OptimalStopping`].
-    pub fn estimate_stopping_batch_resume<R: Rng + ?Sized>(
+    /// The sequential driver of every run: one shared stream over `bank`
+    /// under `schedule`.  Under the stopping rule it starts from `prior`
+    /// (or a fresh stream) with every [witness-free](witness_free) entry
+    /// settled at zero draws, and only the entries not yet converged are
+    /// live; under a fixed mode every entry is live.
+    fn drive<R: Rng + ?Sized>(
         &self,
         bank: &LineageBank,
         queries: &[BatchQuery<'_>],
-        params: ApproximationParams,
+        schedule: &Schedule,
         budget: &RunBudget,
-        prior: &EstimateOutcome,
+        prior: Option<&EstimateOutcome>,
         rng: &mut R,
-    ) -> Result<EstimateOutcome, CoreError> {
-        self.check_bank(bank, queries)?;
-        if prior.queries.len() != queries.len() {
-            return Err(CoreError::InvalidParameters {
-                message: format!(
-                    "prior outcome is for a different batch ({} entries for {} queries)",
-                    prior.queries.len(),
-                    queries.len()
-                ),
-            });
-        }
-        self.inner
-            .run_stopping(bank, queries, params, budget, Some(prior), rng)
-    }
-
-    /// The stopping rule of [`BatchEstimator::estimate_batch_with_budget`]
-    /// in rayon-sharded rounds of [`DEFAULT_ROUND_SAMPLES`] shared repairs
-    /// (deterministic per-shard RNG streams), retiring converged queries
-    /// at each round boundary and rebuilding the compacted live bank view
-    /// for the next round.
-    ///
-    /// **Where bit-identity ends.**  Retirement is round-granular: a query
-    /// crossing its success target mid-round keeps observing draws to the
-    /// boundary and reports the empirical mean over at least `Υ(ε, δ/k)`
-    /// successes, so its outcome differs from the sequential loop's
-    /// `Υ/N` — the round-based variant matches the sequential one in
-    /// *guarantee*, not bit-for-bit.  It **is** bit-identical across
-    /// thread counts for a fixed `master_seed` (deterministic shard seeds,
-    /// integer success sums, round-boundary retirement).  The `(ε, δ)`
-    /// accuracy bound is validated against the exact solver in the
-    /// test-suite.
-    ///
-    /// The budget is polled once per **round boundary** (consuming no
-    /// randomness): cancellation here is round-granular, and the outcome
-    /// stays bit-identical across thread counts whenever the budget
-    /// decisions are deterministic (draw caps and pre-tripped tokens are;
-    /// wall-clock deadlines are not).  Resumption is not offered on this
-    /// path — mid-round work cannot be replayed draw-by-draw; use the
-    /// sequential path when resumable interruption matters more than
-    /// sharding.
-    ///
-    /// Only available with the `parallel` feature (rayon).
-    #[cfg(feature = "parallel")]
-    pub fn estimate_stopping_batch_rounds_with_budget(
-        &self,
-        queries: &[BatchQuery<'_>],
-        params: ApproximationParams,
-        master_seed: u64,
-        budget: &RunBudget,
-    ) -> Result<EstimateOutcome, CoreError> {
-        stopping_cut_off(params)?;
-        let bank = self.compile_bank(queries, budget)?;
-        self.inner
-            .run_rounds(&bank, queries, params, master_seed, budget)
-    }
-
-    /// As [`BatchEstimator::estimate_batch`], with the shared samples
-    /// sharded across rayon worker threads exactly like
-    /// [`OcqaEstimator::estimate_parallel`]: same shard boundaries, same
-    /// per-shard RNG streams, integer success sums — so the result is
-    /// bit-identical for a fixed master seed regardless of thread count,
-    /// and bit-identical to `k` independent `estimate_parallel` runs.
-    ///
-    /// [`EstimatorMode::OptimalStopping`] runs the round-based
-    /// [`BatchEstimator::estimate_stopping_batch_rounds_with_budget`] under
-    /// [`RunBudget::unlimited`].
-    #[cfg(feature = "parallel")]
-    pub fn estimate_batch_parallel(
-        &self,
-        queries: &[BatchQuery<'_>],
-        params: ApproximationParams,
-        master_seed: u64,
-    ) -> Result<Vec<Estimate>, CoreError> {
-        let unlimited = RunBudget::unlimited();
-        let outcome = if matches!(params.mode, EstimatorMode::OptimalStopping { .. }) {
-            self.estimate_stopping_batch_rounds_with_budget(
-                queries,
-                params,
-                master_seed,
-                &unlimited,
-            )?
-        } else {
-            params.validate()?;
-            let samples = self.inner.fixed_sample_count(None, params)?;
-            let bank = self.compile_bank(queries, &unlimited)?;
-            self.inner
-                .run_fixed_parallel(&bank, queries, samples, params.delta, master_seed)
-        };
-        Ok(estimates_of(&outcome))
-    }
-
-    /// Compiles the bank's shared lineage ([`LineageBank::compile`]:
-    /// grounded plan-ordered atom sequences factored into one scan trie,
-    /// witnesses deduplicated into one arena), validating every candidate
-    /// arity, under the compile-time part of `budget`
-    /// ([`RunBudget::with_max_compile_steps`] and the cancel token).  All
-    /// `estimate_*` paths call this internally; exposing it lets callers
-    /// compile once and estimate many times
-    /// ([`BatchEstimator::estimate_batch_with_bank`],
-    /// [`BatchEstimator::estimate_stopping_batch_resume`]).
-    ///
-    /// An interrupted enumeration degrades the **whole bank** to evaluator
-    /// fallback — a partial witness set would under-report entailment — so
-    /// estimation proceeds correctly, just without the word-level bitset
-    /// fast path.  Under [`RunBudget::unlimited`] the bank is exactly
-    /// [`LineageBank::compile`]'s.
-    pub fn compile_bank(
-        &self,
-        queries: &[BatchQuery<'_>],
-        budget: &RunBudget,
-    ) -> Result<LineageBank, CoreError> {
-        self.inner.compile(queries, budget)
+    ) -> EstimateOutcome {
+        let start =
+            (!schedule.fixed).then(|| settle_witness_free(bank, prior.map(budgeted_from).as_ref()));
+        let live: Vec<usize> = (0..bank.len())
+            .filter(|&q| start.as_ref().is_none_or(|s| !s.statuses[q].is_converged()))
+            .collect();
+        let live = BankLiveSet::restrict(bank, &live);
+        let mut experiment = BankExperiment::new(self, bank, queries, live);
+        let outcome = estimate_stopping_batch_budgeted(
+            rng,
+            &schedule.targets,
+            schedule.cut_off,
+            budget,
+            &mut experiment,
+            start.as_ref(),
+        );
+        schedule.outcome(outcome)
     }
 
     /// Checks that `bank` can drive `queries` on the estimator's
@@ -1207,38 +925,35 @@ impl<'a> BatchEstimator<'a> {
     /// was, so only the version tells).
     fn check_bank(&self, bank: &LineageBank, queries: &[BatchQuery<'_>]) -> Result<(), CoreError> {
         if !bank.compiled_from(queries.iter().map(|q| (q.evaluator, q.candidate))) {
-            return Err(CoreError::InvalidParameters {
-                message: format!(
-                    "bank was compiled from a different query list ({} entries for {} queries)",
-                    bank.len(),
-                    queries.len()
-                ),
-            });
+            return Err(invalid(format!(
+                "bank was compiled from a different query list ({} entries for {} queries)",
+                bank.len(),
+                queries.len()
+            )));
         }
-        if bank.version() != self.inner.db.version() {
-            return Err(CoreError::InvalidParameters {
-                message: "bank is stale: refresh it against the database before estimating"
-                    .to_string(),
-            });
+        if bank.version() != self.db.version() {
+            return Err(invalid(
+                "bank is stale: refresh it against the database before estimating",
+            ));
         }
         Ok(())
     }
 }
 
-/// Default number of shared repairs drawn per round by the round-based
-/// stopping rule ([`BatchEstimator::estimate_stopping_batch_rounds_with_budget`]):
-/// a few shards' worth, so rounds parallelise while retirement stays
-/// reasonably fine-grained.
+/// Default number of shared repairs drawn per round by
+/// [`BatchEstimator::run_sharded`]: a few shards' worth, so rounds
+/// parallelise while retirement stays reasonably fine-grained.  A whole
+/// number of shards, so a fixed run's rounds draw the same global shards
+/// as one pass over the stream would.
 #[cfg(feature = "parallel")]
 pub const DEFAULT_ROUND_SAMPLES: u64 = 4 * DEFAULT_SHARD_SIZE;
 
-/// The one fully compiled Bernoulli experiment of both estimators: draw a
+/// The one fully compiled Bernoulli experiment of every run: draw a
 /// repair, then decide every **live** entry of the bank against it
 /// (fallback entries route through the backtracking evaluator).  The
 /// stopping loops retire entries as they converge, which drops the
 /// witnesses only they referenced out of the shared check
-/// ([`BankLiveSet`]); the fixed loops keep every entry live and count its
-/// hits.
+/// ([`BankLiveSet`]).
 ///
 /// A draw takes one of two forms, chosen by the generator and built on
 /// the pass's first draw, so a pass that draws nothing (every entry
@@ -1261,14 +976,12 @@ pub const DEFAULT_ROUND_SAMPLES: u64 = 4 * DEFAULT_SHARD_SIZE;
 /// call: it is run for each live fallback entry, and in debug builds for
 /// every live entry as a cross-check of the compiled one.
 struct BankExperiment<'e, 'a> {
-    estimator: &'e OcqaEstimator<'a>,
+    estimator: &'e BatchEstimator<'a>,
     bank: &'e LineageBank,
     queries: &'e [BatchQuery<'e>],
     live: BankLiveSet,
     /// The draw state; `None` until the first draw.
     draw: Option<DrawState<'e, 'a>>,
-    /// The per-entry hits of [`BankExperiment::count`]'s draws.
-    hits: Vec<bool>,
 }
 
 /// The draw state of a [`BankExperiment`]: a repair buffer, or, under
@@ -1283,7 +996,7 @@ impl<'e, 'a> DrawState<'e, 'a> {
     /// `live`.  Built once per pass, and kept out of line so that the
     /// per-draw path stays small enough to inline.
     #[inline(never)]
-    fn new(estimator: &'e OcqaEstimator<'a>, bank: &LineageBank, live: &BankLiveSet) -> Self {
+    fn new(estimator: &'e BatchEstimator<'a>, bank: &LineageBank, live: &BankLiveSet) -> Self {
         match &estimator.sampler {
             SamplerKind::Operations(walker) if estimator.spec.singleton_only => {
                 DrawState::Pulled(PulledCheck::new(walker, bank, live))
@@ -1295,7 +1008,7 @@ impl<'e, 'a> DrawState<'e, 'a> {
 
 impl<'e, 'a> BankExperiment<'e, 'a> {
     fn new(
-        estimator: &'e OcqaEstimator<'a>,
+        estimator: &'e BatchEstimator<'a>,
         bank: &'e LineageBank,
         queries: &'e [BatchQuery<'e>],
         live: BankLiveSet,
@@ -1306,7 +1019,6 @@ impl<'e, 'a> BankExperiment<'e, 'a> {
             queries,
             live,
             draw: None,
-            hits: vec![false; queries.len()],
         }
     }
 
@@ -1329,17 +1041,6 @@ impl<'e, 'a> BankExperiment<'e, 'a> {
                 decide_with_evaluator(estimator.db, self.queries, bank, live, check, hits);
             }
         }
-    }
-
-    /// Draws one shared repair and adds one to `successes[q]` for every
-    /// live query `q` it entails.
-    fn count<R: Rng + ?Sized>(&mut self, rng: &mut R, successes: &mut [u64]) {
-        let mut hits = std::mem::take(&mut self.hits);
-        self.draw_live(rng, &mut hits);
-        for &q in self.live.live_queries() {
-            successes[q] += u64::from(hits[q]);
-        }
-        self.hits = hits;
     }
 }
 
@@ -1433,6 +1134,63 @@ mod tests {
         (db, sigma)
     }
 
+    /// Compiles `queries` under `budget` and runs them from a fresh
+    /// stream.
+    fn run_fresh<R: Rng + ?Sized>(
+        estimator: &BatchEstimator<'_>,
+        queries: &[BatchQuery<'_>],
+        params: ApproximationParams,
+        budget: &RunBudget,
+        rng: &mut R,
+    ) -> Result<EstimateOutcome, CoreError> {
+        let bank = estimator.compile_bank(queries, budget)?;
+        estimator.run(&bank, queries, params, budget, None, rng)
+    }
+
+    /// [`run_fresh`] under an unlimited budget, as [`Estimate`] views.
+    fn estimate_fresh<R: Rng + ?Sized>(
+        estimator: &BatchEstimator<'_>,
+        queries: &[BatchQuery<'_>],
+        params: ApproximationParams,
+        rng: &mut R,
+    ) -> Result<Vec<Estimate>, CoreError> {
+        let outcome = run_fresh(estimator, queries, params, &RunBudget::unlimited(), rng)?;
+        Ok(estimates_of(&outcome))
+    }
+
+    /// One query's [`Estimate`]: a run over a bank of one.
+    fn estimate_one<R: Rng + ?Sized>(
+        estimator: &BatchEstimator<'_>,
+        evaluator: &QueryEvaluator,
+        candidate: &[Value],
+        params: ApproximationParams,
+        rng: &mut R,
+    ) -> Result<Estimate, CoreError> {
+        let queries = [BatchQuery::new(evaluator, candidate)];
+        Ok(estimate_fresh(estimator, &queries, params, rng)?[0])
+    }
+
+    /// Compiles `queries` and runs them in sharded rounds.
+    #[cfg(feature = "parallel")]
+    fn sharded_fresh(
+        estimator: &BatchEstimator<'_>,
+        queries: &[BatchQuery<'_>],
+        params: ApproximationParams,
+        budget: &RunBudget,
+        master_seed: u64,
+    ) -> Result<EstimateOutcome, CoreError> {
+        let bank = estimator.compile_bank(queries, budget)?;
+        estimator.run_sharded(&bank, queries, params, budget, master_seed)
+    }
+
+    /// A budget whose checks run but never fire: an untripped token and
+    /// a draw cap past every cut-off.
+    fn dormant() -> RunBudget {
+        RunBudget::unlimited()
+            .with_cancel_token(CancelToken::new())
+            .with_max_draws(u64::MAX)
+    }
+
     fn all_specs() -> Vec<GeneratorSpec> {
         vec![
             GeneratorSpec::uniform_repairs(),
@@ -1458,10 +1216,9 @@ mod tests {
                 .answer_probability(spec, &evaluator, &candidate)
                 .unwrap()
                 .to_f64();
-            let estimator = OcqaEstimator::new(&db, &sigma, spec).unwrap();
-            let estimate = estimator
-                .estimate(&evaluator, &candidate, params, &mut rng)
-                .unwrap();
+            let estimator = BatchEstimator::new(&db, &sigma, spec).unwrap();
+            let estimate =
+                estimate_one(&estimator, &evaluator, &candidate, params, &mut rng).unwrap();
             assert!(!estimate.truncated, "spec {}", spec.short_name());
             let relative_error = (estimate.value - exact).abs() / exact;
             assert!(
@@ -1485,12 +1242,10 @@ mod tests {
             .unwrap()
             .to_f64();
         let estimator =
-            OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
+            BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
         let params = ApproximationParams::new(0.05, 0.05).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
-        let estimate = estimator
-            .estimate(&evaluator, &[], params, &mut rng)
-            .unwrap();
+        let estimate = estimate_one(&estimator, &evaluator, &[], params, &mut rng).unwrap();
         let relative_error = (estimate.value - exact).abs() / exact;
         assert!(
             relative_error < 0.1,
@@ -1509,7 +1264,7 @@ mod tests {
             GeneratorSpec::uniform_repairs().with_singleton_only(),
             GeneratorSpec::uniform_sequences().with_singleton_only(),
         ] {
-            match OcqaEstimator::new(&db, &sigma, spec) {
+            match BatchEstimator::new(&db, &sigma, spec) {
                 Err(CoreError::Unsupported { .. }) => {}
                 Err(other) => panic!("{spec:?}: unexpected error {other}"),
                 Ok(_) => panic!("{spec:?}: expected an Unsupported error"),
@@ -1527,10 +1282,10 @@ mod tests {
         let mut fds = FdSet::new();
         fds.add(FunctionalDependency::from_names(db.schema(), "R", &["A"], &["B"]).unwrap());
         assert!(matches!(
-            OcqaEstimator::new(&db, &fds, GeneratorSpec::uniform_operations()),
+            BatchEstimator::new(&db, &fds, GeneratorSpec::uniform_operations()),
             Err(CoreError::Unsupported { .. })
         ));
-        assert!(OcqaEstimator::new(
+        assert!(BatchEstimator::new(
             &db,
             &fds,
             GeneratorSpec::uniform_operations().with_singleton_only()
@@ -1543,19 +1298,15 @@ mod tests {
         assert!(ApproximationParams::new(0.0, 0.1).is_err());
         assert!(ApproximationParams::new(0.1, 1.5).is_err());
         let (db, sigma) = figure2();
-        let estimator = OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
+        let estimator = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
         let q = parse_query(db.schema(), "Ans(x) :- R('a1', x)").unwrap();
         let evaluator = QueryEvaluator::new(q);
         // Wrong candidate arity surfaces as a query error.
         let params = ApproximationParams::new(0.1, 0.1).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
+        let candidate = [Value::int(1), Value::int(2)];
         assert!(matches!(
-            estimator.estimate(
-                &evaluator,
-                &[Value::int(1), Value::int(2)],
-                params,
-                &mut rng
-            ),
+            estimate_one(&estimator, &evaluator, &candidate, params, &mut rng),
             Err(CoreError::Query(_))
         ));
     }
@@ -1566,31 +1317,28 @@ mod tests {
         let q = parse_query(db.schema(), "Ans(x) :- R('a1', x)").unwrap();
         let evaluator = QueryEvaluator::new(q);
         let candidate = [Value::str("b1")];
-        let estimator = OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
+        let estimator = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
 
         let additive = ApproximationParams::new(0.05, 0.05)
             .unwrap()
             .with_mode(EstimatorMode::FixedAdditive);
-        let estimate = estimator
-            .estimate(&evaluator, &candidate, additive, &mut rng)
-            .unwrap();
+        let estimate =
+            estimate_one(&estimator, &evaluator, &candidate, additive, &mut rng).unwrap();
         assert!((estimate.value - 0.25).abs() < 0.05);
 
         let explicit = ApproximationParams::new(0.05, 0.05)
             .unwrap()
             .with_mode(EstimatorMode::FixedSamples(500));
-        let estimate = estimator
-            .estimate(&evaluator, &candidate, explicit, &mut rng)
-            .unwrap();
+        let estimate =
+            estimate_one(&estimator, &evaluator, &candidate, explicit, &mut rng).unwrap();
         assert_eq!(estimate.samples, 500);
 
         let from_bound = ApproximationParams::new(0.3, 0.2)
             .unwrap()
             .with_mode(EstimatorMode::FixedFromLowerBound);
-        let estimate = estimator
-            .estimate(&evaluator, &candidate, from_bound, &mut rng)
-            .unwrap();
+        let estimate =
+            estimate_one(&estimator, &evaluator, &candidate, from_bound, &mut rng).unwrap();
         assert!((estimate.value - 0.25).abs() < 0.25 * 0.3 + 0.02);
     }
 
@@ -1614,19 +1362,18 @@ mod tests {
             .with_mode(EstimatorMode::FixedSamples(2_000));
         for spec in all_specs() {
             let batch = BatchEstimator::new(&db, &sigma, spec).unwrap();
-            let batched = batch.estimate_batch(&queries, params, &mut StdRng::seed_from_u64(99));
-            let batched = batched.unwrap();
+            let batched =
+                estimate_fresh(&batch, &queries, params, &mut StdRng::seed_from_u64(99)).unwrap();
             assert_eq!(batched.len(), queries.len());
             for (i, query) in queries.iter().enumerate() {
-                let single = batch
-                    .estimator()
-                    .estimate(
-                        query.evaluator,
-                        query.candidate,
-                        params,
-                        &mut StdRng::seed_from_u64(99),
-                    )
-                    .unwrap();
+                let single = estimate_one(
+                    &batch,
+                    query.evaluator,
+                    query.candidate,
+                    params,
+                    &mut StdRng::seed_from_u64(99),
+                )
+                .unwrap();
                 assert_eq!(batched[i], single, "spec {}, query {i}", spec.short_name());
             }
             // The impossible query is estimated at exactly zero.
@@ -1656,11 +1403,10 @@ mod tests {
         );
         for spec in all_specs() {
             let batch = BatchEstimator::new(&db, &sigma, spec).unwrap();
-            // `estimate_batch` routes OptimalStopping to the batched
-            // stopping rule.
-            let via_batch = batch
-                .estimate_batch(&queries, params, &mut StdRng::seed_from_u64(17))
-                .unwrap();
+            // `run` on a caller-held bank, and the compile-and-run
+            // wrapper.
+            let via_batch =
+                estimate_fresh(&batch, &queries, params, &mut StdRng::seed_from_u64(17)).unwrap();
             let direct = batch
                 .estimate_stopping_batch(&queries, params, &mut StdRng::seed_from_u64(17))
                 .unwrap();
@@ -1672,12 +1418,16 @@ mod tests {
                 .with_mode(EstimatorMode::OptimalStopping {
                     max_samples: 200_000,
                 });
-            let estimator = OcqaEstimator::new(&db, &sigma, spec).unwrap();
             for (i, query) in queries.iter().enumerate() {
                 let mut rng = StdRng::seed_from_u64(17);
-                let standalone = estimator
-                    .estimate(query.evaluator, query.candidate, single_params, &mut rng)
-                    .unwrap();
+                let standalone = estimate_one(
+                    &batch,
+                    query.evaluator,
+                    query.candidate,
+                    single_params,
+                    &mut rng,
+                )
+                .unwrap();
                 assert!(!standalone.truncated);
                 assert_eq!(
                     direct[i],
@@ -1778,26 +1528,23 @@ mod tests {
             assert_eq!(direct[1], zero, "spec {name}");
             assert!(direct.iter().all(|e| !e.truncated), "spec {name}");
             for (i, query) in queries.iter().enumerate() {
-                let single = batch
-                    .estimator()
-                    .estimate(
-                        query.evaluator,
-                        query.candidate,
-                        single_params,
-                        &mut StdRng::seed_from_u64(31),
-                    )
-                    .unwrap();
+                let single = estimate_one(
+                    &batch,
+                    query.evaluator,
+                    query.candidate,
+                    single_params,
+                    &mut StdRng::seed_from_u64(31),
+                )
+                .unwrap();
                 assert_eq!(direct[i], single, "spec {name}, query {i}");
-                let budgeted = batch
-                    .estimator()
-                    .estimate_with_budget(
-                        query.evaluator,
-                        query.candidate,
-                        single_params,
-                        &RunBudget::unlimited(),
-                        &mut StdRng::seed_from_u64(31),
-                    )
-                    .unwrap();
+                let budgeted = run_fresh(
+                    &batch,
+                    std::slice::from_ref(query),
+                    single_params,
+                    &RunBudget::unlimited(),
+                    &mut StdRng::seed_from_u64(31),
+                )
+                .unwrap();
                 assert_eq!(
                     (budgeted.queries[0].estimate, budgeted.total_draws),
                     (single.value, single.samples),
@@ -1805,14 +1552,14 @@ mod tests {
                 );
                 assert!(budgeted.queries[0].status.is_converged());
             }
-            let budgeted = batch
-                .estimate_batch_with_budget(
-                    &queries,
-                    params,
-                    &RunBudget::unlimited(),
-                    &mut StdRng::seed_from_u64(31),
-                )
-                .unwrap();
+            let budgeted = run_fresh(
+                &batch,
+                &queries,
+                params,
+                &RunBudget::unlimited(),
+                &mut StdRng::seed_from_u64(31),
+            )
+            .unwrap();
             assert!(budgeted.converged(), "spec {name}");
             for (i, outcome) in budgeted.queries.iter().enumerate() {
                 assert_eq!(
@@ -1822,19 +1569,20 @@ mod tests {
                 );
             }
             // A bank of witness-free entries only draws nothing at all.
-            let alone = batch
-                .estimate_batch_with_budget(
-                    &queries[1..2],
-                    params,
-                    &RunBudget::unlimited(),
-                    &mut StdRng::seed_from_u64(31),
-                )
-                .unwrap();
+            let alone = run_fresh(
+                &batch,
+                &queries[1..2],
+                params,
+                &RunBudget::unlimited(),
+                &mut StdRng::seed_from_u64(31),
+            )
+            .unwrap();
             assert_eq!(alone.total_draws, 0, "spec {name}");
             assert!(alone.converged(), "spec {name}");
             #[cfg(feature = "parallel")]
             {
-                let rounds = batch.estimate_batch_parallel(&queries, params, 23).unwrap();
+                let rounds = sharded_fresh(&batch, &queries, params, &RunBudget::unlimited(), 23);
+                let rounds = estimates_of(&rounds.unwrap());
                 assert_eq!(rounds[1], zero, "spec {name}");
                 assert!(rounds.iter().all(|e| !e.truncated), "spec {name}");
             }
@@ -1859,18 +1607,10 @@ mod tests {
         );
         let spec = GeneratorSpec::uniform_operations();
         let batch = BatchEstimator::new(&db, &sigma, spec).unwrap();
-        // `estimate_batch_parallel` routes OptimalStopping to the
-        // round-based stopping rule with the default round size.
-        let baseline = batch.estimate_batch_parallel(&queries, params, 23).unwrap();
-        let direct = batch
-            .estimate_stopping_batch_rounds_with_budget(
-                &queries,
-                params,
-                23,
-                &RunBudget::unlimited(),
-            )
-            .unwrap();
-        assert_eq!(baseline, estimates_of(&direct));
+        let unlimited = RunBudget::unlimited();
+        let bank = batch.compile_bank(&queries, &unlimited).unwrap();
+        let rounds = || batch.run_sharded(&bank, &queries, params, &unlimited, 23);
+        let baseline = estimates_of(&rounds().unwrap());
         for (i, query) in queries.iter().enumerate() {
             let estimate = baseline[i];
             assert!(!estimate.truncated, "query {i}");
@@ -1891,9 +1631,7 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .expect("pool");
-            let outcome = pool
-                .install(|| batch.estimate_batch_parallel(&queries, params, 23))
-                .unwrap();
+            let outcome = estimates_of(&pool.install(rounds).unwrap());
             assert_eq!(outcome, baseline, "{threads} threads");
         }
     }
@@ -1912,13 +1650,12 @@ mod tests {
             .unwrap()
             .with_mode(EstimatorMode::FixedSamples(10_000));
         let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
-        let batched = batch.estimate_batch_parallel(&queries, params, 7).unwrap();
+        let unlimited = RunBudget::unlimited();
+        let batched = sharded_fresh(&batch, &queries, params, &unlimited, 7).unwrap();
         for (i, query) in queries.iter().enumerate() {
-            let single = batch
-                .estimator()
-                .estimate_parallel(query.evaluator, query.candidate, params, 7)
-                .unwrap();
-            assert_eq!(batched[i], single, "query {i}");
+            let single =
+                sharded_fresh(&batch, std::slice::from_ref(query), params, &unlimited, 7).unwrap();
+            assert_eq!(batched.queries[i], single.queries[0], "query {i}");
         }
     }
 
@@ -1944,9 +1681,8 @@ mod tests {
             .with_mode(EstimatorMode::FixedSamples(500));
         for spec in all_specs() {
             let batch = BatchEstimator::new(&db, &sigma, spec).unwrap();
-            let estimates = batch
-                .estimate_batch(&queries, params, &mut StdRng::seed_from_u64(3))
-                .unwrap();
+            let estimates =
+                estimate_fresh(&batch, &queries, params, &mut StdRng::seed_from_u64(3)).unwrap();
             for (i, estimate) in estimates.iter().enumerate() {
                 assert_eq!(estimate.value, 1.0, "spec {}, query {i}", spec.short_name());
                 assert_eq!(estimate.successes, 500);
@@ -1963,17 +1699,19 @@ mod tests {
         let b1 = [Value::str("b1")];
         let queries = [BatchQuery::new(&evaluator, &b1)];
         let mut rng = StdRng::seed_from_u64(0);
-        // The per-query lower-bound mode cannot share one loop; the
-        // adaptive stopping mode can (it routes through the batched
-        // stopping rule) but requires `estimate_stopping_batch` modes to
-        // match.
+        // The per-query lower-bound mode cannot share one loop across a
+        // bank of two; a bank of one derives its count from its entry.
+        // The stopping wrapper requires the stopping mode.
         let params = ApproximationParams::new(0.2, 0.2)
             .unwrap()
             .with_mode(EstimatorMode::FixedFromLowerBound);
+        let two = [queries[0], queries[0]];
         assert!(matches!(
-            batch.estimate_batch(&queries, params, &mut rng),
+            estimate_fresh(&batch, &two, params, &mut rng),
             Err(CoreError::InvalidParameters { .. })
         ));
+        let one = estimate_fresh(&batch, &queries, params, &mut rng).unwrap();
+        assert!(one[0].samples > 0 && !one[0].truncated);
         let fixed = ApproximationParams::new(0.2, 0.2)
             .unwrap()
             .with_mode(EstimatorMode::FixedSamples(10));
@@ -1988,12 +1726,65 @@ mod tests {
             .unwrap()
             .with_mode(EstimatorMode::FixedSamples(10));
         assert!(matches!(
-            batch.estimate_batch(&bad, params, &mut rng),
+            estimate_fresh(&batch, &bad, params, &mut rng),
             Err(CoreError::Query(_))
         ));
         // An empty bank is a no-op, not an error.
-        let empty = batch.estimate_batch(&[], params, &mut rng).unwrap();
+        let empty = estimate_fresh(&batch, &[], params, &mut rng).unwrap();
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn an_empty_bank_draws_nothing_in_every_mode() {
+        // A fixed mode is the stopping loop with an unreachable target,
+        // and that loop ends once no entry is live: a bank with no entry
+        // draws nothing, sequential or sharded, whatever the mode.
+        let (db, sigma) = figure2();
+        let params = ApproximationParams::new(0.2, 0.2).unwrap();
+        let modes = [
+            params.mode,
+            EstimatorMode::FixedSamples(500),
+            EstimatorMode::FixedAdditive,
+        ];
+        let unlimited = RunBudget::unlimited();
+        for spec in all_specs() {
+            let batch = BatchEstimator::new(&db, &sigma, spec).unwrap();
+            let bank = batch.compile_bank(&[], &unlimited).unwrap();
+            for mode in modes {
+                let params = params.with_mode(mode);
+                let mut rng = StdRng::seed_from_u64(4);
+                let mut untouched = rng.clone();
+                let outcome = batch
+                    .run(&bank, &[], params, &unlimited, None, &mut rng)
+                    .unwrap();
+                let name = spec.short_name();
+                let drew_nothing = |outcome: &EstimateOutcome| {
+                    outcome.queries.is_empty() && outcome.total_draws == 0
+                };
+                assert!(drew_nothing(&outcome), "{name}, {mode:?}");
+                assert_eq!(rng.random::<u64>(), untouched.random::<u64>(), "{name}");
+                #[cfg(feature = "parallel")]
+                assert!(
+                    drew_nothing(
+                        &batch
+                            .run_sharded(&bank, &[], params, &unlimited, 4)
+                            .unwrap()
+                    ),
+                    "{name}, {mode:?}"
+                );
+            }
+            // The lower-bound count needs the bank's one entry.
+            let from_bound = params.with_mode(EstimatorMode::FixedFromLowerBound);
+            let mut rng = StdRng::seed_from_u64(4);
+            assert!(is_invalid(batch.run(
+                &bank,
+                &[],
+                from_bound,
+                &unlimited,
+                None,
+                &mut rng
+            )));
+        }
     }
 
     #[test]
@@ -2013,24 +1804,19 @@ mod tests {
         );
         let budget = RunBudget::unlimited();
         for spec in all_specs() {
-            let estimator = OcqaEstimator::new(&db, &sigma, spec).unwrap();
+            let estimator = BatchEstimator::new(&db, &sigma, spec).unwrap();
+            let queries = [BatchQuery::new(&evaluator, &candidate)];
             let plain = estimator
-                .estimate(
-                    &evaluator,
-                    &candidate,
-                    params,
-                    &mut StdRng::seed_from_u64(11),
-                )
-                .unwrap();
-            let budgeted = estimator
-                .estimate_with_budget(
-                    &evaluator,
-                    &candidate,
-                    params,
-                    &budget,
-                    &mut StdRng::seed_from_u64(11),
-                )
-                .unwrap();
+                .estimate_stopping_batch(&queries, params, &mut StdRng::seed_from_u64(11))
+                .unwrap()[0];
+            let budgeted = run_fresh(
+                &estimator,
+                &queries,
+                params,
+                &budget,
+                &mut StdRng::seed_from_u64(11),
+            )
+            .unwrap();
             assert_eq!(budgeted.queries.len(), 1, "spec {}", spec.short_name());
             let outcome = &budgeted.queries[0];
             assert_eq!(outcome.estimate, plain.value, "spec {}", spec.short_name());
@@ -2062,28 +1848,30 @@ mod tests {
         for spec in all_specs() {
             let batch = BatchEstimator::new(&db, &sigma, spec).unwrap();
             for params in [stopping, fixed] {
-                let plain = batch
-                    .estimate_batch(&queries, params, &mut StdRng::seed_from_u64(29))
-                    .unwrap();
-                let budgeted = batch
-                    .estimate_batch_with_budget(
-                        &queries,
-                        params,
-                        &budget,
-                        &mut StdRng::seed_from_u64(29),
-                    )
-                    .unwrap();
-                assert_eq!(budgeted.queries.len(), plain.len());
-                for (i, (b, p)) in budgeted.queries.iter().zip(&plain).enumerate() {
-                    assert_eq!(
-                        (b.estimate, b.samples, b.successes),
-                        (p.value, p.samples, p.successes),
-                        "spec {}, query {i}, mode {:?}",
-                        spec.short_name(),
-                        params.mode,
-                    );
-                    assert_eq!(b.status, BudgetStatus::Converged);
-                }
+                let plain = run_fresh(
+                    &batch,
+                    &queries,
+                    params,
+                    &budget,
+                    &mut StdRng::seed_from_u64(29),
+                )
+                .unwrap();
+                let budgeted = run_fresh(
+                    &batch,
+                    &queries,
+                    params,
+                    &dormant(),
+                    &mut StdRng::seed_from_u64(29),
+                )
+                .unwrap();
+                assert_eq!(
+                    budgeted,
+                    plain,
+                    "spec {}, mode {:?}",
+                    spec.short_name(),
+                    params.mode
+                );
+                assert!(budgeted.converged());
             }
         }
     }
@@ -2116,21 +1904,19 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(41);
             let token = CancelToken::tripped_at_draw(cut);
             let budget = RunBudget::unlimited().with_cancel_token(token);
-            let partial = batch
-                .estimate_batch_with_budget(&queries, params, &budget, &mut rng)
-                .unwrap();
+            let partial = run_fresh(&batch, &queries, params, &budget, &mut rng).unwrap();
             assert_eq!(partial.total_draws, cut, "cut {cut}");
             assert!(partial
                 .queries
                 .iter()
                 .any(|q| q.status == BudgetStatus::Cancelled));
             let resumed = batch
-                .estimate_stopping_batch_resume(
+                .run(
                     &bank,
                     &queries,
                     params,
                     &RunBudget::unlimited(),
-                    &partial,
+                    Some(&partial),
                     &mut rng,
                 )
                 .unwrap();
@@ -2167,24 +1953,27 @@ mod tests {
         let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
         let unlimited = RunBudget::unlimited();
         let bank = batch.compile_bank(&queries, &unlimited).unwrap();
-        let uninterrupted = batch
-            .estimate_batch_with_budget(
-                &queries,
-                params,
-                &unlimited,
-                &mut StdRng::seed_from_u64(41),
-            )
-            .unwrap();
+        let uninterrupted = run_fresh(
+            &batch,
+            &queries,
+            params,
+            &unlimited,
+            &mut StdRng::seed_from_u64(41),
+        )
+        .unwrap();
         for cut in [1u64, 17, 80, 500] {
             let mut rng = StdRng::seed_from_u64(41);
             let budget =
                 RunBudget::unlimited().with_cancel_token(CancelToken::tripped_at_draw(cut));
-            let partial = batch
-                .estimate_batch_with_budget(&queries, params, &budget, &mut rng)
-                .unwrap();
+            let partial = run_fresh(&batch, &queries, params, &budget, &mut rng).unwrap();
             let enrolled = batch
-                .estimate_stopping_batch_resume(
-                    &bank, &queries, params, &unlimited, &partial, &mut rng,
+                .run(
+                    &bank,
+                    &queries,
+                    params,
+                    &unlimited,
+                    Some(&partial),
+                    &mut rng,
                 )
                 .unwrap();
             assert_eq!(enrolled, uninterrupted, "cut {cut}");
@@ -2219,22 +2008,32 @@ mod tests {
         let bank = batch.compile_bank(&queries, &unlimited).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         // A prior for a batch of one, and one for a batch of three.
-        let one = batch
-            .estimate_batch_with_budget(&queries[..1], stopping_params(), &unlimited, &mut rng)
-            .unwrap();
+        let one = run_fresh(
+            &batch,
+            &queries[..1],
+            stopping_params(),
+            &unlimited,
+            &mut rng,
+        )
+        .unwrap();
         let mut three = one.clone();
         three.queries.extend([one.queries[0]; 2]);
         for prior in [&one, &three] {
-            let resumed = batch.estimate_stopping_batch_resume(
+            let resumed = batch.run(
                 &bank,
                 &queries,
                 stopping_params(),
                 &unlimited,
-                prior,
+                Some(prior),
                 &mut rng,
             );
             assert!(is_invalid(resumed), "{} prior entries", prior.queries.len());
         }
+        // A prior of the right size resumes only a stopping-rule run.
+        let two = run_fresh(&batch, &queries, stopping_params(), &unlimited, &mut rng).unwrap();
+        let fixed = stopping_params().with_mode(EstimatorMode::FixedSamples(10));
+        let resumed = batch.run(&bank, &queries, fixed, &unlimited, Some(&two), &mut rng);
+        assert!(is_invalid(resumed));
     }
 
     #[test]
@@ -2247,21 +2046,19 @@ mod tests {
         let unlimited = RunBudget::unlimited();
         let short = batch.compile_bank(&queries[..1], &unlimited).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
-        let prior = batch
-            .estimate_batch_with_budget(&queries, stopping_params(), &unlimited, &mut rng)
-            .unwrap();
-        let resumed = batch.estimate_stopping_batch_resume(
+        let prior = run_fresh(&batch, &queries, stopping_params(), &unlimited, &mut rng).unwrap();
+        let resumed = batch.run(
             &short,
             &queries,
             stopping_params(),
             &unlimited,
-            &prior,
+            Some(&prior),
             &mut rng,
         );
         assert!(is_invalid(resumed));
         let fixed = stopping_params().with_mode(EstimatorMode::FixedSamples(10));
         assert!(is_invalid(
-            batch.estimate_batch_with_bank(&short, &queries, fixed, &mut rng)
+            batch.run(&short, &queries, fixed, &unlimited, None, &mut rng)
         ));
     }
 
@@ -2275,28 +2072,26 @@ mod tests {
         let unlimited = RunBudget::unlimited();
         let bank = batch.compile_bank(&queries, &unlimited).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
-        let prior = batch
-            .estimate_batch_with_budget(&queries, stopping_params(), &unlimited, &mut rng)
-            .unwrap();
+        let prior = run_fresh(&batch, &queries, stopping_params(), &unlimited, &mut rng).unwrap();
         let fixed = stopping_params().with_mode(EstimatorMode::FixedSamples(10));
         // Another candidate at one entry, and the entries swapped.
         let other_candidate = [BatchQuery::new(&lookup, &b2), BatchQuery::new(&member, &[])];
         let swapped = [BatchQuery::new(&member, &[]), BatchQuery::new(&lookup, &b1)];
         for foreign in [&other_candidate, &swapped] {
             assert!(is_invalid(
-                batch.estimate_batch_with_bank(&bank, foreign, fixed, &mut rng)
+                batch.run(&bank, foreign, fixed, &unlimited, None, &mut rng)
             ));
-            assert!(is_invalid(batch.estimate_stopping_batch_resume(
+            assert!(is_invalid(batch.run(
                 &bank,
                 foreign,
                 stopping_params(),
                 &unlimited,
-                &prior,
+                Some(&prior),
                 &mut rng,
             )));
         }
         assert!(batch
-            .estimate_batch_with_bank(&bank, &queries, fixed, &mut rng)
+            .run(&bank, &queries, fixed, &unlimited, None, &mut rng)
             .is_ok());
     }
 
@@ -2309,32 +2104,32 @@ mod tests {
         let unlimited = RunBudget::unlimited();
         let (stale, prior) = {
             let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
-            let prior = batch
-                .estimate_batch_with_budget(
-                    &queries,
-                    stopping_params(),
-                    &unlimited,
-                    &mut StdRng::seed_from_u64(3),
-                )
-                .unwrap();
+            let prior = run_fresh(
+                &batch,
+                &queries,
+                stopping_params(),
+                &unlimited,
+                &mut StdRng::seed_from_u64(3),
+            )
+            .unwrap();
             (batch.compile_bank(&queries, &unlimited).unwrap(), prior)
         };
         db.insert_values("R", [Value::str("a2"), Value::str("b2")])
             .unwrap();
         let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
-        let resumed = batch.estimate_stopping_batch_resume(
+        let resumed = batch.run(
             &stale,
             &queries,
             stopping_params(),
             &unlimited,
-            &prior,
+            Some(&prior),
             &mut rng,
         );
         assert!(is_invalid(resumed));
         let fixed = stopping_params().with_mode(EstimatorMode::FixedSamples(10));
         assert!(is_invalid(
-            batch.estimate_batch_with_bank(&stale, &queries, fixed, &mut rng)
+            batch.run(&stale, &queries, fixed, &unlimited, None, &mut rng)
         ));
         // The same bank refreshed against the database is accepted.
         let mut fresh = stale;
@@ -2342,7 +2137,7 @@ mod tests {
             queries.iter().map(|q| (q.evaluator, q.candidate)).collect();
         fresh.refresh(&db, &refs).unwrap();
         assert!(batch
-            .estimate_batch_with_bank(&fresh, &queries, fixed, &mut rng)
+            .run(&fresh, &queries, fixed, &unlimited, None, &mut rng)
             .is_ok());
         // A delete-only delta leaves the universe as it was; the bank is
         // stale all the same until it is refreshed.
@@ -2356,17 +2151,17 @@ mod tests {
         let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
         assert_eq!(fresh.universe(), db.len());
         assert!(is_invalid(
-            batch.estimate_batch_with_bank(&fresh, &queries, fixed, &mut rng)
+            batch.run(&fresh, &queries, fixed, &unlimited, None, &mut rng)
         ));
         fresh.refresh(&db, &refs).unwrap();
         assert!(batch
-            .estimate_batch_with_bank(&fresh, &queries, fixed, &mut rng)
+            .run(&fresh, &queries, fixed, &unlimited, None, &mut rng)
             .is_ok());
     }
 
     /// What each spec's draw covers for the live entries of `live`.
     fn cover_of(batch: &BatchEstimator<'_>, bank: &LineageBank, live: &[usize]) -> Cover {
-        Cover::of(&batch.inner, bank, &BankLiveSet::restrict(bank, live))
+        Cover::of(batch, bank, &BankLiveSet::restrict(bank, live))
     }
 
     #[test]
@@ -2399,7 +2194,7 @@ mod tests {
             };
             let name = spec.short_name();
             let mut experiment =
-                BankExperiment::new(&batch.inner, &bank, &queries, BankLiveSet::full(&bank));
+                BankExperiment::new(&batch, &bank, &queries, BankLiveSet::full(&bank));
             let mut rng = StdRng::seed_from_u64(3);
             let mut hits = vec![false; queries.len()];
             if spec.semantics == UniformSemantics::Operations && spec.singleton_only {
@@ -2437,7 +2232,7 @@ mod tests {
             }
             // The cover of the entries `live`, whose witnesses are the
             // facts `witness_facts`.
-            let expected = |witness_facts: &[usize]| match &batch.inner.sampler {
+            let expected = |witness_facts: &[usize]| match &batch.sampler {
                 SamplerKind::Repairs(sampler) => {
                     Cover::Units(sampler.blocks_meeting(facts(witness_facts)))
                 }
@@ -2510,8 +2305,7 @@ mod tests {
         let bank = batch
             .compile_bank(&queries, &RunBudget::unlimited())
             .unwrap();
-        let mut experiment =
-            BankExperiment::new(&batch.inner, &bank, &queries, BankLiveSet::full(&bank));
+        let mut experiment = BankExperiment::new(&batch, &bank, &queries, BankLiveSet::full(&bank));
         StoppingBatchExperiment::<StdRng>::retire(&mut experiment, 0);
         assert!(experiment.draw.is_none());
     }
@@ -2539,9 +2333,14 @@ mod tests {
         let plain = batch
             .estimate_stopping_batch(&queries, params, &mut StdRng::seed_from_u64(5))
             .unwrap();
-        let degraded = batch
-            .estimate_batch_with_budget(&queries, params, &starved, &mut StdRng::seed_from_u64(5))
-            .unwrap();
+        let degraded = run_fresh(
+            &batch,
+            &queries,
+            params,
+            &starved,
+            &mut StdRng::seed_from_u64(5),
+        )
+        .unwrap();
         assert_eq!(
             (
                 degraded.queries[0].estimate,
@@ -2572,18 +2371,18 @@ mod tests {
                 max_samples: 10_000_000,
             },
         );
-        let estimator = OcqaEstimator::new(&db, &sigma, spec).unwrap();
+        let estimator = BatchEstimator::new(&db, &sigma, spec).unwrap();
+        let queries = [BatchQuery::new(&evaluator, &candidate)];
         for cut in [50u64, 500, 5_000] {
             let budget = RunBudget::unlimited().with_max_draws(cut);
-            let outcome = estimator
-                .estimate_with_budget(
-                    &evaluator,
-                    &candidate,
-                    params,
-                    &budget,
-                    &mut StdRng::seed_from_u64(13),
-                )
-                .unwrap();
+            let outcome = run_fresh(
+                &estimator,
+                &queries,
+                params,
+                &budget,
+                &mut StdRng::seed_from_u64(13),
+            )
+            .unwrap();
             let query = &outcome.queries[0];
             assert_eq!(query.samples, cut);
             assert_eq!(query.status, BudgetStatus::BudgetExhausted);
@@ -2620,23 +2419,10 @@ mod tests {
                     max_samples: 1_000_000,
                 });
         let batch = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
-        let plain = batch.estimate_batch_parallel(&queries, params, 23).unwrap();
-        let budgeted = batch
-            .estimate_stopping_batch_rounds_with_budget(
-                &queries,
-                params,
-                23,
-                &RunBudget::unlimited(),
-            )
-            .unwrap();
-        for (i, (b, p)) in budgeted.queries.iter().zip(&plain).enumerate() {
-            assert_eq!(
-                (b.estimate, b.samples, b.successes),
-                (p.value, p.samples, p.successes),
-                "query {i}"
-            );
-            assert_eq!(b.status, BudgetStatus::Converged);
-        }
+        let plain = sharded_fresh(&batch, &queries, params, &RunBudget::unlimited(), 23).unwrap();
+        let budgeted = sharded_fresh(&batch, &queries, params, &dormant(), 23).unwrap();
+        assert_eq!(budgeted, plain);
+        assert!(budgeted.converged());
         // A draw cap interrupts at a round boundary: a query that cannot
         // converge is cut after the first round instead of running to the
         // `max_samples` cut-off (queries that converged within the round
@@ -2646,14 +2432,14 @@ mod tests {
         let never = parse_query(db.schema(), "Ans() :- R('a1', 'b1'), R('a1', 'b2')").unwrap();
         let never = QueryEvaluator::new(never);
         let queries = [BatchQuery::new(&lookup, &b1), BatchQuery::new(&never, &[])];
-        let capped = batch
-            .estimate_stopping_batch_rounds_with_budget(
-                &queries,
-                params,
-                23,
-                &RunBudget::unlimited().with_max_draws(1),
-            )
-            .unwrap();
+        let capped = sharded_fresh(
+            &batch,
+            &queries,
+            params,
+            &RunBudget::unlimited().with_max_draws(1),
+            23,
+        )
+        .unwrap();
         assert_eq!(capped.queries[1].status, BudgetStatus::BudgetExhausted);
         assert!(
             capped.total_draws < 1_000_000,
@@ -2670,9 +2456,13 @@ mod tests {
         let from_bound = ApproximationParams::new(0.3, 0.2)
             .unwrap()
             .with_mode(EstimatorMode::FixedFromLowerBound);
+        let b1 = [Value::str("b1")];
+        let queries = [BatchQuery::new(&evaluator, &b1)];
         for spec in all_specs() {
-            let estimator = OcqaEstimator::new(&db, &sigma, spec).unwrap();
-            let samples = estimator.fixed_sample_count(Some(&evaluator), from_bound);
+            let estimator = BatchEstimator::new(&db, &sigma, spec).unwrap();
+            let samples = estimator
+                .schedule(&queries, from_bound)
+                .map(|schedule| schedule.cut_off);
             if spec == GeneratorSpec::uniform_operations() {
                 // Proposition 7.3 derives about 1.35·10¹⁴ draws here.
                 assert!(is_invalid(samples), "{}", spec.short_name());
@@ -2692,9 +2482,9 @@ mod tests {
         let (db, sigma) = figure2();
         let q = parse_query(db.schema(), "Ans(x) :- R('a1', x)").unwrap();
         let evaluator = QueryEvaluator::new(q);
-        let rr = OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
+        let rr = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
         assert!((rr.theoretical_lower_bound(&evaluator).to_f64() - 1.0 / 12.0).abs() < 1e-9);
-        let uo1 = OcqaEstimator::new(
+        let uo1 = BatchEstimator::new(
             &db,
             &sigma,
             GeneratorSpec::uniform_operations().with_singleton_only(),
@@ -2730,24 +2520,25 @@ mod tests {
             GeneratorSpec::uniform_operations(),
             GeneratorSpec::uniform_operations().with_singleton_only(),
         ] {
-            let fresh = OcqaEstimator::new(&db, &sigma, spec)
-                .unwrap()
-                .estimate(
-                    &evaluator,
-                    &candidate,
-                    params,
-                    &mut StdRng::seed_from_u64(99),
-                )
-                .unwrap();
-            let reused = OcqaEstimator::with_conflict_index(&db, &sigma, spec, index.clone())
-                .unwrap()
-                .estimate(
-                    &evaluator,
-                    &candidate,
-                    params,
-                    &mut StdRng::seed_from_u64(99),
-                )
-                .unwrap();
+            let fresh = BatchEstimator::new(&db, &sigma, spec).unwrap();
+            let fresh = estimate_one(
+                &fresh,
+                &evaluator,
+                &candidate,
+                params,
+                &mut StdRng::seed_from_u64(99),
+            )
+            .unwrap();
+            let reused =
+                BatchEstimator::with_conflict_index(&db, &sigma, spec, index.clone()).unwrap();
+            let reused = estimate_one(
+                &reused,
+                &evaluator,
+                &candidate,
+                params,
+                &mut StdRng::seed_from_u64(99),
+            )
+            .unwrap();
             assert_eq!(
                 fresh,
                 reused,
@@ -2765,7 +2556,7 @@ mod tests {
             GeneratorSpec::uniform_repairs(),
             GeneratorSpec::uniform_sequences().with_singleton_only(),
         ] {
-            let err = OcqaEstimator::with_conflict_index(&db, &sigma, spec, index.clone());
+            let err = BatchEstimator::with_conflict_index(&db, &sigma, spec, index.clone());
             assert!(
                 matches!(err, Err(CoreError::Unsupported { .. })),
                 "spec {} must be rejected",

@@ -18,14 +18,17 @@
 //!   (Lemmas 7.2 and D.7).
 //! * [`bounds`] — the polynomial lower bounds on the target quantities
 //!   (Lemmas 5.3, 6.3, E.3, E.10, D.8 and Proposition 7.3).
-//! * [`montecarlo`] — Monte-Carlo estimation: fixed-sample-size estimators
-//!   and the Dagum–Karp–Luby–Ross optimal stopping rule.
+//! * [`montecarlo`] — Monte-Carlo estimation: the Dagum–Karp–Luby–Ross
+//!   optimal stopping rule, sequential and sharded; a fixed sample count
+//!   is the same loop with a target no variable reaches.
 //! * [`budget`] — run budgets for the estimation loops: draw caps,
 //!   wall-clock deadlines, cooperative cancellation, and the achieved
 //!   `(ε′, δ)` bound of an interrupted run.
-//! * [`fpras`] — the end-to-end FPRAS drivers of Theorems 5.1(2), 6.1(2),
+//! * [`fpras`] — the end-to-end FPRAS of Theorems 5.1(2), 6.1(2),
 //!   7.1(2), 7.5, E.1(2) and E.8(2), with the constraint-class requirements
-//!   of each theorem enforced at run time.
+//!   of each theorem enforced at run time: one estimator, a bank compiled
+//!   once, and two runs over it (`run`, and `run_sharded` with the
+//!   `parallel` feature).
 //! * [`stream`] — sliding-window continuous CQA: a windowed estimator
 //!   that slides facts out of a count- or tick-based window, refreshes
 //!   the derived structures by changelog replay, and reuses converged
@@ -58,14 +61,14 @@ pub use budget::{
 };
 pub use error::CoreError;
 pub use exact::ExactSolver;
-pub use fpras::{ApproximationParams, BatchEstimator, BatchQuery, Estimate, OcqaEstimator};
+pub use fpras::{ApproximationParams, BatchEstimator, BatchQuery, Estimate};
 pub use stream::{TickOutcome, TickReport, WindowSpec, WindowedEstimator};
 
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use crate::{
         AchievedBound, ApproximationParams, BatchEstimator, BatchQuery, BudgetStatus, CancelToken,
-        CoreError, Estimate, EstimateOutcome, ExactSolver, OcqaEstimator, QueryOutcome, RunBudget,
-        TickOutcome, TickReport, WindowSpec, WindowedEstimator,
+        CoreError, Estimate, EstimateOutcome, ExactSolver, QueryOutcome, RunBudget, TickOutcome,
+        TickReport, WindowSpec, WindowedEstimator,
     };
 }

@@ -3,33 +3,34 @@
 //! The FPRAS drivers reduce every approximation task to estimating the
 //! means of Bernoulli random variables ("does a sampled repair/sequence
 //! entail the query?"), `k` of them at once from **one** shared sample
-//! stream.  A single query is a stream with one variable.  Four loops
-//! cover every estimator mode:
+//! stream.  A single query is a stream with one variable.  Two loops run
+//! the *optimal stopping rule* of Dagum, Karp, Luby and Ross (reference
+//! \[8\] of the paper, see [`StoppingRuleEstimator`]), which achieves a
+//! relative `(ε, δ)`-guarantee with an expected number of samples
+//! proportional to `1/p`, without having to know a lower bound on `p` in
+//! advance.  Each variable tracks its own success target and *retires*
+//! from the per-draw work as it converges:
 //!
-//! * [`estimate_fixed_batch`] — the textbook fixed-sample-size estimator,
-//!   used with the sample counts of [`crate::bounds`] (additive or
-//!   relative guarantees), and its rayon-sharded twin
-//!   [`estimate_fixed_batch_parallel`];
-//! * [`estimate_stopping_batch_budgeted`] — the *optimal stopping rule* of
-//!   Dagum, Karp, Luby and Ross (reference \[8\] of the paper, see
-//!   [`StoppingRuleEstimator`]), which achieves a relative
-//!   `(ε, δ)`-guarantee with an expected number of samples proportional
-//!   to `1/p`, without having to know a lower bound on `p` in advance.
-//!   Each variable tracks its own success target and *retires* from the
-//!   per-draw work as it converges.  [`estimate_stopping_batch`] is the
+//! * [`estimate_stopping_batch_budgeted`] — the sequential loop, which an
+//!   interrupted run resumes from; [`estimate_stopping_batch`] is the
 //!   same loop without a budget;
-//! * [`estimate_stopping_batch_rounds`] — the stopping rule in
-//!   rayon-sharded rounds.
+//! * `estimate_stopping_batch_rounds` (crate-private, `parallel` feature)
+//!   — the same rule in rayon-sharded rounds.
 //!
-//! Every loop but the sharded fixed one takes a [`RunBudget`] — draw
-//! caps, wall-clock deadlines, cooperative cancellation — that can stop
-//! the stream mid-flight and reports a [`BudgetStatus`] alongside the
-//! partial outcome; [`RunBudget::unlimited`] never interrupts.  Budget
-//! checks consume no randomness and run *before* each draw, so an
-//! unconstrained budget never changes the stream, and an interrupted
-//! sequential stopping run can be
-//! [resumed](estimate_stopping_batch_budgeted) from the same RNG state to
-//! reproduce the uninterrupted stream bit-for-bit.
+//! The textbook fixed-sample-size estimator, with the sample counts of
+//! [`crate::bounds`] (additive or relative guarantees), is either loop
+//! with a success target no variable reaches (`u64::MAX`) and the cut-off
+//! at the sample count: every variable rides the stream to the cut-off
+//! and reports its empirical mean.
+//!
+//! Both loops take a [`RunBudget`] — draw caps, wall-clock deadlines,
+//! cooperative cancellation — that can stop the stream mid-flight and
+//! reports a [`BudgetStatus`] alongside the partial outcome;
+//! [`RunBudget::unlimited`] never interrupts.  Budget checks consume no
+//! randomness and run *before* each draw (each round, when sharded), so
+//! an unconstrained budget never changes the stream, and an interrupted
+//! sequential run can be [resumed](estimate_stopping_batch_budgeted) from
+//! the same RNG state to reproduce the uninterrupted stream bit-for-bit.
 
 use crate::budget::{BudgetStatus, RunBudget};
 use crate::CoreError;
@@ -38,132 +39,6 @@ use rand::Rng;
 use rand::{rngs::StdRng, SeedableRng};
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
-
-/// The result of a batched Monte-Carlo run: one shared sample count, one
-/// success counter per Bernoulli variable.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchOutcome {
-    /// The number of (shared) samples that were drawn.
-    pub samples: u64,
-    /// Per-variable success counts.
-    pub successes: Vec<u64>,
-}
-
-impl BatchOutcome {
-    /// The per-variable empirical means.
-    pub fn estimates(&self) -> Vec<f64> {
-        self.successes
-            .iter()
-            .map(|&s| {
-                if self.samples == 0 {
-                    0.0
-                } else {
-                    s as f64 / self.samples as f64
-                }
-            })
-            .collect()
-    }
-}
-
-/// Draws up to `samples` *shared* experiments under `budget`, each
-/// updating `queries` success counters at once: `experiment(rng,
-/// successes)` must add at most one to each counter per call.
-///
-/// With `samples ≥ ln(2/δ)/(2ε²)` each mean is an additive `(ε, δ)`
-/// approximation (Hoeffding); with `samples ≥ 3·ln(2/δ)/(ε²·p)` a relative
-/// one (multiplicative Chernoff).  Because the RNG is consumed by the
-/// shared draw only (never by the per-variable checks), running this with
-/// `k` counters is bit-identical to `k` one-counter runs from the same RNG
-/// state — the batched and the independent estimators realise the *same*
-/// random variables.
-///
-/// One shared status for the whole batch: the stream either runs to its
-/// planned length ([`BudgetStatus::Converged`]) or every variable is cut
-/// at the same draw.  The budget is polled before each draw, so an
-/// interrupted run has consumed exactly the draws it reports.
-pub fn estimate_fixed_batch<R, F>(
-    rng: &mut R,
-    samples: u64,
-    queries: usize,
-    budget: &RunBudget,
-    mut experiment: F,
-) -> (BatchOutcome, BudgetStatus)
-where
-    R: Rng + ?Sized,
-    F: FnMut(&mut R, &mut [u64]),
-{
-    let mut successes = vec![0u64; queries];
-    let mut drawn = 0u64;
-    let mut status = BudgetStatus::Converged;
-    while drawn < samples {
-        if let Some(interrupt) = budget.check(drawn) {
-            status = interrupt;
-            break;
-        }
-        drawn += 1;
-        experiment(rng, &mut successes);
-    }
-    (
-        BatchOutcome {
-            samples: drawn,
-            successes,
-        },
-        status,
-    )
-}
-
-/// As [`estimate_fixed_batch`] without a budget, with the samples sharded
-/// across threads, summing the per-shard success vectors.
-///
-/// Shard `s` runs its own `StdRng` seeded deterministically from
-/// `(master_seed, s)` and its own experiment instance obtained from
-/// `make_experiment` (so per-shard scratch buffers — sampled-repair
-/// bitsets, walk scratch — are private to a shard and allocated once per
-/// shard, not once per sample).  Because shard boundaries depend only on
-/// `samples` and `shard_size`, and the reduction is an element-wise
-/// integer sum, the outcome is **bit-identical for a fixed master seed
-/// regardless of thread count** — including a thread count of one — and
-/// bit-identical to `k` one-counter runs whose experiments consume the
-/// RNG identically (the batched FPRAS guarantee).
-///
-/// Only available with the `parallel` feature (rayon).
-#[cfg(feature = "parallel")]
-pub fn estimate_fixed_batch_parallel<E, F>(
-    master_seed: u64,
-    samples: u64,
-    shard_size: u64,
-    queries: usize,
-    make_experiment: F,
-) -> BatchOutcome
-where
-    F: Fn() -> E + Sync,
-    E: FnMut(&mut StdRng, &mut [u64]),
-{
-    let shard_size = shard_size.max(1);
-    let shards = samples.div_ceil(shard_size);
-    let successes = (0..shards)
-        .into_par_iter()
-        .map(|shard| {
-            let mut rng = StdRng::seed_from_u64(shard_seed(master_seed, shard));
-            let mut experiment = make_experiment();
-            let count = shard_size.min(samples - shard * shard_size);
-            let mut successes = vec![0u64; queries];
-            for _ in 0..count {
-                experiment(&mut rng, &mut successes);
-            }
-            successes
-        })
-        .reduce(
-            || vec![0u64; queries],
-            |mut acc, shard| {
-                for (a, s) in acc.iter_mut().zip(&shard) {
-                    *a += s;
-                }
-                acc
-            },
-        );
-    BatchOutcome { samples, successes }
-}
 
 /// Default number of samples per parallel shard: large enough to amortise
 /// per-shard setup (RNG seeding, scratch-buffer construction), small enough
@@ -186,9 +61,8 @@ fn shard_seed(master_seed: u64, shard: u64) -> u64 {
 /// A batched Bernoulli experiment driven by the sequential stopping-rule
 /// loop ([`estimate_stopping_batch_budgeted`]).
 ///
-/// Unlike the fixed-sample batched loop, the adaptive loop *retires*
-/// queries as they converge, and the experiment is told about it so the
-/// per-draw work can shrink (the FPRAS driver drops a retired query's
+/// The loop *retires* queries as they converge, and the experiment is
+/// told about it so the per-draw work can shrink (the FPRAS driver drops a retired query's
 /// witnesses out of the shared containment scan).
 pub trait StoppingBatchExperiment<R: Rng + ?Sized> {
     /// Draws **one** shared sample and writes `hits[q] = true` iff query
@@ -421,10 +295,17 @@ fn truncate_live(
 
 /// The stopping rule of [`estimate_stopping_batch_budgeted`] in
 /// rayon-sharded rounds: draws up to `round_samples` shared samples per
-/// round (sharded across worker threads exactly like
-/// [`estimate_fixed_batch_parallel`], with a global shard counter deriving
-/// the per-shard RNG streams), then checks retirement at the round
-/// boundary.
+/// round, sharded across worker threads, then checks retirement at the
+/// round boundary.
+///
+/// Shard `s` of the whole run — a global counter across rounds — runs
+/// its own `StdRng` seeded deterministically from `(master_seed, s)` and
+/// draws `shard_size` samples (fewer in the last shard of a round), so
+/// per-shard scratch buffers are allocated once per shard, not once per
+/// sample.  While every query is live, rounds of a whole number of shards
+/// cut the stream into the same shards whatever the number of queries: a
+/// fixed-count run (every target `u64::MAX`) over `k` queries counts
+/// exactly what `k` one-query runs count.
 ///
 /// `make_experiment` is called once per shard with the **current live
 /// query list** and returns the shard's experiment closure, so a fresh
@@ -472,7 +353,7 @@ fn truncate_live(
 /// Only available with the `parallel` feature (rayon).
 #[cfg(feature = "parallel")]
 #[allow(clippy::too_many_arguments)]
-pub fn estimate_stopping_batch_rounds<E, F>(
+pub(crate) fn estimate_stopping_batch_rounds<E, F>(
     master_seed: u64,
     targets: &[u64],
     max_samples: u64,
@@ -573,7 +454,7 @@ where
 /// `ε` of the true mean with probability at least `1 − δ`, and the
 /// expected sample count is `O(Υ / p)`.  The loops that run it are
 /// [`estimate_stopping_batch_budgeted`] (a single mean is a batch of one)
-/// and [`estimate_stopping_batch_rounds`].
+/// and its sharded twin.
 ///
 /// Because the expected running time is inversely proportional to the true
 /// mean, the loops enforce a `max_samples` cut-off; if it is reached they
@@ -650,33 +531,46 @@ mod tests {
     use rand::SeedableRng;
 
     /// A one-variable fixed run of `samples` Bernoulli(`p`) draws.
-    fn fixed_bernoulli(
+    /// A fixed run of `samples` shared draws, each variable a threshold
+    /// over one uniform draw: the sequential loop with every target out
+    /// of reach, cut off at `samples`.
+    fn fixed_thresholds(
         rng: &mut StdRng,
         samples: u64,
         budget: &RunBudget,
-        p: f64,
-    ) -> (BatchOutcome, BudgetStatus) {
-        estimate_fixed_batch(rng, samples, 1, budget, |rng, successes| {
-            successes[0] += u64::from(rng.random_bool(p))
-        })
+        thresholds: &[f64],
+    ) -> BudgetedStoppingOutcome {
+        let targets = vec![u64::MAX; thresholds.len()];
+        let mut experiment = ThresholdExperiment::new(thresholds);
+        estimate_stopping_batch_budgeted(rng, &targets, samples, budget, &mut experiment, None)
+    }
+
+    fn successes(outcome: &BudgetedStoppingOutcome) -> Vec<u64> {
+        outcome.outcomes.iter().map(|o| o.successes).collect()
+    }
+
+    fn estimates(outcome: &BudgetedStoppingOutcome) -> Vec<f64> {
+        outcome.outcomes.iter().map(|o| o.estimate).collect()
     }
 
     #[test]
     fn fixed_estimator_recovers_the_mean() {
         let mut rng = StdRng::seed_from_u64(1);
-        let (outcome, status) = fixed_bernoulli(&mut rng, 40_000, &RunBudget::unlimited(), 0.3);
-        let estimate = outcome.estimates()[0];
+        let outcome = fixed_thresholds(&mut rng, 40_000, &RunBudget::unlimited(), &[0.3]);
+        let estimate = estimates(&outcome)[0];
         assert!((estimate - 0.3).abs() < 0.02);
-        assert_eq!(outcome.samples, 40_000);
-        assert_eq!(outcome.successes[0], (estimate * 40_000.0).round() as u64);
-        assert_eq!(status, BudgetStatus::Converged);
+        assert_eq!(outcome.total_samples, 40_000);
+        assert_eq!(successes(&outcome)[0], (estimate * 40_000.0).round() as u64);
+        // No target is reached: the variable rides the stream to the
+        // cut-off.
+        assert_eq!(outcome.outcomes[0].samples, 40_000);
     }
 
     #[test]
     fn fixed_estimator_with_zero_samples_is_zero() {
         let mut rng = StdRng::seed_from_u64(2);
-        let (outcome, _) = fixed_bernoulli(&mut rng, 0, &RunBudget::unlimited(), 1.0);
-        assert_eq!(outcome.estimates(), vec![0.0]);
+        let outcome = fixed_thresholds(&mut rng, 0, &RunBudget::unlimited(), &[1.0]);
+        assert_eq!(estimates(&outcome), vec![0.0]);
     }
 
     /// The stopping rule on one Bernoulli(`p`) variable: a one-target
@@ -736,25 +630,47 @@ mod tests {
     #[cfg(feature = "parallel")]
     #[test]
     fn parallel_estimator_recovers_the_mean() {
-        let outcome = parallel_bernoulli(99, 80_000, DEFAULT_SHARD_SIZE, 0.25);
-        assert_eq!(outcome.samples, 80_000);
-        assert!((outcome.estimates()[0] - 0.25).abs() < 0.01);
+        let outcome = parallel_thresholds(99, 80_000, DEFAULT_SHARD_SIZE, &[0.25]);
+        assert_eq!(outcome.total_samples, 80_000);
+        assert!((estimates(&outcome)[0] - 0.25).abs() < 0.01);
     }
 
     /// A one-variable sharded run of `samples` Bernoulli(`p`) draws.
     #[cfg(feature = "parallel")]
-    fn parallel_bernoulli(master_seed: u64, samples: u64, shard_size: u64, p: f64) -> BatchOutcome {
-        estimate_fixed_batch_parallel(master_seed, samples, shard_size, 1, || {
-            move |rng: &mut StdRng, successes: &mut [u64]| {
-                successes[0] += u64::from(rng.random_bool(p))
-            }
-        })
+    /// As [`fixed_thresholds`] in sharded rounds of four shards, without
+    /// a budget.
+    #[cfg(feature = "parallel")]
+    fn parallel_thresholds(
+        master_seed: u64,
+        samples: u64,
+        shard_size: u64,
+        thresholds: &[f64],
+    ) -> BudgetedStoppingOutcome {
+        let targets = vec![u64::MAX; thresholds.len()];
+        let budget = RunBudget::unlimited();
+        estimate_stopping_batch_rounds(
+            master_seed,
+            &targets,
+            samples,
+            4 * shard_size,
+            shard_size,
+            &budget,
+            &[],
+            |_live| {
+                move |rng: &mut StdRng, hits: &mut [bool]| {
+                    let draw: f64 = rng.random();
+                    for (hit, &t) in hits.iter_mut().zip(thresholds) {
+                        *hit = draw < t;
+                    }
+                }
+            },
+        )
     }
 
     #[cfg(feature = "parallel")]
     #[test]
     fn parallel_estimator_is_thread_count_independent() {
-        let run = || parallel_bernoulli(7, 50_001, 1_000, 0.4);
+        let run = || parallel_thresholds(7, 50_001, 1_000, &[0.4]);
         let baseline = run();
         for threads in [1usize, 2, 5, 16] {
             let pool = rayon::ThreadPoolBuilder::new()
@@ -772,31 +688,19 @@ mod tests {
         // functions of one shared draw: batched counts must equal running
         // each variable independently from the same RNG state.
         let thresholds = [0.2f64, 0.5, 0.8];
-        let batched = {
-            let mut rng = StdRng::seed_from_u64(11);
-            let experiment = |rng: &mut StdRng, successes: &mut [u64]| {
-                let draw: f64 = rng.random();
-                for (s, &t) in successes.iter_mut().zip(&thresholds) {
-                    if draw < t {
-                        *s += 1;
-                    }
-                }
-            };
-            let budget = RunBudget::unlimited();
-            estimate_fixed_batch(&mut rng, 10_000, thresholds.len(), &budget, experiment).0
-        };
-        assert_eq!(batched.samples, 10_000);
+        let budget = RunBudget::unlimited();
+        let batched =
+            fixed_thresholds(&mut StdRng::seed_from_u64(11), 10_000, &budget, &thresholds);
+        assert_eq!(batched.total_samples, 10_000);
         for (i, &t) in thresholds.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(11);
-            let budget = RunBudget::unlimited();
-            let (single, _) = estimate_fixed_batch(&mut rng, 10_000, 1, &budget, |rng, s| {
-                let draw: f64 = rng.random();
-                s[0] += u64::from(draw < t);
-            });
-            assert_eq!(batched.successes[i], single.successes[0], "variable {i}");
+            let single = fixed_thresholds(&mut StdRng::seed_from_u64(11), 10_000, &budget, &[t]);
+            assert_eq!(
+                successes(&batched)[i],
+                successes(&single)[0],
+                "variable {i}"
+            );
         }
-        let estimates = batched.estimates();
-        for (e, &t) in estimates.iter().zip(&thresholds) {
+        for (e, &t) in estimates(&batched).iter().zip(&thresholds) {
             assert!((e - t).abs() < 0.02);
         }
     }
@@ -805,36 +709,29 @@ mod tests {
     fn batch_estimator_with_zero_samples_or_queries() {
         let mut rng = StdRng::seed_from_u64(1);
         let budget = RunBudget::unlimited();
-        let (zero, _) = estimate_fixed_batch(&mut rng, 0, 3, &budget, |_, _| panic!("no draws"));
-        assert_eq!(zero.successes, vec![0, 0, 0]);
-        assert_eq!(zero.estimates(), vec![0.0, 0.0, 0.0]);
-        let (empty, _) = estimate_fixed_batch(&mut rng, 5, 0, &budget, |_, successes| {
-            assert!(successes.is_empty());
-        });
-        assert!(empty.successes.is_empty());
+        let mut untouched = rng.clone();
+        let zero = fixed_thresholds(&mut rng, 0, &budget, &[0.2, 0.5, 0.8]);
+        assert_eq!(successes(&zero), vec![0, 0, 0]);
+        assert_eq!(estimates(&zero), vec![0.0, 0.0, 0.0]);
+        // An empty bank draws nothing either, whatever the cut-off.
+        let empty = fixed_thresholds(&mut rng, 5, &budget, &[]);
+        assert!(empty.outcomes.is_empty());
+        assert_eq!(empty.total_samples, 0);
+        assert_eq!(rng.random::<u64>(), untouched.random::<u64>(), "no draws");
     }
 
     #[cfg(feature = "parallel")]
     #[test]
     fn parallel_batch_matches_independent_parallel_runs() {
         let thresholds = [0.3f64, 0.7];
-        let experiment = |rng: &mut StdRng, successes: &mut [u64]| {
-            let draw: f64 = rng.random();
-            for (s, &t) in successes.iter_mut().zip(&thresholds) {
-                if draw < t {
-                    *s += 1;
-                }
-            }
-        };
-        let batched = estimate_fixed_batch_parallel(42, 30_001, 1_000, 2, || experiment);
+        let batched = parallel_thresholds(42, 30_001, 1_000, &thresholds);
         for (i, &t) in thresholds.iter().enumerate() {
-            let single = estimate_fixed_batch_parallel(42, 30_001, 1_000, 1, || {
-                move |rng: &mut StdRng, successes: &mut [u64]| {
-                    let draw: f64 = rng.random();
-                    successes[0] += u64::from(draw < t);
-                }
-            });
-            assert_eq!(batched.successes[i], single.successes[0], "variable {i}");
+            let single = parallel_thresholds(42, 30_001, 1_000, &[t]);
+            assert_eq!(
+                successes(&batched)[i],
+                successes(&single)[0],
+                "variable {i}"
+            );
         }
         // Thread-count independence.
         for threads in [1usize, 2, 7] {
@@ -842,8 +739,7 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .expect("pool");
-            let outcome =
-                pool.install(|| estimate_fixed_batch_parallel(42, 30_001, 1_000, 2, || experiment));
+            let outcome = pool.install(|| parallel_thresholds(42, 30_001, 1_000, &thresholds));
             assert_eq!(outcome, batched, "{threads} threads");
         }
     }
@@ -1091,52 +987,45 @@ mod tests {
         // The plain loop: draw 5 000 times, count the successes.
         let plain = {
             let mut rng = StdRng::seed_from_u64(77);
-            (0..5_000).filter(|_| rng.random_bool(0.3)).count() as u64
+            (0..5_000).filter(|_| rng.random::<f64>() < 0.3).count() as u64
         };
-        let (budgeted, status) = {
-            let mut rng = StdRng::seed_from_u64(77);
-            fixed_bernoulli(&mut rng, 5_000, &RunBudget::unlimited(), 0.3)
-        };
-        assert_eq!(budgeted.samples, 5_000);
-        assert_eq!(budgeted.successes, vec![plain]);
-        assert_eq!(status, BudgetStatus::Converged);
+        let budgeted = fixed_thresholds(
+            &mut StdRng::seed_from_u64(77),
+            5_000,
+            &RunBudget::unlimited(),
+            &[0.3],
+        );
+        assert_eq!(budgeted.total_samples, 5_000);
+        assert_eq!(successes(&budgeted), vec![plain]);
+        assert_eq!(budgeted.outcomes[0].samples, 5_000, "ran to the cut-off");
     }
 
     #[test]
     fn budgeted_fixed_run_stops_at_the_draw_cap() {
         let mut rng = StdRng::seed_from_u64(77);
         let budget = RunBudget::unlimited().with_max_draws(100);
-        let (outcome, status) = fixed_bernoulli(&mut rng, 5_000, &budget, 0.3);
-        assert_eq!(status, BudgetStatus::BudgetExhausted);
-        assert_eq!(outcome.samples, 100);
+        let outcome = fixed_thresholds(&mut rng, 5_000, &budget, &[0.3]);
+        assert_eq!(outcome.statuses, vec![BudgetStatus::BudgetExhausted]);
+        assert_eq!(outcome.total_samples, 100);
         // Exactly 100 draws were consumed: the next draw continues the
         // uninterrupted stream.
         let unlimited = RunBudget::unlimited();
-        let (continued, _) = fixed_bernoulli(&mut rng, 4_900, &unlimited, 0.3);
-        let (full, _) = fixed_bernoulli(&mut StdRng::seed_from_u64(77), 5_000, &unlimited, 0.3);
+        let continued = fixed_thresholds(&mut rng, 4_900, &unlimited, &[0.3]);
+        let full = fixed_thresholds(&mut StdRng::seed_from_u64(77), 5_000, &unlimited, &[0.3]);
         assert_eq!(
-            outcome.successes[0] + continued.successes[0],
-            full.successes[0]
+            successes(&outcome)[0] + successes(&continued)[0],
+            successes(&full)[0]
         );
     }
 
     #[test]
     fn budgeted_batch_run_cancels_mid_stream() {
-        let thresholds = [0.2f64, 0.8];
         let token = crate::budget::CancelToken::tripped_at_draw(42);
         let budget = RunBudget::unlimited().with_cancel_token(token);
         let mut rng = StdRng::seed_from_u64(3);
-        let (outcome, status) =
-            estimate_fixed_batch(&mut rng, 10_000, 2, &budget, |rng, successes| {
-                let draw: f64 = rng.random();
-                for (s, &t) in successes.iter_mut().zip(&thresholds) {
-                    if draw < t {
-                        *s += 1;
-                    }
-                }
-            });
-        assert_eq!(status, BudgetStatus::Cancelled);
-        assert_eq!(outcome.samples, 42);
+        let outcome = fixed_thresholds(&mut rng, 10_000, &budget, &[0.2, 0.8]);
+        assert_eq!(outcome.statuses, vec![BudgetStatus::Cancelled; 2]);
+        assert_eq!(outcome.total_samples, 42);
     }
 
     #[test]
@@ -1327,10 +1216,10 @@ mod tests {
     #[cfg(feature = "parallel")]
     #[test]
     fn parallel_estimator_handles_edge_sample_counts() {
-        let zero = parallel_bernoulli(1, 0, 64, 1.0);
-        assert_eq!(zero.estimates(), vec![0.0]);
-        assert_eq!(zero.samples, 0);
-        let one = parallel_bernoulli(1, 1, 64, 1.0);
-        assert_eq!(one.successes, vec![1]);
+        let zero = parallel_thresholds(1, 0, 64, &[1.0]);
+        assert_eq!(estimates(&zero), vec![0.0]);
+        assert_eq!(zero.total_samples, 0);
+        let one = parallel_thresholds(1, 1, 64, &[1.0]);
+        assert_eq!(successes(&one), vec![1]);
     }
 }

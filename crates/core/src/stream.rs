@@ -19,7 +19,7 @@
 //! their converged [`QueryOutcome`] **verbatim** (bit-identical, zero
 //! draws), and only changed entries re-enter the shared stopping loop
 //! through the enrollment path
-//! ([`BatchEstimator::estimate_stopping_batch_resume`], whose live set
+//! (the `prior` of [`BatchEstimator::run`], whose live set
 //! holds exactly the entries not yet converged — the dual of the
 //! retirement the loop performs as queries converge).
 //!
@@ -493,8 +493,7 @@ impl WindowedEstimator {
             .map(|(e, c)| BatchQuery::new(e, c.as_slice()))
             .collect();
         let estimator = self.estimator()?;
-        let outcome = estimator
-            .estimate_stopping_batch_resume(&self.bank, &batch, params, budget, &source, rng)?;
+        let outcome = estimator.run(&self.bank, &batch, params, budget, Some(&source), rng)?;
         let tick_draws = outcome.total_draws;
         if outcome.converged() {
             self.prior = Some(outcome.clone());
@@ -788,8 +787,11 @@ mod tests {
         let scratch_est = BatchEstimator::new(w.db(), w.sigma(), w.spec()).unwrap();
         let evals = queries(w.db(), &["Ans() :- R(3, x)"]);
         let batch = [BatchQuery::new(&evals[0].0, &evals[0].1)];
+        let unlimited = RunBudget::unlimited();
+        let bank = scratch_est.compile_bank(&batch, &unlimited).unwrap();
         let scratch = scratch_est
-            .estimate_batch_with_budget(
+            .run(
+                &bank,
                 &batch,
                 // δ/k must match the windowed pass (k = 2 there).
                 ApproximationParams::new(0.3, 0.1).unwrap().with_mode(
@@ -797,7 +799,8 @@ mod tests {
                         max_samples: 200_000,
                     },
                 ),
-                &RunBudget::unlimited(),
+                &unlimited,
+                None,
                 &mut StdRng::seed_from_u64(8),
             )
             .unwrap();

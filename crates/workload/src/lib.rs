@@ -4,7 +4,7 @@
 //! experiments.  The paper has no empirical evaluation of its own, so
 //! these generators provide the inconsistent databases, constraint sets
 //! and queries on which the reproduction validates the theorems and runs
-//! its scaling studies (see `EXPERIMENTS.md`):
+//! its scaling studies (the `experiments` binary of `ucqa-bench`):
 //!
 //! * [`blocks`] — primary-key workloads parameterised by the block-size
 //!   profile (the regime of Theorems 5.1(2), 6.1(2), E.1(2), E.8(2)).

@@ -6,7 +6,7 @@
 //! cheap to certify), one concerns a heavily contradicted reading (low
 //! probability, needs a long stream).  A fixed shared budget would make
 //! every question pay for the hardest one; the adaptive batch
-//! (`BatchEstimator::estimate_stopping_batch`) retires each question the
+//! (`BatchEstimator::run` under the stopping rule) retires each question the
 //! moment its own success target `Υ(ε, δ/k)` is reached, shrinking the
 //! per-draw work, and only the rare question rides the stream to the end.
 //!
@@ -18,6 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use uocqa::core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
+use uocqa::core::RunBudget;
 use uocqa::db::{Database, FdSet, FunctionalDependency, Schema, Value};
 use uocqa::query::{parser::parse_query, QueryEvaluator};
 use uocqa::repair::GeneratorSpec;
@@ -77,25 +78,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bank: Vec<BatchQuery<'_>> = evaluators.iter().map(|e| BatchQuery::new(e, &[])).collect();
 
     // Non-key FD ⇒ uniform operations with singleton removals
-    // (Theorem 7.5).  OptimalStopping routes `estimate_batch` through the
-    // batched stopping rule: per-query targets Υ(ε, δ/4) over one shared
-    // walk stream, retirement on convergence.
+    // (Theorem 7.5).  Under OptimalStopping `run` drives the batched
+    // stopping rule: per-query targets Υ(ε, δ/4) over one shared walk
+    // stream, retirement on convergence.
     let spec = GeneratorSpec::uniform_operations().with_singleton_only();
     let estimator = BatchEstimator::new(&db, &sigma, spec)?;
     let params = ApproximationParams::new(0.1, 0.05)?.with_mode(EstimatorMode::OptimalStopping {
         max_samples: 2_000_000,
     });
-    let estimates =
-        estimator.estimate_stopping_batch(&bank, params, &mut StdRng::seed_from_u64(7))?;
+    let unlimited = RunBudget::unlimited();
+    let compiled = estimator.compile_bank(&bank, &unlimited)?;
+    let mut rng = StdRng::seed_from_u64(7);
+    let estimates = estimator
+        .run(&compiled, &bank, params, &unlimited, None, &mut rng)?
+        .queries;
 
     println!("adaptive batched stopping rule (ε = 0.1, δ = 0.05, δ/k per query):");
     for (text, estimate) in texts.iter().zip(&estimates) {
         println!(
             "  {text}\n    estimate {:.4} after {} samples ({} successes{})",
-            estimate.value,
+            estimate.estimate,
             estimate.samples,
             estimate.successes,
-            if estimate.truncated {
+            if !estimate.status.is_converged() {
                 ", TRUNCATED — no (ε, δ) guarantee"
             } else {
                 ""

@@ -6,8 +6,8 @@
 //! whatever the stream has proven when the budget runs out.  This example
 //! walks the full lifecycle over an inconsistent sensor table:
 //!
-//! 1. an **unconstrained** budget (`RunBudget::unlimited`, what every
-//!    entry point without a budget runs under),
+//! 1. an **unconstrained** budget (`RunBudget::unlimited`, which never
+//!    interrupts and leaves the stream as it is),
 //! 2. a **draw cap** cutting the stream mid-flight, with each query
 //!    reporting the achieved `(ε′, δ/k)` bound at its actual draw count,
 //! 3. **resuming** the interrupted run to convergence with the same RNG
@@ -77,12 +77,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_samples: 500_000,
     });
 
+    // The bank compiles once; every run below reuses it.
+    let unlimited = RunBudget::unlimited();
+    let compiled = estimator.compile_bank(&bank, &unlimited)?;
+
     // 1. Unconstrained budget: same stream, same outcome, plus per-query
     //    status and achieved-bound reporting.
-    let full = estimator.estimate_batch_with_budget(
+    let full = estimator.run(
+        &compiled,
         &bank,
         params,
-        &RunBudget::unlimited(),
+        &unlimited,
+        None,
         &mut StdRng::seed_from_u64(7),
     )?;
     println!("— unconstrained budget ({} draws) —", full.total_draws);
@@ -98,10 +104,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    achieved bound at the truncated counts.
     let cap = (full.total_draws / 10).max(1);
     let mut rng = StdRng::seed_from_u64(7);
-    let capped = estimator.estimate_batch_with_budget(
+    let capped = estimator.run(
+        &compiled,
         &bank,
         params,
         &RunBudget::unlimited().with_max_draws(cap),
+        None,
         &mut rng,
     )?;
     println!("— draw cap {cap} —");
@@ -122,16 +130,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // 3. Resume with the remaining budget: the same RNG continues the
-    //    stream over the compiled bank, and the concatenated run equals
-    //    the uninterrupted one.
-    let compiled = estimator.compile_bank(&bank, &RunBudget::unlimited())?;
-    let resumed = estimator.estimate_stopping_batch_resume(
+    // 3. Resume with the remaining budget: the capped outcome is the
+    //    prior, the same RNG continues the stream over the compiled bank,
+    //    and the concatenated run equals the uninterrupted one.
+    let resumed = estimator.run(
         &compiled,
         &bank,
         params,
-        &RunBudget::unlimited(),
-        &capped,
+        &unlimited,
+        Some(&capped),
         &mut rng,
     )?;
     let identical = resumed
@@ -145,10 +152,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. A cancellation token, as a stop button would trip it.  Here it
     //    fires deterministically at draw 100; `CancelToken::cancel` (or
     //    the shared `flag()`) does the same from another thread.
-    let cancelled = estimator.estimate_batch_with_budget(
+    let cancelled = estimator.run(
+        &compiled,
         &bank,
         params,
         &RunBudget::unlimited().with_cancel_token(CancelToken::tripped_at_draw(100)),
+        None,
         &mut StdRng::seed_from_u64(7),
     )?;
     let still_live = cancelled

@@ -12,8 +12,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use uocqa::core::fpras::{ApproximationParams, OcqaEstimator};
-use uocqa::core::CoreError;
+use uocqa::core::fpras::{ApproximationParams, BatchEstimator, BatchQuery};
+use uocqa::core::{CoreError, QueryOutcome, RunBudget};
 use uocqa::db::{Database, FdSet, FunctionalDependency, Schema, Value};
 use uocqa::query::{parser::parse_query, QueryEvaluator};
 use uocqa::repair::GeneratorSpec;
@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Uniform repairs / sequences are not available here — the constraints
     // are keys but not primary keys — and the library says so explicitly.
-    match OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()) {
+    match BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()) {
         Err(CoreError::Unsupported { .. }) => {
             println!("uniform repairs: unsupported for two keys per relation (open problem in the paper)")
         }
@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Uniform operations work for arbitrary keys (Theorem 7.1(2)).
-    let estimator = OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations())?;
+    let estimator = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations())?;
     let params = ApproximationParams::new(0.1, 0.05)?;
     let mut rng = StdRng::seed_from_u64(7);
 
@@ -91,17 +91,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for name in ["Alice", "Tom"] {
         let query = parse_query(db.schema(), &format!("Ans() :- Emp(1, b, '{name}')"))?;
         let evaluator = QueryEvaluator::new(query);
-        let estimate = estimator.estimate(&evaluator, &[], params, &mut rng)?;
+        let estimate = estimate_one(&estimator, &evaluator, params, &mut rng)?;
         println!(
             "  P[{name} survives repairing] ≈ {:.3}   ({} samples)",
-            estimate.value, estimate.samples
+            estimate.estimate, estimate.samples
         );
     }
 
     println!("\nconflict-free employees keep probability ≈ 1:");
     let query = parse_query(db.schema(), "Ans() :- Emp(x, y, 'person-2')")?;
     let evaluator = QueryEvaluator::new(query);
-    let estimate = estimator.estimate(&evaluator, &[], params, &mut rng)?;
-    println!("  P[person-2 survives] ≈ {:.3}", estimate.value);
+    let estimate = estimate_one(&estimator, &evaluator, params, &mut rng)?;
+    println!("  P[person-2 survives] ≈ {:.3}", estimate.estimate);
     Ok(())
+}
+
+/// Estimates one Boolean query: a bank of one, compiled and run without
+/// a budget.
+fn estimate_one(
+    estimator: &BatchEstimator<'_>,
+    evaluator: &QueryEvaluator,
+    params: ApproximationParams,
+    rng: &mut StdRng,
+) -> Result<QueryOutcome, CoreError> {
+    let queries = [BatchQuery::new(evaluator, &[])];
+    let unlimited = RunBudget::unlimited();
+    let bank = estimator.compile_bank(&queries, &unlimited)?;
+    let outcome = estimator.run(&bank, &queries, params, &unlimited, None, rng)?;
+    Ok(outcome.queries[0])
 }

@@ -19,6 +19,7 @@ use rand::SeedableRng;
 
 use uocqa::core::exact::ExactSolver;
 use uocqa::core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
+use uocqa::core::RunBudget;
 use uocqa::db::{Database, FdSet, FunctionalDependency, Schema, Value};
 use uocqa::query::{parser::parse_query, QueryEvaluator};
 use uocqa::repair::GeneratorSpec;
@@ -70,7 +71,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = GeneratorSpec::uniform_operations().with_singleton_only();
     let estimator = BatchEstimator::new(&db, &sigma, spec)?;
     let params = ApproximationParams::new(0.05, 0.05)?.with_mode(EstimatorMode::FixedAdditive);
-    let estimates = estimator.estimate_batch(&bank, params, &mut StdRng::seed_from_u64(42))?;
+    let unlimited = RunBudget::unlimited();
+    let compiled = estimator.compile_bank(&bank, &unlimited)?;
+    let mut rng = StdRng::seed_from_u64(42);
+    let estimates = estimator
+        .run(&compiled, &bank, params, &unlimited, None, &mut rng)?
+        .queries;
 
     // Exact ground truth (the instance is tiny), also batched: one pass
     // over the operational semantics for the whole bank.
@@ -82,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for ((text, estimate), exact) in texts.iter().zip(&estimates).zip(&exact) {
         println!(
             "  {text}\n    estimate {:.4}, exact {} ≈ {:.4}",
-            estimate.value,
+            estimate.estimate,
             exact,
             exact.to_f64()
         );

@@ -9,7 +9,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use uocqa::core::exact::ExactSolver;
-use uocqa::core::fpras::{ApproximationParams, OcqaEstimator};
+use uocqa::core::fpras::{ApproximationParams, BatchEstimator, BatchQuery};
+use uocqa::core::RunBudget;
 use uocqa::db::{Database, FdSet, FunctionalDependency, Schema, Value};
 use uocqa::query::{parser::parse_query, QueryEvaluator};
 use uocqa::repair::GeneratorSpec;
@@ -64,15 +65,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. The same answers, approximated with the FPRAS of Theorem 5.1(2)
     //    (ε = 0.05, δ = 0.05) — the path that scales to large databases.
-    let estimator = OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs())?;
+    //    A single query is a bank of one: compile it, then run it.
+    let estimator = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs())?;
     let params = ApproximationParams::new(0.05, 0.05)?;
+    let unlimited = RunBudget::unlimited();
     let mut rng = StdRng::seed_from_u64(42);
     println!("\napproximate answers (FPRAS, ε = 0.05):");
     for name in ["Alice", "Tom", "Dave"] {
-        let estimate = estimator.estimate(&evaluator, &[Value::str(name)], params, &mut rng)?;
+        let candidate = [Value::str(name)];
+        let queries = [BatchQuery::new(&evaluator, &candidate)];
+        let bank = estimator.compile_bank(&queries, &unlimited)?;
+        let outcome = estimator.run(&bank, &queries, params, &unlimited, None, &mut rng)?;
+        let estimate = &outcome.queries[0];
         println!(
             "  {name} -> {:.4}  ({} samples)",
-            estimate.value, estimate.samples
+            estimate.estimate, estimate.samples
         );
     }
     Ok(())

@@ -15,7 +15,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use uocqa::core::fpras::{ApproximationParams, OcqaEstimator};
+use uocqa::core::fpras::{ApproximationParams, BatchEstimator, BatchQuery};
+use uocqa::core::{CoreError, QueryOutcome, RunBudget};
 use uocqa::db::{Database, FdSet, FunctionalDependency, Schema, Value};
 use uocqa::query::{parser::parse_query, QueryEvaluator};
 use uocqa::repair::GeneratorSpec;
@@ -60,18 +61,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sigma.satisfied_by_database(&db)
     );
 
-    let estimator = OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs())?;
+    let estimator = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs())?;
     let params = ApproximationParams::new(0.05, 0.05)?;
     let mut rng = StdRng::seed_from_u64(7);
 
     // How likely is it that sensor 0 is really at its first recorded site?
     let query = parse_query(db.schema(), "Ans() :- Sensor(0, 'site-0-0')")?;
     let evaluator = QueryEvaluator::new(query);
-    let estimate = estimator.estimate(&evaluator, &[], params, &mut rng)?;
+    let estimate = estimate_one(&estimator, &evaluator, &[], params, &mut rng)?;
     let exact = 1.0 / (conflicting_readings_of_s0 as f64 + 1.0);
     println!(
         "\nP[sensor 0 is at site-0-0]  estimate {:.4}  (exact {:.4}, {} samples, ε = 0.05)",
-        estimate.value, exact, estimate.samples
+        estimate.estimate, exact, estimate.samples
     );
 
     // Which location should we report for sensor 1?  Rank its candidate
@@ -86,13 +87,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let mut ranked = Vec::new();
     for location in candidates {
-        let estimate = estimator.estimate(
+        let estimate = estimate_one(
+            &estimator,
             &evaluator,
             std::slice::from_ref(&location),
             params,
             &mut rng,
         )?;
-        ranked.push((location, estimate.value));
+        ranked.push((location, estimate.estimate));
     }
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
     for (location, probability) in ranked {
@@ -100,4 +102,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("\n(each location of a sensor with m readings has survival probability 1/(m+1))");
     Ok(())
+}
+
+/// Estimates one query at one candidate: a bank of one, compiled and run
+/// without a budget.
+fn estimate_one(
+    estimator: &BatchEstimator<'_>,
+    evaluator: &QueryEvaluator,
+    candidate: &[Value],
+    params: ApproximationParams,
+    rng: &mut StdRng,
+) -> Result<QueryOutcome, CoreError> {
+    let queries = [BatchQuery::new(evaluator, candidate)];
+    let unlimited = RunBudget::unlimited();
+    let bank = estimator.compile_bank(&queries, &unlimited)?;
+    let outcome = estimator.run(&bank, &queries, params, &unlimited, None, rng)?;
+    Ok(outcome.queries[0])
 }

@@ -17,8 +17,8 @@
 //!   reductions.
 //! * [`workload`] — seeded synthetic workload generators.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` for the full system
-//! inventory and experiment index.
+//! See `README.md` for a quickstart and `ARCHITECTURE.md` for the
+//! paper → code map and the experiment list.
 
 pub use ucqa_core as core;
 pub use ucqa_db as db;

@@ -16,9 +16,7 @@ use rand::{RngCore, SeedableRng};
 
 use uocqa::core::budget::RunBudget;
 use uocqa::core::exact::ExactSolver;
-use uocqa::core::fpras::{
-    ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode, OcqaEstimator,
-};
+use uocqa::core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
 use uocqa::core::sample_repairs::RepairSampler;
 use uocqa::db::{Database, FactSet, FdSet, Value};
 use uocqa::query::parser::parse_query;
@@ -243,9 +241,13 @@ fn estimators_reproduce_full_draws_with_and_without_a_fallback_entry() {
                     .compile_bank(&bank, &RunBudget::unlimited())
                     .unwrap();
                 assert_eq!(compiled.has_fallback(), bank_len > lookups);
-                let batched = estimator
-                    .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(seed))
-                    .unwrap();
+                let batched = common::estimate_bank(
+                    &estimator,
+                    &bank,
+                    params,
+                    &mut StdRng::seed_from_u64(seed),
+                )
+                .unwrap();
                 let counts: Vec<u64> = batched.iter().map(|e| e.successes).collect();
                 assert_eq!(
                     counts,
@@ -254,16 +256,16 @@ fn estimators_reproduce_full_draws_with_and_without_a_fallback_entry() {
                     spec.short_name()
                 );
             }
-            let single = OcqaEstimator::new(&db, &sigma, spec).unwrap();
+            let single = BatchEstimator::new(&db, &sigma, spec).unwrap();
             for (index, (evaluator, candidate)) in queries.iter().enumerate() {
-                let estimate = single
-                    .estimate(
-                        evaluator,
-                        candidate,
-                        params,
-                        &mut StdRng::seed_from_u64(seed),
-                    )
-                    .unwrap();
+                let estimate = common::estimate_one(
+                    &single,
+                    evaluator,
+                    candidate,
+                    params,
+                    &mut StdRng::seed_from_u64(seed),
+                )
+                .unwrap();
                 assert_eq!(
                     estimate.successes,
                     expected[index],

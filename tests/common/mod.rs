@@ -7,12 +7,70 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use rand::Rng;
+
+use uocqa::core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, Estimate};
+use uocqa::core::{CoreError, EstimateOutcome, RunBudget};
 use uocqa::db::{
     ConflictIndex, Database, FactId, FactSet, FdSet, FunctionalDependency, Schema, Value,
 };
 use uocqa::numeric::Ratio;
 use uocqa::query::{LineageBank, QueryEvaluator};
 use uocqa::repair::GeneratorSpec;
+
+/// The [`Estimate`] view of every entry of `outcome`: truncated iff not
+/// converged.
+pub fn estimates(outcome: &EstimateOutcome) -> Vec<Estimate> {
+    outcome
+        .queries
+        .iter()
+        .map(|q| Estimate {
+            value: q.estimate,
+            samples: q.samples,
+            successes: q.successes,
+            truncated: !q.status.is_converged(),
+        })
+        .collect()
+}
+
+/// Compiles `queries` into a bank and runs it from a fresh stream without
+/// a budget, as [`Estimate`] views.
+pub fn estimate_bank<R: Rng + ?Sized>(
+    estimator: &BatchEstimator<'_>,
+    queries: &[BatchQuery<'_>],
+    params: ApproximationParams,
+    rng: &mut R,
+) -> Result<Vec<Estimate>, CoreError> {
+    let unlimited = RunBudget::unlimited();
+    let bank = estimator.compile_bank(queries, &unlimited)?;
+    let outcome = estimator.run(&bank, queries, params, &unlimited, None, rng)?;
+    Ok(estimates(&outcome))
+}
+
+/// One query's [`Estimate`]: [`estimate_bank`] over a bank of one.
+pub fn estimate_one<R: Rng + ?Sized>(
+    estimator: &BatchEstimator<'_>,
+    evaluator: &QueryEvaluator,
+    candidate: &[Value],
+    params: ApproximationParams,
+    rng: &mut R,
+) -> Result<Estimate, CoreError> {
+    let queries = [BatchQuery::new(evaluator, candidate)];
+    Ok(estimate_bank(estimator, &queries, params, rng)?[0])
+}
+
+/// As [`estimate_bank`], in rayon-sharded rounds under `master_seed`.
+pub fn estimate_sharded(
+    estimator: &BatchEstimator<'_>,
+    queries: &[BatchQuery<'_>],
+    params: ApproximationParams,
+    master_seed: u64,
+) -> Result<Vec<Estimate>, CoreError> {
+    let unlimited = RunBudget::unlimited();
+    let bank = estimator.compile_bank(queries, &unlimited)?;
+    let outcome = estimator.run_sharded(&bank, queries, params, &unlimited, master_seed)?;
+    Ok(estimates(&outcome))
+}
 
 /// All six generator specifications of the paper: the three uniform
 /// semantics, each with pair+singleton and singleton-only operations.

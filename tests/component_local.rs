@@ -27,9 +27,7 @@ use rand::{Rng, RngCore, SeedableRng};
 
 use uocqa::core::budget::RunBudget;
 use uocqa::core::exact::ExactSolver;
-use uocqa::core::fpras::{
-    ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode, OcqaEstimator,
-};
+use uocqa::core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
 use uocqa::core::sample_operations::{OperationWalkSampler, WalkScratch};
 use uocqa::db::{
     ConflictGraph, ConflictIndex, Database, Fact, FactId, FactSet, FdSet, FunctionalDependency,
@@ -774,9 +772,9 @@ fn assert_estimators_reproduce_full_walks(
                 .compile_bank(&bank, &RunBudget::unlimited())
                 .unwrap();
             assert_eq!(compiled.has_fallback(), bank_len > lookups);
-            let batched = estimator
-                .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(seed))
-                .unwrap();
+            let batched =
+                common::estimate_bank(&estimator, &bank, params, &mut StdRng::seed_from_u64(seed))
+                    .unwrap();
             let counts: Vec<u64> = batched.iter().map(|e| e.successes).collect();
             assert_eq!(
                 counts,
@@ -785,16 +783,16 @@ fn assert_estimators_reproduce_full_walks(
                 spec.short_name()
             );
         }
-        let single = OcqaEstimator::new(db, sigma, spec).unwrap();
+        let single = BatchEstimator::new(db, sigma, spec).unwrap();
         for (index, (evaluator, candidate)) in queries.iter().enumerate() {
-            let estimate = single
-                .estimate(
-                    evaluator,
-                    candidate,
-                    params,
-                    &mut StdRng::seed_from_u64(seed),
-                )
-                .unwrap();
+            let estimate = common::estimate_one(
+                &single,
+                evaluator,
+                candidate,
+                params,
+                &mut StdRng::seed_from_u64(seed),
+            )
+            .unwrap();
             assert_eq!(
                 estimate.successes,
                 expected[index],

@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use uocqa::core::exact::ExactSolver;
-use uocqa::core::fpras::{ApproximationParams, EstimatorMode, OcqaEstimator};
+use uocqa::core::fpras::{ApproximationParams, BatchEstimator, EstimatorMode};
 use uocqa::core::CoreError;
 use uocqa::db::{FactSet, ViolationSet};
 use uocqa::query::QueryEvaluator;
@@ -36,10 +36,9 @@ fn all_supported_fpras_combinations_agree_with_exact_on_a_small_instance() {
             .answer_probability(spec, &evaluator, &candidate)
             .unwrap()
             .to_f64();
-        let estimator = OcqaEstimator::new(&db, &sigma, spec).unwrap();
-        let estimate = estimator
-            .estimate(&evaluator, &candidate, params, &mut rng)
-            .unwrap();
+        let estimator = BatchEstimator::new(&db, &sigma, spec).unwrap();
+        let estimate =
+            common::estimate_one(&estimator, &evaluator, &candidate, params, &mut rng).unwrap();
         assert!(!estimate.truncated);
         let error = (estimate.value - exact).abs() / exact;
         assert!(
@@ -75,29 +74,31 @@ fn batched_estimates_match_exact_within_additive_epsilon() {
     let params = ApproximationParams::new(epsilon, delta)
         .unwrap()
         .with_mode(EstimatorMode::FixedAdditive);
-    let check =
-        |label: &str, estimator: &BatchEstimator<'_>, bank: &[BatchQuery<'_>], exact: &[Ratio]| {
-            let mut misses = vec![0u64; bank.len()];
-            for seed in 1..=SEEDS {
-                let estimates = estimator
-                    .estimate_batch(bank, params, &mut StdRng::seed_from_u64(seed))
+    let check = |label: &str,
+                 estimator: &BatchEstimator<'_>,
+                 bank: &[BatchQuery<'_>],
+                 exact: &[Ratio]| {
+        let mut misses = vec![0u64; bank.len()];
+        for seed in 1..=SEEDS {
+            let estimates =
+                common::estimate_bank(estimator, bank, params, &mut StdRng::seed_from_u64(seed))
                     .unwrap();
-                for ((estimate, exact), miss) in estimates.iter().zip(exact).zip(&mut misses) {
-                    if (estimate.value - exact.to_f64()).abs() > epsilon {
-                        *miss += 1;
-                    }
+            for ((estimate, exact), miss) in estimates.iter().zip(exact).zip(&mut misses) {
+                if (estimate.value - exact.to_f64()).abs() > epsilon {
+                    *miss += 1;
                 }
             }
-            for (i, &miss) in misses.iter().enumerate() {
-                let tail = binomial_upper_tail(SEEDS, delta, miss);
-                assert!(
-                    tail > ALPHA,
-                    "{label}, query {i} (exact {:.4}): {miss} of {SEEDS} seeds missed by more \
+        }
+        for (i, &miss) in misses.iter().enumerate() {
+            let tail = binomial_upper_tail(SEEDS, delta, miss);
+            assert!(
+                tail > ALPHA,
+                "{label}, query {i} (exact {:.4}): {miss} of {SEEDS} seeds missed by more \
                  than ε = {epsilon}; P(Binomial({SEEDS}, {delta}) ≥ {miss}) = {tail:.2e}",
-                    exact[i].to_f64()
-                );
-            }
-        };
+                exact[i].to_f64()
+            );
+        }
+    };
 
     // A primary-key block workload: every generator is supported.
     let (db, sigma) = BlockWorkload::uniform(3, 3, 5).generate();
@@ -145,12 +146,10 @@ fn multi_atom_queries_are_estimated_correctly() {
         .answer_probability(GeneratorSpec::uniform_repairs(), &evaluator, &[])
         .unwrap()
         .to_f64();
-    let estimator = OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
+    let estimator = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
     let params = ApproximationParams::new(0.05, 0.05).unwrap();
     let mut rng = StdRng::seed_from_u64(3);
-    let estimate = estimator
-        .estimate(&evaluator, &[], params, &mut rng)
-        .unwrap();
+    let estimate = common::estimate_one(&estimator, &evaluator, &[], params, &mut rng).unwrap();
     if exact > 0.0 {
         assert!((estimate.value - exact).abs() / exact < 0.12);
     } else {
@@ -167,18 +166,16 @@ fn keys_beyond_primary_keys_route_to_uniform_operations_only() {
         GeneratorSpec::uniform_sequences(),
     ] {
         assert!(matches!(
-            OcqaEstimator::new(&db, &sigma, unsupported).err(),
+            BatchEstimator::new(&db, &sigma, unsupported).err(),
             Some(CoreError::Unsupported { .. })
         ));
     }
-    let estimator = OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
+    let estimator = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).unwrap();
     let query = fact_membership_query(&db, 7).unwrap();
     let evaluator = QueryEvaluator::new(query);
     let params = ApproximationParams::new(0.2, 0.1).unwrap();
     let mut rng = StdRng::seed_from_u64(11);
-    let estimate = estimator
-        .estimate(&evaluator, &[], params, &mut rng)
-        .unwrap();
+    let estimate = common::estimate_one(&estimator, &evaluator, &[], params, &mut rng).unwrap();
     assert!(estimate.value > 0.0 && estimate.value <= 1.0);
 }
 
@@ -187,10 +184,10 @@ fn fd_instances_require_singleton_operations() {
     let (db, sigma) = FdWorkload::new(40, 6, 3, 13).generate();
     assert!(!sigma.is_keys(db.schema()));
     assert!(matches!(
-        OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).err(),
+        BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_operations()).err(),
         Some(CoreError::Unsupported { .. })
     ));
-    let estimator = OcqaEstimator::new(
+    let estimator = BatchEstimator::new(
         &db,
         &sigma,
         GeneratorSpec::uniform_operations().with_singleton_only(),
@@ -200,9 +197,7 @@ fn fd_instances_require_singleton_operations() {
     let evaluator = QueryEvaluator::new(query);
     let params = ApproximationParams::new(0.15, 0.1).unwrap();
     let mut rng = StdRng::seed_from_u64(17);
-    let estimate = estimator
-        .estimate(&evaluator, &[], params, &mut rng)
-        .unwrap();
+    let estimate = common::estimate_one(&estimator, &evaluator, &[], params, &mut rng).unwrap();
     assert!(estimate.value > 0.0 && estimate.value <= 1.0);
     // Theorem 7.5 / Lemma D.8: the (non-zero) value respects the bound.
     let bound = estimator.theoretical_lower_bound(&evaluator).to_f64();
@@ -215,14 +210,13 @@ fn fixed_sample_modes_scale_to_larger_workloads() {
     assert_eq!(db.len(), 500);
     let (query, candidate) = block_lookup_query(&db, 2).unwrap();
     let evaluator = QueryEvaluator::new(query);
-    let estimator = OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
+    let estimator = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
     let params = ApproximationParams::new(0.1, 0.1)
         .unwrap()
         .with_mode(EstimatorMode::FixedSamples(4_000));
     let mut rng = StdRng::seed_from_u64(23);
-    let estimate = estimator
-        .estimate(&evaluator, &candidate, params, &mut rng)
-        .unwrap();
+    let estimate =
+        common::estimate_one(&estimator, &evaluator, &candidate, params, &mut rng).unwrap();
     // Exact value for a block of size 5 under uniform repairs is 1/6.
     assert!((estimate.value - 1.0 / 6.0).abs() < 0.03);
     assert_eq!(estimate.samples, 4_000);

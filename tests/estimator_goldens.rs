@@ -1,23 +1,25 @@
-//! Golden digests of every public estimate entry point, for all six
-//! generator specifications.
+//! Golden digests of every estimate schedule, for all six generator
+//! specifications.
 //!
-//! Each entry point is run once per spec on a fixed database, bank and
-//! seed, and its outcome is folded into one `u64`: the estimate's bits,
-//! the sample and success counts, and the truncated flag or the budget
-//! status of every entry (plus the total draw count of an
-//! [`EstimateOutcome`]).  The pinned values are the regression net of the
-//! estimator core: any change to which draws an entry point makes, in
-//! which order, or how it turns them into an outcome moves a digest.  A
-//! refactor of the estimator loops may change how these entry points are
-//! called, never what they return.
+//! Each row runs `BatchEstimator::run` or `run_sharded` once per spec on
+//! a fixed database, bank and seed, and folds its outcome into one
+//! `u64`: the estimate's bits, the sample and success counts, and the
+//! truncated flag (through the [`Estimate`] view) or the budget status
+//! of every entry (plus the total draw count of an [`EstimateOutcome`]).
+//! The row names keep the entry points they pinned before the estimator
+//! had one `run`: `single/*` rows are banks of one.  The pinned values
+//! are the regression net of the estimator core: any change to which
+//! draws a run makes, in which order, or how it turns them into an
+//! outcome moves a digest.  A refactor of the estimator loops may change
+//! how these runs are called, never what they return.
 //!
-//! Covered: the single-query estimator under the stopping rule and every
-//! fixed mode, budgeted (unlimited, draw-capped) and parallel; the batched
-//! estimator's fixed, stopping, budgeted, precompiled-bank, parallel and
-//! round-based paths; a draw-capped stopping run and its two resumes; a
-//! bank with a witness-free entry and one whose entry is 0 without being
-//! witness-free; and a bank degraded to evaluator fallback by a compile
-//! step cap of 1.
+//! Covered: a bank of one under the stopping rule and every fixed mode,
+//! budgeted (unlimited, draw-capped) and sharded; a bank of four under
+//! fixed, stopping, budgeted, precompiled-bank, sharded fixed and
+//! round-based schedules; a draw-capped stopping run and its two
+//! resumes; a bank with a witness-free entry and one whose entry is 0
+//! without being witness-free; and a bank degraded to evaluator fallback
+//! by a compile step cap of 1.
 
 mod common;
 
@@ -26,7 +28,7 @@ use rand::SeedableRng;
 
 use uocqa::core::budget::{BudgetStatus, CancelToken, RunBudget};
 use uocqa::core::fpras::{
-    ApproximationParams, BatchEstimator, BatchQuery, Estimate, EstimatorMode, OcqaEstimator,
+    ApproximationParams, BatchEstimator, BatchQuery, Estimate, EstimatorMode,
 };
 use uocqa::core::{CoreError, EstimateOutcome};
 use uocqa::db::{Database, FdSet, FunctionalDependency, Schema, Value};
@@ -99,17 +101,22 @@ impl Digest {
         });
     }
 
-    fn estimates(mut self, result: Result<Vec<Estimate>, CoreError>) -> u64 {
+    /// Folds every entry of a run through its [`Estimate`] view.
+    fn estimates(mut self, result: Result<EstimateOutcome, CoreError>) -> u64 {
         match result {
-            Ok(estimates) => estimates.iter().for_each(|e| self.estimate(e)),
+            Ok(outcome) => common::estimates(&outcome)
+                .iter()
+                .for_each(|e| self.estimate(e)),
             Err(e) => self.error(&e),
         }
         self.0
     }
 
-    fn single(mut self, result: Result<Estimate, CoreError>) -> u64 {
+    /// Folds the one entry of a run over a bank of one through its
+    /// [`Estimate`] view.
+    fn single(mut self, result: Result<EstimateOutcome, CoreError>) -> u64 {
         match result {
-            Ok(estimate) => self.estimate(&estimate),
+            Ok(outcome) => self.estimate(&common::estimates(&outcome)[0]),
             Err(e) => self.error(&e),
         }
         self.0
@@ -166,26 +173,37 @@ fn digests(spec: GeneratorSpec) -> Vec<(&'static str, u64)> {
     let cancelled = RunBudget::unlimited().with_cancel_token(CancelToken::tripped_at_draw(120));
     let starved = RunBudget::unlimited().with_max_compile_steps(1);
 
-    let single = OcqaEstimator::new(&db, &sigma, spec).unwrap();
     let batch = BatchEstimator::new(&db, &sigma, spec).unwrap();
+    // A fresh bank of `queries`, compiled under `budget`.
+    let compile =
+        |queries: &[BatchQuery<'_>], budget: &RunBudget| batch.compile_bank(queries, budget);
+    // `run` from a fresh stream over a fresh bank.
+    let run = |queries: &[BatchQuery<'_>], params, budget: &RunBudget| {
+        let bank = compile(queries, budget)?;
+        batch.run(&bank, queries, params, budget, None, &mut rng())
+    };
+    let sharded = |queries: &[BatchQuery<'_>], params, budget: &RunBudget| {
+        let bank = compile(queries, budget)?;
+        batch.run_sharded(&bank, queries, params, budget, 7)
+    };
+    let lookup_only = &queries[..1];
     let d = Digest::default;
     let mut out = Vec::new();
 
-    // The single-query estimator.
+    // Banks of one.
     for (name, query) in [
         ("single/stopping/lookup", &queries[0]),
         ("single/stopping/never", &queries[2]),
         ("single/stopping/clash", &queries[3]),
     ] {
-        let result = single.estimate(query.evaluator, query.candidate, stopping, &mut rng());
+        let result = run(std::slice::from_ref(query), stopping, &unlimited);
         out.push((name, d().single(result)));
     }
     for (name, params) in [
         ("single/fixed-samples", samples),
         ("single/fixed-additive", additive),
     ] {
-        let result = single.estimate(&lookup, &b1, params, &mut rng());
-        out.push((name, d().single(result)));
+        out.push((name, d().single(run(lookup_only, params, &unlimited))));
     }
     for (name, params, budget) in [
         ("single/budget/stopping", stopping, &unlimited),
@@ -198,27 +216,25 @@ fn digests(spec: GeneratorSpec) -> Vec<(&'static str, u64)> {
         // stopping cut-off, so that run is rejected before drawing.
         ("single/budget/fixed-from-bound-capped", from_bound, &capped),
     ] {
-        let result = single.estimate_with_budget(&lookup, &b1, params, budget, &mut rng());
-        out.push((name, d().budgeted(result)));
+        out.push((name, d().budgeted(run(lookup_only, params, budget))));
     }
     out.push((
         "single/parallel",
-        d().single(single.estimate_parallel(&lookup, &b1, parallel, 7)),
+        d().single(sharded(lookup_only, parallel, &unlimited)),
     ));
 
-    // The batched estimator.
+    // The bank of four.
     for (name, params) in [("batch/fixed", samples), ("batch/stopping", stopping)] {
-        let result = batch.estimate_batch(&queries, params, &mut rng());
-        out.push((name, d().estimates(result)));
+        out.push((name, d().estimates(run(&queries, params, &unlimited))));
     }
-    let bank = batch.compile_bank(&queries, &unlimited).unwrap();
+    let bank = compile(&queries, &unlimited).unwrap();
     out.push((
         "batch/with-bank",
-        d().estimates(batch.estimate_batch_with_bank(&bank, &queries, samples, &mut rng())),
+        d().estimates(batch.run(&bank, &queries, samples, &unlimited, None, &mut rng())),
     ));
     out.push((
         "batch/stopping-direct",
-        d().estimates(batch.estimate_stopping_batch(&queries, stopping, &mut rng())),
+        d().estimates(run(&queries, stopping, &unlimited)),
     ));
     for (name, params, budget) in [
         ("batch/budget/fixed", samples, &unlimited),
@@ -227,47 +243,51 @@ fn digests(spec: GeneratorSpec) -> Vec<(&'static str, u64)> {
         ("batch/budget/fixed-fallback", samples, &starved),
         ("batch/budget/stopping-fallback", stopping, &starved),
     ] {
-        let result = batch.estimate_batch_with_budget(&queries, params, budget, &mut rng());
-        out.push((name, d().budgeted(result)));
+        out.push((name, d().budgeted(run(&queries, params, budget))));
     }
 
     // A draw-capped stopping run and its resumes: on the recompiled bank
     // and on a caller-held one.
     let mut resume_rng = rng();
+    let capped_bank = compile(&queries, &capped).unwrap();
     let partial = batch
-        .estimate_batch_with_budget(&queries, stopping, &capped, &mut resume_rng)
+        .run(
+            &capped_bank,
+            &queries,
+            stopping,
+            &capped,
+            None,
+            &mut resume_rng,
+        )
         .unwrap();
     out.push(("batch/stopping-capped", d().budgeted(Ok(partial.clone()))));
     let mut held_rng = resume_rng.clone();
-    let recompiled = batch.compile_bank(&queries, &unlimited).unwrap();
-    let resumed = batch.estimate_stopping_batch_resume(
+    let recompiled = compile(&queries, &unlimited).unwrap();
+    let resumed = batch.run(
         &recompiled,
         &queries,
         stopping,
         &unlimited,
-        &partial,
+        Some(&partial),
         &mut resume_rng,
     );
     out.push(("batch/resume", d().budgeted(resumed)));
-    let resumed = batch.estimate_stopping_batch_resume(
+    let resumed = batch.run(
         &bank,
         &queries,
         stopping,
         &unlimited,
-        &partial,
+        Some(&partial),
         &mut held_rng,
     );
     out.push(("batch/resume-with-bank", d().budgeted(resumed)));
 
-    // The parallel paths: fixed shards and stopping rounds.
+    // The sharded runs: a fixed count and the stopping rule.
     for (name, params) in [
         ("batch/parallel/fixed", parallel),
         ("batch/parallel/rounds", stopping),
     ] {
-        out.push((
-            name,
-            d().estimates(batch.estimate_batch_parallel(&queries, params, 7)),
-        ));
+        out.push((name, d().estimates(sharded(&queries, params, &unlimited))));
     }
     // A round covers 4 000 draws at once, so the cap of 300 cuts the
     // stream at the first round boundary of a longer run.
@@ -278,8 +298,7 @@ fn digests(spec: GeneratorSpec) -> Vec<(&'static str, u64)> {
         ("batch/parallel/rounds-budget", stopping, &unlimited),
         ("batch/parallel/rounds-capped", long, &capped),
     ] {
-        let result = batch.estimate_stopping_batch_rounds_with_budget(&queries, params, 7, budget);
-        out.push((name, d().budgeted(result)));
+        out.push((name, d().budgeted(sharded(&queries, params, budget))));
     }
     out
 }

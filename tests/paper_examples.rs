@@ -1,6 +1,8 @@
 //! Cross-crate integration tests reproducing the paper's worked examples
 //! end to end through the facade crate.
 
+mod common;
+
 use uocqa::core::counting;
 use uocqa::core::exact::ExactSolver;
 use uocqa::db::{Database, FdSet, FunctionalDependency, Schema, Value};
@@ -192,9 +194,8 @@ fn running_example_multi_query_batch_golden_case() {
     let params = ApproximationParams::new(0.05, 0.05)
         .unwrap()
         .with_mode(EstimatorMode::FixedAdditive);
-    let estimates = estimator
-        .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(22))
-        .unwrap();
+    let estimates =
+        common::estimate_bank(&estimator, &bank, params, &mut StdRng::seed_from_u64(22)).unwrap();
     for (i, ((_, golden), estimate)) in texts_and_golden.iter().zip(&estimates).enumerate() {
         assert!(
             (estimate.value - golden.to_f64()).abs() <= 0.05,
@@ -203,15 +204,14 @@ fn running_example_multi_query_batch_golden_case() {
             golden.to_f64(),
             estimate.value
         );
-        let single = estimator
-            .estimator()
-            .estimate(
-                bank[i].evaluator,
-                bank[i].candidate,
-                params,
-                &mut StdRng::seed_from_u64(22),
-            )
-            .unwrap();
+        let single = common::estimate_one(
+            &estimator,
+            bank[i].evaluator,
+            bank[i].candidate,
+            params,
+            &mut StdRng::seed_from_u64(22),
+        )
+        .unwrap();
         assert_eq!(
             estimates[i], single,
             "query {i} diverged from single-query run"

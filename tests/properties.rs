@@ -199,9 +199,8 @@ proptest! {
     }
 
     /// Batched multi-query FPRAS runs are **bit-identical** to per-query
-    /// runs under the same seed — the sequential path against
-    /// [`estimate`](uocqa::core::fpras::OcqaEstimator::estimate), the
-    /// rayon-parallel path against `estimate_parallel` — across bank
+    /// runs under the same seed — `run` and `run_sharded` each against
+    /// the same schedule over a bank of one — across bank
     /// sizes 1, 2 and 8 (with duplicate queries once the bank wraps
     /// around the database), on random multi-FD, non-key, cross-relation
     /// databases.  The RNG is consumed by the shared repair draw only, so
@@ -239,32 +238,22 @@ proptest! {
                 .iter()
                 .map(|e| BatchQuery::new(e, &[]))
                 .collect();
-            let batched = estimator
-                .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(seed))
+            let batched = common::estimate_bank(&estimator, &bank, params, &mut StdRng::seed_from_u64(seed))
                 .unwrap();
             prop_assert_eq!(batched.len(), bank_size);
             for (i, query) in bank.iter().enumerate() {
-                let single = estimator
-                    .estimator()
-                    .estimate(
-                        query.evaluator,
-                        query.candidate,
-                        params,
-                        &mut StdRng::seed_from_u64(seed),
-                    )
+                let single = common::estimate_one(&estimator, query.evaluator, query.candidate, params, &mut StdRng::seed_from_u64(seed))
                     .unwrap();
                 prop_assert_eq!(batched[i], single, "sequential, bank {}, query {}", bank_size, i);
             }
-            let batched_parallel = estimator
-                .estimate_batch_parallel(&bank, params, seed)
+            let batched_parallel = common::estimate_sharded(&estimator, &bank, params, seed)
                 .unwrap();
             for (i, query) in bank.iter().enumerate() {
-                let single = estimator
-                    .estimator()
-                    .estimate_parallel(query.evaluator, query.candidate, params, seed)
-                    .unwrap();
+                let single =
+                    common::estimate_sharded(&estimator, std::slice::from_ref(query), params, seed)
+                        .unwrap();
                 prop_assert_eq!(
-                    batched_parallel[i], single,
+                    batched_parallel[i], single[0],
                     "parallel, bank {}, query {}", bank_size, i
                 );
             }
@@ -370,10 +359,9 @@ proptest! {
             prop_assert_eq!(never_estimate.samples, 0);
             prop_assert_eq!(never_estimate.successes, 0);
             prop_assert_eq!(never_estimate.value, 0.0);
-            // … and `estimate_batch` routes OptimalStopping to the same
-            // adaptive loop.
-            let routed = estimator
-                .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(seed))
+            // … and `run` over a caller-compiled bank drives the same
+            // adaptive loop as the compile-and-run wrapper.
+            let routed = common::estimate_bank(&estimator, &bank, params, &mut StdRng::seed_from_u64(seed))
                 .unwrap();
             prop_assert_eq!(routed, estimates);
         }
@@ -510,7 +498,7 @@ proptest! {
     /// planning refactor**: under a fixed seed, driving the shared
     /// sampler loop over a bank compiled once with
     /// `BatchEstimator::compile_bank` returns exactly the estimates of
-    /// `estimate_batch`, which compiles and routes internally, across all
+    /// a run over a bank compiled afresh for it, across all
     /// six generator specs on random primary-key databases with
     /// overlapping-join banks.  Agreement with the pre-plan compile path
     /// follows from `planned_enumeration_matches_the_backtracking_baseline`:
@@ -545,8 +533,7 @@ proptest! {
             let planned = estimator
                 .estimate_batch_with_bank(&planned_bank, &bank, params, &mut StdRng::seed_from_u64(seed))
                 .unwrap();
-            let routed = estimator
-                .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(seed))
+            let routed = common::estimate_bank(&estimator, &bank, params, &mut StdRng::seed_from_u64(seed))
                 .unwrap();
             prop_assert_eq!(&planned, &routed, "spec {}", spec.short_name());
         }
@@ -635,11 +622,9 @@ proptest! {
             .with_mode(EstimatorMode::FixedSamples(96));
         for spec in all_specs() {
             let estimator = BatchEstimator::new(&db, &sigma, spec).unwrap();
-            let s_estimates = estimator
-                .estimate_batch(&s_batch, params, &mut StdRng::seed_from_u64(seed))
+            let s_estimates = common::estimate_bank(&estimator, &s_batch, params, &mut StdRng::seed_from_u64(seed))
                 .unwrap();
-            let c_estimates = estimator
-                .estimate_batch(&c_batch, params, &mut StdRng::seed_from_u64(seed))
+            let c_estimates = common::estimate_bank(&estimator, &c_batch, params, &mut StdRng::seed_from_u64(seed))
                 .unwrap();
             prop_assert_eq!(&s_estimates, &c_estimates, "spec {}", spec.short_name());
         }
@@ -688,50 +673,33 @@ proptest! {
     }
 }
 
-/// `estimate_fixed_batch_parallel` returns bit-identical results for a
-/// fixed master seed regardless of the number of worker threads, and the
-/// end-to-end `estimate_parallel` agrees with the exact probability.
+/// A sharded fixed-count run over a bank of one returns bit-identical
+/// results for a fixed master seed regardless of the number of worker
+/// threads, and agrees with the exact probability.  (The sharded loop's
+/// own thread-count independence on a plain Bernoulli experiment is a
+/// unit test of `montecarlo`, where that loop is visible.)
 #[test]
 fn parallel_estimation_is_deterministic_across_thread_counts() {
-    use uocqa::core::fpras::{ApproximationParams, EstimatorMode, OcqaEstimator};
-    use uocqa::core::montecarlo::estimate_fixed_batch_parallel;
-
-    // Raw estimator: a plain Bernoulli experiment.
-    let raw = || {
-        estimate_fixed_batch_parallel(2024, 100_003, 1_024, 1, || {
-            |rng: &mut StdRng, successes: &mut [u64]| {
-                successes[0] += u64::from(rng.random_bool(0.35))
-            }
-        })
-    };
-    let raw_baseline = raw();
-    assert_eq!(raw_baseline.samples, 100_003);
+    use uocqa::core::fpras::{ApproximationParams, BatchEstimator, BatchQuery, EstimatorMode};
 
     // End-to-end: the uniform-repairs FPRAS over a seeded block workload.
     let (db, sigma) = uocqa::workload::BlockWorkload::uniform(8, 3, 5).generate();
     let (query, candidate) = uocqa::workload::queries::block_lookup_query(&db, 5).unwrap();
     let evaluator = QueryEvaluator::new(query);
-    let estimator = OcqaEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
+    let estimator = BatchEstimator::new(&db, &sigma, GeneratorSpec::uniform_repairs()).unwrap();
     let params = ApproximationParams::new(0.05, 0.05)
         .unwrap()
         .with_mode(EstimatorMode::FixedSamples(60_000));
-    let estimate_baseline = estimator
-        .estimate_parallel(&evaluator, &candidate, params, 77)
-        .unwrap();
+    let queries = [BatchQuery::new(&evaluator, &candidate)];
+    let sharded = || common::estimate_sharded(&estimator, &queries, params, 77).map(|e| e[0]);
+    let estimate_baseline = sharded().unwrap();
 
     for threads in [1usize, 2, 3, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("thread pool");
-        assert_eq!(
-            pool.install(raw),
-            raw_baseline,
-            "raw outcome with {threads} threads"
-        );
-        let estimate = pool
-            .install(|| estimator.estimate_parallel(&evaluator, &candidate, params, 77))
-            .unwrap();
+        let estimate = pool.install(sharded).unwrap();
         assert_eq!(
             estimate, estimate_baseline,
             "estimator outcome with {threads} threads"
@@ -767,25 +735,21 @@ fn parallel_batched_estimation_is_deterministic_across_thread_counts() {
     let params = ApproximationParams::new(0.05, 0.05)
         .unwrap()
         .with_mode(EstimatorMode::FixedSamples(30_000));
-    let baseline = estimator
-        .estimate_batch_parallel(&bank, params, 77)
-        .unwrap();
+    let baseline = common::estimate_sharded(&estimator, &bank, params, 77).unwrap();
     for threads in [1usize, 2, 3, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("thread pool");
         let outcome = pool
-            .install(|| estimator.estimate_batch_parallel(&bank, params, 77))
+            .install(|| common::estimate_sharded(&estimator, &bank, params, 77))
             .unwrap();
         assert_eq!(outcome, baseline, "batched outcome with {threads} threads");
     }
     for (i, query) in bank.iter().enumerate() {
-        let single = estimator
-            .estimator()
-            .estimate_parallel(query.evaluator, query.candidate, params, 77)
-            .unwrap();
-        assert_eq!(baseline[i], single, "query {i}");
+        let single =
+            common::estimate_sharded(&estimator, std::slice::from_ref(query), params, 77).unwrap();
+        assert_eq!(baseline[i], single[0], "query {i}");
     }
 }
 
@@ -816,8 +780,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let budget =
             RunBudget::unlimited().with_cancel_token(CancelToken::tripped_at_draw(cut));
+        let starved = estimator.compile_bank(&bank, &budget).unwrap();
         let partial = estimator
-            .estimate_batch_with_budget(&bank, params, &budget, &mut rng)
+            .run(&starved, &bank, params, &budget, None, &mut rng)
             .unwrap();
         if cut < uninterrupted[0].samples {
             // The token fired while the query was still live.
@@ -832,12 +797,12 @@ proptest! {
         }
         let compiled = estimator.compile_bank(&bank, &RunBudget::unlimited()).unwrap();
         let resumed = estimator
-            .estimate_stopping_batch_resume(
+            .run(
                 &compiled,
                 &bank,
                 params,
                 &RunBudget::unlimited(),
-                &partial,
+                Some(&partial),
                 &mut rng,
             )
             .unwrap();
@@ -1070,13 +1035,11 @@ proptest! {
             .unwrap()
             .with_mode(EstimatorMode::FixedSamples(64));
         for spec in all_specs() {
-            let a = BatchEstimator::new(&one_by_one, &sigma, spec)
-                .unwrap()
-                .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(seed))
+            let a = BatchEstimator::new(&one_by_one, &sigma, spec).unwrap();
+            let a = common::estimate_bank(&a, &bank, params, &mut StdRng::seed_from_u64(seed))
                 .unwrap();
-            let b = BatchEstimator::new(&bulk, &sigma, spec)
-                .unwrap()
-                .estimate_batch(&bank, params, &mut StdRng::seed_from_u64(seed))
+            let b = BatchEstimator::new(&bulk, &sigma, spec).unwrap();
+            let b = common::estimate_bank(&b, &bank, params, &mut StdRng::seed_from_u64(seed))
                 .unwrap();
             prop_assert_eq!(&a, &b, "spec {}", spec.short_name());
         }

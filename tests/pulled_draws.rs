@@ -433,21 +433,25 @@ fn mixed_bank_stopping_outcomes_are_pinned() {
     .unwrap();
     assert_eq!((0..bank.len()).filter(|&q| bank.is_fallback(q)).count(), 3);
     // A pass cut before its first draw is a fresh stream to resume.
+    let uncut = RunBudget::unlimited().with_max_draws(0);
+    let uncapped = estimator.compile_bank(&batch, &uncut).unwrap();
     let fresh = estimator
-        .estimate_batch_with_budget(
+        .run(
+            &uncapped,
             &batch,
             params(0.2),
-            &RunBudget::unlimited().with_max_draws(0),
+            &uncut,
+            None,
             &mut StdRng::seed_from_u64(1),
         )
         .unwrap();
     let outcome = estimator
-        .estimate_stopping_batch_resume(
+        .run(
             &bank,
             &batch,
             params(0.2),
             &RunBudget::unlimited(),
-            &fresh,
+            Some(&fresh),
             &mut StdRng::seed_from_u64(5),
         )
         .unwrap();
@@ -463,16 +467,10 @@ fn mixed_bank_round_outcomes_are_pinned() {
     let queries = mixed_queries(&db);
     let batch = batch_refs(&queries);
     let estimator = BatchEstimator::new(&db, &sigma, spec()).unwrap();
-    let bank = estimator
-        .compile_bank(&batch, &RunBudget::unlimited())
-        .unwrap();
+    let unlimited = RunBudget::unlimited();
+    let bank = estimator.compile_bank(&batch, &unlimited).unwrap();
     let outcome = estimator
-        .estimate_stopping_batch_rounds_with_budget(
-            &batch,
-            params(0.07),
-            9,
-            &RunBudget::unlimited(),
-        )
+        .run_sharded(&bank, &batch, params(0.07), &unlimited, 9)
         .unwrap();
     assert_fallbacks_retire_mid_pass(&outcome, &bank, "rounds");
     assert_eq!(digest(&[&outcome]), 8448021296435329892, "rounds digest");

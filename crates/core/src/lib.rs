@@ -33,7 +33,7 @@
 //!   that slides facts out of a count- or tick-based window, refreshes
 //!   the derived structures by changelog replay, and reuses converged
 //!   draws for entries whose lineage fingerprint is unchanged.
-//! * [`chaos`] (feature `chaos`) — deterministic fault injection for
+//! * `chaos` (feature `chaos`) — deterministic fault injection for
 //!   robustness testing: skewed clocks and adversarial experiments.
 
 #![forbid(unsafe_code)]

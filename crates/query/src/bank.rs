@@ -42,7 +42,7 @@
 //! the bank drains.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -68,26 +68,107 @@ fn sorted_subset(a: &[FactId], b: &[FactId]) -> bool {
     true
 }
 
-/// The minimal monotone-DNF antichain of raw witnesses given as sorted
-/// fact-id lists: duplicates and supersets absorbed (`w ⊆ w'` makes `w'`
-/// redundant), survivors in ascending cardinality order.  Working on
+/// Homomorphism images as sorted, deduplicated fact-id lists, stored back
+/// to back: image `i` is `ids[ends[i - 1]..ends[i]]` (from `0` for the
+/// first).  One store holds all the raw images of an entry during a
+/// compile (or a refresh), or all the emissions of one memoized subtree,
+/// so enumerating an image costs an append, not a heap allocation.
+#[derive(Debug, Default, Clone)]
+struct ImageStore {
+    ids: Vec<FactId>,
+    ends: Vec<usize>,
+}
+
+impl ImageStore {
+    /// Number of images stored.
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Image `index`.
+    fn get(&self, index: usize) -> &[FactId] {
+        let start = index.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.ids[start..self.ends[index]]
+    }
+
+    /// The images in push order.
+    fn iter(&self) -> impl Iterator<Item = &[FactId]> + '_ {
+        (0..self.len()).map(|index| self.get(index))
+    }
+
+    /// Appends the image of `facts` (any order, duplicates allowed): the
+    /// facts go on the tail of `ids`, which is then sorted and
+    /// deduplicated in place.
+    fn push(&mut self, facts: impl IntoIterator<Item = FactId>) {
+        let start = self.ends.last().copied().unwrap_or(0);
+        self.ids.extend(facts);
+        self.ids[start..].sort_unstable();
+        let mut kept = start;
+        for read in start..self.ids.len() {
+            if kept == start || self.ids[kept - 1] != self.ids[read] {
+                self.ids[kept] = self.ids[read];
+                kept += 1;
+            }
+        }
+        self.ids.truncate(kept);
+        self.ends.push(kept);
+    }
+
+    /// Drops every image.
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.ends.clear();
+    }
+}
+
+/// Appends the image `prefix ∪ local` of one full match to the store of
+/// every terminal entry that has not overflowed.  An entry whose store
+/// then holds more than `cap` images has overflowed: it is flagged, its
+/// store is dropped, and it collects nothing more.
+fn emit_image(
+    terminals: &[usize],
+    prefix: &[FactId],
+    local: &[FactId],
+    images: &mut [ImageStore],
+    overflowed: &mut [bool],
+    cap: usize,
+) {
+    for &entry in terminals {
+        if overflowed[entry] {
+            continue;
+        }
+        let store = &mut images[entry];
+        store.push(prefix.iter().chain(local).copied());
+        // One past the cap is enough to know this entry must fall back
+        // to the evaluator.
+        if store.len() > cap {
+            overflowed[entry] = true;
+            *store = ImageStore::default();
+        }
+    }
+}
+
+/// The minimal monotone-DNF antichain of the raw images in `raw`:
+/// duplicates and supersets absorbed (`w ⊆ w'` makes `w'` redundant),
+/// survivors borrowed from the store in ascending (cardinality, fact ids)
+/// order — one unstable sort on that key, then a dedup.  Working on
 /// sorted fact-id lists keeps the sort/dedup/containment passes
 /// proportional to the witness *sizes* (a handful of ids) instead of the
 /// universe size, which is what makes shared bank compilation cheap on
 /// large databases.
-fn minimal_antichain_images(mut raw: Vec<Vec<FactId>>) -> Vec<Vec<FactId>> {
-    raw.sort_unstable();
-    raw.dedup();
-    raw.sort_by_key(Vec::len);
-    let mut witnesses: Vec<Vec<FactId>> = Vec::new();
-    for candidate in raw {
+fn minimal_antichain_images(raw: &ImageStore) -> Vec<&[FactId]> {
+    let mut sorted: Vec<&[FactId]> = raw.iter().collect();
+    sorted.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+    sorted.dedup();
+    let mut witnesses: Vec<&[FactId]> = Vec::new();
+    for candidate in sorted {
         // Among equal cardinalities `⊆` implies `=`, which the dedup
         // already removed — only strictly smaller kept witnesses (a
         // contiguous prefix) can absorb the candidate.
         let smaller = witnesses.partition_point(|kept| kept.len() < candidate.len());
         if !witnesses[..smaller]
             .iter()
-            .any(|kept| sorted_subset(kept, &candidate))
+            .any(|kept| sorted_subset(kept, candidate))
         {
             witnesses.push(candidate);
         }
@@ -104,9 +185,13 @@ pub type BankQueryRef<'q> = (&'q QueryEvaluator, &'q [Value]);
 /// visited by the shared scan-trie DFS) and/or a shared cancellation
 /// flag.
 ///
-/// An entry with more than `witness_cap` witnesses is a
-/// [fallback](LineageBank::is_fallback) entry; the bank keeps the cap and
-/// [`LineageBank::refresh`] applies it again.
+/// An entry whose enumeration yields more than `witness_cap` raw
+/// homomorphism images is a [fallback](LineageBank::is_fallback) entry.
+/// The cap counts images as they are enumerated, before minimisation:
+/// images with equal fact sets and images a smaller one absorbs count
+/// too, so an entry can fall back with a minimal antichain far below the
+/// cap.  The bank keeps the cap and [`LineageBank::refresh`] applies it
+/// again.
 ///
 /// Witness enumeration is output-polynomial per entry thanks to the
 /// witness cap, but a pathological bank — many deep joins over a large
@@ -150,7 +235,8 @@ impl CompileBudget {
         CompileBudget::default()
     }
 
-    /// Sets the per-entry witness cap.
+    /// Sets the per-entry witness cap: the most raw homomorphism images
+    /// an entry may enumerate and still compile.
     pub fn with_witness_cap(mut self, cap: usize) -> Self {
         self.witness_cap = cap;
         self
@@ -217,25 +303,31 @@ enum BankEntry {
 /// The witness arena of a bank under construction: every distinct
 /// witness stored once, in sparse form, in the order entries first
 /// reference it.
+///
+/// The index hashes with [`Fnv`]: its keys are fact ids the database
+/// assigns, not user values, so a deterministic hash is safe here.
 #[derive(Default)]
 struct ArenaBuilder {
     witnesses: SparseWitnesses,
-    index: HashMap<Vec<FactId>, usize>,
+    index: HashMap<Box<[FactId]>, usize, BuildHasherDefault<Fnv>>,
 }
 
 impl ArenaBuilder {
     /// The compiled entry whose antichain is `witnesses` (sorted fact-id
     /// lists), interning each one: a witness shared with an earlier entry
-    /// costs a lookup, not an arena slot.
-    fn entry(&mut self, witnesses: impl IntoIterator<Item = Vec<FactId>>) -> BankEntry {
+    /// costs a lookup, not an arena slot, and only a new distinct witness
+    /// allocates its key.
+    fn entry<'w>(&mut self, witnesses: impl IntoIterator<Item = &'w [FactId]>) -> BankEntry {
         let mut mask = Vec::new();
+        let witnesses = witnesses.into_iter();
+        self.index.reserve(witnesses.size_hint().0);
         for witness in witnesses {
-            let index = match self.index.get(&witness) {
+            let index = match self.index.get(witness) {
                 Some(&index) => index,
                 None => {
                     let index = self.witnesses.len();
                     self.witnesses.push(witness.iter().copied());
-                    self.index.insert(witness, index);
+                    self.index.insert(witness.into(), index);
                     index
                 }
             };
@@ -250,8 +342,9 @@ impl ArenaBuilder {
 }
 
 /// A 64-bit FNV-1a hasher, deterministic across runs and builds: the
-/// entry fingerprints of [`LineageBank::entry_fingerprint`] and the
-/// query-list digest of [`LineageBank::compiled_from`].
+/// entry fingerprints of [`LineageBank::entry_fingerprint`], the
+/// query-list digest of [`LineageBank::compiled_from`] and the witness
+/// index of the arena builder.
 struct Fnv(u64);
 
 impl Default for Fnv {
@@ -366,13 +459,13 @@ impl LineageBank {
                 trie.insert(entry, &atoms);
             }
         }
-        let mut raw: Vec<Vec<Vec<FactId>>> = vec![Vec::new(); queries.len()];
+        let mut images = vec![ImageStore::default(); queries.len()];
         let mut overflowed = vec![false; queries.len()];
         let mut stats = CompileStats {
             trie_nodes: trie.nodes.len(),
             ..CompileStats::default()
         };
-        if !trie.enumerate(db, budget, &mut raw, &mut overflowed, &mut stats) {
+        if !trie.enumerate(db, budget, &mut images, &mut overflowed, &mut stats) {
             // The budget interrupted enumeration: a partially enumerated
             // witness set would under-report entailment, so the whole
             // bank degrades to evaluator fallback.
@@ -383,14 +476,14 @@ impl LineageBank {
         // cheap to sort, hash and containment-check — and only the
         // *distinct* arena survivors are stored, as word runs.
         let mut arena = ArenaBuilder::default();
-        let entries = raw
-            .into_iter()
+        let entries = images
+            .iter()
             .zip(overflowed)
-            .map(|(raw, overflowed)| {
+            .map(|(images, overflowed)| {
                 if overflowed {
                     BankEntry::Fallback
                 } else {
-                    arena.entry(minimal_antichain_images(raw))
+                    arena.entry(minimal_antichain_images(images))
                 }
             })
             .collect();
@@ -467,6 +560,7 @@ impl LineageBank {
         let cap = self.cap;
         let mut arena = ArenaBuilder::default();
         let mut entries = Vec::with_capacity(self.entries.len());
+        let mut raw = ImageStore::default();
         for (entry, &(evaluator, candidate)) in queries.iter().enumerate() {
             if self.is_fallback(entry) {
                 entries.push(BankEntry::Fallback);
@@ -476,10 +570,10 @@ impl LineageBank {
             // form so the cost follows the witness, not the universe.
             // Ids are never reused, so a witness survives iff all its
             // facts are still live.
-            let mut raw: Vec<Vec<FactId>> = Vec::new();
+            raw.clear();
             for index in self.entry_witnesses(entry) {
                 if self.witnesses.contained(index, live.words()) {
-                    raw.push(self.witnesses.get(index).iter().collect());
+                    raw.push(self.witnesses.get(index).iter());
                 }
             }
             let mut over_cap = false;
@@ -489,10 +583,7 @@ impl LineageBank {
                 candidate,
                 &inserted_by_relation,
                 |image| {
-                    let mut ids = image.to_vec();
-                    ids.sort_unstable();
-                    ids.dedup();
-                    raw.push(ids);
+                    raw.push(image.iter().copied());
                     over_cap = raw.len() > cap;
                     over_cap
                 },
@@ -501,7 +592,7 @@ impl LineageBank {
                 entries.push(BankEntry::Fallback);
                 continue;
             }
-            entries.push(arena.entry(minimal_antichain_images(raw)));
+            entries.push(arena.entry(minimal_antichain_images(&raw)));
         }
         self.universe = db.len();
         self.witnesses = arena.witnesses;
@@ -947,17 +1038,18 @@ impl ScanTrie {
     }
 
     /// Enumerates the whole trie in one DFS, appending each full match's
-    /// image to `raw[entry]` for every terminal entry of the matched path.
-    /// An entry whose raw witness count exceeds the budget's witness cap
-    /// is flagged in
-    /// `overflowed` and collects no further witnesses; subtrees whose
-    /// entries have all overflowed are pruned.
+    /// image, as a sorted fact-id list, to `images[entry]` for every
+    /// terminal entry of the matched path.  An entry whose raw image
+    /// count (duplicates and absorbed supersets included) exceeds the
+    /// budget's witness cap is flagged in `overflowed`, its store is
+    /// dropped, and it collects no further images; subtrees whose entries
+    /// have all overflowed are pruned.
     ///
     /// Structurally identical subtrees (as detected by
     /// [`ScanTrie::shared_subtrees`]) are enumerated **once per binding of
     /// their external slots**: the first visit records the subtree's
     /// emissions, later visits replay them against their own terminals.
-    /// Replay preserves the per-entry witness multiset and the per-push
+    /// Replay preserves the per-entry image multiset and the per-push
     /// overflow accounting, so witness sets and fallback flags are
     /// bit-identical to the unshared DFS — only the pass count shrinks.
     ///
@@ -967,14 +1059,14 @@ impl ScanTrie {
         &self,
         db: &Database,
         budget: &CompileBudget,
-        raw: &mut [Vec<Vec<FactId>>],
+        images: &mut [ImageStore],
         overflowed: &mut [bool],
         stats: &mut CompileStats,
     ) -> bool {
         for &entry in &self.root_terminals {
             // An empty body is matched by the empty image: one witness,
             // the empty set (entailed by every subset).
-            raw[entry].push(Vec::new());
+            images[entry].push([]);
         }
         let sharing = self.shared_subtrees();
         stats.shared_subtrees = sharing.groups.len();
@@ -995,7 +1087,7 @@ impl ScanTrie {
         };
         let mut complete = true;
         for &root in &self.roots {
-            if !self.visit(&cx, &mut state, root, raw, overflowed) {
+            if !self.visit(&cx, &mut state, root, images, overflowed) {
                 complete = false;
                 break;
             }
@@ -1012,7 +1104,7 @@ impl ScanTrie {
         cx: &EnumCx<'_>,
         state: &mut EnumState,
         node_id: usize,
-        raw: &mut [Vec<Vec<FactId>>],
+        images: &mut [ImageStore],
         overflowed: &mut [bool],
     ) -> bool {
         let node = &self.nodes[node_id];
@@ -1036,7 +1128,7 @@ impl ScanTrie {
                 .collect();
             let key = (group, external_syms);
             if !state.cache.contains_key(&key) && state.cached_emissions < MEMO_EMISSION_BUDGET {
-                let mut recorded: Vec<(u32, Vec<FactId>)> = Vec::new();
+                let mut recorded = SubtreeEmissions::default();
                 let mut counts = vec![0usize; group_ref.emit.len()];
                 let mut open = group_ref.emit.iter().filter(|&&e| e).count();
                 let mut local_image: Vec<FactId> = Vec::new();
@@ -1053,33 +1145,21 @@ impl ScanTrie {
                 ) {
                     return false;
                 }
-                state.cached_emissions += recorded.len();
+                state.cached_emissions += recorded.positions.len();
                 state.cache.insert(key.clone(), Rc::new(recorded));
             }
             if let Some(emissions) = state.cache.get(&key).cloned() {
                 state.replays += 1;
-                for (pos, local) in emissions.iter() {
-                    let emit_node = &self.nodes[member_ref.order[*pos as usize]];
-                    if emit_node.terminals.is_empty() {
-                        continue;
-                    }
-                    let mut ids: Vec<FactId> = state
-                        .image
-                        .iter()
-                        .copied()
-                        .chain(local.iter().copied())
-                        .collect();
-                    ids.sort_unstable();
-                    ids.dedup();
-                    for &entry in &emit_node.terminals {
-                        if !overflowed[entry] {
-                            raw[entry].push(ids.clone());
-                            if raw[entry].len() > cx.cap {
-                                overflowed[entry] = true;
-                                raw[entry] = Vec::new();
-                            }
-                        }
-                    }
+                for (&pos, local) in emissions.positions.iter().zip(emissions.images.iter()) {
+                    let emit_node = &self.nodes[member_ref.order[pos as usize]];
+                    emit_image(
+                        &emit_node.terminals,
+                        &state.image,
+                        local,
+                        images,
+                        overflowed,
+                        cx.cap,
+                    );
                 }
                 return true;
             }
@@ -1109,26 +1189,16 @@ impl ScanTrie {
                 continue;
             };
             state.image.push(fact_id);
-            if !node.terminals.is_empty() {
-                // Normalise the image once per match, not once per
-                // terminal (duplicate entries share one terminal list).
-                let mut ids = state.image.clone();
-                ids.sort_unstable();
-                ids.dedup();
-                for &entry in &node.terminals {
-                    if !overflowed[entry] {
-                        raw[entry].push(ids.clone());
-                        // One past the cap is enough to know this entry
-                        // must fall back to the evaluator.
-                        if raw[entry].len() > cx.cap {
-                            overflowed[entry] = true;
-                            raw[entry] = Vec::new();
-                        }
-                    }
-                }
-            }
+            emit_image(
+                &node.terminals,
+                &state.image,
+                &[],
+                images,
+                overflowed,
+                cx.cap,
+            );
             for &child in &node.children {
-                if !self.visit(cx, state, child, raw, overflowed) {
+                if !self.visit(cx, state, child, images, overflowed) {
                     // Interrupted: the caller discards every witness, so
                     // there is no need to unwind bindings on the way out.
                     return false;
@@ -1159,7 +1229,7 @@ impl ScanTrie {
         group: &SubtreeGroup,
         pos: usize,
         local_image: &mut Vec<FactId>,
-        recorded: &mut Vec<(u32, Vec<FactId>)>,
+        recorded: &mut SubtreeEmissions,
         counts: &mut [usize],
         open: &mut usize,
     ) -> bool {
@@ -1196,7 +1266,8 @@ impl ScanTrie {
             };
             local_image.push(fact_id);
             if group.emit[pos] && counts[pos] <= cx.cap {
-                recorded.push((pos as u32, local_image.clone()));
+                recorded.positions.push(pos as u32);
+                recorded.images.push(local_image.iter().copied());
                 counts[pos] += 1;
                 if counts[pos] > cx.cap {
                     *open -= 1;
@@ -1274,9 +1345,14 @@ struct EnumCx<'a> {
     sharing: &'a SubtreeSharing,
 }
 
-/// One recorded subtree emission: the local emit position and the local
-/// fact image to splice onto the caller's prefix on replay.
-type SubtreeEmission = (u32, Vec<FactId>);
+/// The recorded emissions of one memoized subtree: emission `i` is the
+/// local emit position `positions[i]` and the local fact image
+/// `images.get(i)` to splice onto the caller's prefix on replay.
+#[derive(Debug, Default)]
+struct SubtreeEmissions {
+    positions: Vec<u32>,
+    images: ImageStore,
+}
 
 /// The mutable state of one [`ScanTrie::enumerate`] DFS.
 struct EnumState {
@@ -1285,7 +1361,7 @@ struct EnumState {
     bindings: Vec<Option<Sym>>,
     image: Vec<FactId>,
     /// `(group, external symbols)` → recorded emissions of the subtree.
-    cache: HashMap<(usize, Vec<Sym>), Rc<Vec<SubtreeEmission>>>,
+    cache: HashMap<(usize, Vec<Sym>), Rc<SubtreeEmissions>>,
     cached_emissions: usize,
 }
 
@@ -2345,5 +2421,123 @@ mod tests {
                 "entry {entry}"
             );
         }
+    }
+
+    #[test]
+    fn the_witness_cap_counts_raw_images_not_witnesses() {
+        // R(x, y), R(z, y) has 9 homomorphism images: four for each of
+        // the shared values 1 and 2 (where (x, z) and (z, x) give the
+        // same fact set) and one for 7.  They absorb into 5 singletons.
+        let db = blocks_db();
+        let evals = evaluators(&db, &["Ans() :- R(x, y), R(z, y)"]);
+        let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
+        let images = evals[0].homomorphisms_unplanned(&db, &db.all_facts(), None);
+        assert_eq!(images.len(), 9);
+        // Exactly `cap` raw images compile; one more than the cap falls
+        // back, though the antichain is smaller than either cap.
+        let at_cap = capped(&db, &queries, 9);
+        assert!(!at_cap.is_fallback(0));
+        assert_eq!(at_cap.query_witness_count(0), Some(5));
+        assert_eq!(
+            canonical(&at_cap, 0),
+            reference_witnesses(&db, queries[0], 9)
+        );
+        let over_cap = capped(&db, &queries, 8);
+        assert!(over_cap.is_fallback(0));
+        assert_eq!(reference_witnesses(&db, queries[0], 8), None);
+
+        // R(x, y), R(x, z) over one key with 65 values: 65² = 4 225
+        // images, over the default cap, for an antichain of 65
+        // singletons.
+        let mut schema = Schema::new();
+        schema.add_relation("R", &["K", "V"]).unwrap();
+        let mut wide = Database::with_schema(schema);
+        for v in 0..65 {
+            wide.insert_values("R", [Value::int(0), Value::int(v)])
+                .unwrap();
+        }
+        let evals = evaluators(&wide, &["Ans() :- R(x, y), R(x, z)"]);
+        let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
+        const { assert!(65 * 65 > DEFAULT_WITNESS_CAP) };
+        assert!(LineageBank::compile(&wide, &queries)
+            .unwrap()
+            .is_fallback(0));
+        let at_cap = capped(&wide, &queries, 65 * 65);
+        assert_eq!(at_cap.query_witness_count(0), Some(65));
+        assert!(capped(&wide, &queries, 65 * 65 - 1).is_fallback(0));
+    }
+
+    #[test]
+    fn replayed_images_dedup_facts_shared_with_the_prefix() {
+        // Costed plans lead with R(k, x) and share the suffix R(y, x),
+        // memoized per binding of x.  With y = k the replayed local image
+        // is the prefix's own fact, so the spliced image must dedup to a
+        // singleton; entries k = 1 and k = 2 bind the same x values and
+        // replay each other's fills.
+        let db = blocks_db();
+        let texts: Vec<String> = (1..=3)
+            .map(|k| format!("Ans() :- R({k}, x), R(y, x)"))
+            .collect();
+        let evals: Vec<QueryEvaluator> = texts
+            .iter()
+            .map(|t| QueryEvaluator::with_stats(parse_query(db.schema(), t).unwrap(), &db).unwrap())
+            .collect();
+        let queries: Vec<BankQueryRef<'_>> = evals.iter().map(|e| (e, &[] as &[Value])).collect();
+        // Entries 1 and 2 have 4 raw images each, entry 3 has one: the
+        // caps straddle both counts.
+        for cap in [1, 2, 3, 4, DEFAULT_WITNESS_CAP] {
+            let budget = CompileBudget::unlimited().with_witness_cap(cap);
+            let (bank, stats) = LineageBank::compile_with_budget(&db, &queries, &budget).unwrap();
+            assert!(stats.shared_subtrees >= 1, "cap {cap}: {stats:?}");
+            assert!(stats.replays > 0, "cap {cap}: {stats:?}");
+            for (entry, &query) in queries.iter().enumerate() {
+                let expected = reference_witnesses(&db, query, cap);
+                assert_eq!(
+                    bank.is_fallback(entry),
+                    expected.is_none(),
+                    "cap {cap}, entry {entry}"
+                );
+                assert_eq!(
+                    canonical(&bank, entry),
+                    expected,
+                    "cap {cap}, entry {entry}"
+                );
+            }
+            if cap >= 4 {
+                // The singleton {R(k, x)} absorbs {R(k, x), R(y, x)}.
+                assert_eq!(
+                    canonical(&bank, 0),
+                    Some(vec![vec![FactId::new(0)], vec![FactId::new(1)]])
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn image_store_sorts_and_dedups_each_image_in_place() {
+        let ids = |raw: &[usize]| raw.iter().map(|&i| FactId::new(i)).collect::<Vec<_>>();
+        let mut store = ImageStore::default();
+        store.push(ids(&[3, 1, 3]));
+        store.push([]);
+        store.push(ids(&[1, 1]));
+        store.push(ids(&[2, 0, 1]));
+        let images: Vec<&[FactId]> = store.iter().collect();
+        assert_eq!(
+            images,
+            vec![&ids(&[1, 3])[..], &[], &ids(&[1]), &ids(&[0, 1, 2])]
+        );
+        // The antichain keeps (cardinality, ids) order: the empty image
+        // absorbs every other one.
+        assert_eq!(minimal_antichain_images(&store), vec![&[] as &[FactId]]);
+        store.clear();
+        assert_eq!(store.len(), 0);
+        store.push(ids(&[4, 2]));
+        store.push(ids(&[2]));
+        store.push(ids(&[2]));
+        store.push(ids(&[1, 4]));
+        assert_eq!(
+            minimal_antichain_images(&store),
+            vec![&ids(&[2])[..], &ids(&[1, 4])]
+        );
     }
 }

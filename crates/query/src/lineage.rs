@@ -20,8 +20,11 @@
 
 use ucqa_db::FactId;
 
-/// Default cap on the number of witnesses materialised per bank entry
-/// (see [`CompileBudget::with_witness_cap`](crate::CompileBudget::with_witness_cap)).
+/// Default cap on the number of raw homomorphism images enumerated per
+/// bank entry (see
+/// [`CompileBudget::with_witness_cap`](crate::CompileBudget::with_witness_cap)).
+/// The cap counts images before minimisation, duplicates and absorbed
+/// supersets included, so it also bounds the entry's witness count.
 ///
 /// A witness is stored as the few `(word, mask)` runs its facts span, so
 /// `4096` witnesses of a short join take a few tens of KiB whatever the

@@ -378,6 +378,7 @@ proptest! {
     fn planned_enumeration_matches_the_backtracking_baseline(
         rows in prop::collection::vec((0u8..3, 0u8..3, 0u8..3, 0u8..2), 2..10),
         seed in 0u64..1_000,
+        drawn_cap in 1usize..=64,
     ) {
         use uocqa::workload::queries::overlapping_join_bank;
 
@@ -455,11 +456,12 @@ proptest! {
         }
 
         // Whole-bank: the shared scan trie produces the reference entries,
-        // under the default cap and under a tiny cap that forces
-        // fallbacks.
+        // under the default cap, under a tiny cap that forces fallbacks,
+        // and under a drawn cap that lands near the entries' raw image
+        // counts, where one image more or less flips the fallback flag.
         let refs: Vec<(&QueryEvaluator, &[Value])> =
             evaluators.iter().map(|(e, c)| (e, c.as_slice())).collect();
-        for cap in [uocqa::query::lineage::DEFAULT_WITNESS_CAP, 1] {
+        for cap in [uocqa::query::lineage::DEFAULT_WITNESS_CAP, 1, drawn_cap] {
             let budget = CompileBudget::unlimited().with_witness_cap(cap);
             let (shared, _) = LineageBank::compile_with_budget(&db, &refs, &budget).unwrap();
             let reference: Vec<_> = refs
